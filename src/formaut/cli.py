@@ -25,7 +25,11 @@ from .structure import DecompositionCertificate, verify_certificate, verify_comp
 
 def _default_cap() -> int:
     env = os.environ.get("FORMAUT_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    if not env.strip().isdigit() or int(env) < 1:
+        raise ValueError("FORMAUT_CAP must be a positive integer, got %r" % env)
+    return int(env)
 
 
 def _load_form(path: str, nvars=None):
@@ -274,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     try:
         return args.func(args)

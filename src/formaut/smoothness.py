@@ -13,15 +13,23 @@ the origin.  The certifiers here are exact:
   cyclotomic coefficient field; the form is smooth iff the leading-term
   ideal contains a pure power of every variable.
 
+Both Groebner routes run one Buchberger engine on packed-int monomials; the
+coefficient field (F_p or the cyclotomic field) is a parameter that supplies
+only the coefficient arithmetic.  The exponent bound of the packing comes
+from the degree cap, and the exactness lemma at the engine shows that no
+exponent ever exceeds it.
+
 A singular verdict is only ever issued from characteristic 0, with either an
 exact witness point or the leading-term defect as certificate.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from math import lcm
+from typing import NamedTuple
 
 from .cyclotomic import CycNum, cyclotomic_polynomial, scalar_to_str
 from .forms import ExactMatrix, Form, partials
@@ -39,6 +47,10 @@ def grevlex_key(exps):
 
 
 # -- coefficient fields -------------------------------------------------------
+#
+# The Buchberger engine below is the same for every field; a field supplies
+# only its coefficient arithmetic: from_cyc, inv, mul, and submul, the one
+# inner loop of reduction.
 
 
 class GF:
@@ -81,6 +93,21 @@ class GF:
     def inv(self, a):
         return pow(a, -1, self.p)
 
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def submul(self, terms, g, skip, delta, factor):
+        """terms -= factor * x^delta * g, leaving out g's term at skip."""
+        p = self.p
+        for e, c in g.items():
+            if e != skip:
+                key = e + delta
+                v = (terms.get(key, 0) - factor * c) % p
+                if v:
+                    terms[key] = v
+                else:
+                    del terms[key]
+
 
 class CycField:
     """The cyclotomic coefficient field, used directly."""
@@ -94,6 +121,28 @@ class CycField:
     @staticmethod
     def inv(a):
         return a.inverse()
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def submul(terms, g, skip, delta, factor):
+        """terms -= factor * x^delta * g, leaving out g's term at skip."""
+        neg = -factor
+        for e, c in g.items():
+            if e != skip:
+                key = e + delta
+                v = neg * c
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = v
+                else:
+                    v = old + v
+                    if v.is_zero():
+                        del terms[key]
+                    else:
+                        terms[key] = v
 
 
 def _prime_factors(n):
@@ -111,288 +160,147 @@ def _prime_factors(n):
     return out
 
 
-# -- packed-monomial Buchberger over F_p ---------------------------------------
+# -- packed-monomial Buchberger -------------------------------------------------
 #
-# Exponent vectors are packed into one int laid out as
-#   [total degree | 127 - e_{n-1} | ... | 127 - e_0]
-# in 8-bit fields, so native int comparison is exactly grevlex order,
-# monomial multiplication and division are int additions, and divisibility
-# is a guard-bit borrow test.  Only usable while every exponent stays < 120.
-
-_FIELD_BITS = 8
-_FIELD_MASK = (1 << (_FIELD_BITS - 1)) - 1  # 127
-
-
-def _pack_spec(nvars):
-    guard = 0
-    offset = 0
-    for k in range(nvars):
-        guard |= 1 << (k * _FIELD_BITS + _FIELD_BITS - 1)
-        offset |= _FIELD_MASK << (k * _FIELD_BITS)
-    return guard, offset, nvars * _FIELD_BITS
-
-
-def _pack_mono(exps, degshift):
-    # variable i sits in bit field i, so the most significant exponent field
-    # is the last variable: integer order == grevlex
-    out = sum(exps) << degshift
-    for i, e in enumerate(exps):
-        out |= (_FIELD_MASK - e) << (i * _FIELD_BITS)
-    return out
+# For a bound M, an exponent vector e with every e_i <= M is packed into one
+# int laid out as
+#   [total degree | M - e_{n-1} | ... | M - e_0]
+# in fields of w = bitlength(M) + 1 bits, the top bit of each field a zero
+# guard bit.  Native int comparison is then exactly grevlex order, monomial
+# multiplication and division are int additions and subtractions (exact while
+# every resulting exponent is in [0, M]), and a | b is a borrow test on the
+# guard bits: (a | guard) - b keeps every guard bit iff each field of a is at
+# least the field of b.
+#
+# Exactness lemma.  Grevlex is degree-compatible: the leading monomial of a
+# polynomial has the largest total degree among its terms.  So processing a
+# pair whose lcm has degree D (forming its S-polynomial, then subtracting
+# multiples x^delta * g whose leading term cancels a present term) only
+# creates terms of degree <= D; likewise reducing an element never raises its
+# degree.  M is at least the degree cap and twice the input degree, and a pair
+# whose lcm degree exceeds the cap is never processed (it marks the run
+# incomplete), so every exponent ever packed is <= M.
 
 
-def _unpack_mono(packed, nvars, degshift):
-    return tuple(
-        _FIELD_MASK - ((packed >> (i * _FIELD_BITS)) & ((1 << _FIELD_BITS) - 1))
-        for i in range(nvars)
-    )
+def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_unit):
+    """Grevlex Buchberger on packed monomials, exponents at most bound.
 
-
-def _gf_buchberger_packed(polys, p, nvars, degree_cap, pair_budget, stop_at_unit):
-    """Grevlex Buchberger over F_p on packed-int monomials.
-
-    polys: list of dicts {exponent tuple: coeff}.  Returns (basis as list of
-    {packed: coeff} dicts with lms, complete flag, pairs processed); monomials
-    convert back through _unpack_mono.
+    polys: nonzero {exponent tuple: coeff} dicts of total degree <= bound.
+    Returns (basis, capped, exhausted, processed): the reduced basis as
+    monic {exponent tuple: coeff} dicts, whether a pair above the degree cap
+    was skipped, whether the pair budget ran out, and the pairs processed.
     """
-    import heapq
+    width = bound.bit_length() + 1
+    shift = nvars * width
+    guard = offset = 0
+    for i in range(nvars):
+        guard |= 1 << (i * width + width - 1)
+        offset |= bound << (i * width)
+    fmask = (1 << width) - 1
+    one = field.from_cyc(CycNum.one())
 
-    guard, offset, degshift = _pack_spec(nvars)
-    unit = _pack_mono((0,) * nvars, degshift)
+    def pack(exps):
+        return (sum(exps) << shift) + offset - sum(e << (i * width) for i, e in enumerate(exps))
 
-    def pack_poly(terms):
+    def unpack(m):
+        return tuple(bound - ((m >> (i * width)) & fmask) for i in range(nvars))
+
+    def reduce(terms, reducers):
+        """Full normal form of terms; reducers are (lm | guard, lm, monic terms)."""
         out = {}
-        for e, c in terms.items():
-            c %= p
-            if c:
-                out[_pack_mono(e, degshift)] = c
+        while terms:
+            m = max(terms)
+            for a, glm, g in reducers:
+                if ((a - m) & guard) == guard:
+                    field.submul(terms, g, glm, m - glm, terms.pop(m))
+                    break
+            else:
+                out[m] = terms.pop(m)
         return out
 
-    basis = []      # list of (terms dict, lm, lm coeff inverse)
-    lms = []
-
-    def degree_of(m):
-        return m >> degshift
-
-    def divides(a, b):
-        # a | b: stored fields are 127 - e, so a's fields must dominate b's;
-        # the degree compare is just a cheap pre-filter
-        return (((a | guard) - b) & guard) == guard if degree_of(a) <= degree_of(b) else False
-
-    def head_reduce(terms):
-        """Reduce leading terms until the lead is irreducible or terms die."""
-        while terms:
-            lm = max(terms)
-            red = None
-            for k in range(len(basis)):
-                if divides(lms[k], lm):
-                    red = k
-                    break
-            if red is None:
-                return terms, lm
-            gterms, glm, ginv = basis[red]
-            factor = terms.pop(lm) * ginv % p
-            delta = lm - glm
-            for e, c in gterms.items():
-                if e == glm:
-                    continue
-                key = e + delta
-                v = (terms.get(key, 0) - factor * c) % p
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-        return terms, None
-
-    def add_poly(terms, lm):
-        inv = pow(terms[lm], -1, p)
-        basis.append((terms, lm, inv))
-        lms.append(lm)
-
-    prepared = []
-    for terms in polys:
-        packed = pack_poly(terms)
-        if packed:
-            prepared.append(packed)
-    prepared.sort(key=lambda t: max(t))
+    basis = []      # (lm | guard, lm, monic terms) in insertion order
+    exps = []       # unpacked leading monomials
     heap = []
-    pair_set = set()
+    pending = set()
 
-    def lcm_pack(a, b):
-        ea, eb = _unpack_mono(a, nvars, degshift), _unpack_mono(b, nvars, degshift)
-        return _pack_mono(tuple(max(x, y) for x, y in zip(ea, eb)), degshift)
-
-    def push_pairs(k):
+    def insert(terms):
+        lm = max(terms)
+        inv = field.inv(terms[lm])
+        k = len(basis)
+        e = unpack(lm)
         for t in range(k):
-            l = lcm_pack(lms[k], lms[t])
-            heapq.heappush(heap, (degree_of(l), k, t, l))
-            pair_set.add((k, t))
+            l = tuple(map(max, e, exps[t]))
+            heapq.heappush(heap, (sum(l), k, t, l))
+            pending.add((k, t))
+        basis.append((lm | guard, lm, {m: field.mul(c, inv) for m, c in terms.items()}))
+        exps.append(e)
 
-    for terms in prepared:
-        terms, lm = head_reduce(dict(terms))
-        if not terms:
-            continue
-        if stop_at_unit and lm == unit:
-            return [({unit: 1}, unit)], True, 0
-        add_poly(terms, lm)
-        push_pairs(len(basis) - 1)
+    def unit_basis(processed):
+        return [{(0,) * nvars: one}], False, False, processed
+
+    for terms in sorted(({pack(e): c for e, c in t.items()} for t in polys), key=max):
+        terms = reduce(terms, basis)
+        if terms:
+            if stop_at_unit and max(terms) == offset:
+                return unit_basis(0)
+            insert(terms)
 
     processed = 0
-    incomplete = False
+    capped = exhausted = False
     while heap:
         if processed > pair_budget:
-            incomplete = True
+            exhausted = True
             break
         ldeg, i, j, l = heapq.heappop(heap)
-        if (i, j) not in pair_set:
+        pending.discard((i, j))
+        if ldeg > cap:
+            capped = True
             continue
-        pair_set.discard((i, j))
-        if degree_cap is not None and ldeg > degree_cap:
-            incomplete = True
-            continue
-        fi, flm, finv = basis[i]
-        fj, glm, ginv = basis[j]
-        if l == flm + glm - offset:     # coprime leading monomials
+        if ldeg == sum(exps[i]) + sum(exps[j]):     # coprime leading monomials
             continue
         # chain criterion with proper-divisibility guards (equal-lcm triples
         # must not eliminate each other circularly)
+        lp = pack(l)
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        for k, (a, _lm, _g) in enumerate(basis):
+            if k == i or k == j or ((a - lp) & guard) != guard:
                 continue
-            if divides(lms[k], l):
-                if lcm_pack(lms[i], lms[k]) == l or lcm_pack(lms[j], lms[k]) == l:
-                    continue
-                a = (max(i, k), min(i, k))
-                b = (max(j, k), min(j, k))
-                if a not in pair_set and b not in pair_set:
-                    skip = True
-                    break
+            if tuple(map(max, exps[i], exps[k])) == l or tuple(map(max, exps[j], exps[k])) == l:
+                continue
+            if (max(i, k), min(i, k)) not in pending and (max(j, k), min(j, k)) not in pending:
+                skip = True
+                break
         if skip:
             continue
         processed += 1
-        # s-polynomial on packed keys
-        terms = {}
-        di = l - flm
-        for e, c in fi.items():
-            terms[e + di] = c * finv % p
-        dj = l - glm
-        for e, c in fj.items():
-            key = e + dj
-            v = (terms.get(key, 0) - c * ginv) % p
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-        terms, lm = head_reduce(terms)
-        if not terms:
-            continue
-        if stop_at_unit and lm == unit:
-            return [({unit: 1}, unit)], True, processed
-        add_poly(terms, lm)
-        push_pairs(len(basis) - 1)
-    return [(t, lm) for (t, lm, _inv) in basis], not incomplete, processed
+        _a, flm, f = basis[i]
+        _a, glm, g = basis[j]
+        di = lp - flm
+        terms = {m + di: c for m, c in f.items() if m != flm}
+        field.submul(terms, g, glm, lp - glm, one)
+        terms = reduce(terms, basis)
+        if terms:
+            if stop_at_unit and max(terms) == offset:
+                return unit_basis(processed)
+            insert(terms)
+
+    # interreduce: proper divisors of a leading monomial have lower degree,
+    # so an ascending sweep keeps exactly one element per minimal lm; each
+    # kept element is then reduced by the others
+    keep = []
+    for a, lm, g in sorted(basis, key=lambda b: b[1]):
+        if not any(((h - lm) & guard) == guard for h, _lm, _g in keep):
+            keep.append((a, lm, g))
+    reduced = [reduce(dict(g), keep[:k] + keep[k + 1:]) for k, (_a, _lm, g) in enumerate(keep)]
+    return ([{unpack(m): c for m, c in g.items()} for g in reduced],
+            capped, exhausted, processed)
 
 
-def _gf_packed_ok(polys, nvars, degree_cap):
-    if nvars < 1 or nvars * _FIELD_BITS > 1 << 12:
-        return False
-    worst = 0
-    for terms in polys:
-        for e in terms:
-            worst = max(worst, sum(e))
-    limit = max(worst * 2, (degree_cap or 0) + worst)
-    return limit < _FIELD_MASK - 8
+class Poly(NamedTuple):
+    """A basis element: {exponent tuple: coeff} and its leading monomial."""
 
-
-# -- generic sparse polynomials over a field ----------------------------------
-
-
-class _Poly:
-    __slots__ = ("terms", "lm")
-
-    def __init__(self, terms, field):
-        if field.p:
-            terms = {e: c % field.p for e, c in terms.items() if c % field.p}
-        else:
-            terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self.terms = terms
-        self.lm = max(terms, key=grevlex_key) if terms else None
-
-    def is_zero(self):
-        return not self.terms
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _reduce_poly(f: _Poly, basis, field) -> _Poly:
-    """Full normal form of f with respect to the basis."""
-    p = field.p
-    work = dict(f.terms)
-    out = {}
-    while work:
-        lm = max(work, key=grevlex_key)
-        lc = work.pop(lm)
-        reducer = None
-        for g in basis:
-            if _divides(g.lm, lm):
-                reducer = g
-                break
-        if reducer is None:
-            out[lm] = lc
-            continue
-        shift = _mono_div(lm, reducer.lm)
-        factor = lc * field.inv(reducer.terms[reducer.lm])
-        if p:
-            factor %= p
-        for e, c in reducer.terms.items():
-            if e == reducer.lm:
-                continue
-            key = _mono_mul(e, shift)
-            cur = work.get(key, 0 if p else CycNum.zero())
-            val = cur - factor * c
-            if p:
-                val %= p
-                if val:
-                    work[key] = val
-                elif key in work:
-                    del work[key]
-            else:
-                if val.is_zero():
-                    work.pop(key, None)
-                else:
-                    work[key] = val
-    return _Poly(out, field)
-
-
-def _spoly(f: _Poly, g: _Poly, field) -> _Poly:
-    l = _mono_lcm(f.lm, g.lm)
-    p = field.p
-    cf = field.inv(f.terms[f.lm])
-    cg = field.inv(g.terms[g.lm])
-    sf, sg = _mono_div(l, f.lm), _mono_div(l, g.lm)
-    terms = {}
-    for e, c in f.terms.items():
-        terms[_mono_mul(e, sf)] = c * cf
-    for e, c in g.terms.items():
-        key = _mono_mul(e, sg)
-        cur = terms.get(key, 0 if p else CycNum.zero())
-        terms[key] = cur - c * cg
-    return _Poly(terms, field)
+    terms: dict
+    lm: tuple
 
 
 class GroebnerResult:
@@ -407,120 +315,37 @@ class GroebnerResult:
 
 
 def buchberger(polys, field, degree_cap=None, pair_budget=200000, stop_at_unit=False):
-    """Reduced Groebner basis under grevlex, sugar selection, both criteria.
+    """Reduced Groebner basis under grevlex, lowest lcm degree first, both criteria.
 
+    polys are {exponent tuple: coeff} dicts with coefficients in field.
     Exceeding the pair budget or needing a pair above the degree cap yields
-    complete=False (never a wrong basis).  With stop_at_unit the run aborts
-    as soon as a nonzero constant enters the basis.
+    complete=False (never a wrong basis).  With degree_cap None there is no
+    cap: a run that outgrows its packing bound restarts with the bound
+    doubled.  With stop_at_unit the run aborts as soon as a nonzero constant
+    enters the basis.
     """
-    import heapq
-
-    basis = [f for f in polys if not f.is_zero()]
-    if not basis:
+    polys = [t for t in ({e: c for e, c in t.items() if c != 0} for t in polys) if t]
+    if not polys:
         return GroebnerResult([], True, 0, degree_cap)
-    nvars = len(basis[0].lm)
-    if field.p and _gf_packed_ok([f.terms for f in basis], nvars, degree_cap):
-        guard, offset, degshift = _pack_spec(nvars)
-        packed, complete, processed = _gf_buchberger_packed(
-            [f.terms for f in basis], field.p, nvars, degree_cap, pair_budget, stop_at_unit)
-        raw = [_Poly({_unpack_mono(e, nvars, degshift): c for e, c in terms.items()}, field)
-               for terms, _lm in packed]
-        if stop_at_unit and len(raw) == 1 and raw[0].lm == tuple([0] * nvars):
-            return GroebnerResult(raw, complete, processed, degree_cap)
-        return GroebnerResult(_interreduce(raw, field), complete, processed, degree_cap)
-    unit = tuple([0] * nvars)
-    for g in basis:
-        if stop_at_unit and sum(g.lm) == 0:
-            return GroebnerResult([_Poly({unit: g.terms[g.lm]}, field)], True, 0, degree_cap)
-
-    heap = []
-    pair_set = set()
-
-    def push(i, j):
-        l = _mono_lcm(basis[i].lm, basis[j].lm)
-        heapq.heappush(heap, (sum(l), i, j))
-        pair_set.add((i, j))
-
-    for i in range(len(basis)):
-        for j in range(i):
-            push(i, j)
-    processed = 0
-    incomplete = False
-    while heap:
-        if processed > pair_budget:
-            incomplete = True
+    nvars = len(next(iter(polys[0])))
+    bound = max(degree_cap or 0, 2 * max(sum(e) for t in polys for e in t), 1)
+    while True:
+        basis, capped, exhausted, processed = _buchberger_packed(
+            polys, field, nvars, bound, bound if degree_cap is None else degree_cap,
+            pair_budget, stop_at_unit)
+        if degree_cap is not None or not capped or exhausted:
             break
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pair_set:
-            continue
-        pair_set.discard((i, j))
-        f, g = basis[i], basis[j]
-        l = _mono_lcm(f.lm, g.lm)
-        if degree_cap is not None and sum(l) > degree_cap:
-            incomplete = True
-            continue
-        # first criterion: coprime leading monomials
-        if l == _mono_mul(f.lm, g.lm):
-            continue
-        # chain criterion with proper-divisibility guards
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k].lm, l):
-                if _mono_lcm(basis[i].lm, basis[k].lm) == l or _mono_lcm(basis[j].lm, basis[k].lm) == l:
-                    continue
-                a = (max(i, k), min(i, k))
-                b = (max(j, k), min(j, k))
-                if a not in pair_set and b not in pair_set:
-                    skip = True
-                    break
-        if skip:
-            continue
-        processed += 1
-        s = _reduce_poly(_spoly(f, g, field), basis, field)
-        if s.is_zero():
-            continue
-        if stop_at_unit and sum(s.lm) == 0:
-            return GroebnerResult([_Poly({unit: s.terms[s.lm]}, field)], True, processed, degree_cap)
-        k = len(basis)
-        basis.append(s)
-        for t in range(k):
-            push(k, t)
-    reduced = _interreduce(basis, field)
-    return GroebnerResult(reduced, not incomplete, processed, degree_cap)
+        bound *= 2
+    basis = [Poly(g, max(g, key=grevlex_key)) for g in basis]
+    return GroebnerResult(basis, not (capped or exhausted), processed, degree_cap)
 
 
-def _interreduce(basis, field):
-    # minimalize: proper divisors of a leading monomial have lower degree,
-    # so an ascending sweep keeps exactly one element per minimal lm
-    ordered = sorted((g for g in basis if not g.is_zero()), key=lambda g: grevlex_key(g.lm))
-    keep = []
-    for g in ordered:
-        if not any(_divides(h.lm, g.lm) for h in keep):
-            keep.append(g)
-    out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _reduce_poly(g, others, field) if others else g
-        if r.is_zero():
-            continue
-        lc_inv = field.inv(r.terms[r.lm])
-        if field.p:
-            r = _Poly({e: c * lc_inv % field.p for e, c in r.terms.items()}, field)
-        else:
-            r = _Poly({e: c * lc_inv for e, c in r.terms.items()}, field)
-        out.append(r)
-    out.sort(key=lambda g: grevlex_key(g.lm))
-    return out
-
-
-def form_to_poly(form: Form, field) -> _Poly:
-    return _Poly({e: field.from_cyc(c) for e, c in form.terms.items()}, field)
+def form_to_poly(form: Form, field) -> dict:
+    return {e: field.from_cyc(c) for e, c in form.terms.items()}
 
 
 def groebner_basis(forms, field=None, degree_cap=None, pair_budget=200000):
-    """Reduced grevlex Groebner basis of a list of Forms (or _Polys)."""
+    """Reduced grevlex Groebner basis of a list of Forms (or coefficient dicts)."""
     field = field or CycField()
     polys = [form_to_poly(f, field) if isinstance(f, Form) else f for f in forms]
     return buchberger(polys, field, degree_cap=degree_cap, pair_budget=pair_budget)
@@ -559,7 +384,17 @@ def form_conductor(form: Form) -> int:
 
 
 def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi: int = 1 << 21):
-    """Random primes p = 1 (mod conductor) in [lo, hi), deterministic per seed."""
+    """Random primes p = 1 (mod conductor) in [lo, hi), deterministic per seed.
+
+    p = k * conductor + 1 for a drawn k.  When [lo, hi) holds no such p with
+    k >= 1 (a conductor near or above hi), k is drawn from the 2^10 values
+    from max(1, lo // conductor) up instead, and p may exceed hi.
+    """
+    k_lo, k_hi = lo // conductor, hi // conductor
+    if k_hi <= max(k_lo, 1):
+        k_lo = max(k_lo, 1)
+        k_hi = k_lo + (1 << 10)
+        hi = k_hi * conductor
     rng = random.Random(seed)
     found = []
     seen = set()
@@ -568,7 +403,7 @@ def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi
         attempts += 1
         if attempts > 200000:
             raise SmoothnessError("cannot find enough split primes for conductor %d" % conductor)
-        k = rng.randrange(lo // conductor, hi // conductor)
+        k = rng.randrange(k_lo, k_hi)
         p = k * conductor + 1
         if p < lo or p >= hi or p in seen:
             continue
@@ -673,19 +508,17 @@ def _modp_only_origin(form: Form, p: int, degree_cap, pair_budget):
     r = form.nvars
     for chart in range(r - 1, -1, -1):
         chart_polys = []
-        any_nonzero = False
         for poly in polys:
             terms = {}
-            for e, c in poly.terms.items():
+            for e, c in poly.items():
                 if any(e[j] for j in range(chart + 1, r)):
                     continue
                 key = e[:chart]
                 terms[key] = (terms.get(key, 0) + c) % p
-            q = _Poly(terms, field)
-            if not q.is_zero():
-                any_nonzero = True
-                chart_polys.append(q)
-        if not any_nonzero:
+            terms = {e: c for e, c in terms.items() if c}
+            if terms:
+                chart_polys.append(terms)
+        if not chart_polys:
             return False  # entire chart satisfies the system
         if chart == 0:
             # variables exhausted: constants; system infeasible iff some constant != 0

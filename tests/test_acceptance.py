@@ -285,8 +285,10 @@ def test_criterion_08_smoothness():
                     term = term * w ** e
                 value = value + term
             assert value.is_zero()
-    # r = 2 Groebner verdicts against the resultant oracle, 100 random forms
-    agree = 0
+    # r = 2 Groebner verdicts against the resultant oracle: 100 random forms,
+    # then forms of degree 40 and 64 (degree caps 160 and 256, so 9- and
+    # 10-bit exponent fields), a smooth one and one singular at (1 : 1) each
+    binary = []
     for _ in range(100):
         d = rng.randint(2, 7)
         terms = {}
@@ -296,13 +298,20 @@ def test_criterion_08_smoothness():
                 terms[(d - i, i)] = CycNum.from_int(c)
         if not terms:
             terms[(d, 0)] = CycNum.one()
-        F = Form(2, terms, d)
-        cert = is_smooth(F, "char0")
-        assert (cert.verdict == "smooth") == smooth_by_resultant(F)
+        binary.append(Form(2, terms, d))
+    for d in (40, 64):
+        binary.append(parse("x1^%d + 2*x1^7*x2^%d - x2^%d" % (d, d - 7, d)))
+        binary.append(parse("(x1 - x2)^2*(x1^%d + x2^%d)" % (d - 2, d - 2)))
+    agree = 0
+    for F in binary:
+        smooth = smooth_by_resultant(F)
+        assert (is_smooth(F, "char0").verdict == "smooth") == smooth
+        modp = is_smooth(F, "modp").verdict   # singular only from the exact coordinate check
+        assert (modp == "smooth") if smooth else (modp in ("singular", "undecided"))
         agree += 1
     report(8, "all %d catalog forms certified smooth; singular controls "
-              "witnessed; %d binary Groebner verdicts match the resultant" %
-           (len(load_entries()), agree))
+              "witnessed; %d binary Groebner verdicts (char0 and mod p) match "
+              "the resultant" % (len(load_entries()), agree))
 
 
 def test_criterion_09_invariant_dimensions():

@@ -138,3 +138,9 @@ def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "formaut.cli", "ratio"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_bad_cap_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FORMAUT_CAP", "abc")
+    assert main(["jc", "--r", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: FORMAUT_CAP")

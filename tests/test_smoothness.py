@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from formaut.cyclotomic import CycNum
 from formaut.forms import Form, parse
-from formaut.smoothness import (GF, SmoothnessError, buchberger, good_primes,
+from formaut.smoothness import (GF, CycField, SmoothnessError, buchberger, good_primes,
                                 groebner_basis, is_smooth, smooth_by_resultant, smtosm_witness,
                                 sylvester_resultant, variable_components)
 
@@ -28,28 +30,49 @@ def test_groebner_klein_pure_powers():
         assert any(lm[i] > 0 and all(x == 0 for j, x in enumerate(lm) if j != i) for lm in lms)
 
 
-def test_packed_and_generic_gf_agree():
-    import formaut.smoothness as sm
-    field = GF(32003, 1)
-    for _ in range(25):
-        n = rng.randint(2, 3)
-        polys = []
+def _canonical(bases):
+    return sorted(tuple(sorted(terms)) for terms in bases)
+
+
+def _sympy_reduced_basis(polys, nvars, **domain):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1:%d" % (nvars + 1))
+    exprs = [sum(c * sympy.prod(g ** k for g, k in zip(gens, e)) for e, c in p.items()) for p in polys]
+    basis = sympy.groebner(exprs, *gens, order="grevlex", **domain)
+    return [sympy.Poly(g, *gens, **domain).terms() for g in basis.exprs]
+
+
+def _random_polys(nvars, coeff):
+    polys = []
+    while not polys:
         for _ in range(rng.randint(2, 4)):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                e = tuple(rng.randint(0, 3) for _ in range(n))
-                terms[e] = rng.randint(1, 32002)
+            terms = {tuple(rng.randint(0, 3) for _ in range(nvars)): coeff()
+                     for _ in range(rng.randint(1, 4))}
+            terms = {e: c for e, c in terms.items() if c}
             if terms:
-                polys.append(sm._Poly(terms, field))
-        if not polys:
-            continue
-        saved = sm._gf_packed_ok
-        sm._gf_packed_ok = lambda *a: False
-        generic = buchberger([sm._Poly(dict(p.terms), field) for p in polys], field)
-        sm._gf_packed_ok = saved
-        packed = buchberger([sm._Poly(dict(p.terms), field) for p in polys], field)
-        key = lambda res: sorted((g.lm, tuple(sorted(g.terms.items()))) for g in res.basis)
-        assert key(generic) == key(packed)
+                polys.append(terms)
+    return nvars, polys
+
+
+def test_buchberger_matches_sympy_groebner():
+    # reference: sympy's reduced grevlex basis, over F_32003 and over Q
+    p = 32003
+    inputs = [_random_polys(rng.randint(2, 3), lambda: rng.randint(0, p - 1)) for _ in range(25)]
+    # a degree 64 binary input: packing bound 128, so 9-bit exponent fields
+    inputs.append((2, [{(64, 0): 1, (7, 57): 2, (0, 64): p - 1}, {(63, 1): 5, (0, 64): 3, (2, 62): 1}]))
+    for nvars, polys in inputs:
+        ours = buchberger(polys, GF(p))
+        assert ours.complete
+        want = _sympy_reduced_basis(polys, nvars, modulus=p)
+        assert _canonical(g.terms.items() for g in ours.basis) == \
+            _canonical([(e, c % p) for e, c in terms] for terms in want)
+    for _ in range(15):
+        nvars, polys = _random_polys(rng.randint(2, 3), lambda: rng.randint(-3, 3))
+        ours = buchberger([{e: CycNum.from_int(c) for e, c in t.items()} for t in polys], CycField())
+        assert ours.complete
+        want = _sympy_reduced_basis(polys, nvars, domain="QQ")
+        assert _canonical([(e, c.as_fraction()) for e, c in g.terms.items()] for g in ours.basis) == \
+            _canonical([(e, Fraction(int(c.p), int(c.q))) for e, c in terms] for terms in want)
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (6, 2), (17, 25)])
@@ -132,6 +155,17 @@ def test_good_primes_split_conductor():
     a = z + 2
     b = 3 * z ** 5 - 1
     assert field.from_cyc(a * b) == field.from_cyc(a) * field.from_cyc(b) % field.p
+
+
+def test_good_primes_conductor_above_window():
+    # no p = k*N + 1 with k >= 1 lies in [2^20, 2^21): k >= 1 is drawn instead
+    for conductor in ((1 << 20) + 3, (1 << 21) + 5):
+        primes = good_primes(conductor, 3, seed=0)
+        assert len(set(primes)) == 3
+        for p in primes:
+            assert p > conductor and p % conductor == 1
+            assert all(p % q for q in range(2, isqrt(p) + 1))
+    assert good_primes(3, 1, seed=0) == [1267633]
 
 
 def test_smtosm_witness_examples():
