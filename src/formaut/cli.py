@@ -2,7 +2,10 @@
 
 All numeric output is exact (rationals are printed as p/q).  Exit status is
 0 on success or a verified property, 1 on a failed verification, 2 on usage
-errors.  Randomized choices (mod-p primes) are seeded and recorded in the
+errors.  A usage error is a bad command line, a bad FORMAUT_CAP, or an input
+file that is missing or malformed (a form that does not parse or is not
+homogeneous, a bad scalar, bad generator or certificate JSON, or a dimension
+mismatch).  Randomized choices (mod-p primes) are seeded and recorded in the
 output, so runs are reproducible byte for byte.
 """
 
@@ -32,17 +35,25 @@ def _default_cap() -> int:
     return int(env)
 
 
-def _load_form(path: str, nvars=None):
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return form_from_json(text)
-    return form_parse(text, nvars=nvars)
+class UsageError(Exception):
+    """A missing or malformed input file (exit status 2)."""
+
+
+def _load(kind: str, path: str, parse):
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise UsageError("bad %s file %s: %s" % (kind, path, exc)) from exc
+
+
+def _load_form(path: str):
+    return _load("form", path, lambda text: form_from_json(text)
+                 if text.lstrip().startswith("{") else form_parse(text))
 
 
 def _load_generators(path: str):
-    with open(path) as fh:
-        return generators_from_json(fh.read())
+    return _load("generator", path, generators_from_json)
 
 
 def _parse_range(text: str):
@@ -73,7 +84,7 @@ def cmd_jc(args) -> int:
 
 
 def cmd_search(args) -> int:
-    report = classification_search(_parse_range(args.n), _parse_range(args.d))
+    report = classification_search(args.n, args.d)
     rows = ["n\td\tsequence\tratio_num\tratio_den"]
     for rec in report["survivors"]:
         rows.append("%d\t%d\t%s\t%d\t%d" % (rec["n"], rec["d"], rec["sequence"],
@@ -143,8 +154,7 @@ def cmd_invdim(args) -> int:
 
 def cmd_diag_group(args) -> int:
     form = _load_form(args.form_file)
-    blocks = [int(b) for b in args.blocks.split(",")]
-    grp = block_scalar_group(form, blocks)
+    grp = block_scalar_group(form, args.blocks)
     payload = {
         "blocks": list(grp.block_sizes),
         "order": grp.order,
@@ -171,9 +181,13 @@ def cmd_semiperm_group(args) -> int:
 
 def cmd_structure(args) -> int:
     gens = _load_generators(args.gens)
-    with open(args.cert) as fh:
-        cert = DecompositionCertificate.from_json(fh.read())
+    cert = _load("certificate", args.cert, DecompositionCertificate.from_json)
     form = _load_form(args.form) if args.form else None
+    dims = {"generator": gens[0].dim, "certificate": cert.dim}
+    if form is not None:
+        dims["form"] = form.nvars
+    if len(set(dims.values())) > 1:
+        raise UsageError("dimension mismatch: %s" % ", ".join("%s %d" % kv for kv in dims.items()))
     if args.tier == "compositional":
         if form is None:
             print("compositional verification needs --form", file=sys.stderr)
@@ -213,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jc)
 
     p = sub.add_parser("search", help="survivor scan over an (n, d) grid")
-    p.add_argument("--n", required=True, help="value or range, e.g. 1..25")
-    p.add_argument("--d", required=True, help="value or range, e.g. 3..17")
+    p.add_argument("--n", required=True, type=_parse_range, help="value or range, e.g. 1..25")
+    p.add_argument("--d", required=True, type=_parse_range, help="value or range, e.g. 3..17")
     p.add_argument("--out", help="TSV output path (default stdout)")
     p.add_argument("--expect-empty", action="store_true",
                    help="exit 1 if any survivor is found")
@@ -249,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag-group", help="block-scalar stabilizer of a form")
     p.add_argument("form_file")
-    p.add_argument("--blocks", required=True, help="comma separated sizes, e.g. 1,1,2")
+    p.add_argument("--blocks", required=True, type=lambda text: [int(b) for b in text.split(",")],
+                   help="comma separated sizes, e.g. 1,1,2")
     p.add_argument("--out")
     p.set_defaults(func=cmd_diag_group)
 
@@ -286,6 +301,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -6,12 +6,22 @@ over the field becomes one integer matrix over a common denominator.  Group
 multiplication is then a single integer matmul, and the normalized
 (denominator, bytes) pair is a canonical dedup key.  Arithmetic stays exact:
 numpy int64 is used while products provably fit, with an object-dtype
-fallback otherwise.
+fallback otherwise.  The packed elements are the group; `elements()` unpacks
+them to ExactMatrix and is the exact export for the invariant routes.
+
+Projective classes are decided here and nowhere else, by this lemma.  Let L
+be a finite matrix group and Z = L ∩ K*·I its scalar subgroup.  For g, h in
+L, g = c·h with c in K* implies c·I = g·h^-1 in L, so c·I lies in Z.  Hence
+the PGL classes of L are the cosets gZ, each of size |Z|, and
+|L / scalars| = |L| / |Z|.  `projective_order` uses the count;
+`scalar_cosets` lists the cosets and raises if one of them does not have
+exactly |Z| members of L.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -160,7 +170,13 @@ class PackedMatrix:
 
     @property
     def key(self):
-        return (self.den, self.blob if self.dtype is not object else self.blob)
+        return (self.den, self.blob)
+
+    def restrict(self, start: int, stop: int) -> PackedMatrix:
+        """Normalized principal submatrix on coordinates start..stop-1."""
+        phi = self.ctx.phi
+        arr = self.array()[start * phi:stop * phi, start * phi:stop * phi]
+        return PackedMatrix.normalized(arr, self.den, stop - start, self.ctx)
 
     def __matmul__(self, other: PackedMatrix) -> PackedMatrix:
         side = self.dim * self.ctx.phi
@@ -173,19 +189,6 @@ class PackedMatrix:
         else:
             prod = self.array(object) @ other.array(object)
         return PackedMatrix.normalized(prod, self.den * other.den, self.dim, self.ctx)
-
-    def is_identity(self):
-        return self.den == 1 and self.key == _packed_identity(self.ctx, self.dim).key
-
-
-@lru_cache(maxsize=None)
-def _packed_identity_cache(n: int, dim: int):
-    ctx = PackedContext(n)
-    return ctx.pack(ExactMatrix.identity(dim)), ctx
-
-
-def _packed_identity(ctx: PackedContext, dim: int) -> PackedMatrix:
-    return _packed_identity_cache(ctx.n, dim)[0]
 
 
 def matrices_conductor(mats) -> int:
@@ -222,26 +225,30 @@ class MatGroup:
     # -- closure -----------------------------------------------------------
 
     def close(self, cap: int = DEFAULT_CAP) -> bool:
-        """BFS closure under right multiplication; True when complete."""
+        """BFS closure under right multiplication; True when complete.
+
+        Stops as soon as more than `cap` elements are stored.  The element
+        being expanded stays at the head of the queue, so a later call with a
+        larger cap resumes where this one stopped.
+        """
         if self.closed:
             return True
         if self._elements is None:
-            ident = _packed_identity(self.ctx, self.dim)
+            ident = self.ctx.pack(ExactMatrix.identity(self.dim))
             self._elements = {ident.key: ident}
-            self._frontier = [ident]
-        while self._frontier:
-            if len(self._elements) > cap:
-                return False
-            new_frontier = []
-            for elem in self._frontier:
-                for pg in self._packed_gens:
-                    prod = elem @ pg
-                    if prod.key not in self._elements:
-                        self._elements[prod.key] = prod
-                        new_frontier.append(prod)
-            self._frontier = new_frontier
+            self._frontier = deque([ident])
         if len(self._elements) > cap:
             return False
+        while self._frontier:
+            elem = self._frontier[0]
+            for pg in self._packed_gens:
+                prod = elem @ pg
+                if prod.key not in self._elements:
+                    self._elements[prod.key] = prod
+                    self._frontier.append(prod)
+                    if len(self._elements) > cap:
+                        return False
+            self._frontier.popleft()
         self.closed = True
         return True
 
@@ -281,16 +288,10 @@ class MatGroup:
 
     def scalar_elements(self):
         """Packed elements that are scalar matrices."""
-        phi = self.ctx.phi
-        out = []
-        for pm in self.packed_elements():
-            arr = pm.array()
-            if _is_block_scalar(arr, self.dim, phi, [1] * self.dim) and \
-                    _blocks_all_equal(arr, self.dim, phi):
-                out.append(pm)
-        return out
+        return [pm for pm in self.packed_elements() if _is_scalar(pm)]
 
     def projective_order(self) -> int:
+        """|G / scalars| = |G| / |G ∩ K*·I| (the scalar-coset lemma)."""
         return self.order // len(self.scalar_elements())
 
     def center(self) -> MatGroup:
@@ -314,38 +315,46 @@ class MatGroup:
 
 def _is_block_scalar(arr, dim, phi, block_sizes):
     """Packed test: off-diagonal blocks vanish, diagonal blocks are scalar."""
-    starts = []
+    expected = np.zeros_like(arr)
     pos = 0
-    for b in block_sizes:
-        starts.append((pos, pos + b))
-        pos += b
-    for (a0, a1) in starts:
-        rows = slice(a0 * phi, a1 * phi)
-        for (b0, b1) in starts:
-            cols = slice(b0 * phi, b1 * phi)
-            block = arr[rows, cols]
-            if (a0, a1) == (b0, b1):
-                size = a1 - a0
-                rep = block[0:phi, 0:phi]
-                for i in range(size):
-                    for j in range(size):
-                        sub = block[i * phi:(i + 1) * phi, j * phi:(j + 1) * phi]
-                        if i == j:
-                            if not (sub == rep).all():
-                                return False
-                        elif sub.any():
-                            return False
-            elif block.any():
-                return False
-    return True
+    for size in block_sizes:
+        lead = arr[pos * phi:(pos + 1) * phi, pos * phi:(pos + 1) * phi]
+        for k in range(pos, pos + size):
+            expected[k * phi:(k + 1) * phi, k * phi:(k + 1) * phi] = lead
+        pos += size
+    return bool((arr == expected).all())
 
 
-def _blocks_all_equal(arr, dim, phi):
-    rep = arr[0:phi, 0:phi]
-    for i in range(1, dim):
-        if not (arr[i * phi:(i + 1) * phi, i * phi:(i + 1) * phi] == rep).all():
-            return False
-    return True
+def _is_scalar(pm: PackedMatrix) -> bool:
+    return _is_block_scalar(pm.array(), pm.dim, pm.ctx.phi, [pm.dim])
+
+
+def scalar_cosets(elements):
+    """PGL classes of a finite group L given by its packed elements.
+
+    By the scalar-coset lemma (module docstring) the classes are the cosets
+    gZ of Z = L ∩ K*·I.  Returns (class_of, reps): class_of maps each
+    element's key to its class number and reps[c] is the first element of
+    class c.  Raises GroupError if some gZ does not consist of exactly |Z|
+    elements of L that lie in no earlier coset (then `elements` is not a
+    group).
+    """
+    members = {pm.key: pm for pm in elements}
+    scalars = [pm for pm in members.values() if _is_scalar(pm)]
+    class_of = {}
+    reps = []
+    for key, pm in members.items():
+        if key in class_of:
+            continue
+        coset = {(s @ pm).key for s in scalars}
+        if len(coset) != len(scalars) or key not in coset or \
+                any(k not in members or k in class_of for k in coset):
+            raise GroupError("a scalar coset does not have |L ∩ scalars| = %d elements of L"
+                             % len(scalars))
+        for k in coset:
+            class_of[k] = len(reps)
+        reps.append(pm)
+    return class_of, reps
 
 
 def scalar_group(dim: int, d: int) -> MatGroup:
@@ -531,6 +540,8 @@ def generators_from_json(text: str):
         if m.dim != dim:
             raise GroupError("generator dimension mismatch")
         gens.append(m)
+    if not gens:
+        raise GroupError("no generators")
     return gens
 
 

@@ -388,7 +388,10 @@ def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi
 
     p = k * conductor + 1 for a drawn k.  When [lo, hi) holds no such p with
     k >= 1 (a conductor near or above hi), k is drawn from the 2^10 values
-    from max(1, lo // conductor) up instead, and p may exceed hi.
+    from max(1, lo // conductor) up instead, and p may exceed hi.  Once every
+    candidate of the window has been drawn with fewer than `count` primes
+    found, the draws go on in [hi, 2 hi) from the same generator, so every
+    draw that succeeds inside the first window is unaffected.
     """
     k_lo, k_hi = lo // conductor, hi // conductor
     if k_hi <= max(k_lo, 1):
@@ -400,6 +403,13 @@ def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi
     seen = set()
     attempts = 0
     while len(found) < count:
+        # drawable k with k * conductor + 1 in [lo, hi)
+        candidates = min(k_hi, (hi - 2) // conductor + 1) - max(k_lo, -(-(lo - 1) // conductor))
+        if len(seen) >= candidates:
+            lo, hi = hi, 2 * hi
+            k_lo, k_hi = lo // conductor, hi // conductor
+            seen = set()
+            continue
         attempts += 1
         if attempts > 200000:
             raise SmoothnessError("cannot find enough split primes for conductor %d" % conductor)

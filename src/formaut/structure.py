@@ -9,26 +9,40 @@ projective constituent orders |H_ij|, and confirms the order bookkeeping
 
 Verification tiers:
 
-* full-closure: the group is materialized; everything is counted by
-  streaming over its elements.
+* full-closure: the group is materialized and its packed elements (see
+  matgroups) are streamed once.  psi of an element is read from its
+  nonzero block mask.  For each block (i, j) the packed restrictions of the
+  elements that fix it form a finite group L_ij; |H_ij| is the number of
+  scalar cosets of L_ij, and phi(P) is counted as distinct tuples of coset
+  numbers over the principal elements.  N counts the principal elements
+  that are block scalar.  A basis change is applied to the generators and
+  the conjugated group is closed again.
 * compositional: only per-block closures are materialized.  psi(G) comes
   from generator block patterns, P from Schreier generators, phi(P) from an
-  exact closure of projective class tuples over per-block Cayley tables, and
-  N by comparing the supplied block-scalar generators against the full
-  Smith-normal-form stabilizer lattice.  This proves orders far beyond the
-  element-enumeration cap.
+  exact closure of projective class tuples over per-block Cayley tables of
+  packed coset representatives, and N by comparing the supplied
+  block-scalar generators against the full Smith-normal-form stabilizer
+  lattice.  This proves orders far beyond the element-enumeration cap.
+
+Both tiers decide "same class in PGL" only through matgroups (scalar
+cosets and projective_order); no element is unpacked to ExactMatrix except
+the few samples for the irreducibility check.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from math import factorial
+
+import numpy as np
 
 from .cyclotomic import scalar_to_str
 from .diaglattice import block_scalar_group
 from .forms import ExactMatrix, Form, act
-from .matgroups import DEFAULT_CAP, GroupError, MatGroup, closure, matrices_conductor
+from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, PackedContext, _is_block_scalar,
+                        closure, matrices_conductor, scalar_cosets)
 from .sequences import SubdegreeSequence, canonical_bound
 from .sequences import ratioprod_check  # noqa: F401  (structure-level check, ratio arithmetic)
 
@@ -139,32 +153,25 @@ class StructureReport:
 # -- block combinatorics --------------------------------------------------------
 
 
-def _block_pattern(matrix: ExactMatrix, ranges):
-    """Map each column block to the unique row block it lands in, or None."""
-    mapping = {}
+def _nonzero_mask(matrix: ExactMatrix):
+    return np.array([[not c.is_zero() for c in row] for row in matrix.entries])
+
+
+def _block_pattern(mask, ranges, grouping):
+    """psi of a matrix from its nonzero mask, or None if it does not permute blocks.
+
+    The result holds, per summand i, the tuple j -> index of the unique row
+    block that column block (i, j) lands in.
+    """
+    image = {}
     for (i, j, c0, c1) in ranges:
-        target = None
-        for (i2, j2, r0, r1) in ranges:
-            nonzero = any(not matrix.entries[r][c].is_zero()
-                          for r in range(r0, r1) for c in range(c0, c1))
-            if nonzero:
-                if target is not None:
-                    return None
-                target = (i2, j2, r0, r1)
-        if target is None:
+        hits = [(i2, j2, r1 - r0) for (i2, j2, r0, r1) in ranges if mask[r0:r1, c0:c1].any()]
+        if len(hits) != 1 or hits[0][0] != i or hits[0][2] != c1 - c0:
             return None
-        i2, j2, r0, r1 = target
-        if i2 != i or (r1 - r0) != (c1 - c0):
-            return None
-        mapping[(i, j)] = j2
-    return mapping
-
-
-def _psi_tuple(mapping, grouping):
-    """Per-summand permutation tuples (j -> image block) from a mapping."""
+        image[(i, j)] = hits[0][1]
     out = []
     for i, k in enumerate(grouping):
-        perm = tuple(mapping[(i, j)] for j in range(k))
+        perm = tuple(image[(i, j)] for j in range(k))
         if sorted(perm) != list(range(k)):
             return None
         out.append(perm)
@@ -178,37 +185,6 @@ def _psi_compose(a, b):
 
 def _restrict(matrix: ExactMatrix, r0, r1, c0, c1) -> ExactMatrix:
     return ExactMatrix([[matrix.entries[r][c] for c in range(c0, c1)] for r in range(r0, r1)])
-
-
-def _projective_key(matrix: ExactMatrix, conductor: int) -> bytes:
-    """Class key in PGL: scale by the first nonzero entry, fixed conductor."""
-    lead = None
-    for row in matrix.entries:
-        for c in row:
-            if not c.is_zero():
-                lead = c
-                break
-        if lead is not None:
-            break
-    if lead is None:
-        raise CertificateError("zero block in a group element")
-    inv = lead.inverse()
-    parts = []
-    for row in matrix.entries:
-        for c in row:
-            v = c * inv
-            v = v.to_conductor(conductor) if v.n != conductor else v
-            parts.append(b"%d:%r" % (v.den, v.num))
-    return b"|".join(parts)
-
-
-def _matrix_key(matrix: ExactMatrix, conductor: int) -> bytes:
-    parts = []
-    for row in matrix.entries:
-        for c in row:
-            v = c.to_conductor(conductor) if c.n != conductor else c
-            parts.append(b"%d:%r" % (v.den, v.num))
-    return b"|".join(parts)
 
 
 def irreducible_span(matrices, size: int) -> bool:
@@ -234,17 +210,11 @@ def irreducible_span(matrices, size: int) -> bool:
     return len(basis) == target
 
 
-def _is_scalar_matrix(m: ExactMatrix) -> bool:
-    lead = m.entries[0][0]
-    for i in range(m.dim):
-        for j in range(m.dim):
-            c = m.entries[i][j]
-            if i == j:
-                if c != lead:
-                    return False
-            elif not c.is_zero():
-                return False
-    return True
+def _check_irreducible(packed, i, j, size):
+    """Burnside on at most 4 s^2 + 8 of the packed restrictions to block (i, j)."""
+    sample = [pm.ctx.unpack(pm) for pm in islice(packed, 4 * size * size + 8)]
+    if not irreducible_span(sample, size):
+        raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
 
 
 # -- closed-tier verification ------------------------------------------------------
@@ -252,56 +222,63 @@ def _is_scalar_matrix(m: ExactMatrix) -> bool:
 
 def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
                        form: Form | None = None) -> StructureReport:
-    """Verify a certificate against a closed group by streaming its elements."""
+    """Verify a certificate against a closed group by streaming its packed elements.
+
+    Each element's block pattern gives psi; for every block (i, j) the
+    restrictions of the elements fixing that block form a finite group
+    L_ij, and |H_ij| is its number of scalar cosets (matgroups lemma).
+    phi(P) is counted as distinct tuples of class numbers over the
+    principal elements, and N as the principal elements that are block
+    scalar.  A basis change T is applied once, to the generators, and the
+    conjugated group is closed again.
+    """
     if not group.closed:
         raise GroupError("closed-tier verification needs a closed group")
     if cert.dim != group.dim:
         raise CertificateError("certificate dimension mismatch")
     ranges = cert.block_ranges()
     grouping = cert.grouping
-    conductor = group.conductor
-
     T = cert.basis_change
-    Tinv = T.inverse() if T else None
+    if T:
+        Tinv = T.inverse()
+        conjugated = MatGroup([Tinv * g * T for g in group.generators])
+        if not conjugated.close(group.order):
+            raise CertificateError("basis change does not conjugate the group to one of its order")
+        group = conjugated
+    r, phi = group.dim, group.ctx.phi
 
     psi_values = set()
     principal_count = 0
     kernel_count = 0
-    phi_tuples = set()
-    block_keys = [set() for _ in ranges]
-    span_samples = [[] for _ in ranges]
+    principal_keys = set()
+    block_members = [{} for _ in ranges]
     identity_tuple = tuple(tuple(range(k)) for k in grouping)
 
-    for g in group.elements():
-        if T:
-            g = Tinv * g * T
-        mapping = _block_pattern(g, ranges)
-        tup = _psi_tuple(mapping, grouping) if mapping else None
+    for pm in group.packed_elements():
+        arr = pm.array()    # block (a, b) of the packed matrix is zero iff entry (a, b) is
+        tup = _block_pattern(arr.reshape(r, phi, r, phi).any(axis=(1, 3)), ranges, grouping)
         if tup is None:
             raise CertificateError("an element does not permute the certificate blocks")
         psi_values.add(tup)
-        restrictions = {}
+        keys = []
         for bi, (i, j, r0, r1) in enumerate(ranges):
             if tup[i][j] == j:
-                sub = _restrict(g, r0, r1, r0, r1)
-                restrictions[bi] = sub
-                block_keys[bi].add(_projective_key(sub, conductor))
-                size = r1 - r0
-                if len(span_samples[bi]) < 4 * size * size + 8:
-                    span_samples[bi].append(sub)
+                sub = pm.restrict(r0, r1)
+                keys.append(block_members[bi].setdefault(sub.key, sub).key)
         if tup == identity_tuple:
             principal_count += 1
-            phi_tuples.add(tuple(_projective_key(restrictions[bi], conductor)
-                                 for bi in range(len(ranges))))
-            if all(_is_scalar_matrix(restrictions[bi]) for bi in range(len(ranges))):
-                kernel_count += 1
+            principal_keys.add(tuple(keys))
+            kernel_count += _is_block_scalar(arr, r, phi, cert.flat_sizes)
 
     k_orders = _check_transitive(psi_values, grouping)
-    for bi, (i, j, r0, r1) in enumerate(ranges):
-        if not irreducible_span(span_samples[bi], r1 - r0):
-            raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
-    constituent_orders = {(i + 1, j + 1): len(block_keys[bi])
-                          for bi, (i, j, _r0, _r1) in enumerate(ranges)}
+    classes = []
+    constituent_orders = {}
+    for members, (i, j, r0, r1) in zip(block_members, ranges):
+        _check_irreducible(members.values(), i, j, r1 - r0)
+        class_of, reps = scalar_cosets(members.values())
+        classes.append(class_of)
+        constituent_orders[(i + 1, j + 1)] = len(reps)
+    phi_tuples = {tuple(cls[key] for cls, key in zip(classes, keys)) for keys in principal_keys}
 
     return _finish_report(
         tier="full-closure",
@@ -392,15 +369,14 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     gens = list(generators)
     if not gens:
         raise CertificateError("need generators")
-    conductor = matrices_conductor(gens)
+    ctx = PackedContext(matrices_conductor(gens))
     for g in gens:
         if act(form, g) != form:
             raise CertificateError("a supplied generator does not preserve the form")
 
     gen_tuples = []
     for g in gens:
-        mapping = _block_pattern(g, ranges)
-        tup = _psi_tuple(mapping, grouping) if mapping else None
+        tup = _block_pattern(_nonzero_mask(g), ranges, grouping)
         if tup is None:
             raise CertificateError("a generator does not permute the certificate blocks")
         gen_tuples.append(tup)
@@ -425,8 +401,7 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
         return m
 
     def psi_of(matrix):
-        mapping = _block_pattern(matrix, ranges)
-        tup = _psi_tuple(mapping, grouping) if mapping else None
+        tup = _block_pattern(_nonzero_mask(matrix), ranges, grouping)
         if tup is None:
             raise CertificateError("product fell off the block lattice")
         return tup
@@ -454,7 +429,7 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
                 s = u * rep_invs[target]
                 if not member(psi_of(s)):
                     raise CertificateError("Schreier generator escaped the subgroup")
-                key = _matrix_key(s, conductor)
+                key = ctx.pack(s).key
                 if key not in seen:
                     seen.add(key)
                     out.append(s)
@@ -466,14 +441,8 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     lattice = block_scalar_group(form, cert.flat_sizes)
     if lattice.order is None:
         raise CertificateError("block-scalar stabilizer is infinite")
-    supplied_scalars = []
-    for g in gens:
-        mapping = _block_pattern(g, ranges)
-        tup = _psi_tuple(mapping, grouping) if mapping else None
-        if tup != identity:
-            continue
-        if all(_is_scalar_matrix(_restrict(g, r0, r1, r0, r1)) for (_i, _j, r0, r1) in ranges):
-            supplied_scalars.append(g)
+    supplied_scalars = [g for g in gens if _is_block_scalar(
+        ctx.pack(g).array(), cert.dim, ctx.phi, cert.flat_sizes)]
     if not supplied_scalars:
         raise CertificateError("no block-scalar generators supplied for the kernel check")
     sub = closure(supplied_scalars, cap=max(4 * lattice.order, 1024))
@@ -492,33 +461,23 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
             raise CertificateError("per-block closure exceeded its cap")
         block_groups.append(grp)
 
-    # projective classes and Cayley tables per block
+    # projective classes (scalar cosets) and Cayley tables per block
     class_tables = []
     class_index = []
     for grp in block_groups:
-        reps = []
-        index = {}
-        for m in grp.elements():
-            key = _projective_key(m, conductor)
-            if key not in index:
-                index[key] = len(reps)
-                reps.append(m)
-        table = [[index[_projective_key(ma * mb, conductor)] for mb in reps] for ma in reps]
-        class_tables.append(table)
-        class_index.append(index)
+        class_of, reps = scalar_cosets(grp.packed_elements())
+        class_tables.append([[class_of[(a @ b).key] for b in reps] for a in reps])
+        class_index.append(class_of)
 
-    gen_class_tuples = set()
-    for s in schreier:
-        tup = []
-        for bi, (i, j, r0, r1) in enumerate(ranges):
-            key = _projective_key(_restrict(s, r0, r1, r0, r1), conductor)
-            if key not in class_index[bi]:
-                raise CertificateError("restriction fell outside its per-block closure")
-            tup.append(class_index[bi][key])
-        gen_class_tuples.add(tuple(tup))
+    def class_tuple(blocks):
+        """Class numbers of one square matrix per block."""
+        return tuple(class_of[grp.ctx.pack(m).key]
+                     for class_of, grp, m in zip(class_index, block_groups, blocks))
+
+    gen_class_tuples = {class_tuple(_restrict(s, r0, r1, r0, r1) for (_i, _j, r0, r1) in ranges)
+                        for s in schreier}
     nblocks = len(ranges)
-    ident_tuple = tuple(class_index[bi][_projective_key(ExactMatrix.identity(stop - start), conductor)]
-                        for bi, (_i, _j, start, stop) in enumerate(ranges))
+    ident_tuple = class_tuple(ExactMatrix.identity(r1 - r0) for (_i, _j, r0, r1) in ranges)
     phi_image = {ident_tuple}
     frontier = [ident_tuple]
     while frontier:
@@ -535,22 +494,14 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
 
     # constituent orders |H_ij| from block-stabilizer preimages
     constituent_orders = {}
-    for bi, (i, j, r0, r1) in enumerate(ranges):
+    for (i, j, r0, r1) in ranges:
         stab_gens = preimage_generators(lambda tup, i=i, j=j: tup[i][j] == j)
-        size = r1 - r0
         restrictions = [_restrict(s, r0, r1, r0, r1) for s in stab_gens]
         sgrp = closure(restrictions, cap=block_cap)
         if not sgrp.closed:
             raise CertificateError("stabilizer block closure exceeded its cap")
-        keys = set()
-        sample = []
-        for m in sgrp.elements():
-            keys.add(_projective_key(m, conductor))
-            if len(sample) < 4 * size * size + 8:
-                sample.append(m)
-        if not irreducible_span(sample, size):
-            raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
-        constituent_orders[(i + 1, j + 1)] = len(keys)
+        _check_irreducible(sgrp.packed_elements(), i, j, r1 - r0)
+        constituent_orders[(i + 1, j + 1)] = sgrp.projective_order()
 
     return _finish_report(
         tier="compositional",

@@ -250,6 +250,15 @@ def test_criterion_06_catalog_full_closure(catalog_reports):
         "%s=%d" % (label, aut) for label, (aut, _) in sorted(FULL_CLOSURE_EXPECTED.items())))
 
 
+def test_certificate_reports_match_golden(catalog_reports):
+    # checks.certificate.report of every row with a certificate, frozen as JSON
+    reports = {label: rep["checks"]["certificate"]["report"]
+               for label, (rep, _) in catalog_reports.items() if "certificate" in rep["checks"]}
+    text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "structure_reports.json").read_text()
+    report(6, "%d certificate reports byte-identical to the golden file" % len(reports))
+
+
 def test_criterion_07_compositional_tier(catalog_reports):
     for label, aut in [("pair-icosahedral-12ic", 1036800),
                        ("triple-icosahedral-12ic", 2239488000)]:

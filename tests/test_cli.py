@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from formaut.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,7 +142,38 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [["search", "--n", "1..x", "--d", "3"],
+                                  ["diag-group", "form.txt", "--blocks", "1,x"]])
+def test_bad_option_value_is_a_usage_error(args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+
+
 def test_bad_cap_environment_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("FORMAUT_CAP", "abc")
     assert main(["jc", "--r", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: FORMAUT_CAP")
+
+
+IDENTITY_2 = '{"dim": 2, "generators": [[["1", "0"], ["0", "1"]]]}'
+CERT_3 = '{"blocks": [{"i": 1, "j": 1, "size": 3}], "grouping": [1]}'
+
+
+@pytest.mark.parametrize("files, args", [
+    ({"form.txt": "x1^3 + x2^2"}, ["smooth", "form.txt"]),
+    ({"gens.json": '{"dim": 2, "generators": [[["1", "zz"], ["0", "1"]]]}'},
+     ["closure", "gens.json"]),
+    ({"gens.json": '{"dim": 2, "generators": '}, ["invdim", "gens.json", "--degree", "2"]),
+    ({"gens.json": IDENTITY_2, "cert.json": '{"blocks": [{"i": 1}]}'},
+     ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": IDENTITY_2, "cert.json": CERT_3}, ["structure", "gens.json", "cert.json"]),
+    ({}, ["diag-group", "missing.txt", "--blocks", "1,1"]),
+], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
+        "dimension-mismatch", "missing-file"])
+def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")

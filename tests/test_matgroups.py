@@ -1,9 +1,13 @@
+from collections import Counter
+
+import pytest
+
 from formaut.catalog import get_entry
 from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
-from formaut.matgroups import (MatGroup, closure, generators_from_json, generators_to_json,
+from formaut.matgroups import (GroupError, MatGroup, closure, generators_from_json, generators_to_json,
                                invariant_dimension, invariant_dimension_molien,
-                               invariant_dimension_reynolds, preserves, scalar_group)
+                               invariant_dimension_reynolds, preserves, scalar_cosets, scalar_group)
 
 
 def test_scalar_group():
@@ -54,6 +58,25 @@ def test_closure_cap():
     assert not grp.closed
     assert grp.close()                  # resume to completion
     assert grp.order == 672
+
+
+def test_closure_cap_is_checked_per_insertion():
+    grp = MatGroup(get_entry("fermat-3-3").generators())
+    assert not grp.close(cap=1000)
+    assert len(grp._elements) <= 1001
+    assert not grp.close(cap=1000)
+    assert grp.close(cap=29160)         # resume to completion at exactly the order
+    assert grp.order == 29160
+
+
+def test_scalar_cosets_partition_and_check():
+    grp = closure(get_entry("klein-quartic").generators())
+    class_of, reps = scalar_cosets(grp.packed_elements())
+    assert len(reps) == grp.projective_order() == 168
+    assert sorted(Counter(class_of.values()).values()) == [4] * 168
+    elements = list(grp.packed_elements())
+    with pytest.raises(GroupError):       # one coset loses a member: not a group
+        scalar_cosets(elements[:-1])
 
 
 def test_subgroup_order_divides():

@@ -168,6 +168,34 @@ def test_good_primes_conductor_above_window():
     assert good_primes(3, 1, seed=0) == [1267633]
 
 
+def _first_window_draw(conductor, count, seed):
+    """Reference: draw k in [2^20 // N, 2^21 // N) until `count` primes, no widening."""
+    lo, hi = 1 << 20, 1 << 21
+    rng = random.Random(seed)
+    found, seen = [], set()
+    while len(found) < count:
+        p = rng.randrange(lo // conductor, hi // conductor) * conductor + 1
+        if lo <= p < hi and p not in seen:
+            seen.add(p)
+            if all(p % q for q in range(2, isqrt(p) + 1)):
+                found.append(p)
+    return found
+
+
+def test_good_primes_widens_an_exhausted_window():
+    # [2^20, 2^21) holds fewer than 3 primes = 1 (mod N) for these conductors
+    for conductor in (131072, 524289, 1048576):
+        for seed in range(3):
+            primes = good_primes(conductor, 3, seed)
+            assert len(set(primes)) == 3 and primes == good_primes(conductor, 3, seed)
+            for p in primes:
+                assert p % conductor == 1 and all(p % q for q in range(2, isqrt(p) + 1))
+    # a window that is not exhausted gives the same draw as before widening existed
+    for conductor in range(1, 400):
+        for seed in range(3):
+            assert good_primes(conductor, 3, seed) == _first_window_draw(conductor, 3, seed)
+
+
 def test_smtosm_witness_examples():
     F = parse("x1^3*x3 + x2^4 + x3^4", nvars=3)
     assert smtosm_witness(F, 2, 1) == (3, 0, 1)

@@ -24,9 +24,14 @@ def test_certificate_rejects_mixed_summand():
         DecompositionCertificate([[2, 1]])
 
 
-def test_example_quintic_report():
+@pytest.fixture(scope="module")
+def quintic_group():
     entry = get_entry("quintic-480")
-    grp = closure(entry.generators())
+    return entry, closure(entry.generators())
+
+
+def test_example_quintic_report(quintic_group):
+    entry, grp = quintic_group
     rep = verify_certificate(grp, entry.certificate(), entry.form())
     assert rep.group_order == 480
     assert str(rep.subdegrees) == "2^1 1^3"
@@ -66,6 +71,50 @@ def test_basis_change_certificate():
     cert = DecompositionCertificate([[1, 1, 1]], basis_change=T)
     rep = verify_certificate(grp, cert)
     assert rep.group_order == 162 and rep.kernel_order == 27
+
+
+def _lead_entry_key(m: ExactMatrix, conductor: int):
+    """Reference PGL class key: divide by the first nonzero entry over CycNum."""
+    entries = [c for row in m.entries for c in row]
+    inv = next(c for c in entries if not c.is_zero()).inverse()
+    scaled = [(c * inv).to_conductor(conductor) for c in entries]
+    return tuple((v.den, tuple(v.num)) for v in scaled)
+
+
+def _oracle_counts(grp, cert):
+    """|H_ij| and |phi(P)| by lead-entry keys of the diagonal-block restrictions."""
+    ranges = cert.block_ranges()
+    T = cert.basis_change
+    Tinv = T.inverse() if T else None
+    constituents = {(i + 1, j + 1): set() for i, j, _r0, _r1 in ranges}
+    phi_image = set()
+    for g in grp.elements():
+        if T:
+            g = Tinv * g * T
+        keys = []
+        for i, j, r0, r1 in ranges:
+            sub = ExactMatrix([[g.entries[a][b] for b in range(r0, r1)] for a in range(r0, r1)])
+            if any(not c.is_zero() for row in sub.entries for c in row):   # block (i, j) is fixed
+                keys.append(_lead_entry_key(sub, grp.conductor))
+                constituents[(i + 1, j + 1)].add(keys[-1])
+        if len(keys) == len(ranges):                                       # principal element
+            phi_image.add(tuple(keys))
+    return {key: len(val) for key, val in constituents.items()}, len(phi_image)
+
+
+def test_scalar_coset_counts_match_lead_entry_division(quintic_group):
+    fermat = get_entry("fermat-1-3")
+    T = ExactMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    Tinv = T.inverse()
+    cases = [(closure(get_entry("klein-quartic").generators()), get_entry("klein-quartic").certificate()),
+             (quintic_group[1], quintic_group[0].certificate()),
+             (closure([T * g * Tinv for g in fermat.generators()]),
+              DecompositionCertificate([[1, 1, 1]], basis_change=T))]
+    for grp, cert in cases:
+        rep = verify_certificate(grp, cert)
+        constituents, phi_order = _oracle_counts(grp, cert)
+        assert rep.constituent_orders == constituents
+        assert rep.phi_image_order == phi_order
 
 
 def test_compositional_2_12():
