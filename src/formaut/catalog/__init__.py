@@ -124,7 +124,7 @@ def verify_entry(entry: CatalogEntry, cap: int = DEFAULT_CAP, skip_smooth: bool 
         grp = MatGroup(gens)
         closed = grp.close(cap)
         if not closed:
-            checks["closure"] = {"ok": False, "reason": "cap exceeded"}
+            checks["closure"] = {"ok": False, "reason": "cap exceeded or group infinite"}
         else:
             checks["closure"] = {"ok": grp.order == expected_aut,
                                  "order": grp.order, "expected": expected_aut}

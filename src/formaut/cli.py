@@ -145,7 +145,7 @@ def cmd_invdim(args) -> int:
     gens = _load_generators(args.gens)
     grp = MatGroup(gens)
     if not grp.close(args.cap):
-        print("closure cap exceeded", file=sys.stderr)
+        print("closure cap exceeded or the group is infinite", file=sys.stderr)
         return 1
     dim = invariant_dimension(grp, args.degree, method=args.method)
     print(dim)
@@ -196,7 +196,7 @@ def cmd_structure(args) -> int:
     else:
         grp = MatGroup(gens)
         if not grp.close(args.cap):
-            print("closure cap exceeded", file=sys.stderr)
+            print("closure cap exceeded or the group is infinite", file=sys.stderr)
             return 1
         report = verify_certificate(grp, cert, form)
     print(report.to_json())

@@ -188,16 +188,17 @@ class ExactMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise FormError("dimension mismatch")
-        n = self.dim
-        cols = list(zip(*other.entries))
+        zero = CycNum.zero()
+        cols = [[(k, b) for k, b in enumerate(col) if not b.is_zero()] for col in zip(*other.entries)]
         out = []
         for row in self.entries:
+            nonzero = [not a.is_zero() for a in row]
             out_row = []
             for col in cols:
-                acc = CycNum.zero()
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
+                terms = [row[k] * b for k, b in col if nonzero[k]]
+                acc = terms[0] if terms else zero
+                for t in terms[1:]:
+                    acc = acc + t
                 out_row.append(acc)
             out.append(out_row)
         return ExactMatrix(out)

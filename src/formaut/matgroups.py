@@ -1,13 +1,44 @@
 """Finite matrix groups over cyclotomic fields: closure, order, invariants.
 
-Closure works on a packed form of each matrix: every CycNum entry is replaced
-by its regular representation over the power basis of Q(zeta_N), so a matrix
-over the field becomes one integer matrix over a common denominator.  Group
-multiplication is then a single integer matmul, and the normalized
-(denominator, bytes) pair is a canonical dedup key.  Arithmetic stays exact:
-numpy int64 is used while products provably fit, with an object-dtype
-fallback otherwise.  The packed elements are the group; `elements()` unpacks
-them to ExactMatrix and is the exact export for the invariant routes.
+Closure runs on residues.  Let K = Q(zeta_N) with N the conductor of the
+generators, and p a prime with p = 1 (mod N): p is unramified and splits in
+K, so a prime 𝔭 of K above p has residue field F_p and the generators
+reduce entrywise to r x r matrices over F_p (`smoothness.GF`).  The group
+is closed by BFS on those residues; each element is stored once, as the
+int32 bytes of its residue (the dedup key), with the index of its BFS
+parent and of the generator that reached it.
+
+The reduction lemma (Minkowski; Serre, "Bounds for the orders of the finite
+subgroups of G(k)", 2007; Detinko-Flannery-O'Brien, J. Symb. Comput. 50,
+2013).  If p is odd, p = 1 (mod N), p divides no denominator of a generator
+entry and G is finite, then every element of G is 𝔭-integral and reduction
+mod 𝔭 is injective on G, so |G| equals the number of residues.  The
+hypotheses are checked where they are used: `_split_prime` draws p >= 2^21
+with p = 1 (mod N) and skips every prime that divides a generator
+denominator; finiteness is certified when the residue closure completes.
+
+The orbit certificate.  On completion `close` closes the orbit of
+e_1..e_r under the generators exactly over K.  A finite orbit is a spanning
+set that every generator maps injectively into itself, hence permutes, so G
+embeds in its symmetric group and is finite.  A finite G has an orbit of at
+most r·|G| vectors, and |G| is the residue count by the lemma; an orbit
+that outgrows that bound therefore proves G infinite, and `close` returns
+False.
+
+Scalars.  `close` also raises GroupError if p divides |G|.  When it does
+not, every g in G has order prime to p, so its minimal polynomial divides a
+separable x^m - 1 and reduction is injective on its eigenvalues (m-th
+roots of unity): g is scalar iff its residue is.  The same holds for any
+finite group of block restrictions, whose order divides |G|, so scalar and
+block-scalar tests read residues.  Centers read residues by injectivity
+alone (gh and hg both lie in G).
+
+Block masks.  Let every generator permute the blocks of a decomposition
+(checked exactly), so every element does.  Around each cycle of an
+element's block permutation, the product of its nonzero blocks is a
+diagonal block of a power of the element, whose determinant is a root of
+unity; so each nonzero block has a 𝔭-unit determinant and reduces to a
+nonzero block.  Hence the block mask of a residue is the exact block mask.
 
 Projective classes are decided here and nowhere else, by this lemma.  Let L
 be a finite matrix group and Z = L ∩ K*·I its scalar subgroup.  For g, h in
@@ -16,6 +47,9 @@ the PGL classes of L are the cosets gZ, each of size |Z|, and
 |L / scalars| = |L| / |Z|.  `projective_order` uses the count;
 `scalar_cosets` lists the cosets and raises if one of them does not have
 exactly |Z| members of L.
+
+`elements()` is the exact export: it replays the BFS tree with one
+ExactMatrix product per element, for the invariant routes.
 """
 
 from __future__ import annotations
@@ -23,172 +57,19 @@ from __future__ import annotations
 import json
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
+from .cyclotomic import CycNum
 from .forms import ExactMatrix, Form, act
+from .smoothness import GF, good_primes
 
 DEFAULT_CAP = 1 << 21
 
 
 class GroupError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _companion_powers(n: int):
-    """Integer matrices of multiplication by zeta_n^k on the power basis."""
-    phi = euler_phi(n)
-    comp = np.zeros((phi, phi), dtype=object)
-    phi_poly = cyclotomic_polynomial(n)
-    for j in range(phi - 1):
-        comp[j + 1][j] = 1
-    for i in range(phi):
-        comp[i][phi - 1] = -phi_poly[i]
-    powers = [np.eye(phi, dtype=object)]
-    for _ in range(phi - 1):
-        powers.append(comp @ powers[-1])
-    return powers
-
-
-class PackedContext:
-    """Shared packing data for one working conductor."""
-
-    def __init__(self, conductor: int):
-        self.n = conductor
-        self.phi = euler_phi(conductor)
-        self.powers = _companion_powers(conductor)
-
-    def pack(self, matrix: ExactMatrix) -> PackedMatrix:
-        r = matrix.dim
-        phi = self.phi
-        den = 1
-        entries = []
-        for row in matrix.entries:
-            packed_row = []
-            for c in row:
-                c = c.to_conductor(self.n) if c.n != self.n else c
-                packed_row.append(c)
-                den = lcm(den, c.den)
-            entries.append(packed_row)
-        arr = np.zeros((r * phi, r * phi), dtype=object)
-        for i in range(r):
-            for j in range(r):
-                c = entries[i][j]
-                scale = den // c.den
-                block = None
-                for k, coef in enumerate(c.num):
-                    if coef:
-                        piece = (coef * scale) * self.powers[k]
-                        block = piece if block is None else block + piece
-                if block is not None:
-                    arr[i * phi:(i + 1) * phi, j * phi:(j + 1) * phi] = block
-        return PackedMatrix.normalized(arr, den, r, self)
-
-    def unpack(self, pm: PackedMatrix) -> ExactMatrix:
-        phi = self.phi
-        r = pm.dim
-        arr = pm.array(object)
-        rows = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                col = arr[i * phi:(i + 1) * phi, j * phi]
-                row.append(CycNum(self.n, [int(x) for x in col], pm.den))
-            rows.append(row)
-        return ExactMatrix(rows)
-
-
-class PackedMatrix:
-    """Normalized integer form of a matrix over Q(zeta_N)."""
-
-    __slots__ = ("den", "blob", "dtype", "dim", "ctx", "maxabs")
-
-    def __init__(self, den, blob, dtype, dim, ctx, maxabs):
-        self.den = den
-        self.blob = blob
-        self.dtype = dtype
-        self.dim = dim
-        self.ctx = ctx
-        self.maxabs = maxabs
-
-    @classmethod
-    def normalized(cls, arr, den, dim, ctx):
-        if arr.dtype == object:
-            flat = [int(x) for x in arr.ravel()]
-            g = den
-            for x in flat:
-                if x:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-            if g > 1:
-                flat = [x // g for x in flat]
-                den //= g
-            maxabs = max((abs(x) for x in flat), default=0)
-            dtype = cls._fit_dtype(maxabs)
-            if dtype is object:
-                blob = json.dumps(flat).encode()
-                return cls(den, blob, object, dim, ctx, maxabs)
-            out = np.array(flat, dtype=dtype).reshape(arr.shape)
-            return cls(den, out.tobytes(), dtype, dim, ctx, maxabs)
-        g = int(np.gcd.reduce(np.abs(arr).ravel()))
-        g = gcd(g, den)
-        if g > 1:
-            arr = arr // g
-            den //= g
-        maxabs = int(np.abs(arr).max()) if arr.size else 0
-        dtype = cls._fit_dtype(maxabs)
-        out = arr.astype(dtype) if arr.dtype != dtype else arr
-        return cls(den, out.tobytes(), dtype, dim, ctx, maxabs)
-
-    @staticmethod
-    def _fit_dtype(maxabs):
-        if maxabs < 120:
-            return np.int8
-        if maxabs < (1 << 15) - 8:
-            return np.int16
-        if maxabs < (1 << 31) - 8:
-            return np.int32
-        if maxabs < (1 << 62):
-            return np.int64
-        return object
-
-    def array(self, dtype=None):
-        side = self.dim * self.ctx.phi
-        if self.dtype is object:
-            # object arrays round-trip through a list blob
-            arr = np.array(json.loads(self.blob.decode()), dtype=object).reshape(side, side)
-        else:
-            arr = np.frombuffer(self.blob, dtype=self.dtype).reshape(side, side)
-        if dtype is not None and dtype is not self.dtype:
-            return arr.astype(dtype)
-        return arr
-
-    @property
-    def key(self):
-        return (self.den, self.blob)
-
-    def restrict(self, start: int, stop: int) -> PackedMatrix:
-        """Normalized principal submatrix on coordinates start..stop-1."""
-        phi = self.ctx.phi
-        arr = self.array()[start * phi:stop * phi, start * phi:stop * phi]
-        return PackedMatrix.normalized(arr, self.den, stop - start, self.ctx)
-
-    def __matmul__(self, other: PackedMatrix) -> PackedMatrix:
-        side = self.dim * self.ctx.phi
-        safe = self.maxabs and other.maxabs and \
-            self.maxabs * other.maxabs * side < (1 << 62)
-        if self.maxabs == 0 or other.maxabs == 0:
-            safe = True
-        if safe and self.dtype is not object and other.dtype is not object:
-            prod = self.array(np.int64) @ other.array(np.int64)
-        else:
-            prod = self.array(object) @ other.array(object)
-        return PackedMatrix.normalized(prod, self.den * other.den, self.dim, self.ctx)
 
 
 def matrices_conductor(mats) -> int:
@@ -198,6 +79,30 @@ def matrices_conductor(mats) -> int:
             for c in row:
                 n = lcm(n, c.n)
     return n
+
+
+def _split_prime(conductor: int, den: int) -> int:
+    """The first seeded prime p = 1 (mod conductor), p >= 2^21, not dividing den.
+
+    At most den.bit_length() // 21 primes of that size divide den, so one
+    more draw than that always leaves a prime.
+    """
+    primes = good_primes(conductor, 1 + den.bit_length() // 21, lo=1 << 21)
+    return next(p for p in primes if den % p)
+
+
+def _mulmod(a, b, p):
+    return (a.astype(np.int64) @ b % p).astype(np.int32)
+
+
+def _is_block_scalar(arr, block_sizes):
+    """Off-diagonal entries vanish and each diagonal block is a scalar matrix.
+
+    Works on the last two axes, so a stack of matrices gives a boolean array.
+    """
+    starts = np.cumsum([0] + list(block_sizes[:-1]))
+    lead = np.repeat(arr[..., starts, starts], block_sizes, axis=-1)
+    return (arr == lead[..., None] * np.eye(arr.shape[-1], dtype=int)).all(axis=(-2, -1))
 
 
 class MatGroup:
@@ -216,11 +121,26 @@ class MatGroup:
         self.dim = dim
         self.generators = gens
         self.conductor = conductor or matrices_conductor(gens)
-        self.ctx = PackedContext(self.conductor)
-        self._packed_gens = [self.ctx.pack(g) for g in gens]
-        self._elements = None      # dict key -> PackedMatrix
-        self._frontier = None
+        den = lcm(*(c.den for g in gens for row in g.entries for c in row))
+        self.p = _split_prime(self.conductor, den)      # the reduction lemma's hypotheses
+        if self.p >= 1 << 31 or dim * (self.p - 1) ** 2 >= 1 << 63:
+            raise GroupError("prime %d is too large for int64 residue products" % self.p)
+        self._field = GF(self.p, self.conductor)
+        self._gens = np.stack([self._reduce(g) for g in gens])
+        ident = np.eye(dim, dtype=np.int32).tobytes()
+        self._index = {ident: 0}    # residue key -> element index
+        self._keys = [ident]        # element index -> residue key
+        self._parent = [-1]         # element index -> BFS parent index
+        self._gen = [-1]            # element index -> generator index
+        self._frontier = deque([0])
         self.closed = False
+
+    def _reduce(self, m: ExactMatrix):
+        return np.array([[self._field.from_cyc(c) for c in row] for row in m.entries], dtype=np.int64)
+
+    def key(self, m: ExactMatrix) -> bytes:
+        """Residue key of an exact matrix with entries in the group's field."""
+        return self._reduce(m).astype(np.int32).tobytes()
 
     # -- closure -----------------------------------------------------------
 
@@ -229,131 +149,178 @@ class MatGroup:
 
         Stops as soon as more than `cap` elements are stored.  The element
         being expanded stays at the head of the queue, so a later call with a
-        larger cap resumes where this one stopped.
+        larger cap resumes where this one stopped.  On completion the orbit
+        certificate must hold (else False: G is infinite) and p must not
+        divide |G| (else GroupError); see the module docstring.
         """
         if self.closed:
             return True
-        if self._elements is None:
-            ident = self.ctx.pack(ExactMatrix.identity(self.dim))
-            self._elements = {ident.key: ident}
-            self._frontier = deque([ident])
-        if len(self._elements) > cap:
+        if len(self._keys) > cap:
             return False
+        r, p = self.dim, self.p
         while self._frontier:
-            elem = self._frontier[0]
-            for pg in self._packed_gens:
-                prod = elem @ pg
-                if prod.key not in self._elements:
-                    self._elements[prod.key] = prod
-                    self._frontier.append(prod)
-                    if len(self._elements) > cap:
+            head = self._frontier[0]
+            residue = np.frombuffer(self._keys[head], dtype=np.int32).reshape(r, r)
+            for gi, prod in enumerate(_mulmod(residue, self._gens, p)):
+                key = prod.tobytes()
+                if key not in self._index:
+                    self._index[key] = len(self._keys)
+                    self._frontier.append(len(self._keys))
+                    self._keys.append(key)
+                    self._parent.append(head)
+                    self._gen.append(gi)
+                    if len(self._keys) > cap:
                         return False
             self._frontier.popleft()
+        if not self._orbit_is_finite(r * len(self._keys)):
+            return False                # the orbit certificate: G is infinite
+        if len(self._keys) % p == 0:    # residues could no longer tell scalars apart
+            raise GroupError("p = %d divides |G| = %d" % (p, len(self._keys)))
         self.closed = True
         return True
 
-    @property
-    def order(self) -> int:
+    def _orbit_is_finite(self, bound: int) -> bool:
+        """Close the orbit of e_1..e_r exactly; False once it has more than bound vectors."""
+        n, r = self.conductor, self.dim
+        gens = [[[(k, c.to_conductor(n)) for k, c in enumerate(row) if not c.is_zero()]
+                 for row in g.entries] for g in self.generators]
+        one, zero = CycNum.one(n), CycNum.zero(n)
+        frontier = [tuple(one if i == j else zero for i in range(r)) for j in range(r)]
+        seen = {tuple((c.num, c.den) for c in v) for v in frontier}
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                w = []
+                for row in g:
+                    acc = zero
+                    for k, a in row:
+                        if not v[k].is_zero():
+                            acc = acc + a * v[k]
+                    w.append(acc)
+                key = tuple((c.num, c.den) for c in w)
+                if key not in seen:
+                    seen.add(key)
+                    if len(seen) > bound:
+                        return False
+                    frontier.append(tuple(w))
+        return True
+
+    def _require_closed(self):
         if not self.closed:
             raise GroupError("group is not closed; call close() first")
-        return len(self._elements)
 
-    def packed_elements(self):
-        if not self.closed:
-            raise GroupError("group is not closed")
-        return self._elements.values()
+    @property
+    def order(self) -> int:
+        self._require_closed()
+        return len(self._keys)
+
+    def residues(self):
+        """Residue matrices (read-only int32) of the elements stored so far, in BFS order."""
+        for key in self._keys:
+            yield np.frombuffer(key, dtype=np.int32).reshape(self.dim, self.dim)
+
+    def _stacks(self, size: int = 4096):
+        """Yield (offset, stack): the next at most `size` residues as one (m, r, r) array."""
+        for start in range(0, len(self._keys), size):
+            blob = b"".join(self._keys[start:start + size])
+            yield start, np.frombuffer(blob, dtype=np.int32).reshape(-1, self.dim, self.dim)
+
+    def element(self, i: int) -> ExactMatrix:
+        """Element i as an exact matrix, replayed along its BFS tree path."""
+        path = []
+        while i:
+            path.append(self._gen[i])
+            i = self._parent[i]
+        m = ExactMatrix.identity(self.dim)
+        for gi in reversed(path):
+            m = m * self.generators[gi]
+        return m
 
     def elements(self):
-        for pm in self.packed_elements():
-            yield self.ctx.unpack(pm)
+        """All elements as exact matrices, one product per element (BFS replay).
 
-    def contains_packed(self, pm: PackedMatrix) -> bool:
-        if not self.closed:
-            raise GroupError("group is not closed")
-        return pm.key in self._elements
+        Parent indices never decrease along the BFS order, so only the
+        elements from the current parent on are kept.
+        """
+        self._require_closed()
+        window = deque([(0, ExactMatrix.identity(self.dim))])
+        yield window[0][1]
+        for i in range(1, len(self._keys)):
+            while window[0][0] < self._parent[i]:
+                window.popleft()
+            m = window[0][1] * self.generators[self._gen[i]]
+            window.append((i, m))
+            yield m
 
     def contains(self, m: ExactMatrix) -> bool:
+        self._require_closed()
         reduced = []
         for row in m.entries:
             out_row = []
             for c in row:
                 c = c.reduce()
-                if self.conductor % c.n:
-                    return False        # entry lies outside the group's field
+                if self.conductor % c.n or c.den % self.p == 0:
+                    return False        # outside the field, or not 𝔭-integral
                 out_row.append(c)
             reduced.append(out_row)
-        return self.contains_packed(self.ctx.pack(ExactMatrix(reduced)))
+        i = self._index.get(self.key(ExactMatrix(reduced)))
+        return i is not None and self.element(i) == m
 
     # -- structure helpers ---------------------------------------------------
 
-    def scalar_elements(self):
-        """Packed elements that are scalar matrices."""
-        return [pm for pm in self.packed_elements() if _is_scalar(pm)]
-
     def projective_order(self) -> int:
         """|G / scalars| = |G| / |G ∩ K*·I| (the scalar-coset lemma)."""
-        return self.order // len(self.scalar_elements())
+        self._require_closed()
+        scalars = sum(int(_is_block_scalar(stack, [self.dim]).sum()) for _, stack in self._stacks())
+        return self.order // scalars
 
     def center(self) -> MatGroup:
         """Subgroup commuting with every generator (hence with the group)."""
-        if not self.closed:
-            raise GroupError("group is not closed")
+        self._require_closed()
         members = []
-        for pm in self.packed_elements():
-            if all((pm @ pg).key == (pg @ pm).key for pg in self._packed_gens):
-                members.append(pm)
-        sub = MatGroup([self.ctx.unpack(pm) for pm in members], conductor=self.conductor)
-        sub._elements = {pm.key: pm for pm in members}
-        sub._frontier = []
+        for start, stack in self._stacks():
+            stack = stack[:, None]
+            commute = (_mulmod(stack, self._gens, self.p) == _mulmod(self._gens, stack, self.p))
+            members.extend(start + np.flatnonzero(commute.all(axis=(1, 2, 3))))
+        sub = MatGroup([self.element(i) for i in members], conductor=self.conductor)
+        sub._keys = [sub.key(g) for g in sub.generators]
+        sub._index = {key: i for i, key in enumerate(sub._keys)}
+        sub._parent = [-1] + [0] * (len(members) - 1)     # members[0] is the identity
+        sub._gen = list(range(len(members)))
+        sub._frontier = deque()
         sub.closed = True
         return sub
 
     def __repr__(self):
-        state = "order %d" % len(self._elements) if self.closed else "open"
+        state = "order %d" % len(self._keys) if self.closed else "open"
         return "MatGroup(dim=%d, conductor=%d, %s)" % (self.dim, self.conductor, state)
 
 
-def _is_block_scalar(arr, dim, phi, block_sizes):
-    """Packed test: off-diagonal blocks vanish, diagonal blocks are scalar."""
-    expected = np.zeros_like(arr)
-    pos = 0
-    for size in block_sizes:
-        lead = arr[pos * phi:(pos + 1) * phi, pos * phi:(pos + 1) * phi]
-        for k in range(pos, pos + size):
-            expected[k * phi:(k + 1) * phi, k * phi:(k + 1) * phi] = lead
-        pos += size
-    return bool((arr == expected).all())
-
-
-def _is_scalar(pm: PackedMatrix) -> bool:
-    return _is_block_scalar(pm.array(), pm.dim, pm.ctx.phi, [pm.dim])
-
-
-def scalar_cosets(elements):
-    """PGL classes of a finite group L given by its packed elements.
+def scalar_cosets(residues, p: int):
+    """PGL classes of a finite group L given by its residues mod p.
 
     By the scalar-coset lemma (module docstring) the classes are the cosets
     gZ of Z = L ∩ K*·I.  Returns (class_of, reps): class_of maps each
-    element's key to its class number and reps[c] is the first element of
+    residue key to its class number and reps[c] is the first residue of
     class c.  Raises GroupError if some gZ does not consist of exactly |Z|
-    elements of L that lie in no earlier coset (then `elements` is not a
+    elements of L that lie in no earlier coset (then `residues` is not a
     group).
     """
-    members = {pm.key: pm for pm in elements}
-    scalars = [pm for pm in members.values() if _is_scalar(pm)]
+    members = {a.tobytes(): a for a in residues}
+    scalars = [a for a in members.values() if _is_block_scalar(a, [len(a)])]
     class_of = {}
     reps = []
-    for key, pm in members.items():
+    for key, a in members.items():
         if key in class_of:
             continue
-        coset = {(s @ pm).key for s in scalars}
+        coset = {_mulmod(s, a, p).tobytes() for s in scalars}
         if len(coset) != len(scalars) or key not in coset or \
                 any(k not in members or k in class_of for k in coset):
             raise GroupError("a scalar coset does not have |L ∩ scalars| = %d elements of L"
                              % len(scalars))
         for k in coset:
             class_of[k] = len(reps)
-        reps.append(pm)
+        reps.append(a)
     return class_of, reps
 
 

@@ -9,24 +9,27 @@ projective constituent orders |H_ij|, and confirms the order bookkeeping
 
 Verification tiers:
 
-* full-closure: the group is materialized and its packed elements (see
-  matgroups) are streamed once.  psi of an element is read from its
-  nonzero block mask.  For each block (i, j) the packed restrictions of the
-  elements that fix it form a finite group L_ij; |H_ij| is the number of
-  scalar cosets of L_ij, and phi(P) is counted as distinct tuples of coset
-  numbers over the principal elements.  N counts the principal elements
-  that are block scalar.  A basis change is applied to the generators and
-  the conjugated group is closed again.
+* full-closure: every generator is first checked exactly to permute the
+  certificate blocks (after the basis change, if any, which is applied to
+  the generators before the conjugated group is closed again).  Then the
+  residues of the group elements mod p (see matgroups) are streamed once.
+  psi of an element is read from its residue block mask, which is its
+  exact block mask by the block-mask lemma in matgroups.  For each block
+  (i, j) the residue restrictions of the elements that fix it form a
+  finite group L_ij; |H_ij| is the number of scalar cosets of L_ij, and
+  phi(P) is counted as distinct tuples of coset numbers over the principal
+  elements.  N counts the principal elements that are block scalar.
 * compositional: only per-block closures are materialized.  psi(G) comes
   from generator block patterns, P from Schreier generators, phi(P) from an
   exact closure of projective class tuples over per-block Cayley tables of
-  packed coset representatives, and N by comparing the supplied
+  residue coset representatives, and N by comparing the supplied
   block-scalar generators against the full Smith-normal-form stabilizer
   lattice.  This proves orders far beyond the element-enumeration cap.
 
 Both tiers decide "same class in PGL" only through matgroups (scalar
-cosets and projective_order); no element is unpacked to ExactMatrix except
-the few samples for the irreducibility check.
+cosets and projective_order).  Exact matrices enter only as generators and
+as the few samples for the irreducibility check, replayed along the BFS
+tree.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import numpy as np
 from .cyclotomic import scalar_to_str
 from .diaglattice import block_scalar_group
 from .forms import ExactMatrix, Form, act
-from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, PackedContext, _is_block_scalar,
-                        closure, matrices_conductor, scalar_cosets)
+from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, _is_block_scalar, _mulmod, closure,
+                        scalar_cosets)
 from .sequences import SubdegreeSequence, canonical_bound
 from .sequences import ratioprod_check  # noqa: F401  (structure-level check, ratio arithmetic)
 
@@ -163,12 +166,16 @@ def _block_pattern(mask, ranges, grouping):
     The result holds, per summand i, the tuple j -> index of the unique row
     block that column block (i, j) lands in.
     """
+    starts = [r0 for (_i, _j, r0, _r1) in ranges]
+    blocks = np.logical_or.reduceat(np.logical_or.reduceat(mask, starts, axis=0), starts, axis=1)
+    if (blocks.sum(axis=0) != 1).any():
+        return None
     image = {}
-    for (i, j, c0, c1) in ranges:
-        hits = [(i2, j2, r1 - r0) for (i2, j2, r0, r1) in ranges if mask[r0:r1, c0:c1].any()]
-        if len(hits) != 1 or hits[0][0] != i or hits[0][2] != c1 - c0:
+    for (i, j, c0, c1), row in zip(ranges, blocks.argmax(axis=0)):
+        i2, j2, r0, r1 = ranges[row]
+        if i2 != i or r1 - r0 != c1 - c0:
             return None
-        image[(i, j)] = hits[0][1]
+        image[(i, j)] = j2
     out = []
     for i, k in enumerate(grouping):
         perm = tuple(image[(i, j)] for j in range(k))
@@ -210,9 +217,9 @@ def irreducible_span(matrices, size: int) -> bool:
     return len(basis) == target
 
 
-def _check_irreducible(packed, i, j, size):
-    """Burnside on at most 4 s^2 + 8 of the packed restrictions to block (i, j)."""
-    sample = [pm.ctx.unpack(pm) for pm in islice(packed, 4 * size * size + 8)]
+def _check_irreducible(restrictions, i, j, size):
+    """Burnside on at most 4 s^2 + 8 of the exact restrictions to block (i, j)."""
+    sample = list(islice(restrictions, 4 * size * size + 8))
     if not irreducible_span(sample, size):
         raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
 
@@ -222,15 +229,16 @@ def _check_irreducible(packed, i, j, size):
 
 def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
                        form: Form | None = None) -> StructureReport:
-    """Verify a certificate against a closed group by streaming its packed elements.
+    """Verify a certificate against a closed group by streaming its residues.
 
-    Each element's block pattern gives psi; for every block (i, j) the
-    restrictions of the elements fixing that block form a finite group
-    L_ij, and |H_ij| is its number of scalar cosets (matgroups lemma).
-    phi(P) is counted as distinct tuples of class numbers over the
+    The generators (conjugated by a basis change T, if any) must permute the
+    certificate blocks exactly; the conjugated group is then closed again.
+    Each element's residue block pattern gives psi; for every block (i, j)
+    the residue restrictions of the elements fixing that block form a
+    finite group L_ij, and |H_ij| is its number of scalar cosets (matgroups
+    lemma).  phi(P) is counted as distinct tuples of class numbers over the
     principal elements, and N as the principal elements that are block
-    scalar.  A basis change T is applied once, to the generators, and the
-    conjugated group is closed again.
+    scalar.
     """
     if not group.closed:
         raise GroupError("closed-tier verification needs a closed group")
@@ -239,43 +247,49 @@ def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
     ranges = cert.block_ranges()
     grouping = cert.grouping
     T = cert.basis_change
+    gens = group.generators
     if T:
         Tinv = T.inverse()
-        conjugated = MatGroup([Tinv * g * T for g in group.generators])
+        gens = [Tinv * g * T for g in gens]
+    if any(_block_pattern(_nonzero_mask(g), ranges, grouping) is None for g in gens):
+        raise CertificateError("a generator does not permute the certificate blocks")
+    if T:
+        conjugated = MatGroup(gens)
         if not conjugated.close(group.order):
             raise CertificateError("basis change does not conjugate the group to one of its order")
         group = conjugated
-    r, phi = group.dim, group.ctx.phi
 
     psi_values = set()
     principal_count = 0
     kernel_count = 0
     principal_keys = set()
-    block_members = [{} for _ in ranges]
+    block_members = [{} for _ in ranges]      # residue key -> (first element index, residue)
     identity_tuple = tuple(tuple(range(k)) for k in grouping)
 
-    for pm in group.packed_elements():
-        arr = pm.array()    # block (a, b) of the packed matrix is zero iff entry (a, b) is
-        tup = _block_pattern(arr.reshape(r, phi, r, phi).any(axis=(1, 3)), ranges, grouping)
+    for index, arr in enumerate(group.residues()):
+        tup = _block_pattern(arr != 0, ranges, grouping)
         if tup is None:
             raise CertificateError("an element does not permute the certificate blocks")
         psi_values.add(tup)
         keys = []
         for bi, (i, j, r0, r1) in enumerate(ranges):
             if tup[i][j] == j:
-                sub = pm.restrict(r0, r1)
-                keys.append(block_members[bi].setdefault(sub.key, sub).key)
+                sub = np.ascontiguousarray(arr[r0:r1, r0:r1])
+                key = sub.tobytes()
+                block_members[bi].setdefault(key, (index, sub))
+                keys.append(key)
         if tup == identity_tuple:
             principal_count += 1
             principal_keys.add(tuple(keys))
-            kernel_count += _is_block_scalar(arr, r, phi, cert.flat_sizes)
+            kernel_count += int(_is_block_scalar(arr, cert.flat_sizes))
 
     k_orders = _check_transitive(psi_values, grouping)
     classes = []
     constituent_orders = {}
     for members, (i, j, r0, r1) in zip(block_members, ranges):
-        _check_irreducible(members.values(), i, j, r1 - r0)
-        class_of, reps = scalar_cosets(members.values())
+        _check_irreducible((_restrict(group.element(index), r0, r1, r0, r1)
+                            for index, _sub in members.values()), i, j, r1 - r0)
+        class_of, reps = scalar_cosets((sub for _index, sub in members.values()), group.p)
         classes.append(class_of)
         constituent_orders[(i + 1, j + 1)] = len(reps)
     phi_tuples = {tuple(cls[key] for cls, key in zip(classes, keys)) for keys in principal_keys}
@@ -369,7 +383,6 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     gens = list(generators)
     if not gens:
         raise CertificateError("need generators")
-    ctx = PackedContext(matrices_conductor(gens))
     for g in gens:
         if act(form, g) != form:
             raise CertificateError("a supplied generator does not preserve the form")
@@ -420,7 +433,6 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
                 reps[marker] = tup
             coset_of[tup] = reps[marker]
         out = []
-        seen = set()
         for rep_tup in set(coset_of.values()):
             rep = rep_mats[rep_tup]
             for g in gens:
@@ -429,9 +441,7 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
                 s = u * rep_invs[target]
                 if not member(psi_of(s)):
                     raise CertificateError("Schreier generator escaped the subgroup")
-                key = ctx.pack(s).key
-                if key not in seen:
-                    seen.add(key)
+                if s not in out:
                     out.append(s)
         return out
 
@@ -441,8 +451,8 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     lattice = block_scalar_group(form, cert.flat_sizes)
     if lattice.order is None:
         raise CertificateError("block-scalar stabilizer is infinite")
-    supplied_scalars = [g for g in gens if _is_block_scalar(
-        ctx.pack(g).array(), cert.dim, ctx.phi, cert.flat_sizes)]
+    supplied_scalars = [g for g in gens if _is_block_scalar(np.array(g.entries, dtype=object),
+                                                            cert.flat_sizes)]
     if not supplied_scalars:
         raise CertificateError("no block-scalar generators supplied for the kernel check")
     sub = closure(supplied_scalars, cap=max(4 * lattice.order, 1024))
@@ -465,13 +475,13 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     class_tables = []
     class_index = []
     for grp in block_groups:
-        class_of, reps = scalar_cosets(grp.packed_elements())
-        class_tables.append([[class_of[(a @ b).key] for b in reps] for a in reps])
+        class_of, reps = scalar_cosets(grp.residues(), grp.p)
+        class_tables.append([[class_of[_mulmod(a, b, grp.p).tobytes()] for b in reps] for a in reps])
         class_index.append(class_of)
 
     def class_tuple(blocks):
         """Class numbers of one square matrix per block."""
-        return tuple(class_of[grp.ctx.pack(m).key]
+        return tuple(class_of[grp.key(m)]
                      for class_of, grp, m in zip(class_index, block_groups, blocks))
 
     gen_class_tuples = {class_tuple(_restrict(s, r0, r1, r0, r1) for (_i, _j, r0, r1) in ranges)
@@ -500,7 +510,7 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
         sgrp = closure(restrictions, cap=block_cap)
         if not sgrp.closed:
             raise CertificateError("stabilizer block closure exceeded its cap")
-        _check_irreducible(sgrp.packed_elements(), i, j, r1 - r0)
+        _check_irreducible(sgrp.elements(), i, j, r1 - r0)
         constituent_orders[(i + 1, j + 1)] = sgrp.projective_order()
 
     return _finish_report(

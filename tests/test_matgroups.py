@@ -1,9 +1,15 @@
+import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from formaut import matgroups
 from formaut.catalog import get_entry
-from formaut.cyclotomic import CycNum, root_of_unity
+from formaut.cli import main
+from formaut.cyclotomic import root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
 from formaut.matgroups import (GroupError, MatGroup, closure, generators_from_json, generators_to_json,
                                invariant_dimension, invariant_dimension_molien,
@@ -63,7 +69,7 @@ def test_closure_cap():
 def test_closure_cap_is_checked_per_insertion():
     grp = MatGroup(get_entry("fermat-3-3").generators())
     assert not grp.close(cap=1000)
-    assert len(grp._elements) <= 1001
+    assert len(list(grp.residues())) <= 1001
     assert not grp.close(cap=1000)
     assert grp.close(cap=29160)         # resume to completion at exactly the order
     assert grp.order == 29160
@@ -71,12 +77,12 @@ def test_closure_cap_is_checked_per_insertion():
 
 def test_scalar_cosets_partition_and_check():
     grp = closure(get_entry("klein-quartic").generators())
-    class_of, reps = scalar_cosets(grp.packed_elements())
+    class_of, reps = scalar_cosets(grp.residues(), grp.p)
     assert len(reps) == grp.projective_order() == 168
     assert sorted(Counter(class_of.values()).values()) == [4] * 168
-    elements = list(grp.packed_elements())
+    elements = list(grp.residues())
     with pytest.raises(GroupError):       # one coset loses a member: not a group
-        scalar_cosets(elements[:-1])
+        scalar_cosets(elements[:-1], grp.p)
 
 
 def test_subgroup_order_divides():
@@ -146,14 +152,92 @@ def test_generator_json_round_trip():
     assert all(a == b for a, b in zip(gens, again))
 
 
-def test_object_dtype_fallback():
-    # entries large enough to leave int64 territory still multiply exactly
-    big = 1 << 40
-    m = ExactMatrix([[CycNum.from_int(big), CycNum.from_int(1)],
-                     [CycNum.from_int(0), CycNum.from_int(1)]])
-    from formaut.matgroups import PackedContext
-    ctx = PackedContext(1)
-    pm = ctx.pack(m)
-    prod = pm @ pm
-    back = ctx.unpack(prod)
-    assert back == m * m
+# -- the runtime checks of the residue engine, one test each ---------------------
+
+
+def test_infinite_group_with_trivial_residues_is_refused(tmp_path, capsys):
+    p = matgroups._split_prime(1, 1)
+    m = ExactMatrix.diagonal([1 + p, 1])       # the identity mod p, of infinite order
+    grp = MatGroup([m])
+    assert grp.p == p
+    assert not grp.close()                     # the exact orbit of e_1 outgrows 2 * 1
+    assert not grp.closed
+    f = tmp_path / "gens.json"
+    f.write_text(generators_to_json([m]))
+    assert main(["closure", str(f)]) == 1
+    assert json.loads(capsys.readouterr().out)["closed"] is False
+
+
+def test_prime_dividing_a_denominator_is_skipped():
+    p = matgroups._split_prime(1, 1)
+    grp = closure([ExactMatrix([[0, p], [Fraction(1, p), 0]])])
+    assert grp.p != p
+    assert grp.order == 2
+
+
+def test_prime_dividing_the_order_is_refused(monkeypatch):
+    monkeypatch.setattr(matgroups, "_split_prime", lambda conductor, den: 3)
+    grp = MatGroup([ExactMatrix.permutation([1, 0, 2]), ExactMatrix.permutation([1, 2, 0])])
+    with pytest.raises(GroupError):            # S_3 has order 6 and 3 | 6
+        grp.close()
+
+
+# -- the residue engine against an exact closure -----------------------------------
+
+
+def _exact_closure(gens, cap):
+    """Every element as an ExactMatrix by BFS, or None past cap elements."""
+    def key(m):
+        return tuple((c.to_conductor(12).num, c.to_conductor(12).den) for row in m.entries for c in row)
+    ident = ExactMatrix.identity(gens[0].dim)
+    seen = {key(ident): ident}
+    frontier = [ident]
+    while frontier:
+        m = frontier.pop()
+        for g in gens:
+            h = m * g
+            if key(h) not in seen:
+                seen[key(h)] = h
+                frontier.append(h)
+                if len(seen) > cap:
+                    return None
+    return list(seen.values())
+
+
+def _projective_key(m):
+    """m divided by its first nonzero entry, as a hashable key."""
+    lead = next(c for row in m.entries for c in row if not c.is_zero()).inverse()
+    return tuple((c * lead).canonical_key() for row in m.entries for c in row)
+
+
+@st.composite
+def monomial_groups(draw):
+    """Permutation times diagonal 12th roots of unity, r <= 4, maybe conjugated."""
+    r = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(r)))
+        exps = draw(st.lists(st.integers(0, 11), min_size=r, max_size=r))
+        gens.append(ExactMatrix.permutation(perm) *
+                    ExactMatrix.diagonal([root_of_unity(12, e) for e in exps]))
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=r * r, max_size=r * r))
+        lower = ExactMatrix([[1 if i == j else signs[i * r + j] if j < i else 0 for j in range(r)]
+                             for i in range(r)])
+        upper = ExactMatrix([[1 if i == j else signs[i * r + j] if j > i else 0 for j in range(r)]
+                             for i in range(r)])
+        unimodular = lower * upper
+        inverse = unimodular.inverse()
+        gens = [inverse * g * unimodular for g in gens]
+    return gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(monomial_groups())
+def test_residue_engine_matches_exact_closure(gens):
+    elements = _exact_closure(gens, cap=200)
+    assume(elements is not None)
+    grp = closure(gens)
+    assert grp.order == len(elements)
+    assert grp.projective_order() == len({_projective_key(m) for m in elements})
+    assert grp.center().order == sum(all(m * g == g * m for g in gens) for m in elements)
