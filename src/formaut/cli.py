@@ -63,6 +63,12 @@ def _parse_range(text: str):
     return [int(text)]
 
 
+def _nonnegative(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def _emit(payload, out=None):
     text = json.dumps(payload, indent=1, sort_keys=True)
     if out:
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invdim", help="dimension of degree-e invariants")
     p.add_argument("gens")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nonnegative, required=True)
     p.add_argument("--method", choices=["reynolds", "molien", "both"], default="both")
     p.add_argument("--cap", type=int, default=_default_cap())
     p.set_defaults(func=cmd_invdim)

@@ -48,16 +48,28 @@ the PGL classes of L are the cosets gZ, each of size |Z|, and
 `scalar_cosets` lists the cosets and raises if one of them does not have
 exactly |Z| members of L.
 
-`elements()` is the exact export: it replays the BFS tree with one
-ExactMatrix product per element, for the invariant routes.
+Invariant dimensions read residues, by the rank-trace lemma.  Let G be
+finite with p ∤ |G|, e >= 0 and M = C(r+e-1, e) = dim Sym^e.  The entries
+of Sym^e(g) are integer polynomials in those of g, so the Reynolds operator
+R = |G|^-1 sum_g Sym^e(g) is 𝔭-integral; R^2 = R, so its reduction is an
+idempotent over F_p, whose rank is its trace mod p, and tr R =
+dim (Sym^e)^G.  Molien's coefficient of t^e in |G|^-1 sum_g 1/det(I - t g)
+is the same trace, and Newton's identities divide only by k <= r < p.  Both
+integers lie in [0, M], so once p > M the F_p rank of sum_g Sym^e(g mod p)
+and the Molien residue each equal dim (Sym^e)^G.  `_invariant_space` checks
+that G is closed, p ∤ |G| and p > M; the Molien residue must lie in
+[0, M], and method "both" compares the rank with the trace.
+
+`elements()` replays the BFS tree exactly, one ExactMatrix product per
+element, for exact samples (`structure._check_irreducible`) and tests.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from fractions import Fraction
-from math import lcm
+from itertools import combinations_with_replacement
+from math import comb, lcm
 
 import numpy as np
 
@@ -346,138 +358,112 @@ def preserves(group_or_gens, form: Form) -> bool:
 
 # -- invariant dimensions ------------------------------------------------------
 
+SYM_BYTES = 256 << 10   # int64 bytes per Reynolds stack (or one element); small stacks keep peak RSS down
+
 
 def _monomials(nvars: int, degree: int):
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for k in range(degree, -1, -1):
-        for rest in _monomials(nvars - 1, degree - k):
-            out.append((k,) + rest)
-    return out
+    return [tuple(c.count(i) for i in range(nvars))
+            for c in combinations_with_replacement(range(nvars), degree)]
 
 
-def _symmetric_power_matrix(matrix: ExactMatrix, degree: int, monomials, index):
-    """Matrix of the action on degree-e monomials, built degree by degree."""
-    n = matrix.dim
-    linear = []
-    for i in range(n):
-        terms = {}
-        for k in range(n):
-            c = matrix.entries[i][k]
-            if not c.is_zero():
-                terms[tuple(1 if j == k else 0 for j in range(n))] = c
-        linear.append(Form(n, terms, 1))
-    images = {tuple([0] * n): Form(n, {tuple([0] * n): CycNum.one()}, 0)}
+def _invariant_space(group: MatGroup, degree: int) -> int:
+    """M = dim Sym^e, once the rank-trace lemma's hypotheses are checked."""
+    order = group.order                 # GroupError unless the group is closed
+    size = comb(group.dim + degree - 1, degree)
+    if group.p <= size or order % group.p == 0:
+        raise GroupError("p = %d must exceed dim Sym^%d = %d and not divide |G| = %d"
+                         % (group.p, degree, size, order))
+    return size
+
+
+def _symmetric_power_maps(nvars: int, degree: int):
+    """Per degree d: x^s = x_first[s] * x^source[s], and down[k][t] indexes x^t / x_k in degree
+    d-1, or a zero row past the end when x_k does not divide x^t."""
+    maps, prev = [], {(0,) * nvars: 0}
     for d in range(1, degree + 1):
-        new_images = {}
-        for mono in _monomials(n, d):
-            i = next(k for k, e in enumerate(mono) if e)
-            prev = tuple(e - (1 if k == i else 0) for k, e in enumerate(mono))
-            new_images[mono] = images[prev] * linear[i]
-        images = new_images
-    cols = []
-    for mono in monomials:
-        img = images[mono]
-        col = [img.terms.get(m, CycNum.zero()) for m in monomials]
-        cols.append(col)
-    # entries[row][col]
-    return [[cols[j][i] for j in range(len(monomials))] for i in range(len(monomials))]
+        monos = _monomials(nvars, d)
+        first = [next(k for k, a in enumerate(s) if a) for s in monos]
+        source = [prev[s[:i] + (s[i] - 1,) + s[i + 1:]] for s, i in zip(monos, first)]
+        down = [[prev.get(t[:k] + (t[k] - 1,) + t[k + 1:], len(prev)) for t in monos]
+                for k in range(nvars)]
+        maps.append((first, source, down))
+        prev = {s: j for j, s in enumerate(monos)}
+    return maps
 
 
-def _matrix_rank(rows) -> int:
-    """Exact rank of a matrix with CycNum entries."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+def _symmetric_powers(stack, maps, p: int):
+    """Sym^e(g) mod p for each residue g of the stack: shape (m, M, M), column s the image of x^s.
+
+    One multiply-add per variable and degree: [x^t] g(x^s) = sum_k g[first, k] [x^t / x_k] g(x^source).
+    The r products are summed before one reduction: r·(p-1)^2 < 2^63, checked at construction.
+    """
+    m = len(stack)
+    stack = stack.astype(np.int64)
+    sym = np.ones((m, 1, 1), dtype=np.int64)
+    for first, source, down in maps:
+        padded = np.concatenate([sym[:, :, source], np.zeros((m, 1, len(source)), np.int64)], axis=1)
+        out = np.zeros((m, len(source), len(source)), dtype=np.int64)
+        for k, rows in enumerate(down):
+            out += np.take(padded, rows, axis=1) * stack[:, first, k][:, None, :]
+        sym = out % p
+    return sym
+
+
+def _rank_mod_p(a, p: int) -> int:
+    """Rank of an integer matrix over F_p, by row reduction."""
+    a = a % p
     rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if not mat[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(nrows):
-            if r != rank and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        piv = rank + nonzero[0]
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        a[rank + 1:] = (a[rank + 1:] - a[rank + 1:, col, None] * a[rank]) % p
         rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
 def invariant_dimension_reynolds(group: MatGroup, degree: int) -> int:
-    """Rank of the group-averaging projector on the degree-e monomial basis."""
-    if not group.closed:
-        raise GroupError("group is not closed")
-    monomials = _monomials(group.dim, degree)
-    index = {m: i for i, m in enumerate(monomials)}
-    size = len(monomials)
-    total = [[CycNum.zero()] * size for _ in range(size)]
-    for elem in group.elements():
-        sym = _symmetric_power_matrix(elem, degree, monomials, index)
-        for i in range(size):
-            trow = total[i]
-            srow = sym[i]
-            for j in range(size):
-                if not srow[j].is_zero():
-                    trow[j] = trow[j] + srow[j]
-    return _matrix_rank(total)
-
-
-def _char_poly_rev(matrix: ExactMatrix):
-    """Coefficients of det(I - t*M) by Newton's identities on power traces."""
-    r = matrix.dim
-    traces = []
-    power = matrix
-    for _ in range(r):
-        traces.append(_trace(power))
-        power = power * matrix
-    es = [CycNum.one()]
-    for k in range(1, r + 1):
-        acc = CycNum.zero()
-        for i in range(1, k + 1):
-            term = es[k - i] * traces[i - 1]
-            acc = acc + (term if i % 2 == 1 else -term)
-        es.append(acc * Fraction(1, k))
-    return [es[k] if k % 2 == 0 else -es[k] for k in range(r + 1)]
-
-
-def _trace(matrix: ExactMatrix) -> CycNum:
-    acc = CycNum.zero()
-    for i in range(matrix.dim):
-        acc = acc + matrix.entries[i][i]
-    return acc
+    """F_p rank of sum_g Sym^e(g mod p), the Reynolds operator times |G| (rank-trace lemma)."""
+    size = _invariant_space(group, degree)
+    maps = _symmetric_power_maps(group.dim, degree)
+    total = np.zeros((size, size), dtype=np.int64)
+    for _, stack in group._stacks(max(1, SYM_BYTES // (8 * size * size))):
+        total = (total + _symmetric_powers(stack, maps, group.p).sum(axis=0)) % group.p
+    return _rank_mod_p(total, group.p)
 
 
 def invariant_dimension_molien(group: MatGroup, degree: int) -> int:
-    """Coefficient of t^e in (1/|G|) sum_g 1/det(I - t g), exact arithmetic."""
-    if not group.closed:
-        raise GroupError("group is not closed")
-    e = degree
-    total = [CycNum.zero()] * (e + 1)
-    for elem in group.elements():
-        poly = _char_poly_rev(elem)
-        # power series inverse of det(I - t g) (constant term 1)
-        inv = [CycNum.one()]
-        for k in range(1, e + 1):
-            acc = CycNum.zero()
-            for i in range(1, min(k, len(poly) - 1) + 1):
-                acc = acc + poly[i] * inv[k - i]
-            inv.append(-acc)
-        for k in range(e + 1):
-            total[k] = total[k] + inv[k]
-    coeff = total[e] * Fraction(1, group.order)
-    val = coeff.as_fraction()
-    if val.denominator != 1:
-        raise ArithmeticError("Molien coefficient is not an integer")
-    return int(val)
+    """Coefficient of t^e in (1/|G|) sum_g 1/det(I - t g), mod p (rank-trace lemma).
+
+    det(I - t g) = sum_k c_k t^k comes from the power traces s_i = tr g^i by
+    Newton's identities, k c_k = -sum_{i<=k} c_{k-i} s_i, which divide only
+    by k <= r < p.  Each sum has at most r products of residues, so it stays
+    below 2^63 (checked when the group is built).
+    """
+    size = _invariant_space(group, degree)
+    p, r = group.p, group.dim
+    total = 0
+    for _, stack in group._stacks():
+        stack = stack.astype(np.int64)
+        traces, power = [], stack
+        for _ in range(r):
+            traces.append(np.trace(power, axis1=1, axis2=2) % p)
+            power = power @ stack % p
+        det = [np.ones(len(stack), dtype=np.int64)]
+        for k in range(1, r + 1):
+            acc = -sum(det[k - i] * traces[i - 1] for i in range(1, k + 1)) % p
+            det.append(acc * pow(k, -1, p) % p)
+        series = [det[0]]               # the power series inverse of det(I - t g)
+        for k in range(1, degree + 1):
+            series.append(-sum(det[i] * series[k - i] for i in range(1, min(k, r) + 1)) % p)
+        total += int(series[degree].sum())
+    value = total * pow(group.order, -1, p) % p
+    if value > size:
+        raise ArithmeticError("Molien residue %d lies outside [0, %d]" % (value, size))
+    return value
 
 
 def invariant_dimension(group: MatGroup, degree: int, method: str = "both") -> int:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from formaut import matgroups
 from formaut.catalog import get_entry
 from formaut.cli import main
-from formaut.cyclotomic import root_of_unity
+from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
 from formaut.matgroups import (GroupError, MatGroup, closure, generators_from_json, generators_to_json,
                                invariant_dimension, invariant_dimension_molien,
@@ -141,8 +141,126 @@ def test_reynolds_equals_molien_small_groups():
     entry = get_entry("tetrahedral-binary-quartic")
     groups.append(closure(entry.generators()))
     for grp in groups:
-        for e in range(1, 9):
-            assert invariant_dimension_reynolds(grp, e) == invariant_dimension_molien(grp, e)
+        _assert_residue_routes_are_exact(grp, range(9))    # Reynolds = Molien = the routes over K
+
+
+# -- the residue invariant routes against the exact routes over K -----------------
+
+
+def _exact_symmetric_power(m: ExactMatrix, monomials):
+    """Sym^e(m) over K, rows indexed by target monomials, built degree by degree."""
+    n = m.dim
+    linear = [Form(n, {tuple(int(j == k) for j in range(n)): c for k, c in enumerate(row)
+                       if not c.is_zero()}, 1) for row in m.entries]
+    images = {(0,) * n: Form(n, {(0,) * n: CycNum.one()}, 0)}
+    for d in range(1, sum(monomials[0]) + 1):
+        new_images = {}
+        for mono in matgroups._monomials(n, d):
+            i = next(k for k, e in enumerate(mono) if e)
+            new_images[mono] = images[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] * linear[i]
+        images = new_images
+    return [[images[src].terms.get(dst, CycNum.zero()) for src in monomials] for dst in monomials]
+
+
+def _exact_rank(rows) -> int:
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        piv = next((r for r in range(rank, len(mat)) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col].inverse()
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and not mat[r][col].is_zero():
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_det_series(m: ExactMatrix):
+    """Coefficients of det(I - t m) by Newton's identities on exact power traces."""
+    traces, power = [], m
+    for _ in range(m.dim):
+        acc = CycNum.zero()
+        for i in range(m.dim):
+            acc = acc + power.entries[i][i]
+        traces.append(acc)
+        power = power * m
+    es = [CycNum.one()]
+    for k in range(1, m.dim + 1):
+        acc = CycNum.zero()
+        for i in range(1, k + 1):
+            term = es[k - i] * traces[i - 1]
+            acc = acc + (term if i % 2 == 1 else -term)
+        es.append(acc * Fraction(1, k))
+    return [es[k] if k % 2 == 0 else -es[k] for k in range(m.dim + 1)]
+
+
+def _exact_invariant_dimensions(grp: MatGroup, e: int):
+    """(Reynolds rank, Molien coefficient) over K on the exact elements: the slow reference."""
+    monomials = matgroups._monomials(grp.dim, e)
+    total = [[CycNum.zero()] * len(monomials) for _ in monomials]
+    molien = CycNum.zero()
+    for g in grp.elements():
+        for trow, srow in zip(total, _exact_symmetric_power(g, monomials)):
+            trow[:] = [a + b for a, b in zip(trow, srow)]
+        poly = _exact_det_series(g)
+        inv = [CycNum.one()]
+        for k in range(1, e + 1):
+            acc = CycNum.zero()
+            for i in range(1, min(k, len(poly) - 1) + 1):
+                acc = acc + poly[i] * inv[k - i]
+            inv.append(-acc)
+        molien = molien + inv[e]
+    value = (molien * Fraction(1, grp.order)).as_fraction()
+    assert value.denominator == 1
+    return _exact_rank(total), int(value)
+
+
+def _assert_residue_routes_are_exact(grp, degrees):
+    for e in degrees:
+        reynolds, molien = _exact_invariant_dimensions(grp, e)
+        assert reynolds == molien == invariant_dimension_reynolds(grp, e) == \
+            invariant_dimension_molien(grp, e), (grp, e)
+
+
+def test_klein_quartic_invariants_match_exact_routes():
+    _assert_residue_routes_are_exact(closure(get_entry("klein-quartic").generators()), [4])
+
+
+def test_invariant_prime_too_small_is_refused(monkeypatch):
+    monkeypatch.setattr(matgroups, "_split_prime", lambda conductor, den: 7)
+    grp = scalar_group(2, 3)
+    assert grp.p == 7
+    assert invariant_dimension(grp, 5) == 0     # M = 6 < p
+    for method in ("reynolds", "molien", "both"):
+        with pytest.raises(GroupError):         # M = 7 = p: 7 invariants read as 0 mod 7
+            invariant_dimension(grp, 6, method=method)
+
+
+def test_molien_residue_out_of_range_is_refused():
+    grp = closure(get_entry("klein-quartic").generators())
+    del grp._keys[0]                # drop the identity: the sum is (672 - 15) / 671, not in [0, 15]
+    with pytest.raises(ArithmeticError):
+        invariant_dimension_molien(grp, 4)
+
+
+def test_invariants_of_an_open_group_are_refused():
+    grp = MatGroup(get_entry("klein-quartic").generators())
+    assert not grp.close(cap=100)
+    for method in ("reynolds", "molien"):
+        with pytest.raises(GroupError):
+            invariant_dimension(grp, 4, method=method)
+
+
+def test_reynolds_sums_over_memory_bounded_stacks():
+    grp = closure(get_entry("fermat-3-3").generators())
+    size = len(matgroups._monomials(grp.dim, 3))
+    assert grp.order * 8 * size ** 2 > matgroups.SYM_BYTES     # more than one stack
+    assert invariant_dimension(grp, 3) == 1                     # the Fermat cubic
 
 
 def test_generator_json_round_trip():
@@ -241,3 +359,11 @@ def test_residue_engine_matches_exact_closure(gens):
     assert grp.order == len(elements)
     assert grp.projective_order() == len({_projective_key(m) for m in elements})
     assert grp.center().order == sum(all(m * g == g * m for g in gens) for m in elements)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(monomial_groups(), st.integers(0, 3))
+def test_residue_invariants_match_exact_routes_on_monomial_groups(gens, e):
+    grp = MatGroup(gens)
+    assume(grp.close(cap=100))
+    _assert_residue_routes_are_exact(grp, [e])
