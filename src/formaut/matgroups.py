@@ -60,8 +60,25 @@ and the Molien residue each equal dim (Sym^e)^G.  `_invariant_space` checks
 that G is closed, p ∤ |G| and p > M; the Molien residue must lie in
 [0, M], and method "both" compares the rank with the trace.
 
+Irreducibility reads residues, by the residue Burnside lemma (Burnside;
+Serre, "Linear Representations of Finite Groups", §15.5; Reiner, "Maximal
+Orders", Thm 41.1).  Let L be a finite group of s x s matrices with
+𝔭-integral entries, p ∤ |L|, and O_𝔭 the local ring of K at 𝔭.  Then the
+K-span of L is M_s(K) (L is absolutely irreducible, by Burnside) iff the
+residues of L span M_s(F_p).  If the residues span, s^2 of them are
+independent over F_p, so their lifts are independent over K: rank cannot
+rise under reduction.  Conversely, let L span M_s(K).  As p ∤ |L|, the
+group ring O_𝔭[L] is a maximal order of K[L].  K[L] maps onto M_s(K), one
+of its simple components, so the image Λ, the O_𝔭-span of L, is a maximal
+order of M_s(K).  Λ lies in the order M_s(O_𝔭), so Λ = M_s(O_𝔭), which
+reduces onto M_s(F_p).  The hypotheses
+hold for the restrictions L_ij of block stabilizers in `structure`: their
+entries are 𝔭-integral, and |L_ij| divides |G|, which `close` checks is
+prime to p (a closed restriction group checks its own order).
+
 `elements()` replays the BFS tree exactly, one ExactMatrix product per
-element, for exact samples (`structure._check_irreducible`) and tests.
+element.  Nothing in formaut calls it: it is the exact reference of the
+tests, and the benchmark tracer (bench/spans.py) wraps it by name.
 """
 
 from __future__ import annotations
@@ -287,21 +304,14 @@ class MatGroup:
         return self.order // scalars
 
     def center(self) -> MatGroup:
-        """Subgroup commuting with every generator (hence with the group)."""
+        """Subgroup commuting with every generator (hence with the group), closed on its own."""
         self._require_closed()
         members = []
         for start, stack in self._stacks():
             stack = stack[:, None]
             commute = (_mulmod(stack, self._gens, self.p) == _mulmod(self._gens, stack, self.p))
             members.extend(start + np.flatnonzero(commute.all(axis=(1, 2, 3))))
-        sub = MatGroup([self.element(i) for i in members], conductor=self.conductor)
-        sub._keys = [sub.key(g) for g in sub.generators]
-        sub._index = {key: i for i, key in enumerate(sub._keys)}
-        sub._parent = [-1] + [0] * (len(members) - 1)     # members[0] is the identity
-        sub._gen = list(range(len(members)))
-        sub._frontier = deque()
-        sub.closed = True
-        return sub
+        return closure([self.element(i) for i in members], conductor=self.conductor)
 
     def __repr__(self):
         state = "order %d" % len(self._keys) if self.closed else "open"

@@ -16,27 +16,34 @@ Verification tiers:
   psi of an element is read from its residue block mask, which is its
   exact block mask by the block-mask lemma in matgroups.  For each block
   (i, j) the residue restrictions of the elements that fix it form a
-  finite group L_ij; |H_ij| is the number of scalar cosets of L_ij, and
-  phi(P) is counted as distinct tuples of coset numbers over the principal
+  finite group L_ij; |H_ij| is the number of scalar cosets of L_ij, the
+  block is irreducible iff those residues span M_s(F_p), and phi(P) is
+  counted as distinct tuples of coset numbers over the principal
   elements.  N counts the principal elements that are block scalar.
-* compositional: only per-block closures are materialized.  psi(G) comes
-  from generator block patterns, P from Schreier generators, phi(P) from an
-  exact closure of projective class tuples over per-block Cayley tables of
-  residue coset representatives, and N by comparing the supplied
-  block-scalar generators against the full Smith-normal-form stabilizer
-  lattice.  This proves orders far beyond the element-enumeration cap.
+* compositional: one closure per block is materialized, the restriction
+  L_ij of the stabilizer of block (i, j), generated by the restrictions of
+  its Schreier generators.  psi(G) comes from generator block patterns and
+  P from Schreier generators.  L_ij contains the principal restrictions,
+  so its scalar cosets give |H_ij| and the Cayley table over which the
+  class tuples of the principal Schreier generators are closed to phi(P),
+  and its residues give the irreducibility rank.  N comes from comparing
+  the supplied block-scalar generators against the full Smith-normal-form
+  stabilizer lattice.  This proves orders far beyond the
+  element-enumeration cap.
 
-Both tiers decide "same class in PGL" only through matgroups (scalar
-cosets and projective_order).  Exact matrices enter only as generators and
-as the few samples for the irreducibility check, replayed along the BFS
-tree.
+Both tiers decide "same class in PGL" and irreducibility only on residues,
+through matgroups (the scalar-coset and residue Burnside lemmas).  Exact
+matrices enter only as generators (checked exactly to permute the blocks,
+and in the compositional tier to preserve the form), as the compositional
+tier's Schreier generators and block-scalar kernel generators, and in the
+exact confirmation that a basis change conjugates the group to one of its
+order.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice
 from math import factorial
 
 import numpy as np
@@ -44,10 +51,9 @@ import numpy as np
 from .cyclotomic import scalar_to_str
 from .diaglattice import block_scalar_group
 from .forms import ExactMatrix, Form, act
-from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, _is_block_scalar, _mulmod, closure,
-                        scalar_cosets)
+from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, _is_block_scalar, _mulmod, _rank_mod_p,
+                        closure, scalar_cosets)
 from .sequences import SubdegreeSequence, canonical_bound
-from .sequences import ratioprod_check  # noqa: F401  (structure-level check, ratio arithmetic)
 
 
 class CertificateError(ValueError):
@@ -61,6 +67,8 @@ class DecompositionCertificate:
         self.grouped_sizes = [list(map(int, grp)) for grp in grouped_sizes]
         if not self.grouped_sizes or any(not g for g in self.grouped_sizes):
             raise CertificateError("empty grouping")
+        if any(s < 1 for grp in self.grouped_sizes for s in grp):
+            raise CertificateError("block sizes must be positive")
         for grp in self.grouped_sizes:
             if len(set(grp)) != 1:
                 raise CertificateError("blocks of one summand must share a dimension")
@@ -126,7 +134,6 @@ class StructureReport:
         self.degree = kw.get("degree")
         self.canonical_bound = kw.get("canonical_bound")
         self.fermat_ratio = kw.get("fermat_ratio")
-        self.derived = kw.get("derived", {})
 
     def identities_hold(self) -> bool:
         return (self.group_order == self.principal_order * self.psi_image_order
@@ -194,33 +201,10 @@ def _restrict(matrix: ExactMatrix, r0, r1, c0, c1) -> ExactMatrix:
     return ExactMatrix([[matrix.entries[r][c] for c in range(c0, c1)] for r in range(r0, r1)])
 
 
-def irreducible_span(matrices, size: int) -> bool:
-    """Burnside criterion: the restrictions span the full matrix space."""
-    if size == 1:
-        return any(not m.entries[0][0].is_zero() for m in matrices)
-    target = size * size
-    basis = []
-    for m in matrices:
-        vec = [m.entries[i][j] for i in range(size) for j in range(size)]
-        for pivot, bvec in basis:
-            c = vec[pivot]
-            if not c.is_zero():
-                vec = [x - c * y for x, y in zip(vec, bvec)]
-        piv = next((k for k, x in enumerate(vec) if not x.is_zero()), None)
-        if piv is None:
-            continue
-        inv = vec[piv].inverse()
-        vec = [x * inv for x in vec]
-        basis.append((piv, vec))
-        if len(basis) == target:
-            return True
-    return len(basis) == target
-
-
-def _check_irreducible(restrictions, i, j, size):
-    """Burnside on at most 4 s^2 + 8 of the exact restrictions to block (i, j)."""
-    sample = list(islice(restrictions, 4 * size * size + 8))
-    if not irreducible_span(sample, size):
+def _check_irreducible(residues, p, i, j, size):
+    """Residue Burnside (matgroups): the restrictions to block (i, j) must span M_s(F_p)."""
+    rows = np.array([a.ravel() for a in residues], dtype=np.int64)
+    if _rank_mod_p(rows, p) != size * size:
         raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
 
 
@@ -235,8 +219,9 @@ def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
     certificate blocks exactly; the conjugated group is then closed again.
     Each element's residue block pattern gives psi; for every block (i, j)
     the residue restrictions of the elements fixing that block form a
-    finite group L_ij, and |H_ij| is its number of scalar cosets (matgroups
-    lemma).  phi(P) is counted as distinct tuples of class numbers over the
+    finite group L_ij: |H_ij| is its number of scalar cosets, and the block
+    is irreducible iff its residues span M_s(F_p) (matgroups lemmas).
+    phi(P) is counted as distinct tuples of class numbers over the
     principal elements, and N as the principal elements that are block
     scalar.
     """
@@ -263,10 +248,10 @@ def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
     principal_count = 0
     kernel_count = 0
     principal_keys = set()
-    block_members = [{} for _ in ranges]      # residue key -> (first element index, residue)
+    block_members = [{} for _ in ranges]      # residue key -> residue restriction
     identity_tuple = tuple(tuple(range(k)) for k in grouping)
 
-    for index, arr in enumerate(group.residues()):
+    for arr in group.residues():
         tup = _block_pattern(arr != 0, ranges, grouping)
         if tup is None:
             raise CertificateError("an element does not permute the certificate blocks")
@@ -276,7 +261,7 @@ def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
             if tup[i][j] == j:
                 sub = np.ascontiguousarray(arr[r0:r1, r0:r1])
                 key = sub.tobytes()
-                block_members[bi].setdefault(key, (index, sub))
+                block_members[bi].setdefault(key, sub)
                 keys.append(key)
         if tup == identity_tuple:
             principal_count += 1
@@ -287,9 +272,8 @@ def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
     classes = []
     constituent_orders = {}
     for members, (i, j, r0, r1) in zip(block_members, ranges):
-        _check_irreducible((_restrict(group.element(index), r0, r1, r0, r1)
-                            for index, _sub in members.values()), i, j, r1 - r0)
-        class_of, reps = scalar_cosets((sub for _index, sub in members.values()), group.p)
+        _check_irreducible(members.values(), group.p, i, j, r1 - r0)
+        class_of, reps = scalar_cosets(members.values(), group.p)
         classes.append(class_of)
         constituent_orders[(i + 1, j + 1)] = len(reps)
     phi_tuples = {tuple(cls[key] for cls, key in zip(classes, keys)) for keys in principal_keys}
@@ -327,8 +311,7 @@ def _check_transitive(psi_values, grouping):
 
 
 def _finish_report(tier, group_order, psi_order, k_orders, principal_order,
-                   kernel_order, phi_order, constituent_orders, cert, form,
-                   derived=None):
+                   kernel_order, phi_order, constituent_orders, cert, form):
     subdeg = SubdegreeSequence(cert.flat_sizes)
     intrinsic = cert.grouping
     bound = None
@@ -356,7 +339,6 @@ def _finish_report(tier, group_order, psi_order, k_orders, principal_order,
         degree=degree,
         canonical_bound=bound,
         fermat_ratio=ratio,
-        derived=derived or {},
     )
     if not report.identities_hold():
         raise CertificateError(
@@ -376,7 +358,8 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     kernel lattice (checked against the Smith-normal-form stabilizer of the
     form); everything else is derived: psi(G) by permutation closure, P by
     Schreier generators, phi(P) by closing projective class tuples over
-    per-block Cayley tables.
+    the Cayley tables of the block-stabilizer restrictions, one closure per
+    block.
     """
     ranges = cert.block_ranges()
     grouping = cert.grouping
@@ -462,22 +445,26 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
             % (sub.order if sub.closed else ">cap", lattice.order))
     kernel_order = lattice.order
 
-    # per-block closures of the principal restrictions
+    # one closure per block: the restriction L_ij of the block stabilizer, which
+    # contains the principal restrictions; its projective classes (scalar cosets)
+    # give |H_ij| and the Cayley table that phi(P) is closed over
     block_groups = []
-    for (i, j, r0, r1) in ranges:
-        restrictions = [_restrict(s, r0, r1, r0, r1) for s in schreier]
-        grp = closure(restrictions, cap=block_cap)
-        if not grp.closed:
-            raise CertificateError("per-block closure exceeded its cap")
-        block_groups.append(grp)
-
-    # projective classes (scalar cosets) and Cayley tables per block
     class_tables = []
     class_index = []
-    for grp in block_groups:
+    constituent_orders = {}
+    for (i, j, r0, r1) in ranges:
+        stab_gens = preimage_generators(lambda tup, i=i, j=j: tup[i][j] == j)
+        grp = closure([_restrict(s, r0, r1, r0, r1) for s in stab_gens], cap=block_cap)
+        if not grp.closed:
+            raise CertificateError("stabilizer block closure exceeded its cap")
+        _check_irreducible(grp.residues(), grp.p, i, j, r1 - r0)
         class_of, reps = scalar_cosets(grp.residues(), grp.p)
-        class_tables.append([[class_of[_mulmod(a, b, grp.p).tobytes()] for b in reps] for a in reps])
+        reps_stack = np.stack(reps)
+        class_tables.append([[class_of[m.tobytes()] for m in _mulmod(a, reps_stack, grp.p)]
+                             for a in reps])
         class_index.append(class_of)
+        block_groups.append(grp)
+        constituent_orders[(i + 1, j + 1)] = len(reps)
 
     def class_tuple(blocks):
         """Class numbers of one square matrix per block."""
@@ -502,17 +489,6 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     principal_order = kernel_order * phi_order
     group_order = principal_order * psi_order
 
-    # constituent orders |H_ij| from block-stabilizer preimages
-    constituent_orders = {}
-    for (i, j, r0, r1) in ranges:
-        stab_gens = preimage_generators(lambda tup, i=i, j=j: tup[i][j] == j)
-        restrictions = [_restrict(s, r0, r1, r0, r1) for s in stab_gens]
-        sgrp = closure(restrictions, cap=block_cap)
-        if not sgrp.closed:
-            raise CertificateError("stabilizer block closure exceeded its cap")
-        _check_irreducible(sgrp.elements(), i, j, r1 - r0)
-        constituent_orders[(i + 1, j + 1)] = sgrp.projective_order()
-
     return _finish_report(
         tier="compositional",
         group_order=group_order,
@@ -524,7 +500,6 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
         constituent_orders=constituent_orders,
         cert=cert,
         form=form,
-        derived={"schreier_generators": len(schreier)},
     )
 
 

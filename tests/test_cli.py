@@ -170,8 +170,12 @@ CERT_3 = '{"blocks": [{"i": 1, "j": 1, "size": 3}], "grouping": [1]}'
      ["structure", "gens.json", "cert.json"]),
     ({"gens.json": IDENTITY_2, "cert.json": CERT_3}, ["structure", "gens.json", "cert.json"]),
     ({}, ["diag-group", "missing.txt", "--blocks", "1,1"]),
+    ({"gens.json": '{"dim": 2, "generators": [[["z4", "0"], ["0", "1"]]]}',
+      "cert.json": '{"blocks": [{"i": 1, "j": 1, "size": -1}, {"i": 2, "j": 1, "size": 3}], '
+                   '"grouping": [1, 1]}'},
+     ["structure", "gens.json", "cert.json"]),
 ], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
-        "dimension-mismatch", "missing-file"])
+        "dimension-mismatch", "missing-file", "non-positive-block-size"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -2,13 +2,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from formaut.catalog import get_entry
+from formaut.cyclotomic import root_of_unity
 from formaut.forms import ExactMatrix, has_monomial_pattern, parse
-from formaut.matgroups import closure, scalar_group
+from formaut.matgroups import MatGroup, closure, scalar_group
+from formaut.sequences import ratioprod_check
 from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport,
-                               irreducible_span, ratioprod_check, refined_bound,
-                               verify_certificate, verify_compositional)
+                               refined_bound, verify_certificate, verify_compositional)
 
 
 def test_certificate_json_round_trip():
@@ -143,20 +146,72 @@ def test_compositional_matches_full_closure():
     assert full.constituent_orders == comp.constituent_orders
 
 
+def _exact_span_is_full(matrices, size):
+    """Burnside over K, the exact reference: the matrices span all size x size matrices."""
+    basis = []
+    for m in matrices:
+        vec = [c for row in m.entries for c in row]
+        for pivot, bvec in basis:
+            c = vec[pivot]
+            if not c.is_zero():
+                vec = [x - c * y for x, y in zip(vec, bvec)]
+        piv = next((k for k, x in enumerate(vec) if not x.is_zero()), None)
+        if piv is not None:
+            inv = vec[piv].inverse()
+            basis.append((piv, [x * inv for x in vec]))
+    return len(basis) == size * size
+
+
+def _residue_verdict(grp):
+    """The residue rank test of verify_certificate, on the whole space as one block."""
+    try:
+        verify_certificate(grp, DecompositionCertificate([[grp.dim]]))
+    except CertificateError as exc:
+        assert "reducible" in str(exc)
+        return False
+    return True
+
+
 def test_irreducible_span():
-    scal = scalar_group(2, 3)
-    assert not irreducible_span([m for m in scal.elements()], 2)
     entry = get_entry("icosahedral-binary-12ic")
-    grp = closure(entry.generators()[:2])
-    sample = []
-    for m in grp.elements():
-        sample.append(m)
-        if len(sample) > 20:
-            break
-    assert irreducible_span(sample, 2)
-    # transitive permutation matrices fix the all-ones vector: reducible
-    perms = [ExactMatrix.permutation([1, 0]), ExactMatrix.permutation([0, 1])]
-    assert not irreducible_span(perms, 2)
+    cases = [(scalar_group(2, 3), False),
+             (closure(entry.generators()[:2]), True),
+             # transitive permutation matrices fix the all-ones vector: reducible
+             (closure([ExactMatrix.permutation([1, 0]), ExactMatrix.permutation([0, 1])]), False)]
+    for grp, irreducible in cases:
+        assert _exact_span_is_full(grp.elements(), grp.dim) == irreducible
+        assert _residue_verdict(grp) == irreducible
+
+
+@st.composite
+def monomial_groups(draw):
+    """A cyclic shift and permutations, each times diagonal 6th roots of unity, 2 <= r <= 3."""
+    r = draw(st.integers(2, 3))
+    perms = [[(k + 1) % r for k in range(r)]] + draw(st.lists(st.permutations(range(r)), max_size=2))
+    gens = []
+    for perm in perms:
+        exps = draw(st.lists(st.integers(0, 5), min_size=r, max_size=r))
+        gens.append(ExactMatrix.permutation(perm) * ExactMatrix.diagonal([root_of_unity(6, e) for e in exps]))
+    return gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(monomial_groups())
+def test_residue_irreducibility_matches_exact_span(gens):
+    grp = MatGroup(gens)
+    assume(grp.close(cap=200))
+    assert _residue_verdict(grp) == _exact_span_is_full(grp.elements(), grp.dim)
+
+
+def test_reducible_blocks_are_refused(quintic_group):
+    with pytest.raises(CertificateError, match="reducible"):
+        verify_certificate(quintic_group[1], DecompositionCertificate([[5]]))
+    # compositional: the stabilizer of the 2-block restricts to a diagonal group
+    z3 = root_of_unity(3)
+    gens = [ExactMatrix.diagonal([z3, 1, 1]),
+            ExactMatrix.diagonal([z3, z3, 1]), ExactMatrix.diagonal([1, 1, z3])]
+    with pytest.raises(CertificateError, match="reducible"):
+        verify_compositional(gens, DecompositionCertificate([[2], [1]]), get_entry("fermat-1-3").form())
 
 
 def make_report(bound, constituents, intrinsic):
