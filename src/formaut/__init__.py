@@ -2,7 +2,7 @@
 
 Subpackages and modules:
 
-* cyclotomic  -- exact arithmetic in Q(zeta_N), the scalar domain
+* cyclotomic  -- exact arithmetic in Q(zeta_N) and the text syntax of scalars and forms
 * forms       -- homogeneous polynomials, matrices and the substitution action
 * smoothness  -- Groebner-based smooth/singular certification
 * matgroups   -- finite matrix-group closure, orders, invariant dimensions

@@ -5,6 +5,11 @@ reduced modulo the N-th cyclotomic polynomial, as an integer coefficient
 vector over a common positive denominator.  This representation is canonical
 per conductor: two values over the same conductor are equal iff their
 normalized (num, den) pairs are equal.  Values are immutable.
+
+One text syntax serves scalars and forms: integers, z<k>^<j> (zeta_k^j) and
+variables x<i>^<e>, combined with + - * / ^ ( ) and unary minus, products
+written with an explicit '*'.  parse_polynomial returns {sparse monomial:
+CycNum}; parse_scalar is the same parser with no variable allowed.
 """
 
 from __future__ import annotations
@@ -487,9 +492,9 @@ def _project_to_subfield(x: CycNum, d: int):
     return CycNum(d, [int(q * scale) for q in coeffs], x.den * scale)
 
 
-# -- scalar text syntax ----------------------------------------------------
+# -- text syntax ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|z\d+|[()+\-*/^]|\Z)")
+_TOKEN = re.compile(r"\s*(?:([xz]?\d+|[()+\-*/^])|(\S))")
 
 
 class ScalarSyntaxError(ValueError):
@@ -498,26 +503,22 @@ class ScalarSyntaxError(ValueError):
         self.pos = pos
 
 
-class _ScalarParser:
-    """Recursive-descent parser for the scalar grammar.
+class _Parser:
+    """Recursive-descent parser for the one text syntax of scalars and forms.
 
-    Atoms: integers, fractions a/b, z<k> and z<k>^<j>; combined with
-    + - * / ( ) and unary minus.
+    Atoms: integers, z<k> and z<k>^<j> (k >= 1), x<i> and x<i>^<e> (i >= 1,
+    e >= 0); combined with + - * / ^ ( ) and unary minus.  Products need an
+    explicit '*'.  Values map sparse monomials (sorted tuples of (variable,
+    exponent)) to CycNum coefficients; a scalar is the monomial ().  Every
+    error is a ScalarSyntaxError carrying its 0-based position.
     """
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.group(1) == "":
-                if text[pos:].strip():
-                    raise ScalarSyntaxError("unexpected character %r" % text[pos], pos)
-                break
+        for m in _TOKEN.finditer(text):
+            if m.group(2):
+                raise ScalarSyntaxError("unexpected character %r" % m.group(2), m.start(2))
             self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
         self.tokens.append(("", len(text)))
         self.i = 0
 
@@ -529,41 +530,38 @@ class _ScalarParser:
         self.i += 1
         return tok
 
-    def parse(self) -> CycNum:
+    def parse(self) -> dict:
         v = self.expr()
         if self.peek() != "":
             raise ScalarSyntaxError("trailing input", self.tokens[self.i][1])
         return v
 
-    def expr(self) -> CycNum:
+    def expr(self) -> dict:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.next()[0] == "-":
                 sign = -sign
-        v = self.term() * sign
+        v = self.term()
+        if sign < 0:
+            v = _poly_neg(v)
         while self.peek() in ("+", "-"):
             op = self.next()[0]
             t = self.term()
-            v = v + t if op == "+" else v - t
+            v = _poly_add(v, t if op == "+" else _poly_neg(t))
         return v
 
-    def term(self) -> CycNum:
+    def term(self) -> dict:
         v = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.next()[0]
+            op, pos = self.next()
             f = self.factor()
-            if op == "*":
-                v = v * f
-            else:
-                if f.is_zero():
-                    raise ScalarSyntaxError("division by zero", self.tokens[self.i - 1][1])
-                v = v / f
+            v = _poly_mul(v, f if op == "*" else self._inverse(f, pos))
         return v
 
-    def factor(self) -> CycNum:
+    def factor(self) -> dict:
         tok, pos = self.next()
         if tok == "-":
-            return -self.factor()
+            return _poly_neg(self.factor())
         if tok == "(":
             v = self.expr()
             if self.peek() != ")":
@@ -571,23 +569,38 @@ class _ScalarParser:
             self.next()
             return self._maybe_power(v)
         if tok.isdigit():
-            return self._maybe_power(CycNum.from_int(int(tok)))
-        if tok.startswith("z"):
-            k = int(tok[1:])
-            if k < 1:
-                raise ScalarSyntaxError("root order must be positive", pos)
+            return self._maybe_power({(): CycNum.from_int(int(tok))})
+        if tok[:1] in ("x", "z"):
+            idx = int(tok[1:])
+            if idx < 1:
+                raise ScalarSyntaxError("root order must be positive" if tok[0] == "z"
+                                        else "bad variable index", pos)
             power = 1
             if self.peek() == "^":
                 self.next()
                 power = self._exponent()
-            return root_of_unity(k, power)
-        raise ScalarSyntaxError("expected scalar atom, got %r" % tok, pos)
+            if tok[0] == "z":
+                return {(): root_of_unity(idx, power)}
+            if power < 0:
+                raise ScalarSyntaxError("negative variable exponent", pos)
+            return {((idx, power),): CycNum.one()} if power else {(): CycNum.one()}
+        raise ScalarSyntaxError("expected an atom, got %r" % tok, pos)
 
-    def _maybe_power(self, v: CycNum) -> CycNum:
-        if self.peek() == "^":
-            self.next()
-            return v ** self._exponent()
-        return v
+    def _maybe_power(self, v: dict) -> dict:
+        if self.peek() != "^":
+            return v
+        pos = self.next()[1]
+        e = self._exponent()
+        if e < 0:
+            v = self._inverse(v, pos)
+            e = -e
+        out = {(): CycNum.one()}
+        while e:
+            if e & 1:
+                out = _poly_mul(out, v)
+            v = _poly_mul(v, v)
+            e >>= 1
+        return out
 
     def _exponent(self) -> int:
         sign = 1
@@ -599,10 +612,54 @@ class _ScalarParser:
             raise ScalarSyntaxError("expected integer exponent", pos)
         return sign * int(tok)
 
+    @staticmethod
+    def _inverse(a: dict, pos: int) -> dict:
+        nz = {m: c for m, c in a.items() if not c.is_zero()}
+        if list(nz) not in ([], [()]):
+            raise ScalarSyntaxError("division by a non-scalar", pos)
+        if not nz:
+            raise ScalarSyntaxError("division by zero", pos)
+        return {(): nz[()].inverse()}
+
+
+def _poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        cur = out.get(m)
+        out[m] = c if cur is None else cur + c
+    return out
+
+
+def _poly_neg(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            merged = dict(m1)
+            for idx, e in m2:
+                merged[idx] = merged.get(idx, 0) + e
+            key = tuple(sorted(merged.items()))
+            c = c1 * c2
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
+    return out
+
+
+def parse_polynomial(text: str) -> dict:
+    """Parse the text syntax into {sparse monomial: CycNum}, e.g. '9*(x1^5+x2^5)*x3'."""
+    return _Parser(text).parse()
+
 
 def parse_scalar(text: str) -> CycNum:
-    """Parse the scalar text syntax, e.g. '(1+2*z3)' or '3/4*z8^3'."""
-    return _ScalarParser(text).parse()
+    """Parse the text syntax with no variable, e.g. '(1+2*z3)' or '3/4*z8^3'."""
+    parser = _Parser(text)
+    for tok, pos in parser.tokens:
+        if tok.startswith("x"):
+            raise ScalarSyntaxError("variable %s in a scalar" % tok, pos)
+    return parser.parse()[()]
 
 
 def scalar_to_str(x: CycNum) -> str:

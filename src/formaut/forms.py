@@ -4,15 +4,16 @@ A Form maps exponent tuples (length nvars, entries summing to the degree) to
 nonzero CycNum coefficients.  Variables are always x1..xr.  Serialization
 orders terms in graded-lexicographic order, so text and JSON round-trips are
 deterministic.  Forms and matrices are immutable; every operation is pure.
+forms has no parser of its own: parse maps the monomials that
+cyclotomic.parse_polynomial reads to exponent tuples.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
-from .cyclotomic import CycNum, ScalarSyntaxError, parse_scalar, root_of_unity, scalar_to_str
+from .cyclotomic import CycNum, ScalarSyntaxError, parse_polynomial, parse_scalar, scalar_to_str
 
 
 class FormError(ValueError):
@@ -396,173 +397,11 @@ def has_monomial_pattern(form: Form, block_sizes, pattern):
 
 # -- text format --------------------------------------------------------------
 
-_FORM_TOKEN = re.compile(r"\s*(x\d+|z\d+|\d+|[()+\-*/^])")
-
-
-class _PolyParser:
-    """Recursive-descent parser over polynomial expressions.
-
-    Values are dicts mapping sparse monomials (sorted tuples of (var, exp))
-    to CycNum coefficients; scalars are the monomial ().  Accepts the flat
-    term grammar produced by serialize() as well as parenthesized products
-    of subforms, so table entries can be transcribed verbatim.
-    """
-
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _FORM_TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise FormError("unexpected character %r at column %d" % (text[pos], pos + 1))
-                break
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.tokens.append(("", len(text)))
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> dict:
-        v = self.expr()
-        if self.peek() != "":
-            raise FormError("trailing input at column %d" % (self.tokens[self.i][1] + 1))
-        return v
-
-    def expr(self) -> dict:
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            t = self.term()
-            v = _poly_add(v, t if op == "+" else _poly_neg(t))
-        return v
-
-    def term(self) -> dict:
-        v = self.factor()
-        while True:
-            nxt = self.peek()
-            if nxt in ("*", "/"):
-                op = self.next()[0]
-                f = self.factor()
-                if op == "*":
-                    v = _poly_mul(v, f)
-                else:
-                    v = _poly_mul(v, _poly_scalar_inverse(f))
-            elif nxt == "(" or nxt.startswith(("x", "z")) or nxt.isdigit():
-                v = _poly_mul(v, self.factor())
-            else:
-                return v
-
-    def factor(self) -> dict:
-        tok, pos = self.next()
-        if tok == "-":
-            return _poly_neg(self.factor())
-        if tok == "+":
-            return self.factor()
-        if tok == "(":
-            v = self.expr()
-            if self.peek() != ")":
-                raise FormError("missing ')' at column %d" % (self.tokens[self.i][1] + 1))
-            self.next()
-            return self._maybe_power(v)
-        if tok.isdigit():
-            return self._maybe_power({(): CycNum.from_int(int(tok))})
-        if tok.startswith("z"):
-            k = int(tok[1:])
-            power = 1
-            if self.peek() == "^":
-                self.next()
-                power = self._exponent()
-            return {(): root_of_unity(k, power)}
-        if tok.startswith("x"):
-            idx = int(tok[1:])
-            if idx < 1:
-                raise FormError("bad variable index at column %d" % (pos + 1))
-            e = 1
-            if self.peek() == "^":
-                self.next()
-                e = self._exponent()
-                if e < 0:
-                    raise FormError("negative variable exponent at column %d" % (pos + 1))
-            return {((idx, e),): CycNum.one()} if e else {(): CycNum.one()}
-        raise FormError("expected term at column %d" % (pos + 1))
-
-    def _maybe_power(self, v: dict) -> dict:
-        if self.peek() != "^":
-            return v
-        self.next()
-        e = self._exponent()
-        if e < 0:
-            v = _poly_scalar_inverse(v)
-            e = -e
-        out = {(): CycNum.one()}
-        base = v
-        while e:
-            if e & 1:
-                out = _poly_mul(out, base)
-            base = _poly_mul(base, base)
-            e >>= 1
-        return out
-
-    def _exponent(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.next()
-            sign = -1
-        tok, pos = self.next()
-        if not tok.isdigit():
-            raise FormError("expected integer exponent at column %d" % (pos + 1))
-        return sign * int(tok)
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        cur = out.get(m)
-        out[m] = c if cur is None else cur + c
-    return out
-
-
-def _poly_neg(a: dict) -> dict:
-    return {m: -c for m, c in a.items()}
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            merged = dict(m1)
-            for idx, e in m2:
-                merged[idx] = merged.get(idx, 0) + e
-            key = tuple(sorted(merged.items()))
-            c = c1 * c2
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-    return out
-
-
-def _poly_scalar_inverse(a: dict) -> dict:
-    nz = {m: c for m, c in a.items() if not c.is_zero()}
-    if list(nz) not in ([], [()]):
-        raise FormError("division by a non-scalar")
-    if not nz:
-        raise FormError("division by zero")
-    return {(): nz[()].inverse()}
-
 
 def parse(text: str, nvars: int | None = None) -> Form:
     """Parse a homogeneous form, e.g. 'x1^3*x2 + x2^3*x3 + x3^3*x1'."""
-    if not text.strip():
-        raise FormError("empty form")
     try:
-        poly = _PolyParser(text).parse()
+        poly = parse_polynomial(text)
     except ScalarSyntaxError as exc:
         raise FormError(str(exc)) from exc
     poly = {m: c for m, c in poly.items() if not c.is_zero()}
@@ -572,24 +411,15 @@ def parse(text: str, nvars: int | None = None) -> Form:
         raise FormError("form has no variables; pass nvars explicitly")
     if maxvar > r:
         raise FormError("variable x%d exceeds nvars=%d" % (maxvar, r))
+    if not poly:
+        raise FormError("form is identically zero")
     terms = {}
-    degree = None
     for m, c in poly.items():
         exps = [0] * r
         for idx, e in m:
-            exps[idx - 1] += e
-        d = sum(exps)
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise FormError(
-                "not homogeneous: monomial %s has degree %d, expected %d"
-                % (_monomial_str(tuple(exps)), d, degree)
-            )
+            exps[idx - 1] = e
         terms[tuple(exps)] = c
-    if degree is None:
-        raise FormError("form is identically zero")
-    return Form(r, terms, degree)
+    return Form(r, terms)
 
 
 def _monomial_str(exps) -> str:
@@ -649,17 +479,3 @@ def from_json(text: str) -> Form:
     terms = {tuple(t["exps"]): parse_scalar(t["coeff"]) for t in payload["terms"]}
     return Form(payload["nvars"], terms, payload.get("degree"))
 
-
-def matrix_to_json(matrix: ExactMatrix) -> str:
-    return json.dumps({
-        "dim": matrix.dim,
-        "entries": [[scalar_to_str(c) for c in row] for row in matrix.entries],
-    })
-
-
-def matrix_from_json(text: str) -> ExactMatrix:
-    payload = json.loads(text)
-    m = ExactMatrix([[parse_scalar(c) for c in row] for row in payload["entries"]])
-    if m.dim != payload["dim"]:
-        raise FormError("matrix dim field does not match entries")
-    return m

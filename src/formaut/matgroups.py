@@ -497,6 +497,8 @@ def invariant_dimension(group: MatGroup, degree: int, method: str = "both") -> i
 def generators_from_json(text: str):
     payload = json.loads(text)
     dim = payload["dim"]
+    if dim < 1:
+        raise GroupError("dim must be positive, got %d" % dim)
     gens = []
     for entries in payload["generators"]:
         m = ExactMatrix([[c for c in row] for row in entries])

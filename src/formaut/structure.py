@@ -29,7 +29,7 @@ Verification tiers:
   and its residues give the irreducibility rank.  N comes from comparing
   the supplied block-scalar generators against the full Smith-normal-form
   stabilizer lattice.  This proves orders far beyond the
-  element-enumeration cap.
+  element-enumeration cap.  This tier refuses a basis change.
 
 Both tiers decide "same class in PGL" and irreducibility only on residues,
 through matgroups (the scalar-coset and residue Burnside lemmas).  Exact
@@ -74,6 +74,10 @@ class DecompositionCertificate:
                 raise CertificateError("blocks of one summand must share a dimension")
         self.basis_change = basis_change
         self.dim = sum(sum(g) for g in self.grouped_sizes)
+        if basis_change is not None and basis_change.dim != self.dim:
+            raise CertificateError("basis change must be %d x %d" % (self.dim, self.dim))
+        if basis_change is not None and not basis_change.is_invertible():
+            raise CertificateError("basis change is singular")
 
     @property
     def flat_sizes(self):
@@ -361,6 +365,8 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     the Cayley tables of the block-stabilizer restrictions, one closure per
     block.
     """
+    if cert.basis_change is not None:
+        raise CertificateError("the compositional tier does not support a basis change")
     ranges = cert.block_ranges()
     grouping = cert.grouping
     gens = list(generators)

@@ -159,6 +159,7 @@ def test_bad_cap_environment_is_a_usage_error(monkeypatch, capsys):
 
 IDENTITY_2 = '{"dim": 2, "generators": [[["1", "0"], ["0", "1"]]]}'
 CERT_3 = '{"blocks": [{"i": 1, "j": 1, "size": 3}], "grouping": [1]}'
+CERT_2 = '{"blocks": [{"i": 1, "j": 1, "size": 2}], "grouping": [1], "basis_change": %s}'
 
 
 @pytest.mark.parametrize("files, args", [
@@ -174,8 +175,16 @@ CERT_3 = '{"blocks": [{"i": 1, "j": 1, "size": 3}], "grouping": [1]}'
       "cert.json": '{"blocks": [{"i": 1, "j": 1, "size": -1}, {"i": 2, "j": 1, "size": 3}], '
                    '"grouping": [1, 1]}'},
      ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % '[["1", "1"], ["2", "2"]]'},
+     ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % '[["1"]]'},
+     ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": '{"dim": 0, "generators": [[]]}'}, ["closure", "gens.json"]),
+    ({"gens.json": '{"dim": 0, "generators": [[]]}'}, ["invdim", "gens.json", "--degree", "2"]),
+    ({"form.txt": "2x1^3 + x2^3"}, ["smooth", "form.txt"]),
 ], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
-        "dimension-mismatch", "missing-file", "non-positive-block-size"])
+        "dimension-mismatch", "missing-file", "non-positive-block-size", "singular-basis-change",
+        "basis-change-size", "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -1,9 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formaut.cyclotomic import (CycNum, cyclotomic_polynomial, euler_phi, parse_scalar,
                                 root_of_unity, scalar_to_str)
+
+
+@st.composite
+def cycnums(draw):
+    n = draw(st.integers(1, 60))
+    num = draw(st.lists(st.integers(-7, 7), min_size=euler_phi(n), max_size=euler_phi(n)))
+    return CycNum(n, num, draw(st.integers(1, 12)))
 
 
 def test_cyclotomic_polynomials():
@@ -107,6 +116,12 @@ def test_scalar_text_round_trip():
         v = parse_scalar(text)
         assert parse_scalar(scalar_to_str(v)) == v
     assert parse_scalar("(1+2*z3)") ** 2 == -3
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cycnums())
+def test_scalar_text_round_trip_random(x):
+    assert parse_scalar(scalar_to_str(x)) == x
 
 
 def test_scalar_parse_errors():

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from formaut.cyclotomic import CycNum, root_of_unity
+from formaut.cyclotomic import CycNum, ScalarSyntaxError, parse_scalar, root_of_unity
 from formaut.forms import (ExactMatrix, Form, FormError, act, block_degrees, component,
-                           from_json, has_monomial_pattern, matrix_from_json, matrix_to_json,
-                           parse, partials, serialize, to_json)
+                           from_json, has_monomial_pattern, parse, partials, serialize, to_json)
 
 rng = random.Random(99)
 
@@ -126,9 +127,39 @@ def test_serialize_round_trips():
         assert from_json(to_json(F)) == F
 
 
-def test_matrix_json_round_trip():
-    m = rnd_matrix(3)
-    assert matrix_from_json(matrix_to_json(m)) == m
+@st.composite
+def forms(draw):
+    nvars, degree = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = [0] * nvars
+        for i in draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
+            exps[i] += 1
+        n = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+        num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=n))
+        terms[tuple(exps)] = CycNum(n, num, draw(st.integers(1, 4)))
+    return Form(nvars, terms, degree)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(forms())
+def test_serialize_round_trips_random(F):
+    assume(not F.is_zero())
+    assert parse(serialize(F), nvars=F.nvars) == F
+
+
+# text, error position under parse_scalar (which refuses any variable), under parse
+REJECTED = [("2z3", 1, 1), ("1 2", 2, 2), ("2x1", 1, 1), ("(x1+x2)x3", 1, 7), ("z0", 0, 0),
+            ("1/0", 1, 1), ("x0", 0, 0), ("(1", 2, 2)]
+
+
+@pytest.mark.parametrize("text, scalar_pos, form_pos", REJECTED)
+def test_one_grammar_rejects(text, scalar_pos, form_pos):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text)
+    assert err.value.pos == scalar_pos
+    with pytest.raises(FormError, match="at position %d$" % form_pos):
+        parse(text, nvars=2)
 
 
 def test_matrix_inverse_and_determinant():

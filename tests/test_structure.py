@@ -132,6 +132,15 @@ def test_compositional_2_12():
     assert rep.identities_hold()
 
 
+def test_compositional_refuses_a_basis_change():
+    # the change mixes the two blocks, so verifying without it checks another certificate
+    entry = get_entry("pair-icosahedral-12ic")
+    T = ExactMatrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    cert = DecompositionCertificate(entry.certificate().grouped_sizes, basis_change=T)
+    with pytest.raises(CertificateError, match="basis change"):
+        verify_compositional(entry.generators(), cert, entry.form())
+
+
 def test_compositional_matches_full_closure():
     # (2,6) is small enough to verify both ways; the orders must agree
     entry = get_entry("pair-octahedral-sextic")
