@@ -142,7 +142,7 @@ def cmd_closure(args) -> int:
     if closed:
         payload["order"] = grp.order
         payload["projective_order"] = grp.projective_order()
-        payload["center_order"] = grp.center().order
+        payload["center_order"] = grp.center_order()
     _emit(payload, args.out)
     return 0 if closed else 1
 

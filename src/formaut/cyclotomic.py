@@ -672,17 +672,13 @@ def scalar_to_str(x: CycNum) -> str:
     for k, c in enumerate(r.num):
         if c == 0:
             continue
-        mag = abs(c)
+        g = math.gcd(c, r.den)
+        coeff = str(abs(c) // g) if g == r.den else "%d/%d" % (abs(c) // g, r.den // g)
         if k == 0:
-            body = str(mag) if r.den == 1 else "%d/%d" % (mag, r.den)
+            body = coeff
         else:
             z = "z%d" % r.n if k == 1 else "z%d^%d" % (r.n, k)
-            if mag == 1 and r.den == 1:
-                body = z
-            elif r.den == 1:
-                body = "%d*%s" % (mag, z)
-            else:
-                body = "%d/%d*%s" % (mag, r.den, z)
+            body = z if coeff == "1" else "%s*%s" % (coeff, z)
         parts.append(("-" if c < 0 else "+") + body)
     s = "".join(parts)
     return s[1:] if s.startswith("+") else s

@@ -137,7 +137,7 @@ def _is_block_scalar(arr, block_sizes):
 class MatGroup:
     """A finitely generated matrix group over a cyclotomic field."""
 
-    def __init__(self, generators, conductor=None):
+    def __init__(self, generators):
         gens = list(generators)
         if not gens:
             raise GroupError("need at least one generator")
@@ -149,7 +149,7 @@ class MatGroup:
                 raise GroupError("generator is singular")
         self.dim = dim
         self.generators = gens
-        self.conductor = conductor or matrices_conductor(gens)
+        self.conductor = matrices_conductor(gens)
         den = lcm(*(c.den for g in gens for row in g.entries for c in row))
         self.p = _split_prime(self.conductor, den)      # the reduction lemma's hypotheses
         if self.p >= 1 << 31 or dim * (self.p - 1) ** 2 >= 1 << 63:
@@ -303,15 +303,15 @@ class MatGroup:
         scalars = sum(int(_is_block_scalar(stack, [self.dim]).sum()) for _, stack in self._stacks())
         return self.order // scalars
 
-    def center(self) -> MatGroup:
-        """Subgroup commuting with every generator (hence with the group), closed on its own."""
+    def center_order(self) -> int:
+        """|Z(G)|: the residues that commute with every generator residue (exact by injectivity)."""
         self._require_closed()
-        members = []
-        for start, stack in self._stacks():
+        count = 0
+        for _, stack in self._stacks():
             stack = stack[:, None]
             commute = (_mulmod(stack, self._gens, self.p) == _mulmod(self._gens, stack, self.p))
-            members.extend(start + np.flatnonzero(commute.all(axis=(1, 2, 3))))
-        return closure([self.element(i) for i in members], conductor=self.conductor)
+            count += int(commute.all(axis=(1, 2, 3)).sum())
+        return count
 
     def __repr__(self):
         state = "order %d" % len(self._keys) if self.closed else "open"
@@ -354,8 +354,8 @@ def scalar_group(dim: int, d: int) -> MatGroup:
     return g
 
 
-def closure(generators, cap: int = DEFAULT_CAP, conductor=None) -> MatGroup:
-    grp = MatGroup(generators, conductor=conductor)
+def closure(generators, cap: int = DEFAULT_CAP) -> MatGroup:
+    grp = MatGroup(generators)
     grp.close(cap)
     return grp
 

@@ -243,22 +243,20 @@ def lambda_addr0(l, r0: int, k0: int, d: int) -> Fraction:
     return lam
 
 
-def enumerate_sequences(total: int, predicate=None, max_part: int | None = None):
-    """All partitions of total in descending-lex order, optionally filtered."""
+def enumerate_sequences(total: int):
+    """All partitions of total in descending-lex order."""
     if total < 1:
         raise SequenceError("total must be positive")
 
     def rec(remaining, cap, prefix):
         if remaining == 0:
-            seq = SubdegreeSequence(prefix)
-            if predicate is None or predicate(seq):
-                yield seq
+            yield SubdegreeSequence(prefix)
             return
         top = min(cap, remaining)
         for p in range(top, 0, -1):
             yield from rec(remaining - p, p, prefix + [p])
 
-    yield from rec(total, max_part if max_part else total, [])
+    yield from rec(total, total, [])
 
 
 def survivors_for(v: int, d: int):

@@ -1,43 +1,44 @@
 """Decomposition certificates and the two associated exact sequences.
 
 A certificate asserts a block structure C^r = (+) V_i, V_i = (+)_j W_ij on a
-matrix group.  Verification checks that every group element permutes the
-blocks of each V_i, extracts the permutation images K_i, the principal
-subgroup P (trivial block permutation), the block-scalar kernel N and the
-projective constituent orders |H_ij|, and confirms the order bookkeeping
+matrix group.  Verification checks that every generator permutes the blocks
+of each V_i (exactly, after the basis change T if any, so every element
+does), extracts the permutation images K_i, the principal subgroup P
+(trivial block permutation), the block-scalar kernel N and the projective
+constituent orders |H_ij|, and confirms the order bookkeeping
 |G| = |P| * |psi(G)| and |P| = |N| * |phi(P)| exactly.
 
-Verification tiers:
+One algorithm serves both tiers.  psi(G) is the closure of the generators'
+block patterns.  P gets Schreier generators (Schreier's lemma; Seress,
+"Permutation Group Algorithms", 2003), whose transversal products are
+built only when some block has size > 1.  A 1 x 1 block has H_ij = 1 and
+is irreducible, as PGL(1) is trivial.  Every larger block gets one closure,
+the restriction L_ij of its stabilizer, generated by the restrictions of
+the stabilizer's Schreier generators: its scalar cosets give |H_ij| and
+its residues the irreducibility rank.  phi(P) is the closure of class
+tuples under per-generator tables: for each principal Schreier generator
+s and block, class c goes to the class of rep_c * s.  If a form is given,
+every supplied generator must preserve it (before any basis change).
 
-* full-closure: every generator is first checked exactly to permute the
-  certificate blocks (after the basis change, if any, which is applied to
-  the generators before the conjugated group is closed again).  Then the
-  residues of the group elements mod p (see matgroups) are streamed once.
-  psi of an element is read from its residue block mask, which is its
-  exact block mask by the block-mask lemma in matgroups.  For each block
-  (i, j) the residue restrictions of the elements that fix it form a
-  finite group L_ij; |H_ij| is the number of scalar cosets of L_ij, the
-  block is irreducible iff those residues span M_s(F_p), and phi(P) is
-  counted as distinct tuples of coset numbers over the principal
-  elements.  N counts the principal elements that are block scalar.
-* compositional: one closure per block is materialized, the restriction
-  L_ij of the stabilizer of block (i, j), generated by the restrictions of
-  its Schreier generators.  psi(G) comes from generator block patterns and
-  P from Schreier generators.  L_ij contains the principal restrictions,
-  so its scalar cosets give |H_ij| and the Cayley table over which the
-  class tuples of the principal Schreier generators are closed to phi(P),
-  and its residues give the irreducibility rank.  N comes from comparing
-  the supplied block-scalar generators against the full Smith-normal-form
-  stabilizer lattice.  This proves orders far beyond the
-  element-enumeration cap.  This tier refuses a basis change.
+What a closed group adds (tier "full-closure"): three residue counts,
+|G|, |P| (the residue block mask is the identity, exact by the block-mask
+lemma in matgroups) and |N| (block-scalar residues), so both identities
+compare a count with an independent closure.  Its block closures are
+capped at |G|, and a whole-space block uses the group itself as L_ij.  A
+basis change conjugates the generators; the conjugated group must close
+again to the same order.
 
-Both tiers decide "same class in PGL" and irreducibility only on residues,
+Without one (tier "compositional"), |N| comes from comparing the supplied
+block-scalar generators against the full Smith-normal-form stabilizer
+lattice, and |P| and |G| are the products.  This proves orders far beyond
+the element-enumeration cap.  This tier refuses a basis change.
+
+"Same class in PGL" and irreducibility are decided only on residues,
 through matgroups (the scalar-coset and residue Burnside lemmas).  Exact
-matrices enter only as generators (checked exactly to permute the blocks,
-and in the compositional tier to preserve the form), as the compositional
-tier's Schreier generators and block-scalar kernel generators, and in the
-exact confirmation that a basis change conjugates the group to one of its
-order.
+matrices enter as generators (checked exactly to permute the blocks and to
+preserve the form), as Schreier generators and transversal products, as
+block-scalar kernel generators, and in the exact confirmation that a basis
+change conjugates the group to one of its order.
 """
 
 from __future__ import annotations
@@ -205,111 +206,20 @@ def _restrict(matrix: ExactMatrix, r0, r1, c0, c1) -> ExactMatrix:
     return ExactMatrix([[matrix.entries[r][c] for c in range(c0, c1)] for r in range(r0, r1)])
 
 
-def _check_irreducible(residues, p, i, j, size):
-    """Residue Burnside (matgroups): the restrictions to block (i, j) must span M_s(F_p)."""
-    rows = np.array([a.ravel() for a in residues], dtype=np.int64)
-    if _rank_mod_p(rows, p) != size * size:
+def _check_irreducible(grp: MatGroup, i, j, size):
+    """Residue Burnside (matgroups): the residues of L_ij must span M_s(F_p)."""
+    rows = np.concatenate([stack.reshape(len(stack), -1) for _, stack in grp._stacks()])
+    if _rank_mod_p(rows.astype(np.int64), grp.p) != size * size:
         raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
 
 
-# -- closed-tier verification ------------------------------------------------------
-
-
-def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
-                       form: Form | None = None) -> StructureReport:
-    """Verify a certificate against a closed group by streaming its residues.
-
-    The generators (conjugated by a basis change T, if any) must permute the
-    certificate blocks exactly; the conjugated group is then closed again.
-    Each element's residue block pattern gives psi; for every block (i, j)
-    the residue restrictions of the elements fixing that block form a
-    finite group L_ij: |H_ij| is its number of scalar cosets, and the block
-    is irreducible iff its residues span M_s(F_p) (matgroups lemmas).
-    phi(P) is counted as distinct tuples of class numbers over the
-    principal elements, and N as the principal elements that are block
-    scalar.
-    """
-    if not group.closed:
-        raise GroupError("closed-tier verification needs a closed group")
-    if cert.dim != group.dim:
-        raise CertificateError("certificate dimension mismatch")
-    ranges = cert.block_ranges()
-    grouping = cert.grouping
-    T = cert.basis_change
-    gens = group.generators
-    if T:
-        Tinv = T.inverse()
-        gens = [Tinv * g * T for g in gens]
-    if any(_block_pattern(_nonzero_mask(g), ranges, grouping) is None for g in gens):
-        raise CertificateError("a generator does not permute the certificate blocks")
-    if T:
-        conjugated = MatGroup(gens)
-        if not conjugated.close(group.order):
-            raise CertificateError("basis change does not conjugate the group to one of its order")
-        group = conjugated
-
-    psi_values = set()
-    principal_count = 0
-    kernel_count = 0
-    principal_keys = set()
-    block_members = [{} for _ in ranges]      # residue key -> residue restriction
-    identity_tuple = tuple(tuple(range(k)) for k in grouping)
-
-    for arr in group.residues():
-        tup = _block_pattern(arr != 0, ranges, grouping)
-        if tup is None:
-            raise CertificateError("an element does not permute the certificate blocks")
-        psi_values.add(tup)
-        keys = []
-        for bi, (i, j, r0, r1) in enumerate(ranges):
-            if tup[i][j] == j:
-                sub = np.ascontiguousarray(arr[r0:r1, r0:r1])
-                key = sub.tobytes()
-                block_members[bi].setdefault(key, sub)
-                keys.append(key)
-        if tup == identity_tuple:
-            principal_count += 1
-            principal_keys.add(tuple(keys))
-            kernel_count += int(_is_block_scalar(arr, cert.flat_sizes))
-
-    k_orders = _check_transitive(psi_values, grouping)
-    classes = []
-    constituent_orders = {}
-    for members, (i, j, r0, r1) in zip(block_members, ranges):
-        _check_irreducible(members.values(), group.p, i, j, r1 - r0)
-        class_of, reps = scalar_cosets(members.values(), group.p)
-        classes.append(class_of)
-        constituent_orders[(i + 1, j + 1)] = len(reps)
-    phi_tuples = {tuple(cls[key] for cls, key in zip(classes, keys)) for keys in principal_keys}
-
-    return _finish_report(
-        tier="full-closure",
-        group_order=group.order,
-        psi_order=len(psi_values),
-        k_orders=k_orders,
-        principal_order=principal_count,
-        kernel_order=kernel_count,
-        phi_order=len(phi_tuples),
-        constituent_orders=constituent_orders,
-        cert=cert,
-        form=form,
-    )
-
-
-def _check_transitive(psi_values, grouping):
+def _check_transitive(psi_group, grouping):
+    """|K_i| per summand; K_i, a group, is transitive iff its images of block 0 are all blocks."""
     k_orders = []
     for i, k in enumerate(grouping):
-        proj = {tup[i] for tup in psi_values}
+        proj = {tup[i] for tup in psi_group}
         k_orders.append(len(proj))
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            a = frontier.pop()
-            for perm in proj:
-                if perm[a] not in orbit:
-                    orbit.add(perm[a])
-                    frontier.append(perm[a])
-        if len(orbit) != k:
+        if len({perm[0] for perm in proj}) != k:
             raise CertificateError("block permutations of summand %d are not transitive" % (i + 1))
     return k_orders
 
@@ -351,7 +261,15 @@ def _finish_report(tier, group_order, psi_order, k_orders, principal_order,
     return report
 
 
-# -- compositional verification -----------------------------------------------------
+# -- verification --------------------------------------------------------------------
+
+
+def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
+                       form: Form | None = None) -> StructureReport:
+    """Verify a certificate against a closed group; |G|, |P| and |N| are residue counts."""
+    if not group.closed:
+        raise GroupError("closed-tier verification needs a closed group")
+    return _verify(group.generators, cert, form, group, DEFAULT_CAP)
 
 
 def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
@@ -360,29 +278,37 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
 
     The generator list must contain block-scalar generators spanning the full
     kernel lattice (checked against the Smith-normal-form stabilizer of the
-    form); everything else is derived: psi(G) by permutation closure, P by
-    Schreier generators, phi(P) by closing projective class tuples over
-    the Cayley tables of the block-stabilizer restrictions, one closure per
-    block.
+    form); then |P| = |N|·|phi(P)| and |G| = |P|·|psi(G)|.
     """
     if cert.basis_change is not None:
         raise CertificateError("the compositional tier does not support a basis change")
-    ranges = cert.block_ranges()
-    grouping = cert.grouping
-    gens = list(generators)
+    return _verify(list(generators), cert, form, None, block_cap)
+
+
+def _verify(gens, cert, form, group, block_cap):
+    """The one verification body; `group` is the closed group, or None (compositional)."""
     if not gens:
         raise CertificateError("need generators")
-    for g in gens:
-        if act(form, g) != form:
-            raise CertificateError("a supplied generator does not preserve the form")
+    if cert.dim != gens[0].dim:
+        raise CertificateError("certificate dimension mismatch")
+    if form is not None and any(act(form, g) != form for g in gens):
+        raise CertificateError("a supplied generator does not preserve the form")
+    ranges = cert.block_ranges()
+    grouping = cert.grouping
+    T = cert.basis_change
+    if T:
+        Tinv = T.inverse()
+        gens = [Tinv * g * T for g in gens]
+    gen_tuples = [_block_pattern(_nonzero_mask(g), ranges, grouping) for g in gens]
+    if None in gen_tuples:
+        raise CertificateError("a generator does not permute the certificate blocks")
+    if T:
+        conjugated = MatGroup(gens)
+        if not conjugated.close(group.order):
+            raise CertificateError("basis change does not conjugate the group to one of its order")
+        group = conjugated
 
-    gen_tuples = []
-    for g in gens:
-        tup = _block_pattern(_nonzero_mask(g), ranges, grouping)
-        if tup is None:
-            raise CertificateError("a generator does not permute the certificate blocks")
-        gen_tuples.append(tup)
-
+    # psi(G): the closure of the generators' block patterns, with words for a transversal
     identity = tuple(tuple(range(k)) for k in grouping)
     transversal = {identity: ()}
     frontier = [identity]
@@ -394,7 +320,44 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
                 transversal[nxt] = transversal[cur] + (gi,)
                 frontier.append(nxt)
     psi_order = len(transversal)
-    k_orders = _check_transitive(set(transversal), grouping)
+    k_orders = _check_transitive(transversal, grouping)
+
+    constituent_orders, phi_order = _projective_part(gens, cert, transversal, group, block_cap)
+
+    if group is not None:
+        diag = np.zeros((cert.dim, cert.dim), dtype=bool)
+        for _i, _j, r0, r1 in ranges:
+            diag[r0:r1, r0:r1] = True
+        group_order, principal_order, kernel_order = group.order, 0, 0
+        for _, stack in group._stacks():
+            principal_order += int((stack[:, ~diag] == 0).all(axis=1).sum())
+            kernel_order += int(_is_block_scalar(stack, cert.flat_sizes).sum())
+    else:
+        kernel_order = _kernel_order(gens, cert, form)
+        principal_order = kernel_order * phi_order
+        group_order = principal_order * psi_order
+
+    return _finish_report(
+        tier="compositional" if group is None else "full-closure",
+        group_order=group_order,
+        psi_order=psi_order,
+        k_orders=k_orders,
+        principal_order=principal_order,
+        kernel_order=kernel_order,
+        phi_order=phi_order,
+        constituent_orders=constituent_orders,
+        cert=cert,
+        form=form,
+    )
+
+
+def _projective_part(gens, cert, transversal, group, block_cap):
+    """({(i, j): |H_ij|}, |phi(P)|), with one closure L_ij per block of size > 1 (module docstring)."""
+    ranges = cert.block_ranges()
+    orders = {(i + 1, j + 1): 1 for i, j, _r0, _r1 in ranges}     # PGL(1) is trivial
+    big = [(i, j, r0, r1) for i, j, r0, r1 in ranges if r1 - r0 > 1]
+    if not big:
+        return orders, 1
 
     def word_matrix(word):
         m = ExactMatrix.identity(cert.dim)
@@ -403,7 +366,7 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
         return m
 
     def psi_of(matrix):
-        tup = _block_pattern(_nonzero_mask(matrix), ranges, grouping)
+        tup = _block_pattern(_nonzero_mask(matrix), ranges, cert.grouping)
         if tup is None:
             raise CertificateError("product fell off the block lattice")
         return tup
@@ -434,9 +397,44 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
                     out.append(s)
         return out
 
+    identity = tuple(tuple(range(k)) for k in cert.grouping)
     schreier = preimage_generators(lambda tup: tup == identity)
+    tables = [[] for _ in schreier]     # per principal Schreier generator, one table per block
+    start = []
+    for (i, j, r0, r1) in big:
+        if group is not None and r1 - r0 == cert.dim:
+            grp = group
+        else:
+            stab_gens = preimage_generators(lambda tup, i=i, j=j: tup[i][j] == j)
+            grp = closure([_restrict(s, r0, r1, r0, r1) for s in stab_gens],
+                          cap=group.order if group is not None else block_cap)
+            if not grp.closed:
+                raise CertificateError("stabilizer block closure exceeded its cap")
+        _check_irreducible(grp, i, j, r1 - r0)
+        class_of, reps = scalar_cosets(grp.residues(), grp.p)
+        orders[(i + 1, j + 1)] = len(reps)
+        reps = np.stack(reps)
+        for table, s in zip(tables, schreier):
+            products = _mulmod(reps, grp._reduce(_restrict(s, r0, r1, r0, r1)), grp.p)
+            table.append([class_of[m.tobytes()] for m in products])
+        start.append(class_of[np.eye(r1 - r0, dtype=np.int32).tobytes()])
 
-    # kernel lattice vs supplied block-scalar generators
+    tables = {tuple(map(tuple, table)) for table in tables}
+    start = tuple(start)
+    phi_image = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        for table in tables:
+            nxt = tuple(t[c] for t, c in zip(table, cur))
+            if nxt not in phi_image:
+                phi_image.add(nxt)
+                frontier.append(nxt)
+    return orders, len(phi_image)
+
+
+def _kernel_order(gens, cert, form):
+    """|N| from the supplied block-scalar generators, checked against the full lattice."""
     lattice = block_scalar_group(form, cert.flat_sizes)
     if lattice.order is None:
         raise CertificateError("block-scalar stabilizer is infinite")
@@ -449,64 +447,7 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
         raise CertificateError(
             "supplied block-scalar generators span order %s, lattice says %d"
             % (sub.order if sub.closed else ">cap", lattice.order))
-    kernel_order = lattice.order
-
-    # one closure per block: the restriction L_ij of the block stabilizer, which
-    # contains the principal restrictions; its projective classes (scalar cosets)
-    # give |H_ij| and the Cayley table that phi(P) is closed over
-    block_groups = []
-    class_tables = []
-    class_index = []
-    constituent_orders = {}
-    for (i, j, r0, r1) in ranges:
-        stab_gens = preimage_generators(lambda tup, i=i, j=j: tup[i][j] == j)
-        grp = closure([_restrict(s, r0, r1, r0, r1) for s in stab_gens], cap=block_cap)
-        if not grp.closed:
-            raise CertificateError("stabilizer block closure exceeded its cap")
-        _check_irreducible(grp.residues(), grp.p, i, j, r1 - r0)
-        class_of, reps = scalar_cosets(grp.residues(), grp.p)
-        reps_stack = np.stack(reps)
-        class_tables.append([[class_of[m.tobytes()] for m in _mulmod(a, reps_stack, grp.p)]
-                             for a in reps])
-        class_index.append(class_of)
-        block_groups.append(grp)
-        constituent_orders[(i + 1, j + 1)] = len(reps)
-
-    def class_tuple(blocks):
-        """Class numbers of one square matrix per block."""
-        return tuple(class_of[grp.key(m)]
-                     for class_of, grp, m in zip(class_index, block_groups, blocks))
-
-    gen_class_tuples = {class_tuple(_restrict(s, r0, r1, r0, r1) for (_i, _j, r0, r1) in ranges)
-                        for s in schreier}
-    nblocks = len(ranges)
-    ident_tuple = class_tuple(ExactMatrix.identity(r1 - r0) for (_i, _j, r0, r1) in ranges)
-    phi_image = {ident_tuple}
-    frontier = [ident_tuple]
-    while frontier:
-        cur = frontier.pop()
-        for gt in gen_class_tuples:
-            nxt = tuple(class_tables[bi][cur[bi]][gt[bi]] for bi in range(nblocks))
-            if nxt not in phi_image:
-                phi_image.add(nxt)
-                frontier.append(nxt)
-    phi_order = len(phi_image)
-
-    principal_order = kernel_order * phi_order
-    group_order = principal_order * psi_order
-
-    return _finish_report(
-        tier="compositional",
-        group_order=group_order,
-        psi_order=psi_order,
-        k_orders=k_orders,
-        principal_order=principal_order,
-        kernel_order=kernel_order,
-        phi_order=phi_order,
-        constituent_orders=constituent_orders,
-        cert=cert,
-        form=form,
-    )
+    return lattice.order
 
 
 # -- refined bounds ---------------------------------------------------------------

@@ -127,6 +127,20 @@ def test_structure_subcommand(tmp_path, capsys):
     assert payload["group_order"] == 162 and payload["identities_hold"]
 
 
+def test_structure_refuses_a_form_the_generators_move(tmp_path, capsys):
+    from formaut.catalog import get_entry
+    from formaut.matgroups import generators_to_json
+    entry = get_entry("klein-quartic")
+    (tmp_path / "gens.json").write_text(generators_to_json(entry.generators()))
+    (tmp_path / "cert.json").write_text(entry.certificate().to_json())
+    (tmp_path / "wrong.txt").write_text("x1^4 + x2^4 + x3^4")
+    code = main(["structure", str(tmp_path / "gens.json"), str(tmp_path / "cert.json"),
+                 "--form", str(tmp_path / "wrong.txt")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "does not preserve the form" in captured.err
+
+
 def test_verify_catalog_single_entry(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify-catalog", "--entry", "fermat-1-3", "--skip-smooth",

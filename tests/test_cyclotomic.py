@@ -116,6 +116,9 @@ def test_scalar_text_round_trip():
         v = parse_scalar(text)
         assert parse_scalar(scalar_to_str(v)) == v
     assert parse_scalar("(1+2*z3)") ** 2 == -3
+    # each coefficient in lowest terms, not over the common denominator
+    assert scalar_to_str(parse_scalar("5*z12^2-1/3")) == "14/3+5*z3"
+    assert scalar_to_str(parse_scalar("(2*z3-1)/(1+z4)")) == "-3/2+z12+z12^2+1/2*z12^3"
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -20,7 +20,7 @@ def test_scalar_group():
     g = scalar_group(3, 4)
     assert g.order == 4
     assert g.projective_order() == 1
-    assert g.center().order == 4
+    assert g.center_order() == 4
 
 
 def test_scalar_group_preserves_every_form():
@@ -43,7 +43,7 @@ def test_klein_closure_and_center():
     grp = closure(entry.generators())
     assert grp.order == 672
     assert grp.projective_order() == 168
-    assert grp.center().order == 4      # the scalar subgroup of order d
+    assert grp.center_order() == 4      # the scalar subgroup of order d
 
 
 def test_binary_icosahedral():
@@ -51,7 +51,7 @@ def test_binary_icosahedral():
     gens = entry.generators()
     bare = closure(gens[:2])            # without the scalar generator
     assert bare.order == 120
-    assert bare.center().order == 2     # {+-I}
+    assert bare.center_order() == 2     # {+-I}
     full = closure(gens)
     assert full.order == 720
     assert full.projective_order() == 60
@@ -95,7 +95,7 @@ def test_subgroup_order_divides():
 def test_lagrange_center_divides():
     for label in ["klein-quartic", "octahedral-binary-sextic", "fermat-1-3"]:
         grp = closure(get_entry(label).generators())
-        assert grp.order % grp.center().order == 0
+        assert grp.order % grp.center_order() == 0
 
 
 def test_diag_does_not_preserve_fermat_of_wrong_torsion():
@@ -358,7 +358,7 @@ def test_residue_engine_matches_exact_closure(gens):
     grp = closure(gens)
     assert grp.order == len(elements)
     assert grp.projective_order() == len({_projective_key(m) for m in elements})
-    assert grp.center().order == sum(all(m * g == g * m for g in gens) for m in elements)
+    assert grp.center_order() == sum(all(m * g == g * m for g in gens) for m in elements)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

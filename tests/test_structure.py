@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from formaut.catalog import get_entry
 from formaut.cyclotomic import root_of_unity
-from formaut.forms import ExactMatrix, has_monomial_pattern, parse
+from formaut.forms import ExactMatrix, Form, has_monomial_pattern, parse
 from formaut.matgroups import MatGroup, closure, scalar_group
 from formaut.sequences import ratioprod_check
 from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport,
@@ -62,6 +62,15 @@ def test_certificate_violation_detected():
     bad = DecompositionCertificate([[1, 1, 1]])   # Klein is not monomial
     with pytest.raises(CertificateError):
         verify_certificate(grp, bad, entry.form())
+
+
+def test_intransitive_summand_is_refused():
+    # the swap moves block 1 to block 2 but never to block 3
+    z3 = root_of_unity(3)
+    grp = closure([ExactMatrix.diagonal([z3, 1, 1]), ExactMatrix.permutation([1, 0, 2])])
+    with pytest.raises(CertificateError, match="not transitive"):
+        verify_certificate(grp, DecompositionCertificate([[1, 1, 1]]))
+    assert verify_certificate(grp, DecompositionCertificate([[1, 1], [1]])).k_orders == [2, 1]
 
 
 def test_basis_change_certificate():
@@ -141,8 +150,21 @@ def test_compositional_refuses_a_basis_change():
         verify_compositional(entry.generators(), cert, entry.form())
 
 
+def test_closed_tier_checks_the_form():
+    entry = get_entry("klein-quartic")
+    grp = closure(entry.generators())
+    with pytest.raises(CertificateError, match="does not preserve the form"):
+        verify_certificate(grp, entry.certificate(), Form.fermat(4, 3))
+
+
+def _report_without_tier(rep):
+    payload = json.loads(rep.to_json())
+    del payload["tier"]
+    return payload
+
+
 def test_compositional_matches_full_closure():
-    # (2,6) is small enough to verify both ways; the orders must agree
+    # the closed tier counts |G|, |P| and |N| on residues, the compositional tier derives them
     entry = get_entry("pair-octahedral-sextic")
     gens = entry.generators()
     comp = verify_compositional(gens, entry.certificate(), entry.form())
@@ -153,6 +175,13 @@ def test_compositional_matches_full_closure():
     assert full.kernel_order == comp.kernel_order == 36
     assert full.phi_image_order == comp.phi_image_order == 576
     assert full.constituent_orders == comp.constituent_orders
+    for label in ["tetrahedral-binary-quartic", "octahedral-binary-sextic", "klein-quartic",
+                  "hessian-sextic"]:
+        entry = get_entry(label)
+        comp = verify_compositional(entry.generators(), entry.certificate(), entry.form())
+        full = verify_certificate(closure(entry.generators()), entry.certificate(), entry.form())
+        assert (comp.tier, full.tier) == ("compositional", "full-closure")
+        assert _report_without_tier(comp) == _report_without_tier(full), label
 
 
 def _exact_span_is_full(matrices, size):
