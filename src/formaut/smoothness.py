@@ -96,17 +96,23 @@ class GF:
     def mul(self, a, b):
         return a * b % self.p
 
-    def submul(self, terms, g, skip, delta, factor):
-        """terms -= factor * x^delta * g, leaving out g's term at skip."""
+    def submul(self, terms, tail, delta, factor):
+        """terms -= factor * x^delta * tail; returns the keys it created."""
         p = self.p
-        for e, c in g.items():
-            if e != skip:
-                key = e + delta
-                v = (terms.get(key, 0) - factor * c) % p
+        new = []
+        for e, c in tail:
+            key = e + delta
+            old = terms.get(key)
+            if old is None:
+                terms[key] = -factor * c % p
+                new.append(key)
+            else:
+                v = (old - factor * c) % p
                 if v:
                     terms[key] = v
                 else:
                     del terms[key]
+        return new
 
 
 class CycField:
@@ -127,22 +133,24 @@ class CycField:
         return a * b
 
     @staticmethod
-    def submul(terms, g, skip, delta, factor):
-        """terms -= factor * x^delta * g, leaving out g's term at skip."""
+    def submul(terms, tail, delta, factor):
+        """terms -= factor * x^delta * tail; returns the keys it created."""
         neg = -factor
-        for e, c in g.items():
-            if e != skip:
-                key = e + delta
-                v = neg * c
-                old = terms.get(key)
-                if old is None:
-                    terms[key] = v
+        new = []
+        for e, c in tail:
+            key = e + delta
+            v = neg * c
+            old = terms.get(key)
+            if old is None:
+                terms[key] = v
+                new.append(key)
+            else:
+                v = old + v
+                if v.is_zero():
+                    del terms[key]
                 else:
-                    v = old + v
-                    if v.is_zero():
-                        del terms[key]
-                    else:
-                        terms[key] = v
+                    terms[key] = v
+        return new
 
 
 def _prime_factors(n):
@@ -182,13 +190,10 @@ def _prime_factors(n):
 # incomplete), so every exponent ever packed is <= M.
 
 
-def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_unit):
-    """Grevlex Buchberger on packed monomials, exponents at most bound.
+def _packing(nvars, bound):
+    """(pack, unpack, guard, offset, shift) of the layout above for exponents <= bound.
 
-    polys: nonzero {exponent tuple: coeff} dicts of total degree <= bound.
-    Returns (basis, capped, exhausted, processed): the reduced basis as
-    monic {exponent tuple: coeff} dicts, whether a pair above the degree cap
-    was skipped, whether the pair budget ran out, and the pairs processed.
+    offset is the packed constant monomial 1; m >> shift is the degree of m.
     """
     width = bound.bit_length() + 1
     shift = nvars * width
@@ -197,7 +202,6 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
         guard |= 1 << (i * width + width - 1)
         offset |= bound << (i * width)
     fmask = (1 << width) - 1
-    one = field.from_cyc(CycNum.one())
 
     def pack(exps):
         return (sum(exps) << shift) + offset - sum(e << (i * width) for i, e in enumerate(exps))
@@ -205,95 +209,160 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
     def unpack(m):
         return tuple(bound - ((m >> (i * width)) & fmask) for i in range(nvars))
 
-    def reduce(terms, reducers):
-        """Full normal form of terms; reducers are (lm | guard, lm, monic terms)."""
+    return pack, unpack, guard, offset, shift
+
+
+def _divides(a, b, guard):
+    """Packed a | b: every exponent of a is at most the same exponent of b."""
+    return ((a | guard) - b) & guard == guard
+
+
+def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_unit):
+    """Grevlex Buchberger on packed monomials, exponents at most bound.
+
+    polys: nonzero {exponent tuple: coeff} dicts of total degree <= bound.
+    Returns (basis, capped, exhausted, processed): the reduced basis as
+    monic {exponent tuple: coeff} dicts, whether a surviving pair above the
+    degree cap was skipped, whether the pair budget ran out, and the pairs
+    processed (at most pair_budget).
+
+    Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller, J. Symb.
+    Comput. 6, 1988; the UPDATE procedure of Becker-Weispfenning, Groebner
+    Bases, 1993, 5.5).  When h enters the basis:
+      B  a live pair (i, j) is dropped when lm(h) divides its lcm L and
+         lcm(i, h) != L != lcm(j, h);
+      M  a new pair (t, h) is dropped when the lcm of another new pair
+         properly divides lcm(t, h);
+      F  of new pairs with one lcm only one is kept, and none when one of
+         them has coprime leading monomials (Buchberger's first criterion
+         then drops that one too).
+    The criteria are sound: if every surviving pair reduces to zero, the
+    basis is a Groebner basis, whatever the degrees of the pruned pairs.  So
+    a pruned pair above the degree cap needs no processing and leaves capped
+    unset, while every surviving pair above the cap sets it when popped.
+    Only elements whose leading monomial no later one divides take new
+    pairs; older pairs of the other elements stay live.
+
+    Reduction keeps a max-heap of the packed terms (duplicates and cancelled
+    keys are skipped when popped) and finds reducers through a memo that
+    lasts the whole run: found[m] is the index of an element whose leading
+    monomial divides m, scanned[m] the number of elements none of which does.
+    The basis is append-only, so a found reducer stays valid and a miss
+    rescans only the elements added since.  Any element whose leading
+    monomial divides m gives a valid reduction step.
+    """
+    pack, unpack, guard, offset, shift = _packing(nvars, bound)
+    one = field.from_cyc(CycNum.one())
+
+    lms = []        # packed leading monomials, in insertion order
+    tails = []      # monic tails [(m, c)], without the leading term
+    exps = []       # unpacked leading monomials
+    active = []     # elements whose leading monomial no later one divides
+    live = {}       # surviving pairs (i, j), i > j: packed lcm
+    pairs = []      # heap of (lcm, i, j); entries no longer in live are stale
+    found = {}
+    scanned = {}
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    def reduce(terms):
+        """Full normal form of terms, as a dict in descending term order."""
+        heap = [-m for m in terms]
+        heapq.heapify(heap)
         out = {}
-        while terms:
-            m = max(terms)
-            for a, glm, g in reducers:
-                if ((a - m) & guard) == guard:
-                    field.submul(terms, g, glm, m - glm, terms.pop(m))
-                    break
-            else:
-                out[m] = terms.pop(m)
+        while heap:
+            m = -heappop(heap)
+            c = terms.pop(m, None)
+            if c is None:
+                continue
+            k = found.get(m)
+            if k is None:
+                n = len(lms)
+                k = scanned.get(m, 0)
+                while k < n and not _divides(lms[k], m, guard):
+                    k += 1
+                if k == n:
+                    scanned[m] = n
+                    out[m] = c
+                    continue
+                found[m] = k
+            for key in field.submul(terms, tails[k], m - lms[k], c):
+                heappush(heap, -key)
         return out
 
-    basis = []      # (lm | guard, lm, monic terms) in insertion order
-    exps = []       # unpacked leading monomials
-    heap = []
-    pending = set()
-
     def insert(terms):
-        lm = max(terms)
-        inv = field.inv(terms[lm])
-        k = len(basis)
+        """Add a reduced nonzero element and update the pairs."""
+        lm = next(iter(terms))
+        h = len(lms)
         e = unpack(lm)
-        for t in range(k):
-            l = tuple(map(max, e, exps[t]))
-            heapq.heappush(heap, (sum(l), k, t, l))
-            pending.add((k, t))
-        basis.append((lm | guard, lm, {m: field.mul(c, inv) for m, c in terms.items()}))
+        lcms = {}
+
+        def lcm_with(t):
+            if t not in lcms:
+                lcms[t] = pack(tuple(map(max, e, exps[t])))
+            return lcms[t]
+
+        for (i, j), l in list(live.items()):                        # B
+            if _divides(lm, l, guard) and lcm_with(i) != l and lcm_with(j) != l:
+                del live[i, j]
+        # ascending lcm, so a proper divisor of an lcm comes before it; a pair
+        # is coprime iff its lcm is the product lm + lm_t - offset, and
+        # coprime pairs come first among equal lcms
+        new = sorted((lcm_with(t), lcm_with(t) != lm + lms[t] - offset, t) for t in active)
+        kept = []
+        for l, not_coprime, t in new:                               # M, F
+            if not any(_divides(q, l, guard) for q in kept):
+                kept.append(l)
+                if not_coprime:
+                    live[h, t] = l
+                    heappush(pairs, (l, h, t))
+        active[:] = [t for t in active if not _divides(lm, lms[t], guard)]
+        active.append(h)
+        inv = field.inv(terms[lm])
+        lms.append(lm)
+        tails.append([(m, field.mul(c, inv)) for m, c in terms.items() if m != lm])
         exps.append(e)
 
     def unit_basis(processed):
         return [{(0,) * nvars: one}], False, False, processed
 
     for terms in sorted(({pack(e): c for e, c in t.items()} for t in polys), key=max):
-        terms = reduce(terms, basis)
+        terms = reduce(terms)
         if terms:
-            if stop_at_unit and max(terms) == offset:
+            if stop_at_unit and next(iter(terms)) == offset:
                 return unit_basis(0)
             insert(terms)
 
     processed = 0
     capped = exhausted = False
-    while heap:
-        if processed > pair_budget:
-            exhausted = True
-            break
-        ldeg, i, j, l = heapq.heappop(heap)
-        pending.discard((i, j))
-        if ldeg > cap:
+    while pairs:
+        l, i, j = heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
+        if l >> shift > cap:
             capped = True
             continue
-        if ldeg == sum(exps[i]) + sum(exps[j]):     # coprime leading monomials
-            continue
-        # chain criterion with proper-divisibility guards (equal-lcm triples
-        # must not eliminate each other circularly)
-        lp = pack(l)
-        skip = False
-        for k, (a, _lm, _g) in enumerate(basis):
-            if k == i or k == j or ((a - lp) & guard) != guard:
-                continue
-            if tuple(map(max, exps[i], exps[k])) == l or tuple(map(max, exps[j], exps[k])) == l:
-                continue
-            if (max(i, k), min(i, k)) not in pending and (max(j, k), min(j, k)) not in pending:
-                skip = True
-                break
-        if skip:
-            continue
+        if processed >= pair_budget:
+            exhausted = True
+            break
         processed += 1
-        _a, flm, f = basis[i]
-        _a, glm, g = basis[j]
-        di = lp - flm
-        terms = {m + di: c for m, c in f.items() if m != flm}
-        field.submul(terms, g, glm, lp - glm, one)
-        terms = reduce(terms, basis)
+        di = l - lms[i]
+        terms = {m + di: c for m, c in tails[i]}
+        field.submul(terms, tails[j], l - lms[j], one)
+        terms = reduce(terms)
         if terms:
-            if stop_at_unit and max(terms) == offset:
+            if stop_at_unit and next(iter(terms)) == offset:
                 return unit_basis(processed)
             insert(terms)
 
-    # interreduce: proper divisors of a leading monomial have lower degree,
-    # so an ascending sweep keeps exactly one element per minimal lm; each
-    # kept element is then reduced by the others
-    keep = []
-    for a, lm, g in sorted(basis, key=lambda b: b[1]):
-        if not any(((h - lm) & guard) == guard for h, _lm, _g in keep):
-            keep.append((a, lm, g))
-    reduced = [reduce(dict(g), keep[:k] + keep[k + 1:]) for k, (_a, _lm, g) in enumerate(keep)]
-    return ([{unpack(m): c for m, c in g.items()} for g in reduced],
-            capped, exhausted, processed)
+    # the active elements have the minimal leading monomials, one each; a
+    # complete run's elements form a Groebner basis, so reducing a tail by
+    # any of them (the memo's choice) gives the one normal form
+    basis = []
+    for k in sorted(active, key=lms.__getitem__):
+        g = {lms[k]: one}
+        g.update(reduce(dict(tails[k])))
+        basis.append({unpack(m): c for m, c in g.items()})
+    return basis, capped, exhausted, processed
 
 
 class Poly(NamedTuple):
@@ -315,11 +384,12 @@ class GroebnerResult:
 
 
 def buchberger(polys, field, degree_cap=None, pair_budget=200000, stop_at_unit=False):
-    """Reduced Groebner basis under grevlex, lowest lcm degree first, both criteria.
+    """Reduced Groebner basis under grevlex, smallest lcm first, Gebauer-Moeller pair update.
 
     polys are {exponent tuple: coeff} dicts with coefficients in field.
-    Exceeding the pair budget or needing a pair above the degree cap yields
-    complete=False (never a wrong basis).  With degree_cap None there is no
+    At most pair_budget pairs are processed.  Exceeding the pair budget or
+    needing a pair above the degree cap yields complete=False (never a wrong
+    basis).  With degree_cap None there is no
     cap: a run that outgrows its packing bound restarts with the bound
     doubled.  With stop_at_unit the run aborts as soon as a nonzero constant
     enters the basis.

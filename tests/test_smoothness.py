@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formaut.cyclotomic import CycNum
 from formaut.forms import Form, parse
-from formaut.smoothness import (GF, CycField, SmoothnessError, buchberger, good_primes,
-                                groebner_basis, is_smooth, smooth_by_resultant, smtosm_witness,
-                                sylvester_resultant, variable_components)
+from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packing, buchberger,
+                                good_primes, grevlex_key, groebner_basis, is_smooth,
+                                smooth_by_resultant, smtosm_witness, sylvester_resultant,
+                                variable_components)
 
 rng = random.Random(8128)
 
@@ -54,6 +57,25 @@ def _random_polys(nvars, coeff):
     return nvars, polys
 
 
+def _assert_matches_sympy(nvars, polys, p):
+    """buchberger, with and without stop_at_unit, is sympy's reduced grevlex basis.
+
+    Over F_p, or over Q when p is 0.  A unit ideal must give sympy's [1].
+    """
+    if p:
+        field, ours_in = GF(p), polys
+        want = [[(e, c % p) for e, c in terms] for terms in _sympy_reduced_basis(polys, nvars, modulus=p)]
+    else:
+        field, ours_in = CycField(), [{e: CycNum.from_int(c) for e, c in t.items()} for t in polys]
+        want = [[(e, Fraction(int(c.p), int(c.q))) for e, c in terms]
+                for terms in _sympy_reduced_basis(polys, nvars, domain="QQ")]
+    for stop_at_unit in (False, True):
+        ours = buchberger(ours_in, field, stop_at_unit=stop_at_unit)
+        assert ours.complete
+        got = [[(e, c if p else c.as_fraction()) for e, c in g.terms.items()] for g in ours.basis]
+        assert _canonical(got) == _canonical(want)
+
+
 def test_buchberger_matches_sympy_groebner():
     # reference: sympy's reduced grevlex basis, over F_32003 and over Q
     p = 32003
@@ -61,18 +83,66 @@ def test_buchberger_matches_sympy_groebner():
     # a degree 64 binary input: packing bound 128, so 9-bit exponent fields
     inputs.append((2, [{(64, 0): 1, (7, 57): 2, (0, 64): p - 1}, {(63, 1): 5, (0, 64): 3, (2, 62): 1}]))
     for nvars, polys in inputs:
-        ours = buchberger(polys, GF(p))
-        assert ours.complete
-        want = _sympy_reduced_basis(polys, nvars, modulus=p)
-        assert _canonical(g.terms.items() for g in ours.basis) == \
-            _canonical([(e, c % p) for e, c in terms] for terms in want)
+        _assert_matches_sympy(nvars, polys, p)
     for _ in range(15):
         nvars, polys = _random_polys(rng.randint(2, 3), lambda: rng.randint(-3, 3))
-        ours = buchberger([{e: CycNum.from_int(c) for e, c in t.items()} for t in polys], CycField())
-        assert ours.complete
-        want = _sympy_reduced_basis(polys, nvars, domain="QQ")
-        assert _canonical([(e, c.as_fraction()) for e, c in g.terms.items()] for g in ours.basis) == \
-            _canonical([(e, Fraction(int(c.p), int(c.q))) for e, c in terms] for terms in want)
+        _assert_matches_sympy(nvars, polys, 0)
+
+
+@st.composite
+def _poly_systems(draw, coeffs):
+    """2 to 4 polynomials in 2 to 4 variables, exponents at most 3.
+
+    Terms have degree at most 6, at most 4 in 4 variables: sympy's reference
+    basis takes up to half a minute on some degree-8 systems in 4 variables.
+    """
+    nvars = draw(st.integers(2, 4))
+    max_degree = 6 if nvars < 4 else 4
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda e: sum(e) <= max_degree)
+    polys = draw(st.lists(st.dictionaries(monomial, coeffs, min_size=1, max_size=4),
+                          min_size=2, max_size=4))
+    return nvars, polys
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_poly_systems(st.integers(1, 32002)))
+def test_buchberger_matches_sympy_modp(system):
+    _assert_matches_sympy(*system, 32003)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_poly_systems(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+def test_buchberger_matches_sympy_rationals(system):
+    _assert_matches_sympy(*system, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda n: st.integers(1, 300).flatmap(lambda bound: st.tuples(
+    st.just(bound), *[st.tuples(st.integers(0, bound), st.integers(0, bound))] * n))))
+def test_packed_divisibility_is_exponentwise(drawn):
+    # pair update, reducer memo and reduction all rest on this test's direction
+    bound, *pairs = drawn
+    a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+    pack, unpack, guard, offset, shift = _packing(len(a), bound)
+    assert unpack(pack(a)) == a and pack(a) >> shift == sum(a)
+    assert _divides(pack(a), pack(b), guard) == all(x <= y for x, y in zip(a, b))
+    assert _divides(pack(b), pack(a), guard) == all(y <= x for x, y in zip(a, b))
+    assert (pack(a) < pack(b)) == (grevlex_key(a) < grevlex_key(b))
+    assert _divides(offset, pack(a), guard)
+
+
+def test_pair_budget_counts_processed_pairs():
+    # b pairs complete a run that needs b; b - 1 leave it incomplete
+    p = 32003
+    polys = [{(2, 0, 0): 1, (0, 1, 1): 3, (1, 0, 1): 5}, {(0, 2, 0): 1, (1, 0, 1): 7, (1, 1, 0): 2},
+             {(0, 0, 2): 1, (1, 1, 0): 11, (0, 1, 1): 13}]
+    needed = buchberger(polys, GF(p)).pairs_processed
+    assert needed > 1
+    for budget in (0, needed - 1):
+        short = buchberger(polys, GF(p), pair_budget=budget)
+        assert not short.complete and short.pairs_processed == budget
+    full = buchberger(polys, GF(p), pair_budget=needed)
+    assert full.complete and full.pairs_processed == needed
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (6, 2), (17, 25)])
