@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth", help="smoothness certificate for a form")
     p.add_argument("form_file")
-    p.add_argument("--strategy", choices=["auto", "char0", "modp", "split"], default="auto")
+    p.add_argument("--strategy", choices=["auto", "char0", "modp"], default="auto")
     p.add_argument("--prime", type=int, action="append")
     p.add_argument("--budget", type=int, default=200000)
     p.add_argument("--seed", type=int, default=0)

@@ -6,6 +6,18 @@ vector over a common positive denominator.  This representation is canonical
 per conductor: two values over the same conductor are equal iff their
 normalized (num, den) pairs are equal.  Values are immutable.
 
+One reduction mod Phi_n serves every vector: _reduction_rows(n) holds
+x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1, which covers every
+product of two reduced vectors and every scatter into n slots; a longer
+vector is first folded by x^n = 1.
+
+Inverses use the norm (Cohen, A Course in Computational Algebraic Number
+Theory, 1993, sec. 4.3): for x != 0, N(x) = prod_{k in (Z/n)*} sigma_k(x),
+sigma_k mapping zeta to zeta^k, is a nonzero rational, so
+1/x = prod_{k != 1} sigma_k(x) / N(x).  Each sigma_k(x) is a scatter of the
+coefficients followed by the one reduction, and inverse() checks the lemma
+at runtime: x * adj must be rational, or as_fraction raises.
+
 One text syntax serves scalars and forms: integers, z<k>^<j> (zeta_k^j) and
 variables x<i>^<e>, combined with + - * / ^ ( ) and unary minus, products
 written with an explicit '*'.  parse_polynomial returns {sparse monomial:
@@ -77,16 +89,14 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors of x^k mod Phi_n for k = phi(n) .. 2*phi(n) - 2."""
+    """Integer vectors of x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1."""
     phi = euler_phi(n)
-    rows = []
-    cur = [0] * phi
     # x^phi = -(lower coefficients of Phi_n) since Phi_n is monic.
     base = [-c for c in cyclotomic_polynomial(n)[:phi]]
-    cur = base[:]
-    rows.append(tuple(cur))
-    for _ in range(phi - 2):
-        # multiply current vector by x and reduce once
+    cur = [0] * (phi - 1) + [1]
+    rows = []
+    for _ in range(max(n, 2 * phi - 1) - phi):
+        # multiply the current vector by x and reduce once
         carry = cur[-1]
         cur = [0] + cur[:-1]
         if carry:
@@ -96,11 +106,19 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _reduce_vector(vec: list[int], n: int) -> list[int]:
-    """Reduce an integer coefficient vector of length <= 2*phi-1 mod Phi_n."""
+    """Reduce an integer coefficient vector of any length mod Phi_n.
+
+    A vector longer than the reduction rows cover is first folded by x^n = 1.
+    """
     phi = euler_phi(n)
     if len(vec) <= phi:
         return vec + [0] * (phi - len(vec))
     rows = _reduction_rows(n)
+    if len(vec) > phi + len(rows):
+        folded = [0] * n
+        for i, c in enumerate(vec):
+            folded[i % n] += c
+        vec = folded
     out = vec[:phi]
     for k in range(phi, len(vec)):
         c = vec[k]
@@ -112,16 +130,6 @@ def _reduce_vector(vec: list[int], n: int) -> list[int]:
     return out
 
 
-def _content_gcd(nums: tuple[int, ...], den: int) -> int:
-    g = den
-    for c in nums:
-        if c:
-            g = math.gcd(g, c)
-            if g == 1:
-                return 1
-    return g
-
-
 class CycNum:
     """An element of Q(zeta_n) in the reduced power basis."""
 
@@ -130,21 +138,11 @@ class CycNum:
     def __init__(self, n: int, num, den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        phi = euler_phi(n)
-        vec = list(num)
-        if len(vec) > phi:
-            vec = _reduce_long_vector(vec, n, phi)
-        elif len(vec) < phi:
-            vec = vec + [0] * (phi - len(vec))
+        vec = _reduce_vector(list(num), n)
         if den < 0:
             den = -den
             vec = [-c for c in vec]
-        if all(c == 0 for c in vec):
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "num", (0,) * phi)
-            object.__setattr__(self, "den", 1)
-            return
-        g = _content_gcd(tuple(vec), den)
+        g = math.gcd(den, *vec)     # den itself when vec is zero, so zero gets den 1
         if g > 1:
             vec = [c // g for c in vec]
             den //= g
@@ -194,11 +192,9 @@ class CycNum:
         if m % self.n != 0:
             raise ValueError("conductor %d does not divide %d" % (self.n, m))
         step = m // self.n
-        phi_m = euler_phi(m)
         vec = [0] * (len(self.num) * step)
         for i, c in enumerate(self.num):
             vec[i * step] = c
-        vec = _reduce_long_vector(vec, m, phi_m)
         return CycNum(m, vec, self.den)
 
     def reduce(self) -> CycNum:
@@ -219,7 +215,7 @@ class CycNum:
         if isinstance(other, CycNum):
             if self.n == other.n:
                 return self, other
-            m = _lcm(self.n, other.n)
+            m = math.lcm(self.n, other.n)
             return self.to_conductor(m), other.to_conductor(m)
         if isinstance(other, int):
             return self, CycNum(self.n, [other])
@@ -263,29 +259,37 @@ class CycNum:
                 for j, y in enumerate(b.num):
                     if y:
                         out[i + j] += x * y
-        return CycNum(a.n, _reduce_vector(out, a.n), a.den * b.den)
+        return CycNum(a.n, out, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
+        """1/x = adj / N(x), adj the product of the conjugates sigma_k(x), k != 1.
+
+        N(x) = x * adj is rational by the norm lemma; as_fraction checks it.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.n)
         if self.is_rational():
             return CycNum(self.n, [self.den] + [0] * (len(self.num) - 1), self.num[0])
-        # Extended Euclid in Q[x]: u * self_poly + v * Phi_n = 1.
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        a = [Fraction(c, self.den) for c in self.num]
-        inv = _poly_modinv(a, phi_poly)
-        den = 1
-        for c in inv:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return CycNum(self.n, [int(c * den) for c in inv], den)
+        n = self.n
+        adj = CycNum.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                conj = [0] * n
+                for i, c in enumerate(self.num):
+                    conj[i * k % n] = c
+                adj = adj * CycNum(n, conj, self.den)
+        norm = (self * adj).as_fraction()
+        return CycNum(n, [c * norm.denominator for c in adj.num], adj.den * norm.numerator)
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        # invert at the divisor's own conductor, not at the common one
+        if isinstance(other, (int, Fraction)):
+            other = CycNum.from_fraction(other)
+        if not isinstance(other, CycNum):
             return NotImplemented
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -326,17 +330,8 @@ class CycNum:
 
     def root_of_unity_order(self):
         """Multiplicative order if the value is a root of unity, else None."""
-        if self.is_zero():
-            return None
         bound = self.n if self.n % 2 == 0 else 2 * self.n
-        p = self ** bound
-        if not (p.is_rational() and p.as_fraction() == 1):
-            return None
-        for d in sorted(_divisors(bound)):
-            q = self ** d
-            if q.is_rational() and q.as_fraction() == 1:
-                return d
-        return None
+        return next((d for d in _divisors(bound) if self ** d == 1), None)
 
     def __repr__(self):
         return "CycNum(%r)" % scalar_to_str(self)
@@ -350,19 +345,16 @@ def root_of_unity(k: int, power: int = 1) -> CycNum:
     if k < 1:
         raise ValueError("order of the root must be positive")
     power %= k
-    g = math.gcd(power, k) if power else k
-    # zeta_k^power is a primitive (k/g)-th root; build it there directly.
     if power == 0:
         return CycNum.one(1)
-    kk = k // g
-    pp = (power // g) % kk
-    vec = [0] * (pp + 1)
-    vec[pp] = 1
-    return CycNum(kk, vec)
+    # zeta_k^power is a primitive (k/g)-th root; build it there directly.
+    g = math.gcd(power, k)
+    return CycNum(k // g, [0] * (power // g) + [1])
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+def conductor(values) -> int:
+    """The least conductor holding all the given CycNum values."""
+    return math.lcm(*(c.n for c in values))
 
 
 @lru_cache(maxsize=None)
@@ -378,77 +370,15 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _reduce_long_vector(vec: list[int], n: int, phi: int) -> list[int]:
-    """Reduce a vector of arbitrary length mod Phi_n using x^n = 1 first."""
-    if len(vec) > n:
-        folded = [0] * n
-        for i, c in enumerate(vec):
-            folded[i % n] += c
-        vec = folded
-    # then reduce degrees phi..n-1 by long division with Phi_n
-    phi_poly = cyclotomic_polynomial(n)
-    vec = vec + [0] * max(0, phi + 1 - len(vec))
-    for k in range(len(vec) - 1, phi - 1, -1):
-        c = vec[k]
-        if c:
-            vec[k] = 0
-            for j in range(phi):
-                vec[k - phi + j] -= c * phi_poly[j]
-    return vec[:phi]
-
-
-def _poly_modinv(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo mod in Q[x] via the extended Euclidean algorithm."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def polydiv(p, q):
-        p = p[:]
-        quo = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-        while len(p) >= len(q) and trim(p):
-            c = p[-1] / q[-1]
-            k = len(p) - len(q)
-            quo[k] = c
-            for i, qi in enumerate(q):
-                p[i + k] -= c * qi
-            trim(p)
-        return quo, p
-
-    r0, r1 = mod[:], trim(a[:])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        q, r = polydiv(r0, r1)
-        r = trim(r)
-        if not r:
-            break
-        # s = s0 - q * s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        s = [x - y for x, y in zip(s0 + [Fraction(0)] * len(prod), prod + [Fraction(0)] * len(s0))]
-        r0, r1 = r1, r
-        s0, s1 = s1, trim(s) or [Fraction(0)]
-    if len(r1) != 1:
-        raise ZeroDivisionError("element is a zero divisor mod Phi_n")
-    c = r1[0]
-    return [si / c for si in s1]
-
-
 @lru_cache(maxsize=None)
 def _subfield_basis(n: int, d: int):
     """Power basis of Q(zeta_d) embedded in Q(zeta_n), as integer row vectors."""
     rows = []
     step = n // d
-    phi_n = euler_phi(n)
     for j in range(euler_phi(d)):
         vec = [0] * (j * step + 1)
         vec[j * step] = 1
-        rows.append(tuple(_reduce_long_vector(vec, n, phi_n)))
+        rows.append(tuple(_reduce_vector(vec, n)))
     return tuple(rows)
 
 
@@ -486,9 +416,7 @@ def _project_to_subfield(x: CycNum, d: int):
     coeffs = [Fraction(0)] * phi_d
     for r, c in piv_rows:
         coeffs[c] = mat[r][phi_d] / mat[r][c]
-    scale = 1
-    for q in coeffs:
-        scale = _lcm(scale, q.denominator)
+    scale = math.lcm(*(q.denominator for q in coeffs))
     return CycNum(d, [int(q * scale) for q in coeffs], x.den * scale)
 
 

@@ -14,6 +14,9 @@ from itertools import permutations
 from .cyclotomic import CycNum, root_of_unity
 from .forms import ExactMatrix, Form, FormError, block_degrees
 
+# The semi-permutation search walks up to r! permutations.
+MAX_VARS = 10
+
 
 class LatticeError(ValueError):
     pass
@@ -249,7 +252,7 @@ class SemiPermutationGroup:
         self.generators = generators
 
 
-def semi_permutation_group(form: Form, max_vars: int = 10) -> SemiPermutationGroup:
+def semi_permutation_group(form: Form) -> SemiPermutationGroup:
     """All matrices diag * permutation preserving the form.
 
     The permutation search runs over coordinate permutations compatible with
@@ -257,8 +260,8 @@ def semi_permutation_group(form: Form, max_vars: int = 10) -> SemiPermutationGro
     the same exponent matrix and twisted targets.
     """
     r = form.nvars
-    if r > max_vars:
-        raise FormError("semi-permutation search limited to %d variables" % max_vars)
+    if r > MAX_VARS:
+        raise FormError("semi-permutation search limited to %d variables" % MAX_VARS)
     if not form.terms:
         raise FormError("the zero form has an infinite stabilizer")
     support = sorted(form.terms, key=lambda e: (-max(e), e))

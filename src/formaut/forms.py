@@ -214,53 +214,39 @@ class ExactMatrix:
     def __hash__(self):
         return hash(tuple(c.canonical_key() for row in self.entries for c in row))
 
-    def determinant(self) -> CycNum:
-        """Exact determinant by fraction-free-ish Gaussian elimination."""
+    def _gauss_jordan(self, right):
+        """Gauss-Jordan on [A | right]: (det A, the reduced right block A^-1 * right).
+
+        A singular A gives (0, None).
+        """
         n = self.dim
-        mat = [list(row) for row in self.entries]
+        mat = [list(row) + list(r) for row, r in zip(self.entries, right)]
         det = CycNum.one()
         for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not mat[r][col].is_zero():
-                    piv = r
-                    break
+            piv = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
             if piv is None:
-                return CycNum.zero()
+                return CycNum.zero(), None
             if piv != col:
                 mat[col], mat[piv] = mat[piv], mat[col]
                 det = -det
             pv = mat[col][col]
             det = det * pv
             inv = pv.inverse()
-            for r in range(col + 1, n):
-                f = mat[r][col] * inv
-                if f.is_zero():
-                    continue
-                for c in range(col, n):
-                    mat[r][c] = mat[r][c] - f * mat[col][c]
-        return det
-
-    def inverse(self) -> ExactMatrix:
-        n = self.dim
-        mat = [list(row) + [CycNum.one() if i == j else CycNum.zero() for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not mat[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            mat[col], mat[piv] = mat[piv], mat[col]
-            inv = mat[col][col].inverse()
             mat[col] = [x * inv for x in mat[col]]
             for r in range(n):
                 if r != col and not mat[r][col].is_zero():
                     f = mat[r][col]
                     mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-        return ExactMatrix([row[n:] for row in mat])
+        return det, [row[n:] for row in mat]
+
+    def determinant(self) -> CycNum:
+        return self._gauss_jordan([()] * self.dim)[0]
+
+    def inverse(self) -> ExactMatrix:
+        _, inv = self._gauss_jordan(ExactMatrix.identity(self.dim).entries)
+        if inv is None:
+            raise ZeroDivisionError("matrix is singular")
+        return ExactMatrix(inv)
 
     def is_invertible(self) -> bool:
         return not self.determinant().is_zero()

@@ -90,7 +90,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, conductor
 from .forms import ExactMatrix, Form, act
 from .smoothness import GF, good_primes
 
@@ -99,15 +99,6 @@ DEFAULT_CAP = 1 << 21
 
 class GroupError(ValueError):
     pass
-
-
-def matrices_conductor(mats) -> int:
-    n = 1
-    for m in mats:
-        for row in m.entries:
-            for c in row:
-                n = lcm(n, c.n)
-    return n
 
 
 def _split_prime(conductor: int, den: int) -> int:
@@ -149,7 +140,7 @@ class MatGroup:
                 raise GroupError("generator is singular")
         self.dim = dim
         self.generators = gens
-        self.conductor = matrices_conductor(gens)
+        self.conductor = conductor(c for g in gens for row in g.entries for c in row)
         den = lcm(*(c.den for g in gens for row in g.entries for c in row))
         self.p = _split_prime(self.conductor, den)      # the reduction lemma's hypotheses
         if self.p >= 1 << 31 or dim * (self.p - 1) ** 2 >= 1 << 63:

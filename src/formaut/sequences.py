@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 # Maximal orders of finite primitive projective linear groups in small degree.
@@ -136,7 +135,6 @@ def _as_seq(l) -> SubdegreeSequence:
     return SubdegreeSequence(l)
 
 
-@lru_cache(maxsize=None)
 def _ratio_numerator_parts(parts: tuple) -> int:
     """prod JC(r_i) * prod k_j! for a sorted parts tuple."""
     prod = 1

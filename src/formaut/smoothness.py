@@ -28,10 +28,9 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from math import lcm
 from typing import NamedTuple
 
-from .cyclotomic import CycNum, cyclotomic_polynomial, scalar_to_str
+from .cyclotomic import CycNum, conductor, cyclotomic_polynomial, scalar_to_str
 from .forms import ExactMatrix, Form, partials
 
 
@@ -62,6 +61,12 @@ class GF:
         self.root = self._find_root(conductor) if conductor > 1 else 1
 
     def _find_root(self, n: int) -> int:
+        """The first r = a^((p-1)/n), a = 2, 3, ..., with Phi_n(r) = 0 (mod p).
+
+        This r has order exactly n: p = 1 (mod n) gives p not dividing n, so
+        x^n - 1 is separable mod p, and its roots that are roots of Phi_n
+        are exactly the elements of order n.
+        """
         p = self.p
         if (p - 1) % n:
             raise SmoothnessError("p = %d does not split conductor %d" % (p, n))
@@ -71,7 +76,7 @@ class GF:
             val = 0
             for c in reversed(phi):
                 val = (val * r + c) % p
-            if val == 0 and pow(r, n, p) == 1 and all(pow(r, n // q, p) != 1 for q in _prime_factors(n)):
+            if val == 0:
                 return r
         raise SmoothnessError("no primitive root of the cyclotomic polynomial mod %d" % p)
 
@@ -151,21 +156,6 @@ class CycField:
                 else:
                     terms[key] = v
         return new
-
-
-def _prime_factors(n):
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 # -- packed-monomial Buchberger -------------------------------------------------
@@ -373,11 +363,10 @@ class Poly(NamedTuple):
 
 
 class GroebnerResult:
-    def __init__(self, basis, complete, pairs_processed, degree_cap):
+    def __init__(self, basis, complete, pairs_processed):
         self.basis = basis
         self.complete = complete
         self.pairs_processed = pairs_processed
-        self.degree_cap = degree_cap
 
     def leading_monomials(self):
         return [g.lm for g in self.basis]
@@ -396,7 +385,7 @@ def buchberger(polys, field, degree_cap=None, pair_budget=200000, stop_at_unit=F
     """
     polys = [t for t in ({e: c for e, c in t.items() if c != 0} for t in polys) if t]
     if not polys:
-        return GroebnerResult([], True, 0, degree_cap)
+        return GroebnerResult([], True, 0)
     nvars = len(next(iter(polys[0])))
     bound = max(degree_cap or 0, 2 * max(sum(e) for t in polys for e in t), 1)
     while True:
@@ -407,7 +396,7 @@ def buchberger(polys, field, degree_cap=None, pair_budget=200000, stop_at_unit=F
             break
         bound *= 2
     basis = [Poly(g, max(g, key=grevlex_key)) for g in basis]
-    return GroebnerResult(basis, not (capped or exhausted), processed, degree_cap)
+    return GroebnerResult(basis, not (capped or exhausted), processed)
 
 
 def form_to_poly(form: Form, field) -> dict:
@@ -444,13 +433,6 @@ class SmoothnessCertificate:
 
     def __repr__(self):
         return "SmoothnessCertificate(%s via %s)" % (self.verdict, self.method)
-
-
-def form_conductor(form: Form) -> int:
-    n = 1
-    for c in form.terms.values():
-        n = lcm(n, c.n)
-    return n
 
 
 def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi: int = 1 << 21):
@@ -583,7 +565,7 @@ def _char0_verdict(form: Form, degree_cap, pair_budget):
 
 def _modp_only_origin(form: Form, p: int, degree_cap, pair_budget):
     """True/False/None: is the zero locus of the partials mod p just the origin?"""
-    field = GF(p, form_conductor(form))
+    field = GF(p, conductor(form.terms.values()))
     polys = [form_to_poly(f, field) for f in partials(form)]
     r = form.nvars
     for chart in range(r - 1, -1, -1):
@@ -613,20 +595,20 @@ def _modp_only_origin(form: Form, p: int, degree_cap, pair_budget):
 
 
 def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
-              degree_cap=None, pair_budget=200000) -> SmoothnessCertificate:
+              pair_budget=200000) -> SmoothnessCertificate:
     """Certify the smooth/singular verdict for a homogeneous form.
 
-    strategy is one of auto, split, modp, char0.  The default pipeline is
+    strategy is one of auto, modp, char0.  The default pipeline is
     split-variables, then three mod-p certificates, then the characteristic-0
     Groebner fallback.  A singular reduction mod p is never reported as
-    singular; it falls through to characteristic 0.
+    singular; it falls through to characteristic 0.  Every Groebner run is
+    capped at degree 4 * deg(form).
     """
     if form.degree < 2:
         raise SmoothnessError("smoothness needs degree >= 2")
-    if degree_cap is None:
-        degree_cap = 4 * form.degree
+    degree_cap = 4 * form.degree
 
-    if strategy in ("auto", "split"):
+    if strategy == "auto":
         comps = variable_components(form)
         used = {i for e in form.terms for i, x in enumerate(e) if x}
         for i in range(form.nvars):
@@ -638,8 +620,7 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
         if len(comps) > 1:
             for comp in comps:
                 sub = restrict_to_variables(form, comp)
-                cert = is_smooth(sub, "auto", primes=primes, seed=seed,
-                                 degree_cap=degree_cap, pair_budget=pair_budget)
+                cert = is_smooth(sub, "auto", primes=primes, seed=seed, pair_budget=pair_budget)
                 if cert.verdict == "singular":
                     witness = [CycNum.zero()] * form.nvars
                     if cert.witness:
@@ -655,8 +636,6 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
                                                  detail={"component": [v + 1 for v in comp]})
             return SmoothnessCertificate("smooth", "split-variables",
                                          detail={"components": [[v + 1 for v in c] for c in comps]})
-        if strategy == "split":
-            strategy = "auto"  # single component: fall through to the default route
 
     if form.nvars == 1:
         # x^d with nonzero coefficient: the only critical point is the origin
@@ -669,15 +648,15 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
                                      detail={"reason": "coordinate point kills all partials"})
 
     if strategy in ("auto", "modp"):
-        conductor = form_conductor(form)
-        ps = list(primes) if primes else good_primes(conductor, 3, seed=seed)
+        n = conductor(form.terms.values())
+        ps = list(primes) if primes else good_primes(n, 3, seed=seed)
         verdicts = []
         for p in ps:
             v = _modp_only_origin(form, p, degree_cap, pair_budget)
             verdicts.append((p, v))
         if all(v is True for _, v in verdicts):
             return SmoothnessCertificate("smooth", "groebner-modp", primes=[p for p, _ in verdicts],
-                                         detail={"conductor": conductor})
+                                         detail={"conductor": n})
         if strategy == "modp":
             return SmoothnessCertificate("undecided", "groebner-modp", primes=[p for p, _ in verdicts],
                                          detail={"per_prime": {str(p): v for p, v in verdicts}})

@@ -158,7 +158,8 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("args", [["search", "--n", "1..x", "--d", "3"],
                                   ["diag-group", "form.txt", "--blocks", "1,x"],
-                                  ["invdim", "gens.json", "--degree", "-1"]])
+                                  ["invdim", "gens.json", "--degree", "-1"],
+                                  ["smooth", "form.txt", "--strategy", "split"]])
 def test_bad_option_value_is_a_usage_error(args):
     with pytest.raises(SystemExit) as exc:
         main(args)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formaut.cyclotomic import (CycNum, cyclotomic_polynomial, euler_phi, parse_scalar,
-                                root_of_unity, scalar_to_str)
+from formaut.cyclotomic import (CycNum, _reduce_vector, cyclotomic_polynomial, euler_phi,
+                                parse_scalar, root_of_unity, scalar_to_str)
+
+MIXED_CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20, 24, 60]
 
 
 @st.composite
@@ -13,6 +15,13 @@ def cycnums(draw):
     n = draw(st.integers(1, 60))
     num = draw(st.lists(st.integers(-7, 7), min_size=euler_phi(n), max_size=euler_phi(n)))
     return CycNum(n, num, draw(st.integers(1, 12)))
+
+
+@st.composite
+def mixed_cycnums(draw):
+    n = draw(st.sampled_from(MIXED_CONDUCTORS))
+    num = draw(st.lists(st.integers(-5, 5), min_size=euler_phi(n), max_size=euler_phi(n)))
+    return CycNum(n, num, draw(st.integers(1, 6)))
 
 
 def test_cyclotomic_polynomials():
@@ -132,3 +141,39 @@ def test_scalar_parse_errors():
     for bad in ["1+", "z", "x1", "(1", "1//2"]:
         with pytest.raises(ScalarSyntaxError):
             parse_scalar(bad)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mixed_cycnums(), mixed_cycnums(), mixed_cycnums())
+def test_ring_axioms_mixed_conductors(x, y, z):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and (x + (-x)).is_zero()
+    if not x.is_zero():
+        assert x * x.inverse() == 1
+        assert y / x * x == y
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mixed_cycnums(), st.integers(1, 5))
+def test_lift_keeps_value_and_hash(x, k):
+    lifted = x.to_conductor(x.n * k)
+    assert lifted == x
+    assert hash(lifted) == hash(x)
+
+
+def test_reduce_vector_matches_sympy_remainder():
+    """Every length up to 3n, so vectors past the reduction rows take the fold."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(60)
+    for n in MIXED_CONDUCTORS:
+        phi = euler_phi(n)
+        modulus = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        for length in range(3 * n + 1):
+            vec = [rng.randint(-9, 9) for _ in range(length)]
+            rem = sympy.Poly(list(reversed(vec)) or [0], x).rem(modulus)
+            expected = [int(c) for c in reversed(rem.all_coeffs())]
+            assert _reduce_vector(vec, n) == expected + [0] * (phi - len(expected))

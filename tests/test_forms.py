@@ -174,3 +174,28 @@ def test_matrix_inverse_and_determinant():
 def test_act_dimension_mismatch():
     with pytest.raises(FormError):
         act(Form.fermat(3, 3), ExactMatrix.identity(2))
+
+
+@st.composite
+def matrices_z12(draw):
+    entry = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(lambda v: CycNum(12, v))
+    return ExactMatrix(draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(matrices_z12(), matrices_z12())
+def test_determinant_multiplicative_and_inverse(A, B):
+    assert (A * B).determinant() == A.determinant() * B.determinant()
+    if A.is_invertible():
+        assert A * A.inverse() == ExactMatrix.identity(3)
+        assert A.inverse() * A == ExactMatrix.identity(3)
+
+
+def test_singular_matrix_over_z12():
+    z = root_of_unity(12)
+    row = [1 + z, z ** 5, CycNum.from_int(2)]
+    A = ExactMatrix([row, [z * c for c in row], [z ** 2, CycNum.zero(), 1 - z]])
+    assert A.determinant().is_zero()
+    assert not A.is_invertible()
+    with pytest.raises(ZeroDivisionError):
+        A.inverse()

@@ -180,7 +180,7 @@ def test_singular_controls_with_witness():
 
 def test_split_strategy_block_form():
     F = parse("x1^5*x2 + x2^5*x1 + x3^5*x4 + x4^5*x3")
-    cert = is_smooth(F, "split")
+    cert = is_smooth(F)
     assert cert.verdict == "smooth" and cert.method == "split-variables"
     assert variable_components(F) == [[0, 1], [2, 3]]
 
@@ -295,3 +295,12 @@ def test_smtosm_rejects_smooth_restriction():
     F = Form.fermat(4, 3)
     with pytest.raises(SmoothnessError):
         smtosm_witness(F, 2, 1)
+
+
+def test_gf_root_has_exact_order():
+    for n in range(1, 101):
+        p = good_primes(n, 1)[0]
+        r = GF(p, n).root
+        assert pow(r, n, p) == 1
+        primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % s for s in range(2, q))]
+        assert all(pow(r, n // q, p) != 1 for q in primes)
