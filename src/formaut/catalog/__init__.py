@@ -4,7 +4,9 @@ certificates, plus the end-to-end verification pipeline.
 Each entry carries its defining form, a generating set for its linear
 automorphism group, a decomposition certificate and the expected orders.
 Generators are validated, never trusted: verify_entry re-derives everything
-it can at the entry's tier.
+it can at the entry's tier.  The certificate verifier checks that the
+generators preserve the form, so only rows it does not accept call
+`preserves`; a verifier refusal fails the `certificate` check of its own row.
 
 Tiers:
 * full-closure: materialize the group, check the order, the projective
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from math import factorial
 
@@ -28,7 +31,7 @@ from ..diaglattice import semi_permutation_group
 from ..forms import ExactMatrix, Form, act, parse
 from ..matgroups import DEFAULT_CAP, MatGroup, closure, preserves
 from ..smoothness import is_smooth
-from ..structure import DecompositionCertificate, verify_certificate, verify_compositional
+from ..structure import CertificateError, DecompositionCertificate, verify_certificate, verify_compositional
 
 
 class CatalogError(ValueError):
@@ -105,11 +108,7 @@ def verify_entry(entry: CatalogEntry, cap: int = DEFAULT_CAP, skip_smooth: bool 
     checks["parse"] = {"ok": True, "terms": len(form.terms)}
 
     gens = entry.generators()
-    ok = preserves(gens, form)
-    checks["preserves"] = {"ok": ok}
-    if not ok:
-        report["ok"] = False
-        return report
+    checks["preserves"] = {}    # filled in once the verifier has accepted or refused
 
     if not skip_smooth:
         cert = is_smooth(form, seed=entry.smooth_seed)
@@ -118,7 +117,7 @@ def verify_entry(entry: CatalogEntry, cap: int = DEFAULT_CAP, skip_smooth: bool 
 
     expected_aut = entry.expected["aut_order"]
     expected_lin = entry.expected["lin_order"]
-    struct = None
+    verify = None
 
     if entry.tier == "full-closure":
         grp = MatGroup(gens)
@@ -133,18 +132,26 @@ def verify_entry(entry: CatalogEntry, cap: int = DEFAULT_CAP, skip_smooth: bool 
                                           "order": proj, "expected": expected_lin}
             cert_obj = entry.certificate()
             if cert_obj is not None:
-                struct = verify_certificate(grp, cert_obj, form)
+                verify = partial(verify_certificate, grp, cert_obj, form)
     elif entry.tier == "compositional":
-        cert_obj = entry.certificate()
-        struct = verify_compositional(gens, cert_obj, form, block_cap=cap)
-        checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
-                                         "order": struct.group_order, "expected": expected_aut}
+        verify = partial(verify_compositional, gens, entry.certificate(), form, block_cap=cap)
     elif entry.tier == "generators-only":
         checks["closure"] = {"ok": True, "skipped": "order beyond enumeration cap; catalog data"}
     else:
         raise CatalogError("unknown tier %r" % entry.tier)
 
+    struct = None
+    if verify is not None:
+        try:
+            struct = verify()
+        except CertificateError as exc:
+            checks["certificate"] = {"ok": False, "refused": str(exc)}
+    checks["preserves"]["ok"] = struct is not None or preserves(gens, form)
+
     if struct is not None:
+        if entry.tier == "compositional":
+            checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
+                                             "order": struct.group_order, "expected": expected_aut}
         ratio = Fraction(expected_aut, entry.d ** entry.nvars * factorial(entry.nvars))
         checks["certificate"] = {
             "ok": struct.identities_hold() and struct.group_order == expected_aut,

@@ -2,7 +2,8 @@
 
 All numeric output is exact (rationals are printed as p/q).  Exit status is
 0 on success or a verified property, 1 on a failed verification, 2 on usage
-errors.  A usage error is a bad command line, a bad FORMAUT_CAP, or an input
+errors.  A usage error is a bad command line (a numeric flag out of range
+included, refused as the command line is parsed), a bad FORMAUT_CAP, or an input
 file that is missing or malformed (a form that does not parse or is not
 homogeneous, a bad scalar, bad generator or certificate JSON, or a dimension
 mismatch).  Randomized choices (mod-p primes) are seeded and recorded in the
@@ -56,17 +57,23 @@ def _load_generators(path: str):
     return _load("generator", path, generators_from_json)
 
 
-def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
-    return [int(text)]
+def _at_least(k: int):
+    """An argparse type: an integer >= k."""
+    def parse(text: str) -> int:
+        if not text.lstrip("-").isdigit() or int(text) < k:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (k, text))
+        return int(text)
+    return parse
 
 
-def _nonnegative(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
-    return int(text)
+def _range_at_least(k: int):
+    """An argparse type: a value or a range lo..hi of integers with k <= lo <= hi."""
+    def parse(text: str) -> range:
+        lo, dots, hi = text.partition("..")
+        lo = _at_least(k)(lo)
+        hi = _at_least(lo)(hi) if dots else lo
+        return range(lo, hi + 1)
+    return parse
 
 
 def _emit(payload, out=None):
@@ -225,24 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", help="Fermat-test ratio of a subdegree sequence")
     p.add_argument("--seq", required=True, help="caret notation, e.g. '2^13' or '8^1 6^2 1^3'")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_at_least(3), required=True)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("jc", help="maximal primitive projective group order")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_at_least(1), required=True)
     p.set_defaults(func=cmd_jc)
 
     p = sub.add_parser("search", help="survivor scan over an (n, d) grid")
-    p.add_argument("--n", required=True, type=_parse_range, help="value or range, e.g. 1..25")
-    p.add_argument("--d", required=True, type=_parse_range, help="value or range, e.g. 3..17")
+    p.add_argument("--n", required=True, type=_range_at_least(1), help="value or range, e.g. 1..25")
+    p.add_argument("--d", required=True, type=_range_at_least(3), help="value or range, e.g. 3..17")
     p.add_argument("--out", help="TSV output path (default stdout)")
     p.add_argument("--expect-empty", action="store_true",
                    help="exit 1 if any survivor is found")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds-scan", help="uniform-bound and mixed-sequence scan")
-    p.add_argument("--max-total", type=int, default=30)
-    p.add_argument("--max-d", type=int, default=20)
+    p.add_argument("--max-total", type=_at_least(1), default=30)
+    p.add_argument("--max-d", type=_at_least(3), default=20)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds_scan)
 
@@ -256,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="close a matrix group from generators")
     p.add_argument("gens")
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
     p.add_argument("--out")
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("invdim", help="dimension of degree-e invariants")
     p.add_argument("gens")
-    p.add_argument("--degree", type=_nonnegative, required=True)
+    p.add_argument("--degree", type=_at_least(0), required=True)
     p.add_argument("--method", choices=["reynolds", "molien", "both"], default="both")
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
     p.set_defaults(func=cmd_invdim)
 
     p = sub.add_parser("diag-group", help="block-scalar stabilizer of a form")
@@ -284,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cert")
     p.add_argument("--form")
     p.add_argument("--tier", choices=["closed", "compositional"], default="closed")
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("verify-catalog", help="run the catalog verification pipeline")
     p.add_argument("--entry")
     p.add_argument("--tier", choices=["full-closure", "compositional", "generators-only"])
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
     p.add_argument("--skip-smooth", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_catalog)

@@ -31,6 +31,10 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+# Tables kept per conductor (reduction rows, subfield bases): a bound keeps a
+# long-lived process fed many conductors from holding every table.
+KERNEL_CACHE = 64
+
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -87,7 +91,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return num
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE)
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Integer vectors of x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1."""
     phi = euler_phi(n)
@@ -370,7 +374,7 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE)
 def _subfield_basis(n: int, d: int):
     """Power basis of Q(zeta_d) embedded in Q(zeta_n), as integer row vectors."""
     rows = []

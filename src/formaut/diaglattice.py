@@ -13,6 +13,7 @@ from itertools import permutations
 
 from .cyclotomic import CycNum, root_of_unity
 from .forms import ExactMatrix, Form, FormError, block_degrees
+from .matgroups import Orbit
 
 # The semi-permutation search walks up to r! permutations.
 MAX_VARS = 10
@@ -314,7 +315,10 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
 
 
 def _generating_subset(perms):
-    """A small subset of the permutation list generating the same group."""
+    """A small subset of the permutation list generating the same group.
+
+    The span of the chosen ones is the orbit of the identity under them (a finite monoid is a group).
+    """
     target = set(perms)
     identity = tuple(range(len(perms[0]))) if perms else ()
     chosen = []
@@ -323,19 +327,8 @@ def _generating_subset(perms):
         if sigma in span:
             continue
         chosen.append(sigma)
-        frontier = list(span)
-        span = set(span)
-        queue = [sigma]
-        while queue:
-            g = queue.pop()
-            if g in span:
-                continue
-            span.add(g)
-            for h in list(span):
-                for prod in (_pcompose(g, h), _pcompose(h, g)):
-                    if prod not in span:
-                        queue.append(prod)
-        if span == target:
+        span = Orbit([identity], lambda x: [_pcompose(x, g) for g in chosen]).index
+        if span.keys() == target:
             break
     return chosen
 

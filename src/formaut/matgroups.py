@@ -3,10 +3,19 @@
 Closure runs on residues.  Let K = Q(zeta_N) with N the conductor of the
 generators, and p a prime with p = 1 (mod N): p is unramified and splits in
 K, so a prime 𝔭 of K above p has residue field F_p and the generators
-reduce entrywise to r x r matrices over F_p (`smoothness.GF`).  The group
-is closed by BFS on those residues; each element is stored once, as the
-int32 bytes of its residue (the dedup key), with the index of its BFS
-parent and of the generator that reached it.
+reduce entrywise to r x r matrices over F_p (`smoothness.GF`).  `close` is
+one `Orbit` of the identity's residue under right multiplication, each
+element stored once as the int32 bytes of its residue.  It is not
+resumable: a later call after a capped one starts again from the identity.
+
+Orbits (Seress, "Permutation Group Algorithms", 2003, §4.1).  Every closure
+in formaut is one `Orbit`: a BFS that stores each point once with a
+Schreier vector (the index of its parent and of the map that reached it),
+so `word(i)` spells a word from a seed to point i and `word_product`
+replays it exactly.  Schreier's lemma: if G = <S> acts on the right and
+u_y maps x to y for each y in the orbit O of x, then the products
+u_y·s·u_{y·s}^-1 (y in O, s in S) generate the stabilizer of x;
+`schreier_generators` returns them without repeats.
 
 The reduction lemma (Minkowski; Serre, "Bounds for the orders of the finite
 subgroups of G(k)", 2007; Detinko-Flannery-O'Brien, J. Symb. Comput. 50,
@@ -125,6 +134,70 @@ def _is_block_scalar(arr, block_sizes):
     return (arr == lead[..., None] * np.eye(arr.shape[-1], dtype=int)).all(axis=(-2, -1))
 
 
+class Orbit:
+    """The orbit of `seeds` under maps, stored in BFS order with a Schreier vector.
+
+    `step(x)` returns the images of x, one per map.  Each point is stored once:
+    index[points[i]] = i and points[i] = step(points[parent[i]])[gen[i]] (parent
+    and gen are -1 at a seed).  The BFS stops as soon as more than `cap` points
+    are stored; `complete` says whether it ran to the end.
+    """
+
+    def __init__(self, seeds, step, cap: int | None = None):
+        self.step = step
+        self.points, self.index, self.parent, self.gen = [], {}, [], []
+        self.complete = False
+        for x in seeds:
+            if x not in self.index and not self._add(x, -1, -1, cap):
+                return
+        for head, x in enumerate(self.points):      # the list grows while it is walked
+            for g, y in enumerate(step(x)):
+                if y not in self.index and not self._add(y, head, g, cap):
+                    return
+        self.complete = True
+
+    def _add(self, x, parent: int, gen: int, cap) -> bool:
+        """Store a new point; False once more than `cap` points are stored."""
+        self.index[x] = len(self.points)
+        self.points.append(x)
+        self.parent.append(parent)
+        self.gen.append(gen)
+        return cap is None or len(self.points) <= cap
+
+    def word(self, i: int) -> list[int]:
+        """The map indices that lead from a seed to points[i], in the order they apply."""
+        word = []
+        while self.parent[i] >= 0:
+            word.append(self.gen[i])
+            i = self.parent[i]
+        return word[::-1]
+
+
+def word_product(gens, word) -> ExactMatrix:
+    """The exact product gens[word[0]] * gens[word[1]] * ... (the identity for an empty word)."""
+    m = ExactMatrix.identity(gens[0].dim)
+    for gi in word:
+        m = m * gens[gi]
+    return m
+
+
+def schreier_generators(orbit: Orbit, gens) -> list[ExactMatrix]:
+    """Schreier's lemma (module docstring) for the stabilizer of the orbit's one seed.
+
+    orbit.step(x)[k] must be x·gens[k] for a right action; u_y is the
+    word_product along y's word.
+    """
+    reps = [word_product(gens, orbit.word(i)) for i in range(len(orbit.points))]
+    invs = [u.inverse() for u in reps]
+    out = []
+    for x, u in zip(orbit.points, reps):
+        for g, y in zip(gens, orbit.step(x)):
+            s = u * g * invs[orbit.index[y]]
+            if s not in out:
+                out.append(s)
+    return out
+
+
 class MatGroup:
     """A finitely generated matrix group over a cyclotomic field."""
 
@@ -147,12 +220,7 @@ class MatGroup:
             raise GroupError("prime %d is too large for int64 residue products" % self.p)
         self._field = GF(self.p, self.conductor)
         self._gens = np.stack([self._reduce(g) for g in gens])
-        ident = np.eye(dim, dtype=np.int32).tobytes()
-        self._index = {ident: 0}    # residue key -> element index
-        self._keys = [ident]        # element index -> residue key
-        self._parent = [-1]         # element index -> BFS parent index
-        self._gen = [-1]            # element index -> generator index
-        self._frontier = deque([0])
+        self._orbit = Orbit([], None)   # the elements' residue keys: none until close()
         self.closed = False
 
     def _reduce(self, m: ExactMatrix):
@@ -167,63 +235,49 @@ class MatGroup:
     def close(self, cap: int = DEFAULT_CAP) -> bool:
         """BFS closure under right multiplication; True when complete.
 
-        Stops as soon as more than `cap` elements are stored.  The element
-        being expanded stays at the head of the queue, so a later call with a
-        larger cap resumes where this one stopped.  On completion the orbit
-        certificate must hold (else False: G is infinite) and p must not
-        divide |G| (else GroupError); see the module docstring.
+        One `Orbit` of the identity's residue key, which stops as soon as
+        more than `cap` elements are stored.  A later call recomputes from
+        scratch.  On completion the orbit certificate must hold (else False:
+        G is infinite) and p must not divide |G| (else GroupError); see the
+        module docstring.
         """
         if self.closed:
             return True
-        if len(self._keys) > cap:
-            return False
-        r, p = self.dim, self.p
-        while self._frontier:
-            head = self._frontier[0]
-            residue = np.frombuffer(self._keys[head], dtype=np.int32).reshape(r, r)
-            for gi, prod in enumerate(_mulmod(residue, self._gens, p)):
-                key = prod.tobytes()
-                if key not in self._index:
-                    self._index[key] = len(self._keys)
-                    self._frontier.append(len(self._keys))
-                    self._keys.append(key)
-                    self._parent.append(head)
-                    self._gen.append(gi)
-                    if len(self._keys) > cap:
-                        return False
-            self._frontier.popleft()
-        if not self._orbit_is_finite(r * len(self._keys)):
-            return False                # the orbit certificate: G is infinite
-        if len(self._keys) % p == 0:    # residues could no longer tell scalars apart
-            raise GroupError("p = %d divides |G| = %d" % (p, len(self._keys)))
+        r, p, gens = self.dim, self.p, self._gens      # the orbit keeps step: no cycle through self
+
+        def step(key):
+            residue = np.frombuffer(key, dtype=np.int32).reshape(r, r)
+            return [prod.tobytes() for prod in _mulmod(residue, gens, p)]
+
+        self._orbit = Orbit([np.eye(r, dtype=np.int32).tobytes()], step, cap)
+        order = len(self._orbit.points)
+        if not self._orbit.complete or not self._orbit_is_finite(r * order):
+            return False                # cap exceeded, or the orbit certificate: G is infinite
+        if order % p == 0:              # residues could no longer tell scalars apart
+            raise GroupError("p = %d divides |G| = %d" % (p, order))
         self.closed = True
         return True
 
     def _orbit_is_finite(self, bound: int) -> bool:
-        """Close the orbit of e_1..e_r exactly; False once it has more than bound vectors."""
+        """Close the orbit of e_1..e_r exactly; False once it has more than bound vectors.
+
+        A vector is stored as its coordinates' (num, den) at the conductor.
+        """
         n, r = self.conductor, self.dim
         gens = [[[(k, c.to_conductor(n)) for k, c in enumerate(row) if not c.is_zero()]
                  for row in g.entries] for g in self.generators]
         one, zero = CycNum.one(n), CycNum.zero(n)
-        frontier = [tuple(one if i == j else zero for i in range(r)) for j in range(r)]
-        seen = {tuple((c.num, c.den) for c in v) for v in frontier}
-        while frontier:
-            v = frontier.pop()
-            for g in gens:
-                w = []
-                for row in g:
-                    acc = zero
-                    for k, a in row:
-                        if not v[k].is_zero():
-                            acc = acc + a * v[k]
-                    w.append(acc)
-                key = tuple((c.num, c.den) for c in w)
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) > bound:
-                        return False
-                    frontier.append(tuple(w))
-        return True
+
+        def key(vector):
+            return tuple((c.num, c.den) for c in vector)
+
+        def step(point):
+            v = [CycNum(n, num, den) if any(num) else None for num, den in point]
+            return [key(sum((a * v[k] for k, a in row if v[k] is not None), zero) for row in g)
+                    for g in gens]
+
+        units = [key(one if i == j else zero for i in range(r)) for j in range(r)]
+        return Orbit(units, step, bound).complete
 
     def _require_closed(self):
         if not self.closed:
@@ -232,29 +286,23 @@ class MatGroup:
     @property
     def order(self) -> int:
         self._require_closed()
-        return len(self._keys)
+        return len(self._orbit.points)
 
     def residues(self):
-        """Residue matrices (read-only int32) of the elements stored so far, in BFS order."""
-        for key in self._keys:
+        """Residue matrices (read-only int32) of the elements stored by the last close(), in BFS order."""
+        for key in self._orbit.points:
             yield np.frombuffer(key, dtype=np.int32).reshape(self.dim, self.dim)
 
     def _stacks(self, size: int = 4096):
         """Yield (offset, stack): the next at most `size` residues as one (m, r, r) array."""
-        for start in range(0, len(self._keys), size):
-            blob = b"".join(self._keys[start:start + size])
+        keys = self._orbit.points
+        for start in range(0, len(keys), size):
+            blob = b"".join(keys[start:start + size])
             yield start, np.frombuffer(blob, dtype=np.int32).reshape(-1, self.dim, self.dim)
 
     def element(self, i: int) -> ExactMatrix:
         """Element i as an exact matrix, replayed along its BFS tree path."""
-        path = []
-        while i:
-            path.append(self._gen[i])
-            i = self._parent[i]
-        m = ExactMatrix.identity(self.dim)
-        for gi in reversed(path):
-            m = m * self.generators[gi]
-        return m
+        return word_product(self.generators, self._orbit.word(i))
 
     def elements(self):
         """All elements as exact matrices, one product per element (BFS replay).
@@ -263,12 +311,13 @@ class MatGroup:
         elements from the current parent on are kept.
         """
         self._require_closed()
+        parent, gen = self._orbit.parent, self._orbit.gen
         window = deque([(0, ExactMatrix.identity(self.dim))])
         yield window[0][1]
-        for i in range(1, len(self._keys)):
-            while window[0][0] < self._parent[i]:
+        for i in range(1, len(parent)):
+            while window[0][0] < parent[i]:
                 window.popleft()
-            m = window[0][1] * self.generators[self._gen[i]]
+            m = window[0][1] * self.generators[gen[i]]
             window.append((i, m))
             yield m
 
@@ -283,7 +332,7 @@ class MatGroup:
                     return False        # outside the field, or not 𝔭-integral
                 out_row.append(c)
             reduced.append(out_row)
-        i = self._index.get(self.key(ExactMatrix(reduced)))
+        i = self._orbit.index.get(self.key(ExactMatrix(reduced)))
         return i is not None and self.element(i) == m
 
     # -- structure helpers ---------------------------------------------------
@@ -305,7 +354,7 @@ class MatGroup:
         return count
 
     def __repr__(self):
-        state = "order %d" % len(self._keys) if self.closed else "open"
+        state = "order %d" % self.order if self.closed else "open"
         return "MatGroup(dim=%d, conductor=%d, %s)" % (self.dim, self.conductor, state)
 
 

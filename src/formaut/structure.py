@@ -8,17 +8,19 @@ does), extracts the permutation images K_i, the principal subgroup P
 constituent orders |H_ij|, and confirms the order bookkeeping
 |G| = |P| * |psi(G)| and |P| = |N| * |phi(P)| exactly.
 
-One algorithm serves both tiers.  psi(G) is the closure of the generators'
-block patterns.  P gets Schreier generators (Schreier's lemma; Seress,
-"Permutation Group Algorithms", 2003), whose transversal products are
+One algorithm serves both tiers, and each of its closures is one
+`matgroups.Orbit`.  psi(G) is the orbit of the identity block pattern
+under the generators' patterns, and P, the stabilizer of that point, gets
+its generators by Schreier's lemma (`matgroups.schreier_generators`),
 built only when some block has size > 1.  A 1 x 1 block has H_ij = 1 and
-is irreducible, as PGL(1) is trivial.  Every larger block gets one closure,
-the restriction L_ij of its stabilizer, generated by the restrictions of
-the stabilizer's Schreier generators: its scalar cosets give |H_ij| and
-its residues the irreducibility rank.  phi(P) is the closure of class
-tuples under per-generator tables: for each principal Schreier generator
-s and block, class c goes to the class of rep_c * s.  If a form is given,
-every supplied generator must preserve it (before any basis change).
+is irreducible, as PGL(1) is trivial.  Every larger block (i, j) gets one
+closure, the restriction L_ij of its stabilizer, whose generators are the
+Schreier generators of the orbit of j under x -> psi(g)_i^-1(x), a right
+action: its scalar cosets give |H_ij| and its residues the
+irreducibility rank.  phi(P) is the orbit of a class tuple under
+per-generator tables: for each principal Schreier generator s and block,
+class c goes to the class of rep_c * s.  If a form is given, every
+supplied generator must preserve it (before any basis change).
 
 What a closed group adds (tier "full-closure"): three residue counts,
 |G|, |P| (the residue block mask is the identity, exact by the block-mask
@@ -52,8 +54,8 @@ import numpy as np
 from .cyclotomic import scalar_to_str
 from .diaglattice import block_scalar_group
 from .forms import ExactMatrix, Form, act
-from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, _is_block_scalar, _mulmod, _rank_mod_p,
-                        closure, scalar_cosets)
+from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
+                        closure, scalar_cosets, schreier_generators)
 from .sequences import SubdegreeSequence, canonical_bound
 
 
@@ -308,21 +310,13 @@ def _verify(gens, cert, form, group, block_cap):
             raise CertificateError("basis change does not conjugate the group to one of its order")
         group = conjugated
 
-    # psi(G): the closure of the generators' block patterns, with words for a transversal
+    # psi(G): the orbit of the identity pattern, whose words give P's transversal
     identity = tuple(tuple(range(k)) for k in grouping)
-    transversal = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        cur = frontier.pop()
-        for gi, tup in enumerate(gen_tuples):
-            nxt = _psi_compose(cur, tup)
-            if nxt not in transversal:
-                transversal[nxt] = transversal[cur] + (gi,)
-                frontier.append(nxt)
-    psi_order = len(transversal)
-    k_orders = _check_transitive(transversal, grouping)
+    psi = Orbit([identity], lambda cur: [_psi_compose(cur, tup) for tup in gen_tuples])
+    psi_order = len(psi.points)
+    k_orders = _check_transitive(psi.points, grouping)
 
-    constituent_orders, phi_order = _projective_part(gens, cert, transversal, group, block_cap)
+    constituent_orders, phi_order = _projective_part(gens, gen_tuples, cert, psi, group, block_cap)
 
     if group is not None:
         diag = np.zeros((cert.dim, cert.dim), dtype=bool)
@@ -351,7 +345,7 @@ def _verify(gens, cert, form, group, block_cap):
     )
 
 
-def _projective_part(gens, cert, transversal, group, block_cap):
+def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
     """({(i, j): |H_ij|}, |phi(P)|), with one closure L_ij per block of size > 1 (module docstring)."""
     ranges = cert.block_ranges()
     orders = {(i + 1, j + 1): 1 for i, j, _r0, _r1 in ranges}     # PGL(1) is trivial
@@ -359,53 +353,25 @@ def _projective_part(gens, cert, transversal, group, block_cap):
     if not big:
         return orders, 1
 
-    def word_matrix(word):
-        m = ExactMatrix.identity(cert.dim)
-        for gi in word:
-            m = m * gens[gi]
-        return m
-
-    def psi_of(matrix):
-        tup = _block_pattern(_nonzero_mask(matrix), ranges, cert.grouping)
-        if tup is None:
-            raise CertificateError("product fell off the block lattice")
-        return tup
-
-    rep_mats = {tup: word_matrix(word) for tup, word in transversal.items()}
-    rep_invs = {tup: m.inverse() for tup, m in rep_mats.items()}
-
-    def preimage_generators(member):
-        """Schreier generators of the psi-preimage of the subgroup {member}."""
-        sub = [tup for tup in transversal if member(tup)]
-        reps = {}
-        coset_of = {}
-        for tup in transversal:
-            marker = frozenset(_psi_compose(s, tup) for s in sub)
-            if marker not in reps:
-                reps[marker] = tup
-            coset_of[tup] = reps[marker]
-        out = []
-        for rep_tup in set(coset_of.values()):
-            rep = rep_mats[rep_tup]
-            for g in gens:
-                u = rep * g
-                target = coset_of[psi_of(u)]
-                s = u * rep_invs[target]
-                if not member(psi_of(s)):
-                    raise CertificateError("Schreier generator escaped the subgroup")
-                if s not in out:
-                    out.append(s)
+    def stabilizer_generators(orbit, member):
+        """Schreier generators of the orbit seed's stabilizer, each checked to lie in it."""
+        out = schreier_generators(orbit, gens)
+        for s in out:
+            tup = _block_pattern(_nonzero_mask(s), ranges, cert.grouping)
+            if tup is None or not member(tup):
+                raise CertificateError("Schreier generator escaped the subgroup")
         return out
 
-    identity = tuple(tuple(range(k)) for k in cert.grouping)
-    schreier = preimage_generators(lambda tup: tup == identity)
+    identity = psi.points[0]
+    schreier = stabilizer_generators(psi, lambda tup: tup == identity)
     tables = [[] for _ in schreier]     # per principal Schreier generator, one table per block
     start = []
     for (i, j, r0, r1) in big:
         if group is not None and r1 - r0 == cert.dim:
             grp = group
         else:
-            stab_gens = preimage_generators(lambda tup, i=i, j=j: tup[i][j] == j)
+            blocks = Orbit([j], lambda x, i=i: [tup[i].index(x) for tup in gen_tuples])
+            stab_gens = stabilizer_generators(blocks, lambda tup, i=i, j=j: tup[i][j] == j)
             grp = closure([_restrict(s, r0, r1, r0, r1) for s in stab_gens],
                           cap=group.order if group is not None else block_cap)
             if not grp.closed:
@@ -419,18 +385,9 @@ def _projective_part(gens, cert, transversal, group, block_cap):
             table.append([class_of[m.tobytes()] for m in products])
         start.append(class_of[np.eye(r1 - r0, dtype=np.int32).tobytes()])
 
-    tables = {tuple(map(tuple, table)) for table in tables}
-    start = tuple(start)
-    phi_image = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for table in tables:
-            nxt = tuple(t[c] for t, c in zip(table, cur))
-            if nxt not in phi_image:
-                phi_image.add(nxt)
-                frontier.append(nxt)
-    return orders, len(phi_image)
+    tables = list(dict.fromkeys(tuple(map(tuple, table)) for table in tables))
+    phi = Orbit([tuple(start)], lambda cur: [tuple(t[c] for t, c in zip(table, cur)) for table in tables])
+    return orders, len(phi.points)
 
 
 def _kernel_order(gens, cert, form):

@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from formaut.catalog import CatalogError, get_entry, load_entries, verify_entry
+from formaut import catalog
+from formaut.catalog import CatalogError, get_entry, load_entries, verify_all, verify_entry
 from formaut.matgroups import DEFAULT_CAP, preserves
 
 
@@ -102,6 +103,24 @@ def test_verify_entry_todd_generators_only():
     assert rep["ok"]
     assert "skipped" in rep["checks"]["closure"]
     assert rep["checks"]["beats_fermat"]["ok"]
+
+
+def test_refused_certificate_fails_only_its_own_row(monkeypatch):
+    entries = load_entries()
+    klein = next(e for e in entries if e.label == "klein-quartic")
+    klein.certificate_payload = {"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 2, "j": 1, "size": 2}],
+                                 "grouping": [1, 1]}
+    monkeypatch.setattr(catalog, "load_entries", lambda: entries)
+    reports, ok = verify_all(["klein-quartic", "fermat-1-3"], skip_smooth=True)
+    assert not ok
+    rows = {rep["label"]: rep for rep in reports}
+    assert rows["fermat-1-3"]["ok"]
+    checks = rows["klein-quartic"]["checks"]
+    assert not rows["klein-quartic"]["ok"]
+    assert checks["certificate"] == {"ok": False,
+                                     "refused": "a generator does not permute the certificate blocks"}
+    assert checks["preserves"] == {"ok": True}
+    assert checks["closure"]["ok"] and checks["projective_order"]["ok"]
 
 
 def test_get_entry_unknown():

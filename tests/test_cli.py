@@ -159,7 +159,15 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("args", [["search", "--n", "1..x", "--d", "3"],
                                   ["diag-group", "form.txt", "--blocks", "1,x"],
                                   ["invdim", "gens.json", "--degree", "-1"],
-                                  ["smooth", "form.txt", "--strategy", "split"]])
+                                  ["smooth", "form.txt", "--strategy", "split"],
+                                  ["search", "--n", "30..26", "--d", "3", "--expect-empty"],
+                                  ["closure", "gens.json", "--cap", "0"],
+                                  ["closure", "gens.json", "--cap", "-3"],
+                                  ["search", "--n", "1", "--d", "2"],
+                                  ["ratio", "--seq", "2^3", "--d", "2"],
+                                  ["jc", "--r", "0"],
+                                  ["bounds-scan", "--max-d", "2"],
+                                  ["bounds-scan", "--max-total", "0"]])
 def test_bad_option_value_is_a_usage_error(args):
     with pytest.raises(SystemExit) as exc:
         main(args)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formaut import cyclotomic
 from formaut.cyclotomic import (CycNum, _reduce_vector, cyclotomic_polynomial, euler_phi,
                                 parse_scalar, root_of_unity, scalar_to_str)
 
@@ -177,3 +178,13 @@ def test_reduce_vector_matches_sympy_remainder():
             rem = sympy.Poly(list(reversed(vec)) or [0], x).rem(modulus)
             expected = [int(c) for c in reversed(rem.all_coeffs())]
             assert _reduce_vector(vec, n) == expected + [0] * (phi - len(expected))
+
+
+def test_kernel_caches_are_bounded():
+    """More conductors than the bound: the per-conductor tables keep at most the bound."""
+    bound = cyclotomic.KERNEL_CACHE
+    for n in range(1, 2 * bound + 1):
+        CycNum(n, [0] * (n - 1) + [1])      # zeta^(n-1) reads the reduction rows
+        cyclotomic._subfield_basis(n, 1)
+    for table in (cyclotomic._reduction_rows, cyclotomic._subfield_basis):
+        assert table.cache_info().currsize <= bound

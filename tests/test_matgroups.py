@@ -11,9 +11,10 @@ from formaut.catalog import get_entry
 from formaut.cli import main
 from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
-from formaut.matgroups import (GroupError, MatGroup, closure, generators_from_json, generators_to_json,
+from formaut.matgroups import (GroupError, MatGroup, Orbit, closure, generators_from_json, generators_to_json,
                                invariant_dimension, invariant_dimension_molien,
-                               invariant_dimension_reynolds, preserves, scalar_cosets, scalar_group)
+                               invariant_dimension_reynolds, preserves, scalar_cosets, scalar_group,
+                               schreier_generators)
 
 
 def test_scalar_group():
@@ -62,7 +63,7 @@ def test_closure_cap():
     grp = MatGroup(entry.generators())
     assert not grp.close(cap=100)
     assert not grp.closed
-    assert grp.close()                  # resume to completion
+    assert grp.close()                  # a later call recomputes from the identity
     assert grp.order == 672
 
 
@@ -71,7 +72,7 @@ def test_closure_cap_is_checked_per_insertion():
     assert not grp.close(cap=1000)
     assert len(list(grp.residues())) <= 1001
     assert not grp.close(cap=1000)
-    assert grp.close(cap=29160)         # resume to completion at exactly the order
+    assert grp.close(cap=29160)         # recomputed, and complete at a cap of exactly the order
     assert grp.order == 29160
 
 
@@ -243,7 +244,7 @@ def test_invariant_prime_too_small_is_refused(monkeypatch):
 
 def test_molien_residue_out_of_range_is_refused():
     grp = closure(get_entry("klein-quartic").generators())
-    del grp._keys[0]                # drop the identity: the sum is (672 - 15) / 671, not in [0, 15]
+    del grp._orbit.points[0]        # drop the identity: the sum is (672 - 15) / 671, not in [0, 15]
     with pytest.raises(ArithmeticError):
         invariant_dimension_molien(grp, 4)
 
@@ -329,9 +330,9 @@ def _projective_key(m):
 
 
 @st.composite
-def monomial_groups(draw):
-    """Permutation times diagonal 12th roots of unity, r <= 4, maybe conjugated."""
-    r = draw(st.integers(1, 4))
+def monomial_groups(draw, max_dim=4):
+    """Permutation times diagonal 12th roots of unity, r <= max_dim, maybe conjugated."""
+    r = draw(st.integers(1, max_dim))
     gens = []
     for _ in range(draw(st.integers(1, 2))):
         perm = draw(st.permutations(range(r)))
@@ -367,3 +368,72 @@ def test_residue_invariants_match_exact_routes_on_monomial_groups(gens, e):
     grp = MatGroup(gens)
     assume(grp.close(cap=100))
     _assert_residue_routes_are_exact(grp, [e])
+
+
+# -- the orbit primitive against brute force ----------------------------------------
+
+
+def _brute_orbit(seeds, maps):
+    orbit = set(seeds)
+    while True:
+        grown = orbit | {f(x) for x in orbit for f in maps}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
+def _assert_orbit_is_exact(seeds, maps):
+    def step(x):
+        return [f(x) for f in maps]
+    orbit = Orbit(seeds, step)
+    assert orbit.complete
+    assert len(orbit.index) == len(orbit.points) and set(orbit.points) == _brute_orbit(seeds, maps)
+    for i, x in enumerate(orbit.points):
+        assert orbit.index[x] == i
+        root = i
+        while orbit.parent[root] >= 0:
+            root = orbit.parent[root]
+        y = orbit.points[root]
+        for g in orbit.word(i):
+            y = maps[g](y)
+        assert y == x
+    capped = Orbit(seeds, step, cap=len(orbit.points) - 1)
+    assert not capped.complete and capped.points == orbit.points[:len(capped.points)]
+    assert len(capped.points) == len(orbit.points)      # the cap is checked on the last insertion
+
+
+@st.composite
+def permutation_actions(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    return n, [tuple(g) for g in gens], seeds
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(permutation_actions())
+def test_orbit_matches_brute_force(action):
+    """Points under permutations, and the group itself under right multiplication."""
+    n, gens, seeds = action
+    _assert_orbit_is_exact(seeds, [lambda x, g=g: g[x] for g in gens])
+    _assert_orbit_is_exact([tuple(range(n))], [lambda x, g=g: tuple(x[i] for i in g) for g in gens])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(monomial_groups(max_dim=3))
+def test_schreier_generators_generate_the_stabilizer(gens):
+    """Row vectors under v -> v·g, a right action: the stabilizer of e_1, against the closed group."""
+    elements = _exact_closure(gens, cap=200)
+    assume(elements is not None)
+    r = gens[0].dim
+
+    def times(v, m):
+        return tuple(sum((v[k] * m.entries[k][j] for k in range(r)), CycNum.zero()) for j in range(r))
+
+    e1 = tuple(CycNum.from_int(int(j == 0)) for j in range(r))
+    orbit = Orbit([e1], lambda v: [times(v, g) for g in gens])
+    schreier = schreier_generators(orbit, gens)
+    assert all(times(e1, s) == e1 for s in schreier)
+    spanned = _exact_closure(schreier, cap=len(elements))
+    assert spanned is not None
+    assert len(spanned) == sum(times(e1, m) == e1 for m in elements)
