@@ -22,8 +22,9 @@ from .diaglattice import block_scalar_group, semi_permutation_group
 from .forms import from_json as form_from_json
 from .forms import parse as form_parse
 from .matgroups import DEFAULT_CAP, MatGroup, generators_from_json, invariant_dimension
-from .sequences import SubdegreeSequence, classification_search, jc, mixed_sequence_scan, ratio, uniform_bounds_check
-from .smoothness import is_smooth
+from .sequences import (SubdegreeSequence, classification_search, enumerate_sequences, jc, mixed_sequence_scan,
+                        ratio, uniform_bounds_check)
+from .smoothness import _is_prime, is_smooth
 from .structure import DecompositionCertificate, verify_certificate, verify_compositional
 
 
@@ -64,6 +65,13 @@ def _at_least(k: int):
             raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (k, text))
         return int(text)
     return parse
+
+
+def _odd_prime(text: str) -> int:
+    """An argparse type: a prime p >= 3 (the split condition p = 1 mod N is checked by is_smooth)."""
+    if not text.isdigit() or int(text) < 3 or not _is_prime(int(text)):
+        raise argparse.ArgumentTypeError("expected an odd prime, got %r" % text)
+    return int(text)
 
 
 def _range_at_least(k: int):
@@ -114,10 +122,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_bounds_scan(args) -> int:
+    """Uniform-bound failures at d = 3 and the mixed hits, over the R(l, 3) >= 1 walk.
+
+    A sequence with R(l, 3) < 1 passes every uniform bound (each exceeds 1),
+    so only the pruned walk's sequences can fail one.
+    """
     failures = []
-    from .sequences import enumerate_sequences
     for v in range(1, args.max_total + 1):
-        for seq in enumerate_sequences(v):
+        for seq in enumerate_sequences(v, 3):
             rep = uniform_bounds_check(seq, 3)
             if not rep["ok"]:
                 failures.append(str(seq))
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="smoothness certificate for a form")
     p.add_argument("form_file")
     p.add_argument("--strategy", choices=["auto", "char0", "modp"], default="auto")
-    p.add_argument("--prime", type=int, action="append")
+    p.add_argument("--prime", type=_odd_prime, action="append")
     p.add_argument("--budget", type=int, default=200000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_smooth)

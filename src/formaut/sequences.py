@@ -241,31 +241,76 @@ def lambda_addr0(l, r0: int, k0: int, d: int) -> Fraction:
     return lam
 
 
-def enumerate_sequences(total: int):
-    """All partitions of total in descending-lex order."""
+def _best_products(total: int, d: int):
+    """B[c][m]: the largest prod_r g_r(k_r) over partitions of m into parts <= c.
+
+    g_r(k) = k! * (d * JC(r))^k, so B[c][m] = max_k g_c(k) * B[c-1][m - c*k],
+    with B[0][0] = 1 and B[0][m] = 0 for m > 0 (no partition); the k = 0 term
+    makes B nondecreasing in c.
+    """
+    table = [[1] + [0] * total]
+    for c in range(1, total + 1):
+        prev, g, step = table[-1], [1], d * jc(c)
+        for k in range(1, total // c + 1):
+            g.append(g[-1] * k * step)
+        table.append([max(g[k] * prev[m - c * k] for k in range(m // c + 1)) for m in range(total + 1)])
+    return table
+
+
+def enumerate_sequences(total: int, d: int | None = None):
+    """Partitions of total in descending-lex order; with d, only those with R(l, d) >= 1.
+
+    The walk goes by runs (part p, multiplicity k), larger p first and larger
+    k first.  With d given it is an exact branch-and-bound:
+
+    * R(l, d) >= 1 iff prod_r g_r(k_r) >= d^v * v!, where g_r(k) =
+      k! * (d * JC(r))^k and k_r is the multiplicity of r (the numerator
+      d^s * prod JC(r_i) * prod k_j! of R, regrouped by runs).
+    * A node with product acc over the runs so far and remainder rest is
+      dropped when acc * B(p, rest) < d^v * v! (table of _best_products):
+      no completion into parts <= p reaches the target.  B is nondecreasing
+      in c, so every smaller p fails as well and the loop over p stops there.
+      A child (p, k) is dropped when acc * g_p(k) * B(p-1, rest - p*k) is
+      below the target; at a leaf B(p-1, 0) = 1, so exactly the partitions
+      with R >= 1 are yielded, in the order of the unpruned walk.
+    * 1^v attains equality (g_1(v) = d^v * v!), so the pruned walk always
+      yields 1^v, last.
+    """
     if total < 1:
         raise SequenceError("total must be positive")
+    if d is not None and d < 3:
+        raise SequenceError("degree must be at least 3")
+    if d is None:       # no bound: every node reaches the target 0
+        best, target = [[1] * (total + 1)] * (total + 1), 0
+    else:
+        best, target = _best_products(total, d), d ** total * factorial(total)
 
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
+    def walk(rest, cap, acc, prefix):
+        if rest == 0:
             yield SubdegreeSequence(prefix)
             return
-        top = min(cap, remaining)
-        for p in range(top, 0, -1):
-            yield from rec(remaining - p, p, prefix + [p])
+        for p in range(min(cap, rest), 0, -1):
+            if acc * best[p][rest] < target:
+                break
+            step = d * jc(p) if d else 1
+            for k in range(rest // p, 0, -1) if p > 1 else (rest,):
+                child = acc * factorial(k) * step ** k
+                if child * best[p - 1][rest - p * k] >= target:
+                    yield from walk(rest - p * k, p - 1, child, prefix + [p] * k)
 
-    yield from rec(total, total, [])
+    yield from walk(total, total, 1, [])
 
 
 def survivors_for(v: int, d: int):
     """Partitions of v with a part > 1 and R(l, d) >= 1, with exact ratios.
 
-    The comparison is done in integers: R >= 1 iff the numerator parts beat
-    d^(v-s) * v!.
+    The pruned walk enumerate_sequences(v, d) supplies the candidates; each is
+    still compared exactly in integers: R >= 1 iff the numerator parts beat
+    d^(v-s) * v!.  1^v, the walk's equality case, is left out.
     """
     out = []
     fact_v = factorial(v)
-    for seq in enumerate_sequences(v):
+    for seq in enumerate_sequences(v, d):
         if seq.parts[0] == 1:
             continue
         num = _ratio_numerator_parts(seq.parts)
@@ -279,8 +324,10 @@ def classification_search(n_values, d_values):
     """Survivor report over the requested (n, d) grid.
 
     Returns a dict with the checked ranges and one record per survivor:
-    (n, d, sequence, ratio).  An empty survivor list over n >= 26 or d >= 18
-    is the finite verification of the asymptotic classification bound.
+    (n, d, sequence, ratio).  The survivor lists are empty at d = 18 for
+    n = 1..28 and at d = 3 for n = 26..198 (both checked by the tests), so
+    for every larger d there too, R being non-increasing in d; that is the
+    finite verification of the asymptotic classification bound.
     """
     n_list = sorted(set(int(n) for n in n_values))
     d_list = sorted(set(int(d) for d in d_values))
@@ -332,11 +379,13 @@ def mixed_sequence_scan(max_total: int = BOUNDS_SCAN_MAX_TOTAL,
     """All (l, d, R) with 1 in l, some part > 1 and R(l, d) >= 1.
 
     For each sequence, d runs upward from 3 until R drops below 1 (R is
-    strictly decreasing in d when a part exceeds 1), capped at max_d.
+    strictly decreasing in d when a part exceeds 1), capped at max_d.  R is
+    non-increasing in d (s <= v), so a sequence with R(l, 3) < 1 has no hit:
+    the pruned walk enumerate_sequences(v, 3) is exact here.
     """
     hits = []
     for v in range(2, max_total + 1):
-        for seq in enumerate_sequences(v):
+        for seq in enumerate_sequences(v, 3):
             if seq.parts[0] == 1 or seq.parts[-1] != 1:
                 continue
             for d in range(3, max_d + 1):

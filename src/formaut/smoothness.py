@@ -602,10 +602,16 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
     split-variables, then three mod-p certificates, then the characteristic-0
     Groebner fallback.  A singular reduction mod p is never reported as
     singular; it falls through to characteristic 0.  Every Groebner run is
-    capped at degree 4 * deg(form).
+    capped at degree 4 * deg(form).  Supplied primes must be primes
+    p = 1 (mod N), N the conductor of the coefficients: the split-prime
+    hypothesis of groebner-modp; any other is refused with SmoothnessError.
     """
     if form.degree < 2:
         raise SmoothnessError("smoothness needs degree >= 2")
+    n = conductor(form.terms.values())
+    for p in primes or ():
+        if not _is_prime(p) or (p - 1) % n:
+            raise SmoothnessError("%d is not a prime = 1 (mod %d)" % (p, n))
     degree_cap = 4 * form.degree
 
     if strategy == "auto":
@@ -648,7 +654,6 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
                                      detail={"reason": "coordinate point kills all partials"})
 
     if strategy in ("auto", "modp"):
-        n = conductor(form.terms.values())
         ps = list(primes) if primes else good_primes(n, 3, seed=seed)
         verdicts = []
         for p in ps:

@@ -208,6 +208,16 @@ def _restrict(matrix: ExactMatrix, r0, r1, c0, c1) -> ExactMatrix:
     return ExactMatrix([[matrix.entries[r][c] for c in range(c0, c1)] for r in range(r0, r1)])
 
 
+def _distinct_non_identity(mats):
+    """The distinct non-identity matrices, in first-seen order; one identity if that is all."""
+    identity = ExactMatrix.identity(mats[0].dim)
+    out = []
+    for m in mats:
+        if m != identity and m not in out:
+            out.append(m)
+    return out or [identity]
+
+
 def _check_irreducible(grp: MatGroup, i, j, size):
     """Residue Burnside (matgroups): the residues of L_ij must span M_s(F_p)."""
     rows = np.concatenate([stack.reshape(len(stack), -1) for _, stack in grp._stacks()])
@@ -372,7 +382,7 @@ def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
         else:
             blocks = Orbit([j], lambda x, i=i: [tup[i].index(x) for tup in gen_tuples])
             stab_gens = stabilizer_generators(blocks, lambda tup, i=i, j=j: tup[i][j] == j)
-            grp = closure([_restrict(s, r0, r1, r0, r1) for s in stab_gens],
+            grp = closure(_distinct_non_identity([_restrict(s, r0, r1, r0, r1) for s in stab_gens]),
                           cap=group.order if group is not None else block_cap)
             if not grp.closed:
                 raise CertificateError("stabilizer block closure exceeded its cap")

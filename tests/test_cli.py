@@ -167,7 +167,11 @@ def test_usage_error_exit_code():
                                   ["ratio", "--seq", "2^3", "--d", "2"],
                                   ["jc", "--r", "0"],
                                   ["bounds-scan", "--max-d", "2"],
-                                  ["bounds-scan", "--max-total", "0"]])
+                                  ["bounds-scan", "--max-total", "0"],
+                                  ["smooth", "form.txt", "--prime", "0"],
+                                  ["smooth", "form.txt", "--prime", "4"],
+                                  ["smooth", "form.txt", "--prime", "9"],
+                                  ["smooth", "form.txt", "--prime", "2"]])
 def test_bad_option_value_is_a_usage_error(args):
     with pytest.raises(SystemExit) as exc:
         main(args)

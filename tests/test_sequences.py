@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from formaut.sequences import (SequenceError, SubdegreeSequence, binomial_supermultiplicativity,
-                               canonical_bound, classification_search, enumerate_sequences, jc,
-                               lambda_addr0, mixed_sequence_scan, ratio, ratio_quotient_law,
-                               ratio_with_groups, ratioprod_check, survivors_for,
+from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products,
+                               binomial_supermultiplicativity, canonical_bound, classification_search,
+                               enumerate_sequences, jc, lambda_addr0, mixed_sequence_scan, ratio,
+                               ratio_quotient_law, ratio_with_groups, ratioprod_check, survivors_for,
                                uniform_bounds_check)
 
 rng = random.Random(424242)
@@ -158,6 +160,61 @@ def test_enumerate_sequences():
     # deterministic descending-lex order
     seqs = [s.parts for s in enumerate_sequences(6)]
     assert seqs == sorted(seqs, reverse=True)
+
+
+def _all_partitions(total, cap=None):
+    """Every partition of total into parts <= cap, as tuples, in no particular order."""
+    cap = total if cap is None else cap
+    if total == 0:
+        return [()]
+    return [(p,) + rest for p in range(1, min(cap, total) + 1) for rest in _all_partitions(total - p, p)]
+
+
+def _run_product(parts, d):
+    """prod over the runs (r, k) of k! * (d * JC(r))^k."""
+    prod = 1
+    for r in set(parts):
+        k = parts.count(r)
+        prod *= factorial(k) * (d * jc(r)) ** k
+    return prod
+
+
+@settings(deadline=None)
+@given(v=st.integers(1, 30), d=st.integers(3, 20))
+def test_pruned_walk_is_the_filtered_walk(v, d):
+    pruned = [s.parts for s in enumerate_sequences(v, d)]
+    assert pruned == [s.parts for s in enumerate_sequences(v) if ratio(s, d) >= 1]
+    assert pruned[-1] == (1,) * v
+
+
+@settings(deadline=None)
+@given(v=st.integers(1, 30), d=st.integers(3, 20))
+def test_survivors_match_brute_force(v, d):
+    brute = sorted(((parts, ratio(parts, d)) for parts in _all_partitions(v)
+                    if parts[0] > 1 and ratio(parts, d) >= 1), reverse=True)
+    assert [(s.parts, r) for s, r in survivors_for(v, d)] == brute
+
+
+@pytest.mark.parametrize("d", [3, 4, 7, 20])
+def test_best_products_table(d):
+    table = _best_products(12, d)
+    for c in range(13):
+        for m in range(13):
+            parts = [p for p in _all_partitions(m) if not p or p[0] <= c]
+            assert table[c][m] == max((_run_product(p, d) for p in parts), default=0)
+            if c:
+                assert table[c][m] >= table[c - 1][m]
+
+
+def test_enumerate_sequences_refuses_small_degree():
+    with pytest.raises(SequenceError):
+        list(enumerate_sequences(5, 2))
+
+
+def test_no_survivors_from_47_to_200():
+    # R is non-increasing in d, so these empty scans hold for every d >= 3
+    for v in range(47, 201):
+        assert survivors_for(v, 3) == [], "survivor at total %d, d = 3" % v
 
 
 def test_survivor_examples():

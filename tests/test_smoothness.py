@@ -212,6 +212,15 @@ def test_resultant_basic():
     assert not sylvester_resultant(f, g2).is_zero()
 
 
+@pytest.mark.parametrize("prime", [5, 9, 4, 0])
+def test_supplied_prime_must_split_the_field(prime):
+    # conductor 3: 7 splits Q(z3); 5 does not, and 9, 4 and 0 are not primes
+    form = parse("x1^3 + z3*x2^3 + x1*x2*x3 + x3^3")
+    assert is_smooth(form, strategy="modp", primes=[7]).primes == [7]
+    with pytest.raises(SmoothnessError):
+        is_smooth(form, strategy="modp", primes=[prime])
+
+
 def test_good_primes_split_conductor():
     primes = good_primes(12, 3, seed=5)
     assert len(set(primes)) == 3
