@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cyclotomic import CycNum, ScalarSyntaxError, parse_polynomial, parse_scalar, scalar_to_str
+from .cyclotomic import (CycNum, ScalarSyntaxError, conductor, parse_polynomial, parse_scalar,
+                         scalar_to_str)
 
 
 class FormError(ValueError):
@@ -118,24 +119,6 @@ class Form:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Form):
-            if self.nvars != other.nvars:
-                raise FormError("variable count mismatch")
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    acc = out.get(e)
-                    out[e] = c1 * c2 if acc is None else acc + c1 * c2
-            return Form(self.nvars, out, self.degree + other.degree)
-        return Form(self.nvars, {e: c * other for e, c in self.terms.items()}, self.degree)
-
-    __rmul__ = __mul__
-
-    def scale(self, scalar) -> Form:
-        return Form(self.nvars, {e: c * scalar for e, c in self.terms.items()}, self.degree)
 
     def __repr__(self):
         return "Form(%r)" % serialize(self)
@@ -267,46 +250,52 @@ def _as_cyc(x) -> CycNum:
 
 
 def act(form: Form, matrix: ExactMatrix) -> Form:
-    """Substitution action: x_k is replaced by the k-th row of the matrix.
+    """Substitution action: x_k is replaced by the k-th row L_k of the matrix.
 
     Satisfies the contravariance identity act(F, A1*A2) = act(act(F, A1), A2).
+    Evaluated by Horner's rule in one variable at a time (Knuth, TAOCP vol. 2,
+    sec. 4.6.4): write F = sum_j x_i^j * G_j(x_(i+1), ..., x_r); then
+    act(F) = H_0, where H_jmax = act(G_jmax) and H_j = act(G_j) + L_i * H_(j+1),
+    recursing on the G_j, a degree-0 remainder being its coefficient.  This is
+    a ring identity, so the result is exact, and each step multiplies by one
+    linear form.  Every coefficient and matrix entry is lifted once to the
+    least common conductor, so no product or sum re-embeds an operand.
     """
     if matrix.dim != form.nvars:
         raise FormError("matrix dimension %d != variable count %d" % (matrix.dim, form.nvars))
     n = form.nvars
-    linear = []
-    for i in range(n):
-        linear.append(Form(n, {tuple(1 if j == k else 0 for j in range(n)): matrix.entries[i][k]
-                               for k in range(n) if not matrix.entries[i][k].is_zero()}, 1))
-    power_cache = [{} for _ in range(n)]
-    acc_terms: dict = {}
-    for exps, coeff in form.terms.items():
-        prod = None
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            p = _power(linear[i], e, power_cache[i])
-            prod = p if prod is None else prod * p
-        contribution = {tuple([0] * n): coeff} if prod is None else prod.scale(coeff).terms
-        for e, c in contribution.items():
-            cur = acc_terms.get(e)
-            acc_terms[e] = c if cur is None else cur + c
-    return Form(n, acc_terms, form.degree)
+    if not form.terms:
+        return Form(n, {}, form.degree)
+    rows = [[(k, c) for k, c in enumerate(row) if not c.is_zero()] for row in matrix.entries]
+    N = conductor(list(form.terms.values()) + [c for row in rows for _, c in row])
+    rows = [[(k, c.to_conductor(N)) for k, c in row] for row in rows]
 
+    def times_row(poly, row):
+        out: dict = {}
+        for e, c in poly.items():
+            for k, a in row:
+                m = e[:k] + (e[k] + 1,) + e[k + 1:]
+                t = out.get(m)
+                out[m] = c * a if t is None else t + c * a
+        return out
 
-def _power(base: Form, e: int, cache: dict) -> Form:
-    got = cache.get(e)
-    if got is not None:
-        return got
-    if e == 1:
-        cache[1] = base
-        return base
-    half = _power(base, e // 2, cache)
-    result = half * half
-    if e % 2:
-        result = result * base
-    cache[e] = result
-    return result
+    def horner(terms, i):
+        # terms maps exponent tails (e_i, ..., e_(r-1)) to coefficients
+        if i == n:
+            return {(0,) * n: terms[()].to_conductor(N)}
+        groups: dict = {}
+        for e, c in terms.items():
+            groups.setdefault(e[0], {})[e[1:]] = c
+        acc: dict = {}
+        for j in range(max(groups), -1, -1):
+            acc = times_row(acc, rows[i])     # L_i * H_(j+1); H_(j+1) is dropped here
+            if j in groups:
+                for e, c in horner(groups.pop(j), i + 1).items():
+                    t = acc.get(e)
+                    acc[e] = c if t is None else t + c
+        return acc
+
+    return Form(n, horner(form.terms, 0), form.degree)
 
 
 def component(form: Form, block_sizes, exponents) -> Form:

@@ -31,7 +31,7 @@ import random
 from typing import NamedTuple
 
 from .cyclotomic import CycNum, conductor, cyclotomic_polynomial, scalar_to_str
-from .forms import ExactMatrix, Form, partials
+from .forms import Form, partials
 
 
 class SmoothnessError(ValueError):
@@ -678,35 +678,6 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
     return SmoothnessCertificate("singular", "groebner-char0", None,
                                  detail={"reason": "leading-term ideal misses pure powers",
                                          "variables": missing})
-
-
-# -- the binary resultant oracle ----------------------------------------------
-
-
-def sylvester_resultant(f: Form, g: Form) -> CycNum:
-    """Resultant of two binary forms via the Sylvester determinant."""
-    if f.nvars != 2 or g.nvars != 2:
-        raise SmoothnessError("resultant oracle is for binary forms")
-    m, n = f.degree, g.degree
-    fc = [f.terms.get((m - i, i), CycNum.zero()) for i in range(m + 1)]
-    gc = [g.terms.get((n - i, i), CycNum.zero()) for i in range(n + 1)]
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([CycNum.zero()] * i + fc + [CycNum.zero()] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([CycNum.zero()] * i + gc + [CycNum.zero()] * (size - n - 1 - i))
-    return ExactMatrix(rows).determinant()
-
-
-def smooth_by_resultant(form: Form) -> bool:
-    """Independent r = 2 oracle: smooth iff the partials have nonzero resultant."""
-    if form.nvars != 2:
-        raise SmoothnessError("resultant oracle is for binary forms")
-    p1, p2 = partials(form)
-    if p1.is_zero() or p2.is_zero():
-        return False
-    return not sylvester_resultant(p1, p2).is_zero()
 
 
 # -- the monomial-shape witness of restricted singularities --------------------

@@ -23,7 +23,9 @@ from formaut.sequences import (SubdegreeSequence, binomial_supermultiplicativity
                                enumerate_sequences, jc, lambda_addr0, ratio,
                                ratio_quotient_law, ratioprod_check, survivors_for,
                                uniform_bounds_check)
-from formaut.smoothness import is_smooth, smooth_by_resultant
+from formaut.smoothness import is_smooth
+
+from oracles import smooth_by_resultant
 
 GOLDEN = Path(__file__).parent / "golden"
 

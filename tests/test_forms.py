@@ -4,9 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formaut.cyclotomic import CycNum, ScalarSyntaxError, parse_scalar, root_of_unity
+from formaut.catalog import load_entries
+from formaut.cyclotomic import CycNum, ScalarSyntaxError, euler_phi, parse_scalar, root_of_unity
 from formaut.forms import (ExactMatrix, Form, FormError, act, block_degrees, component,
                            from_json, has_monomial_pattern, parse, partials, serialize, to_json)
+
+from oracles import form_product
 
 rng = random.Random(99)
 
@@ -61,6 +64,101 @@ def test_action_contravariance():
         assert act(F, A * B) == act(act(F, A), B)
 
 
+def reference_act(form, matrix):
+    """The product-of-powers action: each monomial's powers of the rows, multiplied out."""
+    if matrix.dim != form.nvars:
+        raise FormError("matrix dimension %d != variable count %d" % (matrix.dim, form.nvars))
+    n = form.nvars
+    linear = []
+    for i in range(n):
+        linear.append(Form(n, {tuple(1 if j == k else 0 for j in range(n)): matrix.entries[i][k]
+                               for k in range(n) if not matrix.entries[i][k].is_zero()}, 1))
+    power_cache = [{} for _ in range(n)]
+    acc_terms: dict = {}
+    for exps, coeff in form.terms.items():
+        prod = None
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            p = _power(linear[i], e, power_cache[i])
+            prod = p if prod is None else form_product(prod, p)
+        contribution = ({tuple([0] * n): coeff} if prod is None
+                        else {e: c * coeff for e, c in prod.terms.items()})
+        for e, c in contribution.items():
+            cur = acc_terms.get(e)
+            acc_terms[e] = c if cur is None else cur + c
+    return Form(n, acc_terms, form.degree)
+
+
+def _power(base, e, cache):
+    got = cache.get(e)
+    if got is not None:
+        return got
+    if e == 1:
+        cache[1] = base
+        return base
+    half = _power(base, e // 2, cache)
+    result = form_product(half, half)
+    if e % 2:
+        result = form_product(result, base)
+    cache[e] = result
+    return result
+
+
+# scalars over mixed conductors with small denominators; zeros at every conductor
+scalars = st.sampled_from([1, 3, 4, 5, 12]).flatmap(lambda n: st.builds(
+    lambda num, den: CycNum(n, num, den),
+    st.one_of(st.just([]), st.lists(st.integers(-3, 3), min_size=1, max_size=euler_phi(n))),
+    st.integers(1, 3)))
+
+
+@st.composite
+def act_inputs(draw, matrices=1):
+    """A form (r <= 4, d <= 5, possibly zero) and square matrices, some with a zero row."""
+    r, d = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = [0] * r
+        for i in draw(st.lists(st.integers(0, r - 1), min_size=d, max_size=d)):
+            exps[i] += 1
+        terms[tuple(exps)] = draw(scalars)
+    mats = []
+    for _ in range(matrices):
+        rows = [[draw(scalars) for _ in range(r)] for _ in range(r)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, r - 1))] = [CycNum.zero(draw(st.sampled_from([1, 5])))] * r
+        mats.append(ExactMatrix(rows))
+    return Form(r, terms, d), *mats
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(act_inputs())
+def test_act_matches_reference(case):
+    F, A = case
+    got, want = act(F, A), reference_act(F, A)
+    assert got == want
+    assert serialize(got) == serialize(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(act_inputs(matrices=2))
+def test_action_contravariance_mixed_conductors(case):
+    F, A, B = case
+    assert act(F, A * B) == act(act(F, A), B)
+
+
+def test_act_matches_reference_on_catalog():
+    # each catalog form moved off its invariant locus by one term, under every generator
+    for entry in load_entries():
+        F = entry.form()
+        e = (F.degree - 1,) + (0,) * (F.nvars - 2) + (1,)
+        moved = F + Form(F.nvars, {e: CycNum(3, [0, 2])}, F.degree)
+        for g in entry.generators():
+            got, want = act(moved, g), reference_act(moved, g)
+            assert got == want, entry.label
+            assert serialize(got) == serialize(want), entry.label
+
+
 def test_component_examples():
     F = parse("x1^5*x2 + x3^5*x4", nvars=4)
     assert component(F, (2, 2), (6, 0)) == parse("x1^5*x2", nvars=4)
@@ -97,9 +195,9 @@ def test_partials_and_euler():
         euler = None
         for i, p in enumerate(partials(F)):
             xi = Form(3, {tuple(1 if j == i else 0 for j in range(3)): CycNum.one()}, 1)
-            t = xi * p
+            t = form_product(xi, p)
             euler = t if euler is None else euler + t
-        assert euler == F.scale(CycNum.from_int(F.degree))
+        assert euler == Form(3, {e: c * F.degree for e, c in F.terms.items()}, F.degree)
 
 
 def test_monomial_patterns():

@@ -16,6 +16,8 @@ from formaut.matgroups import (GroupError, MatGroup, Orbit, closure, generators_
                                invariant_dimension_reynolds, preserves, scalar_cosets, scalar_group,
                                schreier_generators)
 
+from oracles import form_product
+
 
 def test_scalar_group():
     g = scalar_group(3, 4)
@@ -158,7 +160,7 @@ def _exact_symmetric_power(m: ExactMatrix, monomials):
         new_images = {}
         for mono in matgroups._monomials(n, d):
             i = next(k for k, e in enumerate(mono) if e)
-            new_images[mono] = images[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] * linear[i]
+            new_images[mono] = form_product(images[mono[:i] + (mono[i] - 1,) + mono[i + 1:]], linear[i])
         images = new_images
     return [[images[src].terms.get(dst, CycNum.zero()) for src in monomials] for dst in monomials]
 

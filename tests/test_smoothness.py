@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formaut.cyclotomic import CycNum
-from formaut.forms import Form, parse
+from formaut.forms import ExactMatrix, Form, parse
 from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packing, buchberger,
-                                good_primes, grevlex_key, groebner_basis, is_smooth,
-                                smooth_by_resultant, smtosm_witness, sylvester_resultant,
+                                good_primes, grevlex_key, groebner_basis, is_smooth, smtosm_witness,
                                 variable_components)
+
+from oracles import bareiss_determinant, smooth_by_resultant, sylvester_resultant
 
 rng = random.Random(8128)
 
@@ -210,6 +211,14 @@ def test_resultant_basic():
     assert sylvester_resultant(f, g).is_zero()
     g2 = parse("x1 + 2*x2", nvars=2)
     assert not sylvester_resultant(f, g2).is_zero()
+
+
+def test_bareiss_matches_gauss_jordan():
+    local = random.Random(4096)
+    for n in range(1, 7):
+        for _ in range(10):
+            rows = [[local.choice((0, 0, local.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            assert CycNum.from_int(bareiss_determinant(rows)) == ExactMatrix(rows).determinant()
 
 
 @pytest.mark.parametrize("prime", [5, 9, 4, 0])
