@@ -327,7 +327,7 @@ def _generating_subset(perms):
         if sigma in span:
             continue
         chosen.append(sigma)
-        span = Orbit([identity], lambda x: [_pcompose(x, g) for g in chosen]).index
+        span = Orbit([identity], lambda batch: [[_pcompose(x, g) for g in chosen] for x in batch]).index
         if span.keys() == target:
             break
     return chosen

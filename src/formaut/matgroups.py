@@ -12,10 +12,12 @@ Orbits (Seress, "Permutation Group Algorithms", 2003, §4.1).  Every closure
 in formaut is one `Orbit`: a BFS that stores each point once with a
 Schreier vector (the index of its parent and of the map that reached it),
 so `word(i)` spells a word from a seed to point i and `word_product`
-replays it exactly.  Schreier's lemma: if G = <S> acts on the right and
-u_y maps x to y for each y in the orbit O of x, then the products
-u_y·s·u_{y·s}^-1 (y in O, s in S) generate the stabilizer of x;
-`schreier_generators` returns them without repeats.
+replays it exactly.  The BFS steps a batch of up to BATCH points at a
+time, so `close` makes one numpy product per batch of residues, but it
+inserts points one at a time in the per-point order.  Schreier's lemma: if
+G = <S> acts on the right and u_y maps x to y for each y in the orbit O of
+x, then the products u_y·s·u_{y·s}^-1 (y in O, s in S) generate the
+stabilizer of x; `schreier_generators` returns them without repeats.
 
 The reduction lemma (Minkowski; Serre, "Bounds for the orders of the finite
 subgroups of G(k)", 2007; Detinko-Flannery-O'Brien, J. Symb. Comput. 50,
@@ -26,13 +28,24 @@ hypotheses are checked where they are used: `_split_prime` draws p >= 2^21
 with p = 1 (mod N) and skips every prime that divides a generator
 denominator; finiteness is certified when the residue closure completes.
 
-The orbit certificate.  On completion `close` closes the orbit of
-e_1..e_r under the generators exactly over K.  A finite orbit is a spanning
-set that every generator maps injectively into itself, hence permutes, so G
-embeds in its symmetric group and is finite.  A finite G has an orbit of at
-most r·|G| vectors, and |G| is the residue count by the lemma; an orbit
-that outgrows that bound therefore proves G infinite, and `close` returns
-False.
+The orbit certificate.  On completion `close` closes one orbit of vectors
+exactly over K.  A finite orbit that spans K^r is a spanning set that every
+generator maps injectively into itself, hence permutes, so G embeds in its
+symmetric group and is finite.  The seed is a root first: the first column
+with a nonzero residue of g - I, for the first generator g whose residue
+g - I has F_p rank 1 (a reflection's root has a small orbit: 84 vectors for
+Klein's quartic against 672 from the coordinate vectors).  A single seed's
+orbit under a finite G has at most |G| vectors, and |G| is the residue
+count by the lemma, so the root orbit runs under that cap.  Its span is read
+on residues: every vector in it is a product of 𝔭-integral generators
+applied to a 𝔭-integral seed, so it is 𝔭-integral, and if the residues of
+the orbit have F_p rank r, some r x r minor of the orbit has a nonzero
+residue, hence is nonzero over K, and the orbit spans K^r.  When no
+generator has a rank-1 residue root, or the root orbit outgrows its cap or
+its residues have rank < r (a finite orbit that does not span proves
+nothing), the orbit of e_1..e_r decides.  It always spans; a finite G gives
+it at most r·|G| vectors, so an orbit that outgrows that bound proves G
+infinite, and `close` returns False.
 
 Scalars.  `close` also raises GroupError if p divides |G|.  When it does
 not, every g in G has order prime to p, so its minimal polynomial divides a
@@ -104,6 +117,7 @@ from .forms import ExactMatrix, Form, act
 from .smoothness import GF, good_primes
 
 DEFAULT_CAP = 1 << 21
+BATCH = 1024            # points per Orbit step: one numpy product per batch, peak RSS kept flat
 
 
 class GroupError(ValueError):
@@ -124,6 +138,13 @@ def _mulmod(a, b, p):
     return (a.astype(np.int64) @ b % p).astype(np.int32)
 
 
+def _row_keys(arr) -> list[list[bytes]]:
+    """The bytes of each arr[i, k] as a key, one list per i, sliced from one tobytes() blob."""
+    blob, size = arr.tobytes(), arr[0, 0].nbytes
+    keys = [blob[o:o + size] for o in range(0, len(blob), size)]
+    return [keys[o:o + arr.shape[1]] for o in range(0, len(keys), arr.shape[1])]
+
+
 def _is_block_scalar(arr, block_sizes):
     """Off-diagonal entries vanish and each diagonal block is a scalar matrix.
 
@@ -137,10 +158,15 @@ def _is_block_scalar(arr, block_sizes):
 class Orbit:
     """The orbit of `seeds` under maps, stored in BFS order with a Schreier vector.
 
-    `step(x)` returns the images of x, one per map.  Each point is stored once:
-    index[points[i]] = i and points[i] = step(points[parent[i]])[gen[i]] (parent
-    and gen are -1 at a seed).  The BFS stops as soon as more than `cap` points
-    are stored; `complete` says whether it ran to the end.
+    `step(batch)` takes a list of at most BATCH points, in BFS order, and
+    returns their image lists, one image per map and point.  Each point is
+    stored once, and points are inserted one at a time in BFS order, exactly
+    as a per-point walk would: index[points[i]] = i and points[i] is image
+    gen[i] of points[parent[i]] (parent and gen are -1 at a seed).  The BFS
+    stops as soon as more than `cap` points are stored; `complete` says
+    whether it ran to the end.  A batch holds at most BATCH·(number of maps)
+    images besides the stored points, so batching adds a bounded amount of
+    memory on top of the orbit itself.
     """
 
     def __init__(self, seeds, step, cap: int | None = None):
@@ -150,11 +176,23 @@ class Orbit:
         for x in seeds:
             if x not in self.index and not self._add(x, -1, -1, cap):
                 return
-        for head, x in enumerate(self.points):      # the list grows while it is walked
-            for g, y in enumerate(step(x)):
+        for head, images in self.images():
+            for g, y in enumerate(images):
                 if y not in self.index and not self._add(y, head, g, cap):
                     return
         self.complete = True
+
+    def images(self):
+        """Yield (i, the images of points[i]) in BFS order, one `step` call per batch.
+
+        The list may grow while it is walked: a batch is the points stored
+        when it starts.
+        """
+        head = 0
+        while head < len(self.points):
+            batch = self.points[head:head + BATCH]
+            yield from enumerate(self.step(batch), head)
+            head += len(batch)
 
     def _add(self, x, parent: int, gen: int, cap) -> bool:
         """Store a new point; False once more than `cap` points are stored."""
@@ -184,15 +222,15 @@ def word_product(gens, word) -> ExactMatrix:
 def schreier_generators(orbit: Orbit, gens) -> list[ExactMatrix]:
     """Schreier's lemma (module docstring) for the stabilizer of the orbit's one seed.
 
-    orbit.step(x)[k] must be x·gens[k] for a right action; u_y is the
-    word_product along y's word.
+    The images of x must be x·gens[k], k = 0, 1, ..., for a right action;
+    u_y is the word_product along y's word.
     """
     reps = [word_product(gens, orbit.word(i)) for i in range(len(orbit.points))]
     invs = [u.inverse() for u in reps]
     out = []
-    for x, u in zip(orbit.points, reps):
-        for g, y in zip(gens, orbit.step(x)):
-            s = u * g * invs[orbit.index[y]]
+    for i, images in orbit.images():
+        for g, y in zip(gens, images):
+            s = reps[i] * g * invs[orbit.index[y]]
             if s not in out:
                 out.append(s)
     return out
@@ -226,10 +264,6 @@ class MatGroup:
     def _reduce(self, m: ExactMatrix):
         return np.array([[self._field.from_cyc(c) for c in row] for row in m.entries], dtype=np.int64)
 
-    def key(self, m: ExactMatrix) -> bytes:
-        """Residue key of an exact matrix with entries in the group's field."""
-        return self._reduce(m).astype(np.int32).tobytes()
-
     # -- closure -----------------------------------------------------------
 
     def close(self, cap: int = DEFAULT_CAP) -> bool:
@@ -245,25 +279,31 @@ class MatGroup:
             return True
         r, p, gens = self.dim, self.p, self._gens      # the orbit keeps step: no cycle through self
 
-        def step(key):
-            residue = np.frombuffer(key, dtype=np.int32).reshape(r, r)
-            return [prod.tobytes() for prod in _mulmod(residue, gens, p)]
+        def step(keys):             # (m, 1, r, r) residues against the (g, r, r) generators
+            residues = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(-1, 1, r, r)
+            return _row_keys(_mulmod(residues, gens, p))
 
         self._orbit = Orbit([np.eye(r, dtype=np.int32).tobytes()], step, cap)
         order = len(self._orbit.points)
-        if not self._orbit.complete or not self._orbit_is_finite(r * order):
+        if not self._orbit.complete or not self._orbit_is_finite(order):
             return False                # cap exceeded, or the orbit certificate: G is infinite
         if order % p == 0:              # residues could no longer tell scalars apart
             raise GroupError("p = %d divides |G| = %d" % (p, order))
         self.closed = True
         return True
 
-    def _orbit_is_finite(self, bound: int) -> bool:
-        """Close the orbit of e_1..e_r exactly; False once it has more than bound vectors.
+    def _orbit_is_finite(self, order: int) -> bool:
+        """The orbit certificate (module docstring) for a residue closure of `order` elements.
 
+        First the orbit of a root: the first column with a nonzero residue of
+        g - I, for the first generator g whose residue g - I has F_p rank 1.
+        It is accepted when it completes within |G| vectors (the single-seed
+        bound) and the residues of its vectors have F_p rank r.  Otherwise
+        the orbit of e_1..e_r decides, and is False once it has more than
+        r·|G| vectors.
         A vector is stored as its coordinates' (num, den) at the conductor.
         """
-        n, r = self.conductor, self.dim
+        n, r, p = self.conductor, self.dim, self.p
         gens = [[[(k, c.to_conductor(n)) for k, c in enumerate(row) if not c.is_zero()]
                  for row in g.entries] for g in self.generators]
         one, zero = CycNum.one(n), CycNum.zero(n)
@@ -271,13 +311,30 @@ class MatGroup:
         def key(vector):
             return tuple((c.num, c.den) for c in vector)
 
-        def step(point):
+        def images(point):
             v = [CycNum(n, num, den) if any(num) else None for num, den in point]
             return [key(sum((a * v[k] for k, a in row if v[k] is not None), zero) for row in g)
                     for g in gens]
 
+        def step(batch):
+            return [images(x) for x in batch]
+
+        for g, residue in zip(self.generators, self._gens):
+            root = (residue - np.eye(r, dtype=np.int64)) % p
+            if _rank_mod_p(root, p) != 1:
+                continue
+            col = int(np.flatnonzero(root.any(axis=0))[0])
+            seed = key(g.entries[i][col] - (one if i == col else zero) for i in range(r))
+            orbit = Orbit([seed], step, order)
+            if orbit.complete:
+                reduce = self._field.from_cyc
+                residues = np.array([[reduce(CycNum(n, num, den)) for num, den in x] for x in orbit.points],
+                                    dtype=np.int64)
+                if _rank_mod_p(residues, p) == r:
+                    return True
+            break
         units = [key(one if i == j else zero for i in range(r)) for j in range(r)]
-        return Orbit(units, step, bound).complete
+        return Orbit(units, step, r * order).complete
 
     def _require_closed(self):
         if not self.closed:
@@ -300,10 +357,6 @@ class MatGroup:
             blob = b"".join(keys[start:start + size])
             yield start, np.frombuffer(blob, dtype=np.int32).reshape(-1, self.dim, self.dim)
 
-    def element(self, i: int) -> ExactMatrix:
-        """Element i as an exact matrix, replayed along its BFS tree path."""
-        return word_product(self.generators, self._orbit.word(i))
-
     def elements(self):
         """All elements as exact matrices, one product per element (BFS replay).
 
@@ -320,20 +373,6 @@ class MatGroup:
             m = window[0][1] * self.generators[gen[i]]
             window.append((i, m))
             yield m
-
-    def contains(self, m: ExactMatrix) -> bool:
-        self._require_closed()
-        reduced = []
-        for row in m.entries:
-            out_row = []
-            for c in row:
-                c = c.reduce()
-                if self.conductor % c.n or c.den % self.p == 0:
-                    return False        # outside the field, or not 𝔭-integral
-                out_row.append(c)
-            reduced.append(out_row)
-        i = self._orbit.index.get(self.key(ExactMatrix(reduced)))
-        return i is not None and self.element(i) == m
 
     # -- structure helpers ---------------------------------------------------
 

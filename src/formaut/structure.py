@@ -17,9 +17,10 @@ is irreducible, as PGL(1) is trivial.  Every larger block (i, j) gets one
 closure, the restriction L_ij of its stabilizer, whose generators are the
 Schreier generators of the orbit of j under x -> psi(g)_i^-1(x), a right
 action: its scalar cosets give |H_ij| and its residues the
-irreducibility rank.  phi(P) is the orbit of a class tuple under
-per-generator tables: for each principal Schreier generator s and block,
-class c goes to the class of rep_c * s.  If a form is given, every
+irreducibility rank.  phi(P) is the orbit of a class tuple, stored as an
+int32 row, under per-generator tables: for each principal Schreier
+generator s and block, class c goes to the class of rep_c * s, and a batch
+of rows takes one numpy gather per table.  If a form is given, every
 supplied generator must preserve it (before any basis change).
 
 What a closed group adds (tier "full-closure"): three residue counts,
@@ -55,7 +56,7 @@ from .cyclotomic import scalar_to_str
 from .diaglattice import block_scalar_group
 from .forms import ExactMatrix, Form, act
 from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
-                        closure, scalar_cosets, schreier_generators)
+                        _row_keys, closure, scalar_cosets, schreier_generators)
 from .sequences import SubdegreeSequence, canonical_bound
 
 
@@ -322,7 +323,7 @@ def _verify(gens, cert, form, group, block_cap):
 
     # psi(G): the orbit of the identity pattern, whose words give P's transversal
     identity = tuple(tuple(range(k)) for k in grouping)
-    psi = Orbit([identity], lambda cur: [_psi_compose(cur, tup) for tup in gen_tuples])
+    psi = Orbit([identity], lambda batch: [[_psi_compose(cur, tup) for tup in gen_tuples] for cur in batch])
     psi_order = len(psi.points)
     k_orders = _check_transitive(psi.points, grouping)
 
@@ -374,13 +375,13 @@ def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
 
     identity = psi.points[0]
     schreier = stabilizer_generators(psi, lambda tup: tup == identity)
-    tables = [[] for _ in schreier]     # per principal Schreier generator, one table per block
-    start = []
+    tables = [[] for _ in schreier]     # per principal Schreier generator: class -> class, over all blocks
+    start, offset = [], 0               # the blocks' classes are numbered in turn, from offset
     for (i, j, r0, r1) in big:
         if group is not None and r1 - r0 == cert.dim:
             grp = group
         else:
-            blocks = Orbit([j], lambda x, i=i: [tup[i].index(x) for tup in gen_tuples])
+            blocks = Orbit([j], lambda batch, i=i: [[tup[i].index(x) for tup in gen_tuples] for x in batch])
             stab_gens = stabilizer_generators(blocks, lambda tup, i=i, j=j: tup[i][j] == j)
             grp = closure(_distinct_non_identity([_restrict(s, r0, r1, r0, r1) for s in stab_gens]),
                           cap=group.order if group is not None else block_cap)
@@ -392,11 +393,17 @@ def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
         reps = np.stack(reps)
         for table, s in zip(tables, schreier):
             products = _mulmod(reps, grp._reduce(_restrict(s, r0, r1, r0, r1)), grp.p)
-            table.append([class_of[m.tobytes()] for m in products])
-        start.append(class_of[np.eye(r1 - r0, dtype=np.int32).tobytes()])
+            table.extend(offset + class_of[m.tobytes()] for m in products)
+        start.append(offset + class_of[np.eye(r1 - r0, dtype=np.int32).tobytes()])
+        offset += len(reps)
 
-    tables = list(dict.fromkeys(tuple(map(tuple, table)) for table in tables))
-    phi = Orbit([tuple(start)], lambda cur: [tuple(t[c] for t, c in zip(table, cur)) for table in tables])
+    tables = np.array(list(dict.fromkeys(map(tuple, tables))), dtype=np.int32)
+
+    def step(batch):                    # a class tuple is an int32 row: one gather for the batch
+        rows = np.frombuffer(b"".join(batch), dtype=np.int32).reshape(-1, len(start))
+        return _row_keys(tables[:, rows].swapaxes(0, 1))
+
+    phi = Orbit([np.array(start, dtype=np.int32).tobytes()], step)
     return orders, len(phi.points)
 
 

@@ -1,7 +1,9 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,10 @@ from formaut.catalog import get_entry
 from formaut.cli import main
 from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
-from formaut.matgroups import (GroupError, MatGroup, Orbit, closure, generators_from_json, generators_to_json,
-                               invariant_dimension, invariant_dimension_molien,
+from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure, generators_from_json,
+                               generators_to_json, invariant_dimension, invariant_dimension_molien,
                                invariant_dimension_reynolds, preserves, scalar_cosets, scalar_group,
-                               schreier_generators)
+                               schreier_generators, word_product)
 
 from oracles import form_product
 
@@ -107,12 +109,28 @@ def test_diag_does_not_preserve_fermat_of_wrong_torsion():
     assert not preserves([g], F)
 
 
+def _contains(grp, m):
+    """Exact membership in a closed group: m's residue is stored and its replayed element is m."""
+    assert grp.closed
+    reduced = []
+    for row in m.entries:
+        out_row = []
+        for c in row:
+            c = c.reduce()
+            if grp.conductor % c.n or c.den % grp.p == 0:
+                return False        # outside the field, or not 𝔭-integral
+            out_row.append(c)
+        reduced.append(out_row)
+    i = grp._orbit.index.get(grp._reduce(ExactMatrix(reduced)).astype(np.int32).tobytes())
+    return i is not None and word_product(grp.generators, grp._orbit.word(i)) == m
+
+
 def test_membership():
     entry = get_entry("tetrahedral-binary-quartic")
     grp = closure(entry.generators())
     gens = entry.generators()
-    assert grp.contains(gens[0] * gens[1])
-    assert not grp.contains(ExactMatrix.diagonal([root_of_unity(7), 1]))
+    assert _contains(grp, gens[0] * gens[1])
+    assert not _contains(grp, ExactMatrix.diagonal([root_of_unity(7), 1]))
 
 
 def test_invariant_dimension_scalars():
@@ -289,6 +307,37 @@ def test_infinite_group_with_trivial_residues_is_refused(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["closed"] is False
 
 
+def _record_orbits(monkeypatch):
+    """Record (seeds, points, complete) of every Orbit that matgroups builds."""
+    sizes = []
+
+    class Recorded(Orbit):
+        def __init__(self, seeds, step, cap=None):
+            super().__init__(seeds, step, cap)
+            sizes.append((len(seeds), len(self.points), self.complete))
+
+    monkeypatch.setattr(matgroups, "Orbit", Recorded)
+    return sizes
+
+
+def test_finite_root_orbit_that_does_not_span_is_refused(monkeypatch):
+    p = matgroups._split_prime(1, 1)
+    grp = MatGroup([ExactMatrix.diagonal([-1, 1]), ExactMatrix.diagonal([1, 1 + p])])
+    assert grp.p == p
+    sizes = _record_orbits(monkeypatch)
+    assert not grp.close()          # residues close at order 2, but diag(1, 1 + p) has infinite order
+    assert sizes == [(1, 2, True),  # the residue closure
+                     (1, 2, True),  # the root orbit {(±2, 0)}: finite, of residue rank 1
+                     (2, 5, False)]  # e_1, e_2: e_2 grows past 2 * 2 vectors
+
+
+def test_klein_finiteness_from_its_root_orbit(monkeypatch):
+    grp = MatGroup(get_entry("klein-quartic").generators())
+    sizes = _record_orbits(monkeypatch)
+    assert grp.close()
+    assert sizes == [(1, 672, True), (1, 84, True)]     # no orbit of e_1..e_3 (672 vectors)
+
+
 def test_prime_dividing_a_denominator_is_skipped():
     p = matgroups._split_prime(1, 1)
     grp = closure([ExactMatrix([[0, p], [Fraction(1, p), 0]])])
@@ -385,8 +434,8 @@ def _brute_orbit(seeds, maps):
 
 
 def _assert_orbit_is_exact(seeds, maps):
-    def step(x):
-        return [f(x) for f in maps]
+    def step(batch):
+        return [[f(x) for f in maps] for x in batch]
     orbit = Orbit(seeds, step)
     assert orbit.complete
     assert len(orbit.index) == len(orbit.points) and set(orbit.points) == _brute_orbit(seeds, maps)
@@ -433,9 +482,58 @@ def test_schreier_generators_generate_the_stabilizer(gens):
         return tuple(sum((v[k] * m.entries[k][j] for k in range(r)), CycNum.zero()) for j in range(r))
 
     e1 = tuple(CycNum.from_int(int(j == 0)) for j in range(r))
-    orbit = Orbit([e1], lambda v: [times(v, g) for g in gens])
+    orbit = Orbit([e1], lambda batch: [[times(v, g) for g in gens] for v in batch])
     schreier = schreier_generators(orbit, gens)
     assert all(times(e1, s) == e1 for s in schreier)
     spanned = _exact_closure(schreier, cap=len(elements))
     assert spanned is not None
     assert len(spanned) == sum(times(e1, m) == e1 for m in elements)
+
+
+# -- the batched residue closure against a per-element BFS ----------------------------
+
+
+def _residue_bfs(grp, cap):
+    """close()'s residue orbit by one product per element: (keys, parent, gen), stopped past cap keys."""
+    r = grp.dim
+    keys, parent, gen = [np.eye(r, dtype=np.int32).tobytes()], [-1], [-1]
+    index = {keys[0]: 0}
+    head = 0
+    while head < len(keys):
+        residue = np.frombuffer(keys[head], dtype=np.int32).reshape(r, r)
+        for g, product in enumerate(matgroups._mulmod(residue, grp._gens, grp.p)):
+            key = product.tobytes()
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+                parent.append(head)
+                gen.append(g)
+                if len(keys) > cap:
+                    return keys, parent, gen
+        head += 1
+    return keys, parent, gen
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(monomial_groups(), st.integers(0, 1 << 20), st.sampled_from([3, matgroups.BATCH]))
+def test_batched_close_matches_a_per_element_bfs(gens, cut, batch):
+    """Same residues in the same order with the same Schreier vector, complete or capped."""
+    full = _residue_bfs(MatGroup(gens), 3000)
+    assume(len(full[0]) <= 3000)
+    with mock.patch.object(matgroups, "BATCH", batch):
+        for cap in (DEFAULT_CAP, 1 + cut % len(full[0])):
+            grp = MatGroup(gens)
+            grp.close(cap)
+            orbit = grp._orbit
+            assert (orbit.points, orbit.parent, orbit.gen) == _residue_bfs(grp, cap)
+            assert orbit.points == full[0][:len(orbit.points)]
+            assert orbit.complete == (cap >= len(full[0]))
+
+
+def test_batched_close_matches_a_per_element_bfs_past_one_batch():
+    gens = get_entry("fermat-3-3").generators()
+    for cap in (2 * matgroups.BATCH + 5, DEFAULT_CAP):
+        grp = MatGroup(gens)
+        grp.close(cap)
+        assert (grp._orbit.points, grp._orbit.parent, grp._orbit.gen) == _residue_bfs(grp, cap)
+    assert grp.order == 29160
