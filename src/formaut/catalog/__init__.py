@@ -50,10 +50,8 @@ class CatalogEntry:
         self.certificate_payload = payload["certificate"]
         self.expected = payload["expected"]
         self.exceptional = payload.get("exceptional", False)
-        self.at_least_fermat = payload.get("at_least_fermat", True)
         self.in_theorem_domain = payload.get("in_theorem_domain", True)
         self.fermat = payload.get("fermat", False)
-        self.smooth_seed = payload.get("smooth_seed", 0)
         self.subgroup_only = payload.get("subgroup_only", False)
         self.provenance = payload.get("provenance", "")
         if not self.subgroup_only and self.expected["aut_order"] != self.d * self.expected["lin_order"]:
@@ -111,7 +109,7 @@ def verify_entry(entry: CatalogEntry, cap: int = DEFAULT_CAP, skip_smooth: bool 
     checks["preserves"] = {}    # filled in once the verifier has accepted or refused
 
     if not skip_smooth:
-        cert = is_smooth(form, seed=entry.smooth_seed)
+        cert = is_smooth(form)
         checks["smooth"] = {"ok": cert.verdict == "smooth" and entry.expected["smooth"],
                             "verdict": cert.verdict, "method": cert.method}
 

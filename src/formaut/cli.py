@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("form_file")
     p.add_argument("--strategy", choices=["auto", "char0", "modp"], default="auto")
     p.add_argument("--prime", type=_odd_prime, action="append")
-    p.add_argument("--budget", type=int, default=200000)
+    p.add_argument("--budget", type=_at_least(0), default=200000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_smooth)
 
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag-group", help="block-scalar stabilizer of a form")
     p.add_argument("form_file")
-    p.add_argument("--blocks", required=True, type=lambda text: [int(b) for b in text.split(",")],
+    p.add_argument("--blocks", required=True, type=lambda text: [_at_least(1)(b) for b in text.split(",")],
                    help="comma separated sizes, e.g. 1,1,2")
     p.add_argument("--out")
     p.set_defaults(func=cmd_diag_group)

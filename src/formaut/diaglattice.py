@@ -218,6 +218,8 @@ class BlockScalarGroup:
 def block_scalar_group(form: Form, block_sizes) -> BlockScalarGroup:
     """Full group of matrices diag(l_1 I_{r_1}, .., l_m I_{r_m}) fixing the form."""
     blocks = tuple(int(b) for b in block_sizes)
+    if any(b < 1 for b in blocks):
+        raise FormError("block sizes must be positive")
     if sum(blocks) != form.nvars:
         raise FormError("block sizes sum to %d, expected %d" % (sum(blocks), form.nvars))
     if not form.terms:

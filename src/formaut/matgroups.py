@@ -24,8 +24,8 @@ subgroups of G(k)", 2007; Detinko-Flannery-O'Brien, J. Symb. Comput. 50,
 2013).  If p is odd, p = 1 (mod N), p divides no denominator of a generator
 entry and G is finite, then every element of G is 𝔭-integral and reduction
 mod 𝔭 is injective on G, so |G| equals the number of residues.  The
-hypotheses are checked where they are used: `_split_prime` draws p >= 2^21
-with p = 1 (mod N) and skips every prime that divides a generator
+hypotheses are checked where they are used: `smoothness.split_prime` draws
+p >= 2^21 with p = 1 (mod N) and skips every prime that divides a generator
 denominator; finiteness is certified when the residue closure completes.
 
 The orbit certificate.  On completion `close` closes one orbit of vectors
@@ -114,7 +114,7 @@ import numpy as np
 
 from .cyclotomic import CycNum, conductor
 from .forms import ExactMatrix, Form, act
-from .smoothness import GF, good_primes
+from .smoothness import GF, split_prime
 
 DEFAULT_CAP = 1 << 21
 BATCH = 1024            # points per Orbit step: one numpy product per batch, peak RSS kept flat
@@ -122,16 +122,6 @@ BATCH = 1024            # points per Orbit step: one numpy product per batch, pe
 
 class GroupError(ValueError):
     pass
-
-
-def _split_prime(conductor: int, den: int) -> int:
-    """The first seeded prime p = 1 (mod conductor), p >= 2^21, not dividing den.
-
-    At most den.bit_length() // 21 primes of that size divide den, so one
-    more draw than that always leaves a prime.
-    """
-    primes = good_primes(conductor, 1 + den.bit_length() // 21, lo=1 << 21)
-    return next(p for p in primes if den % p)
 
 
 def _mulmod(a, b, p):
@@ -253,7 +243,7 @@ class MatGroup:
         self.generators = gens
         self.conductor = conductor(c for g in gens for row in g.entries for c in row)
         den = lcm(*(c.den for g in gens for row in g.entries for c in row))
-        self.p = _split_prime(self.conductor, den)      # the reduction lemma's hypotheses
+        self.p = split_prime(self.conductor, den, lo=1 << 21)   # the reduction lemma's hypotheses
         if self.p >= 1 << 31 or dim * (self.p - 1) ** 2 >= 1 << 63:
             raise GroupError("prime %d is too large for int64 residue products" % self.p)
         self._field = GF(self.p, self.conductor)

@@ -5,10 +5,12 @@ the origin.  The certifiers here are exact:
 
 * split-variables: a sum of forms in disjoint variables is smooth iff each
   summand is;
-* groebner-modp: the partials are reduced modulo primes p = 1 (mod N) that
-  split the coefficient field; emptiness of the projective zero locus over
-  the closure of F_p (checked chart by chart as unit-ideal Groebner runs)
-  implies smoothness in characteristic 0 by properness;
+* groebner-modp: the partials are reduced modulo one prime p, chart by
+  chart as unit-ideal Groebner runs.  Properness lemma: if p = 1 (mod N),
+  N the conductor, and p divides no coefficient denominator, a singular
+  point in characteristic 0, scaled to be primitive at a prime above p,
+  reduces to a nonzero common zero of the reduced partials; so one complete
+  run showing the zero locus empty over the closure of F_p proves smoothness;
 * groebner-char0: a reduced Groebner basis of the Jacobian ideal over the
   cyclotomic coefficient field; the form is smooth iff the leading-term
   ideal contains a pure power of every variable.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from math import lcm
 from typing import NamedTuple
 
 from .cyclotomic import CycNum, conductor, cyclotomic_polynomial, scalar_to_str
@@ -83,8 +86,6 @@ class GF:
     def from_cyc(self, c: CycNum) -> int:
         if c.n > 1 and self.conductor % c.n:
             raise SmoothnessError("coefficient conductor %d not handled by this prime" % c.n)
-        if c.den % self.p == 0:
-            raise SmoothnessError("denominator divisible by p = %d" % self.p)
         if c.n == 1:
             num = c.num[0]
         else:
@@ -475,6 +476,17 @@ def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi
     return found
 
 
+def split_prime(conductor: int, den: int, seed: int = 0, lo: int = 1 << 20) -> int:
+    """The first seeded prime p = 1 (mod conductor), p >= lo, not dividing den.
+
+    Lemma: at most log_lo(den) primes >= lo divide den, and log_lo(den) is
+    below den.bit_length() / (lo.bit_length() - 1), so one more draw than
+    that always leaves a prime.
+    """
+    primes = good_primes(conductor, 1 + den.bit_length() // (lo.bit_length() - 1), seed, lo=lo)
+    return next(p for p in primes if den % p)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -533,21 +545,19 @@ def restrict_to_variables(form: Form, variables) -> Form:
     return Form(len(variables), terms, form.degree)
 
 
+def _unit_point(r: int, i: int):
+    return tuple(CycNum.one() if j == i else CycNum.zero() for j in range(r))
+
+
 def _coordinate_witness(form: Form):
-    """A standard basis vector killing every partial, if one exists."""
-    ps = partials(form)
+    """A standard basis vector e_i killing every partial, if one exists.
+
+    The partials at e_i are the coefficients of the terms x_i^(d-1) * x_j
+    times nonzero exponents, so e_i kills them iff no term has e[i] >= d - 1.
+    """
     for i in range(form.nvars):
-        point = [CycNum.zero()] * form.nvars
-        point[i] = CycNum.one()
-        ok = True
-        for p in ps:
-            e_pure = tuple(form.degree - 1 if j == i else 0 for j in range(form.nvars))
-            val = p.terms.get(e_pure)
-            if val is not None and not val.is_zero():
-                ok = False
-                break
-        if ok:
-            return tuple(point)
+        if all(e[i] < form.degree - 1 for e in form.terms):
+            return _unit_point(form.nvars, i)
     return None
 
 
@@ -556,10 +566,7 @@ def _char0_verdict(form: Form, degree_cap, pair_budget):
     if not gb.complete:
         return None, gb
     lms = gb.leading_monomials()
-    missing = []
-    for i in range(form.nvars):
-        if not any(all(x == 0 for j, x in enumerate(lm) if j != i) and lm[i] > 0 for lm in lms):
-            missing.append(i + 1)
+    missing = [i + 1 for i in range(form.nvars) if not any(0 < lm[i] == sum(lm) for lm in lms)]
     return missing, gb
 
 
@@ -583,8 +590,7 @@ def _modp_only_origin(form: Form, p: int, degree_cap, pair_budget):
         if not chart_polys:
             return False  # entire chart satisfies the system
         if chart == 0:
-            # variables exhausted: constants; system infeasible iff some constant != 0
-            continue
+            continue    # only constants are left, and one of them is nonzero
         gb = buchberger(chart_polys, field, degree_cap=degree_cap,
                         pair_budget=pair_budget, stop_at_unit=True)
         if not gb.complete:
@@ -598,20 +604,25 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
               pair_budget=200000) -> SmoothnessCertificate:
     """Certify the smooth/singular verdict for a homogeneous form.
 
-    strategy is one of auto, modp, char0.  The default pipeline is
-    split-variables, then three mod-p certificates, then the characteristic-0
-    Groebner fallback.  A singular reduction mod p is never reported as
-    singular; it falls through to characteristic 0.  Every Groebner run is
-    capped at degree 4 * deg(form).  Supplied primes must be primes
-    p = 1 (mod N), N the conductor of the coefficients: the split-prime
-    hypothesis of groebner-modp; any other is refused with SmoothnessError.
+    strategy is one of auto, modp, char0.  auto runs split-variables, then
+    mod-p chart runs, then the characteristic-0 Groebner fallback.  The
+    primes (by default the one `split_prime` draws from the seed) are tried
+    in order; the first complete unit-ideal chart run is the certificate,
+    method groebner-modp with primes [p].  modp is undecided once every
+    prime refuses; auto falls through to characteristic 0 at the first
+    refusal, so a singular reduction mod p is never reported as singular.
+    Every Groebner run is capped at degree 4 * deg(form).  A supplied prime
+    that is not a prime p = 1 (mod N), N the conductor, dividing no
+    coefficient denominator (the properness lemma's hypotheses) is refused
+    with SmoothnessError.
     """
     if form.degree < 2:
         raise SmoothnessError("smoothness needs degree >= 2")
     n = conductor(form.terms.values())
+    den = lcm(*(c.den for c in form.terms.values()))
     for p in primes or ():
-        if not _is_prime(p) or (p - 1) % n:
-            raise SmoothnessError("%d is not a prime = 1 (mod %d)" % (p, n))
+        if not _is_prime(p) or (p - 1) % n or den % p == 0:
+            raise SmoothnessError("%d is not a prime = 1 (mod %d) dividing no denominator" % (p, n))
     degree_cap = 4 * form.degree
 
     if strategy == "auto":
@@ -619,9 +630,7 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
         used = {i for e in form.terms for i, x in enumerate(e) if x}
         for i in range(form.nvars):
             if i not in used:
-                point = [CycNum.zero()] * form.nvars
-                point[i] = CycNum.one()
-                return SmoothnessCertificate("singular", "split-variables", tuple(point),
+                return SmoothnessCertificate("singular", "split-variables", _unit_point(form.nvars, i),
                                              detail={"reason": "unused variable x%d" % (i + 1)})
         if len(comps) > 1:
             for comp in comps:
@@ -654,18 +663,18 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
                                      detail={"reason": "coordinate point kills all partials"})
 
     if strategy in ("auto", "modp"):
-        ps = list(primes) if primes else good_primes(n, 3, seed=seed)
-        verdicts = []
-        for p in ps:
-            v = _modp_only_origin(form, p, degree_cap, pair_budget)
-            verdicts.append((p, v))
-        if all(v is True for _, v in verdicts):
-            return SmoothnessCertificate("smooth", "groebner-modp", primes=[p for p, _ in verdicts],
-                                         detail={"conductor": n})
+        tried = []
+        for p in primes or [split_prime(n, den, seed)]:
+            only_origin = _modp_only_origin(form, p, degree_cap, pair_budget)
+            if only_origin:
+                return SmoothnessCertificate("smooth", "groebner-modp", primes=[p],
+                                             detail={"conductor": n})
+            tried.append((p, only_origin))
+            if strategy == "auto":
+                break       # possible bad reduction: characteristic 0 decides
         if strategy == "modp":
-            return SmoothnessCertificate("undecided", "groebner-modp", primes=[p for p, _ in verdicts],
-                                         detail={"per_prime": {str(p): v for p, v in verdicts}})
-        # fall through: possible bad reduction
+            return SmoothnessCertificate("undecided", "groebner-modp", primes=[p for p, _ in tried],
+                                         detail={"per_prime": {str(p): v for p, v in tried}})
 
     missing, gb = _char0_verdict(form, degree_cap, pair_budget)
     if missing is None:

@@ -278,7 +278,7 @@ def test_criterion_07_compositional_tier(catalog_reports):
 def test_criterion_08_smoothness():
     rng = random.Random(88)
     for entry in load_entries():
-        cert = is_smooth(entry.form(), seed=entry.smooth_seed)
+        cert = is_smooth(entry.form())
         assert cert.verdict == "smooth", (entry.label, cert.verdict)
     # singular controls carry witnesses that really kill every partial
     from formaut.forms import partials

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from formaut.cli import main
+from formaut.smoothness import good_primes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,7 +68,7 @@ def test_smooth_records_primes(tmp_path, capsys):
     f.write_text("x1^3*x2 + x2^3*x3 + x3^3*x1")
     code, out = run_cli(["smooth", str(f), "--strategy", "modp", "--seed", "3"], capsys)
     payload = json.loads(out)
-    assert payload["method"] == "groebner-modp" and len(payload["primes"]) == 3
+    assert payload["method"] == "groebner-modp" and payload["primes"] == good_primes(1, 1, seed=3)
     code, out2 = run_cli(["smooth", str(f), "--strategy", "modp", "--seed", "3"], capsys)
     assert out == out2
 
@@ -171,7 +172,10 @@ def test_usage_error_exit_code():
                                   ["smooth", "form.txt", "--prime", "0"],
                                   ["smooth", "form.txt", "--prime", "4"],
                                   ["smooth", "form.txt", "--prime", "9"],
-                                  ["smooth", "form.txt", "--prime", "2"]])
+                                  ["smooth", "form.txt", "--prime", "2"],
+                                  ["smooth", "form.txt", "--budget", "-1"],
+                                  ["diag-group", "f.txt", "--blocks=-1,4"],
+                                  ["diag-group", "f.txt", "--blocks", "0,3"]])
 def test_bad_option_value_is_a_usage_error(args):
     with pytest.raises(SystemExit) as exc:
         main(args)

@@ -3,11 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from formaut.cyclotomic import CycNum
 from formaut.diaglattice import (block_scalar_group, check_diag_bound, semi_permutation_group,
                                  smith_normal_form, solve_torus)
-from formaut.forms import Form, act, block_degrees, parse
+from formaut.forms import Form, FormError, act, block_degrees, parse
 
 rng = random.Random(31337)
 
@@ -84,6 +85,12 @@ def test_fermat_equality_and_single_block():
     assert block_scalar_group(F, (1, 1, 1)).order == 125
     assert block_scalar_group(F, (3,)).order == 5
     assert check_diag_bound(F, (1, 1, 1))
+
+
+@pytest.mark.parametrize("blocks", [(-1, 4), (0, 3)])
+def test_block_sizes_must_be_positive(blocks):
+    with pytest.raises(FormError):
+        block_scalar_group(Form.fermat(3, 3), blocks)
 
 
 def test_loop_form_strictly_below():

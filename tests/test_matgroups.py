@@ -17,6 +17,7 @@ from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure
                                generators_to_json, invariant_dimension, invariant_dimension_molien,
                                invariant_dimension_reynolds, preserves, scalar_cosets, scalar_group,
                                schreier_generators, word_product)
+from formaut.smoothness import split_prime
 
 from oracles import form_product
 
@@ -253,7 +254,7 @@ def test_klein_quartic_invariants_match_exact_routes():
 
 
 def test_invariant_prime_too_small_is_refused(monkeypatch):
-    monkeypatch.setattr(matgroups, "_split_prime", lambda conductor, den: 7)
+    monkeypatch.setattr(matgroups, "split_prime", lambda conductor, den, lo: 7)
     grp = scalar_group(2, 3)
     assert grp.p == 7
     assert invariant_dimension(grp, 5) == 0     # M = 6 < p
@@ -295,7 +296,7 @@ def test_generator_json_round_trip():
 
 
 def test_infinite_group_with_trivial_residues_is_refused(tmp_path, capsys):
-    p = matgroups._split_prime(1, 1)
+    p = split_prime(1, 1, lo=1 << 21)
     m = ExactMatrix.diagonal([1 + p, 1])       # the identity mod p, of infinite order
     grp = MatGroup([m])
     assert grp.p == p
@@ -321,7 +322,7 @@ def _record_orbits(monkeypatch):
 
 
 def test_finite_root_orbit_that_does_not_span_is_refused(monkeypatch):
-    p = matgroups._split_prime(1, 1)
+    p = split_prime(1, 1, lo=1 << 21)
     grp = MatGroup([ExactMatrix.diagonal([-1, 1]), ExactMatrix.diagonal([1, 1 + p])])
     assert grp.p == p
     sizes = _record_orbits(monkeypatch)
@@ -339,14 +340,14 @@ def test_klein_finiteness_from_its_root_orbit(monkeypatch):
 
 
 def test_prime_dividing_a_denominator_is_skipped():
-    p = matgroups._split_prime(1, 1)
+    p = split_prime(1, 1, lo=1 << 21)
     grp = closure([ExactMatrix([[0, p], [Fraction(1, p), 0]])])
     assert grp.p != p
     assert grp.order == 2
 
 
 def test_prime_dividing_the_order_is_refused(monkeypatch):
-    monkeypatch.setattr(matgroups, "_split_prime", lambda conductor, den: 3)
+    monkeypatch.setattr(matgroups, "split_prime", lambda conductor, den, lo: 3)
     grp = MatGroup([ExactMatrix.permutation([1, 0, 2]), ExactMatrix.permutation([1, 2, 0])])
     with pytest.raises(GroupError):            # S_3 has order 6 and 3 | 6
         grp.close()

@@ -10,7 +10,7 @@ from formaut.cyclotomic import CycNum
 from formaut.forms import ExactMatrix, Form, parse
 from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packing, buchberger,
                                 good_primes, grevlex_key, groebner_basis, is_smooth, smtosm_witness,
-                                variable_components)
+                                split_prime, variable_components)
 
 from oracles import bareiss_determinant, smooth_by_resultant, sylvester_resultant
 
@@ -228,6 +228,36 @@ def test_supplied_prime_must_split_the_field(prime):
     assert is_smooth(form, strategy="modp", primes=[7]).primes == [7]
     with pytest.raises(SmoothnessError):
         is_smooth(form, strategy="modp", primes=[prime])
+
+
+def test_first_complete_prime_is_the_certificate():
+    # mod 7 the form is x1^2 + x2^2, singular at (0 : 0 : 1); 13 proves it smooth
+    form = parse("x1^2 + x2^2 + 7*x3^2")
+    cert = is_smooth(form, "modp", primes=[7, 13])
+    assert (cert.verdict, cert.method, cert.primes) == ("smooth", "groebner-modp", [13])
+    cert = is_smooth(form, "modp", primes=[7])       # undecided once every prime refuses
+    assert (cert.verdict, cert.primes, cert.detail["per_prime"]) == ("undecided", [7], {"7": False})
+
+
+def test_drawn_prime_divides_no_denominator():
+    (p,) = good_primes(1, 1, seed=0)
+    cert = is_smooth(parse("x1^3*x2 + x2^3*x3 + 1/%d*x3^3*x1" % p))
+    assert (cert.verdict, cert.method) == ("smooth", "groebner-modp")
+    assert cert.primes != [p]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "modp", "char0"])
+def test_supplied_prime_dividing_a_denominator_is_refused(strategy):
+    # refused up front, before any chart run: char0 never reduces mod 7
+    with pytest.raises(SmoothnessError):
+        is_smooth(parse("x1^3*x2 + x2^3*x3 + 1/7*x3^3*x1"), strategy, primes=[7])
+
+
+def test_prime_chooser_skips_every_prime_dividing_den():
+    drawn = good_primes(3, 3, seed=2)
+    p = split_prime(3, drawn[0] * drawn[1] * drawn[2], seed=2)
+    assert p % 3 == 1 and p not in drawn
+    assert split_prime(3, 1, seed=2) == drawn[0]
 
 
 def test_good_primes_split_conductor():
