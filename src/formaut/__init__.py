@@ -23,11 +23,11 @@ no floating point enters any verdict.
 __version__ = "0.1.0"
 
 from .cyclotomic import CycNum, parse_scalar, root_of_unity, scalar_to_str
-from .forms import ExactMatrix, Form, act, component, has_monomial_pattern, parse, partials, serialize
+from .forms import ExactMatrix, Form, act, parse, partials, serialize
 from .sequences import SubdegreeSequence, jc, ratio
 
 __all__ = [
     "CycNum", "ExactMatrix", "Form", "SubdegreeSequence",
-    "act", "component", "has_monomial_pattern", "jc", "parse", "parse_scalar",
-    "partials", "ratio", "root_of_unity", "scalar_to_str", "serialize",
+    "act", "jc", "parse", "parse_scalar", "partials", "ratio", "root_of_unity",
+    "scalar_to_str", "serialize",
 ]

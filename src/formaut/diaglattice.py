@@ -236,14 +236,6 @@ def block_scalar_group(form: Form, block_sizes) -> BlockScalarGroup:
     return BlockScalarGroup(form, blocks, sol.order, sol.divisors, gens)
 
 
-def check_diag_bound(form: Form, block_sizes) -> bool:
-    """Theorem-level bound: the block-scalar stabilizer has order <= d^m."""
-    grp = block_scalar_group(form, block_sizes)
-    if grp.order is None:
-        return False
-    return grp.order <= form.degree ** len(grp.block_sizes)
-
-
 class SemiPermutationGroup:
     """The subgroup of Aut(F) consisting of semi-permutation matrices."""
 

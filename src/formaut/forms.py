@@ -298,28 +298,6 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
     return Form(n, horner(form.terms, 0), form.degree)
 
 
-def component(form: Form, block_sizes, exponents) -> Form:
-    """Terms whose total degree in the i-th variable block is exponents[i]."""
-    blocks = tuple(int(b) for b in block_sizes)
-    exps = tuple(int(e) for e in exponents)
-    if sum(blocks) != form.nvars:
-        raise FormError("block sizes sum to %d, expected %d" % (sum(blocks), form.nvars))
-    if len(exps) != len(blocks):
-        raise FormError("need one exponent per block")
-    if sum(exps) != form.degree:
-        raise FormError("block exponents sum to %d, expected degree %d" % (sum(exps), form.degree))
-    bounds = []
-    start = 0
-    for b in blocks:
-        bounds.append((start, start + b))
-        start += b
-    picked = {}
-    for e, c in form.terms.items():
-        if all(sum(e[a:b]) == k for (a, b), k in zip(bounds, exps)):
-            picked[e] = c
-    return Form(form.nvars, picked, form.degree)
-
-
 def block_degrees(exps, block_sizes):
     """Total degree of an exponent vector in each variable block."""
     out = []
@@ -344,30 +322,6 @@ def partials(form: Form) -> list[Form]:
                 terms[tuple(e2)] = c * e[i]
         out.append(Form(form.nvars, terms, form.degree - 1))
     return out
-
-
-def has_monomial_pattern(form: Form, block_sizes, pattern):
-    """Search for a term matching per-block degree constraints.
-
-    Each pattern entry is an exact degree or an inclusive (lo, hi) range.
-    Returns (True, witness exponent tuple) or (False, None).
-    """
-    blocks = tuple(int(b) for b in block_sizes)
-    if sum(blocks) != form.nvars:
-        raise FormError("block sizes sum to %d, expected %d" % (sum(blocks), form.nvars))
-    if len(pattern) != len(blocks):
-        raise FormError("need one pattern entry per block")
-    ranges = []
-    for p in pattern:
-        if isinstance(p, tuple):
-            ranges.append((int(p[0]), int(p[1])))
-        else:
-            ranges.append((int(p), int(p)))
-    for e in sorted(form.terms, key=_grlex_key):
-        degs = block_degrees(e, blocks)
-        if all(lo <= d <= hi for d, (lo, hi) in zip(degs, ranges)):
-            return True, e
-    return False, None
 
 
 # -- text format --------------------------------------------------------------
@@ -451,6 +405,8 @@ def to_json(form: Form) -> str:
 
 def from_json(text: str) -> Form:
     payload = json.loads(text)
+    for t in payload["terms"]:
+        if any(type(e) is not int for e in t["exps"]):
+            raise FormError("exponents must be integers, got %s" % json.dumps(t["exps"]))
     terms = {tuple(t["exps"]): parse_scalar(t["coeff"]) for t in payload["terms"]}
     return Form(payload["nvars"], terms, payload.get("degree"))
-

@@ -415,14 +415,6 @@ def scalar_cosets(residues, p: int):
     return class_of, reps
 
 
-def scalar_group(dim: int, d: int) -> MatGroup:
-    """The order-d group generated by zeta_d * I."""
-    from .cyclotomic import root_of_unity
-    g = MatGroup([ExactMatrix.scalar(dim, root_of_unity(d))])
-    g.close()
-    return g
-
-
 def closure(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     grp = MatGroup(generators)
     grp.close(cap)
@@ -570,7 +562,10 @@ def generators_from_json(text: str):
         raise GroupError("dim must be positive, got %d" % dim)
     gens = []
     for entries in payload["generators"]:
-        m = ExactMatrix([[c for c in row] for row in entries])
+        bad = [c for row in entries for c in row if not isinstance(c, str) and type(c) is not int]
+        if bad:   # a JSON float or boolean would be read as an inexact rational or as 0/1
+            raise GroupError("generator entry %s is neither a string nor an integer" % json.dumps(bad[0]))
+        m = ExactMatrix(entries)
         if m.dim != dim:
             raise GroupError("generator dimension mismatch")
         gens.append(m)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 # Maximal orders of finite primitive projective linear groups in small degree.
 # For r = 10, 11 and r >= 13 the maximum is (r+1)!.
@@ -213,34 +213,6 @@ def canonical_bound(groups, intrinsic_multiplicities, d: int) -> int:
     return bound
 
 
-def ratio_quotient_law(l, d: int, d2: int) -> bool:
-    """Check R(l,d)/R(l,d') = (d'/d)^(v(l)-s) exactly."""
-    seq = _as_seq(l)
-    lhs = ratio(seq, d) / ratio(seq, d2)
-    rhs = Fraction(d2, d) ** (seq.total - seq.length)
-    return lhs == rhs
-
-
-def lambda_addr0(l, r0: int, k0: int, d: int) -> Fraction:
-    """The decay factor R(l + (r0), d) / R(l, d) in closed form.
-
-    Equals v! / (v + r0)! * JC(r0) * (k0 + 1) / d^(r0 - 1), where k0 is the
-    multiplicity of r0 in l; the closed form is asserted against the direct
-    quotient.
-    """
-    seq = _as_seq(l)
-    if r0 <= 1:
-        raise SequenceError("r0 must exceed 1")
-    if seq.count(r0) != k0 or k0 < 1:
-        raise SequenceError("r0 = %d does not occur in %s with multiplicity %d" % (r0, seq, k0))
-    v = seq.total
-    lam = Fraction(factorial(v), factorial(v + r0)) * Fraction(jc(r0) * (k0 + 1), d ** (r0 - 1))
-    direct = ratio(seq + SubdegreeSequence([r0]), d) / ratio(seq, d)
-    if lam != direct:
-        raise ArithmeticError("closed form disagrees with the direct quotient")
-    return lam
-
-
 def _best_products(total: int, d: int):
     """B[c][m]: the largest prod_r g_r(k_r) over partitions of m into parts <= c.
 
@@ -394,28 +366,3 @@ def mixed_sequence_scan(max_total: int = BOUNDS_SCAN_MAX_TOTAL,
                     break
                 hits.append((seq, d, r))
     return hits
-
-
-def ratioprod_check(n_tuple) -> tuple[bool, Fraction]:
-    """q = prod q_i n_i! / (sum n_i)! with q_i = 5/2 for n_i >= 2 else 1.
-
-    Returns (q >= 1, q).  Over all tuples the test passes only at (2, 2).
-    """
-    ns = sorted((int(n) for n in n_tuple), reverse=True)
-    if len(ns) < 2 or any(n < 1 for n in ns):
-        raise SequenceError("need m >= 2 positive block sizes")
-    q = Fraction(1)
-    for n in ns:
-        q *= Fraction(5, 2) if n >= 2 else 1
-        q *= factorial(n)
-    q /= factorial(sum(ns))
-    return q >= 1, q
-
-
-def binomial_supermultiplicativity(l1, l2, d: int):
-    """Return (lhs, rhs, disjoint) for C(v1+v2, v1) R(l1+l2) >= R(l1) R(l2)."""
-    s1, s2 = _as_seq(l1), _as_seq(l2)
-    lhs = comb(s1.total + s2.total, s1.total) * ratio(s1 + s2, d)
-    rhs = ratio(s1, d) * ratio(s2, d)
-    disjoint = not (set(s1.parts) & set(s2.parts))
-    return lhs, rhs, disjoint

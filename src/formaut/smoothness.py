@@ -687,27 +687,3 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
     return SmoothnessCertificate("singular", "groebner-char0", None,
                                  detail={"reason": "leading-term ideal misses pure powers",
                                          "variables": missing})
-
-
-# -- the monomial-shape witness of restricted singularities --------------------
-
-
-def smtosm_witness(form: Form, k: int, a: int):
-    """Term of shape x1^d1 .. xk^dk * x_(k+j) forced by a singular restriction.
-
-    Preconditions: the form (in k + a variables) is smooth while its
-    restriction to the first k variables is not.  Returns the witness term,
-    or raises if the guarantee fails (which would contradict smoothness).
-    """
-    if form.nvars != k + a or k < 2 or a < 1:
-        raise SmoothnessError("need nvars = k + a with k >= 2, a > 0")
-    restriction = restrict_to_variables(form, list(range(k)))
-    if not restriction.is_zero():
-        cert = is_smooth(restriction)
-        if cert.verdict == "smooth":
-            raise SmoothnessError("restriction to the first %d variables is smooth" % k)
-    for e in sorted(form.terms, key=grevlex_key):
-        tail = e[k:]
-        if sum(tail) == 1:
-            return e
-    raise SmoothnessError("no witness monomial: smoothness hypothesis violated")

@@ -113,15 +113,18 @@ class DecompositionCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> DecompositionCertificate:
+        """Blocks (i, j) must be exactly i = 1..m, j = 1..k_i for grouping [k_1, ..., k_m], each once."""
         payload = json.loads(text)
-        grouped = {}
-        for blk in payload["blocks"]:
-            grouped.setdefault(blk["i"], []).append((blk["j"], blk["size"]))
-        grouped_sizes = []
-        for i in sorted(grouped):
-            grouped_sizes.append([size for _, size in sorted(grouped[i])])
-        if [len(g) for g in grouped_sizes] != list(payload["grouping"]):
-            raise CertificateError("grouping does not match the block list")
+        blocks, grouping = payload["blocks"], payload["grouping"]
+        fields = [blk[key] for blk in blocks for key in ("i", "j", "size")] + list(grouping)
+        if any(type(x) is not int for x in fields):
+            raise CertificateError("block indices, block sizes and the grouping must be integers")
+        sizes = {(blk["i"], blk["j"]): blk["size"] for blk in blocks}
+        expected = [(i, j) for i, k in enumerate(grouping, 1) for j in range(1, k + 1)]
+        if len(sizes) != len(blocks) or sorted(sizes) != expected:
+            raise CertificateError("the blocks must be (i, j) for i = 1..m, j = 1..k_i, each once, "
+                                   "for the grouping [k_1, ..., k_m]")
+        grouped_sizes = [[sizes[i, j] for j in range(1, k + 1)] for i, k in enumerate(grouping, 1)]
         basis = payload.get("basis_change")
         bc = ExactMatrix(basis) if basis else None
         return cls(grouped_sizes, bc)
@@ -139,7 +142,6 @@ class StructureReport:
         self.subdegrees = kw["subdegrees"]
         self.intrinsic_multiplicities = kw["intrinsic_multiplicities"]
         self.tier = kw["tier"]
-        self.degree = kw.get("degree")
         self.canonical_bound = kw.get("canonical_bound")
         self.fermat_ratio = kw.get("fermat_ratio")
 
@@ -243,7 +245,6 @@ def _finish_report(tier, group_order, psi_order, k_orders, principal_order,
     intrinsic = cert.grouping
     bound = None
     ratio = None
-    degree = None
     if form is not None:
         degree = form.degree
         groups = [(stop - start, constituent_orders[(i + 1, j + 1)])
@@ -263,7 +264,6 @@ def _finish_report(tier, group_order, psi_order, k_orders, principal_order,
         subdegrees=subdeg,
         intrinsic_multiplicities=intrinsic,
         tier=tier,
-        degree=degree,
         canonical_bound=bound,
         fermat_ratio=ratio,
     )
@@ -422,45 +422,3 @@ def _kernel_order(gens, cert, form):
             "supplied block-scalar generators span order %s, lattice says %d"
             % (sub.order if sub.closed else ">cap", lattice.order))
     return lattice.order
-
-
-# -- refined bounds ---------------------------------------------------------------
-
-
-def refined_bound(report: StructureReport, d: int, lemma: str, *,
-                  pattern_established: bool = False, summand: int | None = None,
-                  normal_index: int | None = None, pattern_count: int | None = None) -> int:
-    """Upper bounds for |G| once a special monomial pattern is established.
-
-    lemma is one of 'type2', 'classify', 'd1d2', 'typeII'.  The caller must
-    have located the corresponding monomial with forms.has_monomial_pattern
-    on the actual form and pass pattern_established=True.
-    """
-    if not pattern_established:
-        raise CertificateError("establish the monomial pattern on the form first")
-    B = report.canonical_bound
-    if B is None:
-        raise CertificateError("report carries no canonical bound (no form supplied)")
-    if lemma == "type2":
-        if summand is None:
-            raise CertificateError("type2 needs the summand index")
-        k = report.intrinsic_multiplicities[summand - 1]
-        h = report.constituent_orders[(summand, 1)]
-        return B // (h ** k)
-    if lemma == "classify":
-        if summand is None:
-            raise CertificateError("classify needs the summand index")
-        k = report.intrinsic_multiplicities[summand - 1]
-        if k < 2:
-            raise CertificateError("classify needs an intrinsic multiplicity of at least 2")
-        h = report.constituent_orders[(summand, 1)]
-        return B // h if k == 2 else B // (2 * h)
-    if lemma == "d1d2":
-        if normal_index is None or normal_index < 1:
-            raise CertificateError("d1d2 needs the normal-subgroup index")
-        return B // normal_index
-    if lemma == "typeII":
-        if pattern_count is None or pattern_count < 1:
-            raise CertificateError("typeII needs the pattern count c >= 1")
-        return B // (d ** (pattern_count - 1))
-    raise CertificateError("unknown lemma %r" % lemma)

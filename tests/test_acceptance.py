@@ -16,15 +16,15 @@ import pytest
 
 from formaut.catalog import get_entry, load_entries, verify_entry
 from formaut.cyclotomic import CycNum
-from formaut.diaglattice import block_scalar_group, check_diag_bound
+from formaut.diaglattice import block_scalar_group
 from formaut.forms import Form, parse
-from formaut.matgroups import closure, invariant_dimension_molien, invariant_dimension_reynolds, scalar_group
-from formaut.sequences import (SubdegreeSequence, binomial_supermultiplicativity,
-                               enumerate_sequences, jc, lambda_addr0, ratio,
-                               ratio_quotient_law, ratioprod_check, survivors_for,
+from formaut.matgroups import closure, invariant_dimension_molien, invariant_dimension_reynolds
+from formaut.sequences import (SubdegreeSequence, enumerate_sequences, jc, ratio, survivors_for,
                                uniform_bounds_check)
 from formaut.smoothness import is_smooth
 
+from lemmas import (binomial_supermultiplicativity, check_diag_bound, lambda_addr0, ratio_quotient_law,
+                    ratioprod_check, scalar_group)
 from oracles import smooth_by_resultant
 
 GOLDEN = Path(__file__).parent / "golden"

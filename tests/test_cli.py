@@ -191,6 +191,8 @@ def test_bad_cap_environment_is_a_usage_error(monkeypatch, capsys):
 IDENTITY_2 = '{"dim": 2, "generators": [[["1", "0"], ["0", "1"]]]}'
 CERT_3 = '{"blocks": [{"i": 1, "j": 1, "size": 3}], "grouping": [1]}'
 CERT_2 = '{"blocks": [{"i": 1, "j": 1, "size": 2}], "grouping": [1], "basis_change": %s}'
+SWAP_2 = '{"dim": 2, "generators": [[["0", "1"], ["1", "0"]]]}'
+CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1}], "grouping": [1, 1]}'
 
 
 @pytest.mark.parametrize("files, args", [
@@ -213,9 +215,22 @@ CERT_2 = '{"blocks": [{"i": 1, "j": 1, "size": 2}], "grouping": [1], "basis_chan
     ({"gens.json": '{"dim": 0, "generators": [[]]}'}, ["closure", "gens.json"]),
     ({"gens.json": '{"dim": 0, "generators": [[]]}'}, ["invdim", "gens.json", "--degree", "2"]),
     ({"form.txt": "2x1^3 + x2^3"}, ["smooth", "form.txt"]),
+    ({"gens.json": '{"dim": 2, "generators": [[[0, 0.1], [10, 0]]]}'}, ["closure", "gens.json"]),
+    ({"gens.json": '{"dim": 2, "generators": [[[true, 0], [0, true]]]}'}, ["closure", "gens.json"]),
+    ({"form.json": '{"nvars": 2, "terms": [{"exps": [1.5, 1.5], "coeff": "1"}, {"exps": [2, 0], "coeff": "1"}]}'},
+     ["smooth", "form.json"]),
+    ({"form.json": '{"nvars": 2, "terms": [{"exps": [true, true], "coeff": "1"}, {"exps": [2, 0], "coeff": "1"}]}'},
+     ["smooth", "form.json"]),
+    ({"gens.json": IDENTITY_2, "cert.json": CERT_1_1 % "1.7"}, ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": IDENTITY_2, "cert.json": CERT_1_1 % "true"}, ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": SWAP_2,
+      "cert.json": '{"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 1, "j": 1, "size": 1}], "grouping": [2]}'},
+     ["structure", "gens.json", "cert.json"]),
 ], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
         "dimension-mismatch", "missing-file", "non-positive-block-size", "singular-basis-change",
-        "basis-change-size", "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product"])
+        "basis-change-size", "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product",
+        "float-generator-entry", "boolean-generator-entry", "float-exponent", "boolean-exponent",
+        "float-block-size", "boolean-block-size", "duplicate-block"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from formaut.cyclotomic import CycNum
-from formaut.diaglattice import (block_scalar_group, check_diag_bound, semi_permutation_group,
-                                 smith_normal_form, solve_torus)
+from formaut.diaglattice import block_scalar_group, semi_permutation_group, smith_normal_form, solve_torus
 from formaut.forms import Form, FormError, act, block_degrees, parse
+
+from lemmas import check_diag_bound
 
 rng = random.Random(31337)
 

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from formaut.catalog import load_entries
 from formaut.cyclotomic import CycNum, ScalarSyntaxError, euler_phi, parse_scalar, root_of_unity
-from formaut.forms import (ExactMatrix, Form, FormError, act, block_degrees, component,
-                           from_json, has_monomial_pattern, parse, partials, serialize, to_json)
+from formaut.forms import (ExactMatrix, Form, FormError, act, block_degrees, from_json, parse, partials,
+                           serialize, to_json)
 
+from lemmas import component, has_monomial_pattern
 from oracles import form_product
 
 rng = random.Random(99)

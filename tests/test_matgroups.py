@@ -15,10 +15,11 @@ from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
 from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure, generators_from_json,
                                generators_to_json, invariant_dimension, invariant_dimension_molien,
-                               invariant_dimension_reynolds, preserves, scalar_cosets, scalar_group,
-                               schreier_generators, word_product)
+                               invariant_dimension_reynolds, preserves, scalar_cosets, schreier_generators,
+                               word_product)
 from formaut.smoothness import split_prime
 
+from lemmas import scalar_group
 from oracles import form_product
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products,
-                               binomial_supermultiplicativity, canonical_bound, classification_search,
-                               enumerate_sequences, jc, lambda_addr0, mixed_sequence_scan, ratio,
-                               ratio_quotient_law, ratio_with_groups, ratioprod_check, survivors_for,
-                               uniform_bounds_check)
+from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products, canonical_bound,
+                               classification_search, enumerate_sequences, jc, mixed_sequence_scan, ratio,
+                               ratio_with_groups, survivors_for, uniform_bounds_check)
+
+from lemmas import binomial_supermultiplicativity, lambda_addr0, ratio_quotient_law, ratioprod_check
 
 rng = random.Random(424242)
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from formaut.cyclotomic import CycNum
 from formaut.forms import ExactMatrix, Form, parse
 from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packing, buchberger,
-                                good_primes, grevlex_key, groebner_basis, is_smooth, smtosm_witness,
-                                split_prime, variable_components)
+                                good_primes, grevlex_key, groebner_basis, is_smooth, split_prime,
+                                variable_components)
 
+from lemmas import smtosm_witness
 from oracles import bareiss_determinant, smooth_by_resultant, sylvester_resultant
 
 rng = random.Random(8128)

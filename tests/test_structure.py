@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from formaut.catalog import get_entry
 from formaut.cyclotomic import root_of_unity
-from formaut.forms import ExactMatrix, Form, has_monomial_pattern, parse
-from formaut.matgroups import MatGroup, closure, scalar_group
-from formaut.sequences import ratioprod_check
-from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport,
-                               refined_bound, verify_certificate, verify_compositional)
+from formaut.forms import ExactMatrix, Form, parse
+from formaut.matgroups import MatGroup, closure
+from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport, verify_certificate,
+                               verify_compositional)
+
+from lemmas import has_monomial_pattern, ratioprod_check, refined_bound, scalar_group
 
 
 def test_certificate_json_round_trip():
@@ -258,7 +259,7 @@ def make_report(bound, constituents, intrinsic):
         group_order=1, psi_image_order=1, k_orders=[1], principal_order=1,
         kernel_order=1, phi_image_order=1, constituent_orders=constituents,
         subdegrees=SubdegreeSequence([2, 2]), intrinsic_multiplicities=intrinsic,
-        tier="full-closure", degree=12, canonical_bound=bound)
+        tier="full-closure", canonical_bound=bound)
 
 
 def test_refined_bound_formulas():
