@@ -7,9 +7,18 @@ per conductor: two values over the same conductor are equal iff their
 normalized (num, den) pairs are equal.  Values are immutable.
 
 One reduction mod Phi_n serves every vector: _reduction_rows(n) holds
-x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1, which covers every
-product of two reduced vectors and every scatter into n slots; a longer
-vector is first folded by x^n = 1.
+x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1 as its nonzero
+(index, coefficient) pairs, which covers every product of two reduced
+vectors and every scatter into n slots; a longer vector is first folded by
+x^n = 1.
+
+Sums of products are reduced once (CycNum.dot).  The fused-sum lemma: the
+map Z[x] -> Z[x]/(Phi_n) is a ring map, so reducing sum_k a_k(x)*b_k(x)
+once, after convolving every pair over a common denominator, gives the
+same class as reducing each product and each partial sum; and (num, den)
+is canonical per conductor, so the result has exactly the num and den of
+the left fold a_1*b_1 + a_2*b_2 + ... .  The unreduced vector lives only
+inside one call.
 
 Inverses use the norm (Cohen, A Course in Computational Algebraic Number
 Theory, 1993, sec. 4.3): for x != 0, N(x) = prod_{k in (Z/n)*} sigma_k(x),
@@ -92,8 +101,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors of x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1."""
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1, as nonzero (index, coefficient) pairs."""
     phi = euler_phi(n)
     # x^phi = -(lower coefficients of Phi_n) since Phi_n is monic.
     base = [-c for c in cyclotomic_polynomial(n)[:phi]]
@@ -105,17 +114,21 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
         cur = [0] + cur[:-1]
         if carry:
             cur = [c + carry * b for c, b in zip(cur, base)]
-        rows.append(tuple(cur))
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
     return tuple(rows)
 
 
 def _reduce_vector(vec: list[int], n: int) -> list[int]:
     """Reduce an integer coefficient vector of any length mod Phi_n.
 
-    A vector longer than the reduction rows cover is first folded by x^n = 1.
+    A vector of length phi(n) is already reduced and is returned itself; the
+    input is never modified.  A vector longer than the reduction rows cover
+    is first folded by x^n = 1.
     """
     phi = euler_phi(n)
-    if len(vec) <= phi:
+    if len(vec) == phi:
+        return vec
+    if len(vec) < phi:
         return vec + [0] * (phi - len(vec))
     rows = _reduction_rows(n)
     if len(vec) > phi + len(rows):
@@ -127,11 +140,18 @@ def _reduce_vector(vec: list[int], n: int) -> list[int]:
     for k in range(phi, len(vec)):
         c = vec[k]
         if c:
-            row = rows[k - phi]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
+            for i, r in rows[k - phi]:
+                out[i] += c * r
     return out
+
+
+def _convolve(out: list[int], a, b) -> None:
+    """out[i + j] += a[i] * b[j]: the one product loop of CycNum.__mul__ and CycNum.dot."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
 
 
 class CycNum:
@@ -256,16 +276,40 @@ class CycNum:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        phi = len(a.num)
-        out = [0] * (2 * phi - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(b.num):
-                    if y:
-                        out[i + j] += x * y
+        out = [0] * (2 * len(a.num) - 1)
+        _convolve(out, a.num, b.num)
         return CycNum(a.n, out, a.den * b.den)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs, n: int) -> CycNum:
+        """sum_k a_k * b_k over Q(zeta_n), reduced mod Phi_n and normalised once.
+
+        Every operand is lifted to conductor n, which must be a multiple of
+        its own (else ValueError).  The products are convolved into one unreduced integer vector over the
+        lcm D of the denominators a_k.den * b_k.den, each scaled by
+        D / (a_k.den * b_k.den).  By the fused-sum lemma (module docstring)
+        the result has exactly the n, num and den of the left fold
+        a_1*b_1 + a_2*b_2 + ... at conductor n; no pairs give zero.
+        """
+        out = [0] * (2 * euler_phi(n) - 1)
+        den = 1
+        for a, b in pairs:
+            if a.n != n:
+                a = a.to_conductor(n)
+            if b.n != n:
+                b = b.to_conductor(n)
+            x, d = a.num, a.den * b.den
+            if d != den:
+                lcm = math.lcm(den, d)
+                if lcm != den:
+                    out = [c * (lcm // den) for c in out]
+                    den = lcm
+                if d != den:
+                    x = [c * (den // d) for c in x]
+            _convolve(out, x, b.num)
+        return CycNum(n, out, den)
 
     def inverse(self) -> CycNum:
         """1/x = adj / N(x), adj the product of the conjugates sigma_k(x), k != 1.

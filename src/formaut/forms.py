@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import (CycNum, ScalarSyntaxError, conductor, parse_polynomial, parse_scalar,
                          scalar_to_str)
@@ -179,11 +180,13 @@ class ExactMatrix:
             nonzero = [not a.is_zero() for a in row]
             out_row = []
             for col in cols:
-                terms = [row[k] * b for k, b in col if nonzero[k]]
-                acc = terms[0] if terms else zero
-                for t in terms[1:]:
-                    acc = acc + t
-                out_row.append(acc)
+                # one dot per entry, at the lcm of the entry's own operands
+                pairs, n = [], 1
+                for k, b in col:
+                    if nonzero[k]:
+                        pairs.append((row[k], b))
+                        n = lcm(n, row[k].n, b.n)
+                out_row.append(CycNum.dot(pairs, n) if pairs else zero)
             out.append(out_row)
         return ExactMatrix(out)
 
@@ -258,8 +261,10 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
     act(F) = H_0, where H_jmax = act(G_jmax) and H_j = act(G_j) + L_i * H_(j+1),
     recursing on the G_j, a degree-0 remainder being its coefficient.  This is
     a ring identity, so the result is exact, and each step multiplies by one
-    linear form.  Every coefficient and matrix entry is lifted once to the
-    least common conductor, so no product or sum re-embeds an operand.
+    linear form: every coefficient of H_j is one CycNum.dot over the pairs
+    that reach its monomial, a term of act(G_j) entering as (c, 1).  Every
+    coefficient and matrix entry is lifted once to the least common
+    conductor, so no product or sum re-embeds an operand.
     """
     if matrix.dim != form.nvars:
         raise FormError("matrix dimension %d != variable count %d" % (matrix.dim, form.nvars))
@@ -269,15 +274,17 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
     rows = [[(k, c) for k, c in enumerate(row) if not c.is_zero()] for row in matrix.entries]
     N = conductor(list(form.terms.values()) + [c for row in rows for _, c in row])
     rows = [[(k, c.to_conductor(N)) for k, c in row] for row in rows]
+    one = CycNum.one(N)
 
-    def times_row(poly, row):
-        out: dict = {}
+    def times_row_plus(poly, row, addend):
+        # L_i * poly + addend, one dot per output monomial
+        pairs: dict = {}
         for e, c in poly.items():
             for k, a in row:
-                m = e[:k] + (e[k] + 1,) + e[k + 1:]
-                t = out.get(m)
-                out[m] = c * a if t is None else t + c * a
-        return out
+                pairs.setdefault(e[:k] + (e[k] + 1,) + e[k + 1:], []).append((c, a))
+        for e, c in addend.items():
+            pairs.setdefault(e, []).append((c, one))
+        return {m: CycNum.dot(ps, N) for m, ps in pairs.items()}
 
     def horner(terms, i):
         # terms maps exponent tails (e_i, ..., e_(r-1)) to coefficients
@@ -288,11 +295,8 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
             groups.setdefault(e[0], {})[e[1:]] = c
         acc: dict = {}
         for j in range(max(groups), -1, -1):
-            acc = times_row(acc, rows[i])     # L_i * H_(j+1); H_(j+1) is dropped here
-            if j in groups:
-                for e, c in horner(groups.pop(j), i + 1).items():
-                    t = acc.get(e)
-                    acc[e] = c if t is None else t + c
+            sub = horner(groups.pop(j), i + 1) if j in groups else {}
+            acc = times_row_plus(acc, rows[i], sub) if acc else sub   # H_(j+1) is dropped here
         return acc
 
     return Form(n, horner(form.terms, 0), form.degree)
@@ -404,9 +408,16 @@ def to_json(form: Form) -> str:
 
 
 def from_json(text: str) -> Form:
+    """Read to_json's format; repeated exponent vectors are summed, as the text parser sums them."""
     payload = json.loads(text)
+    nvars, degree = payload["nvars"], payload.get("degree")
+    if type(nvars) is not int or type(degree) not in (int, type(None)):
+        raise FormError("nvars and degree must be integers, got %s and %s"
+                        % (json.dumps(nvars), json.dumps(degree)))
+    terms: dict = {}
     for t in payload["terms"]:
         if any(type(e) is not int for e in t["exps"]):
             raise FormError("exponents must be integers, got %s" % json.dumps(t["exps"]))
-    terms = {tuple(t["exps"]): parse_scalar(t["coeff"]) for t in payload["terms"]}
-    return Form(payload["nvars"], terms, payload.get("degree"))
+        exps, c = tuple(t["exps"]), parse_scalar(t["coeff"])
+        terms[exps] = terms[exps] + c if exps in terms else c
+    return Form(nvars, terms, degree)

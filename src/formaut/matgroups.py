@@ -291,7 +291,8 @@ class MatGroup:
         bound) and the residues of its vectors have F_p rank r.  Otherwise
         the orbit of e_1..e_r decides, and is False once it has more than
         r·|G| vectors.
-        A vector is stored as its coordinates' (num, den) at the conductor.
+        A vector is stored as its coordinates' (num, den) at the conductor,
+        and each coordinate of an image is one CycNum.dot.
         """
         n, r, p = self.conductor, self.dim, self.p
         gens = [[[(k, c.to_conductor(n)) for k, c in enumerate(row) if not c.is_zero()]
@@ -303,7 +304,7 @@ class MatGroup:
 
         def images(point):
             v = [CycNum(n, num, den) if any(num) else None for num, den in point]
-            return [key(sum((a * v[k] for k, a in row if v[k] is not None), zero) for row in g)
+            return [key(CycNum.dot([(a, v[k]) for k, a in row if v[k] is not None], n) for row in g)
                     for g in gens]
 
         def step(batch):
@@ -558,8 +559,8 @@ def invariant_dimension(group: MatGroup, degree: int, method: str = "both") -> i
 def generators_from_json(text: str):
     payload = json.loads(text)
     dim = payload["dim"]
-    if dim < 1:
-        raise GroupError("dim must be positive, got %d" % dim)
+    if type(dim) is not int or dim < 1:
+        raise GroupError("dim must be a positive integer, got %s" % json.dumps(dim))
     gens = []
     for entries in payload["generators"]:
         bad = [c for row in entries for c in row if not isinstance(c, str) and type(c) is not int]

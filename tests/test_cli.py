@@ -226,11 +226,19 @@ CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1
     ({"gens.json": SWAP_2,
       "cert.json": '{"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 1, "j": 1, "size": 1}], "grouping": [2]}'},
      ["structure", "gens.json", "cert.json"]),
+    ({"form.json": '{"nvars": 2.0, "terms": [{"exps": [3, 0], "coeff": "1"}, {"exps": [0, 3], "coeff": "1"}]}'},
+     ["smooth", "form.json"]),
+    ({"form.json": '{"nvars": 2, "degree": 3.0, "terms": [{"exps": [3, 0], "coeff": "1"}, '
+                   '{"exps": [0, 3], "coeff": "1"}]}'},
+     ["smooth", "form.json"]),
+    ({"gens.json": '{"dim": 2.0, "generators": [[["0", "1"], ["1", "0"]]]}'}, ["closure", "gens.json"]),
+    ({"gens.json": '{"dim": true, "generators": [[["1"]]]}'}, ["closure", "gens.json"]),
 ], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
         "dimension-mismatch", "missing-file", "non-positive-block-size", "singular-basis-change",
         "basis-change-size", "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product",
         "float-generator-entry", "boolean-generator-entry", "float-exponent", "boolean-exponent",
-        "float-block-size", "boolean-block-size", "duplicate-block"])
+        "float-block-size", "boolean-block-size", "duplicate-block", "float-nvars", "float-degree",
+        "float-dim", "boolean-dim"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

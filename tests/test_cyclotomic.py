@@ -188,3 +188,50 @@ def test_kernel_caches_are_bounded():
         cyclotomic._subfield_basis(n, 1)
     for table in (cyclotomic._reduction_rows, cyclotomic._subfield_basis):
         assert table.cache_info().currsize <= bound
+
+
+DOT_CONDUCTORS = [1, 3, 4, 5, 12, 60]
+
+
+@st.composite
+def dot_cases(draw):
+    """A conductor n and up to five pairs whose operands lie at n or at a divisor of n."""
+    n = draw(st.sampled_from(DOT_CONDUCTORS))
+    divisors = [m for m in DOT_CONDUCTORS if n % m == 0]
+
+    def operand():
+        m = draw(st.sampled_from(divisors))
+        phi = euler_phi(m)
+        num = draw(st.just([0] * phi) | st.lists(st.integers(-5, 5), min_size=phi, max_size=phi))
+        return CycNum(m, num, draw(st.integers(1, 7)))
+
+    return n, [(operand(), operand()) for _ in range(draw(st.integers(0, 5)))]
+
+
+def _fields(x):
+    return x.n, x.num, x.den
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(dot_cases())
+def test_dot_is_the_left_fold(case):
+    n, pairs = case
+    fold = CycNum.zero(n)
+    for a, b in pairs:
+        fold = fold + a * b
+    assert _fields(CycNum.dot(pairs, n)) == _fields(fold)
+
+
+@pytest.mark.parametrize("n", DOT_CONDUCTORS)
+def test_dot_of_no_pair_and_of_one_pair(n):
+    assert _fields(CycNum.dot([], n)) == _fields(CycNum.zero(n)) == (n, (0,) * euler_phi(n), 1)
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = (CycNum(n, [rng.randint(-5, 5) for _ in range(euler_phi(n))], rng.randint(1, 7))
+                for _ in range(2))
+        assert _fields(CycNum.dot([(a, b)], n)) == _fields(a * b)
+
+
+def test_dot_refuses_an_operand_outside_its_conductor():
+    with pytest.raises(ValueError):
+        CycNum.dot([(root_of_unity(3), CycNum.one())], 4)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -226,6 +227,25 @@ def test_serialize_round_trips():
         assert from_json(to_json(F)) == F
 
 
+@pytest.mark.parametrize("text, terms", [
+    ("x1^3 + x1^3 + x2^3", [([3, 0], "1"), ([3, 0], "1"), ([0, 3], "1")]),
+    ("x1^3 + z3*x1^3 - x2^3", [([3, 0], "1"), ([0, 3], "-1"), ([3, 0], "z3")]),
+    ("x1^3 - x1^3 + x2^3", [([3, 0], "1"), ([3, 0], "-1"), ([0, 3], "1")]),
+])
+def test_json_sums_repeated_exponents_as_the_text_parser_does(text, terms):
+    payload = {"nvars": 2, "terms": [{"exps": e, "coeff": c} for e, c in terms]}
+    F = from_json(json.dumps(payload))
+    assert F == parse(text, nvars=2)
+    assert serialize(F) == serialize(parse(text, nvars=2))
+
+
+@pytest.mark.parametrize("fields", [{"nvars": True}, {"degree": False}])
+def test_json_integer_fields_refuse_booleans(fields):
+    payload = {"nvars": 2, "degree": 3, "terms": [{"exps": [3, 0], "coeff": "1"}], **fields}
+    with pytest.raises(FormError, match="must be integers"):
+        from_json(json.dumps(payload))
+
+
 @st.composite
 def forms(draw):
     nvars, degree = draw(st.integers(1, 4)), draw(st.integers(1, 5))
@@ -288,6 +308,31 @@ def test_determinant_multiplicative_and_inverse(A, B):
     if A.is_invertible():
         assert A * A.inverse() == ExactMatrix.identity(3)
         assert A.inverse() * A == ExactMatrix.identity(3)
+
+
+def reference_matmul(A, B):
+    """Each entry the left fold of its nonzero products, one CycNum product and sum at a time."""
+    out = []
+    for row in A.entries:
+        out_row = []
+        for col in zip(*B.entries):
+            terms = [a * b for a, b in zip(row, col) if not a.is_zero() and not b.is_zero()]
+            acc = terms[0] if terms else CycNum.zero()
+            for t in terms[1:]:
+                acc = acc + t
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.lists(st.lists(scalars, min_size=r, max_size=r), min_size=r, max_size=r), min_size=2, max_size=2)))
+def test_matmul_matches_the_per_product_fold(rows):
+    """Mixed conductors 1, 3, 4, 5, 12 and zero entries: every entry keeps the fold's n, num and den."""
+    A, B = ExactMatrix(rows[0]), ExactMatrix(rows[1])
+    got = [[(c.n, c.num, c.den) for c in row] for row in (A * B).entries]
+    assert got == [[(c.n, c.num, c.den) for c in row] for row in reference_matmul(A, B)]
 
 
 def test_singular_matrix_over_z12():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formaut import matgroups
-from formaut.catalog import get_entry
+from formaut.catalog import get_entry, verify_entry
 from formaut.cli import main
 from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
@@ -338,6 +338,63 @@ def test_klein_finiteness_from_its_root_orbit(monkeypatch):
     sizes = _record_orbits(monkeypatch)
     assert grp.close()
     assert sizes == [(1, 672, True), (1, 84, True)]     # no orbit of e_1..e_3 (672 vectors)
+
+
+def _per_product_step(grp):
+    """The exact orbit's step with each image coordinate a left fold of single CycNum products."""
+    n = grp.conductor
+
+    def image(point, g):
+        v = [CycNum(n, num, den) for num, den in point]
+        out = []
+        for row in g.entries:
+            acc = CycNum.zero(n)
+            for a, x in zip(row, v):
+                acc = acc + a * x
+            out.append((acc.num, acc.den))
+        return tuple(out)
+
+    return lambda batch: [[image(x, g) for g in grp.generators] for x in batch]
+
+
+@pytest.mark.parametrize("label, orbits", [
+    ("klein-quartic", [(672, 84)]),
+    ("wiman-sextic", [(2160, 270)]),
+    ("pair-icosahedral-12ic", [(720, 720), (720, 720), (144, 48)]),
+])
+def test_exact_orbit_matches_a_per_product_reference(monkeypatch, label, orbits):
+    """Each exact orbit of `_orbit_is_finite` (one CycNum.dot per coordinate) against the fold.
+
+    `orbits` lists (|G|, orbit size) per closure.  Klein and Wiman take a root
+    seed; the pair-icosahedral closures (two 2 x 2 blocks over Q(zeta_60) with
+    no reflection, then a 4 x 4 group) take e_1..e_r.
+    """
+    seen = []
+    finite = MatGroup._orbit_is_finite
+
+    def recorded(self, order):
+        built = []
+
+        class Recorded(Orbit):
+            def __init__(self, seeds, step, cap=None):
+                super().__init__(seeds, step, cap)
+                built.append((list(seeds), cap, self))
+
+        monkeypatch.setattr(matgroups, "Orbit", Recorded)
+        try:
+            return finite(self, order)
+        finally:
+            monkeypatch.setattr(matgroups, "Orbit", Orbit)
+            seen.extend((self, order) + b for b in built)
+
+    monkeypatch.setattr(MatGroup, "_orbit_is_finite", recorded)
+    report = verify_entry(get_entry(label), skip_smooth=True)
+    assert all(check.get("ok", True) for check in report["checks"].values())
+    assert [(order, len(orbit.points)) for _, order, _, _, orbit in seen] == orbits
+    for grp, order, seeds, cap, orbit in seen:
+        want = Orbit(seeds, _per_product_step(grp), cap)
+        assert orbit.complete and want.complete
+        assert (orbit.points, orbit.parent, orbit.gen) == (want.points, want.parent, want.gen)
 
 
 def test_prime_dividing_a_denominator_is_skipped():
