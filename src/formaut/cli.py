@@ -179,6 +179,9 @@ def cmd_invdim(args) -> int:
 
 def cmd_diag_group(args) -> int:
     form = _load_form(args.form_file)
+    if sum(args.blocks) != form.nvars:
+        raise UsageError("dimension mismatch: block sizes sum to %d, the form has %d variables"
+                         % (sum(args.blocks), form.nvars))
     grp = block_scalar_group(form, args.blocks)
     payload = {
         "blocks": list(grp.block_sizes),

@@ -376,10 +376,15 @@ class CycNum:
         r = self.reduce()
         return b"%d:%d:%s" % (r.n, r.den, repr(r.num).encode())
 
-    def root_of_unity_order(self):
-        """Multiplicative order if the value is a root of unity, else None."""
-        bound = self.n if self.n % 2 == 0 else 2 * self.n
-        return next((d for d in _divisors(bound) if self ** d == 1), None)
+    def root_exponent(self):
+        """a/m in [0, 1) with self = zeta_m^a, m = lcm(2, n), or None if not a root of unity.
+
+        Lemma: every root of unity of Q(zeta_n) is a power of zeta_m.  If
+        zeta_k lies in Q(zeta_n), so does zeta_l, l = lcm(k, n) = q*n; then
+        phi(l) = phi(n), which forces q = 1, or q = 2 with n odd: l | m.
+        """
+        m = math.lcm(2, self.n)
+        return next((Fraction(a, m) for a in range(m) if self == root_of_unity(m, a)), None)
 
     def __repr__(self):
         return "CycNum(%r)" % scalar_to_str(self)

@@ -5,14 +5,30 @@ exactly when every term's block-degree functional evaluates to 1 on the
 lambdas.  That is a system lambda^V = c over the torus, solved by the Smith
 normal form of the integer exponent matrix V.  All matrices here are tiny;
 the arithmetic is plain Python integers.
+
+Roots of unity are carried as exponents in Q/Z (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, sec. 2.4.4), which makes the
+system linear: with c_j = zeta^(t_j) (CycNum.root_exponent), lambda =
+zeta^theta and U V W = D = diag(d_1, .., d_s), s = rank V, it reads
+V theta = t (mod 1).  It is consistent iff (U t)_i = 0 (mod 1) for every
+i >= s; theta = W phi with phi_i = ((U t)_i mod 1) / d_i, reduced mod 1
+before the division, is a particular solution; and when s = m the kernel,
+of order d_1 * .. * d_m, is generated by the tuples (zeta_(d_i)^(W[j][i]))_j.
+The targets share one denominator M, so this is integer arithmetic; only
+the results are built as CycNum values.  One factorisation serves every
+target vector against the same V (_Torus): the semi-permutation search
+solves each candidate permutation against the one Smith normal form of the
+support matrix.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import permutations
 
 from .cyclotomic import CycNum, root_of_unity
-from .forms import ExactMatrix, Form, FormError, block_degrees
+from .forms import ExactMatrix, Form, FormError, _monomial_str, block_degrees
 from .matgroups import Orbit
 
 # The semi-permutation search walks up to r! permutations.
@@ -101,7 +117,7 @@ class TorusSolution:
 
     order is None when the solution group is infinite.  Kernel generators are
     m-tuples of roots of unity; a particular solution is attached when the
-    targets are nontrivial and consistent.
+    system is finite and consistent.
     """
 
     def __init__(self, consistent, order, divisors, kernel_generators, particular):
@@ -112,92 +128,59 @@ class TorusSolution:
         self.particular = particular
 
 
+class _Torus:
+    """The exponent matrix V of lambda^V = c, factored once as U V W = D.
+
+    solve() takes the targets as exponents in Q/Z, so every target vector
+    against the same V costs integer arithmetic only (module docstring).
+    """
+
+    def __init__(self, rows):
+        rows = [list(map(int, r)) for r in rows]
+        if not rows:
+            raise LatticeError("need at least one constraint row")
+        self.t, m = len(rows), len(rows[0])
+        self.diag, self.U, self.W = smith_normal_form(rows)
+        self.rank = sum(1 for d in self.diag if d)
+        self.divisors = [d for d in self.diag if d]
+        self.order = math.prod(self.diag) if self.rank == m else None
+        self.kernel_generators = []
+        if self.order is not None:
+            self.kernel_generators = [tuple(root_of_unity(d, w[i]) for w in self.W)
+                                      for i, d in enumerate(self.diag) if d > 1]
+
+    def solve(self, exponents) -> TorusSolution:
+        """lambda^V = (zeta^(t_1), .., zeta^(t_t)), each t_j a Fraction read mod 1."""
+        M = math.lcm(*(t.denominator for t in exponents))
+        a = [t.numerator * (M // t.denominator) for t in exponents]
+        Ua = [sum(u * x for u, x in zip(row, a) if x) for row in self.U]
+        consistent = all(Ua[i] % M == 0 for i in range(self.rank, self.t))
+        particular = None
+        if consistent and self.order is not None:
+            L = math.lcm(*self.diag)
+            phi = [Ua[k] % M * (L // d) for k, d in enumerate(self.diag)]
+            particular = tuple(root_of_unity(L * M, sum(w * f for w, f in zip(row, phi) if f))
+                               for row in self.W)
+        return TorusSolution(consistent, self.order, self.divisors, self.kernel_generators, particular)
+
+
 def solve_torus(rows, targets=None) -> TorusSolution:
     """Solve lambda^V = c where rows are integer exponent vectors.
 
-    targets defaults to all-ones.  Roots of unity are returned as CycNum.
+    targets defaults to all-ones and must be roots of unity (else
+    LatticeError).  Roots of unity are returned as CycNum.
     """
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        raise LatticeError("need at least one constraint row")
-    m = len(rows[0])
-    t = len(rows)
-    diag, U, W = smith_normal_form(rows)
-    rank = sum(1 for d in diag if d)
-    finite = rank == m
-
+    torus = _Torus(rows)
     if targets is None:
-        cU = None
-        consistent = True
-    else:
-        targets = list(targets)
-        if len(targets) != t:
-            raise LatticeError("need one target per row")
-        cU = []
-        for i in range(t):
-            acc = CycNum.one()
-            for j in range(t):
-                e = U[i][j]
-                if e:
-                    acc = acc * (targets[j] ** e)
-            cU.append(acc)
-        consistent = all(cU[i] == 1 for i in range(rank, t))
-        for i in range(rank):
-            if cU[i].root_of_unity_order() is None:
-                raise LatticeError("target functional is not a root of unity")
-
-    order = 1
-    for i in range(rank):
-        order *= diag[i]
-    if not finite:
-        order = None
-
-    kernel_generators = []
-    if finite:
-        for i in range(m):
-            s = diag[i]
-            if s <= 1:
-                continue
-            z = root_of_unity(s)
-            gen = tuple(z ** W[j][i] for j in range(m))
-            kernel_generators.append(gen)
-
-    particular = None
-    if consistent and targets is not None and finite:
-        mu = []
-        for i in range(m):
-            if i < rank and cU is not None:
-                mu.append(_nth_root_of_unity(cU[i], diag[i]))
-            else:
-                mu.append(CycNum.one())
-        particular = tuple(
-            _prod(mu[k] ** W[j][k] for k in range(m)) for j in range(m)
-        )
-    elif consistent and targets is None and finite:
-        particular = tuple(CycNum.one() for _ in range(m))
-
-    return TorusSolution(consistent, order, [d for d in diag if d], kernel_generators, particular)
-
-
-def _prod(items):
-    acc = CycNum.one()
-    for x in items:
-        acc = acc * x
-    return acc
-
-
-def _nth_root_of_unity(c: CycNum, n: int) -> CycNum:
-    """Some n-th root of a root of unity c, exact in a larger cyclotomic field."""
-    o = c.root_of_unity_order()
-    if o is None:
-        raise LatticeError("cannot extract a root of a non-torsion value")
-    if n == 1:
-        return c
-    z = root_of_unity(o)
-    for a in range(o):
-        if z ** a == c:
-            return root_of_unity(o * n, a)
-    raise LatticeError("discrete log failed")  # unreachable
+        return torus.solve([Fraction(0)] * torus.t)
+    targets = list(targets)
+    if len(targets) != torus.t:
+        raise LatticeError("need one target per row")
+    exponents = [c.root_exponent() for c in targets]
+    for c, t in zip(targets, exponents):
+        if t is None:
+            raise LatticeError("target %s is not a root of unity" % c)
+    return torus.solve(exponents)
 
 
 class BlockScalarGroup:
@@ -224,15 +207,9 @@ def block_scalar_group(form: Form, block_sizes) -> BlockScalarGroup:
         raise FormError("block sizes sum to %d, expected %d" % (sum(blocks), form.nvars))
     if not form.terms:
         raise FormError("the zero form has an infinite stabilizer")
-    rows = sorted({block_degrees(e, blocks) for e in form.terms})
-    sol = solve_torus([list(r) for r in rows])
-    gens = []
-    if sol.order is not None:
-        for gen in sol.kernel_generators:
-            diag_entries = []
-            for lam, size in zip(gen, blocks):
-                diag_entries.extend([lam] * size)
-            gens.append(ExactMatrix.diagonal(diag_entries))
+    sol = solve_torus(sorted({block_degrees(e, blocks) for e in form.terms}))
+    gens = [ExactMatrix.diagonal([lam for lam, size in zip(gen, blocks) for _ in range(size)])
+            for gen in sol.kernel_generators]
     return BlockScalarGroup(form, blocks, sol.order, sol.divisors, gens)
 
 
@@ -251,8 +228,9 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
     """All matrices diag * permutation preserving the form.
 
     The permutation search runs over coordinate permutations compatible with
-    the support of the form; each candidate reduces to a torus system with
-    the same exponent matrix and twisted targets.
+    the support of the form; each candidate is a torus system with the same
+    exponent matrix, factored once, and its coefficient ratios as targets.
+    The ratios must be roots of unity (else LatticeError).
     """
     r = form.nvars
     if r > MAX_VARS:
@@ -260,52 +238,51 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
     if not form.terms:
         raise FormError("the zero form has an infinite stabilizer")
     support = sorted(form.terms, key=lambda e: (-max(e), e))
-    rows = [list(e) for e in support]
-    base = solve_torus(rows)
-    if base.order is None:
+    torus = _Torus(support)
+    if torus.order is None:
         return SemiPermutationGroup(None, None, [], 0, [])
 
-    col_profile = []
-    for i in range(r):
-        col_profile.append(tuple(sorted(e[i] for e in support)))
-    support_set = set(form.terms)
+    col_profile = [tuple(sorted(e[i] for e in support)) for i in range(r)]
+    exponents = {}      # (coefficient of the image, coefficient of the term) -> exponent of their ratio
+
+    def ratio_exponent(img, e):
+        a, b = form.terms[img], form.terms[e]
+        key = (a.n, a.num, a.den, b.n, b.num, b.den)
+        if key not in exponents:
+            exponents[key] = (a / b).root_exponent()
+            if exponents[key] is None:
+                raise LatticeError("coefficient ratio %s of %s to %s is not a root of unity; the "
+                                   "semi-permutation search handles root-of-unity ratios only"
+                                   % (a / b, _monomial_str(img), _monomial_str(e)))
+        return exponents[key]
 
     good = []
     reps = {}
     for sigma in permutations(range(r)):
         if any(col_profile[i] != col_profile[sigma[i]] for i in range(r)):
             continue
-        ok = True
-        targets = []
+        images = []
         for e in support:
             img = [0] * r
             for i, ei in enumerate(e):
                 img[sigma[i]] = ei
-            img = tuple(img)
-            if img not in support_set:
-                ok = False
-                break
-            targets.append(form.terms[img] / form.terms[e])
-        if not ok:
+            images.append(tuple(img))
+        if any(img not in form.terms for img in images):
             continue
-        sol = solve_torus(rows, targets)
+        sol = torus.solve([ratio_exponent(img, e) for img, e in zip(images, support)])
         if sol.consistent:
             good.append(sigma)
             reps[sigma] = sol.particular
-    order = base.order * len(good)
-    generators = []
-    for gen in base.kernel_generators:
-        generators.append(ExactMatrix.diagonal(list(gen)))
+    generators = [ExactMatrix.diagonal(list(gen)) for gen in torus.kernel_generators]
+    zero = CycNum.zero()
     for sigma in _generating_subset(good):
-        diag_part = reps[sigma]
         gen_rows = []
-        zero = CycNum.zero()
         for i in range(r):
             row = [zero] * r
-            row[sigma[i]] = diag_part[i] if diag_part is not None else CycNum.one()
+            row[sigma[i]] = reps[sigma][i]
             gen_rows.append(row)
         generators.append(ExactMatrix(gen_rows))
-    return SemiPermutationGroup(order, base.order, good, len(good), generators)
+    return SemiPermutationGroup(torus.order * len(good), torus.order, good, len(good), generators)
 
 
 def _generating_subset(perms):

@@ -9,9 +9,15 @@ is nonzero.  The resultant is the Sylvester determinant, computed by
 fraction-free Bareiss elimination over Z (every form the oracle sees has
 integer coefficients), so the oracle shares no arithmetic with the code it
 checks.
+
+The torus reference, reference_solve_torus, solves lambda^V = c from the
+same Smith normal form as diaglattice.solve_torus but in CycNum arithmetic:
+it raises the targets to the powers in U, takes d-th roots through a
+discrete logarithm and multiplies the particular solution out of powers.
 """
 
-from formaut.cyclotomic import CycNum
+from formaut.cyclotomic import CycNum, _divisors, root_of_unity
+from formaut.diaglattice import LatticeError, TorusSolution, smith_normal_form
 from formaut.forms import Form, partials
 
 
@@ -73,3 +79,67 @@ def smooth_by_resultant(form: Form) -> bool:
     if p1.is_zero() or p2.is_zero():
         return False
     return not sylvester_resultant(p1, p2).is_zero()
+
+
+def _order(c: CycNum):
+    """Multiplicative order of a root of unity, else None (every root of Q(zeta_n) has order | lcm(2, n))."""
+    bound = c.n if c.n % 2 == 0 else 2 * c.n
+    return next((d for d in _divisors(bound) if c ** d == 1), None)
+
+
+def _nth_root(c: CycNum, n: int) -> CycNum:
+    """The n-th root zeta_(o*n)^a of c = zeta_o^a, 0 <= a < o, by a discrete logarithm."""
+    o = _order(c)
+    if n == 1:
+        return c
+    z = root_of_unity(o)
+    a = next(a for a in range(o) if z ** a == c)
+    return root_of_unity(o * n, a)
+
+
+def reference_solve_torus(rows, targets=None) -> TorusSolution:
+    """lambda^V = c in CycNum arithmetic: targets powered by U, roots by discrete log."""
+    rows = [list(map(int, r)) for r in rows]
+    if not rows:
+        raise LatticeError("need at least one constraint row")
+    m, t = len(rows[0]), len(rows)
+    diag, U, W = smith_normal_form(rows)
+    rank = sum(1 for d in diag if d)
+    finite = rank == m
+    cU = None
+    consistent = True
+    if targets is not None:
+        targets = list(targets)
+        if len(targets) != t:
+            raise LatticeError("need one target per row")
+        cU = []
+        for i in range(t):
+            acc = CycNum.one()
+            for j in range(t):
+                if U[i][j]:
+                    acc = acc * (targets[j] ** U[i][j])
+            cU.append(acc)
+        consistent = all(cU[i] == 1 for i in range(rank, t))
+        if any(_order(cU[i]) is None for i in range(rank)):
+            raise LatticeError("target functional is not a root of unity")
+    order = None
+    if finite:
+        order = 1
+        for d in diag:
+            order *= d
+    kernel_generators = []
+    if finite:
+        for i, s in enumerate(diag):
+            if s > 1:
+                kernel_generators.append(tuple(root_of_unity(s) ** W[j][i] for j in range(m)))
+    particular = None
+    if consistent and finite:
+        mu = [_nth_root(cU[i], diag[i]) if cU is not None else CycNum.one() for i in range(m)]
+        particular = []
+        for j in range(m):
+            acc = CycNum.one()
+            for k in range(m):
+                acc = acc * mu[k] ** W[j][k]
+            particular.append(acc)
+        particular = tuple(particular)
+    return TorusSolution(consistent, order, [d for d in diag if d], kernel_generators, particular)

@@ -112,6 +112,15 @@ def test_semiperm_subcommand(tmp_path, capsys):
     assert json.loads(out)["order"] == 162
 
 
+def test_semiperm_refuses_a_non_root_ratio(tmp_path, capsys):
+    f = tmp_path / "form.txt"
+    f.write_text("x1^3 + 2*x2^3 + x3^3")
+    assert main(["semiperm-group", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coefficient ratio 2 of x2^3 to x3^3 is not a root of unity")
+    assert "root-of-unity ratios only" in err
+
+
 def test_structure_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
     from formaut.matgroups import generators_to_json
@@ -233,12 +242,13 @@ CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1
      ["smooth", "form.json"]),
     ({"gens.json": '{"dim": 2.0, "generators": [[["0", "1"], ["1", "0"]]]}'}, ["closure", "gens.json"]),
     ({"gens.json": '{"dim": true, "generators": [[["1"]]]}'}, ["closure", "gens.json"]),
+    ({"form.txt": "x1^3 + x2^3 + x3^3"}, ["diag-group", "form.txt", "--blocks", "1,1"]),
 ], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
         "dimension-mismatch", "missing-file", "non-positive-block-size", "singular-basis-change",
         "basis-change-size", "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product",
         "float-generator-entry", "boolean-generator-entry", "float-exponent", "boolean-exponent",
         "float-block-size", "boolean-block-size", "duplicate-block", "float-nvars", "float-degree",
-        "float-dim", "boolean-dim"])
+        "float-dim", "boolean-dim", "blocks-sum-mismatch"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

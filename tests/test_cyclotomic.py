@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -99,13 +100,15 @@ def test_conductor_lift_round_trip():
 
 
 def test_multiplicative_orders():
+    # root_exponent is a/m in [0, 1); its denominator is the multiplicative order
     for n in [1, 2, 3, 4, 5, 6, 8, 12, 15, 24, 60]:
-        assert root_of_unity(n).root_of_unity_order() == n
-    assert root_of_unity(12, 8).root_of_unity_order() == 3
-    assert CycNum.from_int(1).root_of_unity_order() == 1
-    assert CycNum.from_int(-1).root_of_unity_order() == 2
-    assert CycNum.from_int(2).root_of_unity_order() is None
-    assert (root_of_unity(5) + 1).root_of_unity_order() is None
+        assert root_of_unity(n).root_exponent() == Fraction(1, n) % 1
+        assert root_of_unity(n).root_exponent().denominator == n
+    assert root_of_unity(12, 8).root_exponent() == Fraction(2, 3)
+    assert CycNum.from_int(1).root_exponent() == 0
+    assert CycNum.from_int(-1).root_exponent() == Fraction(1, 2)
+    assert CycNum.from_int(2).root_exponent() is None
+    assert (root_of_unity(5) + 1).root_exponent() is None
 
 
 def test_canonical_keys():

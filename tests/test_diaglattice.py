@@ -4,12 +4,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from formaut.cyclotomic import CycNum
-from formaut.diaglattice import block_scalar_group, semi_permutation_group, smith_normal_form, solve_torus
+from formaut import diaglattice
+from formaut.cyclotomic import CycNum, root_of_unity
+from formaut.diaglattice import (LatticeError, block_scalar_group, semi_permutation_group, smith_normal_form,
+                                 solve_torus)
 from formaut.forms import Form, FormError, act, block_degrees, parse
 
 from lemmas import check_diag_bound
+from oracles import reference_solve_torus
 
 rng = random.Random(31337)
 
@@ -177,3 +182,102 @@ def test_semi_permutation_generic_cubic():
     sp = semi_permutation_group(F)
     assert sp.image_order == 1
     assert sp.order == sp.diagonal_order == 3
+
+
+NON_ROOTS = [CycNum.from_int(2), root_of_unity(5) + 1]
+ROOTS = st.builds(root_of_unity, st.sampled_from([1, 2, 3, 4, 6, 8, 12]), st.integers(0, 23))
+
+
+def _power_product(lam, row):
+    value = CycNum.one()
+    for x, e in zip(lam, row):
+        value = value * x ** e
+    return value
+
+
+@st.composite
+def torus_systems(draw):
+    """rows up to 5 x 5 over -6..6 and targets: none, random roots, or lambda^V for a root tuple lambda."""
+    t, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=t, max_size=t))
+    # a finite system builds roots of unity of order up to 24 * d_m, the largest
+    # invariant factor; keep those fields small so the reference stays fast
+    diag = smith_normal_form(rows)[0]
+    assume(sum(1 for d in diag if d) < m or max(diag) <= 12)
+    mode = draw(st.sampled_from(["image", "random", "image", "none"]))
+    if mode == "none":
+        return rows, None
+    if mode == "random":
+        targets = draw(st.lists(ROOTS, min_size=t, max_size=t))
+    else:
+        lam = draw(st.lists(ROOTS, min_size=m, max_size=m))
+        targets = [_power_product(lam, row) for row in rows]
+    if draw(st.integers(1, 8)) == 8:    # now and then one target is not a root of unity
+        targets[draw(st.integers(0, t - 1))] = draw(st.sampled_from(NON_ROOTS))
+    return rows, targets
+
+
+def _outcome(solve, rows, targets):
+    try:
+        return solve(rows, targets)
+    except LatticeError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(torus_systems())
+def test_solve_torus_matches_the_cyclotomic_reference(system):
+    rows, targets = system
+    got = _outcome(solve_torus, rows, targets)
+    ref = _outcome(reference_solve_torus, rows, targets)
+    if targets is not None and any(c in NON_ROOTS for c in targets):
+        # a non-root target is refused outright; the reference refuses it too,
+        # unless its U leaves the target to a row past the rank, where it
+        # makes the system inconsistent
+        assert got is None
+        assert ref is None or not ref.consistent
+        return
+    assert got is not None and ref is not None
+    assert (got.consistent, got.order, got.divisors) == (ref.consistent, ref.order, ref.divisors)
+    assert got.kernel_generators == ref.kernel_generators
+    assert got.particular == ref.particular
+    if got.particular is not None and targets is not None:
+        assert [_power_product(got.particular, row) for row in rows] == targets
+
+
+def test_one_smith_normal_form_per_search(monkeypatch):
+    calls = []
+    snf = diaglattice.smith_normal_form
+    monkeypatch.setattr(diaglattice, "smith_normal_form", lambda rows: calls.append(1) or snf(rows))
+    for text in ["x1^3 + x2^3 + x3^3 + x4^3", "x1^3 + z3*x2^3 + x3^3", "x1^2*x2 + x2^2*x3 + x3^2*x1"]:
+        calls.clear()
+        semi_permutation_group(parse(text))
+        assert len(calls) == 1
+
+
+ALL_S3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+# order, diagonal order and permutation list as the CycNum-power solver found them
+@pytest.mark.parametrize("text, order, diagonal_order, perms", [
+    ("x1^3 + z3*x2^3 + x3^3", 162, 27, ALL_S3),
+    ("x1^4 + z4*x2^4 + x3^4", 384, 64, ALL_S3),
+    ("x1^3 + z8*x2^3 + z8^3*x3^3", 162, 27, ALL_S3),
+    ("x1^3 - x2^3 + x3^3", 162, 27, ALL_S3),
+    ("x1^2*x2 + z3*x2^2*x3 + x3^2*x1", 27, 9, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+    ("x1^3*x2 + z4*x2^3*x1 + x3^4", 64, 32, [(0, 1, 2), (1, 0, 2)]),
+])
+def test_semi_permutation_root_of_unity_ratios(text, order, diagonal_order, perms):
+    F = parse(text)
+    sp = semi_permutation_group(F)
+    assert (sp.order, sp.diagonal_order, sp.permutations) == (order, diagonal_order, perms)
+    for m in sp.generators:
+        assert act(F, m) == F
+
+
+def test_semi_permutation_refuses_a_non_root_ratio():
+    with pytest.raises(LatticeError, match="coefficient ratio 2 of x2\\^3 to x3\\^3"):
+        semi_permutation_group(parse("x1^3 + 2*x2^3 + x3^3"))
+    with pytest.raises(LatticeError, match="not a root of unity"):
+        solve_torus([[3]], [CycNum.from_int(2)])
