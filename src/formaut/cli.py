@@ -22,8 +22,8 @@ from .diaglattice import block_scalar_group, semi_permutation_group
 from .forms import from_json as form_from_json
 from .forms import parse as form_parse
 from .matgroups import DEFAULT_CAP, MatGroup, generators_from_json, invariant_dimension
-from .sequences import (SubdegreeSequence, classification_search, enumerate_sequences, jc, mixed_sequence_scan,
-                        ratio, uniform_bounds_check)
+from .sequences import (SequenceError, SubdegreeSequence, classification_search, enumerate_sequences, jc,
+                        mixed_sequence_scan, ratio, uniform_bounds_check)
 from .smoothness import _is_prime, is_smooth
 from .structure import DecompositionCertificate, verify_certificate, verify_compositional
 
@@ -84,6 +84,14 @@ def _range_at_least(k: int):
     return parse
 
 
+def _sequence(text: str) -> SubdegreeSequence:
+    """An argparse type: a subdegree sequence in caret notation."""
+    try:
+        return SubdegreeSequence.from_text(text)
+    except SequenceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _emit(payload, out=None):
     text = json.dumps(payload, indent=1, sort_keys=True)
     if out:
@@ -94,7 +102,7 @@ def _emit(payload, out=None):
 
 
 def cmd_ratio(args) -> int:
-    r = ratio(SubdegreeSequence.from_text(args.seq), args.d)
+    r = ratio(args.seq, args.d)
     print("%d/%d" % (r.numerator, r.denominator))
     return 0
 
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ratio", help="Fermat-test ratio of a subdegree sequence")
-    p.add_argument("--seq", required=True, help="caret notation, e.g. '2^13' or '8^1 6^2 1^3'")
+    p.add_argument("--seq", required=True, type=_sequence, help="caret notation, e.g. '2^13' or '8^1 6^2 1^3'")
     p.add_argument("--d", type=_at_least(3), required=True)
     p.set_defaults(func=cmd_ratio)
 

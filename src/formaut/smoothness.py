@@ -5,24 +5,31 @@ the origin.  The certifiers here are exact:
 
 * split-variables: a sum of forms in disjoint variables is smooth iff each
   summand is;
-* groebner-modp: the partials are reduced modulo one prime p, chart by
-  chart as unit-ideal Groebner runs.  Properness lemma: if p = 1 (mod N),
+* groebner-modp and groebner-char0: one chart criterion, run over F_p or
+  over the cyclotomic coefficient field K.  The charts
+  U_k = {x_k = 1, x_j = 0 for j > k}, k = r, ..., 1, cover P^(r-1): a point
+  lies in the chart of its last nonzero coordinate.  On U_k the partials
+  restrict to polynomials in x_1..x_(k-1), and by the weak Nullstellensatz
+  (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4) they have no
+  common zero over the algebraic closure iff they generate the unit ideal.
+  So the form is smooth over the field iff every chart's Groebner run
+  reaches 1.  Over K a chart whose complete basis is not {1} holds a
+  singular point.  Over F_p the properness lemma applies: if p = 1 (mod N),
   N the conductor, and p divides no coefficient denominator, a singular
   point in characteristic 0, scaled to be primitive at a prime above p,
   reduces to a nonzero common zero of the reduced partials; so one complete
-  run showing the zero locus empty over the closure of F_p proves smoothness;
-* groebner-char0: a reduced Groebner basis of the Jacobian ideal over the
-  cyclotomic coefficient field; the form is smooth iff the leading-term
-  ideal contains a pure power of every variable.
+  run in which every chart reaches 1 proves smoothness, while a chart that
+  does not only shows a possible bad reduction.
 
-Both Groebner routes run one Buchberger engine on packed-int monomials; the
+Both fields run one Buchberger engine on packed-int monomials; the
 coefficient field (F_p or the cyclotomic field) is a parameter that supplies
 only the coefficient arithmetic.  The exponent bound of the packing comes
 from the degree cap, and the exactness lemma at the engine shows that no
 exponent ever exceeds it.
 
 A singular verdict is only ever issued from characteristic 0, with either an
-exact witness point or the leading-term defect as certificate.
+exact witness point or the chart over K whose Groebner basis is not {1} as
+certificate.
 """
 
 from __future__ import annotations
@@ -363,14 +370,10 @@ class Poly(NamedTuple):
     lm: tuple
 
 
-class GroebnerResult:
-    def __init__(self, basis, complete, pairs_processed):
-        self.basis = basis
-        self.complete = complete
-        self.pairs_processed = pairs_processed
-
-    def leading_monomials(self):
-        return [g.lm for g in self.basis]
+class GroebnerResult(NamedTuple):
+    basis: list
+    complete: bool
+    pairs_processed: int
 
 
 def buchberger(polys, field, degree_cap=None, pair_budget=200000, stop_at_unit=False):
@@ -402,13 +405,6 @@ def buchberger(polys, field, degree_cap=None, pair_budget=200000, stop_at_unit=F
 
 def form_to_poly(form: Form, field) -> dict:
     return {e: field.from_cyc(c) for e, c in form.terms.items()}
-
-
-def groebner_basis(forms, field=None, degree_cap=None, pair_budget=200000):
-    """Reduced grevlex Groebner basis of a list of Forms (or coefficient dicts)."""
-    field = field or CycField()
-    polys = [form_to_poly(f, field) if isinstance(f, Form) else f for f in forms]
-    return buchberger(polys, field, degree_cap=degree_cap, pair_budget=pair_budget)
 
 
 # -- smoothness ----------------------------------------------------------------
@@ -561,43 +557,32 @@ def _coordinate_witness(form: Form):
     return None
 
 
-def _char0_verdict(form: Form, degree_cap, pair_budget):
-    gb = groebner_basis(partials(form), CycField(), degree_cap=degree_cap, pair_budget=pair_budget)
-    if not gb.complete:
-        return None, gb
-    lms = gb.leading_monomials()
-    missing = [i + 1 for i in range(form.nvars) if not any(0 < lm[i] == sum(lm) for lm in lms)]
-    return missing, gb
+def _only_origin(form: Form, field, degree_cap, pair_budget):
+    """(verdict, chart, pairs): do the partials vanish over the closure of field only at 0?
 
-
-def _modp_only_origin(form: Form, p: int, degree_cap, pair_budget):
-    """True/False/None: is the zero locus of the partials mod p just the origin?"""
-    field = GF(p, conductor(form.terms.values()))
+    verdict is True when every chart reaches the unit ideal, False when a
+    chart is empty (every restricted partial is zero) or its complete basis
+    is not {1}, and None when a run is incomplete.  For False and None,
+    chart is the 1-based k of the chart U_k that decided and pairs the pairs
+    its run processed.  On U_k a term survives iff it uses no variable
+    after x_k, and homogeneity fixes its exponent of x_k by the others, so
+    truncating the kept exponent tuples to x_1..x_(k-1) merges no two terms.
+    """
     polys = [form_to_poly(f, field) for f in partials(form)]
-    r = form.nvars
-    for chart in range(r - 1, -1, -1):
-        chart_polys = []
-        for poly in polys:
-            terms = {}
-            for e, c in poly.items():
-                if any(e[j] for j in range(chart + 1, r)):
-                    continue
-                key = e[:chart]
-                terms[key] = (terms.get(key, 0) + c) % p
-            terms = {e: c for e, c in terms.items() if c}
-            if terms:
-                chart_polys.append(terms)
+    for chart in range(form.nvars - 1, -1, -1):
+        chart_polys = [t for t in ({e[:chart]: c for e, c in poly.items()
+                                    if c != 0 and not any(e[chart + 1:])} for poly in polys) if t]
         if not chart_polys:
-            return False  # entire chart satisfies the system
+            return False, chart + 1, 0
         if chart == 0:
-            continue    # only constants are left, and one of them is nonzero
+            break       # only constants are left, and one of them is nonzero
         gb = buchberger(chart_polys, field, degree_cap=degree_cap,
                         pair_budget=pair_budget, stop_at_unit=True)
         if not gb.complete:
-            return None
+            return None, chart + 1, gb.pairs_processed
         if not (len(gb.basis) == 1 and sum(gb.basis[0].lm) == 0):
-            return False
-    return True
+            return False, chart + 1, gb.pairs_processed
+    return True, None, 0
 
 
 def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
@@ -605,16 +590,23 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
     """Certify the smooth/singular verdict for a homogeneous form.
 
     strategy is one of auto, modp, char0.  auto runs split-variables, then
-    mod-p chart runs, then the characteristic-0 Groebner fallback.  The
-    primes (by default the one `split_prime` draws from the seed) are tried
-    in order; the first complete unit-ideal chart run is the certificate,
-    method groebner-modp with primes [p].  modp is undecided once every
-    prime refuses; auto falls through to characteristic 0 at the first
-    refusal, so a singular reduction mod p is never reported as singular.
-    Every Groebner run is capped at degree 4 * deg(form).  A supplied prime
-    that is not a prime p = 1 (mod N), N the conductor, dividing no
-    coefficient denominator (the properness lemma's hypotheses) is refused
-    with SmoothnessError.
+    the chart criterion over F_p, then the same chart criterion over the
+    cyclotomic field K.  A coordinate point that kills every partial is a
+    singular witness before any chart run.  The primes (by default the one
+    `split_prime` draws from the seed) are tried in order; the first run in
+    which every chart reaches the unit ideal is the certificate, method
+    groebner-modp with primes [p] and detail {"conductor": N}.  modp is
+    undecided once every prime refuses (detail per_prime maps each prime to
+    its verdict: False for a chart that is empty or not the unit ideal, None
+    for an incomplete run); auto falls through to characteristic 0 at the
+    first refusal, so a singular reduction mod p is never reported as
+    singular.  Over K the detail is {"charts": r} when smooth, {"chart": k}
+    when singular and {"chart": k, "pairs": n} when undecided, k the 1-based
+    variable set to 1 in the chart that decided and n the pairs its run
+    processed.  Every Groebner run is capped at degree 4 * deg(form).  A
+    supplied prime that is not a prime p = 1 (mod N), N the conductor,
+    dividing no coefficient denominator (the properness lemma's hypotheses)
+    is refused with SmoothnessError.
     """
     if form.degree < 2:
         raise SmoothnessError("smoothness needs degree >= 2")
@@ -652,11 +644,6 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
             return SmoothnessCertificate("smooth", "split-variables",
                                          detail={"components": [[v + 1 for v in c] for c in comps]})
 
-    if form.nvars == 1:
-        # x^d with nonzero coefficient: the only critical point is the origin
-        return SmoothnessCertificate("smooth", "groebner-char0",
-                                     detail={"reason": "single variable pure power"})
-
     witness = _coordinate_witness(form)
     if witness is not None:
         return SmoothnessCertificate("singular", "groebner-char0", witness,
@@ -665,7 +652,7 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
     if strategy in ("auto", "modp"):
         tried = []
         for p in primes or [split_prime(n, den, seed)]:
-            only_origin = _modp_only_origin(form, p, degree_cap, pair_budget)
+            only_origin = _only_origin(form, GF(p, n), degree_cap, pair_budget)[0]
             if only_origin:
                 return SmoothnessCertificate("smooth", "groebner-modp", primes=[p],
                                              detail={"conductor": n})
@@ -676,14 +663,9 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
             return SmoothnessCertificate("undecided", "groebner-modp", primes=[p for p, _ in tried],
                                          detail={"per_prime": {str(p): v for p, v in tried}})
 
-    missing, gb = _char0_verdict(form, degree_cap, pair_budget)
-    if missing is None:
-        return SmoothnessCertificate("undecided", "groebner-char0",
-                                     detail={"reason": "budget exhausted",
-                                             "pairs": gb.pairs_processed})
-    if not missing:
-        return SmoothnessCertificate("smooth", "groebner-char0",
-                                     detail={"basis_size": len(gb.basis)})
-    return SmoothnessCertificate("singular", "groebner-char0", None,
-                                 detail={"reason": "leading-term ideal misses pure powers",
-                                         "variables": missing})
+    only_origin, chart, pairs = _only_origin(form, CycField(), degree_cap, pair_budget)
+    if only_origin:
+        return SmoothnessCertificate("smooth", "groebner-char0", detail={"charts": form.nvars})
+    if only_origin is None:
+        return SmoothnessCertificate("undecided", "groebner-char0", detail={"chart": chart, "pairs": pairs})
+    return SmoothnessCertificate("singular", "groebner-char0", detail={"chart": chart})

@@ -10,15 +10,28 @@ fraction-free Bareiss elimination over Z (every form the oracle sees has
 integer coefficients), so the oracle shares no arithmetic with the code it
 checks.
 
+Two smoothness references.  reference_char0_verdict is the homogeneous
+pure-power criterion: a complete reduced Groebner basis of the Jacobian
+ideal over the cyclotomic field K, under the same degree cap as is_smooth,
+whose leading-term ideal holds a pure power of every variable iff the form
+is smooth.  macaulay_smooth needs no Groebner basis at all: for a form with
+rational coefficients in at most three variables it reads smoothness off the
+exact rank over Q of one Macaulay matrix of the partials (Macaulay, The
+Algebraic Theory of Modular Systems, 1916).
+
 The torus reference, reference_solve_torus, solves lambda^V = c from the
 same Smith normal form as diaglattice.solve_torus but in CycNum arithmetic:
 it raises the targets to the powers in U, takes d-th roots through a
 discrete logarithm and multiplies the particular solution out of powers.
 """
 
+from fractions import Fraction
+
 from formaut.cyclotomic import CycNum, _divisors, root_of_unity
 from formaut.diaglattice import LatticeError, TorusSolution, smith_normal_form
 from formaut.forms import Form, partials
+from formaut.matgroups import _monomials
+from formaut.smoothness import CycField, buchberger, form_to_poly
 
 
 def form_product(f: Form, g: Form) -> Form:
@@ -79,6 +92,72 @@ def smooth_by_resultant(form: Form) -> bool:
     if p1.is_zero() or p2.is_zero():
         return False
     return not sylvester_resultant(p1, p2).is_zero()
+
+
+def reference_char0_verdict(form: Form, pair_budget=200000):
+    """True smooth, False singular, None incomplete: the homogeneous pure-power criterion over K.
+
+    The Jacobian ideal J is m-primary, m = (x_1, ..., x_r), iff its zero set
+    is the origin, and that holds iff every x_i has a power in J, i.e. iff
+    the leading-term ideal of a Groebner basis holds a pure power of every
+    variable.  The run is capped at degree 4 * deg(form), as is_smooth caps
+    its chart runs.
+    """
+    field = CycField()
+    gb = buchberger([form_to_poly(f, field) for f in partials(form)], field,
+                    degree_cap=4 * form.degree, pair_budget=pair_budget)
+    if not gb.complete:
+        return None
+    lms = [g.lm for g in gb.basis]
+    return all(any(0 < lm[i] == sum(lm) for lm in lms) for i in range(form.nvars))
+
+
+def _rank(rows) -> int:
+    """Rank over Q of a list of Fraction rows, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / top[col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def macaulay_smooth(form: Form) -> bool:
+    """Independent r <= 3 oracle: smooth iff the partials span every form of degree D = r(d - 2) + 1.
+
+    The Macaulay matrix has one row m * dF/dx_i for each partial and each
+    monomial m of degree D - (d - 1), and one column per monomial of degree
+    D; its rank over Q is the dimension of J_D, J the Jacobian ideal.
+    Lemma: F is smooth iff rank = dim R_D, R = Q[x_1..x_r].  If F is smooth
+    the partials have only the origin as common zero, so r forms in r
+    variables cut out a zero-dimensional scheme: they are a regular
+    sequence, R/J has Hilbert series ((1 - t^(d-1)) / (1 - t))^r, a
+    polynomial of degree r(d - 2), and so (R/J)_D = 0.  If F is singular, J
+    has a common zero besides the origin, so J is not m-primary, and
+    J_D != R_D for every D (J_D = R_D would put m^D inside J).
+    """
+    r, d = form.nvars, form.degree
+    if r > 3:
+        raise ValueError("the Macaulay oracle is for at most three variables")
+    top = r * (d - 2) + 1
+    column = {e: i for i, e in enumerate(_monomials(r, top))}
+    rows = []
+    for p in partials(form):
+        coeffs = [(e, c.as_fraction()) for e, c in p.terms.items()]
+        for m in _monomials(r, top - d + 1):
+            row = [Fraction(0)] * len(column)
+            for e, c in coeffs:
+                row[column[tuple(a + b for a, b in zip(e, m))]] = c
+            rows.append(row)
+    return _rank(rows) == len(column)
 
 
 def _order(c: CycNum):

@@ -184,7 +184,10 @@ def test_usage_error_exit_code():
                                   ["smooth", "form.txt", "--prime", "2"],
                                   ["smooth", "form.txt", "--budget", "-1"],
                                   ["diag-group", "f.txt", "--blocks=-1,4"],
-                                  ["diag-group", "f.txt", "--blocks", "0,3"]])
+                                  ["diag-group", "f.txt", "--blocks", "0,3"],
+                                  ["ratio", "--seq", "0", "--d", "3"],
+                                  ["ratio", "--seq", "abc", "--d", "3"],
+                                  ["ratio", "--seq", "2^0", "--d", "3"]])
 def test_bad_option_value_is_a_usage_error(args):
     with pytest.raises(SystemExit) as exc:
         main(args)

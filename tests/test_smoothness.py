@@ -3,34 +3,39 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formaut.cyclotomic import CycNum
+from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, parse
+from formaut.matgroups import _monomials
 from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packing, buchberger,
-                                good_primes, grevlex_key, groebner_basis, is_smooth, split_prime,
+                                form_to_poly, good_primes, grevlex_key, is_smooth, split_prime,
                                 variable_components)
 
 from lemmas import smtosm_witness
-from oracles import bareiss_determinant, smooth_by_resultant, sylvester_resultant
+from oracles import (bareiss_determinant, form_product, macaulay_smooth, reference_char0_verdict, smooth_by_resultant,
+                     sylvester_resultant)
 
 rng = random.Random(8128)
 
 
+def _cyc_basis(forms):
+    return buchberger([form_to_poly(f, CycField()) for f in forms], CycField())
+
+
 def test_groebner_trivial_cases():
-    gb = groebner_basis([parse("x1^2", nvars=2), parse("x2^2", nvars=2)])
+    gb = _cyc_basis([parse("x1^2", nvars=2), parse("x2^2", nvars=2)])
     assert sorted(g.lm for g in gb.basis) == [(0, 2), (2, 0)]
-    gb = groebner_basis([parse("3*x1^2", nvars=3), parse("3*x2^2", nvars=3),
-                         parse("3*x3^2", nvars=3)])
+    gb = _cyc_basis([parse("3*x1^2", nvars=3), parse("3*x2^2", nvars=3), parse("3*x3^2", nvars=3)])
     assert all(str(g.terms[g.lm]) == "1" for g in gb.basis)
 
 
 def test_groebner_klein_pure_powers():
     from formaut.forms import partials
-    gb = groebner_basis(partials(parse("x1^3*x2 + x2^3*x3 + x3^3*x1")))
+    gb = _cyc_basis(partials(parse("x1^3*x2 + x2^3*x3 + x3^3*x1")))
     assert gb.complete
-    lms = gb.leading_monomials()
+    lms = [g.lm for g in gb.basis]
     for i in range(3):
         assert any(lm[i] > 0 and all(x == 0 for j, x in enumerate(lm) if j != i) for lm in lms)
 
@@ -204,6 +209,99 @@ def test_binary_groebner_agrees_with_resultant():
         cert = is_smooth(F, "char0")
         assert cert.verdict in ("smooth", "singular")
         assert (cert.verdict == "smooth") == smooth_by_resultant(F)
+
+
+COEFFS = [CycNum.from_int(k) for k in (1, -1, 2, -2, 3)] + [root_of_unity(3), root_of_unity(4)]
+
+
+def _lines_through(p):
+    """The nonzero linear forms p_i x_j - p_j x_i, which vanish at the point p."""
+    r = len(p)
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    lines = [Form(r, {unit[j]: p[i], unit[i]: -p[j]}, 1) for i in range(r) for j in range(i + 1, r)]
+    return [ell for ell in lines if not ell.is_zero()]
+
+
+def _singular_at(p, products, d):
+    """sum c * l_a * l_b * m over (a, b, m, c): every term vanishes to order 2 at p."""
+    lines = _lines_through(p)
+    form = Form(len(p), {}, d)
+    for a, b, m, c in products:
+        form = form + form_product(form_product(lines[a % len(lines)], lines[b % len(lines)]),
+                                   Form(len(p), {m: c}, d - 2))
+    return form
+
+
+@st.composite
+def _drawn_forms(draw):
+    """A form of degree 2 to 4 in 2 to 4 variables, coefficients in +-1, +-2, 3, z3, z4.
+
+    Half are drawn term by term: each pure power x_i^d present or absent,
+    and up to four more terms, so the coordinate-point shortcut decides only
+    some.  The other half are planted singular at a drawn point.
+    """
+    r, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    coeff = st.sampled_from(COEFFS)
+    if draw(st.booleans()):
+        p = draw(st.lists(st.sampled_from((1, -1, 2, 0)), min_size=r, max_size=r).filter(any))
+        products = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                           st.sampled_from(_monomials(r, d - 2)), coeff), min_size=1, max_size=5))
+        form = _singular_at(p, products, d)
+        assume(not form.is_zero())
+        return form
+    terms = {tuple(d if j == i else 0 for j in range(r)): c
+             for i, c in enumerate(draw(st.lists(st.sampled_from(COEFFS + [None]), min_size=r, max_size=r))) if c}
+    terms.update(draw(st.dictionaries(st.sampled_from(_monomials(r, d)), coeff, min_size=1, max_size=4)))
+    return Form(r, terms, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_drawn_forms())
+def test_char0_charts_match_the_pure_power_criterion(form):
+    want = reference_char0_verdict(form)
+    cert = is_smooth(form, "char0")
+    if want is not None:
+        assert cert.verdict == ("smooth" if want else "singular")
+    if cert.verdict == "singular" and cert.witness is None:
+        assert 1 <= cert.detail["chart"] <= form.nvars
+    if form.nvars == 2 and all(c.is_rational() and c.as_fraction().denominator == 1 for c in form.terms.values()):
+        assert (cert.verdict == "smooth") == smooth_by_resultant(form)
+
+
+def test_macaulay_rank_oracle_agrees_with_both_routes():
+    local = random.Random(1916)
+    verdicts = []
+    for k in range(60):
+        r, d = local.randint(2, 3), local.randint(2, 4)
+        if k % 2:
+            p = [local.choice((0, 1, -1, 2)) for _ in range(r - 1)] + [1]
+            products = [(local.randrange(3), local.randrange(3), local.choice(_monomials(r, d - 2)),
+                         local.choice((1, -1, 2, 3))) for _ in range(local.randint(1, 4))]
+            form = _singular_at(p, products, d)
+        else:
+            form = Form(r, {e: local.choice((0, 1, -1, 2, Fraction(1, 2), -3)) for e in _monomials(r, d)}, d)
+        if form.is_zero():
+            continue
+        smooth = macaulay_smooth(form)
+        assert is_smooth(form).verdict == is_smooth(form, "char0").verdict == ("smooth" if smooth else "singular")
+        verdicts.append(smooth)
+    assert True in verdicts and False in verdicts
+
+
+def test_chart_criterion_finds_a_point_off_the_coordinate_axes():
+    # singular at (1 : 1 : 1), not a coordinate point, so only the charts over K decide it
+    cert = is_smooth(parse("x1^3 + x2^3 + x3^3 - 3*x1*x2*x3"), "char0")
+    assert (cert.verdict, cert.method, cert.witness, cert.detail) == ("singular", "groebner-char0", None, {"chart": 3})
+    cert = is_smooth(parse("x1^3*x2 + x2^3*x3 + x3^3*x1"), "char0")
+    assert (cert.verdict, cert.detail) == ("smooth", {"charts": 3})
+
+
+def test_one_variable_form_reports_the_route_that_decided():
+    form = parse("x1^4")
+    cert = is_smooth(form, "modp")
+    assert (cert.verdict, cert.method, cert.primes) == ("smooth", "groebner-modp", [split_prime(1, 1)])
+    cert = is_smooth(form, "char0")
+    assert (cert.verdict, cert.method, cert.detail) == ("smooth", "groebner-char0", {"charts": 1})
 
 
 def test_resultant_basic():
