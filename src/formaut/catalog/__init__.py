@@ -24,12 +24,12 @@ import time
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from math import factorial
 
 from ..cyclotomic import parse_scalar
 from ..diaglattice import semi_permutation_group
 from ..forms import ExactMatrix, Form, act, parse
 from ..matgroups import DEFAULT_CAP, MatGroup, closure, preserves
+from ..sequences import fermat_order
 from ..smoothness import is_smooth
 from ..structure import CertificateError, DecompositionCertificate, verify_certificate, verify_compositional
 
@@ -150,7 +150,7 @@ def verify_entry(entry: CatalogEntry, cap: int = DEFAULT_CAP, skip_smooth: bool 
         if entry.tier == "compositional":
             checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
                                              "order": struct.group_order, "expected": expected_aut}
-        ratio = Fraction(expected_aut, entry.d ** entry.nvars * factorial(entry.nvars))
+        ratio = Fraction(expected_aut, fermat_order(entry.nvars, entry.d))
         checks["certificate"] = {
             "ok": struct.identities_hold() and struct.group_order == expected_aut,
             "report": json.loads(struct.to_json()),
@@ -163,7 +163,7 @@ def verify_entry(entry: CatalogEntry, cap: int = DEFAULT_CAP, skip_smooth: bool 
         checks["semi_permutation"] = {"ok": sp.order == expected_aut, "order": sp.order}
 
     if entry.exceptional and entry.in_theorem_domain:
-        fermat_count = entry.d ** (entry.n + 1) * factorial(entry.nvars)
+        fermat_count = fermat_order(entry.nvars, entry.d) // entry.d
         checks["beats_fermat"] = {"ok": expected_lin > fermat_count,
                                   "lin": expected_lin, "fermat": fermat_count}
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 
 # Maximal orders of finite primitive projective linear groups in small degree.
@@ -135,51 +136,32 @@ def _as_seq(l) -> SubdegreeSequence:
     return SubdegreeSequence(l)
 
 
-def _ratio_numerator_parts(parts: tuple) -> int:
-    """prod JC(r_i) * prod k_j! for a sorted parts tuple."""
-    prod = 1
-    run = 0
-    prev = None
-    for p in parts:
-        prod *= jc(p)
-        if p == prev:
-            run += 1
-        else:
-            prod *= factorial(run)
-            run = 1
-            prev = p
-    prod *= factorial(run)
-    return prod
+def fermat_order(v: int, d: int) -> int:
+    """d^v * v!, the order of the linear automorphism group of the Fermat form of degree d in v variables.
+
+    It is the Fermat test's denominator (Shioda 1988); the projective order is
+    fermat_order(v, d) // d.
+    """
+    return d ** v * factorial(v)
 
 
 def ratio(l, d: int) -> Fraction:
     """Fermat-test ratio R(l, d) = d^s * prod JC(r_i) * prod k_j! / (d^v * v!)."""
-    seq = _as_seq(l)
-    if d < 3:
-        raise SequenceError("degree must be at least 3")
-    s, v = seq.length, seq.total
-    return Fraction(_ratio_numerator_parts(seq.parts), d ** (v - s) * factorial(v))
+    return ratio_with_groups([(r, jc(r)) for r in _as_seq(l).parts], d)
 
 
 def ratio_with_groups(groups, d: int) -> Fraction:
     """R(H, d) with explicit constituent orders in place of the JC maxima.
 
-    groups is a sequence of (subdegree, order) pairs.
+    groups is a nonempty sequence of (subdegree, order) pairs; R(H, d) is
+    their canonical bound over the runs of equal subdegree, divided by the
+    Fermat order.
     """
-    if d < 3:
-        raise SequenceError("degree must be at least 3")
-    pairs = [(int(r), int(h)) for r, h in groups]
-    for r, h in pairs:
-        if h < 1 or h > jc(r):
-            raise SequenceError("order %d exceeds the primitive maximum JC(%d) = %d" % (h, r, jc(r)))
-    seq = SubdegreeSequence([r for r, _ in pairs])
-    s, v = seq.length, seq.total
-    num = d ** s
-    for _, h in pairs:
-        num *= h
-    for _, k in seq.multiplicities():
-        num *= factorial(k)
-    return Fraction(num, d ** v * factorial(v))
+    pairs = sorted(((int(r), int(h)) for r, h in groups), reverse=True)
+    if not pairs:
+        raise SequenceError("sequence must be nonempty")
+    runs = [len(list(run)) for _, run in groupby(r for r, _ in pairs)]
+    return Fraction(canonical_bound(pairs, runs, d), fermat_order(sum(r for r, _ in pairs), d))
 
 
 def canonical_bound(groups, intrinsic_multiplicities, d: int) -> int:
@@ -187,7 +169,7 @@ def canonical_bound(groups, intrinsic_multiplicities, d: int) -> int:
 
     groups lists (subdegree, order) pairs in grouping order; consecutive runs
     of sizes k_j must have constant subdegree (blocks of one V_i share their
-    dimension).
+    dimension), and each order is at most the primitive maximum JC(r).
     """
     if d < 3:
         raise SequenceError("degree must be at least 3")
@@ -197,19 +179,18 @@ def canonical_bound(groups, intrinsic_multiplicities, d: int) -> int:
         raise SequenceError("intrinsic multiplicities must be positive")
     if sum(ks) != len(pairs):
         raise SequenceError("intrinsic multiplicities sum to %d, expected %d" % (sum(ks), len(pairs)))
+    bound = d ** len(pairs)
     for r, h in pairs:
         if h < 1 or h > jc(r):
             raise SequenceError("order %d exceeds JC(%d)" % (h, r))
-    bound = d ** len(pairs)
+        bound *= h
     pos = 0
     for k in ks:
         block = pairs[pos:pos + k]
-        if len({r for r, _ in block}) != 1:
+        if any(r != block[0][0] for r, _ in block):
             raise SequenceError("intrinsic group %r mixes subdegrees" % (block,))
         bound *= factorial(k)
         pos += k
-    for _, h in pairs:
-        bound *= h
     return bound
 
 
@@ -255,7 +236,7 @@ def enumerate_sequences(total: int, d: int | None = None):
     if d is None:       # no bound: every node reaches the target 0
         best, target = [[1] * (total + 1)] * (total + 1), 0
     else:
-        best, target = _best_products(total, d), d ** total * factorial(total)
+        best, target = _best_products(total, d), fermat_order(total, d)
 
     def walk(rest, cap, acc, prefix):
         if rest == 0:
@@ -277,18 +258,15 @@ def survivors_for(v: int, d: int):
     """Partitions of v with a part > 1 and R(l, d) >= 1, with exact ratios.
 
     The pruned walk enumerate_sequences(v, d) supplies the candidates; each is
-    still compared exactly in integers: R >= 1 iff the numerator parts beat
-    d^(v-s) * v!.  1^v, the walk's equality case, is left out.
+    still kept only when its exact ratio is at least 1.  1^v, the walk's
+    equality case, is left out.
     """
     out = []
-    fact_v = factorial(v)
     for seq in enumerate_sequences(v, d):
-        if seq.parts[0] == 1:
-            continue
-        num = _ratio_numerator_parts(seq.parts)
-        rhs = d ** (v - seq.length) * fact_v
-        if num >= rhs:
-            out.append((seq, Fraction(num, rhs)))
+        if seq.parts[0] > 1:
+            r = ratio(seq, d)
+            if r >= 1:
+                out.append((seq, r))
     return out
 
 

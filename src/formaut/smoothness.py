@@ -3,6 +3,8 @@
 A form is smooth when its partial derivatives vanish simultaneously only at
 the origin.  The certifiers here are exact:
 
+* coordinate-point: a standard basis vector e_i at which every partial
+  vanishes is a singular point;
 * split-variables: a sum of forms in disjoint variables is smooth iff each
   summand is;
 * groebner-modp and groebner-char0: one chart criterion, run over F_p or
@@ -46,13 +48,6 @@ from .forms import Form, partials
 
 class SmoothnessError(ValueError):
     pass
-
-
-# -- monomial order (graded reverse lexicographic) ---------------------------
-
-
-def grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 # -- coefficient fields -------------------------------------------------------
@@ -220,9 +215,10 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
 
     polys: nonzero {exponent tuple: coeff} dicts of total degree <= bound.
     Returns (basis, capped, exhausted, processed): the reduced basis as
-    monic {exponent tuple: coeff} dicts, whether a surviving pair above the
-    degree cap was skipped, whether the pair budget ran out, and the pairs
-    processed (at most pair_budget).
+    monic {exponent tuple: coeff} dicts, each keyed first by its leading
+    monomial, whether a surviving pair above the degree cap was skipped,
+    whether the pair budget ran out, and the pairs processed (at most
+    pair_budget).
 
     Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller, J. Symb.
     Comput. 6, 1988; the UPDATE procedure of Becker-Weispfenning, Groebner
@@ -376,31 +372,23 @@ class GroebnerResult(NamedTuple):
     pairs_processed: int
 
 
-def buchberger(polys, field, degree_cap=None, pair_budget=200000, stop_at_unit=False):
+def buchberger(polys, field, degree_cap, pair_budget=200000, stop_at_unit=False):
     """Reduced Groebner basis under grevlex, smallest lcm first, Gebauer-Moeller pair update.
 
     polys are {exponent tuple: coeff} dicts with coefficients in field.
     At most pair_budget pairs are processed.  Exceeding the pair budget or
     needing a pair above the degree cap yields complete=False (never a wrong
-    basis).  With degree_cap None there is no
-    cap: a run that outgrows its packing bound restarts with the bound
-    doubled.  With stop_at_unit the run aborts as soon as a nonzero constant
+    basis).  With stop_at_unit the run aborts as soon as a nonzero constant
     enters the basis.
     """
     polys = [t for t in ({e: c for e, c in t.items() if c != 0} for t in polys) if t]
     if not polys:
         return GroebnerResult([], True, 0)
     nvars = len(next(iter(polys[0])))
-    bound = max(degree_cap or 0, 2 * max(sum(e) for t in polys for e in t), 1)
-    while True:
-        basis, capped, exhausted, processed = _buchberger_packed(
-            polys, field, nvars, bound, bound if degree_cap is None else degree_cap,
-            pair_budget, stop_at_unit)
-        if degree_cap is not None or not capped or exhausted:
-            break
-        bound *= 2
-    basis = [Poly(g, max(g, key=grevlex_key)) for g in basis]
-    return GroebnerResult(basis, not (capped or exhausted), processed)
+    bound = max(degree_cap, 2 * max(sum(e) for t in polys for e in t), 1)
+    basis, capped, exhausted, processed = _buchberger_packed(
+        polys, field, nvars, bound, degree_cap, pair_budget, stop_at_unit)
+    return GroebnerResult([Poly(g, next(iter(g))) for g in basis], not (capped or exhausted), processed)
 
 
 def form_to_poly(form: Form, field) -> dict:
@@ -413,7 +401,7 @@ def form_to_poly(form: Form, field) -> dict:
 class SmoothnessCertificate:
     def __init__(self, verdict, method, witness=None, primes=None, detail=None):
         self.verdict = verdict      # smooth | singular | undecided
-        self.method = method        # groebner-char0 | groebner-modp | split-variables
+        self.method = method        # coordinate-point | split-variables | groebner-modp | groebner-char0
         self.witness = witness      # tuple of CycNum for singular, when found
         self.primes = primes or []
         self.detail = detail or {}
@@ -541,19 +529,17 @@ def restrict_to_variables(form: Form, variables) -> Form:
     return Form(len(variables), terms, form.degree)
 
 
-def _unit_point(r: int, i: int):
-    return tuple(CycNum.one() if j == i else CycNum.zero() for j in range(r))
-
-
 def _coordinate_witness(form: Form):
     """A standard basis vector e_i killing every partial, if one exists.
 
     The partials at e_i are the coefficients of the terms x_i^(d-1) * x_j
     times nonzero exponents, so e_i kills them iff no term has e[i] >= d - 1.
+    An unused variable always gives one, since d >= 2; and a witness of a
+    summand in disjoint variables is one of the whole form.
     """
     for i in range(form.nvars):
         if all(e[i] < form.degree - 1 for e in form.terms):
-            return _unit_point(form.nvars, i)
+            return tuple(CycNum.one() if j == i else CycNum.zero() for j in range(form.nvars))
     return None
 
 
@@ -589,10 +575,11 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
               pair_budget=200000) -> SmoothnessCertificate:
     """Certify the smooth/singular verdict for a homogeneous form.
 
-    strategy is one of auto, modp, char0.  auto runs split-variables, then
-    the chart criterion over F_p, then the same chart criterion over the
-    cyclotomic field K.  A coordinate point that kills every partial is a
-    singular witness before any chart run.  The primes (by default the one
+    strategy is one of auto, modp, char0.  Under every strategy a
+    coordinate point e_i that kills every partial is checked first: it is a
+    singular witness, method coordinate-point.  auto then runs
+    split-variables, then the chart criterion over F_p, then the same chart
+    criterion over the cyclotomic field K.  The primes (by default the one
     `split_prime` draws from the seed) are tried in order; the first run in
     which every chart reaches the unit ideal is the certificate, method
     groebner-modp with primes [p] and detail {"conductor": N}.  modp is
@@ -617,25 +604,19 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
             raise SmoothnessError("%d is not a prime = 1 (mod %d) dividing no denominator" % (p, n))
     degree_cap = 4 * form.degree
 
+    witness = _coordinate_witness(form)
+    if witness is not None:
+        return SmoothnessCertificate("singular", "coordinate-point", witness,
+                                     detail={"reason": "coordinate point kills all partials"})
+
     if strategy == "auto":
         comps = variable_components(form)
-        used = {i for e in form.terms for i, x in enumerate(e) if x}
-        for i in range(form.nvars):
-            if i not in used:
-                return SmoothnessCertificate("singular", "split-variables", _unit_point(form.nvars, i),
-                                             detail={"reason": "unused variable x%d" % (i + 1)})
         if len(comps) > 1:
             for comp in comps:
                 sub = restrict_to_variables(form, comp)
                 cert = is_smooth(sub, "auto", primes=primes, seed=seed, pair_budget=pair_budget)
                 if cert.verdict == "singular":
-                    witness = [CycNum.zero()] * form.nvars
-                    if cert.witness:
-                        for v, w in zip(comp, cert.witness):
-                            witness[v] = w
-                        return SmoothnessCertificate("singular", "split-variables", tuple(witness),
-                                                     detail={"component": [v + 1 for v in comp]})
-                    return SmoothnessCertificate("singular", "split-variables", None,
+                    return SmoothnessCertificate("singular", "split-variables",
                                                  detail={"component": [v + 1 for v in comp],
                                                          "inner": cert.detail})
                 if cert.verdict == "undecided":
@@ -643,11 +624,6 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
                                                  detail={"component": [v + 1 for v in comp]})
             return SmoothnessCertificate("smooth", "split-variables",
                                          detail={"components": [[v + 1 for v in c] for c in comps]})
-
-    witness = _coordinate_witness(form)
-    if witness is not None:
-        return SmoothnessCertificate("singular", "groebner-char0", witness,
-                                     detail={"reason": "coordinate point kills all partials"})
 
     if strategy in ("auto", "modp"):
         tried = []

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .diaglattice import block_scalar_group
 from .forms import ExactMatrix, Form, act
 from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
                         _row_keys, closure, scalar_cosets, schreier_generators)
-from .sequences import SubdegreeSequence, canonical_bound
+from .sequences import SubdegreeSequence, canonical_bound, fermat_order
 
 
 class CertificateError(ValueError):
@@ -250,7 +249,7 @@ def _finish_report(tier, group_order, psi_order, k_orders, principal_order,
         groups = [(stop - start, constituent_orders[(i + 1, j + 1)])
                   for (i, j, start, stop) in cert.block_ranges()]
         bound = canonical_bound(groups, intrinsic, degree)
-        ratio = Fraction(group_order, degree ** form.nvars * factorial(form.nvars))
+        ratio = Fraction(group_order, fermat_order(form.nvars, degree))
         if group_order > bound:
             raise CertificateError("group order %d exceeds its canonical bound %d" % (group_order, bound))
     report = StructureReport(

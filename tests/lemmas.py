@@ -7,7 +7,8 @@ steps of the case analysis against the library:
 * refined_bound, component, has_monomial_pattern -- the bounds on |G| once a
   monomial pattern is found on the form;
 * smtosm_witness -- the monomial forced by a singular restriction of a
-  smooth form;
+  smooth form, found in grevlex order (grevlex_key, also the reference
+  order of the packed-monomial test);
 * ratio_quotient_law, lambda_addr0, ratioprod_check,
   binomial_supermultiplicativity -- identities of the Fermat-test ratio;
 * check_diag_bound -- the block-scalar stabilizer bound d^m;
@@ -24,7 +25,7 @@ from formaut.diaglattice import block_scalar_group
 from formaut.forms import ExactMatrix, Form, FormError, block_degrees
 from formaut.matgroups import MatGroup
 from formaut.sequences import SequenceError, SubdegreeSequence, _as_seq, jc, ratio
-from formaut.smoothness import SmoothnessError, grevlex_key, is_smooth, restrict_to_variables
+from formaut.smoothness import SmoothnessError, is_smooth, restrict_to_variables
 from formaut.structure import CertificateError, StructureReport
 
 
@@ -117,6 +118,11 @@ def has_monomial_pattern(form: Form, block_sizes, pattern):
 
 
 # -- the monomial-shape witness of restricted singularities --------------------
+
+
+def grevlex_key(exps):
+    """Sort key of the graded reverse lexicographic order on exponent tuples."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def smtosm_witness(form: Form, k: int, a: int):

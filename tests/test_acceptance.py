@@ -19,8 +19,8 @@ from formaut.cyclotomic import CycNum
 from formaut.diaglattice import block_scalar_group
 from formaut.forms import Form, parse
 from formaut.matgroups import closure, invariant_dimension_molien, invariant_dimension_reynolds
-from formaut.sequences import (SubdegreeSequence, enumerate_sequences, jc, ratio, survivors_for,
-                               uniform_bounds_check)
+from formaut.sequences import (SubdegreeSequence, enumerate_sequences, fermat_order, jc, ratio,
+                               ratio_with_groups, survivors_for, uniform_bounds_check)
 from formaut.smoothness import is_smooth
 
 from lemmas import (binomial_supermultiplicativity, check_diag_bound, lambda_addr0, ratio_quotient_law,
@@ -259,6 +259,27 @@ def test_certificate_reports_match_golden(catalog_reports):
     text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
     assert text == (GOLDEN / "structure_reports.json").read_text()
     report(6, "%d certificate reports byte-identical to the golden file" % len(reports))
+
+
+def test_certificate_ratios_form_the_fermat_chain(catalog_reports):
+    # |G|/(d^v v!) <= B/(d^v v!) <= R(H, d) <= R(l, d) on every certificate with a form:
+    # B groups by the intrinsic multiplicities, R(H, d) by equal subdegrees, and
+    # R(l, d) puts the JC maxima in place of the constituent orders |H_ij|
+    rows = []
+    for entry in load_entries():
+        cert = catalog_reports[entry.label][0]["checks"].get("certificate", {}).get("report", {})
+        if "fermat_ratio" not in cert:
+            continue
+        sizes = {"%d,%d" % (i + 1, j + 1): stop - start
+                 for i, j, start, stop in entry.certificate().block_ranges()}
+        groups = [(sizes[key], h) for key, h in cert["constituents"].items()]
+        fermat = fermat_order(entry.nvars, entry.d)
+        chain = [Fraction(cert["fermat_ratio"]), Fraction(cert["canonical_bound"], fermat),
+                 ratio_with_groups(groups, entry.d), ratio(cert["subdegree_sequence"], entry.d)]
+        assert chain == sorted(chain), (entry.label, chain)
+        rows.append("%s %s" % (entry.label, chain[0]))
+    assert len(rows) == 15
+    report(10, "Fermat chain on %d certificates: %s" % (len(rows), "; ".join(rows)))
 
 
 def test_criterion_07_compositional_tier(catalog_reports):

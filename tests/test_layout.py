@@ -13,9 +13,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# ratio_with_groups is kept for the classification ledger (ROADMAP item 4),
-# which gives it its caller in the catalog pipeline.
-ALLOWED = {"ratio_with_groups"}
+# Definitions exempt from the rule above; none today.
+ALLOWED = set()
 
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products, canonical_bound,
-                               classification_search, enumerate_sequences, jc, mixed_sequence_scan, ratio,
-                               ratio_with_groups, survivors_for, uniform_bounds_check)
+                               classification_search, enumerate_sequences, fermat_order, jc,
+                               mixed_sequence_scan, ratio, ratio_with_groups, survivors_for,
+                               uniform_bounds_check)
 
 from lemmas import binomial_supermultiplicativity, lambda_addr0, ratio_quotient_law, ratioprod_check
 
@@ -195,7 +196,7 @@ def test_survivors_match_brute_force(v, d):
     assert [(s.parts, r) for s, r in survivors_for(v, d)] == brute
 
 
-@pytest.mark.parametrize("d", [3, 4, 7, 20])
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8, 20])
 def test_best_products_table(d):
     table = _best_products(12, d)
     for c in range(13):
@@ -204,6 +205,15 @@ def test_best_products_table(d):
             assert table[c][m] == max((_run_product(p, d) for p in parts), default=0)
             if c:
                 assert table[c][m] >= table[c - 1][m]
+    # the Fermat test's three formulas are the run product over the Fermat order
+    for v in range(1, 13):
+        assert fermat_order(v, d) == _run_product((1,) * v, d)
+        for parts in _all_partitions(v):
+            want = Fraction(_run_product(parts, d), fermat_order(v, d))
+            groups = [(r, jc(r)) for r in parts]
+            runs = [parts.count(r) for r in sorted(set(parts), reverse=True)]
+            assert ratio(parts, d) == ratio_with_groups(groups, d) == want
+            assert Fraction(canonical_bound(groups, runs, d), fermat_order(v, d)) == want
 
 
 def test_enumerate_sequences_refuses_small_degree():

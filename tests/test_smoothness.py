@@ -10,10 +10,9 @@ from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, parse
 from formaut.matgroups import _monomials
 from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packing, buchberger,
-                                form_to_poly, good_primes, grevlex_key, is_smooth, split_prime,
-                                variable_components)
+                                form_to_poly, good_primes, is_smooth, split_prime, variable_components)
 
-from lemmas import smtosm_witness
+from lemmas import grevlex_key, smtosm_witness
 from oracles import (bareiss_determinant, form_product, macaulay_smooth, reference_char0_verdict, smooth_by_resultant,
                      sylvester_resultant)
 
@@ -21,7 +20,8 @@ rng = random.Random(8128)
 
 
 def _cyc_basis(forms):
-    return buchberger([form_to_poly(f, CycField()) for f in forms], CycField())
+    cap = 4 * max(f.degree for f in forms)
+    return buchberger([form_to_poly(f, CycField()) for f in forms], CycField(), cap)
 
 
 def test_groebner_trivial_cases():
@@ -77,7 +77,8 @@ def _assert_matches_sympy(nvars, polys, p):
         want = [[(e, Fraction(int(c.p), int(c.q))) for e, c in terms]
                 for terms in _sympy_reduced_basis(polys, nvars, domain="QQ")]
     for stop_at_unit in (False, True):
-        ours = buchberger(ours_in, field, stop_at_unit=stop_at_unit)
+        ours = buchberger(ours_in, field, 4 * max(sum(e) for t in polys for e in t),
+                          stop_at_unit=stop_at_unit)
         assert ours.complete
         got = [[(e, c if p else c.as_fraction()) for e, c in g.terms.items()] for g in ours.basis]
         assert _canonical(got) == _canonical(want)
@@ -143,12 +144,12 @@ def test_pair_budget_counts_processed_pairs():
     p = 32003
     polys = [{(2, 0, 0): 1, (0, 1, 1): 3, (1, 0, 1): 5}, {(0, 2, 0): 1, (1, 0, 1): 7, (1, 1, 0): 2},
              {(0, 0, 2): 1, (1, 1, 0): 11, (0, 1, 1): 13}]
-    needed = buchberger(polys, GF(p)).pairs_processed
+    needed = buchberger(polys, GF(p), 8).pairs_processed
     assert needed > 1
     for budget in (0, needed - 1):
-        short = buchberger(polys, GF(p), pair_budget=budget)
+        short = buchberger(polys, GF(p), 8, pair_budget=budget)
         assert not short.complete and short.pairs_processed == budget
-    full = buchberger(polys, GF(p), pair_budget=needed)
+    full = buchberger(polys, GF(p), 8, pair_budget=needed)
     assert full.complete and full.pairs_processed == needed
 
 
@@ -183,6 +184,19 @@ def test_singular_controls_with_witness():
     cert = is_smooth(parse("x1^3 + x2^3", nvars=3))
     assert cert.verdict == "singular"
     assert [str(w) for w in cert.witness] == ["0", "0", "1"]
+
+
+def test_coordinate_point_is_one_certificate_under_every_strategy():
+    # e_3 kills every partial: x3 is unused in the first form, and in the
+    # second, which is one variable component, no term has x2^2
+    for text, point in [("x1^3 + x2^3", ["0", "0", "1"]), ("x1^3 + x1*x2*x3 + x3^3", ["0", "1", "0"])]:
+        form = parse(text, nvars=3)
+        certs = {is_smooth(form, strategy).to_json() for strategy in ("auto", "modp", "char0")}
+        assert len(certs) == 1
+        cert = is_smooth(form)
+        assert (cert.verdict, cert.method, cert.primes) == ("singular", "coordinate-point", [])
+        assert [str(w) for w in cert.witness] == point
+        assert cert.detail == {"reason": "coordinate point kills all partials"}
 
 
 def test_split_strategy_block_form():
