@@ -1,12 +1,14 @@
+import importlib.util
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products, canonical_bound,
+from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products, _tables, canonical_bound,
                                classification_search, enumerate_sequences, fermat_order, jc,
                                mixed_sequence_scan, ratio, ratio_with_groups, survivors_for,
                                uniform_bounds_check)
@@ -221,9 +223,40 @@ def test_enumerate_sequences_refuses_small_degree():
         list(enumerate_sequences(5, 2))
 
 
-def test_no_survivors_from_47_to_200():
+@pytest.mark.parametrize("d", [3, 4, 8, 20])
+def test_grown_table_keeps_its_cells(d):
+    _best_products(40, d)
+    test_best_products_table(d)     # the small cells of a larger table still hold
+    _tables.cache_clear()
+    for total in (5, 17, 40):
+        grown = _best_products(total, d)
+    grown = [row[:] for row in grown]
+    _tables.cache_clear()
+    assert _best_products(40, d) == grown
+
+
+def test_survivors_do_not_depend_on_the_visiting_order():
+    _tables.cache_clear()
+    grid = [(v, d) for v in range(3, 31) for d in range(3, 9)]
+    down = {(v, d): survivors_for(v, d) for v, d in reversed(grid)}
+    assert {(v, d): survivors_for(v, d) for v, d in grid} == down
+
+
+def test_bench_clear_caches_empties_the_tables(monkeypatch):
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    _best_products(10, 3)
+    assert _tables.cache_info().currsize >= 1
+    run.clear_caches()
+    assert _tables.cache_info().currsize == 0
+
+
+def test_no_survivors_from_28_to_200():
     # R is non-increasing in d, so these empty scans hold for every d >= 3
-    for v in range(47, 201):
+    for v in range(28, 201):
         assert survivors_for(v, 3) == [], "survivor at total %d, d = 3" % v
 
 
