@@ -3,10 +3,10 @@
 All numeric output is exact (rationals are printed as p/q).  Exit status is
 0 on success or a verified property, 1 on a failed verification, 2 on usage
 errors.  A usage error is a bad command line (a numeric flag out of range
-included, refused as the command line is parsed), a bad FORMAUT_CAP, or an input
-file that is missing or malformed (a form that does not parse or is not
-homogeneous, a bad scalar, bad generator or certificate JSON, or a dimension
-mismatch).  Randomized choices (mod-p primes) are seeded and recorded in the
+included, refused as the command line is parsed), a bad FORMAUT_CAP, a
+verify-catalog selection that matches no entry, or an input file that is
+missing or malformed (a form that does not parse or is not homogeneous, a bad
+scalar, bad generator or certificate JSON, or a dimension mismatch).  Randomized choices (mod-p primes) are seeded and recorded in the
 output, so runs are reproducible byte for byte.
 """
 
@@ -243,6 +243,8 @@ def cmd_verify_catalog(args) -> int:
     labels = [args.entry] if args.entry else None
     reports, ok = catalog.verify_all(labels=labels, tier=args.tier, cap=args.cap,
                                      skip_smooth=args.skip_smooth)
+    if not reports:
+        raise UsageError("no catalog entry matches --entry %r and --tier %r" % (args.entry, args.tier))
     _emit({"reports": reports, "ok": ok}, args.out)
     return 0 if ok else 1
 

@@ -66,9 +66,11 @@ Projective classes are decided here and nowhere else, by this lemma.  Let L
 be a finite matrix group and Z = L ∩ K*·I its scalar subgroup.  For g, h in
 L, g = c·h with c in K* implies c·I = g·h^-1 in L, so c·I lies in Z.  Hence
 the PGL classes of L are the cosets gZ, each of size |Z|, and
-|L / scalars| = |L| / |Z|.  `projective_order` uses the count;
-`scalar_cosets` lists the cosets and raises if one of them does not have
-exactly |Z| members of L.
+|L / scalars| = |L| / |Z|.  Both functions that use it read Z off the
+stored residues one `_stacks()` stack at a time, one scalar test per stack:
+`projective_order` uses the count, and `scalar_cosets`, given the closed
+group L, lists the cosets and raises if one of them does not have exactly
+|Z| members of L.
 
 Invariant dimensions read residues, by the rank-trace lemma.  Let G be
 finite with p ∤ |G|, e >= 0 and M = C(r+e-1, e) = dim Sym^e.  The entries
@@ -336,11 +338,6 @@ class MatGroup:
         self._require_closed()
         return len(self._orbit.points)
 
-    def residues(self):
-        """Residue matrices (read-only int32) of the elements stored by the last close(), in BFS order."""
-        for key in self._orbit.points:
-            yield np.frombuffer(key, dtype=np.int32).reshape(self.dim, self.dim)
-
     def _stacks(self, size: int = 4096):
         """Yield (offset, stack): the next at most `size` residues as one (m, r, r) array."""
         keys = self._orbit.points
@@ -388,24 +385,26 @@ class MatGroup:
         return "MatGroup(dim=%d, conductor=%d, %s)" % (self.dim, self.conductor, state)
 
 
-def scalar_cosets(residues, p: int):
-    """PGL classes of a finite group L given by its residues mod p.
+def scalar_cosets(group: MatGroup):
+    """PGL classes of a finite group L, from the residues its close() stored.
 
     By the scalar-coset lemma (module docstring) the classes are the cosets
-    gZ of Z = L ∩ K*·I.  Returns (class_of, reps): class_of maps each
-    residue key to its class number and reps[c] is the first residue of
-    class c.  Raises GroupError if some gZ does not consist of exactly |Z|
-    elements of L that lie in no earlier coset (then `residues` is not a
-    group).
+    gZ of Z = L ∩ K*·I; Z is found with one scalar test per `_stacks()`
+    stack.  Returns (class_of, reps): class_of maps each residue key to its
+    class number and reps[c] is the first residue of class c in BFS order.
+    Raises GroupError if some gZ does not consist of exactly |Z| stored
+    elements that lie in no earlier coset (then the stored residues are not
+    a group, as after a capped close()).
     """
-    members = {a.tobytes(): a for a in residues}
-    scalars = [a for a in members.values() if _is_block_scalar(a, [len(a)])]
+    members, r = group._orbit.index, group.dim
+    scalars = np.concatenate([stack[_is_block_scalar(stack, [r])] for _, stack in group._stacks()])
     class_of = {}
     reps = []
-    for key, a in members.items():
+    for key in group._orbit.points:
         if key in class_of:
             continue
-        coset = {_mulmod(s, a, p).tobytes() for s in scalars}
+        a = np.frombuffer(key, dtype=np.int32).reshape(r, r)
+        coset = {m.tobytes() for m in _mulmod(scalars, a, group.p)}
         if len(coset) != len(scalars) or key not in coset or \
                 any(k not in members or k in class_of for k in coset):
             raise GroupError("a scalar coset does not have |L ∩ scalars| = %d elements of L"

@@ -210,15 +210,31 @@ def _divides(a, b, guard):
     return ((a | guard) - b) & guard == guard
 
 
-def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_unit):
-    """Grevlex Buchberger on packed monomials, exponents at most bound.
+class Poly(NamedTuple):
+    """A basis element: {exponent tuple: coeff} and its leading monomial."""
 
-    polys: nonzero {exponent tuple: coeff} dicts of total degree <= bound.
-    Returns (basis, capped, exhausted, processed): the reduced basis as
-    monic {exponent tuple: coeff} dicts, each keyed first by its leading
-    monomial, whether a surviving pair above the degree cap was skipped,
-    whether the pair budget ran out, and the pairs processed (at most
-    pair_budget).
+    terms: dict
+    lm: tuple
+
+
+class GroebnerResult(NamedTuple):
+    basis: list
+    complete: bool
+    pairs_processed: int
+
+
+def buchberger(polys, field, degree_cap, pair_budget=200000):
+    """Reduced Groebner basis under grevlex, smallest lcm first, Gebauer-Moeller pair update.
+
+    polys are {exponent tuple: coeff} dicts with coefficients in field.
+    At most pair_budget pairs are processed.  Exceeding the pair budget or
+    needing a pair above the degree cap yields complete=False (never a wrong
+    basis).  The run stops as soon as a nonzero constant enters the basis:
+    the ideal is then the unit ideal, whose reduced basis is {1}, complete
+    whatever pairs are left.
+
+    Monomials are packed (`_packing`) with exponents at most
+    max(degree_cap, 2·deg, 1), deg the largest input degree.  Basis elements are monic.
 
     Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller, J. Symb.
     Comput. 6, 1988; the UPDATE procedure of Becker-Weispfenning, Groebner
@@ -232,10 +248,10 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
          then drops that one too).
     The criteria are sound: if every surviving pair reduces to zero, the
     basis is a Groebner basis, whatever the degrees of the pruned pairs.  So
-    a pruned pair above the degree cap needs no processing and leaves capped
-    unset, while every surviving pair above the cap sets it when popped.
-    Only elements whose leading monomial no later one divides take new
-    pairs; older pairs of the other elements stay live.
+    a pruned pair above the degree cap needs no processing and leaves the
+    run complete, while every surviving pair above the cap makes it
+    incomplete when popped.  Only elements whose leading monomial no later
+    one divides take new pairs; older pairs of the other elements stay live.
 
     Reduction keeps a max-heap of the packed terms (duplicates and cancelled
     keys are skipped when popped) and finds reducers through a memo that
@@ -245,6 +261,11 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
     rescans only the elements added since.  Any element whose leading
     monomial divides m gives a valid reduction step.
     """
+    polys = [t for t in ({e: c for e, c in t.items() if c != 0} for t in polys) if t]
+    if not polys:
+        return GroebnerResult([], True, 0)
+    nvars = len(next(iter(polys[0])))
+    bound = max(degree_cap, 2 * max(sum(e) for t in polys for e in t), 1)
     pack, unpack, guard, offset, shift = _packing(nvars, bound)
     one = field.from_cyc(CycNum.one())
 
@@ -317,26 +338,26 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
         exps.append(e)
 
     def unit_basis(processed):
-        return [{(0,) * nvars: one}], False, False, processed
+        return GroebnerResult([Poly({(0,) * nvars: one}, (0,) * nvars)], True, processed)
 
     for terms in sorted(({pack(e): c for e, c in t.items()} for t in polys), key=max):
         terms = reduce(terms)
         if terms:
-            if stop_at_unit and next(iter(terms)) == offset:
+            if next(iter(terms)) == offset:
                 return unit_basis(0)
             insert(terms)
 
     processed = 0
-    capped = exhausted = False
+    complete = True
     while pairs:
         l, i, j = heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
-        if l >> shift > cap:
-            capped = True
+        if l >> shift > degree_cap:
+            complete = False
             continue
         if processed >= pair_budget:
-            exhausted = True
+            complete = False
             break
         processed += 1
         di = l - lms[i]
@@ -344,7 +365,7 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
         field.submul(terms, tails[j], l - lms[j], one)
         terms = reduce(terms)
         if terms:
-            if stop_at_unit and next(iter(terms)) == offset:
+            if next(iter(terms)) == offset:
                 return unit_basis(processed)
             insert(terms)
 
@@ -355,40 +376,8 @@ def _buchberger_packed(polys, field, nvars, bound, cap, pair_budget, stop_at_uni
     for k in sorted(active, key=lms.__getitem__):
         g = {lms[k]: one}
         g.update(reduce(dict(tails[k])))
-        basis.append({unpack(m): c for m, c in g.items()})
-    return basis, capped, exhausted, processed
-
-
-class Poly(NamedTuple):
-    """A basis element: {exponent tuple: coeff} and its leading monomial."""
-
-    terms: dict
-    lm: tuple
-
-
-class GroebnerResult(NamedTuple):
-    basis: list
-    complete: bool
-    pairs_processed: int
-
-
-def buchberger(polys, field, degree_cap, pair_budget=200000, stop_at_unit=False):
-    """Reduced Groebner basis under grevlex, smallest lcm first, Gebauer-Moeller pair update.
-
-    polys are {exponent tuple: coeff} dicts with coefficients in field.
-    At most pair_budget pairs are processed.  Exceeding the pair budget or
-    needing a pair above the degree cap yields complete=False (never a wrong
-    basis).  With stop_at_unit the run aborts as soon as a nonzero constant
-    enters the basis.
-    """
-    polys = [t for t in ({e: c for e, c in t.items() if c != 0} for t in polys) if t]
-    if not polys:
-        return GroebnerResult([], True, 0)
-    nvars = len(next(iter(polys[0])))
-    bound = max(degree_cap, 2 * max(sum(e) for t in polys for e in t), 1)
-    basis, capped, exhausted, processed = _buchberger_packed(
-        polys, field, nvars, bound, degree_cap, pair_budget, stop_at_unit)
-    return GroebnerResult([Poly(g, next(iter(g))) for g in basis], not (capped or exhausted), processed)
+        basis.append(Poly({unpack(m): c for m, c in g.items()}, unpack(lms[k])))
+    return GroebnerResult(basis, complete, processed)
 
 
 def form_to_poly(form: Form, field) -> dict:
@@ -562,8 +551,7 @@ def _only_origin(form: Form, field, degree_cap, pair_budget):
             return False, chart + 1, 0
         if chart == 0:
             break       # only constants are left, and one of them is nonzero
-        gb = buchberger(chart_polys, field, degree_cap=degree_cap,
-                        pair_budget=pair_budget, stop_at_unit=True)
+        gb = buchberger(chart_polys, field, degree_cap=degree_cap, pair_budget=pair_budget)
         if not gb.complete:
             return None, chart + 1, gb.pairs_processed
         if not (len(gb.basis) == 1 and sum(gb.basis[0].lm) == 0):

@@ -16,12 +16,17 @@ built only when some block has size > 1.  A 1 x 1 block has H_ij = 1 and
 is irreducible, as PGL(1) is trivial.  Every larger block (i, j) gets one
 closure, the restriction L_ij of its stabilizer, whose generators are the
 Schreier generators of the orbit of j under x -> psi(g)_i^-1(x), a right
-action: its scalar cosets give |H_ij| and its residues the
+action: its scalar cosets (`matgroups.scalar_cosets`, which reads the
+closed L_ij a residue stack at a time) give |H_ij| and its residues the
 irreducibility rank.  phi(P) is the orbit of a class tuple, stored as an
 int32 row, under per-generator tables: for each principal Schreier
 generator s and block, class c goes to the class of rep_c * s, and a batch
 of rows takes one numpy gather per table.  If a form is given, every
-supplied generator must preserve it (before any basis change).
+supplied generator must preserve it (`matgroups.preserves`, before any
+basis change), and the report also carries the canonical bound
+d^s·∏|H_ij|·∏k_i! (`sequences.canonical_bound`), which |G| must not
+exceed, and the Fermat ratio |G| / (d^v·v!).  `_verify` builds the report
+in one place and refuses it unless both identities hold.
 
 What a closed group adds (tier "full-closure"): three residue counts,
 |G|, |P| (the residue block mask is the identity, exact by the block-mask
@@ -47,15 +52,16 @@ change conjugates the group to one of its order.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import scalar_to_str
 from .diaglattice import block_scalar_group
-from .forms import ExactMatrix, Form, act
+from .forms import ExactMatrix, Form
 from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
-                        _row_keys, closure, scalar_cosets, schreier_generators)
+                        _row_keys, closure, preserves, scalar_cosets, schreier_generators)
 from .sequences import SubdegreeSequence, canonical_bound, fermat_order
 
 
@@ -129,20 +135,20 @@ class DecompositionCertificate:
         return cls(grouped_sizes, bc)
 
 
+@dataclass
 class StructureReport:
-    def __init__(self, **kw):
-        self.group_order = kw["group_order"]
-        self.psi_image_order = kw["psi_image_order"]
-        self.k_orders = kw["k_orders"]
-        self.principal_order = kw["principal_order"]
-        self.kernel_order = kw["kernel_order"]
-        self.phi_image_order = kw["phi_image_order"]
-        self.constituent_orders = kw["constituent_orders"]   # {(i,j): order}, 1-based
-        self.subdegrees = kw["subdegrees"]
-        self.intrinsic_multiplicities = kw["intrinsic_multiplicities"]
-        self.tier = kw["tier"]
-        self.canonical_bound = kw.get("canonical_bound")
-        self.fermat_ratio = kw.get("fermat_ratio")
+    group_order: int
+    psi_image_order: int
+    k_orders: list
+    principal_order: int
+    kernel_order: int
+    phi_image_order: int
+    constituent_orders: dict            # {(i, j): order}, 1-based
+    subdegrees: SubdegreeSequence
+    intrinsic_multiplicities: list
+    tier: str
+    canonical_bound: int | None = None
+    fermat_ratio: Fraction | None = None
 
     def identities_hold(self) -> bool:
         return (self.group_order == self.principal_order * self.psi_image_order
@@ -238,41 +244,6 @@ def _check_transitive(psi_group, grouping):
     return k_orders
 
 
-def _finish_report(tier, group_order, psi_order, k_orders, principal_order,
-                   kernel_order, phi_order, constituent_orders, cert, form):
-    subdeg = SubdegreeSequence(cert.flat_sizes)
-    intrinsic = cert.grouping
-    bound = None
-    ratio = None
-    if form is not None:
-        degree = form.degree
-        groups = [(stop - start, constituent_orders[(i + 1, j + 1)])
-                  for (i, j, start, stop) in cert.block_ranges()]
-        bound = canonical_bound(groups, intrinsic, degree)
-        ratio = Fraction(group_order, fermat_order(form.nvars, degree))
-        if group_order > bound:
-            raise CertificateError("group order %d exceeds its canonical bound %d" % (group_order, bound))
-    report = StructureReport(
-        group_order=group_order,
-        psi_image_order=psi_order,
-        k_orders=k_orders,
-        principal_order=principal_order,
-        kernel_order=kernel_order,
-        phi_image_order=phi_order,
-        constituent_orders=constituent_orders,
-        subdegrees=subdeg,
-        intrinsic_multiplicities=intrinsic,
-        tier=tier,
-        canonical_bound=bound,
-        fermat_ratio=ratio,
-    )
-    if not report.identities_hold():
-        raise CertificateError(
-            "exact-sequence bookkeeping failed: |G|=%d, |P|=%d, |psi|=%d, |N|=%d, |phi|=%d"
-            % (group_order, principal_order, psi_order, kernel_order, phi_order))
-    return report
-
-
 # -- verification --------------------------------------------------------------------
 
 
@@ -303,7 +274,7 @@ def _verify(gens, cert, form, group, block_cap):
         raise CertificateError("need generators")
     if cert.dim != gens[0].dim:
         raise CertificateError("certificate dimension mismatch")
-    if form is not None and any(act(form, g) != form for g in gens):
+    if form is not None and not preserves(gens, form):
         raise CertificateError("a supplied generator does not preserve the form")
     ranges = cert.block_ranges()
     grouping = cert.grouping
@@ -341,18 +312,24 @@ def _verify(gens, cert, form, group, block_cap):
         principal_order = kernel_order * phi_order
         group_order = principal_order * psi_order
 
-    return _finish_report(
-        tier="compositional" if group is None else "full-closure",
-        group_order=group_order,
-        psi_order=psi_order,
-        k_orders=k_orders,
-        principal_order=principal_order,
-        kernel_order=kernel_order,
-        phi_order=phi_order,
-        constituent_orders=constituent_orders,
-        cert=cert,
-        form=form,
-    )
+    bound = ratio = None
+    if form is not None:
+        groups = [(r1 - r0, constituent_orders[(i + 1, j + 1)]) for i, j, r0, r1 in ranges]
+        bound = canonical_bound(groups, grouping, form.degree)
+        ratio = Fraction(group_order, fermat_order(form.nvars, form.degree))
+        if group_order > bound:
+            raise CertificateError("group order %d exceeds its canonical bound %d" % (group_order, bound))
+    report = StructureReport(
+        group_order=group_order, psi_image_order=psi_order, k_orders=k_orders,
+        principal_order=principal_order, kernel_order=kernel_order, phi_image_order=phi_order,
+        constituent_orders=constituent_orders, subdegrees=SubdegreeSequence(cert.flat_sizes),
+        intrinsic_multiplicities=grouping, tier="compositional" if group is None else "full-closure",
+        canonical_bound=bound, fermat_ratio=ratio)
+    if not report.identities_hold():
+        raise CertificateError(
+            "exact-sequence bookkeeping failed: |G|=%d, |P|=%d, |psi|=%d, |N|=%d, |phi|=%d"
+            % (group_order, principal_order, psi_order, kernel_order, phi_order))
+    return report
 
 
 def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
@@ -387,7 +364,7 @@ def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
             if not grp.closed:
                 raise CertificateError("stabilizer block closure exceeded its cap")
         _check_irreducible(grp, i, j, r1 - r0)
-        class_of, reps = scalar_cosets(grp.residues(), grp.p)
+        class_of, reps = scalar_cosets(grp)
         orders[(i + 1, j + 1)] = len(reps)
         reps = np.stack(reps)
         for table, s in zip(tables, schreier):

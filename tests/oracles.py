@@ -19,6 +19,10 @@ rational coefficients in at most three variables it reads smoothness off the
 exact rank over Q of one Macaulay matrix of the partials (Macaulay, The
 Algebraic Theory of Modular Systems, 1916).
 
+The scalar-coset reference, reference_scalar_cosets, is the per-residue
+walk: it tests every residue for scalarity on its own and multiplies each
+coset out one scalar at a time.
+
 The torus reference, reference_solve_torus, solves lambda^V = c from the
 same Smith normal form as diaglattice.solve_torus but in CycNum arithmetic:
 it raises the targets to the powers in U, takes d-th roots through a
@@ -30,7 +34,7 @@ from fractions import Fraction
 from formaut.cyclotomic import CycNum, _divisors, root_of_unity
 from formaut.diaglattice import LatticeError, TorusSolution, smith_normal_form
 from formaut.forms import Form, partials
-from formaut.matgroups import _monomials
+from formaut.matgroups import GroupError, _is_block_scalar, _monomials, _mulmod
 from formaut.smoothness import CycField, buchberger, form_to_poly
 
 
@@ -222,3 +226,23 @@ def reference_solve_torus(rows, targets=None) -> TorusSolution:
             particular.append(acc)
         particular = tuple(particular)
     return TorusSolution(consistent, order, [d for d in diag if d], kernel_generators, particular)
+
+
+def reference_scalar_cosets(residues, p: int):
+    """(class_of, reps) of matgroups.scalar_cosets, from any iterable of residues, one at a time."""
+    members = {a.tobytes(): a for a in residues}
+    scalars = [a for a in members.values() if _is_block_scalar(a, [len(a)])]
+    class_of = {}
+    reps = []
+    for key, a in members.items():
+        if key in class_of:
+            continue
+        coset = {_mulmod(s, a, p).tobytes() for s in scalars}
+        if len(coset) != len(scalars) or key not in coset or \
+                any(k not in members or k in class_of for k in coset):
+            raise GroupError("a scalar coset does not have |L ∩ scalars| = %d elements of L"
+                             % len(scalars))
+        for k in coset:
+            class_of[k] = len(reps)
+        reps.append(a)
+    return class_of, reps

@@ -160,6 +160,14 @@ def test_verify_catalog_single_entry(tmp_path, capsys):
     assert payload["ok"] and len(payload["reports"]) == 1
 
 
+@pytest.mark.parametrize("args", [["--entry", "no-such-row"], ["--entry", "klein-quartic", "--tier", "compositional"]])
+def test_verify_catalog_empty_selection_is_a_usage_error(args, capsys):
+    code = main(["verify-catalog", "--skip-smooth"] + args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: no catalog entry matches")
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "formaut.cli", "ratio"],
                           capture_output=True, text=True)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formaut import matgroups
-from formaut.catalog import get_entry, verify_entry
+from formaut import matgroups, structure
+from formaut.catalog import get_entry, load_entries, verify_entry
 from formaut.cli import main
 from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
@@ -20,7 +20,7 @@ from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure
 from formaut.smoothness import split_prime
 
 from lemmas import scalar_group
-from oracles import form_product
+from oracles import form_product, reference_scalar_cosets
 
 
 def test_scalar_group():
@@ -76,7 +76,7 @@ def test_closure_cap():
 def test_closure_cap_is_checked_per_insertion():
     grp = MatGroup(get_entry("fermat-3-3").generators())
     assert not grp.close(cap=1000)
-    assert len(list(grp.residues())) <= 1001
+    assert sum(len(stack) for _, stack in grp._stacks()) <= 1001
     assert not grp.close(cap=1000)
     assert grp.close(cap=29160)         # recomputed, and complete at a cap of exactly the order
     assert grp.order == 29160
@@ -84,12 +84,41 @@ def test_closure_cap_is_checked_per_insertion():
 
 def test_scalar_cosets_partition_and_check():
     grp = closure(get_entry("klein-quartic").generators())
-    class_of, reps = scalar_cosets(grp.residues(), grp.p)
+    class_of, reps = scalar_cosets(grp)
     assert len(reps) == grp.projective_order() == 168
     assert sorted(Counter(class_of.values()).values()) == [4] * 168
-    elements = list(grp.residues())
-    with pytest.raises(GroupError):       # one coset loses a member: not a group
-        scalar_cosets(elements[:-1], grp.p)
+    capped = MatGroup(get_entry("klein-quartic").generators())
+    assert not capped.close(cap=500)
+    assert sum(len(stack) for _, stack in capped._stacks()) == 501
+    with pytest.raises(GroupError):       # 501 residues of a group of order 672: not a group
+        scalar_cosets(capped)
+
+
+def _assert_cosets_match_reference(grp):
+    class_of, reps = scalar_cosets(grp)
+    want_class_of, want_reps = reference_scalar_cosets((m for _, stack in grp._stacks() for m in stack), grp.p)
+    assert class_of == want_class_of
+    assert len(reps) == len(want_reps) and all(np.array_equal(a, b) for a, b in zip(reps, want_reps))
+
+
+@pytest.mark.parametrize("label", [e.label for e in load_entries() if e.tier == "full-closure"])
+def test_scalar_cosets_match_per_residue_reference(label):
+    _assert_cosets_match_reference(closure(get_entry(label).generators()))
+
+
+def test_scalar_cosets_match_reference_on_block_closures(monkeypatch):
+    # the closures L_ij that the compositional tier builds for its blocks of size > 1
+    seen = []
+
+    def checked(grp):
+        _assert_cosets_match_reference(grp)
+        seen.append(grp.dim)
+        return scalar_cosets(grp)
+
+    monkeypatch.setattr(structure, "scalar_cosets", checked)
+    entry = get_entry("pair-icosahedral-12ic")
+    structure.verify_compositional(entry.generators(), entry.certificate(), entry.form())
+    assert seen == [2, 2]
 
 
 def test_subgroup_order_divides():

@@ -65,7 +65,7 @@ def _random_polys(nvars, coeff):
 
 
 def _assert_matches_sympy(nvars, polys, p):
-    """buchberger, with and without stop_at_unit, is sympy's reduced grevlex basis.
+    """buchberger is sympy's reduced grevlex basis.
 
     Over F_p, or over Q when p is 0.  A unit ideal must give sympy's [1].
     """
@@ -76,12 +76,10 @@ def _assert_matches_sympy(nvars, polys, p):
         field, ours_in = CycField(), [{e: CycNum.from_int(c) for e, c in t.items()} for t in polys]
         want = [[(e, Fraction(int(c.p), int(c.q))) for e, c in terms]
                 for terms in _sympy_reduced_basis(polys, nvars, domain="QQ")]
-    for stop_at_unit in (False, True):
-        ours = buchberger(ours_in, field, 4 * max(sum(e) for t in polys for e in t),
-                          stop_at_unit=stop_at_unit)
-        assert ours.complete
-        got = [[(e, c if p else c.as_fraction()) for e, c in g.terms.items()] for g in ours.basis]
-        assert _canonical(got) == _canonical(want)
+    ours = buchberger(ours_in, field, 4 * max(sum(e) for t in polys for e in t))
+    assert ours.complete
+    got = [[(e, c if p else c.as_fraction()) for e, c in g.terms.items()] for g in ours.basis]
+    assert _canonical(got) == _canonical(want)
 
 
 def test_buchberger_matches_sympy_groebner():
@@ -151,6 +149,20 @@ def test_pair_budget_counts_processed_pairs():
         assert not short.complete and short.pairs_processed == budget
     full = buchberger(polys, GF(p), 8, pair_budget=needed)
     assert full.complete and full.pairs_processed == needed
+
+
+@pytest.mark.parametrize("polys,cap,budget", [
+    # x^2, x^2 + x, x^3 + 1: the third input reduces to 1 while the pair (x, x^2) is live
+    ([{(2, 0): 1}, {(2, 0): 1, (1, 0): 1}, {(3, 0): 1, (0, 0): 1}], 4, 0),
+    # x*y - 1, x^2, x*z^5 + 1: the second pair gives 1 while (x, x*z^5 + 1), of degree 6, is live
+    ([{(1, 1, 0): 1, (0, 0, 0): 32002}, {(2, 0, 0): 1}, {(1, 0, 5): 1, (0, 0, 0): 1}], 4, 200000),
+])
+def test_unit_ideal_stops_complete(polys, cap, budget):
+    # once 1 is in the basis, no pair left over the budget or the degree cap makes the run incomplete
+    gb = buchberger(polys, GF(32003), cap, pair_budget=budget)
+    one = (0,) * len(next(iter(polys[0])))
+    assert gb.complete and [(g.terms, g.lm) for g in gb.basis] == [({one: 1}, one)]
+    assert gb.pairs_processed <= budget
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (6, 2), (17, 25)])
