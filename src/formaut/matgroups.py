@@ -430,6 +430,7 @@ def preserves(group_or_gens, form: Form) -> bool:
 # -- invariant dimensions ------------------------------------------------------
 
 SYM_BYTES = 256 << 10   # int64 bytes per Reynolds stack (or one element); small stacks keep peak RSS down
+SYM_MAX_BYTES = 32 << 20    # int64 bytes of one M x M Reynolds array (M <= 2048); a larger M is refused
 
 
 def _monomials(nvars: int, degree: int):
@@ -497,11 +498,19 @@ def _rank_mod_p(a, p: int) -> int:
 
 
 def invariant_dimension_reynolds(group: MatGroup, degree: int) -> int:
-    """F_p rank of sum_g Sym^e(g mod p), the Reynolds operator times |G| (rank-trace lemma)."""
+    """F_p rank of sum_g Sym^e(g mod p), the Reynolds operator times |G| (rank-trace lemma).
+
+    Each element's Sym^e and the sum are M x M int64 arrays, so a degree whose
+    M x M array passes SYM_MAX_BYTES is refused before any of them is built.
+    """
     size = _invariant_space(group, degree)
+    array_bytes = 8 * size * size
+    if array_bytes > SYM_MAX_BYTES:
+        raise GroupError("Reynolds at degree %d: one %d x %d int64 array takes %d bytes, over the %d-byte bound"
+                         % (degree, size, size, array_bytes, SYM_MAX_BYTES))
     maps = _symmetric_power_maps(group.dim, degree)
     total = np.zeros((size, size), dtype=np.int64)
-    for _, stack in group._stacks(max(1, SYM_BYTES // (8 * size * size))):
+    for _, stack in group._stacks(max(1, SYM_BYTES // array_bytes)):
         total = (total + _symmetric_powers(stack, maps, group.p).sum(axis=0)) % group.p
     return _rank_mod_p(total, group.p)
 

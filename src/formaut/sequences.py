@@ -196,8 +196,8 @@ def canonical_bound(groups, intrinsic_multiplicities, d: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _tables(d: int) -> list:
-    return [[1]]    # the one bound table of degree d; _best_products grows it
+def _tables(d: int) -> tuple:
+    return [[1]], [[1]]     # the one bound table of degree d and its rows' factors; _best_products grows both
 
 
 def _best_products(total: int, d: int):
@@ -208,18 +208,21 @@ def _best_products(total: int, d: int):
     makes B nondecreasing in c.
 
     One table per degree lives in the bounded cache _tables (emptied with the
-    other lru caches) and grows in place: a larger total extends each row with
-    the new columns, then appends the new rows; no cell is computed twice.
-    Callers share it and only read it (at d = 3, total 200: 201 x 201, 5.3 MB).
+    other lru caches) beside the factors g_c(0..k) of each row, and both grow
+    in place: a larger total extends each row's factors and cells with the
+    new ones, then appends the new rows; no cell or factor is computed twice.
+    Callers share the table and only read it (at d = 3, total 200: 201 x 201,
+    5.3 MB).
     """
-    table = _tables(d)
+    table, factors = _tables(d)
     size = len(table)
     if total >= size:
         table[0].extend([0] * (total + 1 - size))
         table.extend([] for _ in range(size, total + 1))
+        factors.extend([1] for _ in range(size, total + 1))
         for c in range(1, total + 1):
-            prev, row, g, step = table[c - 1], table[c], [1], d * jc(c)
-            for k in range(1, total // c + 1):
+            prev, row, g, step = table[c - 1], table[c], factors[c], d * jc(c)
+            for k in range(len(g), total // c + 1):
                 g.append(g[-1] * k * step)
             row.extend(max(g[k] * prev[m - c * k] for k in range(m // c + 1)) for m in range(len(row), total + 1))
     return table

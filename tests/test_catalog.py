@@ -101,8 +101,17 @@ def test_verify_entry_quick():
 def test_verify_entry_todd_generators_only():
     rep = verify_entry(get_entry("todd-sextic"), skip_smooth=True)
     assert rep["ok"]
-    assert "skipped" in rep["checks"]["closure"]
+    assert "closure" not in rep["checks"]
     assert rep["checks"]["beats_fermat"]["ok"]
+
+
+def test_row_whose_degree_disagrees_with_its_form_fails_parse():
+    entry = get_entry("fermat-1-3")
+    entry.d = 4
+    rep = verify_entry(entry, skip_smooth=True)
+    assert rep["checks"]["parse"] == {"ok": False, "terms": 3}
+    assert [name for name, check in rep["checks"].items() if not check["ok"]] == ["parse"]
+    assert not rep["ok"]
 
 
 def test_refused_certificate_fails_only_its_own_row(monkeypatch):

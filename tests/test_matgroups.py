@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -313,6 +314,20 @@ def test_reynolds_sums_over_memory_bounded_stacks():
     size = len(matgroups._monomials(grp.dim, 3))
     assert grp.order * 8 * size ** 2 > matgroups.SYM_BYTES     # more than one stack
     assert invariant_dimension(grp, 3) == 1                     # the Fermat cubic
+
+
+def test_reynolds_past_the_byte_bound_is_refused(tmp_path, capsys):
+    f = tmp_path / "gens.json"
+    f.write_text(generators_to_json(get_entry("klein-quartic").generators()))
+    t0 = time.perf_counter()
+    assert main(["invdim", str(f), "--degree", "200"]) == 1   # M = C(202, 2) = 20301: 3.3 GB per M x M array
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: Reynolds at degree 200")
+    # Molien allocates no M x M array; 134 is the coefficient of t^200 in the Hilbert series
+    # (1 + t^21) / ((1 - t^4)(1 - t^6)(1 - t^14)) of Klein's invariants, at degrees 0 mod 4 (center Z/4)
+    assert main(["invdim", str(f), "--degree", "200", "--method", "molien"]) == 0
+    assert capsys.readouterr().out == "134\n"
 
 
 def test_generator_json_round_trip():
