@@ -20,7 +20,7 @@ from . import catalog
 from .diaglattice import block_scalar_group, semi_permutation_group
 from .forms import from_json as form_from_json
 from .forms import parse as form_parse
-from .matgroups import DEFAULT_CAP, MatGroup, generators_from_json, invariant_dimension
+from .matgroups import DEFAULT_CAP, MatGroup, generators_from_json, invariant_dimension, reynolds_array_bytes
 from .sequences import (SequenceError, SubdegreeSequence, classification_search, enumerate_sequences, jc,
                         mixed_sequence_scan, ratio, uniform_bounds_check)
 from .smoothness import _is_prime, is_smooth
@@ -167,6 +167,8 @@ def cmd_closure(args) -> int:
 def cmd_invdim(args) -> int:
     gens = _load_generators(args.gens)
     grp = MatGroup(gens)
+    if args.method in ("reynolds", "both"):
+        reynolds_array_bytes(grp.dim, args.degree)
     if not grp.close(args.cap):
         print("closure cap exceeded or the group is infinite", file=sys.stderr)
         return 1

@@ -6,11 +6,22 @@ vector over a common positive denominator.  This representation is canonical
 per conductor: two values over the same conductor are equal iff their
 normalized (num, den) pairs are equal.  Values are immutable.
 
-One reduction mod Phi_n serves every vector: _reduction_rows(n) holds
-x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1 as its nonzero
-(index, coefficient) pairs, which covers every product of two reduced
-vectors and every scatter into n slots; a longer vector is first folded by
-x^n = 1.
+Phi_n is the kernel's one object.  It is the Moebius product
+Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): the factors with mu = +1 are
+multiplied in, then each factor with mu = -1 is divided out exactly.  One
+reduction serves every vector, one pass from the top down to x^phi(n): a
+coefficient past x^(n-1) is folded by x^n = 1, any other is cleared by
+subtracting a multiple of the monic Phi_n, whose nonzero low terms are kept
+per conductor.
+
+Least conductors come by descent, one prime at a time (_descend).  The
+descent lemma: Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b))
+(Washington, Introduction to Cyclotomic Fields, ch. 2), so the d | n with x
+in Q(zeta_d) are the multiples of one least d0.  Step n -> n/p while x lies
+in Q(zeta_(n/p)), then move to the next prime: a step refused at n fails at
+every divisor of n with the same p-part too, its field lying in
+Q(zeta_(n/p)); so the pass ends at an n' with x in no Q(zeta_(n'/p)), and
+d0 | n' then forces d0 = n'.
 
 Sums of products are reduced once (CycNum.dot).  The fused-sum lemma: the
 map Z[x] -> Z[x]/(Phi_n) is a ring map, so reducing sum_k a_k(x)*b_k(x)
@@ -40,108 +51,77 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-# Tables kept per conductor (reduction rows, subfield bases): a bound keeps a
+# Tables kept per conductor (Phi_n and its low terms): a bound keeps a
 # long-lived process fed many conductors from holding every table.
 KERNEL_CACHE = 64
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient of an exact division of integer polynomials (monic-ish divisor).
-
-    Used only for x^n - 1 divided by products of cyclotomic polynomials, where
-    the division is exact over the integers.
-    """
-    num_l = list(num)
-    q = [0] * (len(num_l) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = num_l[i + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("inexact cyclotomic division")
-        q[i] = c // lead
-        if q[i]:
-            for j, dj in enumerate(den):
-                num_l[i + j] -= q[i] * dj
-    if any(num_l[: len(den) - 1]):
-        raise ArithmeticError("nonzero remainder in cyclotomic division")
-    return tuple(q)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (constant term first) of the n-th cyclotomic polynomial."""
-    if n < 1:
-        raise ValueError("conductor must be positive")
-    if n == 1:
-        return (-1, 1)
-    # (x^n - 1) / prod_{d | n, d < n} Phi_d, exact integer arithmetic.
-    num = tuple([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divmod_int(num, cyclotomic_polynomial(d))
-    return num
+    primes = _prime_factors(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=KERNEL_CACHE)
-def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """x^k mod Phi_n for k = phi(n) .. max(n, 2*phi(n) - 1) - 1, as nonzero (index, coefficient) pairs."""
-    phi = euler_phi(n)
-    # x^phi = -(lower coefficients of Phi_n) since Phi_n is monic.
-    base = [-c for c in cyclotomic_polynomial(n)[:phi]]
-    cur = [0] * (phi - 1) + [1]
-    rows = []
-    for _ in range(max(n, 2 * phi - 1) - phi):
-        # multiply the current vector by x and reduce once
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        if carry:
-            cur = [c + carry * b for c, b in zip(cur, base)]
-        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-    return tuple(rows)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients (constant term first) of Phi_n = prod_{d | n} (x^d - 1)^mu(n/d)."""
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    factors = [(n, 1)]                  # (d, mu(n/d)) for every squarefree n/d
+    for p in _prime_factors(n):
+        factors += [(d // p, -mu) for d, mu in factors]
+    poly = [1]
+    for d, mu in sorted(factors, key=lambda f: -f[1]):
+        if mu > 0:                      # poly * (x^d - 1)
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + d)]
+        else:                           # poly / (x^d - 1), exact: q[i] = q[i - d] - poly[i]
+            q = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
+    return tuple(poly)
 
 
-def _reduce_vector(vec: list[int], n: int) -> list[int]:
-    """Reduce an integer coefficient vector of any length mod Phi_n.
+@lru_cache(maxsize=KERNEL_CACHE)
+def _low_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n), and the nonzero terms of Phi_n below its leading x^phi(n) as (index, coefficient) pairs."""
+    poly = cyclotomic_polynomial(n)
+    return len(poly) - 1, tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
 
-    A vector of length phi(n) is already reduced and is returned itself; the
-    input is never modified.  A vector longer than the reduction rows cover
-    is first folded by x^n = 1.
-    """
-    phi = euler_phi(n)
-    if len(vec) == phi:
-        return vec
-    if len(vec) < phi:
-        return vec + [0] * (phi - len(vec))
-    rows = _reduction_rows(n)
-    if len(vec) > phi + len(rows):
-        folded = [0] * n
-        for i, c in enumerate(vec):
-            folded[i % n] += c
-        vec = folded
-    out = vec[:phi]
-    for k in range(phi, len(vec)):
-        c = vec[k]
+
+def _reduce_vector(vec, n: int) -> list[int]:
+    """Reduce an integer vector of any length mod Phi_n into a new list, by the one top-down pass."""
+    phi, terms = _low_terms(n)
+    out = list(vec)
+    if len(out) < phi:
+        out += [0] * (phi - len(out))
+    for k in range(len(out) - 1, phi - 1, -1):
+        c = out.pop()
         if c:
-            for i, r in rows[k - phi]:
-                out[i] += c * r
+            if k >= n:
+                out[k % n] += c
+            else:
+                for i, t in terms:
+                    out[k - phi + i] -= c * t
     return out
 
 
@@ -162,7 +142,7 @@ class CycNum:
     def __init__(self, n: int, num, den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        vec = _reduce_vector(list(num), n)
+        vec = _reduce_vector(num, n)
         if den < 0:
             den = -den
             vec = [-c for c in vec]
@@ -217,21 +197,21 @@ class CycNum:
             raise ValueError("conductor %d does not divide %d" % (self.n, m))
         step = m // self.n
         vec = [0] * (len(self.num) * step)
-        for i, c in enumerate(self.num):
-            vec[i * step] = c
+        vec[::step] = self.num
         return CycNum(m, vec, self.den)
 
     def reduce(self) -> CycNum:
-        """Rewrite over the smallest conductor whose field contains the value."""
+        """Rewrite over the least conductor whose field contains the value (descent lemma)."""
         if self.is_rational():
             return CycNum(1, [self.num[0]], self.den) if self.n != 1 else self
-        for d in _divisors(self.n):
-            if d == self.n:
-                break
-            down = _project_to_subfield(self, d)
-            if down is not None:
-                return down
-        return self
+        n, num = self.n, self.num
+        for p in _prime_factors(self.n):
+            while n % p == 0:
+                down = _descend(num, n, p)
+                if down is None:
+                    break
+                n, num = n // p, down
+        return self if n == self.n else CycNum(n, num, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -376,16 +356,6 @@ class CycNum:
         r = self.reduce()
         return b"%d:%d:%s" % (r.n, r.den, repr(r.num).encode())
 
-    def root_exponent(self):
-        """a/m in [0, 1) with self = zeta_m^a, m = lcm(2, n), or None if not a root of unity.
-
-        Lemma: every root of unity of Q(zeta_n) is a power of zeta_m.  If
-        zeta_k lies in Q(zeta_n), so does zeta_l, l = lcm(k, n) = q*n; then
-        phi(l) = phi(n), which forces q = 1, or q = 2 with n odd: l | m.
-        """
-        m = math.lcm(2, self.n)
-        return next((Fraction(a, m) for a in range(m) if self == root_of_unity(m, a)), None)
-
     def __repr__(self):
         return "CycNum(%r)" % scalar_to_str(self)
 
@@ -410,67 +380,29 @@ def conductor(values) -> int:
     return math.lcm(*(c.n for c in values))
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return tuple(sorted(out))
+def _descend(num, n: int, p: int):
+    """The reduced vector at conductor n/p of the value num at n, or None if it does not lie in Q(zeta_(n/p)).
 
-
-@lru_cache(maxsize=KERNEL_CACHE)
-def _subfield_basis(n: int, d: int):
-    """Power basis of Q(zeta_d) embedded in Q(zeta_n), as integer row vectors."""
-    rows = []
-    step = n // d
-    for j in range(euler_phi(d)):
-        vec = [0] * (j * step + 1)
-        vec[j * step] = 1
-        rows.append(tuple(_reduce_vector(vec, n)))
-    return tuple(rows)
-
-
-def _project_to_subfield(x: CycNum, d: int):
-    """Rewrite x over conductor d | n if the value lies in Q(zeta_d)."""
-    n = x.n
-    basis = _subfield_basis(n, d)
-    phi_n = euler_phi(n)
-    phi_d = len(basis)
-    # Solve sum_j c_j * basis[j] = num over Q by Gaussian elimination.
-    cols = list(range(phi_d))
-    mat = [[Fraction(basis[j][i]) for j in cols] + [Fraction(x.num[i])] for i in range(phi_n)]
-    piv_rows = []
-    row = 0
-    for col in range(phi_d):
-        sel = None
-        for r in range(row, phi_n):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return None
-        mat[row], mat[sel] = mat[sel], mat[row]
-        pv = mat[row][col]
-        for r in range(phi_n):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col] / pv
-                for cc in range(col, phi_d + 1):
-                    mat[r][cc] -= f * mat[row][cc]
-        piv_rows.append((row, col))
-        row += 1
-    for r in range(row, phi_n):
-        if mat[r][phi_d] != 0:
-            return None
-    coeffs = [Fraction(0)] * phi_d
-    for r, c in piv_rows:
-        coeffs[c] = mat[r][phi_d] / mat[r][c]
-    scale = math.lcm(*(q.denominator for q in coeffs))
-    return CycNum(d, [int(q * scale) for q in coeffs], x.den * scale)
+    With p^2 | n, Phi_n(t) = Phi_(n/p)(t^p), so the value lies in
+    Q(zeta_(n/p)) iff its coefficients vanish off the multiples of p.  With
+    p || n and m = n/p, zeta_n = zeta_m^u * zeta_p^v for u = 1/p (mod m) and
+    v = 1/m (mod p); the coefficients group into sum_j g_j(zeta_m) * zeta_p^j,
+    and zeta_p^(p-1) = -(1 + .. + zeta_p^(p-2)) rewrites the top group.  As
+    gcd(m, p) = 1, the zeta_p^j with j < p - 1 are a basis of Q(zeta_n) over
+    Q(zeta_m), so the value lies in Q(zeta_m) iff every rewritten g_j with
+    j >= 1 vanishes mod Phi_m.
+    """
+    m = n // p
+    if m % p == 0:
+        return None if any(c for i, c in enumerate(num) if i % p) else list(num[::p])
+    u, v = pow(p, -1, m), pow(m, -1, p)
+    groups = [[0] * m for _ in range(p)]
+    for i, c in enumerate(num):
+        if c:
+            groups[v * i % p][u * i % m] += c
+    rewritten = (_reduce_vector([a - b for a, b in zip(g, groups[-1])], m) for g in groups[:-1])
+    low = next(rewritten)
+    return None if any(map(any, rewritten)) else low
 
 
 # -- text syntax ---------------------------------------------------------------

@@ -8,7 +8,7 @@ the arithmetic is plain Python integers.
 
 Roots of unity are carried as exponents in Q/Z (Cohen, A Course in
 Computational Algebraic Number Theory, 1993, sec. 2.4.4), which makes the
-system linear: with c_j = zeta^(t_j) (CycNum.root_exponent), lambda =
+system linear: with c_j = zeta^(t_j) (root_exponent), lambda =
 zeta^theta and U V W = D = diag(d_1, .., d_s), s = rank V, it reads
 V theta = t (mod 1).  It is consistent iff (U t)_i = 0 (mod 1) for every
 i >= s; theta = W phi with phi_i = ((U t)_i mod 1) / d_i, reduced mod 1
@@ -30,6 +30,7 @@ from itertools import permutations
 from .cyclotomic import CycNum, root_of_unity
 from .forms import ExactMatrix, Form, FormError, _monomial_str, block_degrees
 from .matgroups import Orbit
+from .smoothness import GF, split_prime
 
 # The semi-permutation search walks up to r! permutations.
 MAX_VARS = 10
@@ -112,6 +113,24 @@ def smith_normal_form(rows):
     return diag, U, W
 
 
+def root_exponent(x: CycNum):
+    """a/m in [0, 1) with x = zeta_m^a, m = lcm(2, x.n), or None if x is not a root of unity.
+
+    Every root of unity of Q(zeta_n) is a power of zeta_m: if zeta_k lies in
+    Q(zeta_n), so does zeta_l, l = lcm(k, n) = q*n, and phi(l) = phi(n)
+    forces q = 1, or q = 2 with n odd.  The exponent is a discrete log at a
+    split prime p = 1 (mod m) dividing no denominator of x (split_prime):
+    reduction at a prime over p is a ring map, injective on mu_m as p does
+    not divide m, so at most one a < m has r^a = x mod p (r the image of
+    zeta_m), and the exact comparison x == zeta_m^a decides.
+    """
+    m = math.lcm(2, x.n)
+    field = GF(split_prime(m, x.den), m)
+    target = field.from_cyc(x)
+    a = next((a for a in range(m) if pow(field.root, a, field.p) == target), None)
+    return None if a is None or x != root_of_unity(m, a) else Fraction(a, m)
+
+
 class TorusSolution:
     """Solutions of lambda^V = c over the torus (C*)^m.
 
@@ -176,7 +195,7 @@ def solve_torus(rows, targets=None) -> TorusSolution:
     targets = list(targets)
     if len(targets) != torus.t:
         raise LatticeError("need one target per row")
-    exponents = [c.root_exponent() for c in targets]
+    exponents = [root_exponent(c) for c in targets]
     for c, t in zip(targets, exponents):
         if t is None:
             raise LatticeError("target %s is not a root of unity" % c)
@@ -249,7 +268,7 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
         a, b = form.terms[img], form.terms[e]
         key = (a.n, a.num, a.den, b.n, b.num, b.den)
         if key not in exponents:
-            exponents[key] = (a / b).root_exponent()
+            exponents[key] = root_exponent(a / b)
             if exponents[key] is None:
                 raise LatticeError("coefficient ratio %s of %s to %s is not a root of unity; the "
                                    "semi-permutation search handles root-of-unity ratios only"

@@ -497,6 +497,16 @@ def _rank_mod_p(a, p: int) -> int:
     return rank
 
 
+def reynolds_array_bytes(dim: int, degree: int) -> int:
+    """Bytes of one M x M int64 Reynolds array, M = dim Sym^degree; GroupError past SYM_MAX_BYTES."""
+    size = comb(dim + degree - 1, degree)
+    array_bytes = 8 * size * size
+    if array_bytes > SYM_MAX_BYTES:
+        raise GroupError("Reynolds at degree %d: one %d x %d int64 array takes %d bytes, over the %d-byte bound"
+                         % (degree, size, size, array_bytes, SYM_MAX_BYTES))
+    return array_bytes
+
+
 def invariant_dimension_reynolds(group: MatGroup, degree: int) -> int:
     """F_p rank of sum_g Sym^e(g mod p), the Reynolds operator times |G| (rank-trace lemma).
 
@@ -504,10 +514,7 @@ def invariant_dimension_reynolds(group: MatGroup, degree: int) -> int:
     M x M array passes SYM_MAX_BYTES is refused before any of them is built.
     """
     size = _invariant_space(group, degree)
-    array_bytes = 8 * size * size
-    if array_bytes > SYM_MAX_BYTES:
-        raise GroupError("Reynolds at degree %d: one %d x %d int64 array takes %d bytes, over the %d-byte bound"
-                         % (degree, size, size, array_bytes, SYM_MAX_BYTES))
+    array_bytes = reynolds_array_bytes(group.dim, degree)
     maps = _symmetric_power_maps(group.dim, degree)
     total = np.zeros((size, size), dtype=np.int64)
     for _, stack in group._stacks(max(1, SYM_BYTES // array_bytes)):

@@ -86,16 +86,12 @@ class GF:
         raise SmoothnessError("no primitive root of the cyclotomic polynomial mod %d" % p)
 
     def from_cyc(self, c: CycNum) -> int:
-        if c.n > 1 and self.conductor % c.n:
+        if self.conductor % c.n:
             raise SmoothnessError("coefficient conductor %d not handled by this prime" % c.n)
-        if c.n == 1:
-            num = c.num[0]
-        else:
-            cc = c.to_conductor(self.conductor) if c.n != self.conductor else c
-            r = self.root
-            num = 0
-            for coef in reversed(cc.num):
-                num = (num * r + coef) % self.p
+        r = pow(self.root, self.conductor // c.n, self.p)     # the image of zeta_(c.n)
+        num = 0
+        for coef in reversed(c.num):
+            num = (num * r + coef) % self.p
         return num * pow(c.den, -1, self.p) % self.p
 
     def inv(self, a):

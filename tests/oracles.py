@@ -23,15 +23,22 @@ The scalar-coset reference, reference_scalar_cosets, is the per-residue
 walk: it tests every residue for scalarity on its own and multiplies each
 coset out one scalar at a time.
 
+Two cyclotomic references.  reference_reduce finds the least conductor by
+linear algebra: for each divisor d of n in increasing order it solves for
+the value in the power basis of Q(zeta_d) embedded in Q(zeta_n), by
+Gaussian elimination over Q.  reference_root_exponent scans every a < m,
+m = lcm(2, n), and compares the value with zeta_m^a.
+
 The torus reference, reference_solve_torus, solves lambda^V = c from the
 same Smith normal form as diaglattice.solve_torus but in CycNum arithmetic:
 it raises the targets to the powers in U, takes d-th roots through a
 discrete logarithm and multiplies the particular solution out of powers.
 """
 
+import math
 from fractions import Fraction
 
-from formaut.cyclotomic import CycNum, _divisors, root_of_unity
+from formaut.cyclotomic import CycNum, euler_phi, root_of_unity
 from formaut.diaglattice import LatticeError, TorusSolution, smith_normal_form
 from formaut.forms import Form, partials
 from formaut.matgroups import GroupError, _is_block_scalar, _monomials, _mulmod
@@ -164,10 +171,55 @@ def macaulay_smooth(form: Form) -> bool:
     return _rank(rows) == len(column)
 
 
+def _divisors(n: int):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def _order(c: CycNum):
     """Multiplicative order of a root of unity, else None (every root of Q(zeta_n) has order | lcm(2, n))."""
-    bound = c.n if c.n % 2 == 0 else 2 * c.n
-    return next((d for d in _divisors(bound) if c ** d == 1), None)
+    return next((d for d in _divisors(math.lcm(2, c.n)) if c ** d == 1), None)
+
+
+def reference_root_exponent(x: CycNum):
+    """a/m in [0, 1) with x = zeta_m^a, m = lcm(2, x.n), by comparing x with every zeta_m^a."""
+    m = math.lcm(2, x.n)
+    return next((Fraction(a, m) for a in range(m) if x == root_of_unity(m, a)), None)
+
+
+def _project_to_subfield(x: CycNum, d: int):
+    """x over conductor d | x.n if the value lies in Q(zeta_d), else None, by elimination over Q."""
+    n = x.n
+    step = n // d
+    basis = [CycNum(n, [0] * (j * step) + [1]).num for j in range(euler_phi(d))]
+    phi_n, phi_d = euler_phi(n), len(basis)
+    mat = [[Fraction(basis[j][i]) for j in range(phi_d)] + [Fraction(x.num[i])] for i in range(phi_n)]
+    piv_rows = []
+    row = 0
+    for col in range(phi_d):
+        sel = next((r for r in range(row, phi_n) if mat[r][col] != 0), None)
+        if sel is None:
+            return None
+        mat[row], mat[sel] = mat[sel], mat[row]
+        pv = mat[row][col]
+        for r in range(phi_n):
+            if r != row and mat[r][col] != 0:
+                f = mat[r][col] / pv
+                for cc in range(col, phi_d + 1):
+                    mat[r][cc] -= f * mat[row][cc]
+        piv_rows.append((row, col))
+        row += 1
+    if any(mat[r][phi_d] != 0 for r in range(row, phi_n)):
+        return None
+    coeffs = [Fraction(0)] * phi_d
+    for r, c in piv_rows:
+        coeffs[c] = mat[r][phi_d] / mat[r][c]
+    scale = math.lcm(*(q.denominator for q in coeffs))
+    return CycNum(d, [int(q * scale) for q in coeffs], x.den * scale)
+
+
+def reference_reduce(x: CycNum) -> CycNum:
+    """x over the least conductor d | x.n whose field holds the value."""
+    return next(y for y in (_project_to_subfield(x, d) for d in _divisors(x.n)) if y is not None)
 
 
 def _nth_root(c: CycNum, n: int) -> CycNum:

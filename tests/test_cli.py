@@ -95,6 +95,22 @@ def test_invdim_subcommand(tmp_path, capsys):
     assert code == 0 and out.strip() == "1"
 
 
+@pytest.mark.parametrize("method", ["reynolds", "both"])
+def test_invdim_refuses_a_reynolds_degree_before_closing(tmp_path, capsys, monkeypatch, method):
+    from formaut import matgroups
+    from formaut.catalog import get_entry
+    from formaut.matgroups import generators_to_json
+
+    def no_close(self, cap=None):
+        raise AssertionError("the group was closed before the degree was refused")
+
+    f = tmp_path / "gens.json"
+    f.write_text(generators_to_json(get_entry("klein-quartic").generators()))
+    monkeypatch.setattr(matgroups.MatGroup, "close", no_close)
+    assert main(["invdim", str(f), "--degree", "200", "--method", method]) == 1
+    assert capsys.readouterr().err.startswith("error: Reynolds at degree 200")
+
+
 def test_diag_group_subcommand(tmp_path, capsys):
     f = tmp_path / "form.txt"
     f.write_text("x1^3*x2 + x2^3*x3 + x3^3*x1")

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +7,8 @@ from hypothesis import strategies as st
 from formaut import cyclotomic
 from formaut.cyclotomic import (CycNum, _reduce_vector, cyclotomic_polynomial, euler_phi,
                                 parse_scalar, root_of_unity, scalar_to_str)
+
+from oracles import reference_reduce
 
 MIXED_CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20, 24, 60]
 
@@ -34,6 +35,14 @@ def test_cyclotomic_polynomials():
     # degree is the totient
     for n in range(1, 40):
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 400):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(expected)), n
 
 
 def test_roots_of_unity_basics():
@@ -97,18 +106,6 @@ def test_conductor_lift_round_trip():
         lifted = x.to_conductor(m)
         assert lifted == x
         assert lifted.reduce() == x.reduce()
-
-
-def test_multiplicative_orders():
-    # root_exponent is a/m in [0, 1); its denominator is the multiplicative order
-    for n in [1, 2, 3, 4, 5, 6, 8, 12, 15, 24, 60]:
-        assert root_of_unity(n).root_exponent() == Fraction(1, n) % 1
-        assert root_of_unity(n).root_exponent().denominator == n
-    assert root_of_unity(12, 8).root_exponent() == Fraction(2, 3)
-    assert CycNum.from_int(1).root_exponent() == 0
-    assert CycNum.from_int(-1).root_exponent() == Fraction(1, 2)
-    assert CycNum.from_int(2).root_exponent() is None
-    assert (root_of_unity(5) + 1).root_exponent() is None
 
 
 def test_canonical_keys():
@@ -187,10 +184,25 @@ def test_kernel_caches_are_bounded():
     """More conductors than the bound: the per-conductor tables keep at most the bound."""
     bound = cyclotomic.KERNEL_CACHE
     for n in range(1, 2 * bound + 1):
-        CycNum(n, [0] * (n - 1) + [1])      # zeta^(n-1) reads the reduction rows
-        cyclotomic._subfield_basis(n, 1)
-    for table in (cyclotomic._reduction_rows, cyclotomic._subfield_basis):
+        CycNum(n, [0] * (n - 1) + [1])      # zeta^(n-1) is divided by Phi_n
+    for table in (cyclotomic.cyclotomic_polynomial, cyclotomic._low_terms):
         assert table.cache_info().currsize <= bound
+
+
+@st.composite
+def subfield_values(draw):
+    """A value drawn from Q(zeta_d), lifted to a conductor n <= 120 that d divides."""
+    n = draw(st.integers(1, 120))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    phi = euler_phi(d)
+    num = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    return CycNum(d, num, draw(st.integers(1, 6))).to_conductor(n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(subfield_values())
+def test_reduce_matches_the_elimination_oracle(x):
+    assert _fields(x.reduce()) == _fields(reference_reduce(x))
 
 
 DOT_CONDUCTORS = [1, 3, 4, 5, 12, 60]

@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,13 +10,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from formaut import diaglattice
+from formaut.cli import main
 from formaut.cyclotomic import CycNum, root_of_unity
-from formaut.diaglattice import (LatticeError, block_scalar_group, semi_permutation_group, smith_normal_form,
-                                 solve_torus)
+from formaut.diaglattice import (LatticeError, block_scalar_group, root_exponent, semi_permutation_group,
+                                 smith_normal_form, solve_torus)
 from formaut.forms import Form, FormError, act, block_degrees, parse
+from formaut.smoothness import split_prime
 
 from lemmas import check_diag_bound
-from oracles import reference_solve_torus
+from oracles import reference_root_exponent, reference_solve_torus
 
 rng = random.Random(31337)
 
@@ -74,6 +78,53 @@ def brute_block_scalar_order(form, blocks):
     grid = np.indices((K,) * m).reshape(m, -1).T
     Vm = np.array(V, dtype=np.int64)
     return int(np.all(grid @ Vm.T % K == 0, axis=1).sum())
+
+
+def test_multiplicative_orders():
+    # root_exponent is a/m in [0, 1); its denominator is the multiplicative order
+    for n in [1, 2, 3, 4, 5, 6, 8, 12, 15, 24, 60]:
+        assert root_exponent(root_of_unity(n)) == Fraction(1, n) % 1
+        assert root_exponent(root_of_unity(n)).denominator == n
+    assert root_exponent(root_of_unity(12, 8)) == Fraction(2, 3)
+    assert root_exponent(CycNum.from_int(1)) == 0
+    assert root_exponent(CycNum.from_int(-1)) == Fraction(1, 2)
+    assert root_exponent(CycNum.from_int(2)) is None
+    assert root_exponent(root_of_unity(5) + 1) is None
+
+
+def test_root_exponent_matches_the_linear_scan():
+    """Every zeta_m^a with m <= 60, 1 + zeta_3 = -zeta_3^2 (a root), zeta_5 + 1 and 2 (no roots).
+
+    1 + p has the residue of 1 at the prime p the discrete log draws, so only
+    the exact comparison refuses it.
+    """
+    values = [root_of_unity(m, a) for m in range(1, 61) for a in range(m)]
+    values += [1 + root_of_unity(3), root_of_unity(5) + 1, CycNum.from_int(2)]
+    for x in values:
+        assert root_exponent(x) == reference_root_exponent(x), x
+    assert root_exponent(1 + root_of_unity(3)) == Fraction(1, 6)
+    assert root_exponent(CycNum.from_int(1 + split_prime(2, 1))) is None
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_conductors_stay_bounded(tmp_path, capsys):
+    """The loop quintic has order 7,777 = 7 * 11 * 101: its roots live at conductor 7,777."""
+    form = tmp_path / "loop.txt"
+    form.write_text("x1^6*x2 + x2^6*x3 + x3^6*x4 + x4^6*x5 + x5^6*x1\n")
+    code, peak = _peak_mib(lambda: main(["diag-group", str(form), "--blocks", "1,1,1,1,1"]))
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and (payload["order"], payload["divisors"]) == (7777, [1, 1, 1, 1, 7777])
+    assert peak < 50, peak
+    value, peak = _peak_mib(lambda: root_exponent(root_of_unity(7777, 5000)))
+    assert value == Fraction(5000, 7777) and peak < 50, peak
 
 
 def test_klein_quartic_diag_order_28():
