@@ -101,21 +101,18 @@ class GF:
         return a * b % self.p
 
     def submul(self, terms, tail, delta, factor):
-        """terms -= factor * x^delta * tail; returns the keys it created."""
-        p = self.p
+        """terms -= factor * x^delta * tail in Z, unreduced mod p (lazy-residue
+        lemma at `buchberger`); returns the keys it created."""
+        neg = -factor
         new = []
         for e, c in tail:
             key = e + delta
             old = terms.get(key)
             if old is None:
-                terms[key] = -factor * c % p
+                terms[key] = neg * c
                 new.append(key)
             else:
-                v = (old - factor * c) % p
-                if v:
-                    terms[key] = v
-                else:
-                    del terms[key]
+                terms[key] = old + neg * c
         return new
 
 
@@ -138,18 +135,21 @@ class CycField:
 
     @staticmethod
     def submul(terms, tail, delta, factor):
-        """terms -= factor * x^delta * tail; returns the keys it created."""
+        """terms -= factor * x^delta * tail; returns the keys it created.
+
+        An updated coefficient is one `CycNum.dot` at the lcm of the three
+        conductors, reduced and normalised once: the n, num and den of old - factor*c."""
         neg = -factor
+        one = CycNum.one()
         new = []
         for e, c in tail:
             key = e + delta
-            v = neg * c
             old = terms.get(key)
             if old is None:
-                terms[key] = v
+                terms[key] = neg * c
                 new.append(key)
             else:
-                v = old + v
+                v = CycNum.dot(((old, one), (neg, c)), lcm(old.n, neg.n, c.n))
                 if v.is_zero():
                     del terms[key]
                 else:
@@ -176,13 +176,21 @@ class CycField:
 # creates terms of degree <= D; likewise reducing an element never raises its
 # degree.  M is at least the degree cap and twice the input degree, and a pair
 # whose lcm degree exceeds the cap is never processed (it marks the run
-# incomplete), so every exponent ever packed is <= M.
+# incomplete), so every exponent ever packed is <= M, and so is every term's degree.
+#
+# Packed-lcm identity.  The fields of lcm(a, b) are the field-wise minima.
+# The guard bits g that the borrow test keeps mark the fields where a's is at
+# least b's, and g - (g >> (w - 1)) fills their value bits to select b's
+# field there.  deg lcm = deg a + sum_i max(0, b_i - a_i), the sum of the
+# fields of low(a) - low(lcm), none negative; that sum is at most
+# deg b <= M < 2^w - 1 and, as 2^w = 1 (mod 2^w - 1), is that difference's residue.
 
 
 def _packing(nvars, bound):
-    """(pack, unpack, guard, offset, shift) of the layout above for exponents <= bound.
+    """(pack, unpack, lcm, guard, offset, shift) of the layout above for exponents <= bound.
 
     offset is the packed constant monomial 1; m >> shift is the degree of m.
+    lcm(a, b) needs deg b <= bound (packed-lcm identity above).
     """
     width = bound.bit_length() + 1
     shift = nvars * width
@@ -191,6 +199,7 @@ def _packing(nvars, bound):
         guard |= 1 << (i * width + width - 1)
         offset |= bound << (i * width)
     fmask = (1 << width) - 1
+    low = (1 << shift) - 1
 
     def pack(exps):
         return (sum(exps) << shift) + offset - sum(e << (i * width) for i, e in enumerate(exps))
@@ -198,7 +207,13 @@ def _packing(nvars, bound):
     def unpack(m):
         return tuple(bound - ((m >> (i * width)) & fmask) for i in range(nvars))
 
-    return pack, unpack, guard, offset, shift
+    def lcm(a, b):
+        g = ((a | guard) - b) & guard
+        la = a & low
+        fields = la ^ ((la ^ b) & (g - (g >> (width - 1))))
+        return (((a >> shift) + (la - fields) % fmask) << shift) | fields
+
+    return pack, unpack, lcm, guard, offset, shift
 
 
 def _divides(a, b, guard):
@@ -229,8 +244,15 @@ def buchberger(polys, field, degree_cap, pair_budget=200000):
     the ideal is then the unit ideal, whose reduced basis is {1}, complete
     whatever pairs are left.
 
-    Monomials are packed (`_packing`) with exponents at most
+    Monomials are packed (`_packing`, exactness lemma above it) with exponents at most
     max(degree_cap, 2·deg, 1), deg the largest input degree.  Basis elements are monic.
+
+    Lazy-residue lemma.  Over F_p (field.p > 0) submul leaves the integer
+    coefficients unreduced; reduce takes a coefficient mod p once, when it
+    pops the monomial, and skips a zero residue.  Z -> F_p is a ring map and
+    a popped coefficient never changes again (later steps only touch smaller
+    monomials), so each pop sees the residue that reducing every term at once
+    holds there: the same terms, reducers and normal form.
 
     Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller, J. Symb.
     Comput. 6, 1988; the UPDATE procedure of Becker-Weispfenning, Groebner
@@ -262,12 +284,12 @@ def buchberger(polys, field, degree_cap, pair_budget=200000):
         return GroebnerResult([], True, 0)
     nvars = len(next(iter(polys[0])))
     bound = max(degree_cap, 2 * max(sum(e) for t in polys for e in t), 1)
-    pack, unpack, guard, offset, shift = _packing(nvars, bound)
+    pack, unpack, lcm, guard, offset, shift = _packing(nvars, bound)
     one = field.from_cyc(CycNum.one())
+    p = field.p
 
     lms = []        # packed leading monomials, in insertion order
     tails = []      # monic tails [(m, c)], without the leading term
-    exps = []       # unpacked leading monomials
     active = []     # elements whose leading monomial no later one divides
     live = {}       # surviving pairs (i, j), i > j: packed lcm
     pairs = []      # heap of (lcm, i, j); entries no longer in live are stale
@@ -285,6 +307,10 @@ def buchberger(polys, field, degree_cap, pair_budget=200000):
             c = terms.pop(m, None)
             if c is None:
                 continue
+            if p:
+                c %= p
+                if not c:
+                    continue
             k = found.get(m)
             if k is None:
                 n = len(lms)
@@ -303,35 +329,28 @@ def buchberger(polys, field, degree_cap, pair_budget=200000):
     def insert(terms):
         """Add a reduced nonzero element and update the pairs."""
         lm = next(iter(terms))
+        lm_guard = lm | guard       # lm | m iff (lm_guard - m) keeps every guard bit
         h = len(lms)
-        e = unpack(lm)
-        lcms = {}
-
-        def lcm_with(t):
-            if t not in lcms:
-                lcms[t] = pack(tuple(map(max, e, exps[t])))
-            return lcms[t]
-
         for (i, j), l in list(live.items()):                        # B
-            if _divides(lm, l, guard) and lcm_with(i) != l and lcm_with(j) != l:
+            if (lm_guard - l) & guard == guard and lcm(lm, lms[i]) != l and lcm(lm, lms[j]) != l:
                 del live[i, j]
         # ascending lcm, so a proper divisor of an lcm comes before it; a pair
         # is coprime iff its lcm is the product lm + lm_t - offset, and
         # coprime pairs come first among equal lcms
-        new = sorted((lcm_with(t), lcm_with(t) != lm + lms[t] - offset, t) for t in active)
+        lcms = {t: lcm(lm, lms[t]) for t in active}
+        new = sorted((l, l != lm + lms[t] - offset, t) for t, l in lcms.items())
         kept = []
         for l, not_coprime, t in new:                               # M, F
-            if not any(_divides(q, l, guard) for q in kept):
-                kept.append(l)
+            if not any((q - l) & guard == guard for q in kept):
+                kept.append(l | guard)
                 if not_coprime:
                     live[h, t] = l
                     heappush(pairs, (l, h, t))
-        active[:] = [t for t in active if not _divides(lm, lms[t], guard)]
+        active[:] = [t for t in active if (lm_guard - lms[t]) & guard != guard]
         active.append(h)
         inv = field.inv(terms[lm])
         lms.append(lm)
         tails.append([(m, field.mul(c, inv)) for m, c in terms.items() if m != lm])
-        exps.append(e)
 
     def unit_basis(processed):
         return GroebnerResult([Poly({(0,) * nvars: one}, (0,) * nvars)], True, processed)

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +20,7 @@ from oracles import (bareiss_determinant, form_product, macaulay_smooth, referen
                      sylvester_resultant)
 
 rng = random.Random(8128)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _cyc_basis(forms):
@@ -122,19 +126,36 @@ def test_buchberger_matches_sympy_rationals(system):
     _assert_matches_sympy(*system, 0)
 
 
+PACKED_PAIRS = st.integers(1, 6).flatmap(lambda n: st.integers(1, 300).flatmap(lambda bound: st.tuples(
+    st.just(bound), *[st.tuples(st.integers(0, bound), st.integers(0, bound))] * n)))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.integers(1, 6).flatmap(lambda n: st.integers(1, 300).flatmap(lambda bound: st.tuples(
-    st.just(bound), *[st.tuples(st.integers(0, bound), st.integers(0, bound))] * n))))
+@given(PACKED_PAIRS)
 def test_packed_divisibility_is_exponentwise(drawn):
     # pair update, reducer memo and reduction all rest on this test's direction
     bound, *pairs = drawn
     a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
-    pack, unpack, guard, offset, shift = _packing(len(a), bound)
+    pack, unpack, lcm, guard, offset, shift = _packing(len(a), bound)
     assert unpack(pack(a)) == a and pack(a) >> shift == sum(a)
     assert _divides(pack(a), pack(b), guard) == all(x <= y for x, y in zip(a, b))
     assert _divides(pack(b), pack(a), guard) == all(y <= x for x, y in zip(a, b))
     assert (pack(a) < pack(b)) == (grevlex_key(a) < grevlex_key(b))
     assert _divides(offset, pack(a), guard)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(PACKED_PAIRS)
+def test_packed_lcm_is_exponentwise_max(drawn):
+    # the pair update's lcms; b is trimmed to degree <= bound, the helper's one hypothesis
+    bound, *pairs = drawn
+    a, b, rest = tuple(x for x, _ in pairs), [], bound
+    for _, y in pairs:
+        b.append(min(y, rest))
+        rest -= b[-1]
+    pack, unpack, lcm, guard, offset, shift = _packing(len(a), bound)
+    assert lcm(pack(a), pack(b)) == pack(tuple(map(max, a, b)))
+    assert lcm(pack(b), pack(b)) == pack(b) and lcm(offset, pack(b)) == pack(b)
 
 
 def test_pair_budget_counts_processed_pairs():
@@ -163,6 +184,93 @@ def test_unit_ideal_stops_complete(polys, cap, budget):
     one = (0,) * len(next(iter(polys[0])))
     assert gb.complete and [(g.terms, g.lm) for g in gb.basis] == [({one: 1}, one)]
     assert gb.pairs_processed <= budget
+
+
+def _engine_inputs():
+    """Seeded engine inputs: (name, field, polys, degree cap, pair budget).
+
+    2 or 3 variables, 2 to 4 polynomials of at most 4 terms, exponents at
+    most 3, coefficients a + b*z3 with |a|, |b| <= 3; in the inputs named
+    "mixed" a third of the coefficients are c*z4 instead.  Over F_p they are
+    reduced at a prime that splits Q(zeta12).  The pair budget bounds the
+    characteristic-0 runs, whose coefficients can grow without bound.
+    """
+    local = random.Random(2501)
+    z3, z4 = root_of_unity(3), root_of_unity(4)
+    gf = GF(split_prime(12, 1), 12)
+
+    def draw(mixed):
+        nvars = local.randint(2, 3)
+        polys = []
+        for _ in range(local.randint(2, 4)):
+            terms = {}
+            for _ in range(local.randint(1, 4)):
+                e = tuple(local.randint(0, 3) for _ in range(nvars))
+                if mixed and local.random() < 1 / 3:
+                    terms[e] = local.choice((-2, -1, 1, 2)) * z4
+                else:
+                    terms[e] = local.randint(-3, 3) + local.randint(-3, 3) * z3
+            polys.append(terms)
+        return polys
+
+    runs = []
+    for k in range(60):
+        mixed = k % 2 == 1
+        polys = draw(mixed)
+        name = "%s %d" % ("mixed" if mixed else "z3", k)
+        runs.append(("gf " + name, gf, [{e: gf.from_cyc(c) for e, c in t.items()} for t in polys], 8, 200000))
+        runs.append(("cyc " + name, CycField(), polys, 8, 20))
+    return runs
+
+
+def _engine_runs():
+    """{name: [leading monomials, basis digest, complete, pairs_processed]} per run.
+
+    The runs are the seeded inputs, every buchberger call of
+    `is_smooth(form, "modp")` on the 16 catalog forms, and every call of
+    `is_smooth(form, "char0")` on a form whose coefficients mix z3 and z4.
+    The digest is the SHA-256 of the basis as its elements' term lists in
+    the engine's order, a coefficient as an int over F_p and as [n, num, den]
+    over K; it stands for the basis because one characteristic-0 basis
+    written out takes half a megabyte.
+    """
+    from formaut import smoothness
+    from formaut.catalog import load_entries
+
+    def record(gb):
+        def coeff(c):
+            return [c.n, list(c.num), c.den] if isinstance(c, CycNum) else c
+        basis = [[[list(e), coeff(c)] for e, c in g.terms.items()] for g in gb.basis]
+        digest = hashlib.sha256(json.dumps(basis).encode()).hexdigest()
+        return [[list(g.lm) for g in gb.basis], digest, gb.complete, gb.pairs_processed]
+
+    out = {name: record(buchberger(polys, field, cap, pair_budget=budget))
+           for name, field, polys, cap, budget in _engine_inputs()}
+    engine = smoothness.buchberger
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(engine(*args, **kwargs))
+        return calls[-1]
+
+    smoothness.buchberger = recording
+    try:
+        forms = [(e.label, e.form(), "modp") for e in load_entries()]
+        forms.append(("mixed", parse("x1^2*x2^2 + z3*x1*x2^3 + z4*x2^4 + x1^4"), "char0"))
+        for key, form, strategy in forms:
+            del calls[:]
+            is_smooth(form, strategy)
+            for k, gb in enumerate(calls):
+                out["%s %s run %d" % (key, strategy, k + 1)] = record(gb)
+    finally:
+        smoothness.buchberger = engine
+    return out
+
+
+def test_engine_reproduces_the_golden_runs():
+    # written from the engine before lazy residues, packed lcms and the fused K update
+    golden = json.loads((GOLDEN / "buchberger_runs.json").read_text())
+    assert json.loads(json.dumps(_engine_runs())) == golden
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (6, 2), (17, 25)])
