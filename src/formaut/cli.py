@@ -4,10 +4,12 @@ All numeric output is exact (rationals are printed as p/q).  Exit status is
 0 on success or a verified property, 1 on a failed verification, 2 on usage
 errors.  A usage error is a bad command line (a numeric flag out of range
 included, refused as the command line is parsed), a verify-catalog
-selection that matches no entry, or an input file that is missing or
-malformed (a form that does not parse or is not homogeneous, a bad
-scalar, bad generator or certificate JSON, or a dimension mismatch).  Randomized choices (mod-p primes) are seeded and recorded in the
-output, so runs are reproducible byte for byte.
+selection that matches no entry, `structure --tier compositional` without
+`--form`, or an input file that is missing or malformed (a form that does
+not parse or is not homogeneous, a bad scalar, bad generator or
+certificate JSON, input nested too deeply to parse, or a dimension
+mismatch).  Randomized choices (mod-p primes) are seeded and recorded in
+the output, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from .diaglattice import block_scalar_group, semi_permutation_group
 from .forms import from_json as form_from_json
 from .forms import parse as form_parse
 from .matgroups import DEFAULT_CAP, MatGroup, generators_from_json, invariant_dimension, reynolds_array_bytes
-from .sequences import (SequenceError, SubdegreeSequence, classification_search, enumerate_sequences, jc,
-                        mixed_sequence_scan, ratio, uniform_bounds_check)
+from .sequences import (BOUNDS_SCAN_MAX_D, BOUNDS_SCAN_MAX_TOTAL, SequenceError, SubdegreeSequence,
+                        classification_search, enumerate_sequences, jc, mixed_sequence_scan, ratio,
+                        uniform_bounds_check)
 from .smoothness import _is_prime, is_smooth
 from .structure import DecompositionCertificate, verify_certificate, verify_compositional
 
@@ -35,7 +38,7 @@ def _load(kind: str, path: str, parse):
     try:
         with open(path) as fh:
             return parse(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise UsageError("bad %s file %s: %s" % (kind, path, exc)) from exc
 
 
@@ -218,8 +221,7 @@ def cmd_structure(args) -> int:
         raise UsageError("dimension mismatch: %s" % ", ".join("%s %d" % kv for kv in dims.items()))
     if args.tier == "compositional":
         if form is None:
-            print("compositional verification needs --form", file=sys.stderr)
-            return 2
+            raise UsageError("compositional verification needs --form")
         report = verify_compositional(gens, cert, form, block_cap=args.cap)
     else:
         grp = MatGroup(gens)
@@ -264,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds-scan", help="uniform-bound and mixed-sequence scan")
-    p.add_argument("--max-total", type=_at_least(1), default=30)
-    p.add_argument("--max-d", type=_at_least(3), default=20)
+    p.add_argument("--max-total", type=_at_least(1), default=BOUNDS_SCAN_MAX_TOTAL)
+    p.add_argument("--max-d", type=_at_least(3), default=BOUNDS_SCAN_MAX_D)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds_scan)
 

@@ -66,11 +66,13 @@ Projective classes are decided here and nowhere else, by this lemma.  Let L
 be a finite matrix group and Z = L ∩ K*·I its scalar subgroup.  For g, h in
 L, g = c·h with c in K* implies c·I = g·h^-1 in L, so c·I lies in Z.  Hence
 the PGL classes of L are the cosets gZ, each of size |Z|, and
-|L / scalars| = |L| / |Z|.  Both functions that use it read Z off the
-stored residues one `_stacks()` stack at a time, one scalar test per stack:
-`projective_order` uses the count, and `scalar_cosets`, given the closed
-group L, lists the cosets and raises if one of them does not have exactly
-|Z| members of L.
+|L / scalars| = |L| / |Z|; `projective_order` reads Z off the stored
+residues one `_stacks()` stack at a time, one scalar test per stack.
+`pgl_keys` names the classes by the normalised-residue lemma.  Let L be
+closed, so finite with p ∤ |L|, and g, h in L.  By the scalar paragraph
+the residue of g·h^-1 (in L) is scalar iff g·h^-1 is, iff g and h share a
+PGL class; and it is c·I iff the residue of g is c times that of h, iff
+the two agree once each is divided by its first nonzero entry.
 
 Invariant dimensions read residues, by the rank-trace lemma.  Let G be
 finite with p ∤ |G|, e >= 0 and M = C(r+e-1, e) = dim Sym^e.  The entries
@@ -385,34 +387,17 @@ class MatGroup:
         return "MatGroup(dim=%d, conductor=%d, %s)" % (self.dim, self.conductor, state)
 
 
-def scalar_cosets(group: MatGroup):
-    """PGL classes of a finite group L, from the residues its close() stored.
+def pgl_keys(stack, p: int) -> list[bytes]:
+    """The int32 bytes of each residue of an (m, s, s) stack divided by its first nonzero entry.
 
-    By the scalar-coset lemma (module docstring) the classes are the cosets
-    gZ of Z = L ∩ K*·I; Z is found with one scalar test per `_stacks()`
-    stack.  Returns (class_of, reps): class_of maps each residue key to its
-    class number and reps[c] is the first residue of class c in BFS order.
-    Raises GroupError if some gZ does not consist of exactly |Z| stored
-    elements that lie in no earlier coset (then the stored residues are not
-    a group, as after a capped close()).
+    On the residues of a closed group these keys name the PGL classes (the
+    normalised-residue lemma, module docstring).
     """
-    members, r = group._orbit.index, group.dim
-    scalars = np.concatenate([stack[_is_block_scalar(stack, [r])] for _, stack in group._stacks()])
-    class_of = {}
-    reps = []
-    for key in group._orbit.points:
-        if key in class_of:
-            continue
-        a = np.frombuffer(key, dtype=np.int32).reshape(r, r)
-        coset = {m.tobytes() for m in _mulmod(scalars, a, group.p)}
-        if len(coset) != len(scalars) or key not in coset or \
-                any(k not in members or k in class_of for k in coset):
-            raise GroupError("a scalar coset does not have |L ∩ scalars| = %d elements of L"
-                             % len(scalars))
-        for k in coset:
-            class_of[k] = len(reps)
-        reps.append(a)
-    return class_of, reps
+    flat = stack.reshape(len(stack), -1).astype(np.int64)
+    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+    values, where = np.unique(lead, return_inverse=True)
+    inverse = np.array([pow(int(a), -1, p) for a in values], dtype=np.int64)[where]
+    return _row_keys((flat * inverse[:, None] % p).astype(np.int32)[None])[0]
 
 
 def closure(generators, cap: int = DEFAULT_CAP) -> MatGroup:

@@ -1,10 +1,10 @@
 """Decomposition certificates and the two associated exact sequences.
 
 A certificate asserts a block structure C^r = (+) V_i, V_i = (+)_j W_ij on a
-matrix group.  Verification checks that every generator permutes the blocks
-of each V_i (exactly, after the basis change T if any, so every element
-does), extracts the permutation images K_i, the principal subgroup P
-(trivial block permutation), the block-scalar kernel N and the projective
+matrix group, in the coordinates of its generators.  Verification checks
+that every generator permutes the blocks of each V_i (exactly, so every
+element does), extracts the permutation images K_i, the principal subgroup
+P (trivial block permutation), the block-scalar kernel N and the projective
 constituent orders |H_ij|, and confirms the order bookkeeping
 |G| = |P| * |psi(G)| and |P| = |N| * |phi(P)| exactly.
 
@@ -16,37 +16,37 @@ built only when some block has size > 1.  A 1 x 1 block has H_ij = 1 and
 is irreducible, as PGL(1) is trivial.  Every larger block (i, j) gets one
 closure, the restriction L_ij of its stabilizer, whose generators are the
 Schreier generators of the orbit of j under x -> psi(g)_i^-1(x), a right
-action: its scalar cosets (`matgroups.scalar_cosets`, which reads the
-closed L_ij a residue stack at a time) give |H_ij| and its residues the
-irreducibility rank.  phi(P) is the orbit of a class tuple, stored as an
-int32 row, under per-generator tables: for each principal Schreier
-generator s and block, class c goes to the class of rep_c * s, and a batch
-of rows takes one numpy gather per table.  If a form is given, every
-supplied generator must preserve it (`matgroups.preserves`, before any
-basis change), and the report also carries the canonical bound
-d^s·∏|H_ij|·∏k_i! (`sequences.canonical_bound`), which |G| must not
-exceed, and the Fermat ratio |G| / (d^v·v!).  `_verify` builds the report
-in one place and refuses it unless both identities hold.
+action: its normalised residues (`matgroups.pgl_keys`, a residue divided
+by its first nonzero entry) name its PGL classes, so their number is
+|H_ij|, and its residues give the irreducibility rank.  phi(P) is the
+orbit of a class tuple, stored as an int32 row, under per-generator
+tables: for each principal Schreier generator s and block, class c goes to
+the class of rep_c * s, rep_c the normalised residue, and a batch of rows
+takes one numpy gather per table.  If a form is given, every supplied
+generator must preserve it (`matgroups.preserves`), and the report also
+carries the canonical bound d^s·∏|H_ij|·∏k_i! (`sequences.canonical_bound`),
+which |G| must not exceed, and the Fermat ratio |G| / (d^v·v!).  `_verify`
+builds the report in one place and refuses it unless both identities hold.
 
 What a closed group adds (tier "full-closure"): three residue counts,
 |G|, |P| (the residue block mask is the identity, exact by the block-mask
 lemma in matgroups) and |N| (block-scalar residues), so both identities
 compare a count with an independent closure.  Its block closures are
-capped at |G|, and a whole-space block uses the group itself as L_ij.  A
-basis change conjugates the generators; the conjugated group must close
-again to the same order.
+capped at |G|, and a whole-space block uses the group itself as L_ij.
 
 Without one (tier "compositional"), |N| comes from comparing the supplied
 block-scalar generators against the full Smith-normal-form stabilizer
 lattice, and |P| and |G| are the products.  This proves orders far beyond
-the element-enumeration cap.  This tier refuses a basis change.
+the element-enumeration cap.
+
+A certificate has no basis change.  For blocks in other coordinates x = T·y,
+verify the conjugated generators T^-1·g·T against act(form, T) instead.
 
 "Same class in PGL" and irreducibility are decided only on residues,
-through matgroups (the scalar-coset and residue Burnside lemmas).  Exact
-matrices enter as generators (checked exactly to permute the blocks and to
-preserve the form), as Schreier generators and transversal products, as
-block-scalar kernel generators, and in the exact confirmation that a basis
-change conjugates the group to one of its order.
+through matgroups (the normalised-residue and residue Burnside lemmas).
+Exact matrices enter as generators (checked exactly to permute the blocks
+and to preserve the form), as Schreier generators and transversal
+products, and as block-scalar kernel generators.
 """
 
 from __future__ import annotations
@@ -57,11 +57,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import scalar_to_str
 from .diaglattice import block_scalar_group
 from .forms import ExactMatrix, Form
 from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
-                        _row_keys, closure, preserves, scalar_cosets, schreier_generators)
+                        _row_keys, closure, pgl_keys, preserves, schreier_generators)
 from .sequences import SubdegreeSequence, canonical_bound, fermat_order
 
 
@@ -72,7 +71,7 @@ class CertificateError(ValueError):
 class DecompositionCertificate:
     """Claimed block structure: sizes grouped by irreducible summand."""
 
-    def __init__(self, grouped_sizes, basis_change: ExactMatrix | None = None):
+    def __init__(self, grouped_sizes):
         self.grouped_sizes = [list(map(int, grp)) for grp in grouped_sizes]
         if not self.grouped_sizes or any(not g for g in self.grouped_sizes):
             raise CertificateError("empty grouping")
@@ -81,12 +80,7 @@ class DecompositionCertificate:
         for grp in self.grouped_sizes:
             if len(set(grp)) != 1:
                 raise CertificateError("blocks of one summand must share a dimension")
-        self.basis_change = basis_change
         self.dim = sum(sum(g) for g in self.grouped_sizes)
-        if basis_change is not None and basis_change.dim != self.dim:
-            raise CertificateError("basis change must be %d x %d" % (self.dim, self.dim))
-        if basis_change is not None and not basis_change.is_invertible():
-            raise CertificateError("basis change is singular")
 
     @property
     def flat_sizes(self):
@@ -108,8 +102,6 @@ class DecompositionCertificate:
 
     def to_json(self) -> str:
         payload = {
-            "basis_change": [[scalar_to_str(c) for c in row] for row in self.basis_change.entries]
-            if self.basis_change else None,
             "blocks": [{"i": i + 1, "j": j + 1, "size": stop - start}
                        for i, j, start, stop in self.block_ranges()],
             "grouping": self.grouping,
@@ -121,6 +113,8 @@ class DecompositionCertificate:
         """Blocks (i, j) must be exactly i = 1..m, j = 1..k_i for grouping [k_1, ..., k_m], each once."""
         payload = json.loads(text)
         blocks, grouping = payload["blocks"], payload["grouping"]
+        if payload.get("basis_change") is not None:
+            raise CertificateError("basis_change is not supported: conjugate the generators and the form")
         fields = [blk[key] for blk in blocks for key in ("i", "j", "size")] + list(grouping)
         if any(type(x) is not int for x in fields):
             raise CertificateError("block indices, block sizes and the grouping must be integers")
@@ -129,10 +123,7 @@ class DecompositionCertificate:
         if len(sizes) != len(blocks) or sorted(sizes) != expected:
             raise CertificateError("the blocks must be (i, j) for i = 1..m, j = 1..k_i, each once, "
                                    "for the grouping [k_1, ..., k_m]")
-        grouped_sizes = [[sizes[i, j] for j in range(1, k + 1)] for i, k in enumerate(grouping, 1)]
-        basis = payload.get("basis_change")
-        bc = ExactMatrix(basis) if basis else None
-        return cls(grouped_sizes, bc)
+        return cls([[sizes[i, j] for j in range(1, k + 1)] for i, k in enumerate(grouping, 1)])
 
 
 @dataclass
@@ -263,8 +254,6 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     kernel lattice (checked against the Smith-normal-form stabilizer of the
     form); then |P| = |N|·|phi(P)| and |G| = |P|·|psi(G)|.
     """
-    if cert.basis_change is not None:
-        raise CertificateError("the compositional tier does not support a basis change")
     return _verify(list(generators), cert, form, None, block_cap)
 
 
@@ -278,18 +267,9 @@ def _verify(gens, cert, form, group, block_cap):
         raise CertificateError("a supplied generator does not preserve the form")
     ranges = cert.block_ranges()
     grouping = cert.grouping
-    T = cert.basis_change
-    if T:
-        Tinv = T.inverse()
-        gens = [Tinv * g * T for g in gens]
     gen_tuples = [_block_pattern(_nonzero_mask(g), ranges, grouping) for g in gens]
     if None in gen_tuples:
         raise CertificateError("a generator does not permute the certificate blocks")
-    if T:
-        conjugated = MatGroup(gens)
-        if not conjugated.close(group.order):
-            raise CertificateError("basis change does not conjugate the group to one of its order")
-        group = conjugated
 
     # psi(G): the orbit of the identity pattern, whose words give P's transversal
     identity = tuple(tuple(range(k)) for k in grouping)
@@ -364,14 +344,15 @@ def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
             if not grp.closed:
                 raise CertificateError("stabilizer block closure exceeded its cap")
         _check_irreducible(grp, i, j, r1 - r0)
-        class_of, reps = scalar_cosets(grp)
-        orders[(i + 1, j + 1)] = len(reps)
-        reps = np.stack(reps)
+        keys = dict.fromkeys(key for _, stack in grp._stacks() for key in pgl_keys(stack, grp.p))
+        class_of = {key: c for c, key in enumerate(keys)}
+        orders[(i + 1, j + 1)] = len(class_of)
+        reps = np.frombuffer(b"".join(class_of), dtype=np.int32).reshape(-1, r1 - r0, r1 - r0)
         for table, s in zip(tables, schreier):
             products = _mulmod(reps, grp._reduce(_restrict(s, r0, r1, r0, r1)), grp.p)
-            table.extend(offset + class_of[m.tobytes()] for m in products)
+            table.extend(offset + class_of[key] for key in pgl_keys(products, grp.p))
         start.append(offset + class_of[np.eye(r1 - r0, dtype=np.int32).tobytes()])
-        offset += len(reps)
+        offset += len(class_of)
 
     tables = np.array(list(dict.fromkeys(map(tuple, tables))), dtype=np.int32)
 

@@ -20,8 +20,8 @@ exact rank over Q of one Macaulay matrix of the partials (Macaulay, The
 Algebraic Theory of Modular Systems, 1916).
 
 The scalar-coset reference, reference_scalar_cosets, is the per-residue
-walk: it tests every residue for scalarity on its own and multiplies each
-coset out one scalar at a time.
+walk, the slow reference for matgroups.pgl_keys: it tests every residue for
+scalarity on its own and multiplies each coset out one scalar at a time.
 
 Two cyclotomic references.  reference_reduce finds the least conductor by
 linear algebra: for each divisor d of n in increasing order it solves for
@@ -281,7 +281,7 @@ def reference_solve_torus(rows, targets=None) -> TorusSolution:
 
 
 def reference_scalar_cosets(residues, p: int):
-    """(class_of, reps) of matgroups.scalar_cosets, from any iterable of residues, one at a time."""
+    """(class_of, reps): the PGL classes of a group's residues, numbered in order of first appearance."""
     members = {a.tobytes(): a for a in residues}
     scalars = [a for a in members.values() if _is_block_scalar(a, [len(a)])]
     class_of = {}

@@ -270,12 +270,20 @@ CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1
     ({"gens.json": '{"dim": 2.0, "generators": [[["0", "1"], ["1", "0"]]]}'}, ["closure", "gens.json"]),
     ({"gens.json": '{"dim": true, "generators": [[["1"]]]}'}, ["closure", "gens.json"]),
     ({"form.txt": "x1^3 + x2^3 + x3^3"}, ["diag-group", "form.txt", "--blocks", "1,1"]),
+    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % '[["1", "0"], ["0", "1"]]'},
+     ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % "null"},
+     ["structure", "gens.json", "cert.json", "--tier", "compositional"]),
+    ({"gens.json": IDENTITY_2, "cert.json": "[]"}, ["structure", "gens.json", "cert.json"]),
+    ({"form.txt": "(" * 3000 + "x1" + ")" * 3000 + "^3 + x2^3"}, ["smooth", "form.txt"]),
+    ({"gens.json": "[" * 100000 + "]" * 100000}, ["closure", "gens.json"]),
 ], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
         "dimension-mismatch", "missing-file", "non-positive-block-size", "singular-basis-change",
         "basis-change-size", "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product",
         "float-generator-entry", "boolean-generator-entry", "float-exponent", "boolean-exponent",
         "float-block-size", "boolean-block-size", "duplicate-block", "float-nvars", "float-degree",
-        "float-dim", "boolean-dim", "blocks-sum-mismatch"])
+        "float-dim", "boolean-dim", "blocks-sum-mismatch", "basis-change", "compositional-without-form",
+        "certificate-not-an-object", "nested-form", "nested-generator-json"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -16,7 +16,7 @@ from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
 from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure, generators_from_json,
                                generators_to_json, invariant_dimension, invariant_dimension_molien,
-                               invariant_dimension_reynolds, preserves, scalar_cosets, schreier_generators,
+                               invariant_dimension_reynolds, pgl_keys, preserves, schreier_generators,
                                word_product)
 from formaut.smoothness import split_prime
 
@@ -83,23 +83,29 @@ def test_closure_cap_is_checked_per_insertion():
     assert grp.order == 29160
 
 
+def _classes(grp):
+    """The residues of a closed group, and their pgl_keys numbered in order of first appearance."""
+    residues = [m for _, stack in grp._stacks() for m in stack]
+    keys = [key for _, stack in grp._stacks() for key in pgl_keys(stack, grp.p)]
+    number = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+    return residues, [number[key] for key in keys]
+
+
 def test_scalar_cosets_partition_and_check():
     grp = closure(get_entry("klein-quartic").generators())
-    class_of, reps = scalar_cosets(grp)
-    assert len(reps) == grp.projective_order() == 168
-    assert sorted(Counter(class_of.values()).values()) == [4] * 168
-    capped = MatGroup(get_entry("klein-quartic").generators())
-    assert not capped.close(cap=500)
-    assert sum(len(stack) for _, stack in capped._stacks()) == 501
-    with pytest.raises(GroupError):       # 501 residues of a group of order 672: not a group
-        scalar_cosets(capped)
+    residues, classes = _classes(grp)
+    assert sorted(Counter(classes).values()) == [4] * 168 == [4] * grp.projective_order()
+    for key, a in zip(pgl_keys(np.stack(residues), grp.p), residues):
+        lead = int(a[np.nonzero(a)][0])                 # the first nonzero entry in row-major order
+        want = a.ravel().astype(np.int64) * pow(lead, -1, grp.p) % grp.p
+        assert np.array_equal(np.frombuffer(key, dtype=np.int32), want)
 
 
 def _assert_cosets_match_reference(grp):
-    class_of, reps = scalar_cosets(grp)
-    want_class_of, want_reps = reference_scalar_cosets((m for _, stack in grp._stacks() for m in stack), grp.p)
-    assert class_of == want_class_of
-    assert len(reps) == len(want_reps) and all(np.array_equal(a, b) for a, b in zip(reps, want_reps))
+    # both number the classes in order of first appearance, so equal lists are equal partitions
+    residues, classes = _classes(grp)
+    class_of, _ = reference_scalar_cosets(residues, grp.p)
+    assert classes == [class_of[a.tobytes()] for a in residues]
 
 
 @pytest.mark.parametrize("label", [e.label for e in load_entries() if e.tier == "full-closure"])
@@ -108,18 +114,21 @@ def test_scalar_cosets_match_per_residue_reference(label):
 
 
 def test_scalar_cosets_match_reference_on_block_closures(monkeypatch):
-    # the closures L_ij that the compositional tier builds for its blocks of size > 1
+    # the closures L_ij that both tiers build for their blocks of size > 1, short of the whole space
     seen = []
+    check_irreducible = structure._check_irreducible
 
-    def checked(grp):
+    def checked(grp, i, j, size):
         _assert_cosets_match_reference(grp)
         seen.append(grp.dim)
-        return scalar_cosets(grp)
+        return check_irreducible(grp, i, j, size)
 
-    monkeypatch.setattr(structure, "scalar_cosets", checked)
+    monkeypatch.setattr(structure, "_check_irreducible", checked)
     entry = get_entry("pair-icosahedral-12ic")
     structure.verify_compositional(entry.generators(), entry.certificate(), entry.form())
-    assert seen == [2, 2]
+    entry = get_entry("quintic-480")
+    structure.verify_certificate(closure(entry.generators()), entry.certificate(), entry.form())
+    assert seen == [2, 2, 2]
 
 
 def test_subgroup_order_divides():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from formaut.catalog import get_entry
 from formaut.cyclotomic import root_of_unity
-from formaut.forms import ExactMatrix, Form, parse
+from formaut.forms import ExactMatrix, Form, act, parse
 from formaut.matgroups import MatGroup, closure
 from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport, verify_certificate,
                                verify_compositional)
@@ -74,16 +74,30 @@ def test_intransitive_summand_is_refused():
     assert verify_certificate(grp, DecompositionCertificate([[1, 1], [1]])).k_orders == [2, 1]
 
 
-def test_basis_change_certificate():
-    # conjugate the Fermat group off the standard basis and supply the change
+def test_certificate_refuses_a_basis_change():
+    base = '{"blocks": [{"i": 1, "j": 1, "size": 2}], "grouping": [1], "basis_change": %s}'
+    assert DecompositionCertificate.from_json(base % "null").grouped_sizes == [[2]]
+    with pytest.raises(CertificateError, match="basis_change"):
+        DecompositionCertificate.from_json(base % '[["1", "0"], ["0", "1"]]')
+
+
+# The report of the removed in-certificate basis change T on the T-conjugated Fermat group.
+BASIS_CHANGE_REPORT = {
+    "tier": "full-closure", "group_order": 162, "psi_image_order": 6, "k_orders": [6], "principal_order": 27,
+    "kernel_order": 27, "phi_image_order": 1, "constituents": {"1,1": 1, "1,2": 1, "1,3": 1},
+    "subdegree_sequence": "1^3", "intrinsic_multiplicities": [3], "identities_hold": True,
+    "canonical_bound": 162, "fermat_ratio": "1/1"}
+
+
+def test_caller_side_basis_change_recipe():
+    # the group and form in the basis y = T^-1 x, verified by conjugating back (README)
     entry = get_entry("fermat-1-3")
     T = ExactMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    Tinv = T.inverse()
-    gens = [T * g * Tinv for g in entry.generators()]
-    grp = closure(gens)
-    cert = DecompositionCertificate([[1, 1, 1]], basis_change=T)
-    rep = verify_certificate(grp, cert)
-    assert rep.group_order == 162 and rep.kernel_order == 27
+    gens = [T * g * T.inverse() for g in entry.generators()]
+    form = act(entry.form(), T.inverse())
+    assert form != entry.form()
+    rep = verify_certificate(closure([T.inverse() * g * T for g in gens]), entry.certificate(), act(form, T))
+    assert json.loads(rep.to_json()) == BASIS_CHANGE_REPORT
 
 
 def _lead_entry_key(m: ExactMatrix, conductor: int):
@@ -97,13 +111,9 @@ def _lead_entry_key(m: ExactMatrix, conductor: int):
 def _oracle_counts(grp, cert):
     """|H_ij| and |phi(P)| by lead-entry keys of the diagonal-block restrictions."""
     ranges = cert.block_ranges()
-    T = cert.basis_change
-    Tinv = T.inverse() if T else None
     constituents = {(i + 1, j + 1): set() for i, j, _r0, _r1 in ranges}
     phi_image = set()
     for g in grp.elements():
-        if T:
-            g = Tinv * g * T
         keys = []
         for i, j, r0, r1 in ranges:
             sub = ExactMatrix([[g.entries[a][b] for b in range(r0, r1)] for a in range(r0, r1)])
@@ -116,13 +126,8 @@ def _oracle_counts(grp, cert):
 
 
 def test_scalar_coset_counts_match_lead_entry_division(quintic_group):
-    fermat = get_entry("fermat-1-3")
-    T = ExactMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    Tinv = T.inverse()
     cases = [(closure(get_entry("klein-quartic").generators()), get_entry("klein-quartic").certificate()),
-             (quintic_group[1], quintic_group[0].certificate()),
-             (closure([T * g * Tinv for g in fermat.generators()]),
-              DecompositionCertificate([[1, 1, 1]], basis_change=T))]
+             (quintic_group[1], quintic_group[0].certificate())]
     for grp, cert in cases:
         rep = verify_certificate(grp, cert)
         constituents, phi_order = _oracle_counts(grp, cert)
@@ -140,15 +145,6 @@ def test_compositional_2_12():
     assert rep.constituent_orders == {(1, 1): 60, (1, 2): 60}
     assert rep.fermat_ratio == Fraction(25, 12)
     assert rep.identities_hold()
-
-
-def test_compositional_refuses_a_basis_change():
-    # the change mixes the two blocks, so verifying without it checks another certificate
-    entry = get_entry("pair-icosahedral-12ic")
-    T = ExactMatrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    cert = DecompositionCertificate(entry.certificate().grouped_sizes, basis_change=T)
-    with pytest.raises(CertificateError, match="basis change"):
-        verify_compositional(entry.generators(), cert, entry.form())
 
 
 def test_closed_tier_checks_the_form():
