@@ -20,8 +20,9 @@ Tiers (each row names its own):
 
 Every check in a report is one the pipeline ran, and each can fail.  The
 `parse` check holds when the form has the row's degree d.  The Fermat ratio
-|G| / d^v·v! is the certificate report's `fermat_ratio`; the `certificate`
-check compares that report's |G| with the row's order.
+|G| / d^v·v! is the certificate report's `fermat_ratio`.  The `certificate`
+check holds when the verifier accepts; the report's |G| is compared with the
+row's order once, by `closure` (full-closure) or `compositional_order`.
 """
 
 from __future__ import annotations
@@ -153,8 +154,7 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
         if entry.tier == "compositional":
             checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
                                              "order": struct.group_order, "expected": expected_aut}
-        checks["certificate"] = {"ok": struct.group_order == expected_aut,
-                                 "report": json.loads(struct.to_json())}
+        checks["certificate"] = {"ok": True, "report": json.loads(struct.to_json())}
 
     if entry.fermat:
         sp = semi_permutation_group(form)

@@ -171,7 +171,7 @@ def cmd_invdim(args) -> int:
     gens = _load_generators(args.gens)
     grp = MatGroup(gens)
     if args.method in ("reynolds", "both"):
-        reynolds_array_bytes(grp.dim, args.degree)
+        reynolds_array_bytes(grp.dim, args.degree, len(grp.generators))
     if not grp.close(args.cap):
         print("closure cap exceeded or the group is infinite", file=sys.stderr)
         return 1

@@ -17,7 +17,8 @@ time, so `close` makes one numpy product per batch of residues, but it
 inserts points one at a time in the per-point order.  Schreier's lemma: if
 G = <S> acts on the right and u_y maps x to y for each y in the orbit O of
 x, then the products u_y·s·u_{y·s}^-1 (y in O, s in S) generate the
-stabilizer of x; `schreier_generators` returns them without repeats.
+stabilizer of x; `schreier_generators` returns the u_y and, without
+repeats, those products.
 
 The reduction lemma (Minkowski; Serre, "Bounds for the orders of the finite
 subgroups of G(k)", 2007; Detinko-Flannery-O'Brien, J. Symb. Comput. 50,
@@ -74,17 +75,20 @@ the residue of g·h^-1 (in L) is scalar iff g·h^-1 is, iff g and h share a
 PGL class; and it is c·I iff the residue of g is c times that of h, iff
 the two agree once each is divided by its first nonzero entry.
 
-Invariant dimensions read residues, by the rank-trace lemma.  Let G be
-finite with p ∤ |G|, e >= 0 and M = C(r+e-1, e) = dim Sym^e.  The entries
-of Sym^e(g) are integer polynomials in those of g, so the Reynolds operator
-R = |G|^-1 sum_g Sym^e(g) is 𝔭-integral; R^2 = R, so its reduction is an
-idempotent over F_p, whose rank is its trace mod p, and tr R =
-dim (Sym^e)^G.  Molien's coefficient of t^e in |G|^-1 sum_g 1/det(I - t g)
-is the same trace, and Newton's identities divide only by k <= r < p.  Both
-integers lie in [0, M], so once p > M the F_p rank of sum_g Sym^e(g mod p)
-and the Molien residue each equal dim (Sym^e)^G.  `_invariant_space` checks
-that G is closed, p ∤ |G| and p > M; the Molien residue must lie in
-[0, M], and method "both" compares the rank with the trace.
+Invariant dimensions read residues, by the fixed-space lemma (Derksen-Kemper,
+"Computational Invariant Theory", 2002; Sturmfels, "Algorithms in Invariant
+Theory", 2008).  Let G = <S> be closed, p ∤ |G| and p > M = C(r+e-1, e) =
+dim Sym^e.  Sym^e(g) has integer polynomial entries in those of g, so
+R = |G|^-1 sum_g Sym^e(g) is 𝔭-integral, and R^2 = R reduces to an
+idempotent over F_p.  Its image is the fixed space of G mod 𝔭 (h·R = R for
+every residue h, and R fixes what G fixes), which is the common fixed space
+of the generator residues; its rank is its trace mod p, and
+tr R = dim (Sym^e)^G lies in [0, M].  So dim (Sym^e)^G is M minus the
+F_p rank of Sym^e(s mod p) - I stacked over s in S.  Molien's coefficient
+of t^e in |G|^-1 sum_g 1/det(I - t g) is the same trace, summed over every
+element; Newton's identities divide only by k <= r < p.  `_invariant_space`
+checks the hypotheses; the Molien residue must lie in [0, M], and method
+"both" compares the fixed space with the trace.
 
 Irreducibility reads residues, by the residue Burnside lemma (Burnside;
 Serre, "Linear Representations of Finite Groups", §15.5; Reiner, "Maximal
@@ -213,11 +217,11 @@ def word_product(gens, word) -> ExactMatrix:
     return m
 
 
-def schreier_generators(orbit: Orbit, gens) -> list[ExactMatrix]:
-    """Schreier's lemma (module docstring) for the stabilizer of the orbit's one seed.
+def schreier_generators(orbit: Orbit, gens) -> tuple[list[ExactMatrix], list[ExactMatrix]]:
+    """(the transversal, the stabilizer's generators) for the orbit's one seed: Schreier's lemma.
 
     The images of x must be x·gens[k], k = 0, 1, ..., for a right action;
-    u_y is the word_product along y's word.
+    the transversal holds u_y, the word_product along y's word, in orbit order.
     """
     reps = [word_product(gens, orbit.word(i)) for i in range(len(orbit.points))]
     invs = [u.inverse() for u in reps]
@@ -227,7 +231,7 @@ def schreier_generators(orbit: Orbit, gens) -> list[ExactMatrix]:
             s = reps[i] * g * invs[orbit.index[y]]
             if s not in out:
                 out.append(s)
-    return out
+    return reps, out
 
 
 class MatGroup:
@@ -340,11 +344,11 @@ class MatGroup:
         self._require_closed()
         return len(self._orbit.points)
 
-    def _stacks(self, size: int = 4096):
-        """Yield (offset, stack): the next at most `size` residues as one (m, r, r) array."""
+    def _stacks(self):
+        """Yield (offset, stack): the next at most 4,096 residues as one (m, r, r) array."""
         keys = self._orbit.points
-        for start in range(0, len(keys), size):
-            blob = b"".join(keys[start:start + size])
+        for start in range(0, len(keys), 4096):
+            blob = b"".join(keys[start:start + 4096])
             yield start, np.frombuffer(blob, dtype=np.int32).reshape(-1, self.dim, self.dim)
 
     def elements(self):
@@ -414,8 +418,7 @@ def preserves(group_or_gens, form: Form) -> bool:
 
 # -- invariant dimensions ------------------------------------------------------
 
-SYM_BYTES = 256 << 10   # int64 bytes per Reynolds stack (or one element); small stacks keep peak RSS down
-SYM_MAX_BYTES = 32 << 20    # int64 bytes of one M x M Reynolds array (M <= 2048); a larger M is refused
+SYM_MAX_BYTES = 32 << 20    # int64 bytes of the |S| stacked M x M Reynolds arrays; a larger stack is refused
 
 
 def _monomials(nvars: int, degree: int):
@@ -424,7 +427,7 @@ def _monomials(nvars: int, degree: int):
 
 
 def _invariant_space(group: MatGroup, degree: int) -> int:
-    """M = dim Sym^e, once the rank-trace lemma's hypotheses are checked."""
+    """M = dim Sym^e, once the fixed-space lemma's hypotheses are checked."""
     order = group.order                 # GroupError unless the group is closed
     size = comb(group.dim + degree - 1, degree)
     if group.p <= size or order % group.p == 0:
@@ -433,36 +436,26 @@ def _invariant_space(group: MatGroup, degree: int) -> int:
     return size
 
 
-def _symmetric_power_maps(nvars: int, degree: int):
-    """Per degree d: x^s = x_first[s] * x^source[s], and down[k][t] indexes x^t / x_k in degree
-    d-1, or a zero row past the end when x_k does not divide x^t."""
-    maps, prev = [], {(0,) * nvars: 0}
-    for d in range(1, degree + 1):
-        monos = _monomials(nvars, d)
-        first = [next(k for k, a in enumerate(s) if a) for s in monos]
-        source = [prev[s[:i] + (s[i] - 1,) + s[i + 1:]] for s, i in zip(monos, first)]
-        down = [[prev.get(t[:k] + (t[k] - 1,) + t[k + 1:], len(prev)) for t in monos]
-                for k in range(nvars)]
-        maps.append((first, source, down))
-        prev = {s: j for j, s in enumerate(monos)}
-    return maps
-
-
-def _symmetric_powers(stack, maps, p: int):
+def _symmetric_powers(stack, degree: int, p: int):
     """Sym^e(g) mod p for each residue g of the stack: shape (m, M, M), column s the image of x^s.
 
-    One multiply-add per variable and degree: [x^t] g(x^s) = sum_k g[first, k] [x^t / x_k] g(x^source).
+    Degree by degree, x^s = x_first[s]·x^source[s], so one multiply-add per variable gives
+    [x^t] g(x^s) = sum_k g[first, k]·[x^t / x_k] g(x^source), a zero row where x_k does not divide x^t.
     The r products are summed before one reduction: r·(p-1)^2 < 2^63, checked at construction.
     """
-    m = len(stack)
+    m, r = stack.shape[:2]
     stack = stack.astype(np.int64)
-    sym = np.ones((m, 1, 1), dtype=np.int64)
-    for first, source, down in maps:
-        padded = np.concatenate([sym[:, :, source], np.zeros((m, 1, len(source)), np.int64)], axis=1)
-        out = np.zeros((m, len(source), len(source)), dtype=np.int64)
-        for k, rows in enumerate(down):
-            out += np.take(padded, rows, axis=1) * stack[:, first, k][:, None, :]
-        sym = out % p
+    sym, prev = np.ones((m, 1, 1), dtype=np.int64), {(0,) * r: 0}
+    for d in range(1, degree + 1):
+        monos = _monomials(r, d)
+        first = [next(k for k, a in enumerate(s) if a) for s in monos]
+        source = [prev[s[:i] + (s[i] - 1,) + s[i + 1:]] for s, i in zip(monos, first)]
+        padded = np.concatenate([sym[:, :, source], np.zeros((m, 1, len(monos)), np.int64)], axis=1)
+        out = np.zeros((m, len(monos), len(monos)), dtype=np.int64)
+        for k in range(r):
+            down = [prev.get(t[:k] + (t[k] - 1,) + t[k + 1:], len(prev)) for t in monos]
+            out += np.take(padded, down, axis=1) * stack[:, first, k][:, None, :]
+        sym, prev = out % p, {s: j for j, s in enumerate(monos)}
     return sym
 
 
@@ -482,33 +475,31 @@ def _rank_mod_p(a, p: int) -> int:
     return rank
 
 
-def reynolds_array_bytes(dim: int, degree: int) -> int:
-    """Bytes of one M x M int64 Reynolds array, M = dim Sym^degree; GroupError past SYM_MAX_BYTES."""
+def reynolds_array_bytes(dim: int, degree: int, count: int) -> int:
+    """Bytes of `count` stacked M x M int64 arrays, M = dim Sym^degree; GroupError past SYM_MAX_BYTES."""
     size = comb(dim + degree - 1, degree)
-    array_bytes = 8 * size * size
+    array_bytes = 8 * count * size * size
     if array_bytes > SYM_MAX_BYTES:
-        raise GroupError("Reynolds at degree %d: one %d x %d int64 array takes %d bytes, over the %d-byte bound"
-                         % (degree, size, size, array_bytes, SYM_MAX_BYTES))
+        raise GroupError("Reynolds at degree %d: %d stacked %d x %d int64 arrays take %d bytes, over the "
+                         "%d-byte bound" % (degree, count, size, size, array_bytes, SYM_MAX_BYTES))
     return array_bytes
 
 
 def invariant_dimension_reynolds(group: MatGroup, degree: int) -> int:
-    """F_p rank of sum_g Sym^e(g mod p), the Reynolds operator times |G| (rank-trace lemma).
+    """M minus the F_p rank of Sym^e(s mod p) - I stacked over the generators s (fixed-space lemma).
 
-    Each element's Sym^e and the sum are M x M int64 arrays, so a degree whose
-    M x M array passes SYM_MAX_BYTES is refused before any of them is built.
+    The |S| symmetric powers are M x M int64 arrays, so a degree whose stack
+    passes SYM_MAX_BYTES is refused before any of them is built.
     """
     size = _invariant_space(group, degree)
-    array_bytes = reynolds_array_bytes(group.dim, degree)
-    maps = _symmetric_power_maps(group.dim, degree)
-    total = np.zeros((size, size), dtype=np.int64)
-    for _, stack in group._stacks(max(1, SYM_BYTES // array_bytes)):
-        total = (total + _symmetric_powers(stack, maps, group.p).sum(axis=0)) % group.p
-    return _rank_mod_p(total, group.p)
+    reynolds_array_bytes(group.dim, degree, len(group._gens))
+    sym = _symmetric_powers(group._gens, degree, group.p)
+    sym -= np.eye(size, dtype=np.int64)
+    return size - _rank_mod_p(sym.reshape(-1, size), group.p)
 
 
 def invariant_dimension_molien(group: MatGroup, degree: int) -> int:
-    """Coefficient of t^e in (1/|G|) sum_g 1/det(I - t g), mod p (rank-trace lemma).
+    """Coefficient of t^e in (1/|G|) sum_g 1/det(I - t g), mod p (fixed-space lemma).
 
     det(I - t g) = sum_k c_k t^k comes from the power traces s_i = tr g^i by
     Newton's identities, k c_k = -sum_{i<=k} c_{k-i} s_i, which divide only

@@ -292,10 +292,10 @@ def classification_search(n_values, d_values):
     """Survivor report over the requested (n, d) grid.
 
     Returns a dict with the checked ranges and one record per survivor:
-    (n, d, sequence, ratio).  The survivor lists are empty at d = 18 for
-    n = 1..28 and at d = 3 for n = 26..198 (both checked by the tests), so
-    for every larger d there too, R being non-increasing in d; that is the
-    finite verification of the asymptotic classification bound.
+    (n, d, sequence, ratio).  The tests find no survivor at d = 3 for totals
+    28..200 or at d = 18 for totals 3..30, and freeze the survivor list for
+    n <= 25, d <= 17; R is non-increasing in d, so each empty scan holds at
+    every larger d.  No code covers totals past 200.
     """
     n_list = sorted(set(int(n) for n in n_values))
     d_list = sorted(set(int(d) for d in d_values))
@@ -336,8 +336,8 @@ def uniform_bounds_check(l, d: int) -> dict:
 
 
 # Domain over which the mixed-subdegree facts are verified exhaustively; the
-# d-range collapses to d = 3 by monotonicity of R in d, and totals beyond 30
-# are covered by the v >= 28 decay of all-parts-large sequences.
+# d-range collapses to d = 3 by monotonicity of R in d.  Past total 30 only the
+# tests' d = 3 scan runs, up to total 200; no code covers totals past 200.
 BOUNDS_SCAN_MAX_TOTAL = 30
 BOUNDS_SCAN_MAX_D = 20
 

@@ -11,22 +11,25 @@ constituent orders |H_ij|, and confirms the order bookkeeping
 One algorithm serves both tiers, and each of its closures is one
 `matgroups.Orbit`.  psi(G) is the orbit of the identity block pattern
 under the generators' patterns, and P, the stabilizer of that point, gets
-its generators by Schreier's lemma (`matgroups.schreier_generators`),
-built only when some block has size > 1.  A 1 x 1 block has H_ij = 1 and
-is irreducible, as PGL(1) is trivial.  Every larger block (i, j) gets one
-closure, the restriction L_ij of its stabilizer, whose generators are the
-Schreier generators of the orbit of j under x -> psi(g)_i^-1(x), a right
-action: its normalised residues (`matgroups.pgl_keys`, a residue divided
-by its first nonzero entry) name its PGL classes, so their number is
-|H_ij|, and its residues give the irreducibility rank.  phi(P) is the
-orbit of a class tuple, stored as an int32 row, under per-generator
-tables: for each principal Schreier generator s and block, class c goes to
-the class of rep_c * s, rep_c the normalised residue, and a batch of rows
-takes one numpy gather per table.  If a form is given, every supplied
-generator must preserve it (`matgroups.preserves`), and the report also
-carries the canonical bound d^s·∏|H_ij|·∏k_i! (`sequences.canonical_bound`),
-which |G| must not exceed, and the Fermat ratio |G| / (d^v·v!).  `_verify`
-builds the report in one place and refuses it unless both identities hold.
+its generators by Schreier's lemma (`matgroups.schreier_generators`), with
+the transversal products u_x, psi(u_x) = x for x in psi(G), built only when
+some block has size > 1; each is checked exactly to have its block pattern.
+A 1 x 1 block has H_ij = 1 and is irreducible, as PGL(1) is trivial.  Every
+larger block (i, j) gets one closure, the restriction L_ij of its
+stabilizer.  As P is normal, G is the union of the cosets P·u_x, so that
+stabilizer is generated by P's Schreier generators and the u_x with
+x_i(j) = j: one Schreier pass serves every block.  The normalised residues
+of L_ij (`matgroups.pgl_keys`, a residue divided by its first nonzero entry)
+name its PGL classes, so their number is |H_ij|, and its residues give the
+irreducibility rank.  phi(P) is the orbit of a class tuple, stored as an
+int32 row, under per-generator tables: for each principal Schreier
+generator s and block, class c goes to the class of rep_c * s, rep_c the
+normalised residue, and a batch of rows takes one numpy gather per table.
+If a form is given, every supplied generator must preserve it
+(`matgroups.preserves`), and the report also carries the canonical bound
+d^s·∏|H_ij|·∏k_i! (`sequences.canonical_bound`), which |G| must not
+exceed, and the Fermat ratio |G| / (d^v·v!).  `_verify` builds the report
+in one place and refuses it unless both identities hold.
 
 What a closed group adds (tier "full-closure"): three residue counts,
 |G|, |P| (the residue block mask is the identity, exact by the block-mask
@@ -254,6 +257,8 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     kernel lattice (checked against the Smith-normal-form stabilizer of the
     form); then |P| = |N|·|phi(P)| and |G| = |P|·|psi(G)|.
     """
+    if form is None:
+        raise CertificateError("the compositional tier needs the form")
     return _verify(list(generators), cert, form, None, block_cap)
 
 
@@ -277,7 +282,7 @@ def _verify(gens, cert, form, group, block_cap):
     psi_order = len(psi.points)
     k_orders = _check_transitive(psi.points, grouping)
 
-    constituent_orders, phi_order = _projective_part(gens, gen_tuples, cert, psi, group, block_cap)
+    constituent_orders, phi_order = _projective_part(gens, cert, psi, group, block_cap)
 
     if group is not None:
         diag = np.zeros((cert.dim, cert.dim), dtype=bool)
@@ -312,7 +317,7 @@ def _verify(gens, cert, form, group, block_cap):
     return report
 
 
-def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
+def _projective_part(gens, cert, psi, group, block_cap):
     """({(i, j): |H_ij|}, |phi(P)|), with one closure L_ij per block of size > 1 (module docstring)."""
     ranges = cert.block_ranges()
     orders = {(i + 1, j + 1): 1 for i, j, _r0, _r1 in ranges}     # PGL(1) is trivial
@@ -320,25 +325,17 @@ def _projective_part(gens, gen_tuples, cert, psi, group, block_cap):
     if not big:
         return orders, 1
 
-    def stabilizer_generators(orbit, member):
-        """Schreier generators of the orbit seed's stabilizer, each checked to lie in it."""
-        out = schreier_generators(orbit, gens)
-        for s in out:
-            tup = _block_pattern(_nonzero_mask(s), ranges, cert.grouping)
-            if tup is None or not member(tup):
-                raise CertificateError("Schreier generator escaped the subgroup")
-        return out
-
-    identity = psi.points[0]
-    schreier = stabilizer_generators(psi, lambda tup: tup == identity)
+    transversal, schreier = schreier_generators(psi, gens)
+    for m, tup in zip(schreier + transversal, psi.points[:1] * len(schreier) + psi.points):
+        if _block_pattern(_nonzero_mask(m), ranges, cert.grouping) != tup:
+            raise CertificateError("a Schreier generator or transversal product has the wrong block pattern")
     tables = [[] for _ in schreier]     # per principal Schreier generator: class -> class, over all blocks
     start, offset = [], 0               # the blocks' classes are numbered in turn, from offset
     for (i, j, r0, r1) in big:
         if group is not None and r1 - r0 == cert.dim:
             grp = group
-        else:
-            blocks = Orbit([j], lambda batch, i=i: [[tup[i].index(x) for tup in gen_tuples] for x in batch])
-            stab_gens = stabilizer_generators(blocks, lambda tup, i=i, j=j: tup[i][j] == j)
+        else:                           # the stabilizer of block (i, j) is P and the cosets P·u_x with x_i(j) = j
+            stab_gens = schreier + [u for u, x in zip(transversal, psi.points) if x[i][j] == j]
             grp = closure(_distinct_non_identity([_restrict(s, r0, r1, r0, r1) for s in stab_gens]),
                           cap=group.order if group is not None else block_cap)
             if not grp.closed:
@@ -373,7 +370,8 @@ def _kernel_order(gens, cert, form):
                                                             cert.flat_sizes)]
     if not supplied_scalars:
         raise CertificateError("no block-scalar generators supplied for the kernel check")
-    sub = closure(supplied_scalars, cap=max(4 * lattice.order, 1024))
+    # _verify checked that they preserve the form, so they lie in the lattice: at most its order
+    sub = closure(supplied_scalars, cap=lattice.order)
     if not sub.closed or sub.order != lattice.order:
         raise CertificateError(
             "supplied block-scalar generators span order %s, lattice says %d"

@@ -318,11 +318,38 @@ def test_invariants_of_an_open_group_are_refused():
             invariant_dimension(grp, 4, method=method)
 
 
-def test_reynolds_sums_over_memory_bounded_stacks():
+def test_reynolds_reads_only_the_generator_residues(monkeypatch):
     grp = closure(get_entry("fermat-3-3").generators())
-    size = len(matgroups._monomials(grp.dim, 3))
-    assert grp.order * 8 * size ** 2 > matgroups.SYM_BYTES     # more than one stack
-    assert invariant_dimension(grp, 3) == 1                     # the Fermat cubic
+    sizes, build = [], matgroups._symmetric_powers
+
+    def record(stack, *args):
+        sizes.append(len(stack))
+        return build(stack, *args)
+
+    def no_stacks(self, *args):
+        raise AssertionError("the Reynolds route read the group's elements")
+
+    monkeypatch.setattr(matgroups, "_symmetric_powers", record)
+    monkeypatch.setattr(MatGroup, "_stacks", no_stacks)
+    assert invariant_dimension_reynolds(grp, 6) == 2
+    assert sizes == [3]         # one symmetric power per generator, not one per element of the 29,160
+
+
+def test_fermat_cubic_group_has_two_sextic_invariants():
+    grp = closure(get_entry("fermat-3-3").generators())
+    assert invariant_dimension(grp, 3, "both") == 1     # the Fermat cubic
+    assert invariant_dimension(grp, 6, "both") == 2     # sum x_i^6 and sum x_i^3·x_j^3
+
+
+def test_reynolds_bound_counts_every_generator_array(tmp_path, capsys):
+    f = tmp_path / "gens.json"
+    f.write_text(generators_to_json(get_entry("klein-quartic").generators()))
+    t0 = time.perf_counter()      # M = C(52, 2) = 1326: one array fits in 32 MiB, Klein's four do not
+    assert main(["invdim", str(f), "--degree", "50", "--method", "reynolds"]) == 1
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err.startswith("error: Reynolds at degree 50")
+    assert main(["invdim", str(f), "--degree", "50", "--method", "molien"]) == 0
+    assert capsys.readouterr().out == "0\n"     # 50 is not 0 mod 4, and the center is Z/4
 
 
 def test_reynolds_past_the_byte_bound_is_refused(tmp_path, capsys):
@@ -595,7 +622,8 @@ def test_schreier_generators_generate_the_stabilizer(gens):
 
     e1 = tuple(CycNum.from_int(int(j == 0)) for j in range(r))
     orbit = Orbit([e1], lambda batch: [[times(v, g) for g in gens] for v in batch])
-    schreier = schreier_generators(orbit, gens)
+    reps, schreier = schreier_generators(orbit, gens)
+    assert all(times(e1, u) == y for u, y in zip(reps, orbit.points))
     assert all(times(e1, s) == e1 for s in schreier)
     spanned = _exact_closure(schreier, cap=len(elements))
     assert spanned is not None

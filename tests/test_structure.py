@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from formaut import structure
 from formaut.catalog import get_entry
 from formaut.cyclotomic import root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
@@ -145,6 +146,27 @@ def test_compositional_2_12():
     assert rep.constituent_orders == {(1, 1): 60, (1, 2): 60}
     assert rep.fermat_ratio == Fraction(25, 12)
     assert rep.identities_hold()
+
+
+def test_schreier_lemma_runs_once_per_certificate(monkeypatch):
+    # P's Schreier pass also yields the transversal, whose products give every block stabilizer
+    calls, schreier = [], structure.schreier_generators
+
+    def count(orbit, gens):
+        calls.append(len(orbit.points))
+        return schreier(orbit, gens)
+
+    monkeypatch.setattr(structure, "schreier_generators", count)
+    entry = get_entry("pair-icosahedral-12ic")
+    rep = verify_compositional(entry.generators(), entry.certificate(), entry.form())
+    assert rep.constituent_orders == {(1, 1): 60, (1, 2): 60}
+    assert calls == [2]             # one pass, on the 2 points of psi(G)
+
+
+def test_compositional_tier_refuses_a_missing_form():
+    entry = get_entry("pair-octahedral-sextic")
+    with pytest.raises(CertificateError, match="needs the form"):
+        verify_compositional(entry.generators(), entry.certificate(), None)
 
 
 def test_closed_tier_checks_the_form():
