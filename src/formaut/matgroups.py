@@ -32,21 +32,25 @@ denominator; finiteness is certified when the residue closure completes.
 The orbit certificate.  On completion `close` closes one orbit of vectors
 exactly over K.  A finite orbit that spans K^r is a spanning set that every
 generator maps injectively into itself, hence permutes, so G embeds in its
-symmetric group and is finite.  The seed is a root first: the first column
-with a nonzero residue of g - I, for the first generator g whose residue
-g - I has F_p rank 1 (a reflection's root has a small orbit: 84 vectors for
-Klein's quartic against 672 from the coordinate vectors).  A single seed's
-orbit under a finite G has at most |G| vectors, and |G| is the residue
-count by the lemma, so the root orbit runs under that cap.  Its span is read
-on residues: every vector in it is a product of 𝔭-integral generators
-applied to a 𝔭-integral seed, so it is 𝔭-integral, and if the residues of
-the orbit have F_p rank r, some r x r minor of the orbit has a nonzero
-residue, hence is nonzero over K, and the orbit spans K^r.  When no
-generator has a rank-1 residue root, or the root orbit outgrows its cap or
-its residues have rank < r (a finite orbit that does not span proves
-nothing), the orbit of e_1..e_r decides.  It always spans; a finite G gives
-it at most r·|G| vectors, so an orbit that outgrows that bound proves G
-infinite, and `close` returns False.
+symmetric group and is finite.  Nothing in this argument depends on where
+the seed came from, so any vector may seed the orbit.  The seed is a root
+first: the first column with a nonzero residue of g - I, for the first
+residue g in BFS order whose g - I has F_p rank 1 (a reflection's root has
+a small orbit: 84 vectors for Klein's quartic against 672 from the
+coordinate vectors).  The BFS stores the generators first, so a group with
+a reflection among its generators takes its root from that generator, and
+g itself is replayed exactly by `word_product` along its word.  A single
+seed's orbit under a finite G has at most |G| vectors, and |G| is the
+residue count by the lemma, so the root orbit runs under that cap.  Its
+span is read on residues: every vector in it is a product of 𝔭-integral
+generators applied to a 𝔭-integral seed, so it is 𝔭-integral, and if the
+residues of the orbit have F_p rank r, some r x r minor of the orbit has a
+nonzero residue, hence is nonzero over K, and the orbit spans K^r.  When no
+residue has rank-1 g - I, or the root orbit outgrows its cap or its
+residues have rank < r (a finite orbit that does not span proves nothing),
+the orbit of e_1..e_r decides.  It always spans; a finite G gives it at
+most r·|G| vectors, so an orbit that outgrows that bound proves G infinite,
+and `close` returns False.
 
 Scalars.  `close` also raises GroupError if p divides |G|.  When it does
 not, every g in G has order prime to p, so its minimal polynomial divides a
@@ -294,11 +298,13 @@ class MatGroup:
         """The orbit certificate (module docstring) for a residue closure of `order` elements.
 
         First the orbit of a root: the first column with a nonzero residue of
-        g - I, for the first generator g whose residue g - I has F_p rank 1.
-        It is accepted when it completes within |G| vectors (the single-seed
-        bound) and the residues of its vectors have F_p rank r.  Otherwise
-        the orbit of e_1..e_r decides, and is False once it has more than
-        r·|G| vectors.
+        g - I, for the first residue g in BFS order (`_first_reflection`)
+        whose g - I has F_p rank 1, with g replayed exactly along its word.
+        Any seed serves the certificate, so the root may come from anywhere
+        in the closure.  It is accepted when it completes within |G| vectors
+        (the single-seed bound) and the residues of its vectors have F_p rank
+        r.  Otherwise the orbit of e_1..e_r decides, and is False once it has
+        more than r·|G| vectors.
         A vector is stored as its coordinates' (num, den) at the conductor,
         and each coordinate of an image is one CycNum.dot.
         """
@@ -318,11 +324,10 @@ class MatGroup:
         def step(batch):
             return [images(x) for x in batch]
 
-        for g, residue in zip(self.generators, self._gens):
-            root = (residue - np.eye(r, dtype=np.int64)) % p
-            if _rank_mod_p(root, p) != 1:
-                continue
-            col = int(np.flatnonzero(root.any(axis=0))[0])
+        found = self._first_reflection()
+        if found is not None:
+            index, col = found
+            g = word_product(self.generators, self._orbit.word(index))
             seed = key(g.entries[i][col] - (one if i == col else zero) for i in range(r))
             orbit = Orbit([seed], step, order)
             if orbit.complete:
@@ -331,9 +336,31 @@ class MatGroup:
                                     dtype=np.int64)
                 if _rank_mod_p(residues, p) == r:
                     return True
-            break
         units = [key(one if i == j else zero for i in range(r)) for j in range(r)]
         return Orbit(units, step, r * order).complete
+
+    def _first_reflection(self):
+        """(i, l) for the first stored residue g, in BFS order, whose A = g - I has F_p rank 1; else None.
+
+        l is the column of A's first nonzero entry A[k, l] in row-major order,
+        which for rank 1 is its first nonzero column.  A has rank 1 iff A != 0
+        and A·A[k, l] = A[:, l] ⊗ A[k, :] (mod p): every row is then a multiple
+        of row k.  The entries are below p < 2^31, so each product fits int64.
+        The residues are read BATCH at a time, stopping at the first hit.
+        """
+        keys, r, p = self._orbit.points, self.dim, self.p
+        for start in range(0, len(keys), BATCH):
+            a = np.frombuffer(b"".join(keys[start:start + BATCH]), dtype=np.int32).reshape(-1, r, r)
+            a = (a - np.eye(r, dtype=np.int64)) % p
+            flat = a.reshape(len(a), -1)
+            k, l = divmod((flat != 0).argmax(axis=1), r)
+            m = np.arange(len(a))
+            outer = a[m, :, l][:, :, None] * a[m, k, :][:, None, :]
+            rank1 = flat.any(axis=1) & ((a * a[m, k, l][:, None, None] - outer) % p == 0).all(axis=(1, 2))
+            hits = np.flatnonzero(rank1)
+            if hits.size:
+                return start + int(hits[0]), int(l[hits[0]])
+        return None
 
     def _require_closed(self):
         if not self.closed:

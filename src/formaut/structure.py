@@ -15,10 +15,14 @@ its generators by Schreier's lemma (`matgroups.schreier_generators`), with
 the transversal products u_x, psi(u_x) = x for x in psi(G), built only when
 some block has size > 1; each is checked exactly to have its block pattern.
 A 1 x 1 block has H_ij = 1 and is irreducible, as PGL(1) is trivial.  Every
-larger block (i, j) gets one closure, the restriction L_ij of its
-stabilizer.  As P is normal, G is the union of the cosets P·u_x, so that
-stabilizer is generated by P's Schreier generators and the u_x with
-x_i(j) = j: one Schreier pass serves every block.  The normalised residues
+larger block (i, j) has a closure, the restriction L_ij of its stabilizer.
+As P is normal, G is the union of the cosets P·u_x, so that stabilizer is
+generated by P's Schreier generators and the u_x with x_i(j) = j: one
+Schreier pass serves every block.  Identical generator lists generate the
+same group, so blocks whose restricted generator lists are equal (as tuples
+of exact matrices) share one closure, its irreducibility rank and its PGL
+classes; only the class tables of the Schreier generators, which each block
+restricts differently, are built per block.  The normalised residues
 of L_ij (`matgroups.pgl_keys`, a residue divided by its first nonzero entry)
 name its PGL classes, so their number is |H_ij|, and its residues give the
 irreducibility rank.  phi(P) is the orbit of a class tuple, stored as an
@@ -318,7 +322,7 @@ def _verify(gens, cert, form, group, block_cap):
 
 
 def _projective_part(gens, cert, psi, group, block_cap):
-    """({(i, j): |H_ij|}, |phi(P)|), with one closure L_ij per block of size > 1 (module docstring)."""
+    """({(i, j): |H_ij|}, |phi(P)|), with one closure per distinct restriction list L_ij (module docstring)."""
     ranges = cert.block_ranges()
     orders = {(i + 1, j + 1): 1 for i, j, _r0, _r1 in ranges}     # PGL(1) is trivial
     big = [(i, j, r0, r1) for i, j, r0, r1 in ranges if r1 - r0 > 1]
@@ -331,20 +335,25 @@ def _projective_part(gens, cert, psi, group, block_cap):
             raise CertificateError("a Schreier generator or transversal product has the wrong block pattern")
     tables = [[] for _ in schreier]     # per principal Schreier generator: class -> class, over all blocks
     start, offset = [], 0               # the blocks' classes are numbered in turn, from offset
+    closed = {}                         # restriction list -> (L_ij, class_of, reps); None keys the whole space
+    cap = group.order if group is not None else block_cap
     for (i, j, r0, r1) in big:
         if group is not None and r1 - r0 == cert.dim:
-            grp = group
+            restricted = None
         else:                           # the stabilizer of block (i, j) is P and the cosets P·u_x with x_i(j) = j
             stab_gens = schreier + [u for u, x in zip(transversal, psi.points) if x[i][j] == j]
-            grp = closure(_distinct_non_identity([_restrict(s, r0, r1, r0, r1) for s in stab_gens]),
-                          cap=group.order if group is not None else block_cap)
+            restricted = tuple(_distinct_non_identity([_restrict(s, r0, r1, r0, r1) for s in stab_gens]))
+        if restricted not in closed:    # identical generator lists generate the same group: close it once
+            grp = group if restricted is None else closure(restricted, cap=cap)
             if not grp.closed:
                 raise CertificateError("stabilizer block closure exceeded its cap")
-        _check_irreducible(grp, i, j, r1 - r0)
-        keys = dict.fromkeys(key for _, stack in grp._stacks() for key in pgl_keys(stack, grp.p))
-        class_of = {key: c for c, key in enumerate(keys)}
+            _check_irreducible(grp, i, j, r1 - r0)
+            keys = dict.fromkeys(key for _, stack in grp._stacks() for key in pgl_keys(stack, grp.p))
+            class_of = {key: c for c, key in enumerate(keys)}
+            reps = np.frombuffer(b"".join(class_of), dtype=np.int32).reshape(-1, r1 - r0, r1 - r0)
+            closed[restricted] = grp, class_of, reps
+        grp, class_of, reps = closed[restricted]
         orders[(i + 1, j + 1)] = len(class_of)
-        reps = np.frombuffer(b"".join(class_of), dtype=np.int32).reshape(-1, r1 - r0, r1 - r0)
         for table, s in zip(tables, schreier):
             products = _mulmod(reps, grp._reduce(_restrict(s, r0, r1, r0, r1)), grp.p)
             table.extend(offset + class_of[key] for key in pgl_keys(products, grp.p))

@@ -128,7 +128,7 @@ def test_scalar_cosets_match_reference_on_block_closures(monkeypatch):
     structure.verify_compositional(entry.generators(), entry.certificate(), entry.form())
     entry = get_entry("quintic-480")
     structure.verify_certificate(closure(entry.generators()), entry.certificate(), entry.form())
-    assert seen == [2, 2, 2]
+    assert seen == [2, 2]               # pair-icosahedral's two blocks share one closure
 
 
 def test_subgroup_order_divides():
@@ -413,6 +413,41 @@ def test_finite_root_orbit_that_does_not_span_is_refused(monkeypatch):
                      (2, 5, False)]  # e_1, e_2: e_2 grows past 2 * 2 vectors
 
 
+def test_reflection_found_past_the_generators_does_not_hide_infinity(monkeypatch):
+    p = split_prime(3, 1, lo=1 << 21)
+    z3 = root_of_unity(3)
+    grp = MatGroup([ExactMatrix.diagonal([z3, z3 * z3]), ExactMatrix.diagonal([z3, z3 * (1 + p)])])
+    assert grp.p == p
+    sizes = _record_orbits(monkeypatch)
+    assert not grp.close()          # residues close at order 9, but the second generator has infinite order
+    assert grp._first_reflection() == (4, 0)    # no generator residue is a reflection
+    assert sizes == [(1, 9, True),  # the residue closure
+                     (1, 3, True),  # the root orbit: finite, of residue rank 1
+                     (2, 19, False)]  # e_1, e_2: the orbit grows past 2 * 9 vectors
+
+
+def test_group_without_residue_reflection_closes_through_the_unit_orbit(monkeypatch):
+    i = root_of_unity(4)
+    grp = MatGroup([ExactMatrix.diagonal([i, -i]), ExactMatrix([[0, 1], [-1, 0]])])     # Q8
+    sizes = _record_orbits(monkeypatch)
+    assert grp.close()
+    assert grp.order == 8
+    assert grp._first_reflection() is None
+    assert sizes == [(1, 8, True), (2, 8, True)]
+
+
+@pytest.mark.parametrize("label", ["klein-quartic", "quintic-480", "octahedral-binary-sextic",
+                                   "pair-octahedral-sextic"])
+def test_first_reflection_matches_a_per_residue_rank(label):
+    # the vectorised rank-1 test against one F_p row reduction per residue, in BFS order
+    grp = closure(get_entry(label).generators())
+    eye = np.eye(grp.dim, dtype=np.int64)
+    residues = (m.astype(np.int64) - eye for _, stack in grp._stacks() for m in stack)
+    want = next(((i, int(np.flatnonzero((a % grp.p).any(axis=0))[0]))
+                 for i, a in enumerate(residues) if matgroups._rank_mod_p(a, grp.p) == 1), None)
+    assert grp._first_reflection() == want
+
+
 def test_klein_finiteness_from_its_root_orbit(monkeypatch):
     grp = MatGroup(get_entry("klein-quartic").generators())
     sizes = _record_orbits(monkeypatch)
@@ -440,14 +475,16 @@ def _per_product_step(grp):
 @pytest.mark.parametrize("label, orbits", [
     ("klein-quartic", [(672, 84)]),
     ("wiman-sextic", [(2160, 270)]),
-    ("pair-icosahedral-12ic", [(720, 720), (720, 720), (144, 48)]),
+    ("pair-icosahedral-12ic", [(720, 240), (144, 48)]),
 ])
 def test_exact_orbit_matches_a_per_product_reference(monkeypatch, label, orbits):
     """Each exact orbit of `_orbit_is_finite` (one CycNum.dot per coordinate) against the fold.
 
     `orbits` lists (|G|, orbit size) per closure.  Klein and Wiman take a root
-    seed; the pair-icosahedral closures (two 2 x 2 blocks over Q(zeta_60) with
-    no reflection, then a 4 x 4 group) take e_1..e_r.
+    seed from a generator.  The pair-icosahedral blocks share one closure (a
+    2 x 2 group over Q(zeta_60) whose generators are not reflections, though
+    its closure holds some), which takes its root from a residue past the
+    generators; the 4 x 4 group takes e_1..e_r.
     """
     seen = []
     finite = MatGroup._orbit_is_finite

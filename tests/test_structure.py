@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formaut import structure
-from formaut.catalog import get_entry
+from formaut.catalog import get_entry, verify_entry
 from formaut.cyclotomic import root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
 from formaut.matgroups import MatGroup, closure
@@ -161,6 +161,24 @@ def test_schreier_lemma_runs_once_per_certificate(monkeypatch):
     rep = verify_compositional(entry.generators(), entry.certificate(), entry.form())
     assert rep.constituent_orders == {(1, 1): 60, (1, 2): 60}
     assert calls == [2]             # one pass, on the 2 points of psi(G)
+
+
+@pytest.mark.parametrize("label, closures", [
+    ("pair-icosahedral-12ic", 2),       # both blocks share one closure, then the kernel check's
+    ("triple-icosahedral-12ic", 2),     # all three blocks share one closure, then the kernel check's
+    ("pair-octahedral-sextic", 1),      # a closed row: both blocks share one closure
+])
+def test_identical_block_restrictions_close_once(monkeypatch, label, closures):
+    calls, close = [], structure.closure
+
+    def count(generators, cap):
+        calls.append(len(generators))
+        return close(generators, cap)
+
+    monkeypatch.setattr(structure, "closure", count)
+    report = verify_entry(get_entry(label), skip_smooth=True)
+    assert all(check.get("ok", True) for check in report["checks"].values())
+    assert len(calls) == closures
 
 
 def test_compositional_tier_refuses_a_missing_form():
