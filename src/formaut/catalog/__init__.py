@@ -23,6 +23,14 @@ Every check in a report is one the pipeline ran, and each can fail.  The
 |G| / d^v·v! is the certificate report's `fermat_ratio`.  The `certificate`
 check holds when the verifier accepts; the report's |G| is compared with the
 row's order once, by `closure` (full-closure) or `compositional_order`.
+
+A sum row {"sum_of": base label, "copies": k} is k copies of the base form in
+disjoint variables (group H wr S_k); load_entries gives it direct_sum's
+generators and certificate (grouping [k]): each non-scalar base generator on
+block 1, .., block k; the block swap (1 2); the k-cycle if k >= 3; each scalar
+one on blocks 1..k-1 (the compositional tier checks |N| against the supplied
+block-scalar generators), then on all blocks.  Fermat rows stay explicit: their
+base's one generator is scalar, so the rule would give v + 1 generators, not 3.
 """
 
 from __future__ import annotations
@@ -86,13 +94,44 @@ class CatalogEntry:
         return "CatalogEntry(%s: %s)" % (self.key, self.label)
 
 
+def direct_sum(base: dict, copies: int) -> dict:
+    """Generators and certificate of `copies` copies of the base row in disjoint variables (see above)."""
+    m, blocks = base["n"] + 2, range(copies)
+    eye = [["1" if r == c else "0" for c in range(m)] for r in range(m)]
+    def place(mats, perm=blocks):       # row-block b holds mats[b] in column-block perm[b]
+        return [["0"] * m * p + row + ["0"] * m * (copies - 1 - p) for p, mat in zip(perm, mats) for row in mat]
+
+    # read on the unparsed strings: off-diagonal entries "0" and one repeated diagonal entry
+    scalar = [g for g in base["generators"]
+              if all(x == (g[0][0] if r == c else "0") for r, row in enumerate(g) for c, x in enumerate(row))]
+    gens = [place([g if b == a else eye for b in blocks]) for a in blocks for g in base["generators"]
+            if g not in scalar]
+    swap, cycle = [1, 0, *blocks[2:]], [*blocks[1:], 0]
+    gens += [place([eye] * copies, perm) for perm in ([swap, cycle] if copies >= 3 else [swap])]
+    gens += [place([g if b == a else eye for b in blocks]) for a in blocks[:-1] for g in scalar]
+    gens += [place([g] * copies) for g in scalar]
+    cert = {"blocks": [{"i": 1, "j": j, "size": m} for j in range(1, copies + 1)], "grouping": [copies]}
+    return {"generators": gens, "certificate": cert}
+
+
+def _resolve(row: dict, rows: dict) -> dict:
+    """A sum row with direct_sum's generators and certificate filled in."""
+    base, k = rows.get(row["sum_of"], {"sum_of": None}), row.get("copies")
+    why = ("lists its own generators or certificate" if "generators" in row or "certificate" in row else
+           "names no row that lists its own generators" if "sum_of" in base else
+           "needs an integer number of copies >= 2" if type(k) is not int or k < 2 else
+           "needs nvars equal to its base's nvars times copies" if (base["n"] + 2) * k != row["n"] + 2 else None)
+    if why:
+        raise CatalogError("sum row %s %s" % (row["label"], why))
+    return {**row, **direct_sum(base, k)}
+
+
 def load_entries():
-    """All catalog entries, sorted by key."""
-    entries = []
+    """All catalog entries, sorted by key; sum rows are resolved against their base rows."""
     root = resources.files(__package__) / "data"
-    for item in sorted(root.iterdir(), key=lambda p: p.name):
-        if item.name.endswith(".json"):
-            entries.append(CatalogEntry(json.loads(item.read_text())))
+    rows = [json.loads(item.read_text()) for item in root.iterdir() if item.name.endswith(".json")]
+    by_label = {row["label"]: row for row in rows}
+    entries = [CatalogEntry(_resolve(row, by_label) if "sum_of" in row else row) for row in rows]
     return sorted(entries, key=lambda e: (e.n, e.d, e.key))
 
 

@@ -212,10 +212,6 @@ class BlockScalarGroup:
         self.divisors = divisors
         self.generators = generators  # list of diagonal ExactMatrix
 
-    @property
-    def finite(self):
-        return self.order is not None
-
 
 def block_scalar_group(form: Form, block_sizes) -> BlockScalarGroup:
     """Full group of matrices diag(l_1 I_{r_1}, .., l_m I_{r_m}) fixing the form."""

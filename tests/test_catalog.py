@@ -1,11 +1,23 @@
+import json
 from fractions import Fraction
+from importlib import resources
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
 from formaut import catalog
 from formaut.catalog import CatalogError, get_entry, load_entries, verify_all, verify_entry
+from formaut.forms import Form
 from formaut.matgroups import DEFAULT_CAP, preserves
+from formaut.sequences import fermat_order
+
+
+def raw_rows():
+    """The catalog's JSON rows as written, by label: sum rows still unresolved."""
+    root = resources.files("formaut.catalog") / "data"
+    rows = (json.loads(item.read_text()) for item in root.iterdir() if item.name.endswith(".json"))
+    return {row["label"]: row for row in rows}
 
 
 def test_catalog_loads_and_invariants():
@@ -135,3 +147,85 @@ def test_refused_certificate_fails_only_its_own_row(monkeypatch):
 def test_get_entry_unknown():
     with pytest.raises(CatalogError):
         get_entry("no-such-entry")
+
+
+def test_sums_of_rows_beat_fermat_exactly_at_the_sum_rows():
+    # rho_k = |H|^k k! / fermat_order(m k, d) for k copies of a row in m >= 2 variables.  The ratio
+    # rho_(k+1) / rho_k = |H| (k+1) / (d^m (mk+1)..(mk+m)) falls as k grows, so once rho_k < 1 and
+    # rho_(k+1) < rho_k every later rho is below 1 too.
+    rows = raw_rows()
+    beats = {}
+    for label, row in rows.items():
+        m, order = row["n"] + 2, row["expected"]["aut_order"]
+        if "sum_of" in row or m < 2:
+            continue
+        def rho(k):
+            return Fraction(order ** k * factorial(k), fermat_order(m * k, row["d"]))
+        k = 2
+        while not (rho(k) < 1 and rho(k + 1) < rho(k)):
+            if rho(k) > 1:
+                beats[label, k] = rho(k)
+            k += 1
+    assert beats == {("octahedral-binary-sextic", 2): Fraction(4, 3),
+                     ("icosahedral-binary-12ic", 2): Fraction(25, 12),
+                     ("icosahedral-binary-12ic", 3): Fraction(25, 24)}
+    assert set(beats) == {(row["sum_of"], row["copies"]) for row in rows.values() if "sum_of" in row}
+
+
+def test_sum_rows_are_wreath_products_of_their_base():
+    rows = raw_rows()
+    sums = [row for row in rows.values() if "sum_of" in row]
+    assert {row["label"] for row in sums} == {"pair-octahedral-sextic", "pair-icosahedral-12ic",
+                                              "triple-icosahedral-12ic"}
+    for row in sums:
+        entry, base, k = get_entry(row["label"]), get_entry(row["sum_of"]), row["copies"]
+        assert entry.expected["aut_order"] == base.expected["aut_order"] ** k * factorial(k)
+        m, terms = base.nvars, {}
+        for b in range(k):
+            for exps, coeff in base.form().terms.items():
+                terms[(0,) * (m * b) + exps + (0,) * (m * (k - 1 - b))] = coeff
+        assert entry.form() == Form(m * k, terms), row["label"]
+        assert entry.certificate().grouped_sizes == [[m] * k]
+
+
+def test_sum_row_generators_follow_the_rule():
+    # triple-icosahedral-12ic: the two non-scalar base generators on each block, the swap,
+    # the 3-cycle, the scalar on blocks 1 and 2, then on every block
+    gens = get_entry("triple-icosahedral-12ic").generator_entries
+    base = get_entry("icosahedral-binary-12ic").generator_entries
+    assert len(gens) == 2 * 3 + 2 + 2 + 1
+    assert [row[4:] for row in gens[5][4:]] == base[1]
+    assert gens[6][0][2] == gens[6][2][0] == gens[6][4][4] == "1"
+    assert [row.index("1") for row in gens[7]] == [2, 3, 4, 5, 0, 1]
+    assert [row[r] for r, row in enumerate(gens[10])] == ["z12"] * 6
+
+
+def write_rows(root, *rows):
+    (root / "data").mkdir()
+    for row in rows:
+        (root / "data" / (row["label"] + ".json")).write_text(json.dumps(row))
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"sum_of": "no-such-row"}, "names no row"),
+    ({"sum_of": "pair-octahedral-sextic", "n": 6}, "names no row"),
+    ({"copies": 1, "n": 0}, "copies >= 2"),
+    ({"copies": "2"}, "copies >= 2"),
+    ({"copies": 3}, "nvars"),
+    ({"generators": [[["1", "0"], ["0", "1"]]]}, "its own generators"),
+])
+def test_loader_refuses_a_malformed_sum_row(tmp_path, monkeypatch, change, reason):
+    rows = raw_rows()
+    bad = dict(rows["pair-octahedral-sextic"], label="bad-sum", **change)
+    write_rows(tmp_path, rows["octahedral-binary-sextic"], rows["pair-octahedral-sextic"], bad)
+    monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(CatalogError, match=reason):
+        load_entries()
+
+
+def test_loader_resolves_a_sum_row_outside_the_package(tmp_path, monkeypatch):
+    rows = raw_rows()
+    write_rows(tmp_path, rows["octahedral-binary-sextic"], rows["pair-octahedral-sextic"])
+    monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    (base, pair) = load_entries()
+    assert pair.generator_entries == get_entry("pair-octahedral-sextic").generator_entries
