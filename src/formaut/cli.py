@@ -203,7 +203,7 @@ def cmd_semiperm_group(args) -> int:
     payload = {
         "order": grp.order,
         "diagonal_order": grp.diagonal_order,
-        "permutation_image_order": grp.image_order,
+        "permutation_image_order": len(grp.permutations),
         "generators": [[[str(c) for c in row] for row in g.entries] for g in grp.generators],
     }
     _emit(payload, args.out)
@@ -234,7 +234,7 @@ def cmd_structure(args) -> int:
 
 
 def cmd_verify_catalog(args) -> int:
-    labels = [args.entry] if args.entry else None
+    labels = [args.entry] if args.entry is not None else None
     reports, ok = catalog.verify_all(labels=labels, skip_smooth=args.skip_smooth)
     if not reports:
         raise UsageError("no catalog entry matches --entry %r" % args.entry)

@@ -15,10 +15,13 @@ i >= s; theta = W phi with phi_i = ((U t)_i mod 1) / d_i, reduced mod 1
 before the division, is a particular solution; and when s = m the kernel,
 of order d_1 * .. * d_m, is generated by the tuples (zeta_(d_i)^(W[j][i]))_j.
 The targets share one denominator M, so this is integer arithmetic; only
-the results are built as CycNum values.  One factorisation serves every
-target vector against the same V (_Torus): the semi-permutation search
-solves each candidate permutation against the one Smith normal form of the
-support matrix.
+the results are built as CycNum values.  _Torus is the one torus object: it
+factors V once and holds the order (None if infinite), the invariant
+factors and the kernel generators, which block_scalar_group reads directly.
+Its solve() returns (consistent, particular), particular None unless the
+torus is finite, so one factorisation serves every target vector against
+the same V: the semi-permutation search solves each candidate permutation
+against the one Smith normal form of the support matrix.
 """
 
 from __future__ import annotations
@@ -131,27 +134,12 @@ def root_exponent(x: CycNum):
     return None if a is None or x != root_of_unity(m, a) else Fraction(a, m)
 
 
-class TorusSolution:
-    """Solutions of lambda^V = c over the torus (C*)^m.
-
-    order is None when the solution group is infinite.  Kernel generators are
-    m-tuples of roots of unity; a particular solution is attached when the
-    system is finite and consistent.
-    """
-
-    def __init__(self, consistent, order, divisors, kernel_generators, particular):
-        self.consistent = consistent
-        self.order = order
-        self.divisors = divisors
-        self.kernel_generators = kernel_generators
-        self.particular = particular
-
-
 class _Torus:
-    """The exponent matrix V of lambda^V = c, factored once as U V W = D.
+    """The torus lambda^V = c, V factored once as U V W = D (module docstring).
 
-    solve() takes the targets as exponents in Q/Z, so every target vector
-    against the same V costs integer arithmetic only (module docstring).
+    order is None when the solution group is infinite, divisors are the
+    nonzero d_i, and kernel_generators, m-tuples of roots of unity, generate
+    the solutions of lambda^V = 1 when it is finite.
     """
 
     def __init__(self, rows):
@@ -168,45 +156,27 @@ class _Torus:
             self.kernel_generators = [tuple(root_of_unity(d, w[i]) for w in self.W)
                                       for i, d in enumerate(self.diag) if d > 1]
 
-    def solve(self, exponents) -> TorusSolution:
-        """lambda^V = (zeta^(t_1), .., zeta^(t_t)), each t_j a Fraction read mod 1."""
+    def solve(self, exponents):
+        """(consistent, particular) for lambda^V = (zeta^(t_1), .., zeta^(t_t)), each t_j a Fraction read mod 1.
+
+        particular is an m-tuple of roots of unity solving the system, or
+        None unless the system is consistent and the torus is finite.
+        """
         M = math.lcm(*(t.denominator for t in exponents))
         a = [t.numerator * (M // t.denominator) for t in exponents]
         Ua = [sum(u * x for u, x in zip(row, a) if x) for row in self.U]
         consistent = all(Ua[i] % M == 0 for i in range(self.rank, self.t))
-        particular = None
-        if consistent and self.order is not None:
-            L = math.lcm(*self.diag)
-            phi = [Ua[k] % M * (L // d) for k, d in enumerate(self.diag)]
-            particular = tuple(root_of_unity(L * M, sum(w * f for w, f in zip(row, phi) if f))
-                               for row in self.W)
-        return TorusSolution(consistent, self.order, self.divisors, self.kernel_generators, particular)
-
-
-def solve_torus(rows, targets=None) -> TorusSolution:
-    """Solve lambda^V = c where rows are integer exponent vectors.
-
-    targets defaults to all-ones and must be roots of unity (else
-    LatticeError).  Roots of unity are returned as CycNum.
-    """
-    torus = _Torus(rows)
-    if targets is None:
-        return torus.solve([Fraction(0)] * torus.t)
-    targets = list(targets)
-    if len(targets) != torus.t:
-        raise LatticeError("need one target per row")
-    exponents = [root_exponent(c) for c in targets]
-    for c, t in zip(targets, exponents):
-        if t is None:
-            raise LatticeError("target %s is not a root of unity" % c)
-    return torus.solve(exponents)
+        if not consistent or self.order is None:
+            return consistent, None
+        L = math.lcm(*self.diag)
+        phi = [Ua[k] % M * (L // d) for k, d in enumerate(self.diag)]
+        return True, tuple(root_of_unity(L * M, sum(w * f for w, f in zip(row, phi) if f)) for row in self.W)
 
 
 class BlockScalarGroup:
     """The group of block-scalar matrices preserving a form."""
 
-    def __init__(self, form, block_sizes, order, divisors, generators):
-        self.form = form
+    def __init__(self, block_sizes, order, divisors, generators):
         self.block_sizes = tuple(block_sizes)
         self.order = order          # None means infinite
         self.divisors = divisors
@@ -222,20 +192,19 @@ def block_scalar_group(form: Form, block_sizes) -> BlockScalarGroup:
         raise FormError("block sizes sum to %d, expected %d" % (sum(blocks), form.nvars))
     if not form.terms:
         raise FormError("the zero form has an infinite stabilizer")
-    sol = solve_torus(sorted({block_degrees(e, blocks) for e in form.terms}))
+    torus = _Torus(sorted({block_degrees(e, blocks) for e in form.terms}))
     gens = [ExactMatrix.diagonal([lam for lam, size in zip(gen, blocks) for _ in range(size)])
-            for gen in sol.kernel_generators]
-    return BlockScalarGroup(form, blocks, sol.order, sol.divisors, gens)
+            for gen in torus.kernel_generators]
+    return BlockScalarGroup(blocks, torus.order, torus.divisors, gens)
 
 
 class SemiPermutationGroup:
     """The subgroup of Aut(F) consisting of semi-permutation matrices."""
 
-    def __init__(self, order, diagonal_order, permutations_, image_order, generators):
+    def __init__(self, order, diagonal_order, permutations_, generators):
         self.order = order
         self.diagonal_order = diagonal_order
         self.permutations = permutations_
-        self.image_order = image_order
         self.generators = generators
 
 
@@ -255,7 +224,7 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
     support = sorted(form.terms, key=lambda e: (-max(e), e))
     torus = _Torus(support)
     if torus.order is None:
-        return SemiPermutationGroup(None, None, [], 0, [])
+        return SemiPermutationGroup(None, None, [], [])
 
     col_profile = [tuple(sorted(e[i] for e in support)) for i in range(r)]
     exponents = {}      # (coefficient of the image, coefficient of the term) -> exponent of their ratio
@@ -284,10 +253,10 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
             images.append(tuple(img))
         if any(img not in form.terms for img in images):
             continue
-        sol = torus.solve([ratio_exponent(img, e) for img, e in zip(images, support)])
-        if sol.consistent:
+        consistent, particular = torus.solve([ratio_exponent(img, e) for img, e in zip(images, support)])
+        if consistent:
             good.append(sigma)
-            reps[sigma] = sol.particular
+            reps[sigma] = particular
     generators = [ExactMatrix.diagonal(list(gen)) for gen in torus.kernel_generators]
     zero = CycNum.zero()
     for sigma in _generating_subset(good):
@@ -297,7 +266,7 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
             row[sigma[i]] = reps[sigma][i]
             gen_rows.append(row)
         generators.append(ExactMatrix(gen_rows))
-    return SemiPermutationGroup(torus.order * len(good), torus.order, good, len(good), generators)
+    return SemiPermutationGroup(torus.order * len(good), torus.order, good, generators)
 
 
 def _generating_subset(perms):

@@ -161,13 +161,6 @@ class ExactMatrix:
         zero = CycNum.zero()
         return cls([[vals[i] if i == j else zero for j in range(len(vals))] for i in range(len(vals))])
 
-    @classmethod
-    def permutation(cls, perm) -> ExactMatrix:
-        """Matrix sending x_i to x_perm(i) under the substitution action."""
-        dim = len(perm)
-        one, zero = CycNum.one(), CycNum.zero()
-        return cls([[one if perm[i] == j else zero for j in range(dim)] for i in range(dim)])
-
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -346,12 +346,11 @@ class MatGroup:
         which for rank 1 is its first nonzero column.  A has rank 1 iff A != 0
         and A·A[k, l] = A[:, l] ⊗ A[k, :] (mod p): every row is then a multiple
         of row k.  The entries are below p < 2^31, so each product fits int64.
-        The residues are read BATCH at a time, stopping at the first hit.
+        The residues are read one `_stacks()` stack at a time, stopping at the first hit.
         """
-        keys, r, p = self._orbit.points, self.dim, self.p
-        for start in range(0, len(keys), BATCH):
-            a = np.frombuffer(b"".join(keys[start:start + BATCH]), dtype=np.int32).reshape(-1, r, r)
-            a = (a - np.eye(r, dtype=np.int64)) % p
+        r, p = self.dim, self.p
+        for start, stack in self._stacks():
+            a = (stack - np.eye(r, dtype=np.int64)) % p
             flat = a.reshape(len(a), -1)
             k, l = divmod((flat != 0).argmax(axis=1), r)
             m = np.arange(len(a))
@@ -372,10 +371,10 @@ class MatGroup:
         return len(self._orbit.points)
 
     def _stacks(self):
-        """Yield (offset, stack): the next at most 4,096 residues as one (m, r, r) array."""
+        """Yield (offset, stack): the next at most BATCH residues as one (m, r, r) array."""
         keys = self._orbit.points
-        for start in range(0, len(keys), 4096):
-            blob = b"".join(keys[start:start + 4096])
+        for start in range(0, len(keys), BATCH):
+            blob = b"".join(keys[start:start + BATCH])
             yield start, np.frombuffer(blob, dtype=np.int32).reshape(-1, self.dim, self.dim)
 
     def elements(self):

@@ -72,10 +72,6 @@ class SubdegreeSequence:
         return cls(parts)
 
     @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
     def total(self) -> int:
         """v(l), the sum of the parts."""
         return sum(self.parts)

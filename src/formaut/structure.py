@@ -24,11 +24,12 @@ of exact matrices) share one closure, its irreducibility rank and its PGL
 classes; only the class tables of the Schreier generators, which each block
 restricts differently, are built per block.  The normalised residues
 of L_ij (`matgroups.pgl_keys`, a residue divided by its first nonzero entry)
-name its PGL classes, so their number is |H_ij|, and its residues give the
-irreducibility rank.  phi(P) is the orbit of a class tuple, stored as an
-int32 row, under per-generator tables: for each principal Schreier
-generator s and block, class c goes to the class of rep_c * s, rep_c the
-normalised residue, and a batch of rows takes one numpy gather per table.
+name its PGL classes, so their number is |H_ij|, and they span what its
+residues span, so they give the irreducibility rank.  phi(P) is the orbit
+of a class tuple, stored as an int32 row, under per-generator tables: for
+each principal Schreier generator s and block, class c goes to the class of
+rep_c * s, rep_c the normalised residue, and a batch of rows takes one
+numpy gather per table.
 If a form is given, every supplied generator must preserve it
 (`matgroups.preserves`), and the report also carries the canonical bound
 d^s·∏|H_ij|·∏k_i! (`sequences.canonical_bound`), which |G| must not
@@ -224,10 +225,15 @@ def _distinct_non_identity(mats):
     return out or [identity]
 
 
-def _check_irreducible(grp: MatGroup, i, j, size):
-    """Residue Burnside (matgroups): the residues of L_ij must span M_s(F_p)."""
-    rows = np.concatenate([stack.reshape(len(stack), -1) for _, stack in grp._stacks()])
-    if _rank_mod_p(rows.astype(np.int64), grp.p) != size * size:
+def _check_irreducible(grp: MatGroup, reps, i, j):
+    """Residue Burnside (matgroups): the residues of L_ij = grp must span M_s(F_p).
+
+    By the normalised-residue lemma each residue is a nonzero multiple of its
+    class's normalised residue, so the class representatives reps span the
+    same space with |H_ij| rows instead of |L_ij|.
+    """
+    size = reps.shape[1]
+    if _rank_mod_p(reps.reshape(len(reps), -1).astype(np.int64), grp.p) != size * size:
         raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
 
 
@@ -347,10 +353,10 @@ def _projective_part(gens, cert, psi, group, block_cap):
             grp = group if restricted is None else closure(restricted, cap=cap)
             if not grp.closed:
                 raise CertificateError("stabilizer block closure exceeded its cap")
-            _check_irreducible(grp, i, j, r1 - r0)
             keys = dict.fromkeys(key for _, stack in grp._stacks() for key in pgl_keys(stack, grp.p))
             class_of = {key: c for c, key in enumerate(keys)}
             reps = np.frombuffer(b"".join(class_of), dtype=np.int32).reshape(-1, r1 - r0, r1 - r0)
+            _check_irreducible(grp, reps, i, j)
             closed[restricted] = grp, class_of, reps
         grp, class_of, reps = closed[restricted]
         orders[(i + 1, j + 1)] = len(class_of)

@@ -153,7 +153,7 @@ def ratio_quotient_law(l, d: int, d2: int) -> bool:
     """Check R(l,d)/R(l,d') = (d'/d)^(v(l)-s) exactly."""
     seq = _as_seq(l)
     lhs = ratio(seq, d) / ratio(seq, d2)
-    rhs = Fraction(d2, d) ** (seq.total - seq.length)
+    rhs = Fraction(d2, d) ** (seq.total - len(seq.parts))
     return lhs == rhs
 
 

@@ -1,7 +1,8 @@
 """Exact references that live only in the tests.
 
 form_product multiplies two forms term by term; the action and invariant
-references build on it.
+references build on it.  permutation_matrix is the substitution matrix of a
+coordinate permutation.
 
 The binary resultant oracle: a binary form of degree d >= 2 is smooth iff
 its two partials have no common projective zero, i.e. iff their resultant
@@ -30,17 +31,18 @@ Gaussian elimination over Q.  reference_root_exponent scans every a < m,
 m = lcm(2, n), and compares the value with zeta_m^a.
 
 The torus reference, reference_solve_torus, solves lambda^V = c from the
-same Smith normal form as diaglattice.solve_torus but in CycNum arithmetic:
+same Smith normal form as diaglattice._Torus but in CycNum arithmetic:
 it raises the targets to the powers in U, takes d-th roots through a
 discrete logarithm and multiplies the particular solution out of powers.
 """
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from formaut.cyclotomic import CycNum, euler_phi, root_of_unity
-from formaut.diaglattice import LatticeError, TorusSolution, smith_normal_form
-from formaut.forms import Form, partials
+from formaut.diaglattice import LatticeError, smith_normal_form
+from formaut.forms import ExactMatrix, Form, partials
 from formaut.matgroups import GroupError, _is_block_scalar, _monomials, _mulmod
 from formaut.smoothness import CycField, buchberger, form_to_poly
 
@@ -53,6 +55,12 @@ def form_product(f: Form, g: Form) -> Form:
             acc = out.get(e)
             out[e] = c1 * c2 if acc is None else acc + c1 * c2
     return Form(f.nvars, out, f.degree + g.degree)
+
+
+def permutation_matrix(perm) -> ExactMatrix:
+    """Matrix sending x_i to x_perm(i) under the substitution action."""
+    one, zero = CycNum.one(), CycNum.zero()
+    return ExactMatrix([[one if perm[i] == j else zero for j in range(len(perm))] for i in range(len(perm))])
 
 
 def _integer(c: CycNum) -> int:
@@ -232,7 +240,7 @@ def _nth_root(c: CycNum, n: int) -> CycNum:
     return root_of_unity(o * n, a)
 
 
-def reference_solve_torus(rows, targets=None) -> TorusSolution:
+def reference_solve_torus(rows, targets=None) -> SimpleNamespace:
     """lambda^V = c in CycNum arithmetic: targets powered by U, roots by discrete log."""
     rows = [list(map(int, r)) for r in rows]
     if not rows:
@@ -277,7 +285,8 @@ def reference_solve_torus(rows, targets=None) -> TorusSolution:
                 acc = acc * mu[k] ** W[j][k]
             particular.append(acc)
         particular = tuple(particular)
-    return TorusSolution(consistent, order, [d for d in diag if d], kernel_generators, particular)
+    return SimpleNamespace(consistent=consistent, order=order, divisors=[d for d in diag if d],
+                           kernel_generators=kernel_generators, particular=particular)
 
 
 def reference_scalar_cosets(residues, p: int):

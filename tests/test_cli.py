@@ -177,10 +177,11 @@ def test_verify_catalog_single_entry(tmp_path, capsys):
 
 
 def test_verify_catalog_empty_selection_is_a_usage_error(capsys):
-    code = main(["verify-catalog", "--skip-smooth", "--entry", "no-such-row"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: no catalog entry matches")
+    for entry in ["no-such-row", ""]:   # an empty label selects no row, not the whole catalog
+        code = main(["verify-catalog", "--skip-smooth", "--entry", entry])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: no catalog entry matches")
 
 
 def test_usage_error_exit_code():

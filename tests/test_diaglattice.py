@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from formaut import diaglattice
 from formaut.cli import main
 from formaut.cyclotomic import CycNum, root_of_unity
-from formaut.diaglattice import (LatticeError, block_scalar_group, root_exponent, semi_permutation_group,
-                                 smith_normal_form, solve_torus)
+from formaut.diaglattice import (LatticeError, _Torus, block_scalar_group, root_exponent, semi_permutation_group,
+                                 smith_normal_form)
 from formaut.forms import Form, FormError, act, block_degrees, parse
 from formaut.smoothness import split_prime
 
@@ -187,21 +188,32 @@ def test_snf_order_matches_brute_force_random():
         checked += 1
 
 
+def _solve_torus(rows, targets=None):
+    """What _Torus answers for lambda^V = c; targets default to all-ones and must be roots of unity."""
+    torus = _Torus(rows)
+    exponents = [Fraction(0)] * torus.t if targets is None else [root_exponent(c) for c in targets]
+    if None in exponents:
+        raise LatticeError("a target is not a root of unity")
+    consistent, particular = torus.solve(exponents)
+    return SimpleNamespace(consistent=consistent, order=torus.order, divisors=torus.divisors,
+                           kernel_generators=torus.kernel_generators, particular=particular)
+
+
 def test_torus_targets_consistency():
     # lambda^2 = -1 on a 1-torus: coset of size 2 with particular solution
-    sol = solve_torus([[2]], [CycNum.from_int(-1)])
+    sol = _solve_torus([[2]], [CycNum.from_int(-1)])
     assert sol.consistent and sol.order == 2
     lam = sol.particular[0]
     assert lam ** 2 == -1
     # inconsistent system: lambda^1 = 1 and lambda^1 = -1
-    sol = solve_torus([[1], [1]], [CycNum.from_int(1), CycNum.from_int(-1)])
+    sol = _solve_torus([[1], [1]], [CycNum.from_int(1), CycNum.from_int(-1)])
     assert not sol.consistent
 
 
 def test_semi_permutation_fermat():
     F = Form.fermat(3, 3)
     sp = semi_permutation_group(F)
-    assert sp.order == 27 * 6 and sp.image_order == 6
+    assert sp.order == 27 * 6 and len(sp.permutations) == 6
     for m in sp.generators:
         assert act(F, m) == F
     F = Form.fermat(4, 4)
@@ -211,7 +223,7 @@ def test_semi_permutation_fermat():
 def test_semi_permutation_loop_form():
     loop = parse("x1^2*x2 + x2^2*x3 + x3^2*x1")
     sp = semi_permutation_group(loop)
-    assert sp.image_order == 3          # only the rotations survive
+    assert len(sp.permutations) == 3  # only the rotations survive
     assert sp.order == 27
     for m in sp.generators:
         assert act(loop, m) == loop
@@ -222,7 +234,7 @@ def test_semi_permutation_block_form_divides_closure():
     sp = semi_permutation_group(F)
     # diagonal part: two independent 2-variable lattices of order 24 each
     assert sp.diagonal_order == 576
-    assert sp.image_order == 8
+    assert len(sp.permutations) == 8
     assert sp.order == 4608
     assert 41472 % sp.order == 0        # subgroup of the full stabilizer
 
@@ -231,7 +243,7 @@ def test_semi_permutation_generic_cubic():
     # a generic-looking smooth ternary cubic: scalars only
     F = parse("x1^3 + x2^3 + x3^3 + x1*x2*x3 + 2*x1^2*x2")
     sp = semi_permutation_group(F)
-    assert sp.image_order == 1
+    assert len(sp.permutations) == 1
     assert sp.order == sp.diagonal_order == 3
 
 
@@ -280,7 +292,7 @@ def _outcome(solve, rows, targets):
 @given(torus_systems())
 def test_solve_torus_matches_the_cyclotomic_reference(system):
     rows, targets = system
-    got = _outcome(solve_torus, rows, targets)
+    got = _outcome(_solve_torus, rows, targets)
     ref = _outcome(reference_solve_torus, rows, targets)
     if targets is not None and any(c in NON_ROOTS for c in targets):
         # a non-root target is refused outright; the reference refuses it too,
@@ -331,4 +343,4 @@ def test_semi_permutation_refuses_a_non_root_ratio():
     with pytest.raises(LatticeError, match="coefficient ratio 2 of x2\\^3 to x3\\^3"):
         semi_permutation_group(parse("x1^3 + 2*x2^3 + x3^3"))
     with pytest.raises(LatticeError, match="not a root of unity"):
-        solve_torus([[3]], [CycNum.from_int(2)])
+        _solve_torus([[3]], [CycNum.from_int(2)])

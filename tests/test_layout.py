@@ -1,8 +1,9 @@
 """The installed package holds only the program.
 
-Every module-level function and class in src/formaut must be used by the
-program: referenced in src/ outside its own definition (a re-export in
-__all__ is not a use), named in bench/ (whose tracer wraps functions by
+Every module-level function and class in src/formaut, and every method of
+such a class other than a dunder method, must be used by the program, as
+judged by name: referenced in src/ outside its own definition (a re-export
+in __all__ is not a use), named in bench/ (whose tracer wraps functions by
 name, as strings), or named in the CI workflow (which calls some helpers
 the way a user would).  Checks that only the tests call live in tests/.
 """
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = set()
 
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+DUNDER = re.compile(r"__\w+__")
 
 
 def _names(tree, skip=None, strings=False):
@@ -49,12 +51,13 @@ def unused_definitions(root: Path):
         outside |= _names(ast.parse(p.read_text()), strings=True)
     unused = []
     for path, tree in src.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        defs = [(node, node.name) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(node, "%s.%s" % (cls.name, node.name)) for cls, _ in defs if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef) and not DUNDER.fullmatch(node.name)]
+        for node, name in defs:
             if node.name in outside or any(node.name in _names(t, skip=node) for t in src.values()):
                 continue
-            unused.append((path.relative_to(root).as_posix(), node.name))
+            unused.append((path.relative_to(root).as_posix(), name))
     return unused
 
 

@@ -21,7 +21,7 @@ from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure
 from formaut.smoothness import split_prime
 
 from lemmas import scalar_group
-from oracles import form_product, reference_scalar_cosets
+from oracles import form_product, permutation_matrix, reference_scalar_cosets
 
 
 def test_scalar_group():
@@ -40,8 +40,8 @@ def test_scalar_group_preserves_every_form():
 def test_fermat_closure_order():
     z3 = root_of_unity(3)
     gens = [ExactMatrix.diagonal([z3, 1, 1]),
-            ExactMatrix.permutation([1, 0, 2]),
-            ExactMatrix.permutation([1, 2, 0])]
+            permutation_matrix([1, 0, 2]),
+            permutation_matrix([1, 2, 0])]
     grp = closure(gens)
     assert grp.order == 162             # 3^3 * 3!
 
@@ -118,10 +118,10 @@ def test_scalar_cosets_match_reference_on_block_closures(monkeypatch):
     seen = []
     check_irreducible = structure._check_irreducible
 
-    def checked(grp, i, j, size):
+    def checked(grp, reps, i, j):
         _assert_cosets_match_reference(grp)
         seen.append(grp.dim)
-        return check_irreducible(grp, i, j, size)
+        return check_irreducible(grp, reps, i, j)
 
     monkeypatch.setattr(structure, "_check_irreducible", checked)
     entry = get_entry("pair-icosahedral-12ic")
@@ -134,7 +134,7 @@ def test_scalar_cosets_match_reference_on_block_closures(monkeypatch):
 def test_subgroup_order_divides():
     z3 = root_of_unity(3)
     small = closure([ExactMatrix.diagonal([z3, 1, 1])])
-    big = closure([ExactMatrix.diagonal([z3, 1, 1]), ExactMatrix.permutation([1, 2, 0])])
+    big = closure([ExactMatrix.diagonal([z3, 1, 1]), permutation_matrix([1, 2, 0])])
     assert big.order % small.order == 0
 
 
@@ -523,7 +523,7 @@ def test_prime_dividing_a_denominator_is_skipped():
 
 def test_prime_dividing_the_order_is_refused(monkeypatch):
     monkeypatch.setattr(matgroups, "split_prime", lambda conductor, den, lo: 3)
-    grp = MatGroup([ExactMatrix.permutation([1, 0, 2]), ExactMatrix.permutation([1, 2, 0])])
+    grp = MatGroup([permutation_matrix([1, 0, 2]), permutation_matrix([1, 2, 0])])
     with pytest.raises(GroupError):            # S_3 has order 6 and 3 | 6
         grp.close()
 
@@ -564,7 +564,7 @@ def monomial_groups(draw, max_dim=4):
     for _ in range(draw(st.integers(1, 2))):
         perm = draw(st.permutations(range(r)))
         exps = draw(st.lists(st.integers(0, 11), min_size=r, max_size=r))
-        gens.append(ExactMatrix.permutation(perm) *
+        gens.append(permutation_matrix(perm) *
                     ExactMatrix.diagonal([root_of_unity(12, e) for e in exps]))
     if draw(st.booleans()):
         signs = draw(st.lists(st.sampled_from((1, -1)), min_size=r * r, max_size=r * r))

@@ -14,6 +14,7 @@ from formaut.structure import (CertificateError, DecompositionCertificate, Struc
                                verify_compositional)
 
 from lemmas import has_monomial_pattern, ratioprod_check, refined_bound, scalar_group
+from oracles import permutation_matrix
 
 
 def test_certificate_json_round_trip():
@@ -69,7 +70,7 @@ def test_certificate_violation_detected():
 def test_intransitive_summand_is_refused():
     # the swap moves block 1 to block 2 but never to block 3
     z3 = root_of_unity(3)
-    grp = closure([ExactMatrix.diagonal([z3, 1, 1]), ExactMatrix.permutation([1, 0, 2])])
+    grp = closure([ExactMatrix.diagonal([z3, 1, 1]), permutation_matrix([1, 0, 2])])
     with pytest.raises(CertificateError, match="not transitive"):
         verify_certificate(grp, DecompositionCertificate([[1, 1, 1]]))
     assert verify_certificate(grp, DecompositionCertificate([[1, 1], [1]])).k_orders == [2, 1]
@@ -252,7 +253,7 @@ def test_irreducible_span():
     cases = [(scalar_group(2, 3), False),
              (closure(entry.generators()[:2]), True),
              # transitive permutation matrices fix the all-ones vector: reducible
-             (closure([ExactMatrix.permutation([1, 0]), ExactMatrix.permutation([0, 1])]), False)]
+             (closure([permutation_matrix([1, 0]), permutation_matrix([0, 1])]), False)]
     for grp, irreducible in cases:
         assert _exact_span_is_full(grp.elements(), grp.dim) == irreducible
         assert _residue_verdict(grp) == irreducible
@@ -266,7 +267,7 @@ def monomial_groups(draw):
     gens = []
     for perm in perms:
         exps = draw(st.lists(st.integers(0, 5), min_size=r, max_size=r))
-        gens.append(ExactMatrix.permutation(perm) * ExactMatrix.diagonal([root_of_unity(6, e) for e in exps]))
+        gens.append(permutation_matrix(perm) * ExactMatrix.diagonal([root_of_unity(6, e) for e in exps]))
     return gens
 
 
