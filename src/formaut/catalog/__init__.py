@@ -29,8 +29,14 @@ disjoint variables (group H wr S_k); load_entries gives it direct_sum's
 generators and certificate (grouping [k]): each non-scalar base generator on
 block 1, .., block k; the block swap (1 2); the k-cycle if k >= 3; each scalar
 one on blocks 1..k-1 (the compositional tier checks |N| against the supplied
-block-scalar generators), then on all blocks.  Fermat rows stay explicit: their
-base's one generator is scalar, so the rule would give v + 1 generators, not 3.
+block-scalar generators), then on all blocks.
+
+A Fermat stub {"fermat": true} lists only key, label, n and d; load_entries
+gives it fermat_row's fields.  With v = n + 2: the form x1^d + ... + xv^d;
+the generators diag(z_d, 1, .., 1), the swap (1 2) and the v-cycle (it is not
+a sum row: direct_sum on x1^d would give v + 2 generators); v blocks of size
+1, grouping [v]; the order fermat_order(v, d).  lin_order is aut_order / d,
+so only the subgroup_only row (quintic-480) lists it.
 """
 
 from __future__ import annotations
@@ -63,14 +69,15 @@ class CatalogEntry:
         self.form_text = payload["form"]
         self.generator_entries = payload["generators"]
         self.certificate_payload = payload["certificate"]
-        self.expected = payload["expected"]
+        self.expected = dict(payload["expected"])
         self.exceptional = payload.get("exceptional", False)
         self.in_theorem_domain = payload.get("in_theorem_domain", True)
         self.fermat = payload.get("fermat", False)
         self.subgroup_only = payload.get("subgroup_only", False)
         self.provenance = payload.get("provenance", "")
-        if not self.subgroup_only and self.expected["aut_order"] != self.d * self.expected["lin_order"]:
-            raise CatalogError("%s: aut order must be d times the projective order" % self.key)
+        if ("lin_order" in self.expected) != self.subgroup_only:
+            raise CatalogError("%s: a row lists lin_order if and only if it is subgroup_only" % self.key)
+        self.expected.setdefault("lin_order", self.expected["aut_order"] // self.d)
         if self.tier == "full-closure" and self.expected["aut_order"] > DEFAULT_CAP:
             raise CatalogError("%s: full-closure order exceeds the cap" % self.key)
 
@@ -114,11 +121,28 @@ def direct_sum(base: dict, copies: int) -> dict:
     return {"generators": gens, "certificate": cert}
 
 
+def fermat_row(n: int, d: int) -> dict:
+    """The fields that load_entries gives the Fermat stub of (n, d) (see above)."""
+    v = n + 2
+    eye = [["1" if r == c else "0" for c in range(v)] for r in range(v)]
+    return {"tier": "full-closure", "form": " + ".join("x%d^%d" % (i, d) for i in range(1, v + 1)),
+            "generators": [[["z%d" % d, *eye[0][1:]], *eye[1:]], [eye[1], eye[0], *eye[2:]], [*eye[1:], eye[0]]],
+            "certificate": {"blocks": [{"i": 1, "j": j, "size": 1} for j in range(1, v + 1)], "grouping": [v]},
+            "expected": {"aut_order": fermat_order(v, d), "group_name": "C%d^%d:S%d" % (d, v - 1, v),
+                         "smooth": True},
+            "provenance": "Fermat form: torsion diagonals and coordinate permutations."}
+
+
 def _resolve(row: dict, rows: dict) -> dict:
-    """A sum row with direct_sum's generators and certificate filled in."""
-    base, k = rows.get(row["sum_of"], {"sum_of": None}), row.get("copies")
+    """A Fermat stub with fermat_row's fields filled in, or a sum row with direct_sum's."""
+    if row.get("fermat"):
+        made = fermat_row(row["n"], row["d"])
+        if made.keys() & row.keys():
+            raise CatalogError("Fermat row %s lists a field its rule provides" % row["label"])
+        return {**row, **made}
+    base, k = rows.get(row["sum_of"], {}), row.get("copies")
     why = ("lists its own generators or certificate" if "generators" in row or "certificate" in row else
-           "names no row that lists its own generators" if "sum_of" in base else
+           "names no row that lists its own generators" if "generators" not in base else
            "needs an integer number of copies >= 2" if type(k) is not int or k < 2 else
            "needs nvars equal to its base's nvars times copies" if (base["n"] + 2) * k != row["n"] + 2 else None)
     if why:
@@ -127,11 +151,12 @@ def _resolve(row: dict, rows: dict) -> dict:
 
 
 def load_entries():
-    """All catalog entries, sorted by key; sum rows are resolved against their base rows."""
+    """All catalog entries, sorted by key; Fermat stubs and sum rows are resolved first."""
     root = resources.files(__package__) / "data"
     rows = [json.loads(item.read_text()) for item in root.iterdir() if item.name.endswith(".json")]
     by_label = {row["label"]: row for row in rows}
-    entries = [CatalogEntry(_resolve(row, by_label) if "sum_of" in row else row) for row in rows]
+    entries = [CatalogEntry(_resolve(row, by_label) if "sum_of" in row or row.get("fermat") else row)
+               for row in rows]
     return sorted(entries, key=lambda e: (e.n, e.d, e.key))
 
 

@@ -84,9 +84,6 @@ class Form:
     def monomials(self):
         return sorted(self.terms, key=_grlex_key)
 
-    def coeff(self, exps) -> CycNum:
-        return self.terms.get(tuple(exps), CycNum.zero())
-
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
@@ -115,12 +112,6 @@ class Form:
             merged[e] = merged.get(e, CycNum.zero()) + c
         return Form(self.nvars, merged, self.degree)
 
-    def __neg__(self):
-        return Form(self.nvars, {e: -c for e, c in self.terms.items()}, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __repr__(self):
         return "Form(%r)" % serialize(self)
 
@@ -148,12 +139,6 @@ class ExactMatrix:
     def identity(cls, dim: int) -> ExactMatrix:
         one, zero = CycNum.one(), CycNum.zero()
         return cls([[one if i == j else zero for j in range(dim)] for i in range(dim)])
-
-    @classmethod
-    def scalar(cls, dim: int, value) -> ExactMatrix:
-        v = _as_cyc(value)
-        zero = CycNum.zero()
-        return cls([[v if i == j else zero for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def diagonal(cls, values) -> ExactMatrix:

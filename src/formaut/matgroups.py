@@ -52,11 +52,16 @@ the orbit of e_1..e_r decides.  It always spans; a finite G gives it at
 most r·|G| vectors, so an orbit that outgrows that bound proves G infinite,
 and `close` returns False.
 
-Scalars.  `close` also raises GroupError if p divides |G|.  When it does
-not, every g in G has order prime to p, so its minimal polynomial divides a
-separable x^m - 1 and reduction is injective on its eigenvalues (m-th
-roots of unity): g is scalar iff its residue is.  The same holds for any
-finite group of block restrictions, whose order divides |G|, so scalar and
+The prime lemma.  Let G <= GL_r(K) be finite and q a prime dividing |G|.
+An element of order q has a primitive q-th root of unity as an eigenvalue,
+so [K(zeta_q) : K] <= r, and that degree is q - 1 when q ∤ N: q <= max(r + 1,
+N).  `split_prime` gives p = 1 (mod N), so p > N, and `MatGroup` refuses
+p <= r + 1.  So p ∤ |G|, and p ∤ |L| for every finite L <= GL_s(K), s <= r.
+
+Scalars.  By the prime lemma every g in a finite G, or in a finite group
+of block restrictions, has order prime to p, so its minimal polynomial
+divides a separable x^m - 1 and reduction is injective on its eigenvalues
+(m-th roots of unity): g is scalar iff its residue is.  So scalar and
 block-scalar tests read residues.  Centers read residues by injectivity
 alone (gh and hg both lie in G).
 
@@ -74,19 +79,19 @@ the PGL classes of L are the cosets gZ, each of size |Z|, and
 |L / scalars| = |L| / |Z|; `projective_order` reads Z off the stored
 residues one `_stacks()` stack at a time, one scalar test per stack.
 `pgl_keys` names the classes by the normalised-residue lemma.  Let L be
-closed, so finite with p ∤ |L|, and g, h in L.  By the scalar paragraph
-the residue of g·h^-1 (in L) is scalar iff g·h^-1 is, iff g and h share a
-PGL class; and it is c·I iff the residue of g is c times that of h, iff
-the two agree once each is divided by its first nonzero entry.
+closed, so finite with p ∤ |L| (the prime lemma), and g, h in L.  The
+residue of g·h^-1 (in L) is scalar iff g·h^-1 is (the scalar paragraph),
+iff g and h share a PGL class; and it is c·I iff the residue of g is c
+times that of h, iff the two agree once divided by their first nonzero entry.
 
 Invariant dimensions read residues, by the fixed-space lemma (Derksen-Kemper,
 "Computational Invariant Theory", 2002; Sturmfels, "Algorithms in Invariant
-Theory", 2008).  Let G = <S> be closed, p ∤ |G| and p > M = C(r+e-1, e) =
-dim Sym^e.  Sym^e(g) has integer polynomial entries in those of g, so
-R = |G|^-1 sum_g Sym^e(g) is 𝔭-integral, and R^2 = R reduces to an
-idempotent over F_p.  Its image is the fixed space of G mod 𝔭 (h·R = R for
-every residue h, and R fixes what G fixes), which is the common fixed space
-of the generator residues; its rank is its trace mod p, and
+Theory", 2008).  Let G = <S> be closed, p ∤ |G| (the prime lemma) and
+p > M = C(r+e-1, e) = dim Sym^e.  Sym^e(g) has integer polynomial entries in
+those of g, so R = |G|^-1 sum_g Sym^e(g) is 𝔭-integral, and R^2 = R reduces
+to an idempotent over F_p.  Its image is the fixed space of G mod 𝔭 (h·R = R
+for every residue h, and R fixes what G fixes), which is the common fixed
+space of the generator residues; its rank is its trace mod p, and
 tr R = dim (Sym^e)^G lies in [0, M].  So dim (Sym^e)^G is M minus the
 F_p rank of Sym^e(s mod p) - I stacked over s in S.  Molien's coefficient
 of t^e in |G|^-1 sum_g 1/det(I - t g) is the same trace, summed over every
@@ -107,8 +112,7 @@ of its simple components, so the image Λ, the O_𝔭-span of L, is a maximal
 order of M_s(K).  Λ lies in the order M_s(O_𝔭), so Λ = M_s(O_𝔭), which
 reduces onto M_s(F_p).  The hypotheses
 hold for the restrictions L_ij of block stabilizers in `structure`: their
-entries are 𝔭-integral, and |L_ij| divides |G|, which `close` checks is
-prime to p (a closed restriction group checks its own order).
+entries are 𝔭-integral, and p ∤ |L_ij| by the prime lemma.
 
 `elements()` replays the BFS tree exactly, one ExactMatrix product per
 element.  Nothing in formaut calls it: it is the exact reference of the
@@ -258,6 +262,8 @@ class MatGroup:
         self.p = split_prime(self.conductor, den, lo=1 << 21)   # the reduction lemma's hypotheses
         if self.p >= 1 << 31 or dim * (self.p - 1) ** 2 >= 1 << 63:
             raise GroupError("prime %d is too large for int64 residue products" % self.p)
+        if self.p <= dim + 1:
+            raise GroupError("p = %d must exceed r + 1 = %d (the prime lemma)" % (self.p, dim + 1))
         self._field = GF(self.p, self.conductor)
         self._gens = np.stack([self._reduce(g) for g in gens])
         self._orbit = Orbit([], None)   # the elements' residue keys: none until close()
@@ -274,8 +280,7 @@ class MatGroup:
         One `Orbit` of the identity's residue key, which stops as soon as
         more than `cap` elements are stored.  A later call recomputes from
         scratch.  On completion the orbit certificate must hold (else False:
-        G is infinite) and p must not divide |G| (else GroupError); see the
-        module docstring.
+        G is infinite); see the module docstring.
         """
         if self.closed:
             return True
@@ -286,11 +291,8 @@ class MatGroup:
             return _row_keys(_mulmod(residues, gens, p))
 
         self._orbit = Orbit([np.eye(r, dtype=np.int32).tobytes()], step, cap)
-        order = len(self._orbit.points)
-        if not self._orbit.complete or not self._orbit_is_finite(order):
+        if not self._orbit.complete or not self._orbit_is_finite(len(self._orbit.points)):
             return False                # cap exceeded, or the orbit certificate: G is infinite
-        if order % p == 0:              # residues could no longer tell scalars apart
-            raise GroupError("p = %d divides |G| = %d" % (p, order))
         self.closed = True
         return True
 
@@ -454,11 +456,10 @@ def _monomials(nvars: int, degree: int):
 
 def _invariant_space(group: MatGroup, degree: int) -> int:
     """M = dim Sym^e, once the fixed-space lemma's hypotheses are checked."""
-    order = group.order                 # GroupError unless the group is closed
+    group._require_closed()
     size = comb(group.dim + degree - 1, degree)
-    if group.p <= size or order % group.p == 0:
-        raise GroupError("p = %d must exceed dim Sym^%d = %d and not divide |G| = %d"
-                         % (group.p, degree, size, order))
+    if group.p <= size:
+        raise GroupError("p = %d must exceed dim Sym^%d = %d" % (group.p, degree, size))
     return size
 
 

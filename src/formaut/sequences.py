@@ -71,11 +71,6 @@ class SubdegreeSequence:
             parts.extend([r] * k)
         return cls(parts)
 
-    @property
-    def total(self) -> int:
-        """v(l), the sum of the parts."""
-        return sum(self.parts)
-
     def multiplicities(self):
         """Distinct parts r1 > r2 > ... with multiplicities, as (r_i, k_i) pairs."""
         out = []
@@ -96,19 +91,6 @@ class SubdegreeSequence:
         if isinstance(other, SubdegreeSequence):
             return SubdegreeSequence(self.parts + other.parts)
         return NotImplemented
-
-    def __sub__(self, other):
-        if not isinstance(other, SubdegreeSequence):
-            return NotImplemented
-        remaining = list(self.parts)
-        for p in other.parts:
-            try:
-                remaining.remove(p)
-            except ValueError:
-                raise SequenceError("%s is not contained in %s" % (other, self))
-        if not remaining:
-            raise SequenceError("difference of sequences is empty")
-        return SubdegreeSequence(remaining)
 
     def __eq__(self, other):
         if not isinstance(other, SubdegreeSequence):

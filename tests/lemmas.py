@@ -153,7 +153,7 @@ def ratio_quotient_law(l, d: int, d2: int) -> bool:
     """Check R(l,d)/R(l,d') = (d'/d)^(v(l)-s) exactly."""
     seq = _as_seq(l)
     lhs = ratio(seq, d) / ratio(seq, d2)
-    rhs = Fraction(d2, d) ** (seq.total - len(seq.parts))
+    rhs = Fraction(d2, d) ** (sum(seq.parts) - len(seq.parts))
     return lhs == rhs
 
 
@@ -169,7 +169,7 @@ def lambda_addr0(l, r0: int, k0: int, d: int) -> Fraction:
         raise SequenceError("r0 must exceed 1")
     if seq.count(r0) != k0 or k0 < 1:
         raise SequenceError("r0 = %d does not occur in %s with multiplicity %d" % (r0, seq, k0))
-    v = seq.total
+    v = sum(seq.parts)
     lam = Fraction(factorial(v), factorial(v + r0)) * Fraction(jc(r0) * (k0 + 1), d ** (r0 - 1))
     direct = ratio(seq + SubdegreeSequence([r0]), d) / ratio(seq, d)
     if lam != direct:
@@ -196,7 +196,7 @@ def ratioprod_check(n_tuple) -> tuple[bool, Fraction]:
 def binomial_supermultiplicativity(l1, l2, d: int):
     """Return (lhs, rhs, disjoint) for C(v1+v2, v1) R(l1+l2) >= R(l1) R(l2)."""
     s1, s2 = _as_seq(l1), _as_seq(l2)
-    lhs = comb(s1.total + s2.total, s1.total) * ratio(s1 + s2, d)
+    lhs = comb(sum(s1.parts) + sum(s2.parts), sum(s1.parts)) * ratio(s1 + s2, d)
     rhs = ratio(s1, d) * ratio(s2, d)
     disjoint = not (set(s1.parts) & set(s2.parts))
     return lhs, rhs, disjoint
@@ -215,6 +215,6 @@ def check_diag_bound(form: Form, block_sizes) -> bool:
 
 def scalar_group(dim: int, d: int) -> MatGroup:
     """The order-d group generated by zeta_d * I."""
-    g = MatGroup([ExactMatrix.scalar(dim, root_of_unity(d))])
+    g = MatGroup([ExactMatrix.diagonal([root_of_unity(d)] * dim)])
     g.close()
     return g

@@ -95,8 +95,8 @@ def sylvester_resultant(f: Form, g: Form) -> CycNum:
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("resultant oracle is for binary forms")
     m, n = f.degree, g.degree
-    fc = [_integer(f.coeff((m - i, i))) for i in range(m + 1)]
-    gc = [_integer(g.coeff((n - i, i))) for i in range(n + 1)]
+    fc = [_integer(f.terms.get((m - i, i), CycNum.zero())) for i in range(m + 1)]
+    gc = [_integer(g.terms.get((n - i, i), CycNum.zero())) for i in range(n + 1)]
     size = m + n
     rows = [[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
     rows += [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)]

@@ -56,11 +56,16 @@ def test_expected_orders_table():
         assert (e.expected["aut_order"], e.expected["lin_order"]) == (aut, lin)
 
 
-def test_fermat_rows_order_formula():
-    for label in ["fermat-1-3", "fermat-1-5", "fermat-2-3", "fermat-3-3"]:
-        e = get_entry(label)
-        r = e.n + 2
-        assert e.expected["aut_order"] == e.d ** r * factorial(r)
+def test_fermat_rule_pins_the_fermat_1_3_row():
+    # fermat_row's output for (1, 3), spelled out; the closure and semi_permutation checks prove the rows
+    e = get_entry("fermat-1-3")
+    assert (e.tier, e.form_text) == ("full-closure", "x1^3 + x2^3 + x3^3")
+    assert e.generator_entries == [[["z3", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                                   [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+                                   [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]]
+    assert e.certificate_payload == {"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 1, "j": 2, "size": 1},
+                                                {"i": 1, "j": 3, "size": 1}], "grouping": [3]}
+    assert e.expected == {"aut_order": 162, "lin_order": 54, "group_name": "C3^2:S3", "smooth": True}
 
 
 def test_exceptional_rows_beat_fermat():
@@ -110,6 +115,13 @@ def test_verify_entry_quick():
     assert rep["ok"]
 
 
+@pytest.mark.parametrize("label, method", [("klein-quartic", "groebner-modp"), ("fermat-2-3", "split-variables")])
+def test_verify_entry_checks_smoothness_by_default(label, method):
+    rep = verify_entry(get_entry(label))
+    assert rep["ok"]
+    assert rep["checks"]["smooth"] == {"ok": True, "verdict": "smooth", "method": method}
+
+
 def test_verify_entry_todd_generators_only():
     rep = verify_entry(get_entry("todd-sextic"), skip_smooth=True)
     assert rep["ok"]
@@ -156,9 +168,10 @@ def test_sums_of_rows_beat_fermat_exactly_at_the_sum_rows():
     rows = raw_rows()
     beats = {}
     for label, row in rows.items():
-        m, order = row["n"] + 2, row["expected"]["aut_order"]
+        m = row["n"] + 2
         if "sum_of" in row or m < 2:
             continue
+        order = get_entry(label).expected["aut_order"]
         def rho(k):
             return Fraction(order ** k * factorial(k), fermat_order(m * k, row["d"]))
         k = 2
@@ -218,6 +231,24 @@ def test_loader_refuses_a_malformed_sum_row(tmp_path, monkeypatch, change, reaso
     rows = raw_rows()
     bad = dict(rows["pair-octahedral-sextic"], label="bad-sum", **change)
     write_rows(tmp_path, rows["octahedral-binary-sextic"], rows["pair-octahedral-sextic"], bad)
+    monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(CatalogError, match=reason):
+        load_entries()
+
+
+@pytest.mark.parametrize("label, change, expected, reason", [
+    ("fermat-1-3", {"form": "x1^3 + x2^3 + x3^3"}, None, "lists a field its rule provides"),
+    ("klein-quartic", {}, {"lin_order": 168}, "lists lin_order if and only if it is subgroup_only"),
+    ("quintic-480", {}, {"lin_order": None}, "lists lin_order if and only if it is subgroup_only"),
+    ("pair-octahedral-sextic", {"sum_of": "fermat-1-3", "n": 4}, None, "names no row that lists its own generators"),
+])
+def test_loader_refuses_a_malformed_row(tmp_path, monkeypatch, label, change, expected, reason):
+    # expected: changes to the row's expected values, None removing a field
+    rows = raw_rows()
+    bad = dict(rows[label], label="bad-row", **change)
+    if expected is not None:
+        bad["expected"] = {k: v for k, v in {**bad["expected"], **expected}.items() if v is not None}
+    write_rows(tmp_path, rows["fermat-1-3"], bad)
     monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda package: tmp_path))
     with pytest.raises(CatalogError, match=reason):
         load_entries()

@@ -33,6 +33,20 @@ def test_search_empty_at_26(capsys):
     assert out.splitlines() == ["n\td\tsequence\tratio_num\tratio_den"]
 
 
+def test_search_expect_empty_fails_on_a_survivor(capsys):
+    code, out = run_cli(["search", "--n", "1", "--d", "3", "--expect-empty"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["n\td\tsequence\tratio_num\tratio_den", "1\t3\t3^1\t20\t3", "1\t3\t2^1 1^1\t10\t3"]
+
+
+def test_bounds_scan_subcommand(capsys):
+    code, out = run_cli(["bounds-scan", "--max-total", "12", "--max-d", "6"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and (payload["max_total"], payload["max_d"]) == (12, 6)
+    assert payload["uniform_bound_failures"] == [] and len(payload["mixed_hits"]) == 46
+    assert payload["mixed_hits"][0] == {"d": 3, "ratio": "10/3", "sequence": "2^1 1^1"}
+
+
 def test_search_golden_file(tmp_path, capsys):
     out_path = tmp_path / "survivors.tsv"
     code, _ = run_cli(["search", "--n", "1..25", "--d", "3..17", "--out", str(out_path)], capsys)
@@ -111,6 +125,19 @@ def test_invdim_refuses_a_reynolds_degree_before_closing(tmp_path, capsys, monke
     assert capsys.readouterr().err.startswith("error: Reynolds at degree 200")
 
 
+@pytest.mark.parametrize("command", [["invdim", "gens.json", "--degree", "4"], ["structure", "gens.json", "cert.json"]])
+def test_closure_cap_exceeded_exits_1(tmp_path, monkeypatch, capsys, command):
+    from formaut.catalog import get_entry
+    from formaut.matgroups import generators_to_json
+    entry = get_entry("klein-quartic")
+    (tmp_path / "gens.json").write_text(generators_to_json(entry.generators()))
+    (tmp_path / "cert.json").write_text(entry.certificate().to_json())
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--cap", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "closure cap exceeded or the group is infinite\n"
+
+
 def test_diag_group_subcommand(tmp_path, capsys):
     f = tmp_path / "form.txt"
     f.write_text("x1^3*x2 + x2^3*x3 + x3^3*x1")
@@ -126,6 +153,15 @@ def test_semiperm_subcommand(tmp_path, capsys):
     code, out = run_cli(["semiperm-group", str(f)], capsys)
     assert code == 0
     assert json.loads(out)["order"] == 162
+
+
+def test_semiperm_of_an_infinite_torus(tmp_path, capsys):
+    f = tmp_path / "form.txt"
+    f.write_text("x1^2*x2^2")        # (t, 1/t) fixes it for every t
+    code, out = run_cli(["semiperm-group", str(f)], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["order"], payload["diagonal_order"], payload["generators"]) == (None, None, [])
 
 
 def test_semiperm_refuses_a_non_root_ratio(tmp_path, capsys):

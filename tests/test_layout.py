@@ -1,11 +1,15 @@
 """The installed package holds only the program.
 
 Every module-level function and class in src/formaut, and every method of
-such a class other than a dunder method, must be used by the program, as
-judged by name: referenced in src/ outside its own definition (a re-export
-in __all__ is not a use), named in bench/ (whose tracer wraps functions by
-name, as strings), or named in the CI workflow (which calls some helpers
-the way a user would).  Checks that only the tests call live in tests/.
+such a class other than a dunder method, must be used by the program.  A
+function or class is used when its name is referenced in src/ outside its
+own definition (a re-export in __all__ is not a use), named in bench/
+(whose tracer wraps functions by name, as strings), or named in the CI
+workflow (which calls some helpers the way a user would).  A method is used
+only through an attribute: `.name` in src/ outside its own definition or
+in bench/, a dotted string such as "MatGroup.elements" in bench/, or
+`.name` in the CI workflow; a local variable or a word that shares its
+name does not count.  Checks that only the tests call live in tests/.
 """
 
 import ast
@@ -22,40 +26,45 @@ DUNDER = re.compile(r"__\w+__")
 
 
 def _names(tree, skip=None, strings=False):
-    """Identifiers referenced under tree, outside the subtree skip.
+    """(every name, the attribute names) referenced under tree, outside the subtree skip.
 
     With strings=True a string constant that is a dotted identifier, such as
-    "MatGroup.elements", also names each of its parts.
+    "MatGroup.elements", also names each of its parts, and each part after
+    the first is an attribute.
     """
-    out = set()
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and IDENTIFIER.fullmatch(node.value):
-            out.update(node.value.split("."))
+            first, *rest = node.value.split(".")
+            names.add(first)
+            attributes.update(rest)
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names | attributes, attributes
 
 
 def unused_definitions(root: Path):
     src = {p: ast.parse(p.read_text()) for p in sorted((root / "src" / "formaut").rglob("*.py"))}
-    outside = set(re.findall(r"\w+", (root / ".github" / "workflows" / "tests.yml").read_text()))
+    ci = (root / ".github" / "workflows" / "tests.yml").read_text()
+    outside = (set(re.findall(r"\w+", ci)), set(re.findall(r"\.(\w+)", ci)))    # (any use, a method's use)
     for p in sorted((root / "bench").rglob("*.py")):
-        outside |= _names(ast.parse(p.read_text()), strings=True)
+        for seen, found in zip(outside, _names(ast.parse(p.read_text()), strings=True)):
+            seen |= found
     unused = []
     for path, tree in src.items():
-        defs = [(node, node.name) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        defs += [(node, "%s.%s" % (cls.name, node.name)) for cls, _ in defs if isinstance(cls, ast.ClassDef)
+        defs = [(node, node.name, False) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(node, "%s.%s" % (cls.name, node.name), True) for cls, _, _ in defs if isinstance(cls, ast.ClassDef)
                  for node in cls.body if isinstance(node, ast.FunctionDef) and not DUNDER.fullmatch(node.name)]
-        for node, name in defs:
-            if node.name in outside or any(node.name in _names(t, skip=node) for t in src.values()):
+        for node, name, method in defs:
+            if node.name in outside[method] or any(node.name in _names(t, skip=node)[method] for t in src.values()):
                 continue
             unused.append((path.relative_to(root).as_posix(), name))
     return unused

@@ -523,9 +523,8 @@ def test_prime_dividing_a_denominator_is_skipped():
 
 def test_prime_dividing_the_order_is_refused(monkeypatch):
     monkeypatch.setattr(matgroups, "split_prime", lambda conductor, den, lo: 3)
-    grp = MatGroup([permutation_matrix([1, 0, 2]), permutation_matrix([1, 2, 0])])
-    with pytest.raises(GroupError):            # S_3 has order 6 and 3 | 6
-        grp.close()
+    with pytest.raises(GroupError, match="prime lemma"):    # S_3 has order 6 and 3 | 6: 3 <= r + 1 = 4
+        MatGroup([permutation_matrix([1, 0, 2]), permutation_matrix([1, 2, 0])])
 
 
 # -- the residue engine against an exact closure -----------------------------------

@@ -43,7 +43,7 @@ def test_sequence_parsing_and_type():
     s = SubdegreeSequence.from_text("8^1 6^2 1^3")
     assert s.parts == (8, 6, 6, 1, 1, 1)
     assert s.exponential_type() == "8^1 6^2 1^3"
-    assert s.total == 23 and len(s.parts) == 6
+    assert sum(s.parts) == 23 and len(s.parts) == 6
     assert s.multiplicities() == [(8, 1), (6, 2), (1, 3)]
     assert SubdegreeSequence.from_text("3 2 1").parts == (3, 2, 1)
 

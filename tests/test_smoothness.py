@@ -430,6 +430,21 @@ def test_chart_criterion_finds_a_point_off_the_coordinate_axes():
     assert (cert.verdict, cert.detail) == ("smooth", {"charts": 3})
 
 
+@pytest.mark.parametrize("text, options, verdict, method, detail", [
+    ("x1^3 + x2^3 + x3^3 - 3*x1*x2*x3 + x4^3 + x5^3", {}, "singular", "split-variables",
+     {"component": [1, 2, 3], "inner": {"chart": 3}}),
+    ("x1^3*x2 + x2^3*x3 + x3^3*x1 + x4^4 + x5^4", {"pair_budget": 0}, "undecided", "split-variables",
+     {"component": [1, 2, 3]}),
+    ("x1^3*x2 + x2^3*x3 + x3^3*x1", {"strategy": "char0", "pair_budget": 0}, "undecided", "groebner-char0",
+     {"chart": 3, "pairs": 0}),
+])
+def test_split_and_undecided_verdicts_carry_their_detail(text, options, verdict, method, detail):
+    # a singular component names itself and its own detail; an undecided one names itself;
+    # an undecided characteristic-0 run names the chart that stopped and its pairs
+    cert = is_smooth(parse(text), **options)
+    assert (cert.verdict, cert.method, cert.detail) == (verdict, method, detail)
+
+
 def test_one_variable_form_reports_the_route_that_decided():
     form = parse("x1^4")
     cert = is_smooth(form, "modp")
