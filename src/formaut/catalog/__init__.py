@@ -128,8 +128,7 @@ def fermat_row(n: int, d: int) -> dict:
     return {"tier": "full-closure", "form": " + ".join("x%d^%d" % (i, d) for i in range(1, v + 1)),
             "generators": [[["z%d" % d, *eye[0][1:]], *eye[1:]], [eye[1], eye[0], *eye[2:]], [*eye[1:], eye[0]]],
             "certificate": {"blocks": [{"i": 1, "j": j, "size": 1} for j in range(1, v + 1)], "grouping": [v]},
-            "expected": {"aut_order": fermat_order(v, d), "group_name": "C%d^%d:S%d" % (d, v - 1, v),
-                         "smooth": True},
+            "expected": {"aut_order": fermat_order(v, d), "group_name": "C%d^%d:S%d" % (d, v - 1, v)},
             "provenance": "Fermat form: torsion diagonals and coordinate permutations."}
 
 
@@ -181,8 +180,7 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
 
     if not skip_smooth:
         cert = is_smooth(form)
-        checks["smooth"] = {"ok": cert.verdict == "smooth" and entry.expected["smooth"],
-                            "verdict": cert.verdict, "method": cert.method}
+        checks["smooth"] = {"ok": cert.verdict == "smooth", "verdict": cert.verdict, "method": cert.method}
 
     expected_aut = entry.expected["aut_order"]
     expected_lin = entry.expected["lin_order"]

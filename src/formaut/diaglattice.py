@@ -202,7 +202,7 @@ class SemiPermutationGroup:
     """The subgroup of Aut(F) consisting of semi-permutation matrices."""
 
     def __init__(self, order, diagonal_order, permutations_, generators):
-        self.order = order
+        self.order = order          # None, like diagonal_order, when the diagonal torus is infinite
         self.diagonal_order = diagonal_order
         self.permutations = permutations_
         self.generators = generators
@@ -223,8 +223,6 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
         raise FormError("the zero form has an infinite stabilizer")
     support = sorted(form.terms, key=lambda e: (-max(e), e))
     torus = _Torus(support)
-    if torus.order is None:
-        return SemiPermutationGroup(None, None, [], [])
 
     col_profile = [tuple(sorted(e[i] for e in support)) for i in range(r)]
     exponents = {}      # (coefficient of the image, coefficient of the term) -> exponent of their ratio
@@ -258,6 +256,8 @@ def semi_permutation_group(form: Form) -> SemiPermutationGroup:
             good.append(sigma)
             reps[sigma] = particular
     generators = [ExactMatrix.diagonal(list(gen)) for gen in torus.kernel_generators]
+    if torus.order is None:     # an infinite torus has no kernel generators and no particular solutions
+        return SemiPermutationGroup(None, None, good, generators)
     zero = CycNum.zero()
     for sigma in _generating_subset(good):
         gen_rows = []

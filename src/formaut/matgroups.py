@@ -438,9 +438,8 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     return grp
 
 
-def preserves(group_or_gens, form: Form) -> bool:
+def preserves(gens, form: Form) -> bool:
     """True iff every generator fixes the form under the substitution action."""
-    gens = group_or_gens.generators if isinstance(group_or_gens, MatGroup) else list(group_or_gens)
     return all(act(form, g) == form for g in gens)
 
 

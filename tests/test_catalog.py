@@ -65,7 +65,7 @@ def test_fermat_rule_pins_the_fermat_1_3_row():
                                    [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]]
     assert e.certificate_payload == {"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 1, "j": 2, "size": 1},
                                                 {"i": 1, "j": 3, "size": 1}], "grouping": [3]}
-    assert e.expected == {"aut_order": 162, "lin_order": 54, "group_name": "C3^2:S3", "smooth": True}
+    assert e.expected == {"aut_order": 162, "lin_order": 54, "group_name": "C3^2:S3"}
 
 
 def test_exceptional_rows_beat_fermat():

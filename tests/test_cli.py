@@ -18,8 +18,9 @@ def run_cli(args, capsys):
 
 
 def test_ratio_exact_output(capsys):
-    code, out = run_cli(["ratio", "--seq", "2^13", "--d", "3"], capsys)
-    assert code == 0 and out.strip() == "16000000000/12649365729"
+    for seq, d, value in [("2^13", "3", "16000000000/12649365729"), ("2^2", "12", "25/12")]:
+        code, out = run_cli(["ratio", "--seq", seq, "--d", d], capsys)
+        assert code == 0 and out.strip() == value
 
 
 def test_jc_output(capsys):
@@ -91,11 +92,11 @@ def test_closure_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
     from formaut.matgroups import generators_to_json
     f = tmp_path / "gens.json"
-    f.write_text(generators_to_json(get_entry("klein-quartic").generators()))
-    code, out = run_cli(["closure", str(f)], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["order"] == 672 and payload["projective_order"] == 168
+    for label, orders in [("octahedral-binary-sextic", (144, 24, 6)), ("klein-quartic", (672, 168, 4))]:
+        f.write_text(generators_to_json(get_entry(label).generators()))
+        code, out = run_cli(["closure", str(f)], capsys)
+        payload = json.loads(out)
+        assert code == 0 and (payload["order"], payload["projective_order"], payload["center_order"]) == orders
     code, _ = run_cli(["closure", str(f), "--cap", "10"], capsys)
     assert code == 1
 
@@ -145,14 +146,19 @@ def test_diag_group_subcommand(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["order"] == 28
+    f.write_text("x1^3 + x2^3 + x3^3")
+    code, out = run_cli(["diag-group", str(f), "--blocks", "1,1,1"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and (payload["order"], payload["divisors"], len(payload["generators"])) == (27, [3, 3, 3], 3)
 
 
 def test_semiperm_subcommand(tmp_path, capsys):
     f = tmp_path / "form.txt"
     f.write_text("x1^3 + x2^3 + x3^3")
     code, out = run_cli(["semiperm-group", str(f)], capsys)
-    assert code == 0
-    assert json.loads(out)["order"] == 162
+    payload = json.loads(out)
+    assert code == 0 and (payload["order"], payload["diagonal_order"], payload["permutation_image_order"],
+                          len(payload["generators"])) == (162, 27, 6, 5)
 
 
 def test_semiperm_of_an_infinite_torus(tmp_path, capsys):
@@ -162,31 +168,33 @@ def test_semiperm_of_an_infinite_torus(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 0
     assert (payload["order"], payload["diagonal_order"], payload["generators"]) == (None, None, [])
+    assert payload["permutation_image_order"] == 2      # the swap x1 <-> x2 preserves it
 
 
 def test_semiperm_refuses_a_non_root_ratio(tmp_path, capsys):
     f = tmp_path / "form.txt"
-    f.write_text("x1^3 + 2*x2^3 + x3^3")
-    assert main(["semiperm-group", str(f)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: coefficient ratio 2 of x2^3 to x3^3 is not a root of unity")
-    assert "root-of-unity ratios only" in err
+    for text, ratio in [("x1^3 + 2*x2^3 + x3^3", "2 of x2^3 to x3^3"),
+                        ("x1^2*x2^2 + x3^4 + 2*x4^4", "1/2 of x3^4 to x4^4")]:     # the second torus is infinite
+        f.write_text(text)
+        assert main(["semiperm-group", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient ratio %s is not a root of unity" % ratio)
+        assert "root-of-unity ratios only" in err
 
 
 def test_structure_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
     from formaut.matgroups import generators_to_json
-    entry = get_entry("fermat-1-3")
-    gens = tmp_path / "gens.json"
-    gens.write_text(generators_to_json(entry.generators()))
-    cert = tmp_path / "cert.json"
-    cert.write_text(entry.certificate().to_json())
-    form = tmp_path / "form.txt"
-    form.write_text(entry.form_text)
-    code, out = run_cli(["structure", str(gens), str(cert), "--form", str(form)], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["group_order"] == 162 and payload["identities_hold"]
+    golden = json.loads((GOLDEN / "structure_reports.json").read_text())
+    gens, cert, form = tmp_path / "gens.json", tmp_path / "cert.json", tmp_path / "form.txt"
+    for label, tier in [("fermat-1-3", []), ("quintic-480", []), ("pair-icosahedral-12ic", ["--tier", "compositional"])]:
+        entry = get_entry(label)
+        gens.write_text(generators_to_json(entry.generators()))
+        cert.write_text(entry.certificate().to_json())
+        form.write_text(entry.form_text)
+        code, out = run_cli(["structure", str(gens), str(cert), "--form", str(form)] + tier, capsys)
+        assert code == 0 and json.loads(out) == golden[label]
+    assert golden["fermat-1-3"]["group_order"] == 162 and golden["fermat-1-3"]["identities_hold"]
 
 
 def test_structure_refuses_a_form_the_generators_move(tmp_path, capsys):
