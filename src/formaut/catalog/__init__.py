@@ -13,7 +13,9 @@ Tiers (each row names its own):
   row is loaded), check the order, the projective order and the
   certificate by exhaustive filtering.
 * compositional: prove the order through the associated exact sequences
-  with per-block closures (for groups beyond the enumeration cap).
+  with per-block closures (for groups beyond the enumeration cap).  |N| is
+  checked against the row's block-scalar generators, so every row keeps them
+  even where its other generators generate them.
 * generators-only: check invariance and smoothness; the order is recorded
   catalog data (the full closure is beyond desk scale), so the row has no
   closure check.
@@ -25,11 +27,13 @@ check holds when the verifier accepts; the report's |G| is compared with the
 row's order once, by `closure` (full-closure) or `compositional_order`.
 
 A sum row {"sum_of": base label, "copies": k} is k copies of the base form in
-disjoint variables (group H wr S_k); load_entries gives it direct_sum's
-generators and certificate (grouping [k]): each non-scalar base generator on
-block 1, .., block k; the block swap (1 2); the k-cycle if k >= 3; each scalar
-one on blocks 1..k-1 (the compositional tier checks |N| against the supplied
-block-scalar generators), then on all blocks.
+disjoint variables (group H wr S_k); load_entries gives it direct_sum's form
+(the base text and its k - 1 copies in shifted variables, joined by " + "),
+order |H|^k k!, generators and certificate (grouping [k]).  The generators:
+each non-scalar base generator on block 1, .., block k; the block swap (1 2);
+the k-cycle if k >= 3; each scalar one on blocks 1..k-1 (the compositional
+tier checks |N| against the supplied block-scalar generators), then on all
+blocks.
 
 A Fermat stub {"fermat": true} lists only key, label, n and d; load_entries
 gives it fermat_row's fields.  With v = n + 2: the form x1^d + ... + xv^d;
@@ -42,9 +46,11 @@ so only the subgroup_only row (quintic-480) lists it.
 from __future__ import annotations
 
 import json
+import re
 import time
 from functools import partial
 from importlib import resources
+from math import factorial
 
 from ..cyclotomic import parse_scalar
 from ..diaglattice import semi_permutation_group
@@ -95,15 +101,16 @@ class CatalogEntry:
     def certificate(self) -> DecompositionCertificate | None:
         if self.certificate_payload is None:
             return None
-        return DecompositionCertificate.from_json(json.dumps(self.certificate_payload))
+        return DecompositionCertificate.from_payload(self.certificate_payload)
 
     def __repr__(self):
         return "CatalogEntry(%s: %s)" % (self.key, self.label)
 
 
 def direct_sum(base: dict, copies: int) -> dict:
-    """Generators and certificate of `copies` copies of the base row in disjoint variables (see above)."""
+    """Form, order, generators and certificate of `copies` copies of the base row (see above)."""
     m, blocks = base["n"] + 2, range(copies)
+    form = " + ".join(re.sub(r"x(\d+)", lambda x: "x%d" % (int(x[1]) + m * b), base["form"]) for b in blocks)
     eye = [["1" if r == c else "0" for c in range(m)] for r in range(m)]
     def place(mats, perm=blocks):       # row-block b holds mats[b] in column-block perm[b]
         return [["0"] * m * p + row + ["0"] * m * (copies - 1 - p) for p, mat in zip(perm, mats) for row in mat]
@@ -118,7 +125,8 @@ def direct_sum(base: dict, copies: int) -> dict:
     gens += [place([g if b == a else eye for b in blocks]) for a in blocks[:-1] for g in scalar]
     gens += [place([g] * copies) for g in scalar]
     cert = {"blocks": [{"i": 1, "j": j, "size": m} for j in range(1, copies + 1)], "grouping": [copies]}
-    return {"generators": gens, "certificate": cert}
+    return {"form": form, "generators": gens, "certificate": cert,
+            "expected": {"aut_order": base["expected"]["aut_order"] ** copies * factorial(copies)}}
 
 
 def fermat_row(n: int, d: int) -> dict:
@@ -140,13 +148,15 @@ def _resolve(row: dict, rows: dict) -> dict:
             raise CatalogError("Fermat row %s lists a field its rule provides" % row["label"])
         return {**row, **made}
     base, k = rows.get(row["sum_of"], {}), row.get("copies")
-    why = ("lists its own generators or certificate" if "generators" in row or "certificate" in row else
+    why = ("lists its own generators, certificate, form or aut_order"
+           if row.keys() & {"generators", "certificate", "form"} or "aut_order" in row["expected"] else
            "names no row that lists its own generators" if "generators" not in base else
            "needs an integer number of copies >= 2" if type(k) is not int or k < 2 else
            "needs nvars equal to its base's nvars times copies" if (base["n"] + 2) * k != row["n"] + 2 else None)
     if why:
         raise CatalogError("sum row %s %s" % (row["label"], why))
-    return {**row, **direct_sum(base, k)}
+    made = direct_sum(base, k)
+    return {**row, **made, "expected": {**row["expected"], **made["expected"]}}
 
 
 def load_entries():
@@ -216,7 +226,7 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
         if entry.tier == "compositional":
             checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
                                              "order": struct.group_order, "expected": expected_aut}
-        checks["certificate"] = {"ok": True, "report": json.loads(struct.to_json())}
+        checks["certificate"] = {"ok": True, "report": struct.payload()}
 
     if entry.fermat:
         sp = semi_permutation_group(form)

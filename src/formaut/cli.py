@@ -10,6 +10,11 @@ not parse or is not homogeneous, a bad scalar, bad generator or
 certificate JSON, input nested too deeply to parse, or a dimension
 mismatch).  Randomized choices (mod-p primes) are seeded and recorded in
 the output, so runs are reproducible byte for byte.
+
+The user file formats live here: a form file is form text or {"nvars",
+"degree" (optional), "terms": [{"exps", "coeff"}]}, a generator file is
+{"dim", "generators"} as generators_to_json writes it, and a certificate
+file is what DecompositionCertificate.from_payload reads.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import sys
 
 from . import catalog
 from .diaglattice import block_scalar_group, semi_permutation_group
-from .forms import from_json as form_from_json
+from .cyclotomic import parse_scalar, scalar_to_str
+from .forms import ExactMatrix, Form, FormError
 from .forms import parse as form_parse
-from .matgroups import DEFAULT_CAP, MatGroup, generators_from_json, invariant_dimension, reynolds_array_bytes
+from .matgroups import DEFAULT_CAP, GroupError, MatGroup, invariant_dimension, reynolds_array_bytes
 from .sequences import (BOUNDS_SCAN_MAX_D, BOUNDS_SCAN_MAX_TOTAL, SequenceError, SubdegreeSequence,
                         classification_search, enumerate_sequences, jc, mixed_sequence_scan, ratio,
                         uniform_bounds_check)
@@ -34,21 +40,64 @@ class UsageError(Exception):
     """A missing or malformed input file (exit status 2)."""
 
 
-def _load(kind: str, path: str, parse):
+def form_from_payload(payload) -> Form:
+    """A form file's JSON; repeated exponent vectors are summed, as the text parser sums them."""
+    nvars, degree = payload["nvars"], payload.get("degree")
+    if type(nvars) is not int or type(degree) not in (int, type(None)):
+        raise FormError("nvars and degree must be integers, got %s and %s"
+                        % (json.dumps(nvars), json.dumps(degree)))
+    terms: dict = {}
+    for t in payload["terms"]:
+        if any(type(e) is not int for e in t["exps"]):
+            raise FormError("exponents must be integers, got %s" % json.dumps(t["exps"]))
+        exps, c = tuple(t["exps"]), parse_scalar(t["coeff"])
+        terms[exps] = terms[exps] + c if exps in terms else c
+    return Form(nvars, terms, degree)
+
+
+def generators_from_payload(payload):
+    dim = payload["dim"]
+    if type(dim) is not int or dim < 1:
+        raise GroupError("dim must be a positive integer, got %s" % json.dumps(dim))
+    gens = []
+    for entries in payload["generators"]:
+        bad = [c for row in entries for c in row if not isinstance(c, str) and type(c) is not int]
+        if bad:   # a JSON float or boolean would be read as an inexact rational or as 0/1
+            raise GroupError("generator entry %s is neither a string nor an integer" % json.dumps(bad[0]))
+        m = ExactMatrix(entries)
+        if m.dim != dim:
+            raise GroupError("generator dimension mismatch")
+        gens.append(m)
+    if not gens:
+        raise GroupError("no generators")
+    return gens
+
+
+def generators_to_json(gens) -> str:
+    return json.dumps({
+        "dim": gens[0].dim,
+        "generators": [[[scalar_to_str(c) for c in row] for row in g.entries] for g in gens],
+    })
+
+
+def _load(kind: str, path: str, build):
+    """build(the file's JSON payload); a form file that does not start with "{" is form text."""
     try:
         with open(path) as fh:
-            return parse(fh.read())
+            text = fh.read()
+        if kind == "form" and not text.lstrip().startswith("{"):
+            return form_parse(text)
+        return build(json.loads(text))
     except (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise UsageError("bad %s file %s: %s" % (kind, path, exc)) from exc
 
 
 def _load_form(path: str):
-    return _load("form", path, lambda text: form_from_json(text)
-                 if text.lstrip().startswith("{") else form_parse(text))
+    return _load("form", path, form_from_payload)
 
 
 def _load_generators(path: str):
-    return _load("generator", path, generators_from_json)
+    return _load("generator", path, generators_from_payload)
 
 
 def _at_least(k: int):
@@ -150,7 +199,7 @@ def cmd_smooth(args) -> int:
     form = _load_form(args.form_file)
     cert = is_smooth(form, strategy=args.strategy, primes=args.prime or None,
                      seed=args.seed, pair_budget=args.budget)
-    print(cert.to_json())
+    print(json.dumps(cert.payload()))
     return 0 if cert.verdict in ("smooth", "singular") else 1
 
 
@@ -212,7 +261,7 @@ def cmd_semiperm_group(args) -> int:
 
 def cmd_structure(args) -> int:
     gens = _load_generators(args.gens)
-    cert = _load("certificate", args.cert, DecompositionCertificate.from_json)
+    cert = _load("certificate", args.cert, DecompositionCertificate.from_payload)
     form = _load_form(args.form) if args.form else None
     dims = {"generator": gens[0].dim, "certificate": cert.dim}
     if form is not None:
@@ -229,7 +278,7 @@ def cmd_structure(args) -> int:
             print("closure cap exceeded or the group is infinite", file=sys.stderr)
             return 1
         report = verify_certificate(grp, cert, form)
-    print(report.to_json())
+    print(json.dumps(report.payload()))
     return 0
 
 

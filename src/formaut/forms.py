@@ -1,8 +1,8 @@
 """Homogeneous multivariate forms over cyclotomic fields and the matrix action.
 
 A Form maps exponent tuples (length nvars, entries summing to the degree) to
-nonzero CycNum coefficients.  Variables are always x1..xr.  Serialization
-orders terms in graded-lexicographic order, so text and JSON round-trips are
+nonzero CycNum coefficients.  Variables are always x1..xr.  serialize
+orders terms in graded-lexicographic order, so a text round-trip is
 deterministic.  Forms and matrices are immutable; every operation is pure.
 forms has no parser of its own: parse maps the monomials that
 cyclotomic.parse_polynomial reads to exponent tuples.
@@ -10,7 +10,6 @@ cyclotomic.parse_polynomial reads to exponent tuples.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -66,20 +65,6 @@ class Form:
 
     def __setattr__(self, *a):
         raise AttributeError("Form is immutable")
-
-    @classmethod
-    def fermat(cls, degree: int, nvars: int) -> Form:
-        """x1^d + ... + xr^d."""
-        one = CycNum.one()
-        terms = {}
-        for i in range(nvars):
-            e = [0] * nvars
-            e[i] = degree
-            terms[tuple(e)] = one
-        return cls(nvars, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def monomials(self):
         return sorted(self.terms, key=_grlex_key)
@@ -374,28 +359,3 @@ def _wrap_scalar(cs: str):
     if "+" in cs or "-" in cs:
         return "(%s)" % cs, neg
     return cs, neg
-
-
-def to_json(form: Form) -> str:
-    payload = {
-        "nvars": form.nvars,
-        "degree": form.degree,
-        "terms": [{"exps": list(e), "coeff": scalar_to_str(form.terms[e])} for e in form.monomials()],
-    }
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> Form:
-    """Read to_json's format; repeated exponent vectors are summed, as the text parser sums them."""
-    payload = json.loads(text)
-    nvars, degree = payload["nvars"], payload.get("degree")
-    if type(nvars) is not int or type(degree) not in (int, type(None)):
-        raise FormError("nvars and degree must be integers, got %s and %s"
-                        % (json.dumps(nvars), json.dumps(degree)))
-    terms: dict = {}
-    for t in payload["terms"]:
-        if any(type(e) is not int for e in t["exps"]):
-            raise FormError("exponents must be integers, got %s" % json.dumps(t["exps"]))
-        exps, c = tuple(t["exps"]), parse_scalar(t["coeff"])
-        terms[exps] = terms[exps] + c if exps in terms else c
-    return Form(nvars, terms, degree)

@@ -121,7 +121,6 @@ tests, and the benchmark tracer (bench/spans.py) wraps it by name.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from itertools import combinations_with_replacement
 from math import comb, lcm
@@ -568,33 +567,3 @@ def invariant_dimension(group: MatGroup, degree: int, method: str = "both") -> i
             raise ArithmeticError("Reynolds (%d) and Molien (%d) disagree" % (a, b))
         return a
     raise GroupError("unknown method %r" % method)
-
-
-# -- file formats ----------------------------------------------------------------
-
-
-def generators_from_json(text: str):
-    payload = json.loads(text)
-    dim = payload["dim"]
-    if type(dim) is not int or dim < 1:
-        raise GroupError("dim must be a positive integer, got %s" % json.dumps(dim))
-    gens = []
-    for entries in payload["generators"]:
-        bad = [c for row in entries for c in row if not isinstance(c, str) and type(c) is not int]
-        if bad:   # a JSON float or boolean would be read as an inexact rational or as 0/1
-            raise GroupError("generator entry %s is neither a string nor an integer" % json.dumps(bad[0]))
-        m = ExactMatrix(entries)
-        if m.dim != dim:
-            raise GroupError("generator dimension mismatch")
-        gens.append(m)
-    if not gens:
-        raise GroupError("no generators")
-    return gens
-
-
-def generators_to_json(gens) -> str:
-    from .cyclotomic import scalar_to_str
-    return json.dumps({
-        "dim": gens[0].dim,
-        "generators": [[[scalar_to_str(c) for c in row] for row in g.entries] for g in gens],
-    })

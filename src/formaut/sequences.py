@@ -206,11 +206,11 @@ def _best_products(total: int, d: int):
     return table
 
 
-def enumerate_sequences(total: int, d: int | None = None):
-    """Partitions of total in descending-lex order; with d, only those with R(l, d) >= 1.
+def enumerate_sequences(total: int, d: int):
+    """Partitions of total with R(l, d) >= 1, in descending-lex order.
 
     The walk goes by runs (part p, multiplicity k), larger p first and larger
-    k first.  With d given it is an exact branch-and-bound:
+    k first.  It is an exact branch-and-bound:
 
     * R(l, d) >= 1 iff prod_r g_r(k_r) >= d^v * v!, where g_r(k) =
       k! * (d * JC(r))^k and k_r is the multiplicity of r (the numerator
@@ -221,18 +221,15 @@ def enumerate_sequences(total: int, d: int | None = None):
       in c, so every smaller p fails as well and the loop over p stops there.
       A child (p, k) is dropped when acc * g_p(k) * B(p-1, rest - p*k) is
       below the target; at a leaf B(p-1, 0) = 1, so exactly the partitions
-      with R >= 1 are yielded, in the order of the unpruned walk.
+      with R >= 1 are yielded.
     * 1^v attains equality (g_1(v) = d^v * v!), so the pruned walk always
       yields 1^v, last.
     """
     if total < 1:
         raise SequenceError("total must be positive")
-    if d is not None and d < 3:
+    if d < 3:
         raise SequenceError("degree must be at least 3")
-    if d is None:       # no bound: every node reaches the target 0
-        best, target = [[1] * (total + 1)] * (total + 1), 0
-    else:
-        best, target = _best_products(total, d), fermat_order(total, d)
+    best, target = _best_products(total, d), fermat_order(total, d)
 
     def walk(rest, cap, acc, prefix):
         if rest == 0:
@@ -241,7 +238,7 @@ def enumerate_sequences(total: int, d: int | None = None):
         for p in range(min(cap, rest), 0, -1):
             if acc * best[p][rest] < target:
                 break
-            step = d * jc(p) if d else 1
+            step = d * jc(p)
             for k in range(rest // p, 0, -1) if p > 1 else (rest,):
                 child = acc * factorial(k) * step ** k
                 if child * best[p - 1][rest - p * k] >= target:

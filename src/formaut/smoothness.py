@@ -37,7 +37,6 @@ certificate.
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from math import lcm
 from typing import NamedTuple
@@ -410,15 +409,14 @@ class SmoothnessCertificate:
         self.primes = primes or []
         self.detail = detail or {}
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        return {
             "verdict": self.verdict,
             "method": self.method,
             "witness": [scalar_to_str(w) for w in self.witness] if self.witness else None,
             "primes": self.primes,
             "detail": self.detail,
         }
-        return json.dumps(payload)
 
     def __repr__(self):
         return "SmoothnessCertificate(%s via %s)" % (self.verdict, self.method)
@@ -596,8 +594,10 @@ def is_smooth(form: Form, strategy: str = "auto", primes=None, seed: int = 0,
     processed.  Every Groebner run is capped at degree 4 * deg(form).  A
     supplied prime that is not a prime p = 1 (mod N), N the conductor,
     dividing no coefficient denominator (the properness lemma's hypotheses)
-    is refused with SmoothnessError.
+    is refused with SmoothnessError, and so is an unknown strategy.
     """
+    if strategy not in ("auto", "modp", "char0"):
+        raise SmoothnessError("unknown strategy %r" % strategy)
     if form.degree < 2:
         raise SmoothnessError("smoothness needs degree >= 2")
     n = conductor(form.terms.values())

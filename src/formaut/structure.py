@@ -59,7 +59,6 @@ products, and as block-scalar kernel generators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,18 +107,9 @@ class DecompositionCertificate:
                 pos += size
         return out
 
-    def to_json(self) -> str:
-        payload = {
-            "blocks": [{"i": i + 1, "j": j + 1, "size": stop - start}
-                       for i, j, start, stop in self.block_ranges()],
-            "grouping": self.grouping,
-        }
-        return json.dumps(payload)
-
     @classmethod
-    def from_json(cls, text: str) -> DecompositionCertificate:
+    def from_payload(cls, payload: dict) -> DecompositionCertificate:
         """Blocks (i, j) must be exactly i = 1..m, j = 1..k_i for grouping [k_1, ..., k_m], each once."""
-        payload = json.loads(text)
         blocks, grouping = payload["blocks"], payload["grouping"]
         if payload.get("basis_change") is not None:
             raise CertificateError("basis_change is not supported: conjugate the generators and the form")
@@ -153,7 +143,7 @@ class StructureReport:
         return (self.group_order == self.principal_order * self.psi_image_order
                 and self.principal_order == self.kernel_order * self.phi_image_order)
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
         payload = {
             "tier": self.tier,
             "group_order": self.group_order,
@@ -171,7 +161,7 @@ class StructureReport:
             payload["canonical_bound"] = self.canonical_bound
         if self.fermat_ratio is not None:
             payload["fermat_ratio"] = "%d/%d" % (self.fermat_ratio.numerator, self.fermat_ratio.denominator)
-        return json.dumps(payload)
+        return payload
 
 
 # -- block combinatorics --------------------------------------------------------

@@ -135,7 +135,7 @@ def smtosm_witness(form: Form, k: int, a: int):
     if form.nvars != k + a or k < 2 or a < 1:
         raise SmoothnessError("need nvars = k + a with k >= 2, a > 0")
     restriction = restrict_to_variables(form, list(range(k)))
-    if not restriction.is_zero():
+    if restriction.terms:
         cert = is_smooth(restriction)
         if cert.verdict == "smooth":
             raise SmoothnessError("restriction to the first %d variables is smooth" % k)

@@ -2,7 +2,11 @@
 
 form_product multiplies two forms term by term; the action and invariant
 references build on it.  permutation_matrix is the substitution matrix of a
-coordinate permutation.
+coordinate permutation, and fermat_form is x1^d + ... + xr^d.
+
+partitions is the unpruned walk: every partition of a total in
+descending-lex order, the reference for the pruned
+sequences.enumerate_sequences.
 
 The binary resultant oracle: a binary form of degree d >= 2 is smooth iff
 its two partials have no common projective zero, i.e. iff their resultant
@@ -44,6 +48,7 @@ from formaut.cyclotomic import CycNum, euler_phi, root_of_unity
 from formaut.diaglattice import LatticeError, smith_normal_form
 from formaut.forms import ExactMatrix, Form, partials
 from formaut.matgroups import GroupError, _is_block_scalar, _monomials, _mulmod
+from formaut.sequences import SubdegreeSequence
 from formaut.smoothness import CycField, buchberger, form_to_poly
 
 
@@ -55,6 +60,21 @@ def form_product(f: Form, g: Form) -> Form:
             acc = out.get(e)
             out[e] = c1 * c2 if acc is None else acc + c1 * c2
     return Form(f.nvars, out, f.degree + g.degree)
+
+
+def fermat_form(degree: int, nvars: int) -> Form:
+    return Form(nvars, {tuple(degree * (i == j) for j in range(nvars)): 1 for i in range(nvars)})
+
+
+def partitions(total: int):
+    """Every partition of total, as a SubdegreeSequence, in descending-lex order."""
+    def walk(rest, cap):
+        if rest == 0:
+            yield ()
+        for p in range(min(cap, rest), 0, -1):
+            for tail in walk(rest - p, p):
+                yield (p,) + tail
+    return (SubdegreeSequence(parts) for parts in walk(total, total))
 
 
 def permutation_matrix(perm) -> ExactMatrix:
@@ -108,7 +128,7 @@ def smooth_by_resultant(form: Form) -> bool:
     if form.nvars != 2:
         raise ValueError("resultant oracle is for binary forms")
     p1, p2 = partials(form)
-    if p1.is_zero() or p2.is_zero():
+    if not p1.terms or not p2.terms:
         return False
     return not sylvester_resultant(p1, p2).is_zero()
 

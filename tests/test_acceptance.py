@@ -19,13 +19,13 @@ from formaut.cyclotomic import CycNum
 from formaut.diaglattice import block_scalar_group
 from formaut.forms import Form, parse
 from formaut.matgroups import closure, invariant_dimension_molien, invariant_dimension_reynolds
-from formaut.sequences import (SubdegreeSequence, enumerate_sequences, fermat_order, jc, ratio,
+from formaut.sequences import (SubdegreeSequence, fermat_order, jc, ratio,
                                ratio_with_groups, survivors_for, uniform_bounds_check)
 from formaut.smoothness import is_smooth
 
 from lemmas import (binomial_supermultiplicativity, check_diag_bound, lambda_addr0, ratio_quotient_law,
                     ratioprod_check, scalar_group)
-from oracles import smooth_by_resultant
+from oracles import fermat_form, partitions, smooth_by_resultant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,11 +133,11 @@ def test_criterion_04_lemma_property_suites():
     # conclusion), plus an exhaustive grid to totals <= 18 for d <= 20
     count = 0
     for v in range(1, 31):
-        for seq in enumerate_sequences(v):
+        for seq in partitions(v):
             assert uniform_bounds_check(seq, 3)["ok"], seq
             count += 1
     for v in range(1, 19):
-        for seq in enumerate_sequences(v):
+        for seq in partitions(v):
             for d in (4, 7, 12, 18, 20):
                 assert uniform_bounds_check(seq, d)["ok"], (seq, d)
     assert count >= 200
@@ -223,7 +223,7 @@ def test_criterion_05_diag_lattice_oracle():
         checked += 1
 
     for (d, r) in [(3, 3), (4, 3), (5, 4)]:
-        assert block_scalar_group(Form.fermat(d, r), (1,) * r).order == d ** r
+        assert block_scalar_group(fermat_form(d, r), (1,) * r).order == d ** r
     report(5, "SNF orders equal brute-force root-of-unity counts on 50 random "
               "smooth forms; bound d^m holds; Fermat attains d^r")
 

@@ -8,7 +8,6 @@ import pytest
 
 from formaut import catalog
 from formaut.catalog import CatalogError, get_entry, load_entries, verify_all, verify_entry
-from formaut.forms import Form
 from formaut.matgroups import DEFAULT_CAP, preserves
 from formaut.sequences import fermat_order
 
@@ -186,19 +185,20 @@ def test_sums_of_rows_beat_fermat_exactly_at_the_sum_rows():
 
 
 def test_sum_rows_are_wreath_products_of_their_base():
-    rows = raw_rows()
-    sums = [row for row in rows.values() if "sum_of" in row]
-    assert {row["label"] for row in sums} == {"pair-octahedral-sextic", "pair-icosahedral-12ic",
-                                              "triple-icosahedral-12ic"}
-    for row in sums:
-        entry, base, k = get_entry(row["label"]), get_entry(row["sum_of"]), row["copies"]
-        assert entry.expected["aut_order"] == base.expected["aut_order"] ** k * factorial(k)
-        m, terms = base.nvars, {}
-        for b in range(k):
-            for exps, coeff in base.form().terms.items():
-                terms[(0,) * (m * b) + exps + (0,) * (m * (k - 1 - b))] = coeff
-        assert entry.form() == Form(m * k, terms), row["label"]
-        assert entry.certificate().grouped_sizes == [[m] * k]
+    # direct_sum's form and order |H|^k k!, spelled out: the base text and its shifted copies
+    pair = "x1^11*x2 + 11*x1^6*x2^6 - x1*x2^11 + x3^11*x4 + 11*x3^6*x4^6 - x3*x4^11"
+    want = {
+        "pair-octahedral-sextic": ("octahedral-binary-sextic", 2, 41472, "x1^5*x2 + x1*x2^5 + x3^5*x4 + x3*x4^5"),
+        "pair-icosahedral-12ic": ("icosahedral-binary-12ic", 2, 1036800, pair),
+        "triple-icosahedral-12ic": ("icosahedral-binary-12ic", 3, 2239488000,
+                                    pair + " + x5^11*x6 + 11*x5^6*x6^6 - x5*x6^11"),
+    }
+    assert {label: (row["sum_of"], row["copies"]) for label, row in raw_rows().items() if "sum_of" in row} \
+        == {label: w[:2] for label, w in want.items()}
+    for label, (_, k, order, form) in want.items():
+        entry = get_entry(label)
+        assert (entry.expected["aut_order"], entry.form_text) == (order, form)
+        assert entry.certificate().grouped_sizes == [[2] * k]
 
 
 def test_sum_row_generators_follow_the_rule():
@@ -226,6 +226,8 @@ def write_rows(root, *rows):
     ({"copies": "2"}, "copies >= 2"),
     ({"copies": 3}, "nvars"),
     ({"generators": [[["1", "0"], ["0", "1"]]]}, "its own generators"),
+    ({"form": "x1^6 + x2^6 + x3^6 + x4^6"}, "its own generators, certificate, form"),
+    ({"expected": {"aut_order": 41472, "group_name": "C6^2.(S4^2:C2)"}}, "form or aut_order"),
 ])
 def test_loader_refuses_a_malformed_sum_row(tmp_path, monkeypatch, change, reason):
     rows = raw_rows()

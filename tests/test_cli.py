@@ -90,7 +90,7 @@ def test_smooth_records_primes(tmp_path, capsys):
 
 def test_closure_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
-    from formaut.matgroups import generators_to_json
+    from formaut.cli import generators_to_json
     f = tmp_path / "gens.json"
     for label, orders in [("octahedral-binary-sextic", (144, 24, 6)), ("klein-quartic", (672, 168, 4))]:
         f.write_text(generators_to_json(get_entry(label).generators()))
@@ -103,7 +103,7 @@ def test_closure_subcommand(tmp_path, capsys):
 
 def test_invdim_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
-    from formaut.matgroups import generators_to_json
+    from formaut.cli import generators_to_json
     f = tmp_path / "gens.json"
     f.write_text(generators_to_json(get_entry("icosahedral-binary-12ic").generators()[:2]))
     code, out = run_cli(["invdim", str(f), "--degree", "12", "--method", "both"], capsys)
@@ -114,7 +114,7 @@ def test_invdim_subcommand(tmp_path, capsys):
 def test_invdim_refuses_a_reynolds_degree_before_closing(tmp_path, capsys, monkeypatch, method):
     from formaut import matgroups
     from formaut.catalog import get_entry
-    from formaut.matgroups import generators_to_json
+    from formaut.cli import generators_to_json
 
     def no_close(self, cap=None):
         raise AssertionError("the group was closed before the degree was refused")
@@ -129,10 +129,10 @@ def test_invdim_refuses_a_reynolds_degree_before_closing(tmp_path, capsys, monke
 @pytest.mark.parametrize("command", [["invdim", "gens.json", "--degree", "4"], ["structure", "gens.json", "cert.json"]])
 def test_closure_cap_exceeded_exits_1(tmp_path, monkeypatch, capsys, command):
     from formaut.catalog import get_entry
-    from formaut.matgroups import generators_to_json
+    from formaut.cli import generators_to_json
     entry = get_entry("klein-quartic")
     (tmp_path / "gens.json").write_text(generators_to_json(entry.generators()))
-    (tmp_path / "cert.json").write_text(entry.certificate().to_json())
+    (tmp_path / "cert.json").write_text(json.dumps(entry.certificate_payload))
     monkeypatch.chdir(tmp_path)
     assert main(command + ["--cap", "1"]) == 1
     captured = capsys.readouterr()
@@ -184,13 +184,13 @@ def test_semiperm_refuses_a_non_root_ratio(tmp_path, capsys):
 
 def test_structure_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
-    from formaut.matgroups import generators_to_json
+    from formaut.cli import generators_to_json
     golden = json.loads((GOLDEN / "structure_reports.json").read_text())
     gens, cert, form = tmp_path / "gens.json", tmp_path / "cert.json", tmp_path / "form.txt"
     for label, tier in [("fermat-1-3", []), ("quintic-480", []), ("pair-icosahedral-12ic", ["--tier", "compositional"])]:
         entry = get_entry(label)
         gens.write_text(generators_to_json(entry.generators()))
-        cert.write_text(entry.certificate().to_json())
+        cert.write_text(json.dumps(entry.certificate_payload))
         form.write_text(entry.form_text)
         code, out = run_cli(["structure", str(gens), str(cert), "--form", str(form)] + tier, capsys)
         assert code == 0 and json.loads(out) == golden[label]
@@ -199,10 +199,10 @@ def test_structure_subcommand(tmp_path, capsys):
 
 def test_structure_refuses_a_form_the_generators_move(tmp_path, capsys):
     from formaut.catalog import get_entry
-    from formaut.matgroups import generators_to_json
+    from formaut.cli import generators_to_json
     entry = get_entry("klein-quartic")
     (tmp_path / "gens.json").write_text(generators_to_json(entry.generators()))
-    (tmp_path / "cert.json").write_text(entry.certificate().to_json())
+    (tmp_path / "cert.json").write_text(json.dumps(entry.certificate_payload))
     (tmp_path / "wrong.txt").write_text("x1^4 + x2^4 + x3^4")
     code = main(["structure", str(tmp_path / "gens.json"), str(tmp_path / "cert.json"),
                  "--form", str(tmp_path / "wrong.txt")])

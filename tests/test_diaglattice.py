@@ -19,7 +19,7 @@ from formaut.forms import Form, FormError, act, block_degrees, parse
 from formaut.smoothness import split_prime
 
 from lemmas import check_diag_bound
-from oracles import reference_root_exponent, reference_solve_torus
+from oracles import fermat_form, reference_root_exponent, reference_solve_torus
 
 rng = random.Random(31337)
 
@@ -139,7 +139,7 @@ def test_klein_quartic_diag_order_28():
 
 
 def test_fermat_equality_and_single_block():
-    F = Form.fermat(5, 3)
+    F = fermat_form(5, 3)
     assert block_scalar_group(F, (1, 1, 1)).order == 125
     assert block_scalar_group(F, (3,)).order == 5
     assert check_diag_bound(F, (1, 1, 1))
@@ -148,7 +148,7 @@ def test_fermat_equality_and_single_block():
 @pytest.mark.parametrize("blocks", [(-1, 4), (0, 3)])
 def test_block_sizes_must_be_positive(blocks):
     with pytest.raises(FormError):
-        block_scalar_group(Form.fermat(3, 3), blocks)
+        block_scalar_group(fermat_form(3, 3), blocks)
 
 
 def test_loop_form_strictly_below():
@@ -211,12 +211,12 @@ def test_torus_targets_consistency():
 
 
 def test_semi_permutation_fermat():
-    F = Form.fermat(3, 3)
+    F = fermat_form(3, 3)
     sp = semi_permutation_group(F)
     assert sp.order == 27 * 6 and len(sp.permutations) == 6
     for m in sp.generators:
         assert act(F, m) == F
-    F = Form.fermat(4, 4)
+    F = fermat_form(4, 4)
     assert semi_permutation_group(F).order == 4 ** 4 * 24
 
 

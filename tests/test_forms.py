@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formaut.catalog import load_entries
-from formaut.cyclotomic import CycNum, ScalarSyntaxError, euler_phi, parse_scalar, root_of_unity
-from formaut.forms import (ExactMatrix, Form, FormError, act, block_degrees, from_json, parse, partials,
-                           serialize, to_json)
+from formaut.cli import form_from_payload
+from formaut.cyclotomic import CycNum, ScalarSyntaxError, euler_phi, parse_scalar, root_of_unity, scalar_to_str
+from formaut.forms import ExactMatrix, Form, FormError, act, block_degrees, parse, partials, serialize
 
 from lemmas import component, has_monomial_pattern
-from oracles import form_product, permutation_matrix
+from oracles import fermat_form, form_product, permutation_matrix
 
 rng = random.Random(99)
 
@@ -48,9 +48,9 @@ def test_parse_rejects_inhomogeneous():
 
 
 def test_fermat_symmetries():
-    f = Form.fermat(3, 2)
+    f = fermat_form(3, 2)
     assert act(f, permutation_matrix([1, 0])) == f
-    fd = Form.fermat(4, 3)
+    fd = fermat_form(4, 3)
     assert act(fd, ExactMatrix.diagonal([root_of_unity(4), 1, 1])) == fd
 
 
@@ -164,7 +164,7 @@ def test_act_matches_reference_on_catalog():
 def test_component_examples():
     F = parse("x1^5*x2 + x3^5*x4", nvars=4)
     assert component(F, (2, 2), (6, 0)) == parse("x1^5*x2", nvars=4)
-    assert component(Form.fermat(6, 4), (2, 2), (5, 1)).is_zero()
+    assert not component(fermat_form(6, 4), (2, 2), (5, 1)).terms
 
 
 def test_component_example_quintic():
@@ -182,7 +182,7 @@ def test_component_sum_reconstructs():
         total = None
         for k1 in range(F.degree + 1):
             c = component(F, (2, 2), (k1, F.degree - k1))
-            if not c.is_zero():
+            if c.terms:
                 total = c if total is None else total + c
         assert total == F
 
@@ -205,7 +205,7 @@ def test_partials_and_euler():
 def test_monomial_patterns():
     found, wit = has_monomial_pattern(parse("x1^5*x2 + x2^6"), (1, 1), (5, 1))
     assert found and wit == (5, 1)
-    found, _ = has_monomial_pattern(Form.fermat(6, 4), (2, 2), (5, 1))
+    found, _ = has_monomial_pattern(fermat_form(6, 4), (2, 2), (5, 1))
     assert not found
     # range constraints
     found, wit = has_monomial_pattern(parse("x1^2*x2^2*x3^2", nvars=3), (1, 2), ((0, 2), (3, 6)))
@@ -224,7 +224,9 @@ def test_serialize_round_trips():
     for _ in range(20):
         F = rnd_form(3, 5, 5)
         assert parse(serialize(F)) == F
-        assert from_json(to_json(F)) == F
+        terms = [{"exps": list(e), "coeff": scalar_to_str(F.terms[e])} for e in F.monomials()]
+        payload = {"nvars": F.nvars, "degree": F.degree, "terms": terms}
+        assert form_from_payload(json.loads(json.dumps(payload))) == F
 
 
 @pytest.mark.parametrize("text, terms", [
@@ -234,7 +236,7 @@ def test_serialize_round_trips():
 ])
 def test_json_sums_repeated_exponents_as_the_text_parser_does(text, terms):
     payload = {"nvars": 2, "terms": [{"exps": e, "coeff": c} for e, c in terms]}
-    F = from_json(json.dumps(payload))
+    F = form_from_payload(payload)
     assert F == parse(text, nvars=2)
     assert serialize(F) == serialize(parse(text, nvars=2))
 
@@ -243,7 +245,7 @@ def test_json_sums_repeated_exponents_as_the_text_parser_does(text, terms):
 def test_json_integer_fields_refuse_booleans(fields):
     payload = {"nvars": 2, "degree": 3, "terms": [{"exps": [3, 0], "coeff": "1"}], **fields}
     with pytest.raises(FormError, match="must be integers"):
-        from_json(json.dumps(payload))
+        form_from_payload(payload)
 
 
 @st.composite
@@ -263,7 +265,7 @@ def forms(draw):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(forms())
 def test_serialize_round_trips_random(F):
-    assume(not F.is_zero())
+    assume(F.terms)
     assert parse(serialize(F), nvars=F.nvars) == F
 
 
@@ -292,7 +294,7 @@ def test_matrix_inverse_and_determinant():
 
 def test_act_dimension_mismatch():
     with pytest.raises(FormError):
-        act(Form.fermat(3, 3), ExactMatrix.identity(2))
+        act(fermat_form(3, 3), ExactMatrix.identity(2))
 
 
 @st.composite

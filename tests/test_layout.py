@@ -10,6 +10,11 @@ only through an attribute: `.name` in src/ outside its own definition or
 in bench/, a dotted string such as "MatGroup.elements" in bench/, or
 `.name` in the CI workflow; a local variable or a word that shares its
 name does not count.  Checks that only the tests call live in tests/.
+
+JSON text lives at the two edges: cli reads the user's files and prints the
+output, catalog reads its row files.  Every other module builds its records
+from plain dicts and renders them as plain dicts, so only those two import
+json.
 """
 
 import ast
@@ -73,3 +78,12 @@ def unused_definitions(root: Path):
 def test_every_src_definition_has_a_caller_outside_the_tests():
     unused = ["%s:%s" % pair for pair in unused_definitions(ROOT) if pair[1] not in ALLOWED]
     assert not unused, "defined in src/ but called only by the tests: %s" % ", ".join(unused)
+
+
+def test_only_the_edges_import_json():
+    src = ROOT / "src" / "formaut"
+    importers = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and "json" in [alias.name for alias in node.names]
+                 or isinstance(node, ast.ImportFrom) and node.module == "json"}
+    assert importers == {"cli.py", "catalog/__init__.py"}

