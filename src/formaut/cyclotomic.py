@@ -179,10 +179,10 @@ class CycNum:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.num)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.num[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():

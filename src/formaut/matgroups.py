@@ -3,22 +3,32 @@
 Closure runs on residues.  Let K = Q(zeta_N) with N the conductor of the
 generators, and p a prime with p = 1 (mod N): p is unramified and splits in
 K, so a prime 𝔭 of K above p has residue field F_p and the generators
-reduce entrywise to r x r matrices over F_p (`smoothness.GF`).  `close` is
-one `Orbit` of the identity's residue under right multiplication, each
-element stored once as the int32 bytes of its residue.  It is not
-resumable: a later call after a capped one starts again from the identity.
+reduce entrywise to r x r matrices over F_p (`smoothness.GF`).
 
-Orbits (Seress, "Permutation Group Algorithms", 2003, §4.1).  Every closure
-in formaut is one `Orbit`: a BFS that stores each point once with a
-Schreier vector (the index of its parent and of the map that reached it),
-so `word(i)` spells a word from a seed to point i and `word_product`
-replays it exactly.  The BFS steps a batch of up to BATCH points at a
-time, so `close` makes one numpy product per batch of residues, but it
-inserts points one at a time in the per-point order.  Schreier's lemma: if
-G = <S> acts on the right and u_y maps x to y for each y in the orbit O of
-x, then the products u_y·s·u_{y·s}^-1 (y in O, s in S) generate the
-stabilizer of x; `schreier_generators` returns the u_y and, without
-repeats, those products.
+`close` is Dimino's algorithm (Butler, "Fundamental Algorithms for
+Permutation Groups", LNCS 559, 1991) on residues, each element stored once
+in a `Tree` as the int32 bytes of its residue.  It orders the generators by
+decreasing residue order (ties in the given order), so the first subgroups
+are large and the cosets few, and stores G_1 = <s_1> as the powers that
+found its order (repeated multiplication, stopped past `cap`).  Then G_k =
+<G_(k-1), s_k> is a union of right cosets G_(k-1)·c, each one block: the
+first is G_(k-1), and element i of the block of c·s is element i of c's
+block (its parent) times s.  As the stored elements are a union of cosets,
+a candidate c·s (c a block's first element, s among s_1..s_k) starts a new
+coset iff its residue is not stored; once every candidate is stored, G_k is
+closed under the generators.  Blocks and candidates are computed BATCH at a
+time.  A new coset is disjoint from the stored elements, so one that would
+pass `cap` proves |G| > cap: at most `cap` elements are stored.
+
+Orbits (Seress, "Permutation Group Algorithms", 2003, §4.1).  A `Tree`
+stores each point once with a Schreier vector (the index of its parent and
+of the map that reached it), so `word(i)` spells a word from a seed to
+point i and `word_product` replays it exactly.  An `Orbit` is a Tree grown
+by BFS, a batch of up to BATCH points per step, inserted one at a time in
+the per-point order.  Schreier's lemma: if G = <S> acts on the right and
+u_y maps x to y for each y in the orbit O of x, then the products
+u_y·s·u_{y·s}^-1 (y in O, s in S) generate the stabilizer of x;
+`schreier_generators` returns the u_y and, without repeats, those products.
 
 The reduction lemma (Minkowski; Serre, "Bounds for the orders of the finite
 subgroups of G(k)", 2007; Detinko-Flannery-O'Brien, J. Symb. Comput. 50,
@@ -33,24 +43,22 @@ The orbit certificate.  On completion `close` closes one orbit of vectors
 exactly over K.  A finite orbit that spans K^r is a spanning set that every
 generator maps injectively into itself, hence permutes, so G embeds in its
 symmetric group and is finite.  Nothing in this argument depends on where
-the seed came from, so any vector may seed the orbit.  The seed is a root
-first: the first column with a nonzero residue of g - I, for the first
-residue g in BFS order whose g - I has F_p rank 1 (a reflection's root has
-a small orbit: 84 vectors for Klein's quartic against 672 from the
-coordinate vectors).  The BFS stores the generators first, so a group with
-a reflection among its generators takes its root from that generator, and
-g itself is replayed exactly by `word_product` along its word.  A single
-seed's orbit under a finite G has at most |G| vectors, and |G| is the
-residue count by the lemma, so the root orbit runs under that cap.  Its
-span is read on residues: every vector in it is a product of 𝔭-integral
-generators applied to a 𝔭-integral seed, so it is 𝔭-integral, and if the
-residues of the orbit have F_p rank r, some r x r minor of the orbit has a
-nonzero residue, hence is nonzero over K, and the orbit spans K^r.  When no
-residue has rank-1 g - I, or the root orbit outgrows its cap or its
-residues have rank < r (a finite orbit that does not span proves nothing),
-the orbit of e_1..e_r decides.  It always spans; a finite G gives it at
-most r·|G| vectors, so an orbit that outgrows that bound proves G infinite,
-and `close` returns False.
+the seed came from, so any vector may seed the orbit.  The seed rule takes
+a root (a reflection's root has a small orbit: 84 vectors for Klein's
+quartic against 672 from the coordinate vectors): the first nonzero column
+of g - I for a residue g with F_p rank 1, whose residue orbit spans F_p^r
+and is smallest, then whose g has the shortest word; g is replayed exactly
+by `word_product` along it.  A single seed's orbit under a finite G has at
+most |G| vectors, and |G| is the residue count by the lemma, so the root
+orbit runs under that cap.  Its span is read on residues: every vector in
+it is a product of 𝔭-integral generators applied to a 𝔭-integral seed, so
+it is 𝔭-integral, and if the residues of the orbit have F_p rank r, some
+r x r minor of the orbit has a nonzero residue, hence is nonzero over K,
+and the orbit spans K^r.  When no root's residue orbit spans, or the root
+orbit outgrows its cap or its residues have rank < r (a finite orbit that
+does not span proves nothing), the orbit of e_1..e_r decides.  It always
+spans; a finite G gives it at most r·|G| vectors, so an orbit that outgrows
+that bound proves G infinite, and `close` returns False.
 
 The prime lemma.  Let G <= GL_r(K) be finite and q a prime dividing |G|.
 An element of order q has a primitive q-th root of unity as an eigenvalue,
@@ -114,15 +122,14 @@ reduces onto M_s(F_p).  The hypotheses
 hold for the restrictions L_ij of block stabilizers in `structure`: their
 entries are 𝔭-integral, and p ∤ |L_ij| by the prime lemma.
 
-`elements()` replays the BFS tree exactly, one ExactMatrix product per
-element.  Nothing in formaut calls it: it is the exact reference of the
+`elements()` replays the closure's tree exactly, one ExactMatrix product
+per element.  Nothing in formaut calls it: it is the exact reference of the
 tests, and the benchmark tracer (bench/spans.py) wraps it by name.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, lcm
 
 import numpy as np
@@ -132,7 +139,7 @@ from .forms import ExactMatrix, Form, act
 from .smoothness import GF, split_prime
 
 DEFAULT_CAP = 1 << 21
-BATCH = 1024            # points per Orbit step: one numpy product per batch, peak RSS kept flat
+BATCH = 1024            # points per numpy product in an Orbit step or a coset: peak RSS kept flat
 
 
 class GroupError(ValueError):
@@ -144,10 +151,11 @@ def _mulmod(a, b, p):
 
 
 def _row_keys(arr) -> list[list[bytes]]:
-    """The bytes of each arr[i, k] as a key, one list per i, sliced from one tobytes() blob."""
-    blob, size = arr.tobytes(), arr[0, 0].nbytes
-    keys = [blob[o:o + size] for o in range(0, len(blob), size)]
-    return [keys[o:o + arr.shape[1]] for o in range(0, len(keys), arr.shape[1])]
+    """The bytes of each arr[i, k] as a key, one list per i, read through one void view of the rows."""
+    n, k = arr.shape[:2]
+    rows = np.ascontiguousarray(arr).reshape(n * k, -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    return [keys[o:o + k] for o in range(0, len(keys), k)]
 
 
 def _is_block_scalar(arr, block_sizes):
@@ -160,23 +168,43 @@ def _is_block_scalar(arr, block_sizes):
     return (arr == lead[..., None] * np.eye(arr.shape[-1], dtype=int)).all(axis=(-2, -1))
 
 
-class Orbit:
-    """The orbit of `seeds` under maps, stored in BFS order with a Schreier vector.
+class Tree:
+    """Points stored once: points[i] is map gen[i] applied to points[parent[i]] (both -1 at a seed)."""
+
+    def __init__(self):
+        self.points, self.index, self.parent, self.gen = [], {}, [], []
+
+    def extend(self, points, parents, gen: int):
+        """Store new points, each with its parent's index, all reached by map gen."""
+        self.index.update(zip(points, range(len(self.points), len(self.points) + len(points))))
+        self.points.extend(points)
+        self.parent.extend(parents)
+        self.gen.extend([gen] * len(points))
+
+    def word(self, i: int) -> list[int]:
+        """The map indices that lead from a seed to points[i], in the order they apply."""
+        word = []
+        while self.parent[i] >= 0:
+            word.append(self.gen[i])
+            i = self.parent[i]
+        return word[::-1]
+
+
+class Orbit(Tree):
+    """The orbit of `seeds` under maps, stored in BFS order as a `Tree`.
 
     `step(batch)` takes a list of at most BATCH points, in BFS order, and
     returns their image lists, one image per map and point.  Each point is
     stored once, and points are inserted one at a time in BFS order, exactly
-    as a per-point walk would: index[points[i]] = i and points[i] is image
-    gen[i] of points[parent[i]] (parent and gen are -1 at a seed).  The BFS
-    stops as soon as more than `cap` points are stored; `complete` says
-    whether it ran to the end.  A batch holds at most BATCH·(number of maps)
-    images besides the stored points, so batching adds a bounded amount of
-    memory on top of the orbit itself.
+    as a per-point walk would.  The BFS stops as soon as more than `cap`
+    points are stored; `complete` says whether it ran to the end.  A batch
+    holds at most BATCH·(number of maps) images besides the stored points,
+    so batching adds a bounded amount of memory on top of the orbit itself.
     """
 
     def __init__(self, seeds, step, cap: int | None = None):
+        super().__init__()
         self.step = step
-        self.points, self.index, self.parent, self.gen = [], {}, [], []
         self.complete = False
         for x in seeds:
             if x not in self.index and not self._add(x, -1, -1, cap):
@@ -206,14 +234,6 @@ class Orbit:
         self.parent.append(parent)
         self.gen.append(gen)
         return cap is None or len(self.points) <= cap
-
-    def word(self, i: int) -> list[int]:
-        """The map indices that lead from a seed to points[i], in the order they apply."""
-        word = []
-        while self.parent[i] >= 0:
-            word.append(self.gen[i])
-            i = self.parent[i]
-        return word[::-1]
 
 
 def word_product(gens, word) -> ExactMatrix:
@@ -265,7 +285,7 @@ class MatGroup:
             raise GroupError("p = %d must exceed r + 1 = %d (the prime lemma)" % (self.p, dim + 1))
         self._field = GF(self.p, self.conductor)
         self._gens = np.stack([self._reduce(g) for g in gens])
-        self._orbit = Orbit([], None)   # the elements' residue keys: none until close()
+        self._tree = Tree()             # the elements' residue keys: none until close()
         self.closed = False
 
     def _reduce(self, m: ExactMatrix):
@@ -274,38 +294,63 @@ class MatGroup:
     # -- closure -----------------------------------------------------------
 
     def close(self, cap: int = DEFAULT_CAP) -> bool:
-        """BFS closure under right multiplication; True when complete.
+        """Dimino's closure (module docstring): False once |G| > cap is proved or the certificate fails.
 
-        One `Orbit` of the identity's residue key, which stops as soon as
-        more than `cap` elements are stored.  A later call recomputes from
-        scratch.  On completion the orbit certificate must hold (else False:
-        G is infinite); see the module docstring.
+        A later call after a False one starts again from the identity.
         """
         if self.closed:
             return True
-        r, p, gens = self.dim, self.p, self._gens      # the orbit keeps step: no cycle through self
-
-        def step(keys):             # (m, 1, r, r) residues against the (g, r, r) generators
-            residues = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(-1, 1, r, r)
-            return _row_keys(_mulmod(residues, gens, p))
-
-        self._orbit = Orbit([np.eye(r, dtype=np.int32).tobytes()], step, cap)
-        if not self._orbit.complete or not self._orbit_is_finite(len(self._orbit.points)):
-            return False                # cap exceeded, or the orbit certificate: G is infinite
+        r, p, gens = self.dim, self.p, self._gens
+        powers = [self._powers(g, cap) for g in gens]
+        self._tree = tree = Tree()
+        if None in powers:
+            return False                # a cyclic subgroup has more than cap elements
+        used = sorted(range(len(gens)), key=lambda s: -len(powers[s]))
+        tree.extend(powers[used[0]][:1], [-1], -1)
+        tree.extend(powers[used[0]][1:], range(len(powers[used[0]]) - 1), used[0])
+        stage = used[:1]
+        for s in used[1:]:
+            if gens[s].astype(np.int32).tobytes() in tree.index:
+                continue                # s lies in G_(k-1): G_k = G_(k-1)
+            stage.append(s)
+            size, reps, head = len(tree.points), [0], 0
+            while head < len(reps):     # the block start of each right coset of G_(k-1), as it is found
+                batch = reps[head:head + BATCH]
+                head += len(batch)
+                firsts = np.frombuffer(b"".join(tree.points[b] for b in batch), dtype=np.int32)
+                candidates = _mulmod(firsts.reshape(-1, 1, r, r), gens[stage], p).reshape(1, -1, r, r)
+                for (start, t), key in zip(product(batch, stage), _row_keys(candidates)[0]):
+                    if key in tree.index:
+                        continue
+                    if len(tree.points) + size > cap:
+                        return False    # a new coset is disjoint from the stored elements: |G| > cap
+                    reps.append(len(tree.points))
+                    for lo in range(start, start + size, BATCH):    # the block of c, times t
+                        hi = min(lo + BATCH, start + size)
+                        stack = np.frombuffer(b"".join(tree.points[lo:hi]), dtype=np.int32).reshape(1, -1, r, r)
+                        coset = _row_keys(_mulmod(stack, gens[t], p))[0]
+                        tree.extend(coset, range(lo, hi), t)
+        if not self._orbit_is_finite(len(tree.points)):
+            return False                # the orbit certificate: G is infinite
         self.closed = True
         return True
+
+    def _powers(self, g, cap: int):
+        """The residue keys of I, g, g^2, ... up to the order of g, by repeated multiplication; None past cap."""
+        keys, power = [np.eye(self.dim, dtype=np.int32).tobytes()], g.astype(np.int32)
+        while power.tobytes() != keys[0] and len(keys) <= cap:
+            keys.append(power.tobytes())
+            power = _mulmod(power, g, self.p)
+        return keys if len(keys) <= cap else None
 
     def _orbit_is_finite(self, order: int) -> bool:
         """The orbit certificate (module docstring) for a residue closure of `order` elements.
 
-        First the orbit of a root: the first column with a nonzero residue of
-        g - I, for the first residue g in BFS order (`_first_reflection`)
-        whose g - I has F_p rank 1, with g replayed exactly along its word.
-        Any seed serves the certificate, so the root may come from anywhere
-        in the closure.  It is accepted when it completes within |G| vectors
-        (the single-seed bound) and the residues of its vectors have F_p rank
-        r.  Otherwise the orbit of e_1..e_r decides, and is False once it has
-        more than r·|G| vectors.
+        First the orbit of the seed rule's root (`_root`), with its element
+        replayed exactly along its word.  It is accepted when it completes
+        within |G| vectors (the single-seed bound) and the residues of its
+        vectors have F_p rank r.  Otherwise the orbit of e_1..e_r decides,
+        and is False once it has more than r·|G| vectors.
         A vector is stored as its coordinates' (num, den) at the conductor,
         and each coordinate of an image is one CycNum.dot.
         """
@@ -325,10 +370,10 @@ class MatGroup:
         def step(batch):
             return [images(x) for x in batch]
 
-        found = self._first_reflection()
+        found = self._root()
         if found is not None:
             index, col = found
-            g = word_product(self.generators, self._orbit.word(index))
+            g = word_product(self.generators, self._tree.word(index))
             seed = key(g.entries[i][col] - (one if i == col else zero) for i in range(r))
             orbit = Orbit([seed], step, order)
             if orbit.complete:
@@ -340,27 +385,50 @@ class MatGroup:
         units = [key(one if i == j else zero for i in range(r)) for j in range(r)]
         return Orbit(units, step, r * order).complete
 
-    def _first_reflection(self):
-        """(i, l) for the first stored residue g, in BFS order, whose A = g - I has F_p rank 1; else None.
+    def _reflections(self):
+        """Yield (i, l, A[:, l] / A[k, l]) for each residue i whose A = g - I has F_p rank 1.
 
-        l is the column of A's first nonzero entry A[k, l] in row-major order,
-        which for rank 1 is its first nonzero column.  A has rank 1 iff A != 0
-        and A·A[k, l] = A[:, l] ⊗ A[k, :] (mod p): every row is then a multiple
-        of row k.  The entries are below p < 2^31, so each product fits int64.
-        The residues are read one `_stacks()` stack at a time, stopping at the first hit.
+        A[k, l] is A's first nonzero entry in row-major order.  A has rank 1 iff A != 0 and
+        A·A[k, l] = A[:, l] ⊗ A[k, :] (mod p); rank 1 gives tr(A^2) = tr(A)^2, a cheaper test
+        run first.  Entries lie below p < 2^31, so a sum of r products fits int64.
         """
         r, p = self.dim, self.p
         for start, stack in self._stacks():
-            a = (stack - np.eye(r, dtype=np.int64)) % p
-            flat = a.reshape(len(a), -1)
+            a = stack - np.eye(r, dtype=np.int64)
+            trace = np.trace(a, axis1=1, axis2=2) % p
+            near = np.flatnonzero((trace * trace - (np.einsum("mij,mji->mi", a, a) % p).sum(axis=1)) % p == 0)
+            a = a[near] % p
+            flat = a.reshape(len(a), r * r)
             k, l = divmod((flat != 0).argmax(axis=1), r)
             m = np.arange(len(a))
             outer = a[m, :, l][:, :, None] * a[m, k, :][:, None, :]
             rank1 = flat.any(axis=1) & ((a * a[m, k, l][:, None, None] - outer) % p == 0).all(axis=(1, 2))
-            hits = np.flatnonzero(rank1)
-            if hits.size:
-                return start + int(hits[0]), int(l[hits[0]])
-        return None
+            for h in np.flatnonzero(rank1):
+                yield start + int(near[h]), int(l[h]), a[h, :, l[h]] * pow(int(a[h, k[h], l[h]]), -1, p) % p
+
+    def _root(self):
+        """(i, l): the seed rule's residue i and root column l (module docstring); None if no root spans.
+
+        c·v has c times the residue orbit of v, so one orbit serves every root on its lines.
+        """
+        r, p, maps = self.dim, self.p, self._gens.transpose(0, 2, 1)
+
+        def step(batch):                # (m, r) vectors times the (g, r, r) transposed generators
+            x = np.frombuffer(b"".join(batch), dtype=np.int64).reshape(-1, r)
+            return _row_keys((x @ maps % p).swapaxes(0, 1))
+
+        orbit_of, spanning = {}, []     # each computed orbit's vectors, scaled to lead with 1 -> (size, spans)
+        for i, l, v in self._reflections():
+            if v.tobytes() not in orbit_of:
+                points = Orbit([v.tobytes()], step).points
+                orbit = np.frombuffer(b"".join(points), dtype=np.int64).reshape(-1, r)
+                lead = orbit[np.arange(len(orbit)), (orbit != 0).argmax(axis=1)].tolist()
+                lines = orbit * np.array([pow(a, -1, p) for a in lead])[:, None] % p
+                orbit_of.update(dict.fromkeys(_row_keys(lines[None])[0], (len(points), _rank_mod_p(orbit, p) == r)))
+            size, spans = orbit_of[v.tobytes()]
+            if spans:
+                spanning.append((size, len(self._tree.word(i)), i, l))
+        return min(spanning)[2:] if spanning else None
 
     def _require_closed(self):
         if not self.closed:
@@ -369,31 +437,22 @@ class MatGroup:
     @property
     def order(self) -> int:
         self._require_closed()
-        return len(self._orbit.points)
+        return len(self._tree.points)
 
     def _stacks(self):
         """Yield (offset, stack): the next at most BATCH residues as one (m, r, r) array."""
-        keys = self._orbit.points
+        keys = self._tree.points
         for start in range(0, len(keys), BATCH):
             blob = b"".join(keys[start:start + BATCH])
             yield start, np.frombuffer(blob, dtype=np.int32).reshape(-1, self.dim, self.dim)
 
     def elements(self):
-        """All elements as exact matrices, one product per element (BFS replay).
-
-        Parent indices never decrease along the BFS order, so only the
-        elements from the current parent on are kept.
-        """
+        """All elements as exact matrices in storage order, one product per element; all are kept."""
         self._require_closed()
-        parent, gen = self._orbit.parent, self._orbit.gen
-        window = deque([(0, ExactMatrix.identity(self.dim))])
-        yield window[0][1]
-        for i in range(1, len(parent)):
-            while window[0][0] < parent[i]:
-                window.popleft()
-            m = window[0][1] * self.generators[gen[i]]
-            window.append((i, m))
-            yield m
+        made = []
+        for parent, gen in zip(self._tree.parent, self._tree.gen):
+            made.append(made[parent] * self.generators[gen] if parent >= 0 else ExactMatrix.identity(self.dim))
+            yield made[-1]
 
     # -- structure helpers ---------------------------------------------------
 

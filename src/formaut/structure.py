@@ -8,7 +8,7 @@ P (trivial block permutation), the block-scalar kernel N and the projective
 constituent orders |H_ij|, and confirms the order bookkeeping
 |G| = |P| * |psi(G)| and |P| = |N| * |phi(P)| exactly.
 
-One algorithm serves both tiers, and each of its closures is one
+One algorithm serves both tiers, and each of its orbits is one
 `matgroups.Orbit`.  psi(G) is the orbit of the identity block pattern
 under the generators' patterns, and P, the stabilizer of that point, gets
 its generators by Schreier's lemma (`matgroups.schreier_generators`), with

@@ -24,6 +24,11 @@ rational coefficients in at most three variables it reads smoothness off the
 exact rank over Q of one Macaulay matrix of the partials (Macaulay, The
 Algebraic Theory of Modular Systems, 1916).
 
+The closure reference, residue_bfs, is the per-element BFS that
+MatGroup.close ran before its coset closure: one product per stored residue
+and generator, each image probed on its own, so its keys are the residue
+group in BFS order.
+
 The scalar-coset reference, reference_scalar_cosets, is the per-residue
 walk, the slow reference for matgroups.pgl_keys: it tests every residue for
 scalarity on its own and multiplies each coset out one scalar at a time.
@@ -43,6 +48,8 @@ discrete logarithm and multiplies the particular solution out of powers.
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+
+import numpy as np
 
 from formaut.cyclotomic import CycNum, euler_phi, root_of_unity
 from formaut.diaglattice import LatticeError, smith_normal_form
@@ -327,3 +334,24 @@ def reference_scalar_cosets(residues, p: int):
             class_of[k] = len(reps)
         reps.append(a)
     return class_of, reps
+
+
+def residue_bfs(grp, cap):
+    """A group's residue closure by one product per element: (keys, parent, gen), stopped past cap keys."""
+    r = grp.dim
+    keys, parent, gen = [np.eye(r, dtype=np.int32).tobytes()], [-1], [-1]
+    index = {keys[0]: 0}
+    head = 0
+    while head < len(keys):
+        residue = np.frombuffer(keys[head], dtype=np.int32).reshape(r, r)
+        for g, product in enumerate(_mulmod(residue, grp._gens, grp.p)):
+            key = product.tobytes()
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+                parent.append(head)
+                gen.append(g)
+                if len(keys) > cap:
+                    return keys, parent, gen
+        head += 1
+    return keys, parent, gen

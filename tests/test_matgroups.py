@@ -20,7 +20,7 @@ from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure
 from formaut.smoothness import split_prime
 
 from lemmas import scalar_group
-from oracles import fermat_form, form_product, permutation_matrix, reference_scalar_cosets
+from oracles import fermat_form, form_product, permutation_matrix, reference_scalar_cosets, residue_bfs
 
 
 def test_scalar_group():
@@ -161,8 +161,8 @@ def _contains(grp, m):
                 return False        # outside the field, or not 𝔭-integral
             out_row.append(c)
         reduced.append(out_row)
-    i = grp._orbit.index.get(grp._reduce(ExactMatrix(reduced)).astype(np.int32).tobytes())
-    return i is not None and word_product(grp.generators, grp._orbit.word(i)) == m
+    i = grp._tree.index.get(grp._reduce(ExactMatrix(reduced)).astype(np.int32).tobytes())
+    return i is not None and word_product(grp.generators, grp._tree.word(i)) == m
 
 
 def test_membership():
@@ -304,7 +304,7 @@ def test_invariant_prime_too_small_is_refused(monkeypatch):
 
 def test_molien_residue_out_of_range_is_refused():
     grp = closure(get_entry("klein-quartic").generators())
-    del grp._orbit.points[0]        # drop the identity: the sum is (672 - 15) / 671, not in [0, 15]
+    del grp._tree.points[0]         # drop the identity: the sum is (672 - 15) / 671, not in [0, 15]
     with pytest.raises(ArithmeticError):
         invariant_dimension_molien(grp, 4)
 
@@ -389,7 +389,11 @@ def test_infinite_group_with_trivial_residues_is_refused(tmp_path, capsys):
 
 
 def _record_orbits(monkeypatch):
-    """Record (seeds, points, complete) of every Orbit that matgroups builds."""
+    """Record (seeds, points, complete) of every Orbit that matgroups builds.
+
+    The seed rule's residue orbits come first (one per root line it reads),
+    then the exact orbits of the certificate.
+    """
     sizes = []
 
     class Recorded(Orbit):
@@ -407,22 +411,29 @@ def test_finite_root_orbit_that_does_not_span_is_refused(monkeypatch):
     assert grp.p == p
     sizes = _record_orbits(monkeypatch)
     assert not grp.close()          # residues close at order 2, but diag(1, 1 + p) has infinite order
-    assert sizes == [(1, 2, True),  # the residue closure
-                     (1, 2, True),  # the root orbit {(±2, 0)}: finite, of residue rank 1
-                     (2, 5, False)]  # e_1, e_2: e_2 grows past 2 * 2 vectors
+    assert grp._root() is None
+    assert sizes == [(1, 2, True),  # the residue orbit {(±1, 0)} of the root: rank 1, so no exact root orbit
+                     (2, 5, False),  # e_1, e_2: e_2 grows past 2 * 2 vectors
+                     (1, 2, True)]  # the residue orbit again, from the _root() call above
 
 
 def test_reflection_found_past_the_generators_does_not_hide_infinity(monkeypatch):
-    p = split_prime(3, 1, lo=1 << 21)
-    z3 = root_of_unity(3)
-    grp = MatGroup([ExactMatrix.diagonal([z3, z3 * z3]), ExactMatrix.diagonal([z3, z3 * (1 + p)])])
+    p = split_prime(6, 1, lo=1 << 21)
+    z6 = root_of_unity(6)
+    grp = MatGroup([ExactMatrix.diagonal([z6, z6 ** 2]),
+                    permutation_matrix([1, 0]) * ExactMatrix.diagonal([1, -(1 + p)])])
     assert grp.p == p
     sizes = _record_orbits(monkeypatch)
-    assert not grp.close()          # residues close at order 9, but the second generator has infinite order
-    assert grp._first_reflection() == (4, 0)    # no generator residue is a reflection
-    assert sizes == [(1, 9, True),  # the residue closure
-                     (1, 3, True),  # the root orbit: finite, of residue rank 1
-                     (2, 19, False)]  # e_1, e_2: the orbit grows past 2 * 9 vectors
+    assert not grp.close()          # residues close at order 24, but the second generator has infinite order
+    assert sizes == [(1, 12, True),  # the residue orbit of diag(-1, 1)'s root line: it spans
+                     (1, 12, True),  # another root line's residue orbit: it spans, of the same size
+                     (1, 25, False),  # the exact root orbit grows past 24 vectors
+                     (2, 49, False)]  # e_1, e_2: the orbit grows past 2 * 24 vectors
+    index, col = grp._root()
+    assert len(grp._tree.word(index)) == 2      # no generator residue is a reflection; diag(-1, 1) takes 3
+    g = word_product(grp.generators, grp._tree.word(index))
+    assert grp._reduce(g).astype(np.int32).tobytes() == grp._tree.points[index]
+    assert g.entries[0][1] == -z6 * (1 + p)     # the exact replay keeps the 1 + p
 
 
 def test_group_without_residue_reflection_closes_through_the_unit_orbit(monkeypatch):
@@ -431,27 +442,57 @@ def test_group_without_residue_reflection_closes_through_the_unit_orbit(monkeypa
     sizes = _record_orbits(monkeypatch)
     assert grp.close()
     assert grp.order == 8
-    assert grp._first_reflection() is None
-    assert sizes == [(1, 8, True), (2, 8, True)]
+    assert grp._root() is None
+    assert sizes == [(2, 8, True)]
+
+
+def _per_residue_reflections(grp):
+    """(i, l, v) for every residue whose g - I has rank 1 by one F_p row reduction, v its column l scaled to lead with 1."""
+    eye = np.eye(grp.dim, dtype=np.int64)
+    residues = ((m.astype(np.int64) - eye) % grp.p for _, stack in grp._stacks() for m in stack)
+    out = []
+    for i, a in enumerate(residues):
+        if matgroups._rank_mod_p(a, grp.p) == 1:
+            col = int(np.flatnonzero(a.any(axis=0))[0])
+            v = a[:, col]
+            out.append((i, col, v * pow(int(v[np.flatnonzero(v)[0]]), -1, grp.p) % grp.p))
+    return out
 
 
 @pytest.mark.parametrize("label", ["klein-quartic", "quintic-480", "octahedral-binary-sextic",
                                    "pair-octahedral-sextic"])
 def test_first_reflection_matches_a_per_residue_rank(label):
-    # the vectorised rank-1 test against one F_p row reduction per residue, in BFS order
+    # every reflection that the vectorised rank-1 test (after its trace test) yields, in storage order,
+    # against one F_p row reduction per residue: the first reflection and all after it
     grp = closure(get_entry(label).generators())
-    eye = np.eye(grp.dim, dtype=np.int64)
-    residues = (m.astype(np.int64) - eye for _, stack in grp._stacks() for m in stack)
-    want = next(((i, int(np.flatnonzero((a % grp.p).any(axis=0))[0]))
-                 for i, a in enumerate(residues) if matgroups._rank_mod_p(a, grp.p) == 1), None)
-    assert grp._first_reflection() == want
+    got = [(i, l, v.tolist()) for i, l, v in grp._reflections()]
+    assert got == [(i, l, v.tolist()) for i, l, v in _per_residue_reflections(grp)]
+    assert got
+
+
+@pytest.mark.parametrize("label", [e.label for e in load_entries() if e.tier == "full-closure"])
+def test_seed_rule_matches_a_per_root_brute_force(label):
+    """_root against every reflection's root orbit, each the set of all residues times the root.
+
+    The reflections are `_reflections()`, which the test above checks against a per-residue rank.
+    """
+    grp = closure(get_entry(label).generators())
+    residues = np.concatenate([stack for _, stack in grp._stacks()]).astype(np.int64)
+    spanning = []
+    for i, l, v in grp._reflections():
+        images = residues @ v % grp.p
+        if matgroups._rank_mod_p(images, grp.p) == grp.dim:
+            size = len(np.unique(images.view(np.dtype((np.void, images.itemsize * grp.dim)))))
+            spanning.append((size, len(grp._tree.word(i)), i, l))
+    assert grp._root() == (min(spanning)[2:] if spanning else None)
+    assert (spanning == []) == (label == "quintic-480")
 
 
 def test_klein_finiteness_from_its_root_orbit(monkeypatch):
     grp = MatGroup(get_entry("klein-quartic").generators())
     sizes = _record_orbits(monkeypatch)
     assert grp.close()
-    assert sizes == [(1, 672, True), (1, 84, True)]     # no orbit of e_1..e_3 (672 vectors)
+    assert sizes == [(1, 84, True), (1, 84, True)]      # the residue and exact root orbits; none of e_1..e_3
 
 
 def _per_product_step(grp):
@@ -479,10 +520,11 @@ def _per_product_step(grp):
 def test_exact_orbit_matches_a_per_product_reference(monkeypatch, label, orbits):
     """Each exact orbit of `_orbit_is_finite` (one CycNum.dot per coordinate) against the fold.
 
-    `orbits` lists (|G|, orbit size) per closure.  Klein and Wiman take a root
-    seed from a generator.  The pair-icosahedral blocks share one closure (a
-    2 x 2 group over Q(zeta_60) whose generators are not reflections, though
-    its closure holds some), which takes its root from a residue past the
+    `orbits` lists (|G|, orbit size) per closure, the seed rule's residue
+    orbits left out.  Klein takes its root from a generator and Wiman from a
+    word of length 4.  The pair-icosahedral blocks share one closure (a 2 x 2
+    group over Q(zeta_60) whose generators are not reflections, though its
+    closure holds some), which takes its root from a residue past the
     generators; the 4 x 4 group takes e_1..e_r.
     """
     seen = []
@@ -494,7 +536,8 @@ def test_exact_orbit_matches_a_per_product_reference(monkeypatch, label, orbits)
         class Recorded(Orbit):
             def __init__(self, seeds, step, cap=None):
                 super().__init__(seeds, step, cap)
-                built.append((list(seeds), cap, self))
+                if not isinstance(seeds[0], bytes):     # not a residue orbit of the seed rule
+                    built.append((list(seeds), cap, self))
 
         monkeypatch.setattr(matgroups, "Orbit", Recorded)
         try:
@@ -665,50 +708,57 @@ def test_schreier_generators_generate_the_stabilizer(gens):
     assert len(spanned) == sum(times(e1, m) == e1 for m in elements)
 
 
-# -- the batched residue closure against a per-element BFS ----------------------------
+# -- the coset closure against a per-element BFS ---------------------------------------
 
 
-def _residue_bfs(grp, cap):
-    """close()'s residue orbit by one product per element: (keys, parent, gen), stopped past cap keys."""
-    r = grp.dim
-    keys, parent, gen = [np.eye(r, dtype=np.int32).tobytes()], [-1], [-1]
-    index = {keys[0]: 0}
-    head = 0
-    while head < len(keys):
-        residue = np.frombuffer(keys[head], dtype=np.int32).reshape(r, r)
-        for g, product in enumerate(matgroups._mulmod(residue, grp._gens, grp.p)):
-            key = product.tobytes()
-            if key not in index:
-                index[key] = len(keys)
-                keys.append(key)
-                parent.append(head)
-                gen.append(g)
-                if len(keys) > cap:
-                    return keys, parent, gen
-        head += 1
-    return keys, parent, gen
+def _assert_tree_matches_bfs(grp, cap, bfs, replay):
+    """close(cap) against the BFS keys: at most cap stored, the same set once closed, each a parent times a generator."""
+    closed = grp.close(cap)
+    tree, r = grp._tree, grp.dim
+    assert closed == (cap >= len(bfs)) and len(tree.points) <= cap
+    if not tree.points:
+        return                      # a generator's residue order passes cap
+    assert tree.points[0] == np.eye(r, dtype=np.int32).tobytes() and (tree.parent[0], tree.gen[0]) == (-1, -1)
+    assert tree.index == {key: i for i, key in enumerate(tree.points)}
+    orders = [len(grp._powers(g, cap)) for g in grp._gens]
+    assert len(tree.points) == 1 or orders[tree.gen[1]] == max(orders)     # a largest residue order first
+    assert set(tree.points) == set(bfs) if closed else set(tree.points) < set(bfs)
+    if len(tree.points) > 1:
+        parents = np.frombuffer(b"".join(tree.points[q] for q in tree.parent[1:]), dtype=np.int32).reshape(-1, r, r)
+        products = matgroups._mulmod(parents[:, None], grp._gens[tree.gen[1:]][:, None], grp.p)
+        assert products.tobytes() == b"".join(tree.points[1:])
+        assert all(0 <= q < i for i, q in enumerate(tree.parent[1:], 1))
+    if replay and closed:
+        for i, key in enumerate(tree.points):
+            m = grp._reduce(word_product(grp.generators, tree.word(i)))
+            assert m.astype(np.int32).tobytes() == key
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(monomial_groups(), st.integers(0, 1 << 20), st.sampled_from([3, matgroups.BATCH]))
-def test_batched_close_matches_a_per_element_bfs(gens, cut, batch):
-    """Same residues in the same order with the same Schreier vector, complete or capped."""
-    full = _residue_bfs(MatGroup(gens), 3000)
-    assume(len(full[0]) <= 3000)
+@given(monomial_groups(), st.integers(0, 1 << 20), st.sampled_from([3, matgroups.BATCH]), st.data())
+def test_batched_close_matches_a_per_element_bfs(gens, cut, batch, data):
+    """Dimino's cosets against the per-element BFS, with the generators in any order, complete or capped.
+
+    BATCH = 3 splits the cosets, the representative probes and the generator powers into several products.
+    """
+    gens = data.draw(st.permutations(gens))
+    bfs = residue_bfs(MatGroup(gens), 3000)[0]
+    assume(len(bfs) <= 3000)
     with mock.patch.object(matgroups, "BATCH", batch):
-        for cap in (DEFAULT_CAP, 1 + cut % len(full[0])):
-            grp = MatGroup(gens)
-            grp.close(cap)
-            orbit = grp._orbit
-            assert (orbit.points, orbit.parent, orbit.gen) == _residue_bfs(grp, cap)
-            assert orbit.points == full[0][:len(orbit.points)]
-            assert orbit.complete == (cap >= len(full[0]))
+        for cap in (DEFAULT_CAP, len(bfs), len(bfs) - 1, 1 + cut % len(bfs)):
+            _assert_tree_matches_bfs(MatGroup(gens), cap, bfs, replay=len(bfs) <= 48)
 
 
 def test_batched_close_matches_a_per_element_bfs_past_one_batch():
     gens = get_entry("fermat-3-3").generators()
-    for cap in (2 * matgroups.BATCH + 5, DEFAULT_CAP):
-        grp = MatGroup(gens)
-        grp.close(cap)
-        assert (grp._orbit.points, grp._orbit.parent, grp._orbit.gen) == _residue_bfs(grp, cap)
-    assert grp.order == 29160
+    bfs = residue_bfs(MatGroup(gens), DEFAULT_CAP)[0]
+    assert len(bfs) == 29160
+    for cap in (2 * matgroups.BATCH + 5, 29159, DEFAULT_CAP):
+        _assert_tree_matches_bfs(MatGroup(gens), cap, bfs, replay=False)
+
+
+def test_elements_replay_the_tree():
+    grp = closure(get_entry("octahedral-binary-sextic").generators())
+    elements = list(grp.elements())
+    assert len(elements) == 144
+    assert [grp._reduce(m).astype(np.int32).tobytes() for m in elements] == grp._tree.points
