@@ -10,15 +10,16 @@ Permutation Groups", LNCS 559, 1991) on residues, each element stored once
 in a `Tree` as the int32 bytes of its residue.  It orders the generators by
 decreasing residue order (ties in the given order), so the first subgroups
 are large and the cosets few, and stores G_1 = <s_1> as the powers that
-found its order (repeated multiplication, stopped past `cap`).  Then G_k =
-<G_(k-1), s_k> is a union of right cosets G_(k-1)·c, each one block: the
-first is G_(k-1), and element i of the block of c·s is element i of c's
-block (its parent) times s.  As the stored elements are a union of cosets,
-a candidate c·s (c a block's first element, s among s_1..s_k) starts a new
-coset iff its residue is not stored; once every candidate is stored, G_k is
-closed under the generators.  Blocks and candidates are computed BATCH at a
-time.  A new coset is disjoint from the stored elements, so one that would
-pass `cap` proves |G| > cap: at most `cap` elements are stored.
+found its order (repeated multiplication, stopped past min(cap, L) by the
+exponent lemma below).  Then G_k = <G_(k-1), s_k> is a union of right
+cosets G_(k-1)·c, each one block: the first is G_(k-1), and element i of
+the block of c·s is element i of c's block (its parent) times s.  As the
+stored elements are a union of cosets, a candidate c·s (c a block's first
+element, s among s_1..s_k) starts a new coset iff its residue is not
+stored; once every candidate is stored, G_k is closed under the generators.
+Blocks and candidates are computed BATCH at a time.  A new coset is disjoint
+from the stored elements, so one that would pass `cap` proves |G| > cap: at
+most `cap` elements are stored.
 
 Orbits (Seress, "Permutation Group Algorithms", 2003, §4.1).  A `Tree`
 stores each point once with a Schreier vector (the index of its parent and
@@ -48,23 +49,31 @@ a root (a reflection's root has a small orbit: 84 vectors for Klein's
 quartic against 672 from the coordinate vectors): the first nonzero column
 of g - I for a residue g with F_p rank 1, whose residue orbit spans F_p^r
 and is smallest, then whose g has the shortest word; g is replayed exactly
-by `word_product` along it.  A single seed's orbit under a finite G has at
-most |G| vectors, and |G| is the residue count by the lemma, so the root
-orbit runs under that cap.  Its span is read on residues: every vector in
-it is a product of 𝔭-integral generators applied to a 𝔭-integral seed, so
-it is 𝔭-integral, and if the residues of the orbit have F_p rank r, some
-r x r minor of the orbit has a nonzero residue, hence is nonzero over K,
-and the orbit spans K^r.  When no root's residue orbit spans, or the root
-orbit outgrows its cap or its residues have rank < r (a finite orbit that
-does not span proves nothing), the orbit of e_1..e_r decides.  It always
-spans; a finite G gives it at most r·|G| vectors, so an orbit that outgrows
-that bound proves G infinite, and `close` returns False.
+by `word_product` along it.  When no root's residue orbit spans, the seeds
+are e_1..e_r, which span.  A complete root orbit spans too: its vectors are
+products of 𝔭-integral generators applied to a 𝔭-integral seed, and
+reduction maps them onto the residue orbit of the seed's residue, A[k, l]
+times the root that spans (A = g - I, A[k, l] != 0 its first nonzero entry,
+and c·v has c times the residue orbit of v); so some r x r minor of the orbit
+has a nonzero residue, hence is nonzero over K.  Under a finite G each seed
+has at most |G| vectors in its orbit, and |G| is the residue count by the
+lemma, so an orbit with more than |G| vectors per seed proves G infinite,
+and `close` returns False.
 
 The prime lemma.  Let G <= GL_r(K) be finite and q a prime dividing |G|.
 An element of order q has a primitive q-th root of unity as an eigenvalue,
 so [K(zeta_q) : K] <= r, and that degree is q - 1 when q ∤ N: q <= max(r + 1,
 N).  `split_prime` gives p = 1 (mod N), so p > N, and `MatGroup` refuses
 p <= r + 1.  So p ∤ |G|, and p ∤ |L| for every finite L <= GL_s(K), s <= r.
+
+The exponent lemma (Minkowski's argument; Serre 2007).  If g in GL_r(K) has
+finite order, each eigenvalue λ has [K(λ) : K] <= r, and K(λ) contains
+zeta_(q^a), of degree phi(lcm(q^a, N)) / phi(N) over K, for each q^a
+dividing the order of λ.  So the exponent of a finite G <= GL_r(K) divides
+L(r, N) = `exponent_bound`, the product of the largest q^a of degree <= r
+over the primes q.  By injectivity the generator residues have their exact
+orders, so `_powers` stops after min(cap, L) products and refuses an order
+that does not divide L.
 
 Scalars.  By the prime lemma every g in a finite G, or in a finite group
 of block restrictions, has order prime to p, so its minimal polynomial
@@ -136,7 +145,7 @@ import numpy as np
 
 from .cyclotomic import CycNum, conductor
 from .forms import ExactMatrix, Form, act
-from .smoothness import GF, split_prime
+from .smoothness import GF, _is_prime, split_prime
 
 DEFAULT_CAP = 1 << 21
 BATCH = 1024            # points per numpy product in an Orbit step or a coset: peak RSS kept flat
@@ -261,6 +270,16 @@ def schreier_generators(orbit: Orbit, gens) -> tuple[list[ExactMatrix], list[Exa
     return reps, out
 
 
+def exponent_bound(r: int, n: int) -> int:
+    """L(r, N): the exponent of every finite G <= GL_r(Q(zeta_N)) divides it (the exponent lemma)."""
+    bound = n                           # q^a for every q^a dividing N; a prime q > r + 1 adds no more
+    for q in filter(_is_prime, range(2, r + 2)):
+        degree = q if n % q == 0 else q - 1     # [K(zeta_(q^(a+1))) : K] for q^a exactly dividing N
+        while degree <= r:
+            bound, degree = bound * q, degree * q
+    return bound
+
+
 class MatGroup:
     """A finitely generated matrix group over a cyclotomic field."""
 
@@ -294,7 +313,7 @@ class MatGroup:
     # -- closure -----------------------------------------------------------
 
     def close(self, cap: int = DEFAULT_CAP) -> bool:
-        """Dimino's closure (module docstring): False once |G| > cap is proved or the certificate fails.
+        """Dimino's closure (module docstring): False once |G| > cap, or G infinite, is proved.
 
         A later call after a False one starts again from the identity.
         """
@@ -304,7 +323,7 @@ class MatGroup:
         powers = [self._powers(g, cap) for g in gens]
         self._tree = tree = Tree()
         if None in powers:
-            return False                # a cyclic subgroup has more than cap elements
+            return False                # a cyclic subgroup has more than cap elements, or G is infinite
         used = sorted(range(len(gens)), key=lambda s: -len(powers[s]))
         tree.extend(powers[used[0]][:1], [-1], -1)
         tree.extend(powers[used[0]][1:], range(len(powers[used[0]]) - 1), used[0])
@@ -336,25 +355,24 @@ class MatGroup:
         return True
 
     def _powers(self, g, cap: int):
-        """The residue keys of I, g, g^2, ... up to the order of g, by repeated multiplication; None past cap."""
+        """The residue keys of I, g, g^2, ... up to the order of g; None past cap or if it does not divide L."""
+        exponent = exponent_bound(self.dim, self.conductor)
         keys, power = [np.eye(self.dim, dtype=np.int32).tobytes()], g.astype(np.int32)
-        while power.tobytes() != keys[0] and len(keys) <= cap:
+        while power.tobytes() != keys[0] and len(keys) <= min(cap, exponent):
             keys.append(power.tobytes())
             power = _mulmod(power, g, self.p)
-        return keys if len(keys) <= cap else None
+        return keys if len(keys) <= cap and exponent % len(keys) == 0 else None
 
     def _orbit_is_finite(self, order: int) -> bool:
         """The orbit certificate (module docstring) for a residue closure of `order` elements.
 
-        First the orbit of the seed rule's root (`_root`), with its element
-        replayed exactly along its word.  It is accepted when it completes
-        within |G| vectors (the single-seed bound) and the residues of its
-        vectors have F_p rank r.  Otherwise the orbit of e_1..e_r decides,
-        and is False once it has more than r·|G| vectors.
+        One exact orbit decides: that of the seed rule's root (`_root`), its
+        element replayed exactly along its word, or that of e_1..e_r when no
+        root spans.  It is False once it has more than |G| vectors per seed.
         A vector is stored as its coordinates' (num, den) at the conductor,
         and each coordinate of an image is one CycNum.dot.
         """
-        n, r, p = self.conductor, self.dim, self.p
+        n, r = self.conductor, self.dim
         gens = [[[(k, c.to_conductor(n)) for k, c in enumerate(row) if not c.is_zero()]
                  for row in g.entries] for g in self.generators]
         one, zero = CycNum.one(n), CycNum.zero(n)
@@ -371,19 +389,13 @@ class MatGroup:
             return [images(x) for x in batch]
 
         found = self._root()
-        if found is not None:
+        if found is None:
+            seeds = [key(one if i == j else zero for i in range(r)) for j in range(r)]
+        else:
             index, col = found
             g = word_product(self.generators, self._tree.word(index))
-            seed = key(g.entries[i][col] - (one if i == col else zero) for i in range(r))
-            orbit = Orbit([seed], step, order)
-            if orbit.complete:
-                reduce = self._field.from_cyc
-                residues = np.array([[reduce(CycNum(n, num, den)) for num, den in x] for x in orbit.points],
-                                    dtype=np.int64)
-                if _rank_mod_p(residues, p) == r:
-                    return True
-        units = [key(one if i == j else zero for i in range(r)) for j in range(r)]
-        return Orbit(units, step, r * order).complete
+            seeds = [key(g.entries[i][col] - (one if i == col else zero) for i in range(r))]
+        return Orbit(seeds, step, len(seeds) * order).complete
 
     def _reflections(self):
         """Yield (i, l, A[:, l] / A[k, l]) for each residue i whose A = g - I has F_p rank 1.

@@ -422,8 +422,8 @@ class SmoothnessCertificate:
         return "SmoothnessCertificate(%s via %s)" % (self.verdict, self.method)
 
 
-def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi: int = 1 << 21):
-    """Random primes p = 1 (mod conductor) in [lo, hi), deterministic per seed.
+def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20):
+    """Random primes p = 1 (mod conductor) in [lo, hi), hi = 2 lo, deterministic per seed.
 
     p = k * conductor + 1 for a drawn k.  When [lo, hi) holds no such p with
     k >= 1 (a conductor near or above hi), k is drawn from the 2^10 values
@@ -432,6 +432,7 @@ def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20, hi
     found, the draws go on in [hi, 2 hi) from the same generator, so every
     draw that succeeds inside the first window is unaffected.
     """
+    hi = 2 * lo
     k_lo, k_hi = lo // conductor, hi // conductor
     if k_hi <= max(k_lo, 1):
         k_lo = max(k_lo, 1)

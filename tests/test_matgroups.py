@@ -427,8 +427,7 @@ def test_reflection_found_past_the_generators_does_not_hide_infinity(monkeypatch
     assert not grp.close()          # residues close at order 24, but the second generator has infinite order
     assert sizes == [(1, 12, True),  # the residue orbit of diag(-1, 1)'s root line: it spans
                      (1, 12, True),  # another root line's residue orbit: it spans, of the same size
-                     (1, 25, False),  # the exact root orbit grows past 24 vectors
-                     (2, 49, False)]  # e_1, e_2: the orbit grows past 2 * 24 vectors
+                     (1, 25, False)]  # the exact root orbit grows past 24 vectors: G is infinite
     index, col = grp._root()
     assert len(grp._tree.word(index)) == 2      # no generator residue is a reflection; diag(-1, 1) takes 3
     g = word_product(grp.generators, grp._tree.word(index))
@@ -495,6 +494,95 @@ def test_klein_finiteness_from_its_root_orbit(monkeypatch):
     assert sizes == [(1, 84, True), (1, 84, True)]      # the residue and exact root orbits; none of e_1..e_3
 
 
+def _record_certificates(monkeypatch):
+    """Record (group, |G|, seeds, cap, orbit) for each exact orbit of `_orbit_is_finite`, residue orbits left out."""
+    seen = []
+    finite = MatGroup._orbit_is_finite
+
+    def recorded(self, order):
+        built = []
+
+        class Recorded(Orbit):
+            def __init__(self, seeds, step, cap=None):
+                super().__init__(seeds, step, cap)
+                if not isinstance(seeds[0], bytes):     # not a residue orbit of the seed rule
+                    built.append((list(seeds), cap, self))
+
+        monkeypatch.setattr(matgroups, "Orbit", Recorded)
+        try:
+            return finite(self, order)
+        finally:
+            monkeypatch.setattr(matgroups, "Orbit", Orbit)
+            seen.extend((self, order) + b for b in built)
+
+    monkeypatch.setattr(MatGroup, "_orbit_is_finite", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("label", [e.label for e in load_entries() if e.tier == "full-closure"])
+def test_certificate_lemmas_hold_on_every_catalog_closure(monkeypatch, label):
+    """The two lemmas that spare `close` work, on every closure of the row's pipeline, each against the slow path.
+
+    The exponent lemma: each generator residue's order, by repeated multiplication, divides L(r, N).
+    The benchmark's invariant groups are full-closure rows, so they are among these.  The root lemma:
+    a complete exact root orbit reduces onto the residue orbit of its seed, a multiple of a root that
+    `_root` found spanning, so its residues have F_p rank r without `close` ranking them.
+    """
+    seen = _record_certificates(monkeypatch)
+    assert all(check.get("ok", True) for check in verify_entry(get_entry(label), skip_smooth=True)["checks"].values())
+    roots = 0
+    for grp, order, seeds, cap, orbit in seen:
+        eye = np.eye(grp.dim, dtype=np.int64)
+        for g in grp._gens:
+            power, k = g % grp.p, 1
+            while not (power == eye).all():
+                power, k = matgroups._mulmod(power, g, grp.p), k + 1
+            assert matgroups.exponent_bound(grp.dim, grp.conductor) % k == 0
+        assert orbit.complete and cap == len(seeds) * order
+        if grp._root() is not None:
+            roots += 1
+            residues = np.array([[grp._field.from_cyc(CycNum(grp.conductor, num, den)) for num, den in x]
+                                 for x in orbit.points], dtype=np.int64)
+            assert len(seeds) == 1 and matgroups._rank_mod_p(residues, grp.p) == grp.dim
+    assert seen and roots
+
+
+def test_exponent_bound_matches_a_brute_force():
+    """L(r, N) against the lcm of every e with [Q(zeta_N, zeta_e) : Q(zeta_N)] = phi(lcm(e, N)) / phi(N) <= r.
+
+    phi(lcm(e, N)) >= phi(e) >= sqrt(e / 2) bounds the search at e <= 2 (r phi(N))^2, and
+    phi(lcm(e, N)) = phi(e) phi(N) / phi(gcd(e, N)).
+    """
+    top = 2 * (4 * 28) ** 2             # phi(N) <= 28 for N <= 30
+    phi = np.arange(top + 1)
+    for q in range(2, top + 1):
+        if phi[q] == q:                 # q is prime
+            phi[q::q] -= phi[q::q] // q
+    for n in range(1, 31):
+        for r in range(1, 5):
+            e = np.arange(1, 2 * (r * phi[n]) ** 2 + 1)
+            fits = phi[e] // phi[np.gcd(e, n)] <= r
+            assert matgroups.exponent_bound(r, n) == np.lcm.reduce(e[fits])
+    assert [matgroups.exponent_bound(r, n) for r, n in [(2, 1), (3, 28), (5, 3)]] == [12, 168, 360]
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [0, 1]], [[2]], [[2, 1], [1, 1]]])
+def test_generator_of_infinite_order_is_refused_at_once(tmp_path, capsys, rows):
+    # no residue order here divides L(r, 1), 12 at r = 2 and 2 at r = 1: close() stops after L products,
+    # before any coset or orbit
+    m = ExactMatrix(rows)
+    start = time.perf_counter()
+    grp = MatGroup([m])
+    assert not grp.close() and not grp.closed and grp._tree.points == []
+    assert time.perf_counter() - start < 1
+    f = tmp_path / "gens.json"
+    f.write_text(generators_to_json([m]))
+    start = time.perf_counter()
+    assert main(["closure", str(f)]) == 1
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["closed"] is False
+
+
 def _per_product_step(grp):
     """The exact orbit's step with each image coordinate a left fold of single CycNum products."""
     n = grp.conductor
@@ -527,26 +615,7 @@ def test_exact_orbit_matches_a_per_product_reference(monkeypatch, label, orbits)
     closure holds some), which takes its root from a residue past the
     generators; the 4 x 4 group takes e_1..e_r.
     """
-    seen = []
-    finite = MatGroup._orbit_is_finite
-
-    def recorded(self, order):
-        built = []
-
-        class Recorded(Orbit):
-            def __init__(self, seeds, step, cap=None):
-                super().__init__(seeds, step, cap)
-                if not isinstance(seeds[0], bytes):     # not a residue orbit of the seed rule
-                    built.append((list(seeds), cap, self))
-
-        monkeypatch.setattr(matgroups, "Orbit", Recorded)
-        try:
-            return finite(self, order)
-        finally:
-            monkeypatch.setattr(matgroups, "Orbit", Orbit)
-            seen.extend((self, order) + b for b in built)
-
-    monkeypatch.setattr(MatGroup, "_orbit_is_finite", recorded)
+    seen = _record_certificates(monkeypatch)
     report = verify_entry(get_entry(label), skip_smooth=True)
     assert all(check.get("ok", True) for check in report["checks"].values())
     assert [(order, len(orbit.points)) for _, order, _, _, orbit in seen] == orbits
