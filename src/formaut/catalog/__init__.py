@@ -1,17 +1,17 @@
-"""The classification catalog: every tabulated form with generators and
-certificates, plus the end-to-end verification pipeline.
+"""The classification catalog: every tabulated form with generators, plus
+the end-to-end verification pipeline.
 
 Each entry carries its defining form, a generating set for its linear
-automorphism group, a decomposition certificate and the expected orders.
-Generators are validated, never trusted: verify_entry re-derives everything
-it can at the entry's tier.  The certificate verifier checks that the
-generators preserve the form, so only rows it does not accept call
-`preserves`; a verifier refusal fails the `certificate` check of its own row.
+automorphism group and the expected orders.  Generators are validated, never
+trusted: verify_entry re-derives everything it can at the entry's tier, the
+certificate by `structure.finest_certificate`.  The certificate verifier
+checks that the generators preserve the form, so only rows it does not
+accept call `preserves`; a refusal fails the `certificate` check of its row.
 
 Tiers (each row names its own):
 * full-closure: materialize the group under DEFAULT_CAP (checked when the
   row is loaded), check the order, the projective order and the
-  certificate by exhaustive filtering.
+  certificate, whose |G|, |P| and |N| are residue counts of the closed group.
 * compositional: prove the order through the associated exact sequences
   with per-block closures (for groups beyond the enumeration cap).  |N| is
   checked against the row's block-scalar generators, so every row keeps them
@@ -29,18 +29,17 @@ row's order once, by `closure` (full-closure) or `compositional_order`.
 A sum row {"sum_of": base label, "copies": k} is k copies of the base form in
 disjoint variables (group H wr S_k); load_entries gives it direct_sum's form
 (the base text and its k - 1 copies in shifted variables, joined by " + "),
-order |H|^k k!, generators and certificate (grouping [k]).  The generators:
-each non-scalar base generator on block 1, .., block k; the block swap (1 2);
-the k-cycle if k >= 3; each scalar one on blocks 1..k-1 (the compositional
-tier checks |N| against the supplied block-scalar generators), then on all
-blocks.
+order |H|^k k! and generators.  The generators: each non-scalar base
+generator on block 1, .., block k; the block swap (1 2); the k-cycle if
+k >= 3; each scalar one on blocks 1..k-1 (the compositional tier checks |N|
+against the supplied block-scalar generators), then on all blocks.
 
 A Fermat stub {"fermat": true} lists only key, label, n and d; load_entries
 gives it fermat_row's fields.  With v = n + 2: the form x1^d + ... + xv^d;
 the generators diag(z_d, 1, .., 1), the swap (1 2) and the v-cycle (it is not
-a sum row: direct_sum on x1^d would give v + 2 generators); v blocks of size
-1, grouping [v]; the order fermat_order(v, d).  lin_order is aut_order / d,
-so only the subgroup_only row (quintic-480) lists it.
+a sum row: direct_sum on x1^d would give v + 2 generators); the order
+fermat_order(v, d).  lin_order is aut_order / d, so only the subgroup_only
+row (quintic-480) lists it.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from ..forms import ExactMatrix, Form, act, parse
 from ..matgroups import DEFAULT_CAP, MatGroup, closure, preserves
 from ..sequences import fermat_order
 from ..smoothness import is_smooth
-from ..structure import CertificateError, DecompositionCertificate, verify_certificate, verify_compositional
+from ..structure import CertificateError, finest_certificate, verify_certificate, verify_compositional
 
 
 class CatalogError(ValueError):
@@ -74,7 +73,6 @@ class CatalogEntry:
         self.tier = payload["tier"]
         self.form_text = payload["form"]
         self.generator_entries = payload["generators"]
-        self.certificate_payload = payload["certificate"]
         self.expected = dict(payload["expected"])
         self.exceptional = payload.get("exceptional", False)
         self.in_theorem_domain = payload.get("in_theorem_domain", True)
@@ -98,17 +96,12 @@ class CatalogEntry:
         return [ExactMatrix([[parse_scalar(c) for c in row] for row in g])
                 for g in self.generator_entries]
 
-    def certificate(self) -> DecompositionCertificate | None:
-        if self.certificate_payload is None:
-            return None
-        return DecompositionCertificate.from_payload(self.certificate_payload)
-
     def __repr__(self):
         return "CatalogEntry(%s: %s)" % (self.key, self.label)
 
 
 def direct_sum(base: dict, copies: int) -> dict:
-    """Form, order, generators and certificate of `copies` copies of the base row (see above)."""
+    """Form, order and generators of `copies` copies of the base row (see above)."""
     m, blocks = base["n"] + 2, range(copies)
     form = " + ".join(re.sub(r"x(\d+)", lambda x: "x%d" % (int(x[1]) + m * b), base["form"]) for b in blocks)
     eye = [["1" if r == c else "0" for c in range(m)] for r in range(m)]
@@ -124,8 +117,7 @@ def direct_sum(base: dict, copies: int) -> dict:
     gens += [place([eye] * copies, perm) for perm in ([swap, cycle] if copies >= 3 else [swap])]
     gens += [place([g if b == a else eye for b in blocks]) for a in blocks[:-1] for g in scalar]
     gens += [place([g] * copies) for g in scalar]
-    cert = {"blocks": [{"i": 1, "j": j, "size": m} for j in range(1, copies + 1)], "grouping": [copies]}
-    return {"form": form, "generators": gens, "certificate": cert,
+    return {"form": form, "generators": gens,
             "expected": {"aut_order": base["expected"]["aut_order"] ** copies * factorial(copies)}}
 
 
@@ -135,7 +127,6 @@ def fermat_row(n: int, d: int) -> dict:
     eye = [["1" if r == c else "0" for c in range(v)] for r in range(v)]
     return {"tier": "full-closure", "form": " + ".join("x%d^%d" % (i, d) for i in range(1, v + 1)),
             "generators": [[["z%d" % d, *eye[0][1:]], *eye[1:]], [eye[1], eye[0], *eye[2:]], [*eye[1:], eye[0]]],
-            "certificate": {"blocks": [{"i": 1, "j": j, "size": 1} for j in range(1, v + 1)], "grouping": [v]},
             "expected": {"aut_order": fermat_order(v, d), "group_name": "C%d^%d:S%d" % (d, v - 1, v)},
             "provenance": "Fermat form: torsion diagonals and coordinate permutations."}
 
@@ -148,8 +139,8 @@ def _resolve(row: dict, rows: dict) -> dict:
             raise CatalogError("Fermat row %s lists a field its rule provides" % row["label"])
         return {**row, **made}
     base, k = rows.get(row["sum_of"], {}), row.get("copies")
-    why = ("lists its own generators, certificate, form or aut_order"
-           if row.keys() & {"generators", "certificate", "form"} or "aut_order" in row["expected"] else
+    why = ("lists its own generators, form or aut_order"
+           if row.keys() & {"generators", "form"} or "aut_order" in row["expected"] else
            "names no row that lists its own generators" if "generators" not in base else
            "needs an integer number of copies >= 2" if type(k) is not int or k < 2 else
            "needs nvars equal to its base's nvars times copies" if (base["n"] + 2) * k != row["n"] + 2 else None)
@@ -206,18 +197,16 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
             proj = grp.projective_order()
             checks["projective_order"] = {"ok": proj == expected_lin,
                                           "order": proj, "expected": expected_lin}
-            cert_obj = entry.certificate()
-            if cert_obj is not None:
-                verify = partial(verify_certificate, grp, cert_obj, form)
+            verify = partial(verify_certificate, grp)
     elif entry.tier == "compositional":
-        verify = partial(verify_compositional, gens, entry.certificate(), form)
+        verify = partial(verify_compositional, gens)
     elif entry.tier != "generators-only":
         raise CatalogError("unknown tier %r" % entry.tier)
 
     struct = None
     if verify is not None:
         try:
-            struct = verify()
+            struct = verify(finest_certificate(gens), form)
         except CertificateError as exc:
             checks["certificate"] = {"ok": False, "refused": str(exc)}
     checks["preserves"]["ok"] = struct is not None or preserves(gens, form)

@@ -6,15 +6,14 @@ errors.  A usage error is a bad command line (a numeric flag out of range
 included, refused as the command line is parsed), a verify-catalog
 selection that matches no entry, `structure --tier compositional` without
 `--form`, or an input file that is missing or malformed (a form that does
-not parse or is not homogeneous, a bad scalar, bad generator or
-certificate JSON, input nested too deeply to parse, or a dimension
-mismatch).  Randomized choices (mod-p primes) are seeded and recorded in
-the output, so runs are reproducible byte for byte.
+not parse or is not homogeneous, a bad scalar, bad generator JSON, input
+nested too deeply to parse, or a dimension mismatch).  Randomized choices
+(mod-p primes) are seeded and recorded in the output, so runs are
+reproducible byte for byte.
 
 The user file formats live here: a form file is form text or {"nvars",
-"degree" (optional), "terms": [{"exps", "coeff"}]}, a generator file is
-{"dim", "generators"} as generators_to_json writes it, and a certificate
-file is what DecompositionCertificate.from_payload reads.
+"degree" (optional), "terms": [{"exps", "coeff"}]}, and a generator file is
+{"dim", "generators"} as generators_to_json writes it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .sequences import (BOUNDS_SCAN_MAX_D, BOUNDS_SCAN_MAX_TOTAL, SequenceError,
                         classification_search, enumerate_sequences, jc, mixed_sequence_scan, ratio,
                         uniform_bounds_check)
 from .smoothness import _is_prime, is_smooth
-from .structure import DecompositionCertificate, verify_certificate, verify_compositional
+from .structure import finest_certificate, verify_certificate, verify_compositional
 
 
 class UsageError(Exception):
@@ -261,23 +260,19 @@ def cmd_semiperm_group(args) -> int:
 
 def cmd_structure(args) -> int:
     gens = _load_generators(args.gens)
-    cert = _load("certificate", args.cert, DecompositionCertificate.from_payload)
     form = _load_form(args.form) if args.form else None
-    dims = {"generator": gens[0].dim, "certificate": cert.dim}
-    if form is not None:
-        dims["form"] = form.nvars
-    if len(set(dims.values())) > 1:
-        raise UsageError("dimension mismatch: %s" % ", ".join("%s %d" % kv for kv in dims.items()))
+    if form is not None and form.nvars != gens[0].dim:
+        raise UsageError("dimension mismatch: generator %d, form %d" % (gens[0].dim, form.nvars))
+    if args.tier == "compositional" and form is None:
+        raise UsageError("compositional verification needs --form")
     if args.tier == "compositional":
-        if form is None:
-            raise UsageError("compositional verification needs --form")
-        report = verify_compositional(gens, cert, form, block_cap=args.cap)
+        report = verify_compositional(gens, finest_certificate(gens), form, block_cap=args.cap)
     else:
         grp = MatGroup(gens)
         if not grp.close(args.cap):
             print("closure cap exceeded or the group is infinite", file=sys.stderr)
             return 1
-        report = verify_certificate(grp, cert, form)
+        report = verify_certificate(grp, finest_certificate(gens), form)
     print(json.dumps(report.payload()))
     return 0
 
@@ -353,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_semiperm_group)
 
-    p = sub.add_parser("structure", help="verify a decomposition certificate")
+    p = sub.add_parser("structure", help="verify the decomposition certificate of a generator set")
     p.add_argument("gens")
-    p.add_argument("cert")
     p.add_argument("--form")
     p.add_argument("--tier", choices=["closed", "compositional"], default="closed")
     p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)

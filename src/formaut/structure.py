@@ -1,12 +1,12 @@
 """Decomposition certificates and the two associated exact sequences.
 
-A certificate asserts a block structure C^r = (+) V_i, V_i = (+)_j W_ij on a
-matrix group, in the coordinates of its generators.  Verification checks
-that every generator permutes the blocks of each V_i (exactly, so every
-element does), extracts the permutation images K_i, the principal subgroup
-P (trivial block permutation), the block-scalar kernel N and the projective
-constituent orders |H_ij|, and confirms the order bookkeeping
-|G| = |P| * |psi(G)| and |P| = |N| * |phi(P)| exactly.
+A certificate is a block structure C^r = (+) V_i, V_i = (+)_j W_ij of a
+matrix group in its generators' coordinates, found by `finest_certificate`.
+Verification checks that every generator permutes the blocks of each V_i
+(exactly, so every element does), extracts the permutation images K_i, the
+principal subgroup P (trivial block permutation), the block-scalar kernel N
+and the projective constituent orders |H_ij|, and confirms the order
+bookkeeping |G| = |P| * |psi(G)| and |P| = |N| * |phi(P)| exactly.
 
 One algorithm serves both tiers, and each of its orbits is one
 `matgroups.Orbit`.  psi(G) is the orbit of the identity block pattern
@@ -47,8 +47,22 @@ block-scalar generators against the full Smith-normal-form stabilizer
 lattice, and |P| and |G| are the products.  This proves orders far beyond
 the element-enumeration cap.
 
-A certificate has no basis change.  For blocks in other coordinates x = T·y,
-verify the conjugated generators T^-1·g·T against act(form, T) instead.
+Block lemma.  A partition of the coordinates is valid if every generator
+maps each block's span into one block's span.  Valid partitions are closed
+under meets, as g maps span(B ∩ C) = span(B) ∩ span(C) into span(B' ∩ C'),
+so the finest is unique.  A union-find from singletons that merges the
+blocks one block's image meets (by g's exact nonzero mask) makes only merges
+forced in every valid partition, so its fixpoint is the finest (Atkinson,
+Math. Comp. 29, 1975; Holt-Eick-O'Brien 2005, §4.3).  No inverse is needed:
+an invertible g is injective, so counting dimensions it permutes blocks of
+equal size, and so does g^-1.  The summands are the block orbits, by first
+coordinate, their blocks in coordinate order; blocks not contiguous in that
+order are refused with the coordinate order that makes them so.
+Refusal lemma: a reducible finest block B rules out every certificate.  A
+valid partition is coarser, so B lies in a block C and G_B ≤ G_C.  Either
+G_C is not transitive on the finest blocks in C, and one orbit spans a
+proper G_C-submodule of span(C), or span(C) is induced from span(B), and
+inducing a proper submodule gives a proper submodule.
 
 "Same class in PGL" and irreducibility are decided only on residues,
 through matgroups (the normalised-residue and residue Burnside lemmas).
@@ -80,10 +94,6 @@ class DecompositionCertificate:
 
     def __init__(self, grouped_sizes):
         self.grouped_sizes = [list(map(int, grp)) for grp in grouped_sizes]
-        if not self.grouped_sizes or any(not g for g in self.grouped_sizes):
-            raise CertificateError("empty grouping")
-        if any(s < 1 for grp in self.grouped_sizes for s in grp):
-            raise CertificateError("block sizes must be positive")
         for grp in self.grouped_sizes:
             if len(set(grp)) != 1:
                 raise CertificateError("blocks of one summand must share a dimension")
@@ -106,22 +116,6 @@ class DecompositionCertificate:
                 out.append((i, j, pos, pos + size))
                 pos += size
         return out
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> DecompositionCertificate:
-        """Blocks (i, j) must be exactly i = 1..m, j = 1..k_i for grouping [k_1, ..., k_m], each once."""
-        blocks, grouping = payload["blocks"], payload["grouping"]
-        if payload.get("basis_change") is not None:
-            raise CertificateError("basis_change is not supported: conjugate the generators and the form")
-        fields = [blk[key] for blk in blocks for key in ("i", "j", "size")] + list(grouping)
-        if any(type(x) is not int for x in fields):
-            raise CertificateError("block indices, block sizes and the grouping must be integers")
-        sizes = {(blk["i"], blk["j"]): blk["size"] for blk in blocks}
-        expected = [(i, j) for i, k in enumerate(grouping, 1) for j in range(1, k + 1)]
-        if len(sizes) != len(blocks) or sorted(sizes) != expected:
-            raise CertificateError("the blocks must be (i, j) for i = 1..m, j = 1..k_i, each once, "
-                                   "for the grouping [k_1, ..., k_m]")
-        return cls([[sizes[i, j] for j in range(1, k + 1)] for i, k in enumerate(grouping, 1)])
 
 
 @dataclass
@@ -236,6 +230,28 @@ def _check_transitive(psi_group, grouping):
         if len({perm[0] for perm in proj}) != k:
             raise CertificateError("block permutations of summand %d are not transitive" % (i + 1))
     return k_orders
+
+
+def finest_certificate(gens) -> DecompositionCertificate:
+    """The finest block system of the generators, grouped by summand (block lemma, module docstring)."""
+    images = [[np.flatnonzero(column).tolist() for column in _nonzero_mask(g).T] for g in gens]
+    block = list(range(gens[0].dim))    # a coordinate's block, named by its first coordinate
+    for _ in range(len(block)):         # a pass that merges nothing is the fixpoint; r - 1 merges at most
+        for image in images:
+            for b in set(block):        # union-find: the blocks that one block's image meets merge
+                hit = {block[x] for c, rows in enumerate(image) if block[c] == b for x in rows}
+                block = [min(hit) if x in hit else x for x in block]
+    summand = list(block)               # the orbits of the generators' block permutation
+    for image in images:
+        for c, rows in enumerate(image):
+            hit = {summand[x] for x in [c, *rows]}
+            summand = [min(hit) if x in hit else x for x in summand]
+    order = sorted(range(len(block)), key=lambda x: (summand[x], block[x]))
+    if order != sorted(order):
+        raise CertificateError("the finest blocks are not contiguous: reorder the coordinates as %s"
+                               % ", ".join("x%d" % (x + 1) for x in order))
+    return DecompositionCertificate([[block.count(b) for b in sorted(set(block)) if summand[b] == s]
+                                     for s in sorted(set(summand))])
 
 
 # -- verification --------------------------------------------------------------------

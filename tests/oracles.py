@@ -39,6 +39,12 @@ the value in the power basis of Q(zeta_d) embedded in Q(zeta_n), by
 Gaussian elimination over Q.  reference_root_exponent scans every a < m,
 m = lcm(2, n), and compares the value with zeta_m^a.
 
+The block-system reference, certificate_by_search, tries every set
+partition of the coordinates (203 at r = 6): it keeps the valid ones, whose
+blocks each generator's nonzero pattern sends into one block, checks that
+one of them refines all the others, and reads the summands off as the
+blocks reachable under the generators' block maps.
+
 The torus reference, reference_solve_torus, solves lambda^V = c from the
 same Smith normal form as diaglattice._Torus but in CycNum arithmetic:
 it raises the targets to the powers in U, takes d-th roots through a
@@ -355,3 +361,43 @@ def residue_bfs(grp, cap):
                     return keys, parent, gen
         head += 1
     return keys, parent, gen
+
+
+def set_partitions(items):
+    """Every set partition of the list items, each a list of blocks."""
+    if not items:
+        yield []
+        return
+    for part in set_partitions(items[1:]):
+        yield [[items[0]], *part]
+        for k in range(len(part)):
+            yield [*part[:k], [items[0], *part[k]], *part[k + 1:]]
+
+
+def certificate_by_search(gens):
+    """(grouped sizes, coordinate order) of the finest valid partition, in certificate order."""
+    r = gens[0].dim
+    columns = [[{x for x in range(r) if not g.entries[x][c].is_zero()} for c in range(r)] for g in gens]
+
+    def block_maps(part):       # per generator: block index -> the blocks its image meets
+        where = {x: k for k, block in enumerate(part) for x in block}
+        return [[{where[x] for c in block for x in cols[c]} for block in part] for cols in columns]
+
+    valid = [part for part in set_partitions(list(range(r)))
+             if all(len(hit) <= 1 for maps in block_maps(part) for hit in maps)]
+    finest = max(valid, key=len)
+    assert all(any(set(b) <= set(c) for c in part) for part in valid for b in finest)
+    maps = block_maps(finest)
+    summands = []
+    for k in range(len(finest)):
+        reach, todo = {k}, [k]
+        while todo:
+            k2 = todo.pop()
+            for per in maps:
+                todo.extend(per[k2] - reach)
+                reach |= per[k2]
+        summand = sorted(sorted(finest[b]) for b in reach)
+        if summand not in summands:
+            summands.append(summand)
+    summands.sort()
+    return [[len(b) for b in summand] for summand in summands], [x for summand in summands for b in summand for x in b]

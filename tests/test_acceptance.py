@@ -22,6 +22,7 @@ from formaut.matgroups import closure, invariant_dimension_molien, invariant_dim
 from formaut.sequences import (SubdegreeSequence, fermat_order, jc, ratio,
                                ratio_with_groups, survivors_for, uniform_bounds_check)
 from formaut.smoothness import is_smooth
+from formaut.structure import finest_certificate
 
 from lemmas import (binomial_supermultiplicativity, check_diag_bound, lambda_addr0, ratio_quotient_law,
                     ratioprod_check, scalar_group)
@@ -271,7 +272,7 @@ def test_certificate_ratios_form_the_fermat_chain(catalog_reports):
         if "fermat_ratio" not in cert:
             continue
         sizes = {"%d,%d" % (i + 1, j + 1): stop - start
-                 for i, j, start, stop in entry.certificate().block_ranges()}
+                 for i, j, start, stop in finest_certificate(entry.generators()).block_ranges()}
         groups = [(sizes[key], h) for key, h in cert["constituents"].items()]
         fermat = fermat_order(entry.nvars, entry.d)
         chain = [Fraction(cert["fermat_ratio"]), Fraction(cert["canonical_bound"], fermat),

@@ -10,6 +10,7 @@ from formaut import catalog
 from formaut.catalog import CatalogError, get_entry, load_entries, verify_all, verify_entry
 from formaut.matgroups import DEFAULT_CAP, preserves
 from formaut.sequences import fermat_order
+from formaut.structure import DecompositionCertificate, finest_certificate
 
 
 def raw_rows():
@@ -62,8 +63,6 @@ def test_fermat_rule_pins_the_fermat_1_3_row():
     assert e.generator_entries == [[["z3", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
                                    [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
                                    [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]]
-    assert e.certificate_payload == {"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 1, "j": 2, "size": 1},
-                                                {"i": 1, "j": 3, "size": 1}], "grouping": [3]}
     assert e.expected == {"aut_order": 162, "lin_order": 54, "group_name": "C3^2:S3"}
 
 
@@ -78,7 +77,7 @@ def test_irreducible_ratio_bounds():
     # every irreducible catalog entry satisfies ratio = 5/2 or ratio <= 25/12,
     # with 5/2 exactly at the binary icosahedral row
     for e in load_entries():
-        if e.subgroup_only or len(e.certificate().grouped_sizes) != 1:
+        if e.subgroup_only or len(finest_certificate(e.generators()).grouped_sizes) != 1:
             continue        # reducible entries are out of scope here
         r = e.n + 2
         ratio = Fraction(e.expected["aut_order"], e.d ** r * factorial(r))
@@ -138,11 +137,12 @@ def test_row_whose_degree_disagrees_with_its_form_fails_parse():
 
 
 def test_refused_certificate_fails_only_its_own_row(monkeypatch):
-    entries = load_entries()
-    klein = next(e for e in entries if e.label == "klein-quartic")
-    klein.certificate_payload = {"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 2, "j": 1, "size": 2}],
-                                 "grouping": [1, 1]}
-    monkeypatch.setattr(catalog, "load_entries", lambda: entries)
+    klein = get_entry("klein-quartic").generators()
+
+    def finder(gens):       # a wrong certificate for Klein's generators only
+        return DecompositionCertificate([[1], [2]]) if gens == klein else finest_certificate(gens)
+
+    monkeypatch.setattr(catalog, "finest_certificate", finder)
     reports, ok = verify_all(["klein-quartic", "fermat-1-3"], skip_smooth=True)
     assert not ok
     rows = {rep["label"]: rep for rep in reports}
@@ -153,6 +153,14 @@ def test_refused_certificate_fails_only_its_own_row(monkeypatch):
                                      "refused": "a generator does not permute the certificate blocks"}
     assert checks["preserves"] == {"ok": True}
     assert checks["closure"]["ok"] and checks["projective_order"]["ok"]
+
+
+def test_no_row_lists_a_certificate():
+    # the certificate is computed from the generators (structure.finest_certificate)
+    rows = raw_rows()
+    assert [label for label, row in rows.items() if "certificate" in row] == []
+    made = [catalog.fermat_row(1, 3), catalog.direct_sum(rows["icosahedral-binary-12ic"], 3)]
+    assert [row for row in made if "certificate" in row] == []
 
 
 def test_get_entry_unknown():
@@ -198,7 +206,7 @@ def test_sum_rows_are_wreath_products_of_their_base():
     for label, (_, k, order, form) in want.items():
         entry = get_entry(label)
         assert (entry.expected["aut_order"], entry.form_text) == (order, form)
-        assert entry.certificate().grouped_sizes == [[2] * k]
+        assert finest_certificate(entry.generators()).grouped_sizes == [[2] * k]
 
 
 def test_sum_row_generators_follow_the_rule():
@@ -226,7 +234,7 @@ def write_rows(root, *rows):
     ({"copies": "2"}, "copies >= 2"),
     ({"copies": 3}, "nvars"),
     ({"generators": [[["1", "0"], ["0", "1"]]]}, "its own generators"),
-    ({"form": "x1^6 + x2^6 + x3^6 + x4^6"}, "its own generators, certificate, form"),
+    ({"form": "x1^6 + x2^6 + x3^6 + x4^6"}, "its own generators, form"),
     ({"expected": {"aut_order": 41472, "group_name": "C6^2.(S4^2:C2)"}}, "form or aut_order"),
 ])
 def test_loader_refuses_a_malformed_sum_row(tmp_path, monkeypatch, change, reason):

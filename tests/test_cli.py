@@ -126,13 +126,12 @@ def test_invdim_refuses_a_reynolds_degree_before_closing(tmp_path, capsys, monke
     assert capsys.readouterr().err.startswith("error: Reynolds at degree 200")
 
 
-@pytest.mark.parametrize("command", [["invdim", "gens.json", "--degree", "4"], ["structure", "gens.json", "cert.json"]])
+@pytest.mark.parametrize("command", [["invdim", "gens.json", "--degree", "4"], ["structure", "gens.json"]])
 def test_closure_cap_exceeded_exits_1(tmp_path, monkeypatch, capsys, command):
     from formaut.catalog import get_entry
     from formaut.cli import generators_to_json
     entry = get_entry("klein-quartic")
     (tmp_path / "gens.json").write_text(generators_to_json(entry.generators()))
-    (tmp_path / "cert.json").write_text(json.dumps(entry.certificate_payload))
     monkeypatch.chdir(tmp_path)
     assert main(command + ["--cap", "1"]) == 1
     captured = capsys.readouterr()
@@ -186,13 +185,12 @@ def test_structure_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
     from formaut.cli import generators_to_json
     golden = json.loads((GOLDEN / "structure_reports.json").read_text())
-    gens, cert, form = tmp_path / "gens.json", tmp_path / "cert.json", tmp_path / "form.txt"
+    gens, form = tmp_path / "gens.json", tmp_path / "form.txt"
     for label, tier in [("fermat-1-3", []), ("quintic-480", []), ("pair-icosahedral-12ic", ["--tier", "compositional"])]:
         entry = get_entry(label)
         gens.write_text(generators_to_json(entry.generators()))
-        cert.write_text(json.dumps(entry.certificate_payload))
         form.write_text(entry.form_text)
-        code, out = run_cli(["structure", str(gens), str(cert), "--form", str(form)] + tier, capsys)
+        code, out = run_cli(["structure", str(gens), "--form", str(form)] + tier, capsys)
         assert code == 0 and json.loads(out) == golden[label]
     assert golden["fermat-1-3"]["group_order"] == 162 and golden["fermat-1-3"]["identities_hold"]
 
@@ -202,13 +200,25 @@ def test_structure_refuses_a_form_the_generators_move(tmp_path, capsys):
     from formaut.cli import generators_to_json
     entry = get_entry("klein-quartic")
     (tmp_path / "gens.json").write_text(generators_to_json(entry.generators()))
-    (tmp_path / "cert.json").write_text(json.dumps(entry.certificate_payload))
     (tmp_path / "wrong.txt").write_text("x1^4 + x2^4 + x3^4")
-    code = main(["structure", str(tmp_path / "gens.json"), str(tmp_path / "cert.json"),
-                 "--form", str(tmp_path / "wrong.txt")])
+    code = main(["structure", str(tmp_path / "gens.json"), "--form", str(tmp_path / "wrong.txt")])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "does not preserve the form" in captured.err
+
+
+@pytest.mark.parametrize("generators, message", [
+    ('{"dim": 3, "generators": [[["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]], '
+     '[["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]}',
+     "error: the finest blocks are not contiguous: reorder the coordinates as x1, x3, x2\n"),
+    ('{"dim": 2, "generators": [[["-1", "-2"], ["0", "1"]]]}',
+     "error: stabilizer restriction to block (1,1) is reducible\n"),
+], ids=["blocks-not-contiguous", "reducible-block"])
+def test_structure_refusal_is_a_failed_verification(tmp_path, capsys, generators, message):
+    # <swap(1, 3), diag(-1, 1, 1)> is refused by the finder, the planted block [[-1, -2], [0, 1]] by the verifier
+    (tmp_path / "gens.json").write_text(generators)
+    assert main(["structure", str(tmp_path / "gens.json")]) == 1
+    assert capsys.readouterr() == ("", message)
 
 
 def test_verify_catalog_single_entry(tmp_path, capsys):
@@ -270,10 +280,6 @@ def test_cap_environment_is_not_read(monkeypatch, capsys):
 
 
 IDENTITY_2 = '{"dim": 2, "generators": [[["1", "0"], ["0", "1"]]]}'
-CERT_3 = '{"blocks": [{"i": 1, "j": 1, "size": 3}], "grouping": [1]}'
-CERT_2 = '{"blocks": [{"i": 1, "j": 1, "size": 2}], "grouping": [1], "basis_change": %s}'
-SWAP_2 = '{"dim": 2, "generators": [[["0", "1"], ["1", "0"]]]}'
-CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1}], "grouping": [1, 1]}'
 
 
 @pytest.mark.parametrize("files, args", [
@@ -281,18 +287,8 @@ CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1
     ({"gens.json": '{"dim": 2, "generators": [[["1", "zz"], ["0", "1"]]]}'},
      ["closure", "gens.json"]),
     ({"gens.json": '{"dim": 2, "generators": '}, ["invdim", "gens.json", "--degree", "2"]),
-    ({"gens.json": IDENTITY_2, "cert.json": '{"blocks": [{"i": 1}]}'},
-     ["structure", "gens.json", "cert.json"]),
-    ({"gens.json": IDENTITY_2, "cert.json": CERT_3}, ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": IDENTITY_2, "form.txt": "x1^3 + x2^3 + x3^3"}, ["structure", "gens.json", "--form", "form.txt"]),
     ({}, ["diag-group", "missing.txt", "--blocks", "1,1"]),
-    ({"gens.json": '{"dim": 2, "generators": [[["z4", "0"], ["0", "1"]]]}',
-      "cert.json": '{"blocks": [{"i": 1, "j": 1, "size": -1}, {"i": 2, "j": 1, "size": 3}], '
-                   '"grouping": [1, 1]}'},
-     ["structure", "gens.json", "cert.json"]),
-    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % '[["1", "1"], ["2", "2"]]'},
-     ["structure", "gens.json", "cert.json"]),
-    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % '[["1"]]'},
-     ["structure", "gens.json", "cert.json"]),
     ({"gens.json": '{"dim": 0, "generators": [[]]}'}, ["closure", "gens.json"]),
     ({"gens.json": '{"dim": 0, "generators": [[]]}'}, ["invdim", "gens.json", "--degree", "2"]),
     ({"form.txt": "2x1^3 + x2^3"}, ["smooth", "form.txt"]),
@@ -302,11 +298,6 @@ CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1
      ["smooth", "form.json"]),
     ({"form.json": '{"nvars": 2, "terms": [{"exps": [true, true], "coeff": "1"}, {"exps": [2, 0], "coeff": "1"}]}'},
      ["smooth", "form.json"]),
-    ({"gens.json": IDENTITY_2, "cert.json": CERT_1_1 % "1.7"}, ["structure", "gens.json", "cert.json"]),
-    ({"gens.json": IDENTITY_2, "cert.json": CERT_1_1 % "true"}, ["structure", "gens.json", "cert.json"]),
-    ({"gens.json": SWAP_2,
-      "cert.json": '{"blocks": [{"i": 1, "j": 1, "size": 1}, {"i": 1, "j": 1, "size": 1}], "grouping": [2]}'},
-     ["structure", "gens.json", "cert.json"]),
     ({"form.json": '{"nvars": 2.0, "terms": [{"exps": [3, 0], "coeff": "1"}, {"exps": [0, 3], "coeff": "1"}]}'},
      ["smooth", "form.json"]),
     ({"form.json": '{"nvars": 2, "degree": 3.0, "terms": [{"exps": [3, 0], "coeff": "1"}, '
@@ -315,20 +306,14 @@ CERT_1_1 = '{"blocks": [{"i": 1, "j": 1, "size": %s}, {"i": 2, "j": 1, "size": 1
     ({"gens.json": '{"dim": 2.0, "generators": [[["0", "1"], ["1", "0"]]]}'}, ["closure", "gens.json"]),
     ({"gens.json": '{"dim": true, "generators": [[["1"]]]}'}, ["closure", "gens.json"]),
     ({"form.txt": "x1^3 + x2^3 + x3^3"}, ["diag-group", "form.txt", "--blocks", "1,1"]),
-    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % '[["1", "0"], ["0", "1"]]'},
-     ["structure", "gens.json", "cert.json"]),
-    ({"gens.json": IDENTITY_2, "cert.json": CERT_2 % "null"},
-     ["structure", "gens.json", "cert.json", "--tier", "compositional"]),
-    ({"gens.json": IDENTITY_2, "cert.json": "[]"}, ["structure", "gens.json", "cert.json"]),
+    ({"gens.json": IDENTITY_2}, ["structure", "gens.json", "--tier", "compositional"]),
     ({"form.txt": "(" * 3000 + "x1" + ")" * 3000 + "^3 + x2^3"}, ["smooth", "form.txt"]),
     ({"gens.json": "[" * 100000 + "]" * 100000}, ["closure", "gens.json"]),
-], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "bad-certificate-json",
-        "dimension-mismatch", "missing-file", "non-positive-block-size", "singular-basis-change",
-        "basis-change-size", "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product",
-        "float-generator-entry", "boolean-generator-entry", "float-exponent", "boolean-exponent",
-        "float-block-size", "boolean-block-size", "duplicate-block", "float-nvars", "float-degree",
-        "float-dim", "boolean-dim", "blocks-sum-mismatch", "basis-change", "compositional-without-form",
-        "certificate-not-an-object", "nested-form", "nested-generator-json"])
+], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "dimension-mismatch", "missing-file",
+        "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product", "float-generator-entry",
+        "boolean-generator-entry", "float-exponent", "boolean-exponent", "float-nvars", "float-degree",
+        "float-dim", "boolean-dim", "blocks-sum-mismatch", "compositional-without-form", "nested-form",
+        "nested-generator-json"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -1,4 +1,4 @@
-import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,24 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formaut import structure
-from formaut.catalog import get_entry, verify_entry
+from formaut.catalog import get_entry, load_entries, verify_entry
 from formaut.cyclotomic import root_of_unity
 from formaut.forms import ExactMatrix, act, parse
 from formaut.matgroups import MatGroup, closure
-from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport, verify_certificate,
-                               verify_compositional)
+from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport, finest_certificate,
+                               verify_certificate, verify_compositional)
 
 from lemmas import has_monomial_pattern, ratioprod_check, refined_bound, scalar_group
-from oracles import fermat_form, permutation_matrix
+from oracles import certificate_by_search, fermat_form, permutation_matrix
 
 
-def test_certificate_json_round_trip():
-    cert = DecompositionCertificate([[2], [1, 1], [1]])
-    blocks = [{"i": i + 1, "j": j + 1, "size": stop - start} for i, j, start, stop in cert.block_ranges()]
-    again = DecompositionCertificate.from_payload(json.loads(json.dumps({"blocks": blocks, "grouping": cert.grouping})))
-    assert again.grouped_sizes == cert.grouped_sizes
-    assert again.flat_sizes == [2, 1, 1, 1]
-    assert again.grouping == [1, 2, 1]
+def certificate(entry):
+    return finest_certificate(entry.generators())
 
 
 def test_certificate_rejects_mixed_summand():
@@ -39,7 +34,7 @@ def quintic_group():
 
 def test_example_quintic_report(quintic_group):
     entry, grp = quintic_group
-    rep = verify_certificate(grp, entry.certificate(), entry.form())
+    rep = verify_certificate(grp, certificate(entry), entry.form())
     assert rep.group_order == 480
     assert str(rep.subdegrees) == "2^1 1^3"
     assert list(rep.intrinsic_multiplicities) == [1, 2, 1]
@@ -52,7 +47,7 @@ def test_example_quintic_report(quintic_group):
 def test_fermat_structure_counts():
     entry = get_entry("fermat-1-3")
     grp = closure(entry.generators())
-    rep = verify_certificate(grp, entry.certificate(), entry.form())
+    rep = verify_certificate(grp, certificate(entry), entry.form())
     assert rep.group_order == 162
     assert rep.kernel_order == 27
     assert rep.psi_image_order == 6
@@ -77,13 +72,6 @@ def test_intransitive_summand_is_refused():
     assert verify_certificate(grp, DecompositionCertificate([[1, 1], [1]])).k_orders == [2, 1]
 
 
-def test_certificate_refuses_a_basis_change():
-    base = '{"blocks": [{"i": 1, "j": 1, "size": 2}], "grouping": [1], "basis_change": %s}'
-    assert DecompositionCertificate.from_payload(json.loads(base % "null")).grouped_sizes == [[2]]
-    with pytest.raises(CertificateError, match="basis_change"):
-        DecompositionCertificate.from_payload(json.loads(base % '[["1", "0"], ["0", "1"]]'))
-
-
 # The report of the removed in-certificate basis change T on the T-conjugated Fermat group.
 BASIS_CHANGE_REPORT = {
     "tier": "full-closure", "group_order": 162, "psi_image_order": 6, "k_orders": [6], "principal_order": 27,
@@ -99,7 +87,8 @@ def test_caller_side_basis_change_recipe():
     gens = [T * g * T.inverse() for g in entry.generators()]
     form = act(entry.form(), T.inverse())
     assert form != entry.form()
-    rep = verify_certificate(closure([T.inverse() * g * T for g in gens]), entry.certificate(), act(form, T))
+    back = [T.inverse() * g * T for g in gens]
+    rep = verify_certificate(closure(back), finest_certificate(back), act(form, T))
     assert rep.payload() == BASIS_CHANGE_REPORT
 
 
@@ -129,8 +118,8 @@ def _oracle_counts(grp, cert):
 
 
 def test_scalar_coset_counts_match_lead_entry_division(quintic_group):
-    cases = [(closure(get_entry("klein-quartic").generators()), get_entry("klein-quartic").certificate()),
-             (quintic_group[1], quintic_group[0].certificate())]
+    cases = [(closure(get_entry("klein-quartic").generators()), certificate(get_entry("klein-quartic"))),
+             (quintic_group[1], certificate(quintic_group[0]))]
     for grp, cert in cases:
         rep = verify_certificate(grp, cert)
         constituents, phi_order = _oracle_counts(grp, cert)
@@ -140,7 +129,7 @@ def test_scalar_coset_counts_match_lead_entry_division(quintic_group):
 
 def test_compositional_2_12():
     entry = get_entry("pair-icosahedral-12ic")
-    rep = verify_compositional(entry.generators(), entry.certificate(), entry.form())
+    rep = verify_compositional(entry.generators(), certificate(entry), entry.form())
     assert rep.group_order == 1036800
     assert rep.kernel_order == 144
     assert rep.phi_image_order == 3600
@@ -160,7 +149,7 @@ def test_schreier_lemma_runs_once_per_certificate(monkeypatch):
 
     monkeypatch.setattr(structure, "schreier_generators", count)
     entry = get_entry("pair-icosahedral-12ic")
-    rep = verify_compositional(entry.generators(), entry.certificate(), entry.form())
+    rep = verify_compositional(entry.generators(), certificate(entry), entry.form())
     assert rep.constituent_orders == {(1, 1): 60, (1, 2): 60}
     assert calls == [2]             # one pass, on the 2 points of psi(G)
 
@@ -186,14 +175,14 @@ def test_identical_block_restrictions_close_once(monkeypatch, label, closures):
 def test_compositional_tier_refuses_a_missing_form():
     entry = get_entry("pair-octahedral-sextic")
     with pytest.raises(CertificateError, match="needs the form"):
-        verify_compositional(entry.generators(), entry.certificate(), None)
+        verify_compositional(entry.generators(), certificate(entry), None)
 
 
 def test_closed_tier_checks_the_form():
     entry = get_entry("klein-quartic")
     grp = closure(entry.generators())
     with pytest.raises(CertificateError, match="does not preserve the form"):
-        verify_certificate(grp, entry.certificate(), fermat_form(4, 3))
+        verify_certificate(grp, certificate(entry), fermat_form(4, 3))
 
 
 def _report_without_tier(rep):
@@ -206,19 +195,19 @@ def test_compositional_matches_full_closure():
     # the closed tier counts |G|, |P| and |N| on residues, the compositional tier derives them
     entry = get_entry("pair-octahedral-sextic")
     gens = entry.generators()
-    comp = verify_compositional(gens, entry.certificate(), entry.form())
+    comp = verify_compositional(gens, certificate(entry), entry.form())
     assert comp.group_order == 41472
     grp = closure(gens)
     assert grp.order == comp.group_order
-    full = verify_certificate(grp, entry.certificate(), entry.form())
+    full = verify_certificate(grp, certificate(entry), entry.form())
     assert full.kernel_order == comp.kernel_order == 36
     assert full.phi_image_order == comp.phi_image_order == 576
     assert full.constituent_orders == comp.constituent_orders
     for label in ["tetrahedral-binary-quartic", "octahedral-binary-sextic", "klein-quartic",
                   "hessian-sextic"]:
         entry = get_entry(label)
-        comp = verify_compositional(entry.generators(), entry.certificate(), entry.form())
-        full = verify_certificate(closure(entry.generators()), entry.certificate(), entry.form())
+        comp = verify_compositional(entry.generators(), certificate(entry), entry.form())
+        full = verify_certificate(closure(entry.generators()), certificate(entry), entry.form())
         assert (comp.tier, full.tier) == ("compositional", "full-closure")
         assert _report_without_tier(comp) == _report_without_tier(full), label
 
@@ -278,6 +267,64 @@ def test_residue_irreducibility_matches_exact_span(gens):
     grp = MatGroup(gens)
     assume(grp.close(cap=200))
     assert _residue_verdict(grp) == _exact_span_is_full(grp.elements(), grp.dim)
+
+
+@st.composite
+def block_monomial_groups(draw):
+    """1-3 generators permuting the blocks of a random partition of r <= 6 coordinates.
+
+    Blocks of one size are permuted among themselves, and each image block is
+    an L·U product of small integer matrices (L unitriangular, U with a
+    nonzero diagonal), so every generator is invertible.
+    """
+    r = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=r, max_size=r))
+    blocks = [[x for x in range(r) if labels[x] == label] for label in sorted(set(labels))]
+    small, unit = st.sampled_from([0, 1, -1, 2]), st.sampled_from([1, -1, 2])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = [[0] * r for _ in range(r)]
+        for size in {len(b) for b in blocks}:
+            same = [b for b in blocks if len(b) == size]
+            for src, dst in zip(same, draw(st.permutations(same))):
+                lower = [[1 if i == j else draw(small) if i > j else 0 for j in range(size)] for i in range(size)]
+                upper = [[draw(unit) if i == j else draw(small) if i < j else 0 for j in range(size)]
+                         for i in range(size)]
+                for i, x in enumerate(dst):
+                    for k, y in enumerate(src):
+                        g[x][y] = sum(lower[i][j] * upper[j][k] for j in range(size))
+        gens.append(ExactMatrix(g))
+    return gens
+
+
+def _check_finder(gens):
+    """finest_certificate against the search over all set partitions (oracles.certificate_by_search)."""
+    grouped, order = certificate_by_search(gens)
+    if order == sorted(order):
+        assert finest_certificate(gens).grouped_sizes == grouped
+    else:
+        with pytest.raises(CertificateError, match=re.escape(", ".join("x%d" % (x + 1) for x in order))):
+            finest_certificate(gens)
+
+
+@pytest.mark.parametrize("label", [e.label for e in load_entries()])
+def test_finest_certificate_matches_search_on_catalog_rows(label):
+    _check_finder(get_entry(label).generators())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(monomial_groups(), block_monomial_groups()))
+def test_finest_certificate_matches_search_on_random_groups(gens):
+    _check_finder(gens)
+
+
+def test_finest_certificate_refuses_blocks_that_are_not_contiguous():
+    # <swap(1, 3), diag(-1, 1, 1)>: the summand {x1, x3} comes before {x2}
+    gens = [permutation_matrix([2, 1, 0]), ExactMatrix.diagonal([-1, 1, 1])]
+    with pytest.raises(CertificateError, match="reorder the coordinates as x1, x3, x2"):
+        finest_certificate(gens)
+    swap = permutation_matrix([0, 2, 1])
+    assert finest_certificate([swap * g * swap for g in gens]).grouped_sizes == [[1, 1], [1]]
 
 
 def test_reducible_blocks_are_refused(quintic_group):
