@@ -45,8 +45,8 @@ exactly over K.  A finite orbit that spans K^r is a spanning set that every
 generator maps injectively into itself, hence permutes, so G embeds in its
 symmetric group and is finite.  Nothing in this argument depends on where
 the seed came from, so any vector may seed the orbit.  The seed rule takes
-a root (a reflection's root has a small orbit: 84 vectors for Klein's
-quartic against 672 from the coordinate vectors): the first nonzero column
+a root (a reflection's root has a small orbit: 42 vectors over Q(zeta_7)
+for Klein's quartic): the first nonzero column
 of g - I for a residue g with F_p rank 1, whose residue orbit spans F_p^r
 and is smallest, then whose g has the shortest word; g is replayed exactly
 by `word_product` along it.  When no root's residue orbit spans, the seeds
@@ -59,6 +59,14 @@ has a nonzero residue, hence is nonzero over K.  Under a finite G each seed
 has at most |G| vectors in its orbit, and |G| is the residue count by the
 lemma, so an orbit with more than |G| vectors per seed proves G infinite,
 and `close` returns False.
+
+The central-scalar lemma.  Let S' be the generators that are not scalar
+(tested exactly).  The scalars c_i·I are central, so G = <S'>·<c_i·I> is
+finite iff <S'> is and each c_i^L = 1, L = L(1, n) = lcm(2, n) for c_i in
+Q(zeta_n) (the exponent lemma below at r = 1); residues cannot decide that,
+as (1 + p)·I reduces to I.  So the orbit runs under S', at the least
+conductor of S' and the seed: span(<S'>·v) = span(G·v), over K and mod 𝔭,
+so a spanning root still spans, and |<S'>·v| <= |G| keeps the cap.
 
 The prime lemma.  Let G <= GL_r(K) be finite and q a prime dividing |G|.
 An element of order q has a primitive q-th root of unity as an eigenvalue,
@@ -366,16 +374,28 @@ class MatGroup:
     def _orbit_is_finite(self, order: int) -> bool:
         """The orbit certificate (module docstring) for a residue closure of `order` elements.
 
-        One exact orbit decides: that of the seed rule's root (`_root`), its
-        element replayed exactly along its word, or that of e_1..e_r when no
-        root spans.  It is False once it has more than |G| vectors per seed.
-        A vector is stored as its coordinates' (num, den) at the conductor,
-        and each coordinate of an image is one CycNum.dot.
+        Each scalar generator c·I must have c^L(1, n) = 1 (central-scalar
+        lemma); then one exact orbit under the others decides: the seed rule's
+        root's (`_root`), replayed exactly along its word, or e_1..e_r's when
+        no root spans.  It is False past |G| vectors per seed, and runs at its
+        own conductor (theirs and the seed's), a vector stored as its
+        coordinates' (num, den) there, each image coordinate one CycNum.dot.
         """
-        n, r = self.conductor, self.dim
+        r, one, zero = self.dim, CycNum.one(), CycNum.zero()
+        kept = [g for g in self.generators if g != ExactMatrix.diagonal([g.entries[0][0]] * r)]
+        scalars = [g.entries[0][0] for g in self.generators if g not in kept]
+        if any(c ** exponent_bound(1, c.n) != 1 for c in scalars):
+            return False                # a scalar generator is no root of unity: G is infinite
+        found = self._root()
+        if found is None:
+            seeds = [[one if i == j else zero for i in range(r)] for j in range(r)]
+        else:
+            index, col = found
+            g = word_product(self.generators, self._tree.word(index))
+            seeds = [[(g.entries[i][col] - (one if i == col else zero)).reduce() for i in range(r)]]
+        n = conductor([c for g in kept for row in g.entries for c in row] + [c for v in seeds for c in v])
         gens = [[[(k, c.to_conductor(n)) for k, c in enumerate(row) if not c.is_zero()]
-                 for row in g.entries] for g in self.generators]
-        one, zero = CycNum.one(n), CycNum.zero(n)
+                 for row in g.entries] for g in kept]
 
         def key(vector):
             return tuple((c.num, c.den) for c in vector)
@@ -388,14 +408,7 @@ class MatGroup:
         def step(batch):
             return [images(x) for x in batch]
 
-        found = self._root()
-        if found is None:
-            seeds = [key(one if i == j else zero for i in range(r)) for j in range(r)]
-        else:
-            index, col = found
-            g = word_product(self.generators, self._tree.word(index))
-            seeds = [key(g.entries[i][col] - (one if i == col else zero) for i in range(r))]
-        return Orbit(seeds, step, len(seeds) * order).complete
+        return Orbit([key(c.to_conductor(n) for c in v) for v in seeds], step, len(seeds) * order).complete
 
     def _reflections(self):
         """Yield (i, l, A[:, l] / A[k, l]) for each residue i whose A = g - I has F_p rank 1.

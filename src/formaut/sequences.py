@@ -267,10 +267,13 @@ def classification_search(n_values, d_values):
     """Survivor report over the requested (n, d) grid.
 
     Returns a dict with the checked ranges and one record per survivor:
-    (n, d, sequence, ratio).  The tests find no survivor at d = 3 for totals
-    28..200 or at d = 18 for totals 3..30, and freeze the survivor list for
-    n <= 25, d <= 17; R is non-increasing in d, so each empty scan holds at
-    every larger d.  No code covers totals past 200.
+    (n, d, sequence, ratio).  Each n is walked once, by survivors_for(n + 2, d)
+    at the least d, then descends in d: R(l, d) = C(l) / d^(v - s) (v the total,
+    s the number of parts) does not increase with d, so each next d keeps the
+    survivors whose exact ratio is still >= 1, in order, stopping at the first
+    d with none.  The tests find no survivor at d = 3 for totals 28..200 or at
+    d = 18 for totals 3..30, and freeze the survivor list for n <= 25, d <= 17,
+    so each empty scan holds at every larger d.  No code covers totals past 200.
     """
     n_list = sorted(set(int(n) for n in n_values))
     d_list = sorted(set(int(d) for d in d_values))
@@ -280,9 +283,13 @@ def classification_search(n_values, d_values):
         raise SequenceError("d must be at least 3")
     records = []
     for n in n_list:
+        alive = survivors_for(n + 2, d_list[0]) if d_list else []
         for d in d_list:
-            for seq, rat in survivors_for(n + 2, d):
-                records.append({"n": n, "d": d, "sequence": seq, "ratio": rat})
+            if d > d_list[0]:
+                alive = [(seq, rat) for seq, rat in ((seq, ratio(seq, d)) for seq, _ in alive) if rat >= 1]
+            if not alive:
+                break
+            records.extend({"n": n, "d": d, "sequence": seq, "ratio": rat} for seq, rat in alive)
     return {"n_values": n_list, "d_values": d_list, "survivors": records}
 
 

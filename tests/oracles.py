@@ -6,7 +6,9 @@ coordinate permutation, and fermat_form is x1^d + ... + xr^d.
 
 partitions is the unpruned walk: every partition of a total in
 descending-lex order, the reference for the pruned
-sequences.enumerate_sequences.
+sequences.enumerate_sequences.  search_per_cell is the survivor report by
+one survivors_for walk per (n, d) cell, the reference for the descent in d
+of sequences.classification_search.
 
 The binary resultant oracle: a binary form of degree d >= 2 is smooth iff
 its two partials have no common projective zero, i.e. iff their resultant
@@ -28,6 +30,12 @@ The closure reference, residue_bfs, is the per-element BFS that
 MatGroup.close ran before its coset closure: one product per stored residue
 and generator, each image probed on its own, so its keys are the residue
 group in BFS order.
+
+The finiteness reference, orbit_is_finite_all_generators, is the orbit
+certificate that MatGroup._orbit_is_finite ran before the central-scalar
+lemma: one exact orbit under every generator, scalars included, at the
+group's conductor, from the same seeds and with the same cap of |G| vectors
+per seed.
 
 The scalar-coset reference, reference_scalar_cosets, is the per-residue
 walk, the slow reference for matgroups.pgl_keys: it tests every residue for
@@ -60,8 +68,8 @@ import numpy as np
 from formaut.cyclotomic import CycNum, euler_phi, root_of_unity
 from formaut.diaglattice import LatticeError, smith_normal_form
 from formaut.forms import ExactMatrix, Form, partials
-from formaut.matgroups import GroupError, _is_block_scalar, _monomials, _mulmod
-from formaut.sequences import SubdegreeSequence
+from formaut.matgroups import GroupError, Orbit, _is_block_scalar, _monomials, _mulmod, word_product
+from formaut.sequences import SubdegreeSequence, survivors_for
 from formaut.smoothness import CycField, buchberger, form_to_poly
 
 
@@ -88,6 +96,14 @@ def partitions(total: int):
             for tail in walk(rest - p, p):
                 yield (p,) + tail
     return (SubdegreeSequence(parts) for parts in walk(total, total))
+
+
+def search_per_cell(n_values, d_values):
+    """The survivor report of sequences.classification_search, one survivors_for(n + 2, d) walk per cell."""
+    n_list, d_list = sorted(set(n_values)), sorted(set(d_values))
+    records = [{"n": n, "d": d, "sequence": seq, "ratio": rat}
+               for n in n_list for d in d_list for seq, rat in survivors_for(n + 2, d)]
+    return {"n_values": n_list, "d_values": d_list, "survivors": records}
 
 
 def permutation_matrix(perm) -> ExactMatrix:
@@ -361,6 +377,31 @@ def residue_bfs(grp, cap):
                     return keys, parent, gen
         head += 1
     return keys, parent, gen
+
+
+def orbit_is_finite_all_generators(grp, order: int) -> bool:
+    """The orbit certificate under every generator at grp.conductor: complete within order vectors per seed."""
+    n, r = grp.conductor, grp.dim
+    gens = [[[(k, c.to_conductor(n)) for k, c in enumerate(row) if not c.is_zero()]
+             for row in g.entries] for g in grp.generators]
+    one, zero = CycNum.one(n), CycNum.zero(n)
+
+    def key(vector):
+        return tuple((c.num, c.den) for c in vector)
+
+    def images(point):
+        v = [CycNum(n, num, den) if any(num) else None for num, den in point]
+        return [key(CycNum.dot([(a, v[k]) for k, a in row if v[k] is not None], n) for row in g)
+                for g in gens]
+
+    found = grp._root()
+    if found is None:
+        seeds = [key(one if i == j else zero for i in range(r)) for j in range(r)]
+    else:
+        index, col = found
+        g = word_product(grp.generators, grp._tree.word(index))
+        seeds = [key(g.entries[i][col] - (one if i == col else zero) for i in range(r))]
+    return Orbit(seeds, lambda batch: [images(x) for x in batch], len(seeds) * order).complete
 
 
 def set_partitions(items):

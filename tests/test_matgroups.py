@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,8 @@ from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure
 from formaut.smoothness import split_prime
 
 from lemmas import scalar_group
-from oracles import fermat_form, form_product, permutation_matrix, reference_scalar_cosets, residue_bfs
+from oracles import (fermat_form, form_product, orbit_is_finite_all_generators, permutation_matrix,
+                     reference_scalar_cosets, residue_bfs)
 
 
 def test_scalar_group():
@@ -390,6 +392,51 @@ def test_infinite_group_with_trivial_residues_is_refused(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["closed"] is False
 
 
+@pytest.mark.parametrize("label", [e.label for e in load_entries() if e.tier == "full-closure"])
+def test_certificate_without_scalars_matches_the_all_generator_orbit(label):
+    # the slow path runs the orbit under every generator at the group's conductor; both complete
+    grp = closure(get_entry(label).generators())
+    assert grp.closed
+    assert grp._orbit_is_finite(grp.order) and orbit_is_finite_all_generators(grp, grp.order)
+
+
+@pytest.mark.parametrize("label", ["klein-quartic", "icosahedral-binary-12ic", "fermat-1-3"])
+def test_scalar_that_is_no_root_of_unity_is_refused_at_once(tmp_path, capsys, label):
+    """A finite group plus (1 + p)·I, p the group's prime: the residues close at |G|, as 1 + p = 1 mod p.
+
+    The central-scalar lemma refuses it by (1 + p)^L != 1 before any exact orbit; the
+    all-generator orbit refuses it too, once its root orbit passes |G| vectors.
+    """
+    gens = get_entry(label).generators()
+    finite = closure(gens)
+    r, p = finite.dim, finite.p
+    planted = gens + [ExactMatrix.diagonal([1 + p] * r)]
+    start = time.perf_counter()
+    grp = MatGroup(planted)
+    assert grp.p == p and not grp.close() and not grp.closed
+    assert time.perf_counter() - start < 1
+    assert not orbit_is_finite_all_generators(grp, finite.order)
+    f = tmp_path / "gens.json"
+    f.write_text(generators_to_json(planted))
+    assert main(["closure", str(f)]) == 1
+    assert json.loads(capsys.readouterr().out)["closed"] is False
+
+
+@pytest.mark.parametrize("entries, order", [([-1], 2), ([root_of_unity(5)], 5), ([-root_of_unity(5)], 10),
+                                            ([root_of_unity(4), -1], 4),
+                                            ([root_of_unity(3), root_of_unity(4)], 12), ([1], 1)])
+def test_degree_one_groups_are_all_scalar(monkeypatch, entries, order):
+    # at r = 1 every generator is scalar: the certificate's orbit has no maps, so it is its seed alone
+    grp = MatGroup([ExactMatrix([[c]]) for c in entries])
+    sizes = _record_orbits(monkeypatch)
+    assert grp.close() and grp.order == order
+    assert sizes[-1] == (1, 1, True)
+    assert orbit_is_finite_all_generators(grp, order)
+    planted = MatGroup(grp.generators + [ExactMatrix([[1 + grp.p]])])     # the same conductor, so the same p
+    assert planted.p == grp.p and not planted.close()
+    assert planted._tree.points == grp._tree.points         # residues close as before: 1 + p = 1 mod p
+
+
 def _record_orbits(monkeypatch):
     """Record (seeds, points, complete) of every Orbit that matgroups builds.
 
@@ -493,7 +540,30 @@ def test_klein_finiteness_from_its_root_orbit(monkeypatch):
     grp = MatGroup(get_entry("klein-quartic").generators())
     sizes = _record_orbits(monkeypatch)
     assert grp.close()
-    assert sizes == [(1, 84, True), (1, 84, True)]      # the residue and exact root orbits; none of e_1..e_3
+    # the residue root orbit under every generator, then the exact one without the scalar generator i·I,
+    # which halves it (-1 = i^2 lies in <S'> already); none of e_1..e_3
+    assert sizes == [(1, 84, True), (1, 42, True)]
+
+
+def _certificate_field(grp):
+    """(kept, n, seed): the certificate orbit's generators (the non-scalar ones), its least conductor and root.
+
+    n is that of their entries and the seed, each reduced, the seed as `_root` picks it and
+    `word_product` replays it; seed is None when the seeds are e_1..e_r.
+    """
+    r = grp.dim
+    kept = [g for g in grp.generators if g != ExactMatrix.diagonal([g.entries[0][0]] * r)]
+    values, found, seed = [c for g in kept for row in g.entries for c in row], grp._root(), None
+    if found is not None:
+        index, col = found
+        g = word_product(grp.generators, grp._tree.word(index))
+        seed = [g.entries[i][col] - (i == col) for i in range(r)]
+    return kept, math.lcm(*(c.reduce().n for c in values + (seed or []))), seed
+
+
+def _decode(grp, n, point):
+    """The residues of an exact orbit point stored at conductor n."""
+    return [grp._field.from_cyc(CycNum(n, num, den)) for num, den in point]
 
 
 def _record_certificates(monkeypatch):
@@ -543,8 +613,9 @@ def test_certificate_lemmas_hold_on_every_catalog_closure(monkeypatch, label):
         assert orbit.complete and cap == len(seeds) * order
         if grp._root() is not None:
             roots += 1
-            residues = np.array([[grp._field.from_cyc(CycNum(grp.conductor, num, den)) for num, den in x]
-                                 for x in orbit.points], dtype=np.int64)
+            _, n, seed = _certificate_field(grp)    # the orbit's own conductor, which may be below grp's
+            residues = np.array([_decode(grp, n, x) for x in orbit.points], dtype=np.int64)
+            assert residues[0].tolist() == [grp._field.from_cyc(c) for c in seed]  # decoded at the right n
             assert len(seeds) == 1 and matgroups._rank_mod_p(residues, grp.p) == grp.dim
     assert seen and roots
 
@@ -586,8 +657,8 @@ def test_generator_of_infinite_order_is_refused_at_once(tmp_path, capsys, rows):
 
 
 def _per_product_step(grp):
-    """The exact orbit's step with each image coordinate a left fold of single CycNum products."""
-    n = grp.conductor
+    """The exact orbit's step under the kept generators, each image coordinate a left fold of CycNum products."""
+    kept, n, _ = _certificate_field(grp)
 
     def image(point, g):
         v = [CycNum(n, num, den) for num, den in point]
@@ -599,23 +670,25 @@ def _per_product_step(grp):
             out.append((acc.num, acc.den))
         return tuple(out)
 
-    return lambda batch: [[image(x, g) for g in grp.generators] for x in batch]
+    return lambda batch: [[image(x, g) for g in kept] for x in batch]
 
 
 @pytest.mark.parametrize("label, orbits", [
-    ("klein-quartic", [(672, 84)]),
+    ("klein-quartic", [(672, 42)]),
     ("wiman-sextic", [(2160, 270)]),
-    ("pair-icosahedral-12ic", [(720, 240), (144, 48)]),
+    ("pair-icosahedral-12ic", [(720, 120), (144, 26)]),
 ])
 def test_exact_orbit_matches_a_per_product_reference(monkeypatch, label, orbits):
     """Each exact orbit of `_orbit_is_finite` (one CycNum.dot per coordinate) against the fold.
 
     `orbits` lists (|G|, orbit size) per closure, the seed rule's residue
-    orbits left out.  Klein takes its root from a generator and Wiman from a
+    orbits left out; each orbit runs under the non-scalar generators at its
+    own conductor.  Klein takes its root from a generator and Wiman from a
     word of length 4.  The pair-icosahedral blocks share one closure (a 2 x 2
     group over Q(zeta_60) whose generators are not reflections, though its
     closure holds some), which takes its root from a residue past the
-    generators; the 4 x 4 group takes e_1..e_r.
+    generators; the 4 x 4 group takes e_1..e_r.  Without their scalar
+    generators these orbits went 84 -> 42 (Klein), 240 -> 120 and 48 -> 26.
     """
     seen = _record_certificates(monkeypatch)
     report = verify_entry(get_entry(label), skip_smooth=True)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formaut import sequences
 from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products, _tables, canonical_bound,
                                classification_search, enumerate_sequences, fermat_order, jc,
                                mixed_sequence_scan, ratio, ratio_with_groups, survivors_for,
                                uniform_bounds_check)
 
 from lemmas import binomial_supermultiplicativity, lambda_addr0, ratio_quotient_law, ratioprod_check
-from oracles import partitions
+from oracles import partitions, search_per_cell
 
 rng = random.Random(424242)
 
@@ -266,6 +267,16 @@ def test_survivor_examples():
     assert survivors_for(28, 3) == []
     report = classification_search([2], [6])
     assert any(str(rec["sequence"]) == "2^2" for rec in report["survivors"])
+
+
+@pytest.mark.parametrize("d_values", [range(3, 18), [3, 4, 9, 17], [5]])
+def test_search_descent_matches_the_per_cell_walks(monkeypatch, d_values):
+    # one pruned walk per n at the least d, then the descent in d: the same records, in the same order
+    want = search_per_cell(range(1, 26), d_values)
+    walked, walk = [], sequences.enumerate_sequences
+    monkeypatch.setattr(sequences, "enumerate_sequences", lambda v, d: walked.append((v, d)) or walk(v, d))
+    assert classification_search(range(1, 26), d_values) == want
+    assert walked == [(n + 2, min(d_values)) for n in range(1, 26)]
 
 
 def test_uniform_bounds_sampled():
