@@ -53,8 +53,8 @@ from math import factorial
 
 from ..cyclotomic import parse_scalar
 from ..diaglattice import semi_permutation_group
-from ..forms import ExactMatrix, Form, act, parse
-from ..matgroups import DEFAULT_CAP, MatGroup, closure, preserves
+from ..forms import ExactMatrix, Form, parse
+from ..matgroups import DEFAULT_CAP, MatGroup, preserves
 from ..sequences import fermat_order
 from ..smoothness import is_smooth
 from ..structure import CertificateError, finest_certificate, verify_certificate, verify_compositional

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 from . import catalog
 from .diaglattice import block_scalar_group, semi_permutation_group
@@ -28,11 +29,15 @@ from .cyclotomic import parse_scalar, scalar_to_str
 from .forms import ExactMatrix, Form, FormError
 from .forms import parse as form_parse
 from .matgroups import DEFAULT_CAP, GroupError, MatGroup, invariant_dimension, reynolds_array_bytes
-from .sequences import (BOUNDS_SCAN_MAX_D, BOUNDS_SCAN_MAX_TOTAL, SequenceError, SubdegreeSequence,
-                        classification_search, enumerate_sequences, jc, mixed_sequence_scan, ratio,
-                        uniform_bounds_check)
+from .sequences import SequenceError, SubdegreeSequence, classification_search, jc, ratio, uniform_bounds_check
 from .smoothness import _is_prime, is_smooth
 from .structure import finest_certificate, verify_certificate, verify_compositional
+
+# Domain over which the mixed-subdegree facts are verified exhaustively; the
+# d-range collapses to d = 3 by monotonicity of R in d.  Past total 30 only the
+# tests' d = 3 scan runs, up to total 200; no code covers totals past 200.
+BOUNDS_SCAN_MAX_TOTAL = 30
+BOUNDS_SCAN_MAX_D = 20
 
 
 class UsageError(Exception):
@@ -142,14 +147,18 @@ def _emit(payload, out=None):
         print(text)
 
 
+def _exact(x) -> str:
+    """An int, or a Fraction as p/q, in decimal at any size (int's digit limit still refuses oversized input)."""
+    return str(Decimal(x)) if isinstance(x, int) else "%s/%s" % (Decimal(x.numerator), Decimal(x.denominator))
+
+
 def cmd_ratio(args) -> int:
-    r = ratio(args.seq, args.d)
-    print("%d/%d" % (r.numerator, r.denominator))
+    print(_exact(ratio(args.seq, args.d)))
     return 0
 
 
 def cmd_jc(args) -> int:
-    print(jc(args.r))
+    print(_exact(jc(args.r)))
     return 0
 
 
@@ -171,24 +180,26 @@ def cmd_search(args) -> int:
 
 
 def cmd_bounds_scan(args) -> int:
-    """Uniform-bound failures at d = 3 and the mixed hits, over the R(l, 3) >= 1 walk.
+    """Uniform-bound failures at d = 3 and the mixed hits, read off one survivor search.
 
-    A sequence with R(l, 3) < 1 passes every uniform bound (each exceeds 1),
-    so only the pruned walk's sequences can fail one.
+    The search (totals 3..T, d = 3..D) records each l with a part > 1 and
+    R(l, d) >= 1; every other l passes every bound: R(l, 3) < 1 lies below
+    them all, R(1^v, d) = 1, and at totals <= 2 the only other l with R >= 1
+    is 2^1, with R(2^1, 3) = 10 and no part 1.  The mixed hits are the
+    records with a part 1, by total, then in the walk's descending-lex order
+    (no two partitions of one total are prefixes of each other), then by d.
     """
-    failures = []
-    for v in range(1, args.max_total + 1):
-        for seq in enumerate_sequences(v, 3):
-            rep = uniform_bounds_check(seq, 3)
-            if not rep["ok"]:
-                failures.append(str(seq))
-    hits = mixed_sequence_scan(args.max_total, args.max_d)
+    records = classification_search(range(1, args.max_total - 1), range(3, args.max_d + 1))["survivors"]
+    failures = [str(rec["sequence"]) for rec in records
+                if rec["d"] == 3 and not uniform_bounds_check(rec["sequence"], 3)]
+    hits = sorted((rec for rec in records if rec["sequence"].parts[-1] == 1),
+                  key=lambda rec: (rec["n"], [-p for p in rec["sequence"].parts], rec["d"]))
     payload = {
         "max_total": args.max_total,
         "max_d": args.max_d,
         "uniform_bound_failures": failures,
-        "mixed_hits": [{"sequence": str(s), "d": d, "ratio": "%d/%d" % (r.numerator, r.denominator)}
-                       for s, d, r in hits],
+        "mixed_hits": [{"sequence": str(rec["sequence"]), "d": rec["d"], "ratio": _exact(rec["ratio"])}
+                       for rec in hits],
     }
     _emit(payload, args.out)
     return 0 if not failures else 1

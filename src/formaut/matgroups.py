@@ -146,6 +146,7 @@ tests, and the benchmark tracer (bench/spans.py) wraps it by name.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations_with_replacement, product
 from math import comb, lcm
 
@@ -628,10 +629,10 @@ def invariant_dimension_molien(group: MatGroup, degree: int) -> int:
         for k in range(1, r + 1):
             acc = -sum(det[k - i] * traces[i - 1] for i in range(1, k + 1)) % p
             det.append(acc * pow(k, -1, p) % p)
-        series = [det[0]]               # the power series inverse of det(I - t g)
-        for k in range(1, degree + 1):
-            series.append(-sum(det[i] * series[k - i] for i in range(1, min(k, r) + 1)) % p)
-        total += int(series[degree].sum())
+        series = deque([det[0]], maxlen=r)  # the last r coefficients of the power series inverse of det(I - t g)
+        for _ in range(degree):
+            series.append(-sum(det[i] * series[-i] for i in range(1, len(series) + 1)) % p)
+        total += int(series[-1].sum())
     value = total * pow(group.order, -1, p) % p
     if value > size:
         raise ArithmeticError("Molien residue %d lies outside [0, %d]" % (value, size))

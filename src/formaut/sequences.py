@@ -293,54 +293,12 @@ def classification_search(n_values, d_values):
     return {"n_values": n_list, "d_values": d_list, "survivors": records}
 
 
-def uniform_bounds_check(l, d: int) -> dict:
-    """Evaluate R(l, d) against the uniform bounds 106 / 60 / 3 / 11.
+def uniform_bounds_check(l, d: int) -> bool:
+    """Whether R(l, d) meets the uniform bounds 106 / 60 / 3 / 11.
 
     R < 106 always; R < 60 once there are two distinct subdegrees; R < 3
     (resp. < 11) when the multiplicity of 1 is at least 2 (resp. at least 1).
     """
     seq = _as_seq(l)
-    r = ratio(seq, d)
-    mults = seq.multiplicities()
-    ones = seq.count(1)
-    report = {
-        "sequence": seq,
-        "d": d,
-        "ratio": r,
-        "below_106": r < 106,
-        "below_60": r < 60 if len(mults) >= 2 else None,
-        "below_3": r < 3 if ones >= 2 else None,
-        "below_11": r < 11 if ones >= 1 else None,
-    }
-    report["ok"] = all(v for v in (report["below_106"], report["below_60"],
-                                   report["below_3"], report["below_11"]) if v is not None)
-    return report
-
-
-# Domain over which the mixed-subdegree facts are verified exhaustively; the
-# d-range collapses to d = 3 by monotonicity of R in d.  Past total 30 only the
-# tests' d = 3 scan runs, up to total 200; no code covers totals past 200.
-BOUNDS_SCAN_MAX_TOTAL = 30
-BOUNDS_SCAN_MAX_D = 20
-
-
-def mixed_sequence_scan(max_total: int = BOUNDS_SCAN_MAX_TOTAL,
-                        max_d: int = BOUNDS_SCAN_MAX_D):
-    """All (l, d, R) with 1 in l, some part > 1 and R(l, d) >= 1.
-
-    For each sequence, d runs upward from 3 until R drops below 1 (R is
-    strictly decreasing in d when a part exceeds 1), capped at max_d.  R is
-    non-increasing in d (s <= v), so a sequence with R(l, 3) < 1 has no hit:
-    the pruned walk enumerate_sequences(v, 3) is exact here.
-    """
-    hits = []
-    for v in range(2, max_total + 1):
-        for seq in enumerate_sequences(v, 3):
-            if seq.parts[0] == 1 or seq.parts[-1] != 1:
-                continue
-            for d in range(3, max_d + 1):
-                r = ratio(seq, d)
-                if r < 1:
-                    break
-                hits.append((seq, d, r))
-    return hits
+    r, ones = ratio(seq, d), seq.count(1)
+    return r < 106 and (r < 60 or len(seq.multiplicities()) < 2) and (r < 3 or ones < 2) and (r < 11 or ones < 1)

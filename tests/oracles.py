@@ -8,7 +8,10 @@ partitions is the unpruned walk: every partition of a total in
 descending-lex order, the reference for the pruned
 sequences.enumerate_sequences.  search_per_cell is the survivor report by
 one survivors_for walk per (n, d) cell, the reference for the descent in d
-of sequences.classification_search.
+of sequences.classification_search.  mixed_sequence_scan is the per-sequence
+scan that `formaut bounds-scan` ran before it read its mixed hits off one
+classification_search: each sequence of the d = 3 walk with a part 1 and a
+part > 1, at d = 3, 4, .. up to the first d with R < 1.
 
 The binary resultant oracle: a binary form of degree d >= 2 is smooth iff
 its two partials have no common projective zero, i.e. iff their resultant
@@ -69,7 +72,7 @@ from formaut.cyclotomic import CycNum, euler_phi, root_of_unity
 from formaut.diaglattice import LatticeError, smith_normal_form
 from formaut.forms import ExactMatrix, Form, partials
 from formaut.matgroups import GroupError, Orbit, _is_block_scalar, _monomials, _mulmod, word_product
-from formaut.sequences import SubdegreeSequence, survivors_for
+from formaut.sequences import SubdegreeSequence, enumerate_sequences, ratio, survivors_for
 from formaut.smoothness import CycField, buchberger, form_to_poly
 
 
@@ -104,6 +107,27 @@ def search_per_cell(n_values, d_values):
     records = [{"n": n, "d": d, "sequence": seq, "ratio": rat}
                for n in n_list for d in d_list for seq, rat in survivors_for(n + 2, d)]
     return {"n_values": n_list, "d_values": d_list, "survivors": records}
+
+
+def mixed_sequence_scan(max_total: int, max_d: int):
+    """All (l, d, R) with 1 in l, some part > 1, total <= max_total, d <= max_d and R(l, d) >= 1.
+
+    For each sequence, d runs upward from 3 until R drops below 1 (R is
+    strictly decreasing in d when a part exceeds 1), capped at max_d.  R is
+    non-increasing in d (s <= v), so a sequence with R(l, 3) < 1 has no hit:
+    the pruned walk enumerate_sequences(v, 3) is exact here.
+    """
+    hits = []
+    for v in range(2, max_total + 1):
+        for seq in enumerate_sequences(v, 3):
+            if seq.parts[0] == 1 or seq.parts[-1] != 1:
+                continue
+            for d in range(3, max_d + 1):
+                r = ratio(seq, d)
+                if r < 1:
+                    break
+                hits.append((seq, d, r))
+    return hits
 
 
 def permutation_matrix(perm) -> ExactMatrix:

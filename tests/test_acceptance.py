@@ -135,12 +135,12 @@ def test_criterion_04_lemma_property_suites():
     count = 0
     for v in range(1, 31):
         for seq in partitions(v):
-            assert uniform_bounds_check(seq, 3)["ok"], seq
+            assert uniform_bounds_check(seq, 3), seq
             count += 1
     for v in range(1, 19):
         for seq in partitions(v):
             for d in (4, 7, 12, 18, 20):
-                assert uniform_bounds_check(seq, d)["ok"], (seq, d)
+                assert uniform_bounds_check(seq, d), (seq, d)
     assert count >= 200
 
     # the product test passes exactly at (2, 2) over all block tuples

@@ -1,12 +1,18 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
+from math import factorial
 from pathlib import Path
 
 import pytest
 
+from formaut import cli
 from formaut.cli import main
+from formaut.sequences import ratio
 from formaut.smoothness import good_primes
+
+from oracles import mixed_sequence_scan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +52,50 @@ def test_bounds_scan_subcommand(capsys):
     assert code == 0 and (payload["max_total"], payload["max_d"]) == (12, 6)
     assert payload["uniform_bound_failures"] == [] and len(payload["mixed_hits"]) == 46
     assert payload["mixed_hits"][0] == {"d": 3, "ratio": "10/3", "sequence": "2^1 1^1"}
+
+
+def test_bounds_scan_golden_file(tmp_path, capsys):
+    out_path = tmp_path / "bounds_scan.json"
+    code, _ = run_cli(["bounds-scan", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / "bounds_scan.json").read_bytes()
+
+
+@pytest.mark.parametrize("max_total, max_d", [(12, 8), (30, 20), (27, 40), (3, 3), (1, 20)])
+def test_bounds_scan_mixed_hits_match_the_per_sequence_scan(capsys, max_total, max_d):
+    code, out = run_cli(["bounds-scan", "--max-total", str(max_total), "--max-d", str(max_d)], capsys)
+    want = [{"sequence": str(s), "d": d, "ratio": "%d/%d" % (r.numerator, r.denominator)}
+            for s, d, r in mixed_sequence_scan(max_total, max_d)]
+    assert code == 0 and json.loads(out)["mixed_hits"] == want
+
+
+def test_bounds_scan_lists_a_planted_failure(capsys, monkeypatch):
+    checked = []
+
+    def planted(seq, d):
+        checked.append((str(seq), d))
+        return str(seq) != "2^2"
+
+    monkeypatch.setattr(cli, "uniform_bounds_check", planted)
+    code, out = run_cli(["bounds-scan", "--max-total", "12", "--max-d", "6"], capsys)
+    assert code == 1 and json.loads(out)["uniform_bound_failures"] == ["2^2"]
+    assert ("2^2", 3) in checked and {d for _, d in checked} == {3}
+
+
+def test_exact_output_past_the_integer_digit_limit(capsys):
+    code, out = run_cli(["jc", "--r", "2000"], capsys)
+    assert code == 0 and len(out.strip()) == 5739 and Decimal(out.strip()) == factorial(2001)
+    code, out = run_cli(["ratio", "--seq", "2^3000", "--d", "3"], capsys)
+    r = ratio("2^3000", 3)
+    assert code == 0 and [int(Decimal(x)) for x in out.strip().split("/")] == [r.numerator, r.denominator]
+
+
+@pytest.mark.parametrize("entry", ["1" + "0" * 4999, '"1%s"' % ("0" * 4999)], ids=["integer", "string"])
+def test_an_oversized_integer_in_a_generator_file_exits_2(tmp_path, capsys, entry):
+    f = tmp_path / "gens.json"
+    f.write_text('{"dim": 1, "generators": [[[%s]]]}' % entry)
+    assert main(["closure", str(f)]) == 2
+    assert "Exceeds the limit" in capsys.readouterr().err
 
 
 def test_search_golden_file(tmp_path, capsys):

@@ -11,6 +11,9 @@ in bench/, a dotted string such as "MatGroup.elements" in bench/, or
 `.name` in the CI workflow; a local variable or a word that shares its
 name does not count.  Checks that only the tests call live in tests/.
 
+Every name a src/ module imports is read in that module, or re-exported
+through its __all__.
+
 JSON text lives at the two edges: cli reads the user's files and prints the
 output, catalog reads its row files.  Every other module builds its records
 from plain dicts and renders them as plain dicts, so only those two import
@@ -87,3 +90,23 @@ def test_only_the_edges_import_json():
                  if isinstance(node, ast.Import) and "json" in [alias.name for alias in node.names]
                  or isinstance(node, ast.ImportFrom) and node.module == "json"}
     assert importers == {"cli.py", "catalog/__init__.py"}
+
+
+def unused_imports(root: Path):
+    unused = []
+    for path in sorted((root / "src" / "formaut").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", None) for t in node.targets]:
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += ["%s:%s" % (path.relative_to(root).as_posix(), bound) for alias in node.names
+                           for bound in [alias.asname or alias.name.split(".")[0]] if bound not in read]
+    return unused
+
+
+def test_every_src_import_is_used():
+    unused = unused_imports(ROOT)
+    assert not unused, "imported in src/ but never read: %s" % ", ".join(unused)

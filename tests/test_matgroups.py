@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -367,6 +368,23 @@ def test_reynolds_past_the_byte_bound_is_refused(tmp_path, capsys):
     # (1 + t^21) / ((1 - t^4)(1 - t^6)(1 - t^14)) of Klein's invariants, at degrees 0 mod 4 (center Z/4)
     assert main(["invdim", str(f), "--degree", "200", "--method", "molien"]) == 0
     assert capsys.readouterr().out == "134\n"
+
+
+def test_molien_keeps_only_the_last_r_series_coefficients():
+    grp = closure(get_entry("klein-quartic").generators())
+    tracemalloc.start()
+    try:
+        value = invariant_dimension_molien(grp, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the coefficient of t^2000 in Klein's Hilbert series (1 + t^21) / ((1 - t^4)(1 - t^6)(1 - t^14))
+    coeffs = [1] + [0] * 2000
+    for a in (4, 6, 14):
+        for k in range(a, 2001):
+            coeffs[k] += coeffs[k - a]
+    assert value == coeffs[2000] + coeffs[2000 - 21] == 12048
+    assert peak < 2 ** 20, peak     # the whole series of one stack held 10.7 MiB
 
 
 def test_generator_json_round_trip():

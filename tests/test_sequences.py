@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from formaut import sequences
 from formaut.sequences import (SequenceError, SubdegreeSequence, _best_products, _tables, canonical_bound,
-                               classification_search, enumerate_sequences, fermat_order, jc,
-                               mixed_sequence_scan, ratio, ratio_with_groups, survivors_for,
-                               uniform_bounds_check)
+                               classification_search, enumerate_sequences, fermat_order, jc, ratio,
+                               ratio_with_groups, survivors_for, uniform_bounds_check)
 
 from lemmas import binomial_supermultiplicativity, lambda_addr0, ratio_quotient_law, ratioprod_check
-from oracles import partitions, search_per_cell
+from oracles import mixed_sequence_scan, partitions, search_per_cell
 
 rng = random.Random(424242)
 
@@ -282,11 +281,20 @@ def test_search_descent_matches_the_per_cell_walks(monkeypatch, d_values):
 def test_uniform_bounds_sampled():
     for v in range(1, 22):
         for seq in partitions(v):
-            assert uniform_bounds_check(seq, 3)["ok"]
+            assert uniform_bounds_check(seq, 3)
     for _ in range(200):
         seq = random_sequence(16)
         d = rng.randint(3, 20)
-        assert uniform_bounds_check(seq, d)["ok"]
+        assert uniform_bounds_check(seq, d)
+
+
+def test_sequences_without_a_survivor_record_pass_the_uniform_bounds():
+    # bounds-scan checks only the survivor records (a part > 1, total >= 3); the rest of the
+    # R(l, 3) >= 1 walk is 1^v, with R = 1, and 2^1, with R = 10 and no part 1
+    assert [str(seq) for v in (1, 2) for seq in enumerate_sequences(v, 3)] == ["1^1", "2^1", "1^2"]
+    assert ratio("2^1", 3) == 10 and uniform_bounds_check("2^1", 3) is True
+    for v in range(1, 31):
+        assert ratio([1] * v, 3) == 1 and uniform_bounds_check([1] * v, 3)
 
 
 def test_mixed_sequence_scan_small():
