@@ -2,13 +2,15 @@
 the end-to-end verification pipeline.
 
 Each entry carries its defining form, a generating set for its linear
-automorphism group and the expected orders.  Generators are validated, never
+automorphism group (entries read as ExactMatrix entries: scalar text or
+integers) and the expected orders.  Generators are validated, never
 trusted: verify_entry re-derives everything it can at the entry's tier, the
 certificate by `structure.finest_certificate`.  The certificate verifier
 checks that the generators preserve the form, so only rows it does not
 accept call `preserves`; a refusal fails the `certificate` check of its row.
 
-Tiers (each row names its own):
+Tiers (each row names its own, and verify_entry picks the route once; a
+row naming any other tier is refused when it is loaded):
 * full-closure: materialize the group under DEFAULT_CAP (checked when the
   row is loaded), check the order, the projective order and the
   certificate, whose |G|, |P| and |N| are residue counts of the closed group.
@@ -47,11 +49,9 @@ from __future__ import annotations
 import json
 import re
 import time
-from functools import partial
 from importlib import resources
 from math import factorial
 
-from ..cyclotomic import parse_scalar
 from ..diaglattice import semi_permutation_group
 from ..forms import ExactMatrix, Form, parse
 from ..matgroups import DEFAULT_CAP, MatGroup, preserves
@@ -78,10 +78,11 @@ class CatalogEntry:
         self.in_theorem_domain = payload.get("in_theorem_domain", True)
         self.fermat = payload.get("fermat", False)
         self.subgroup_only = payload.get("subgroup_only", False)
-        self.provenance = payload.get("provenance", "")
         if ("lin_order" in self.expected) != self.subgroup_only:
             raise CatalogError("%s: a row lists lin_order if and only if it is subgroup_only" % self.key)
         self.expected.setdefault("lin_order", self.expected["aut_order"] // self.d)
+        if self.tier not in ("full-closure", "compositional", "generators-only"):
+            raise CatalogError("%s: unknown tier %r" % (self.key, self.tier))
         if self.tier == "full-closure" and self.expected["aut_order"] > DEFAULT_CAP:
             raise CatalogError("%s: full-closure order exceeds the cap" % self.key)
 
@@ -93,8 +94,7 @@ class CatalogEntry:
         return parse(self.form_text, nvars=self.nvars)
 
     def generators(self):
-        return [ExactMatrix([[parse_scalar(c) for c in row] for row in g])
-                for g in self.generator_entries]
+        return [ExactMatrix(g) for g in self.generator_entries]
 
     def __repr__(self):
         return "CatalogEntry(%s: %s)" % (self.key, self.label)
@@ -127,8 +127,7 @@ def fermat_row(n: int, d: int) -> dict:
     eye = [["1" if r == c else "0" for c in range(v)] for r in range(v)]
     return {"tier": "full-closure", "form": " + ".join("x%d^%d" % (i, d) for i in range(1, v + 1)),
             "generators": [[["z%d" % d, *eye[0][1:]], *eye[1:]], [eye[1], eye[0], *eye[2:]], [*eye[1:], eye[0]]],
-            "expected": {"aut_order": fermat_order(v, d), "group_name": "C%d^%d:S%d" % (d, v - 1, v)},
-            "provenance": "Fermat form: torsion diagonals and coordinate permutations."}
+            "expected": {"aut_order": fermat_order(v, d), "group_name": "C%d^%d:S%d" % (d, v - 1, v)}}
 
 
 def _resolve(row: dict, rows: dict) -> dict:
@@ -177,7 +176,6 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
     checks["parse"] = {"ok": form.degree == entry.d, "terms": len(form.terms)}
 
     gens = entry.generators()
-    checks["preserves"] = {}    # filled in once the verifier has accepted or refused
 
     if not skip_smooth:
         cert = is_smooth(form)
@@ -185,37 +183,28 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
 
     expected_aut = entry.expected["aut_order"]
     expected_lin = entry.expected["lin_order"]
-    verify = None
-
-    if entry.tier == "full-closure":
-        grp = MatGroup(gens)
-        if not grp.close():
-            checks["closure"] = {"ok": False, "reason": "cap exceeded or group infinite"}
-        else:
-            checks["closure"] = {"ok": grp.order == expected_aut,
-                                 "order": grp.order, "expected": expected_aut}
-            proj = grp.projective_order()
-            checks["projective_order"] = {"ok": proj == expected_lin,
-                                          "order": proj, "expected": expected_lin}
-            verify = partial(verify_certificate, grp)
-    elif entry.tier == "compositional":
-        verify = partial(verify_compositional, gens)
-    elif entry.tier != "generators-only":
-        raise CatalogError("unknown tier %r" % entry.tier)
-
     struct = None
-    if verify is not None:
-        try:
-            struct = verify(finest_certificate(gens), form)
-        except CertificateError as exc:
-            checks["certificate"] = {"ok": False, "refused": str(exc)}
-    checks["preserves"]["ok"] = struct is not None or preserves(gens, form)
-
-    if struct is not None:
-        if entry.tier == "compositional":
+    try:
+        if entry.tier == "full-closure":
+            grp = MatGroup(gens)
+            if not grp.close():
+                checks["closure"] = {"ok": False, "reason": "cap exceeded or group infinite"}
+            else:
+                checks["closure"] = {"ok": grp.order == expected_aut,
+                                     "order": grp.order, "expected": expected_aut}
+                proj = grp.projective_order()
+                checks["projective_order"] = {"ok": proj == expected_lin,
+                                              "order": proj, "expected": expected_lin}
+                struct = verify_certificate(grp, finest_certificate(gens), form)
+        elif entry.tier == "compositional":
+            struct = verify_compositional(gens, finest_certificate(gens), form)
             checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
                                              "order": struct.group_order, "expected": expected_aut}
+    except CertificateError as exc:
+        checks["certificate"] = {"ok": False, "refused": str(exc)}
+    if struct is not None:
         checks["certificate"] = {"ok": True, "report": struct.payload()}
+    checks["preserves"] = {"ok": struct is not None or preserves(gens, form)}
 
     if entry.fermat:
         sp = semi_permutation_group(form)

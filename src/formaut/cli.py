@@ -13,7 +13,8 @@ reproducible byte for byte.
 
 The user file formats live here: a form file is form text or {"nvars",
 "degree" (optional), "terms": [{"exps", "coeff"}]}, and a generator file is
-{"dim", "generators"} as generators_to_json writes it.
+{"dim", "generators"} as generators_to_json writes it.  In both, a scalar is
+scalar text or a JSON integer; anything else is malformed (`forms._as_cyc`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from decimal import Decimal
 
 from . import catalog
 from .diaglattice import block_scalar_group, semi_permutation_group
-from .cyclotomic import parse_scalar, scalar_to_str
-from .forms import ExactMatrix, Form, FormError
+from .cyclotomic import scalar_to_str
+from .forms import ExactMatrix, Form, FormError, _as_cyc
 from .forms import parse as form_parse
 from .matgroups import DEFAULT_CAP, GroupError, MatGroup, invariant_dimension, reynolds_array_bytes
 from .sequences import SequenceError, SubdegreeSequence, classification_search, jc, ratio, uniform_bounds_check
@@ -54,7 +55,7 @@ def form_from_payload(payload) -> Form:
     for t in payload["terms"]:
         if any(type(e) is not int for e in t["exps"]):
             raise FormError("exponents must be integers, got %s" % json.dumps(t["exps"]))
-        exps, c = tuple(t["exps"]), parse_scalar(t["coeff"])
+        exps, c = tuple(t["exps"]), _as_cyc(t["coeff"])
         terms[exps] = terms[exps] + c if exps in terms else c
     return Form(nvars, terms, degree)
 
@@ -63,15 +64,9 @@ def generators_from_payload(payload):
     dim = payload["dim"]
     if type(dim) is not int or dim < 1:
         raise GroupError("dim must be a positive integer, got %s" % json.dumps(dim))
-    gens = []
-    for entries in payload["generators"]:
-        bad = [c for row in entries for c in row if not isinstance(c, str) and type(c) is not int]
-        if bad:   # a JSON float or boolean would be read as an inexact rational or as 0/1
-            raise GroupError("generator entry %s is neither a string nor an integer" % json.dumps(bad[0]))
-        m = ExactMatrix(entries)
-        if m.dim != dim:
-            raise GroupError("generator dimension mismatch")
-        gens.append(m)
+    gens = [ExactMatrix(entries) for entries in payload["generators"]]
+    if any(m.dim != dim for m in gens):
+        raise GroupError("generator dimension mismatch")
     if not gens:
         raise GroupError("no generators")
     return gens

@@ -39,8 +39,7 @@ class Form:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise FormError("bad exponent vector %r" % (exps,))
-            if not isinstance(coeff, CycNum):
-                coeff = CycNum.from_fraction(Fraction(coeff))
+            coeff = _as_cyc(coeff)
             if coeff.is_zero():
                 continue
             d = sum(exps)
@@ -122,14 +121,11 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> ExactMatrix:
-        one, zero = CycNum.one(), CycNum.zero()
-        return cls([[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        return cls.diagonal([1] * dim)
 
     @classmethod
     def diagonal(cls, values) -> ExactMatrix:
-        vals = [_as_cyc(v) for v in values]
-        zero = CycNum.zero()
-        return cls([[vals[i] if i == j else zero for j in range(len(vals))] for i in range(len(vals))])
+        return cls([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -205,11 +201,14 @@ class ExactMatrix:
 
 
 def _as_cyc(x) -> CycNum:
+    """A CycNum, a Fraction, scalar text or an integer that is not a bool (a float or a bool is inexact)."""
     if isinstance(x, CycNum):
         return x
     if isinstance(x, str):
         return parse_scalar(x)
-    return CycNum.from_fraction(Fraction(x))
+    if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
+        return CycNum.from_fraction(Fraction(x))
+    raise FormError("scalar %r is neither a string nor an integer" % (x,))
 
 
 # -- operations --------------------------------------------------------------

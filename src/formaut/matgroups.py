@@ -443,15 +443,14 @@ class MatGroup:
             x = np.frombuffer(b"".join(batch), dtype=np.int64).reshape(-1, r)
             return _row_keys((x @ maps % p).swapaxes(0, 1))
 
-        orbit_of, spanning = {}, []     # each computed orbit's vectors, scaled to lead with 1 -> (size, spans)
+        orbit_of, spanning = {}, []     # each computed orbit's lines, by pgl_keys -> (size, spans)
         for i, l, v in self._reflections():
-            if v.tobytes() not in orbit_of:
+            line = v.astype(np.int32).tobytes()     # v leads with 1: these bytes are its pgl key
+            if line not in orbit_of:
                 points = Orbit([v.tobytes()], step).points
                 orbit = np.frombuffer(b"".join(points), dtype=np.int64).reshape(-1, r)
-                lead = orbit[np.arange(len(orbit)), (orbit != 0).argmax(axis=1)].tolist()
-                lines = orbit * np.array([pow(a, -1, p) for a in lead])[:, None] % p
-                orbit_of.update(dict.fromkeys(_row_keys(lines[None])[0], (len(points), _rank_mod_p(orbit, p) == r)))
-            size, spans = orbit_of[v.tobytes()]
+                orbit_of.update(dict.fromkeys(pgl_keys(orbit, p), (len(points), _rank_mod_p(orbit, p) == r)))
+            size, spans = orbit_of[line]
             if spans:
                 spanning.append((size, len(self._tree.word(i)), i, l))
         return min(spanning)[2:] if spanning else None
@@ -504,7 +503,7 @@ class MatGroup:
 
 
 def pgl_keys(stack, p: int) -> list[bytes]:
-    """The int32 bytes of each residue of an (m, s, s) stack divided by its first nonzero entry.
+    """The int32 bytes of each residue of an (m, s, s) stack, or of m vectors, divided by its first nonzero entry.
 
     On the residues of a closed group these keys name the PGL classes (the
     normalised-residue lemma, module docstring).

@@ -78,7 +78,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diaglattice import block_scalar_group
+from .diaglattice import _pcompose, block_scalar_group
 from .forms import ExactMatrix, Form
 from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
                         _row_keys, closure, pgl_keys, preserves, schreier_generators)
@@ -190,11 +190,6 @@ def _block_pattern(mask, ranges, grouping):
     return tuple(out)
 
 
-def _psi_compose(a, b):
-    """psi(A @ B) from psi(A), psi(B): block j goes through B first, then A."""
-    return tuple(tuple(ta[tb[j]] for j in range(len(ta))) for ta, tb in zip(a, b))
-
-
 def _restrict(matrix: ExactMatrix, r0, r1, c0, c1) -> ExactMatrix:
     return ExactMatrix([[matrix.entries[r][c] for c in range(c0, c1)] for r in range(r0, r1)])
 
@@ -262,7 +257,7 @@ def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
     """Verify a certificate against a closed group; |G|, |P| and |N| are residue counts."""
     if not group.closed:
         raise GroupError("closed-tier verification needs a closed group")
-    return _verify(group.generators, cert, form, group, DEFAULT_CAP)
+    return _verify(group.generators, cert, form, group, group.order)
 
 
 def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
@@ -294,7 +289,7 @@ def _verify(gens, cert, form, group, block_cap):
 
     # psi(G): the orbit of the identity pattern, whose words give P's transversal
     identity = tuple(tuple(range(k)) for k in grouping)
-    psi = Orbit([identity], lambda batch: [[_psi_compose(cur, tup) for tup in gen_tuples] for cur in batch])
+    psi = Orbit([identity], lambda batch: [[tuple(map(_pcompose, cur, tup)) for tup in gen_tuples] for cur in batch])
     psi_order = len(psi.points)
     k_orders = _check_transitive(psi.points, grouping)
 
@@ -348,7 +343,6 @@ def _projective_part(gens, cert, psi, group, block_cap):
     tables = [[] for _ in schreier]     # per principal Schreier generator: class -> class, over all blocks
     start, offset = [], 0               # the blocks' classes are numbered in turn, from offset
     closed = {}                         # restriction list -> (L_ij, class_of, reps); None keys the whole space
-    cap = group.order if group is not None else block_cap
     for (i, j, r0, r1) in big:
         if group is not None and r1 - r0 == cert.dim:
             restricted = None
@@ -356,7 +350,7 @@ def _projective_part(gens, cert, psi, group, block_cap):
             stab_gens = schreier + [u for u, x in zip(transversal, psi.points) if x[i][j] == j]
             restricted = tuple(_distinct_non_identity([_restrict(s, r0, r1, r0, r1) for s in stab_gens]))
         if restricted not in closed:    # identical generator lists generate the same group: close it once
-            grp = group if restricted is None else closure(restricted, cap=cap)
+            grp = group if restricted is None else closure(restricted, cap=block_cap)
             if not grp.closed:
                 raise CertificateError("stabilizer block closure exceeded its cap")
             keys = dict.fromkeys(key for _, stack in grp._stacks() for key in pgl_keys(stack, grp.p))

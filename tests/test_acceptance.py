@@ -262,6 +262,15 @@ def test_certificate_reports_match_golden(catalog_reports):
     report(6, "%d certificate reports byte-identical to the golden file" % len(reports))
 
 
+def test_catalog_reports_match_golden(catalog_reports):
+    # every check of every row (parse, closure, projective_order, compositional_order, preserves,
+    # semi_permutation, beats_fermat and certificate), without seconds, frozen as JSON
+    reports = {label: {k: v for k, v in rep.items() if k != "seconds"} for label, (rep, _) in catalog_reports.items()}
+    text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "catalog_reports.json").read_text()
+    report(6, "%d catalog reports byte-identical to the golden file" % len(reports))
+
+
 def test_certificate_ratios_form_the_fermat_chain(catalog_reports):
     # |G|/(d^v v!) <= B/(d^v v!) <= R(H, d) <= R(l, d) on every certificate with a form:
     # B groups by the intrinsic multiplicities, R(H, d) by equal subdegrees, and

@@ -8,6 +8,7 @@ import pytest
 
 from formaut import catalog
 from formaut.catalog import CatalogError, get_entry, load_entries, verify_all, verify_entry
+from formaut.cli import generators_from_payload
 from formaut.matgroups import DEFAULT_CAP, preserves
 from formaut.sequences import fermat_order
 from formaut.structure import DecompositionCertificate, finest_certificate
@@ -38,6 +39,12 @@ def test_catalog_loads_and_invariants():
 def test_every_entry_generators_preserve_form():
     for e in load_entries():
         assert preserves(e.generators(), e.form()), e.label
+
+
+def test_row_generators_read_as_a_generator_file():
+    # a row's generator entries follow the generator-file rule (cli.generators_from_payload)
+    for e in load_entries():
+        assert e.generators() == generators_from_payload({"dim": e.nvars, "generators": e.generator_entries}), e.label
 
 
 def test_expected_orders_table():
@@ -251,6 +258,7 @@ def test_loader_refuses_a_malformed_sum_row(tmp_path, monkeypatch, change, reaso
     ("klein-quartic", {}, {"lin_order": 168}, "lists lin_order if and only if it is subgroup_only"),
     ("quintic-480", {}, {"lin_order": None}, "lists lin_order if and only if it is subgroup_only"),
     ("pair-octahedral-sextic", {"sum_of": "fermat-1-3", "n": 4}, None, "names no row that lists its own generators"),
+    ("klein-quartic", {"tier": "bogus"}, None, "unknown tier"),
 ])
 def test_loader_refuses_a_malformed_row(tmp_path, monkeypatch, label, change, expected, reason):
     # expected: changes to the row's expected values, None removing a field

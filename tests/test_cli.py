@@ -138,6 +138,34 @@ def test_smooth_records_primes(tmp_path, capsys):
     assert out == out2
 
 
+# a file of each kind with one scalar left open: (the file text, %s for the scalar; the subcommand)
+SCALAR_FILES = {
+    "form": ('{"nvars": 2, "terms": [{"exps": [3, 0], "coeff": %s}, {"exps": [0, 3], "coeff": "1"}]}', ["smooth"]),
+    "generator": ('{"dim": 2, "generators": [[["0", %s], ["1/2", "0"]]]}', ["closure"]),
+}
+
+
+@pytest.mark.parametrize("kind", SCALAR_FILES)
+def test_an_integer_scalar_reads_as_its_text(tmp_path, capsys, kind):
+    text, command = SCALAR_FILES[kind]
+    f = tmp_path / "input.json"
+    runs = []
+    for scalar in ["2", '"2"']:
+        f.write_text(text % scalar)
+        runs.append(run_cli([*command, str(f)], capsys))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+@pytest.mark.parametrize("scalar", ["0.5", "true", "[2]"], ids=["float", "boolean", "nested-list"])
+@pytest.mark.parametrize("kind", SCALAR_FILES)
+def test_a_scalar_that_is_neither_text_nor_an_integer_exits_2(tmp_path, capsys, kind, scalar):
+    text, command = SCALAR_FILES[kind]
+    f = tmp_path / "input.json"
+    f.write_text(text % scalar)
+    assert main([*command, str(f)]) == 2
+    assert "is neither a string nor an integer" in capsys.readouterr().err
+
+
 def test_closure_subcommand(tmp_path, capsys):
     from formaut.catalog import get_entry
     from formaut.cli import generators_to_json

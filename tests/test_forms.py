@@ -248,6 +248,13 @@ def test_json_integer_fields_refuse_booleans(fields):
         form_from_payload(payload)
 
 
+@pytest.mark.parametrize("coeff", [0.1, True, [1]], ids=["float", "boolean", "list"])
+def test_form_refuses_a_coefficient_that_is_neither_text_nor_an_integer(coeff):
+    # 0.1 would be read as 3602879701896397/36028797018963968, True as 1
+    with pytest.raises(FormError, match="is neither a string nor an integer"):
+        Form(1, {(3,): coeff})
+
+
 @st.composite
 def forms(draw):
     nvars, degree = draw(st.integers(1, 4)), draw(st.integers(1, 5))

@@ -172,6 +172,36 @@ def test_identical_block_restrictions_close_once(monkeypatch, label, closures):
     assert len(calls) == closures
 
 
+def _record_closure_caps(monkeypatch):
+    """(closed generators' dimension, cap) of every structure.closure call, in call order."""
+    calls, close = [], structure.closure
+
+    def record(generators, cap):
+        calls.append((generators[0].dim, cap))
+        return close(generators, cap)
+
+    monkeypatch.setattr(structure, "closure", record)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["quintic-480", "pair-octahedral-sextic"])
+def test_closed_tier_caps_block_closures_at_the_group_order(monkeypatch, label):
+    entry = get_entry(label)
+    grp = closure(entry.generators())
+    calls = _record_closure_caps(monkeypatch)
+    verify_certificate(grp, certificate(entry), entry.form())
+    assert calls and {cap for _, cap in calls} == {grp.order}
+
+
+def test_compositional_tier_caps_block_closures_at_its_block_cap(monkeypatch):
+    # the kernel check closes the block scalars in the whole space, capped at the lattice order
+    entry = get_entry("pair-icosahedral-12ic")
+    calls = _record_closure_caps(monkeypatch)
+    verify_compositional(entry.generators(), certificate(entry), entry.form(), block_cap=123457)
+    assert {cap for dim, cap in calls if dim < entry.nvars} == {123457}
+    assert [cap for dim, cap in calls if dim == entry.nvars] == [144]
+
+
 def test_compositional_tier_refuses_a_missing_form():
     entry = get_entry("pair-octahedral-sextic")
     with pytest.raises(CertificateError, match="needs the form"):
