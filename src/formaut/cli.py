@@ -64,6 +64,8 @@ def generators_from_payload(payload):
     dim = payload["dim"]
     if type(dim) is not int or dim < 1:
         raise GroupError("dim must be a positive integer, got %s" % json.dumps(dim))
+    if any(type(g) is not list or any(type(row) is not list for row in g) for g in payload["generators"]):
+        raise GroupError("every generator must be a list of rows, each a list of entries")
     gens = [ExactMatrix(entries) for entries in payload["generators"]]
     if any(m.dim != dim for m in gens):
         raise GroupError("generator dimension mismatch")

@@ -11,6 +11,7 @@ cyclotomic.parse_polynomial reads to exponent tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import lcm
 
 from .cyclotomic import (CycNum, ScalarSyntaxError, conductor, parse_polynomial, parse_scalar,
@@ -215,18 +216,26 @@ def _as_cyc(x) -> CycNum:
 
 
 def act(form: Form, matrix: ExactMatrix) -> Form:
-    """Substitution action: x_k is replaced by the k-th row L_k of the matrix.
+    """Substitution action: x_k is replaced by the k-th row L_k of the matrix g.
 
     Satisfies the contravariance identity act(F, A1*A2) = act(act(F, A1), A2).
-    Evaluated by Horner's rule in one variable at a time (Knuth, TAOCP vol. 2,
-    sec. 4.6.4): write F = sum_j x_i^j * G_j(x_(i+1), ..., x_r); then
-    act(F) = H_0, where H_jmax = act(G_jmax) and H_j = act(G_j) + L_i * H_(j+1),
-    recursing on the G_j, a degree-0 remainder being its coefficient.  This is
-    a ring identity, so the result is exact, and each step multiplies by one
-    linear form: every coefficient of H_j is one CycNum.dot over the pairs
-    that reach its monomial, a term of act(G_j) entering as (c, 1).  Every
-    coefficient and matrix entry is lifted once to the least common
-    conductor, so no product or sum re-embeds an operand.
+    Every coefficient and matrix entry is lifted once to the least common
+    conductor N, and each output coefficient of a step is one CycNum.dot over
+    the pairs that reach its monomial.  The route follows g's exact shape:
+    - monomial g (at most one nonzero a_k = g[k][l_k] per row): the relabel
+      c*x^e -> c * prod_k a_k^e_k * x_(l_k)^e_k, summing images that collide
+      (the rows need not permute the variables);
+    - g = I + u*w^T (a reflection or a transvection): Taylor's formula
+      F(x + t*u) = sum_j t^j * D^(j)F(x), D^(j) = (sum_k u_k d/dx_k)^j / j!,
+      is the binomial theorem on each monomial, an identity in K[x, t], so it
+      holds at t = w.x for any u and w, singular g too; then Horner's rule in t.
+      rank(g - I) = 1 is tested by the 2x2 minors through a pivot a_pq of
+      a = g - I, and only then is a_pq inverted: u = a[:, q] / a_pq, w = a[p, :];
+    - any other g: Horner's rule one variable at a time (Knuth, TAOCP vol. 2,
+      sec. 4.6.4): write F = sum_j x_i^j * G_j(x_(i+1), ..., x_r); then
+      act(F) = H_0, where H_jmax = act(G_jmax) and H_j = act(G_j) + L_i * H_(j+1),
+      recursing on the G_j, a degree-0 remainder being its coefficient.
+    In a Horner step a term of the addend enters its dot as (c, 1).
     """
     if matrix.dim != form.nvars:
         raise FormError("matrix dimension %d != variable count %d" % (matrix.dim, form.nvars))
@@ -239,7 +248,7 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
     one = CycNum.one(N)
 
     def times_row_plus(poly, row, addend):
-        # L_i * poly + addend, one dot per output monomial
+        # L * poly + addend, one dot per output monomial
         pairs: dict = {}
         for e, c in poly.items():
             for k, a in row:
@@ -261,7 +270,39 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
             acc = times_row_plus(acc, rows[i], sub) if acc else sub   # H_(j+1) is dropped here
         return acc
 
-    return Form(n, horner(form.terms, 0), form.degree)
+    pairs: dict = {}
+    if all(len(row) <= 1 for row in rows):
+        power = cache(lambda k, e: rows[k][0][1] if e == 1 else power(k, e - 1) * rows[k][0][1])
+        for e, c in form.terms.items():
+            if all(rows[k] for k in range(n) if e[k]):   # else a zero row kills the term
+                img = [0] * n
+                for k in (k for k in range(n) if e[k]):
+                    img[rows[k][0][0]] += e[k]
+                    c = c if rows[k][0][1] == one else c * power(k, e[k])
+                pairs.setdefault(tuple(img), []).append((c, one))
+        return Form(n, {m: CycNum.dot(ps, N) for m, ps in pairs.items()}, form.degree)
+    a = [[CycNum.zero(N)] * n for _ in range(n)]   # g - I, nonzero since g is not monomial
+    for i, row in enumerate(rows):
+        for j, x in row:
+            a[i][j] = x
+        a[i][i] -= one
+    p, q = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if not x.is_zero())
+    if any(x * a[p][q] != row[q] * a[p][j] for i, row in enumerate(a) if i != p
+           for j, x in enumerate(row) if j != q):   # a nonzero 2x2 minor: rank(g - I) > 1
+        return Form(n, horner(form.terms, 0), form.degree)
+    inv = a[p][q].inverse()
+    u = {i: row[q] * inv for i, row in enumerate(a) if not row[q].is_zero()}
+    w = [(j, x) for j, x in enumerate(a[p]) if not x.is_zero()]
+    weight = cache(lambda k, m, j: u[k] * Fraction(m, j))
+    derivs = [{e: c.to_conductor(N) for e, c in form.terms.items()}]
+    for j in range(1, form.degree + 1):   # D^(j) = D^(1) D^(j-1) / j
+        pairs = {}
+        for e, c in derivs[-1].items():
+            for k in (k for k in u if e[k]):
+                pairs.setdefault(e[:k] + (e[k] - 1,) + e[k + 1:], []).append((c, weight(k, e[k], j)))
+        derivs.append({m: CycNum.dot(ps, N) for m, ps in pairs.items()})
+    taylor = reduce(lambda acc, G: times_row_plus(acc, w, G) if acc else G, reversed(derivs), {})   # Horner in t
+    return Form(n, taylor, form.degree)
 
 
 def block_degrees(exps, block_sizes):

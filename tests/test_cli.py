@@ -387,11 +387,12 @@ IDENTITY_2 = '{"dim": 2, "generators": [[["1", "0"], ["0", "1"]]]}'
     ({"gens.json": IDENTITY_2}, ["structure", "gens.json", "--tier", "compositional"]),
     ({"form.txt": "(" * 3000 + "x1" + ")" * 3000 + "^3 + x2^3"}, ["smooth", "form.txt"]),
     ({"gens.json": "[" * 100000 + "]" * 100000}, ["closure", "gens.json"]),
+    ({"gens.json": '{"dim": 2, "generators": [["01", "10"]]}'}, ["closure", "gens.json"]),
 ], ids=["non-homogeneous-form", "bad-scalar", "bad-generator-json", "dimension-mismatch", "missing-file",
         "zero-dim-closure", "zero-dim-invdim", "juxtaposed-product", "float-generator-entry",
         "boolean-generator-entry", "float-exponent", "boolean-exponent", "float-nvars", "float-degree",
         "float-dim", "boolean-dim", "blocks-sum-mismatch", "compositional-without-form", "nested-form",
-        "nested-generator-json"])
+        "nested-generator-json", "string-row-generator"])
 def test_malformed_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, args):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

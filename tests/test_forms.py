@@ -2,10 +2,10 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from formaut.catalog import load_entries
+from formaut.catalog import get_entry, load_entries
 from formaut.cli import form_from_payload
 from formaut.cyclotomic import CycNum, ScalarSyntaxError, euler_phi, parse_scalar, root_of_unity, scalar_to_str
 from formaut.forms import ExactMatrix, Form, FormError, act, block_degrees, parse, partials, serialize
@@ -159,6 +159,62 @@ def test_act_matches_reference_on_catalog():
             got, want = act(moved, g), reference_act(moved, g)
             assert got == want, entry.label
             assert serialize(got) == serialize(want), entry.label
+
+
+@st.composite
+def shaped_matrix(draw, r):
+    """A matrix that takes act's shape route: monomial rows, or I + u*w^T.
+
+    Monomial rows may send two variables to one or be zero.  For I + u*w^T,
+    w.u is 0 (a transvection), -1 (a singular g) or free; u and w may have
+    zero entries, and scalars come at mixed conductors.
+    """
+    kind = draw(st.sampled_from(["monomial", "transvection", "singular", "rank-one"]))
+    if kind == "monomial":
+        rows = [[CycNum.zero()] * r for _ in range(r)]
+        for row in rows:
+            row[draw(st.integers(0, r - 1))] = draw(scalars)
+        return ExactMatrix(rows)
+    u, w = [draw(scalars) for _ in range(r)], [draw(scalars) for _ in range(r)]
+    support = [k for k in range(r) if not u[k].is_zero()]
+    if kind != "rank-one" and support:
+        k = draw(st.sampled_from(support))
+        rest = sum((w[j] * u[j] for j in range(r) if j != k), CycNum.zero())
+        w[k] = ((0 if kind == "transvection" else -1) - rest) / u[k]
+    return ExactMatrix([[u[i] * w[j] + (1 if i == j else 0) for j in range(r)] for i in range(r)])
+
+
+@st.composite
+def shaped_inputs(draw):
+    F, B = draw(act_inputs())
+    return F, draw(shaped_matrix(F.nvars)), B
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(shaped_inputs())
+@example((parse("x1^2 + x2^2"), ExactMatrix([[1, 0], [1, 0]]), ExactMatrix.identity(2)))   # 2*x1^2
+def test_act_on_shaped_matrices_matches_reference(case):
+    F, A, B = case
+    got, want = act(F, A), reference_act(F, A)
+    assert got == want
+    assert serialize(got) == serialize(want)
+    assert act(F, A * B) == act(got, B)
+
+
+def test_reflection_takes_far_fewer_dots_than_horner(monkeypatch):
+    calls = []
+    dot = CycNum.dot
+    monkeypatch.setattr(CycNum, "dot", staticmethod(lambda pairs, n: calls.append(n) or dot(pairs, n)))
+
+    def dots(label, index):
+        entry = get_entry(label)
+        F, g = entry.form(), entry.generators()[index]
+        calls.clear()
+        assert act(F, g) == F
+        return len(calls)
+
+    assert dots("todd-sextic", 3) <= 2000   # the reflection in (1,1,1,1,1,-sqrt(-3)); Horner makes 10,079
+    assert dots("hessian-sextic", 3) == 306   # dense with rank(g - I) > 1: still Horner
 
 
 def test_component_examples():
