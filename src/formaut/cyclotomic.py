@@ -325,13 +325,13 @@ class CycNum:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycNum.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return CycNum.one(self.n)
+        result = self               # left-to-right square-and-multiply from the top bit down
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- identity ----------------------------------------------------------

@@ -160,42 +160,21 @@ class ExactMatrix:
     def __hash__(self):
         return hash(tuple(c.canonical_key() for row in self.entries for c in row))
 
-    def _gauss_jordan(self, right):
-        """Gauss-Jordan on [A | right]: (det A, the reduced right block A^-1 * right).
-
-        A singular A gives (0, None).
-        """
+    def inverse(self) -> ExactMatrix:
+        """A^-1 by Gauss-Jordan on [A | I]; ZeroDivisionError when A is singular."""
         n = self.dim
-        mat = [list(row) + list(r) for row, r in zip(self.entries, right)]
-        det = CycNum.one()
+        mat = [list(row) + list(e) for row, e in zip(self.entries, ExactMatrix.identity(n).entries)]
         for col in range(n):
             piv = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
             if piv is None:
-                return CycNum.zero(), None
-            if piv != col:
-                mat[col], mat[piv] = mat[piv], mat[col]
-                det = -det
-            pv = mat[col][col]
-            det = det * pv
-            inv = pv.inverse()
+                raise ZeroDivisionError("matrix is singular")
+            mat[col], mat[piv] = mat[piv], mat[col]
+            inv = mat[col][col].inverse()
             mat[col] = [x * inv for x in mat[col]]
-            for r in range(n):
-                if r != col and not mat[r][col].is_zero():
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-        return det, [row[n:] for row in mat]
-
-    def determinant(self) -> CycNum:
-        return self._gauss_jordan([()] * self.dim)[0]
-
-    def inverse(self) -> ExactMatrix:
-        _, inv = self._gauss_jordan(ExactMatrix.identity(self.dim).entries)
-        if inv is None:
-            raise ZeroDivisionError("matrix is singular")
-        return ExactMatrix(inv)
-
-    def is_invertible(self) -> bool:
-        return not self.determinant().is_zero()
+            for r, row in enumerate(mat):
+                if r != col and not row[col].is_zero():
+                    mat[r] = [x - row[col] * y for x, y in zip(row, mat[col])]
+        return ExactMatrix([row[n:] for row in mat])
 
     def __repr__(self):
         return "ExactMatrix(%d x %d)" % (self.dim, self.dim)

@@ -40,6 +40,14 @@ hypotheses are checked where they are used: `smoothness.split_prime` draws
 p >= 2^21 with p = 1 (mod N) and skips every prime that divides a generator
 denominator; finiteness is certified when the residue closure completes.
 
+The singular-residue lemma.  The generator entries are 𝔭-integral, as p
+divides no denominator, so det(g mod 𝔭) = det(g) mod 𝔭: an exactly singular
+g has a singular residue.  A g of finite order has a root of unity as its
+determinant, a 𝔭-unit, so its residue is invertible.  Hence a generator
+whose residue has F_p rank below r is singular or has infinite order, and
+either way `MatGroup` refuses it; an invertible g is refused only when
+det(g) lies in 𝔭.
+
 The orbit certificate.  On completion `close` closes one orbit of vectors
 exactly over K.  A finite orbit that spans K^r is a spanning set that every
 generator maps injectively into itself, hence permutes, so G embeds in its
@@ -270,13 +278,8 @@ def schreier_generators(orbit: Orbit, gens) -> tuple[list[ExactMatrix], list[Exa
     """
     reps = [word_product(gens, orbit.word(i)) for i in range(len(orbit.points))]
     invs = [u.inverse() for u in reps]
-    out = []
-    for i, images in orbit.images():
-        for g, y in zip(gens, images):
-            s = reps[i] * g * invs[orbit.index[y]]
-            if s not in out:
-                out.append(s)
-    return reps, out
+    return reps, list(dict.fromkeys(reps[i] * g * invs[orbit.index[y]]
+                                    for i, images in orbit.images() for g, y in zip(gens, images)))
 
 
 def exponent_bound(r: int, n: int) -> int:
@@ -299,9 +302,6 @@ class MatGroup:
         dim = gens[0].dim
         if any(g.dim != dim for g in gens):
             raise GroupError("generators must share a dimension")
-        for g in gens:
-            if not g.is_invertible():
-                raise GroupError("generator is singular")
         self.dim = dim
         self.generators = gens
         self.conductor = conductor(c for g in gens for row in g.entries for c in row)
@@ -313,6 +313,8 @@ class MatGroup:
             raise GroupError("p = %d must exceed r + 1 = %d (the prime lemma)" % (self.p, dim + 1))
         self._field = GF(self.p, self.conductor)
         self._gens = np.stack([self._reduce(g) for g in gens])
+        if any(_rank_mod_p(g, self.p) < dim for g in self._gens):    # the singular-residue lemma
+            raise GroupError("a generator is singular mod p = %d: it is singular, or has infinite order" % self.p)
         self._tree = Tree()             # the elements' residue keys: none until close()
         self.closed = False
 

@@ -59,7 +59,7 @@ class SubdegreeSequence:
 
     @classmethod
     def from_text(cls, text: str) -> SubdegreeSequence:
-        """Parse caret notation: '2^13', '8^1 6^2 1^3', or plain '3 2 1'."""
+        """Parse caret notation: '2^13', '8^1 6^2 1^3', or plain '3 2 1'; a multiplicity must be positive."""
         parts = []
         for chunk in re.split(r"[,\s]+", text.strip()):
             if not chunk:
@@ -68,24 +68,20 @@ class SubdegreeSequence:
             if not m:
                 raise SequenceError("bad sequence chunk %r" % chunk)
             r, k = int(m.group(1)), int(m.group(2)) if m.group(2) else 1
+            if k < 1:
+                raise SequenceError("multiplicity must be positive in chunk %r" % chunk)
             parts.extend([r] * k)
         return cls(parts)
 
     def multiplicities(self):
         """Distinct parts r1 > r2 > ... with multiplicities, as (r_i, k_i) pairs."""
-        out = []
-        for p in self.parts:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return out
+        return [(p, len(list(run))) for p, run in groupby(self.parts)]
 
     def exponential_type(self) -> str:
         return " ".join("%d^%d" % (r, k) for r, k in self.multiplicities())
 
     def count(self, part: int) -> int:
-        return sum(1 for p in self.parts if p == part)
+        return self.parts.count(part)
 
     def __add__(self, other):
         if isinstance(other, SubdegreeSequence):

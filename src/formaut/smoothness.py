@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
@@ -422,15 +423,15 @@ class SmoothnessCertificate:
         return "SmoothnessCertificate(%s via %s)" % (self.verdict, self.method)
 
 
-def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20):
-    """Random primes p = 1 (mod conductor) in [lo, hi), hi = 2 lo, deterministic per seed.
+def _seeded_primes(conductor: int, seed: int, lo: int):
+    """Yield random primes p = 1 (mod conductor) in [lo, hi), hi = 2 lo, deterministic per seed.
 
     p = k * conductor + 1 for a drawn k.  When [lo, hi) holds no such p with
     k >= 1 (a conductor near or above hi), k is drawn from the 2^10 values
     from max(1, lo // conductor) up instead, and p may exceed hi.  Once every
-    candidate of the window has been drawn with fewer than `count` primes
-    found, the draws go on in [hi, 2 hi) from the same generator, so every
-    draw that succeeds inside the first window is unaffected.
+    candidate of the window has been drawn, the draws go on in [hi, 2 hi)
+    from the same generator, so every draw that succeeds inside the first
+    window is unaffected.  Past 200,000 draws it raises SmoothnessError.
     """
     hi = 2 * lo
     k_lo, k_hi = lo // conductor, hi // conductor
@@ -438,11 +439,8 @@ def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20):
         k_lo = max(k_lo, 1)
         k_hi = k_lo + (1 << 10)
         hi = k_hi * conductor
-    rng = random.Random(seed)
-    found = []
-    seen = set()
-    attempts = 0
-    while len(found) < count:
+    rng, seen, attempts = random.Random(seed), set(), 0
+    while True:
         # drawable k with k * conductor + 1 in [lo, hi)
         candidates = min(k_hi, (hi - 2) // conductor + 1) - max(k_lo, -(-(lo - 1) // conductor))
         if len(seen) >= candidates:
@@ -453,25 +451,21 @@ def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20):
         attempts += 1
         if attempts > 200000:
             raise SmoothnessError("cannot find enough split primes for conductor %d" % conductor)
-        k = rng.randrange(k_lo, k_hi)
-        p = k * conductor + 1
-        if p < lo or p >= hi or p in seen:
-            continue
-        seen.add(p)
-        if _is_prime(p):
-            found.append(p)
-    return found
+        p = rng.randrange(k_lo, k_hi) * conductor + 1
+        if lo <= p < hi and p not in seen:
+            seen.add(p)
+            if _is_prime(p):
+                yield p
+
+
+def good_primes(conductor: int, count: int, seed: int = 0, lo: int = 1 << 20):
+    """The first `count` primes of the seeded stream (`_seeded_primes`)."""
+    return list(islice(_seeded_primes(conductor, seed, lo), count))
 
 
 def split_prime(conductor: int, den: int, seed: int = 0, lo: int = 1 << 20) -> int:
-    """The first seeded prime p = 1 (mod conductor), p >= lo, not dividing den.
-
-    Lemma: at most log_lo(den) primes >= lo divide den, and log_lo(den) is
-    below den.bit_length() / (lo.bit_length() - 1), so one more draw than
-    that always leaves a prime.
-    """
-    primes = good_primes(conductor, 1 + den.bit_length() // (lo.bit_length() - 1), seed, lo=lo)
-    return next(p for p in primes if den % p)
+    """The first prime p = 1 (mod conductor) of the seeded stream, p >= lo, not dividing den."""
+    return next(p for p in _seeded_primes(conductor, seed, lo) if den % p)
 
 
 def _is_prime(n: int) -> bool:
@@ -500,25 +494,11 @@ def _is_prime(n: int) -> bool:
 
 def variable_components(form: Form):
     """Connected components of variables linked by shared monomials."""
-    r = form.nvars
-    parent = list(range(r))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in form.terms:
-        support = [i for i, x in enumerate(e) if x]
-        for a, b in zip(support, support[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    comps = {}
-    for i in range(r):
-        comps.setdefault(find(i), []).append(i)
-    return sorted(comps.values())
+    label = list(range(form.nvars))     # a variable's component, named by its least variable
+    for e in form.terms:                # min-label merge: the components that a monomial meets merge
+        hit = {label[i] for i, x in enumerate(e) if x}
+        label = [min(hit) if x in hit else x for x in label]
+    return [[i for i, x in enumerate(label) if x == c] for c in sorted(set(label))]
 
 
 def restrict_to_variables(form: Form, variables) -> Form:

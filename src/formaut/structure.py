@@ -197,11 +197,7 @@ def _restrict(matrix: ExactMatrix, r0, r1, c0, c1) -> ExactMatrix:
 def _distinct_non_identity(mats):
     """The distinct non-identity matrices, in first-seen order; one identity if that is all."""
     identity = ExactMatrix.identity(mats[0].dim)
-    out = []
-    for m in mats:
-        if m != identity and m not in out:
-            out.append(m)
-    return out or [identity]
+    return [m for m in dict.fromkeys(mats) if m != identity] or [identity]
 
 
 def _check_irreducible(grp: MatGroup, reps, i, j):

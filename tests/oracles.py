@@ -163,6 +163,29 @@ def bareiss_determinant(rows) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
+def union_find_components(form: Form):
+    """Connected components of variables linked by shared monomials, by union-find with path halving."""
+    r = form.nvars
+    parent = list(range(r))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in form.terms:
+        support = [i for i, x in enumerate(e) if x]
+        for a, b in zip(support, support[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    comps = {}
+    for i in range(r):
+        comps.setdefault(find(i), []).append(i)
+    return sorted(comps.values())
+
+
 def sylvester_resultant(f: Form, g: Form) -> CycNum:
     """Resultant of two binary forms with integer coefficients via the Sylvester determinant."""
     if f.nvars != 2 or g.nvars != 2:

@@ -10,7 +10,7 @@ import pytest
 from formaut import cli
 from formaut.cli import main
 from formaut.sequences import ratio
-from formaut.smoothness import good_primes
+from formaut.smoothness import good_primes, split_prime
 
 from oracles import mixed_sequence_scan
 
@@ -316,6 +316,16 @@ def test_verify_catalog_empty_selection_is_a_usage_error(capsys):
         assert captured.err.startswith("error: no catalog entry matches")
 
 
+def test_a_generator_singular_mod_p_exits_1(tmp_path, capsys):
+    # diag(p, 1) is invertible, but its determinant p lies in the prime above p: singular mod p
+    p = split_prime(1, 1, lo=1 << 21)
+    message = "error: a generator is singular mod p = %d: it is singular, or has infinite order\n" % p
+    for rows in ([[1, 2], [2, 4]], [[p, 0], [0, 1]]):
+        (tmp_path / "gens.json").write_text(json.dumps({"dim": 2, "generators": [rows]}))
+        assert main(["closure", str(tmp_path / "gens.json")]) == 1
+        assert capsys.readouterr() == ("", message)
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "formaut.cli", "ratio"],
                           capture_output=True, text=True)
@@ -345,7 +355,8 @@ def test_usage_error_exit_code():
                                   ["ratio", "--seq", "abc", "--d", "3"],
                                   ["ratio", "--seq", "2^0", "--d", "3"],
                                   ["verify-catalog", "--tier", "compositional"],
-                                  ["verify-catalog", "--cap", "5"]])
+                                  ["verify-catalog", "--cap", "5"],
+                                  ["ratio", "--seq", "2^0 1", "--d", "3"]])
 def test_bad_option_value_is_a_usage_error(args):
     with pytest.raises(SystemExit) as exc:
         main(args)

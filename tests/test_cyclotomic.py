@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,34 @@ def mixed_cycnums(draw):
     n = draw(st.sampled_from(MIXED_CONDUCTORS))
     num = draw(st.lists(st.integers(-5, 5), min_size=euler_phi(n), max_size=euler_phi(n)))
     return CycNum(n, num, draw(st.integers(1, 6)))
+
+
+def test_power_by_square_and_multiply(monkeypatch):
+    """x**k wastes no product (x**1 takes none, x**60 at most 8) and keeps the n, num, den of the repeated product."""
+    real, products = CycNum.__mul__, []
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    def power(x, k):
+        products.clear()
+        monkeypatch.setattr(CycNum, "__mul__", counted)
+        value = x ** k
+        monkeypatch.setattr(CycNum, "__mul__", real)
+        return value, len(products)
+
+    z5 = root_of_unity(5)
+    for k, most in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (60, 8)]:
+        assert power(z5, k)[1] <= most
+    for x in [z5, 1 + 2 * z5 ** 3, root_of_unity(12) - 1, CycNum.from_fraction(Fraction(-3, 2)), CycNum(4, [0, 2], 3)]:
+        expected = CycNum.one(x.n)
+        for k in range(25):
+            got = power(x, k)[0]
+            assert (got.n, got.num, got.den) == (expected.n, expected.num, expected.den)
+            inv = power(x, -k)[0]
+            assert inv * got == 1
+            expected = expected * x
 
 
 def test_cyclotomic_polynomials():

@@ -9,6 +9,7 @@ from formaut.catalog import get_entry, load_entries
 from formaut.cli import form_from_payload
 from formaut.cyclotomic import CycNum, ScalarSyntaxError, euler_phi, parse_scalar, root_of_unity, scalar_to_str
 from formaut.forms import ExactMatrix, Form, FormError, act, block_degrees, parse, partials, serialize
+from formaut.matgroups import GroupError, MatGroup
 
 from lemmas import component, has_monomial_pattern
 from oracles import fermat_form, form_product, permutation_matrix
@@ -346,13 +347,14 @@ def test_one_grammar_rejects(text, scalar_pos, form_pos):
         parse(text, nvars=2)
 
 
-def test_matrix_inverse_and_determinant():
+def test_matrix_inverse():
     for _ in range(20):
         m = rnd_matrix(3)
-        det = m.determinant()
-        if det.is_zero():
+        try:
+            inv = m.inverse()
+        except ZeroDivisionError:
             continue
-        assert m * m.inverse() == ExactMatrix.identity(3)
+        assert m * inv == inv * m == ExactMatrix.identity(3)
 
 
 def test_act_dimension_mismatch():
@@ -360,19 +362,46 @@ def test_act_dimension_mismatch():
         act(fermat_form(3, 3), ExactMatrix.identity(2))
 
 
+entries_z12 = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(lambda v: CycNum(12, v))
+
+
 @st.composite
 def matrices_z12(draw):
-    entry = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(lambda v: CycNum(12, v))
-    return ExactMatrix(draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3)))
+    return ExactMatrix(draw(st.lists(st.lists(entries_z12, min_size=3, max_size=3), min_size=3, max_size=3)))
+
+
+def _inverse_or_none(m):
+    try:
+        return m.inverse()
+    except ZeroDivisionError:
+        return None
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(matrices_z12(), matrices_z12())
-def test_determinant_multiplicative_and_inverse(A, B):
-    assert (A * B).determinant() == A.determinant() * B.determinant()
-    if A.is_invertible():
-        assert A * A.inverse() == ExactMatrix.identity(3)
-        assert A.inverse() * A == ExactMatrix.identity(3)
+def test_inverse_is_two_sided_and_singularity_multiplicative(A, B):
+    # det(AB) = det(A) det(B): A*B is singular iff A or B is
+    inv_a, inv_b, inv_ab = _inverse_or_none(A), _inverse_or_none(B), _inverse_or_none(A * B)
+    assert (inv_ab is None) == (inv_a is None or inv_b is None)
+    if inv_a is not None:
+        assert A * inv_a == ExactMatrix.identity(3)
+        assert inv_a * A == ExactMatrix.identity(3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(matrices_z12(), st.booleans(), entries_z12, entries_z12)
+@example(ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]), False, CycNum.zero(), CycNum.zero())
+def test_every_singular_generator_is_refused(m, collapse, a, b):
+    """The singular-residue lemma: MatGroup refuses each m whose inverse raises.
+
+    With collapse, the last row becomes a*row_1 + b*row_2, so half the draws are singular.
+    """
+    if collapse:
+        rows = m.entries
+        m = ExactMatrix([rows[0], rows[1], [a * x + b * y for x, y in zip(rows[0], rows[1])]])
+    if _inverse_or_none(m) is None:
+        with pytest.raises(GroupError, match="singular mod p = .*: it is singular, or has infinite order"):
+            MatGroup([m])
 
 
 def reference_matmul(A, B):
@@ -404,7 +433,5 @@ def test_singular_matrix_over_z12():
     z = root_of_unity(12)
     row = [1 + z, z ** 5, CycNum.from_int(2)]
     A = ExactMatrix([row, [z * c for c in row], [z ** 2, CycNum.zero(), 1 - z]])
-    assert A.determinant().is_zero()
-    assert not A.is_invertible()
     with pytest.raises(ZeroDivisionError):
         A.inverse()

@@ -297,6 +297,16 @@ def test_klein_quartic_invariants_match_exact_routes():
     _assert_residue_routes_are_exact(closure(get_entry("klein-quartic").generators()), [4])
 
 
+def test_a_generator_with_determinant_in_the_prime_is_refused():
+    """The singular-residue lemma: diag(p, 1) is invertible, but det = p is no unit at the prime above p."""
+    p = split_prime(1, 1, lo=1 << 21)
+    with pytest.raises(GroupError, match="^a generator is singular mod p = %d: it is singular, or has infinite order$"
+                       % p):
+        MatGroup([ExactMatrix.diagonal([p, 1])])
+    grp = MatGroup([ExactMatrix.diagonal([p + 1, 1])])     # det = 1 mod p: only close() proves it infinite
+    assert grp.p == p and not grp.close()
+
+
 def test_invariant_prime_too_small_is_refused(monkeypatch):
     monkeypatch.setattr(matgroups, "split_prime", lambda conductor, den, lo: 7)
     grp = scalar_group(2, 3)

@@ -49,6 +49,21 @@ def test_sequence_parsing_and_type():
     assert SubdegreeSequence.from_text("3 2 1").parts == (3, 2, 1)
 
 
+@pytest.mark.parametrize("text", ["2^0 1", "3^00", "1 2^0 3", "2^0"])
+def test_a_zero_multiplicity_is_refused(text):
+    # a chunk r^0 once read as no part at all
+    with pytest.raises(SequenceError, match="multiplicity must be positive"):
+        SubdegreeSequence.from_text(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+def test_multiplicities_and_counts_read_the_runs(parts):
+    s = SubdegreeSequence(parts)
+    assert s.multiplicities() == [(r, parts.count(r)) for r in sorted(set(parts), reverse=True)]
+    assert [s.count(r) for r in range(8)] == [parts.count(r) for r in range(8)]
+
+
 def test_ratio_known_values():
     assert ratio("1^7", 5) == 1
     assert ratio("2^13", 3) == Fraction(16000000000, 12649365729)

@@ -10,14 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formaut.cyclotomic import CycNum, root_of_unity
-from formaut.forms import ExactMatrix, Form, parse
+from formaut.forms import Form, parse
 from formaut.matgroups import _monomials
 from formaut.smoothness import (GF, CycField, SmoothnessError, _divides, _packing, buchberger,
                                 form_to_poly, good_primes, is_smooth, split_prime, variable_components)
 
 from lemmas import grevlex_key, smtosm_witness
 from oracles import (bareiss_determinant, fermat_form, form_product, macaulay_smooth, reference_char0_verdict,
-                     smooth_by_resultant, sylvester_resultant)
+                     smooth_by_resultant, sylvester_resultant, union_find_components)
 
 rng = random.Random(8128)
 GOLDEN = Path(__file__).parent / "golden"
@@ -461,12 +461,43 @@ def test_resultant_basic():
     assert not sylvester_resultant(f, g2).is_zero()
 
 
-def test_bareiss_matches_gauss_jordan():
+def test_bareiss_matches_sympy():
+    sympy = pytest.importorskip("sympy")
     local = random.Random(4096)
     for n in range(1, 7):
         for _ in range(10):
             rows = [[local.choice((0, 0, local.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
-            assert CycNum.from_int(bareiss_determinant(rows)) == ExactMatrix(rows).determinant()
+            assert bareiss_determinant(rows) == sympy.Matrix(rows).det()
+
+
+def test_variable_components_match_union_find():
+    local = random.Random(2718)
+    for _ in range(500):
+        r, degree = local.randint(1, 8), local.randint(2, 4)
+        terms = {}
+        for _ in range(local.randint(1, 6)):
+            e = [0] * r
+            for _ in range(degree):
+                e[local.randrange(r)] += 1
+            terms[tuple(e)] = CycNum.one()
+        form = Form(r, terms, degree)
+        assert variable_components(form) == union_find_components(form)
+
+
+def _split_prime_by_draw_count(conductor, den, seed, lo):
+    """The earlier rule: the first prime not dividing den among log_lo(den) + 1 drawn primes."""
+    return next(p for p in good_primes(conductor, 1 + den.bit_length() // (lo.bit_length() - 1), seed, lo) if den % p)
+
+
+def test_split_prime_matches_the_draw_count_rule():
+    # dens built from the drawn primes force skips; the conductors cover a window that widens
+    # (131072) and conductors above the window
+    for conductor in (1, 3, 12, 131072, (1 << 20) + 3, (1 << 21) + 5):
+        for lo in (1 << 20, 1 << 21):
+            for seed in range(3):
+                drawn = good_primes(conductor, 3, seed, lo)
+                for den in (1, 7, drawn[0], drawn[0] * drawn[1], drawn[0] * drawn[1] * drawn[2], 12 * drawn[1]):
+                    assert split_prime(conductor, den, seed, lo) == _split_prime_by_draw_count(conductor, den, seed, lo)
 
 
 @pytest.mark.parametrize("prime", [5, 9, 4, 0])
