@@ -4,10 +4,11 @@ the end-to-end verification pipeline.
 Each entry carries its defining form, a generating set for its linear
 automorphism group (entries read as ExactMatrix entries: scalar text or
 integers) and the expected orders.  Generators are validated, never
-trusted: verify_entry re-derives everything it can at the entry's tier, the
-certificate by `structure.finest_certificate`.  The certificate verifier
-checks that the generators preserve the form, so only rows it does not
-accept call `preserves`; a refusal fails the `certificate` check of its row.
+trusted: verify_entry re-derives everything it can at the entry's tier.
+No row lists a certificate: the certificate verifier computes the finest
+one from the generators (`structure.finest_certificate`) and checks that
+they preserve the form, so only rows it does not accept call `preserves`; a
+refusal, the finder's included, fails the `certificate` check of its row.
 
 Tiers (each row names its own, and verify_entry picks the route once; a
 row naming any other tier is refused when it is loaded):
@@ -57,7 +58,7 @@ from ..forms import ExactMatrix, Form, parse
 from ..matgroups import DEFAULT_CAP, MatGroup, preserves
 from ..sequences import fermat_order
 from ..smoothness import is_smooth
-from ..structure import CertificateError, finest_certificate, verify_certificate, verify_compositional
+from ..structure import CertificateError, verify_certificate, verify_compositional
 
 
 class CatalogError(ValueError):
@@ -195,9 +196,9 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
                 proj = grp.projective_order()
                 checks["projective_order"] = {"ok": proj == expected_lin,
                                               "order": proj, "expected": expected_lin}
-                struct = verify_certificate(grp, finest_certificate(gens), form)
+                struct = verify_certificate(grp, form)
         elif entry.tier == "compositional":
-            struct = verify_compositional(gens, finest_certificate(gens), form)
+            struct = verify_compositional(gens, form)
             checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
                                              "order": struct.group_order, "expected": expected_aut}
     except CertificateError as exc:

@@ -32,7 +32,7 @@ from .forms import parse as form_parse
 from .matgroups import DEFAULT_CAP, GroupError, MatGroup, invariant_dimension, reynolds_array_bytes
 from .sequences import SequenceError, SubdegreeSequence, classification_search, jc, ratio, uniform_bounds_check
 from .smoothness import _is_prime, is_smooth
-from .structure import finest_certificate, verify_certificate, verify_compositional
+from .structure import verify_certificate, verify_compositional
 
 # Domain over which the mixed-subdegree facts are verified exhaustively; the
 # d-range collapses to d = 3 by monotonicity of R in d.  Past total 30 only the
@@ -274,13 +274,13 @@ def cmd_structure(args) -> int:
     if args.tier == "compositional" and form is None:
         raise UsageError("compositional verification needs --form")
     if args.tier == "compositional":
-        report = verify_compositional(gens, finest_certificate(gens), form, block_cap=args.cap)
+        report = verify_compositional(gens, form, block_cap=args.cap)
     else:
         grp = MatGroup(gens)
         if not grp.close(args.cap):
             print("closure cap exceeded or the group is infinite", file=sys.stderr)
             return 1
-        report = verify_certificate(grp, finest_certificate(gens), form)
+        report = verify_certificate(grp, form)
     print(json.dumps(report.payload()))
     return 0
 

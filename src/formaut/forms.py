@@ -209,7 +209,8 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
       is the binomial theorem on each monomial, an identity in K[x, t], so it
       holds at t = w.x for any u and w, singular g too; then Horner's rule in t.
       rank(g - I) = 1 is tested by the 2x2 minors through a pivot a_pq of
-      a = g - I, and only then is a_pq inverted: u = a[:, q] / a_pq, w = a[p, :];
+      a = g - I (one with a_ij = 0 and a_iq*a_pj = 0 is zero unmultiplied),
+      and only then is a_pq inverted: u = a[:, q] / a_pq, w = a[p, :];
     - any other g: Horner's rule one variable at a time (Knuth, TAOCP vol. 2,
       sec. 4.6.4): write F = sum_j x_i^j * G_j(x_(i+1), ..., x_r); then
       act(F) = H_0, where H_jmax = act(G_jmax) and H_j = act(G_j) + L_i * H_(j+1),
@@ -265,13 +266,14 @@ def act(form: Form, matrix: ExactMatrix) -> Form:
         for j, x in row:
             a[i][j] = x
         a[i][i] -= one
-    p, q = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if not x.is_zero())
-    if any(x * a[p][q] != row[q] * a[p][j] for i, row in enumerate(a) if i != p
-           for j, x in enumerate(row) if j != q):   # a nonzero 2x2 minor: rank(g - I) > 1
+    zero = [[x.is_zero() for x in row] for row in a]
+    p, q = next((i, j) for i, row in enumerate(zero) for j, z in enumerate(row) if not z)
+    if any(x * a[p][q] != row[q] * a[p][j] for i, row in enumerate(a) if i != p for j, x in enumerate(row)
+           if j != q and not (zero[i][j] and (zero[i][q] or zero[p][j]))):   # a nonzero 2x2 minor: rank(g - I) > 1
         return Form(n, horner(form.terms, 0), form.degree)
     inv = a[p][q].inverse()
-    u = {i: row[q] * inv for i, row in enumerate(a) if not row[q].is_zero()}
-    w = [(j, x) for j, x in enumerate(a[p]) if not x.is_zero()]
+    u = {i: row[q] * inv for i, row in enumerate(a) if not zero[i][q]}
+    w = [(j, x) for j, x in enumerate(a[p]) if not zero[p][j]]
     weight = cache(lambda k, m, j: u[k] * Fraction(m, j))
     derivs = [{e: c.to_conductor(N) for e, c in form.terms.items()}]
     for j in range(1, form.degree + 1):   # D^(j) = D^(1) D^(j-1) / j

@@ -1,12 +1,15 @@
 """Decomposition certificates and the two associated exact sequences.
 
 A certificate is a block structure C^r = (+) V_i, V_i = (+)_j W_ij of a
-matrix group in its generators' coordinates, found by `finest_certificate`.
-Verification checks that every generator permutes the blocks of each V_i
-(exactly, so every element does), extracts the permutation images K_i, the
-principal subgroup P (trivial block permutation), the block-scalar kernel N
-and the projective constituent orders |H_ij|, and confirms the order
-bookkeeping |G| = |P| * |psi(G)| and |P| = |N| * |phi(P)| exactly.
+matrix group in its generators' coordinates.  It is an output: both
+verifiers compute the finest one, `finest_certificate` (block sizes grouped
+by summand), so a report's subdegree sequence and intrinsic multiplicities
+are the intrinsic ones.  Verification checks that every generator permutes
+the blocks of each V_i (exactly, so every element does), extracts the
+permutation images K_i, the principal subgroup P (trivial block
+permutation), the block-scalar kernel N and the projective constituent
+orders |H_ij|, and confirms the order bookkeeping |G| = |P| * |psi(G)| and
+|P| = |N| * |phi(P)| exactly.
 
 One algorithm serves both tiers, and each of its orbits is one
 `matgroups.Orbit`.  psi(G) is the orbit of the identity block pattern
@@ -56,8 +59,10 @@ forced in every valid partition, so its fixpoint is the finest (Atkinson,
 Math. Comp. 29, 1975; Holt-Eick-O'Brien 2005, §4.3).  No inverse is needed:
 an invertible g is injective, so counting dimensions it permutes blocks of
 equal size, and so does g^-1.  The summands are the block orbits, by first
-coordinate, their blocks in coordinate order; blocks not contiguous in that
-order are refused with the coordinate order that makes them so.
+coordinate, their blocks in coordinate order, so each K_i is transitive;
+blocks not contiguous in that order are refused with the coordinate order
+that makes them so.  A singular generator, which only the compositional
+tier admits, need not be injective, and so need not permute the blocks.
 Refusal lemma: a reducible finest block B rules out every certificate.  A
 valid partition is coarser, so B lies in a block C and G_B ≤ G_C.  Either
 G_C is not transitive on the finest blocks in C, and one orbit spans a
@@ -87,35 +92,6 @@ from .sequences import SubdegreeSequence, canonical_bound, fermat_order
 
 class CertificateError(ValueError):
     pass
-
-
-class DecompositionCertificate:
-    """Claimed block structure: sizes grouped by irreducible summand."""
-
-    def __init__(self, grouped_sizes):
-        self.grouped_sizes = [list(map(int, grp)) for grp in grouped_sizes]
-        for grp in self.grouped_sizes:
-            if len(set(grp)) != 1:
-                raise CertificateError("blocks of one summand must share a dimension")
-        self.dim = sum(sum(g) for g in self.grouped_sizes)
-
-    @property
-    def flat_sizes(self):
-        return [s for grp in self.grouped_sizes for s in grp]
-
-    @property
-    def grouping(self):
-        return [len(grp) for grp in self.grouped_sizes]
-
-    def block_ranges(self):
-        """[(i, j, start, stop)] in certificate order."""
-        out = []
-        pos = 0
-        for i, grp in enumerate(self.grouped_sizes):
-            for j, size in enumerate(grp):
-                out.append((i, j, pos, pos + size))
-                pos += size
-        return out
 
 
 @dataclass
@@ -212,19 +188,8 @@ def _check_irreducible(grp: MatGroup, reps, i, j):
         raise CertificateError("stabilizer restriction to block (%d,%d) is reducible" % (i + 1, j + 1))
 
 
-def _check_transitive(psi_group, grouping):
-    """|K_i| per summand; K_i, a group, is transitive iff its images of block 0 are all blocks."""
-    k_orders = []
-    for i, k in enumerate(grouping):
-        proj = {tup[i] for tup in psi_group}
-        k_orders.append(len(proj))
-        if len({perm[0] for perm in proj}) != k:
-            raise CertificateError("block permutations of summand %d are not transitive" % (i + 1))
-    return k_orders
-
-
-def finest_certificate(gens) -> DecompositionCertificate:
-    """The finest block system of the generators, grouped by summand (block lemma, module docstring)."""
+def finest_certificate(gens) -> list[list[int]]:
+    """The finest block system's sizes grouped by summand, [[dim W_11, ...], ...] (block lemma, module docstring)."""
     images = [[np.flatnonzero(column).tolist() for column in _nonzero_mask(g).T] for g in gens]
     block = list(range(gens[0].dim))    # a coordinate's block, named by its first coordinate
     for _ in range(len(block)):         # a pass that merges nothing is the fixpoint; r - 1 merges at most
@@ -241,23 +206,30 @@ def finest_certificate(gens) -> DecompositionCertificate:
     if order != sorted(order):
         raise CertificateError("the finest blocks are not contiguous: reorder the coordinates as %s"
                                % ", ".join("x%d" % (x + 1) for x in order))
-    return DecompositionCertificate([[block.count(b) for b in sorted(set(block)) if summand[b] == s]
-                                     for s in sorted(set(summand))])
+    return [[block.count(b) for b in sorted(set(block)) if summand[b] == s] for s in sorted(set(summand))]
+
+
+def _block_ranges(grouped):
+    """[(i, j, start, stop)] in certificate order."""
+    out, pos = [], 0
+    for i, grp in enumerate(grouped):
+        for j, size in enumerate(grp):
+            out.append((i, j, pos, pos + size))
+            pos += size
+    return out
 
 
 # -- verification --------------------------------------------------------------------
 
 
-def verify_certificate(group: MatGroup, cert: DecompositionCertificate,
-                       form: Form | None = None) -> StructureReport:
-    """Verify a certificate against a closed group; |G|, |P| and |N| are residue counts."""
+def verify_certificate(group: MatGroup, form: Form | None = None) -> StructureReport:
+    """Verify the finest certificate against a closed group; |G|, |P| and |N| are residue counts."""
     if not group.closed:
         raise GroupError("closed-tier verification needs a closed group")
-    return _verify(group.generators, cert, form, group, group.order)
+    return _verify(group.generators, form, group, group.order)
 
 
-def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
-                         block_cap: int = DEFAULT_CAP) -> StructureReport:
+def verify_compositional(generators, form: Form, block_cap: int = DEFAULT_CAP) -> StructureReport:
     """Prove the group order from generators without materializing the group.
 
     The generator list must contain block-scalar generators spanning the full
@@ -266,19 +238,19 @@ def verify_compositional(generators, cert: DecompositionCertificate, form: Form,
     """
     if form is None:
         raise CertificateError("the compositional tier needs the form")
-    return _verify(list(generators), cert, form, None, block_cap)
+    return _verify(list(generators), form, None, block_cap)
 
 
-def _verify(gens, cert, form, group, block_cap):
+def _verify(gens, form, group, block_cap):
     """The one verification body; `group` is the closed group, or None (compositional)."""
     if not gens:
         raise CertificateError("need generators")
-    if cert.dim != gens[0].dim:
-        raise CertificateError("certificate dimension mismatch")
+    grouped = finest_certificate(gens)
     if form is not None and not preserves(gens, form):
         raise CertificateError("a supplied generator does not preserve the form")
-    ranges = cert.block_ranges()
-    grouping = cert.grouping
+    ranges = _block_ranges(grouped)
+    grouping = [len(grp) for grp in grouped]
+    flat_sizes = [size for grp in grouped for size in grp]
     gen_tuples = [_block_pattern(_nonzero_mask(g), ranges, grouping) for g in gens]
     if None in gen_tuples:
         raise CertificateError("a generator does not permute the certificate blocks")
@@ -287,20 +259,20 @@ def _verify(gens, cert, form, group, block_cap):
     identity = tuple(tuple(range(k)) for k in grouping)
     psi = Orbit([identity], lambda batch: [[tuple(map(_pcompose, cur, tup)) for tup in gen_tuples] for cur in batch])
     psi_order = len(psi.points)
-    k_orders = _check_transitive(psi.points, grouping)
+    k_orders = [len({tup[i] for tup in psi.points}) for i in range(len(grouping))]     # |K_i|
 
-    constituent_orders, phi_order = _projective_part(gens, cert, psi, group, block_cap)
+    constituent_orders, phi_order = _projective_part(gens, ranges, grouping, psi, group, block_cap)
 
     if group is not None:
-        diag = np.zeros((cert.dim, cert.dim), dtype=bool)
+        diag = np.zeros((group.dim, group.dim), dtype=bool)
         for _i, _j, r0, r1 in ranges:
             diag[r0:r1, r0:r1] = True
         group_order, principal_order, kernel_order = group.order, 0, 0
         for _, stack in group._stacks():
             principal_order += int((stack[:, ~diag] == 0).all(axis=1).sum())
-            kernel_order += int(_is_block_scalar(stack, cert.flat_sizes).sum())
+            kernel_order += int(_is_block_scalar(stack, flat_sizes).sum())
     else:
-        kernel_order = _kernel_order(gens, cert, form)
+        kernel_order = _kernel_order(gens, flat_sizes, form)
         principal_order = kernel_order * phi_order
         group_order = principal_order * psi_order
 
@@ -314,7 +286,7 @@ def _verify(gens, cert, form, group, block_cap):
     report = StructureReport(
         group_order=group_order, psi_image_order=psi_order, k_orders=k_orders,
         principal_order=principal_order, kernel_order=kernel_order, phi_image_order=phi_order,
-        constituent_orders=constituent_orders, subdegrees=SubdegreeSequence(cert.flat_sizes),
+        constituent_orders=constituent_orders, subdegrees=SubdegreeSequence(flat_sizes),
         intrinsic_multiplicities=grouping, tier="compositional" if group is None else "full-closure",
         canonical_bound=bound, fermat_ratio=ratio)
     if not report.identities_hold():
@@ -324,9 +296,8 @@ def _verify(gens, cert, form, group, block_cap):
     return report
 
 
-def _projective_part(gens, cert, psi, group, block_cap):
+def _projective_part(gens, ranges, grouping, psi, group, block_cap):
     """({(i, j): |H_ij|}, |phi(P)|), with one closure per distinct restriction list L_ij (module docstring)."""
-    ranges = cert.block_ranges()
     orders = {(i + 1, j + 1): 1 for i, j, _r0, _r1 in ranges}     # PGL(1) is trivial
     big = [(i, j, r0, r1) for i, j, r0, r1 in ranges if r1 - r0 > 1]
     if not big:
@@ -334,13 +305,13 @@ def _projective_part(gens, cert, psi, group, block_cap):
 
     transversal, schreier = schreier_generators(psi, gens)
     for m, tup in zip(schreier + transversal, psi.points[:1] * len(schreier) + psi.points):
-        if _block_pattern(_nonzero_mask(m), ranges, cert.grouping) != tup:
+        if _block_pattern(_nonzero_mask(m), ranges, grouping) != tup:
             raise CertificateError("a Schreier generator or transversal product has the wrong block pattern")
     tables = [[] for _ in schreier]     # per principal Schreier generator: class -> class, over all blocks
     start, offset = [], 0               # the blocks' classes are numbered in turn, from offset
     closed = {}                         # restriction list -> (L_ij, class_of, reps); None keys the whole space
     for (i, j, r0, r1) in big:
-        if group is not None and r1 - r0 == cert.dim:
+        if group is not None and r1 - r0 == gens[0].dim:
             restricted = None
         else:                           # the stabilizer of block (i, j) is P and the cosets P·u_x with x_i(j) = j
             stab_gens = schreier + [u for u, x in zip(transversal, psi.points) if x[i][j] == j]
@@ -372,19 +343,19 @@ def _projective_part(gens, cert, psi, group, block_cap):
     return orders, len(phi.points)
 
 
-def _kernel_order(gens, cert, form):
+def _kernel_order(gens, flat_sizes, form):
     """|N| from the supplied block-scalar generators, checked against the full lattice."""
-    lattice = block_scalar_group(form, cert.flat_sizes)
+    lattice = block_scalar_group(form, flat_sizes)
     if lattice.order is None:
         raise CertificateError("block-scalar stabilizer is infinite")
-    supplied_scalars = [g for g in gens if _is_block_scalar(np.array(g.entries, dtype=object),
-                                                            cert.flat_sizes)]
+    rule = ("the supplied generators must include block-scalar ones that generate the Smith-normal-form "
+            "lattice, such as each scalar c*I of the group")
+    supplied_scalars = [g for g in gens if _is_block_scalar(np.array(g.entries, dtype=object), flat_sizes)]
     if not supplied_scalars:
-        raise CertificateError("no block-scalar generators supplied for the kernel check")
+        raise CertificateError("no block-scalar generators supplied for the kernel check: " + rule)
     # _verify checked that they preserve the form, so they lie in the lattice: at most its order
     sub = closure(supplied_scalars, cap=lattice.order)
     if not sub.closed or sub.order != lattice.order:
-        raise CertificateError(
-            "supplied block-scalar generators span order %s, lattice says %d"
-            % (sub.order if sub.closed else ">cap", lattice.order))
+        raise CertificateError("supplied block-scalar generators span order %s, lattice says %d: %s"
+                               % (sub.order if sub.closed else ">cap", lattice.order, rule))
     return lattice.order

@@ -280,8 +280,8 @@ def test_certificate_ratios_form_the_fermat_chain(catalog_reports):
         cert = catalog_reports[entry.label][0]["checks"].get("certificate", {}).get("report", {})
         if "fermat_ratio" not in cert:
             continue
-        sizes = {"%d,%d" % (i + 1, j + 1): stop - start
-                 for i, j, start, stop in finest_certificate(entry.generators()).block_ranges()}
+        sizes = {"%d,%d" % (i + 1, j + 1): size
+                 for i, grp in enumerate(finest_certificate(entry.generators())) for j, size in enumerate(grp)}
         groups = [(sizes[key], h) for key, h in cert["constituents"].items()]
         fermat = fermat_order(entry.nvars, entry.d)
         chain = [Fraction(cert["fermat_ratio"]), Fraction(cert["canonical_bound"], fermat),

@@ -6,12 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from formaut import catalog
+from formaut import catalog, structure
 from formaut.catalog import CatalogError, get_entry, load_entries, verify_all, verify_entry
 from formaut.cli import generators_from_payload
 from formaut.matgroups import DEFAULT_CAP, preserves
 from formaut.sequences import fermat_order
-from formaut.structure import DecompositionCertificate, finest_certificate
+from formaut.structure import finest_certificate
 
 
 def raw_rows():
@@ -84,7 +84,7 @@ def test_irreducible_ratio_bounds():
     # every irreducible catalog entry satisfies ratio = 5/2 or ratio <= 25/12,
     # with 5/2 exactly at the binary icosahedral row
     for e in load_entries():
-        if e.subgroup_only or len(finest_certificate(e.generators()).grouped_sizes) != 1:
+        if e.subgroup_only or len(finest_certificate(e.generators())) != 1:
             continue        # reducible entries are out of scope here
         r = e.n + 2
         ratio = Fraction(e.expected["aut_order"], e.d ** r * factorial(r))
@@ -147,9 +147,9 @@ def test_refused_certificate_fails_only_its_own_row(monkeypatch):
     klein = get_entry("klein-quartic").generators()
 
     def finder(gens):       # a wrong certificate for Klein's generators only
-        return DecompositionCertificate([[1], [2]]) if gens == klein else finest_certificate(gens)
+        return [[1], [2]] if gens == klein else finest_certificate(gens)
 
-    monkeypatch.setattr(catalog, "finest_certificate", finder)
+    monkeypatch.setattr(structure, "finest_certificate", finder)
     reports, ok = verify_all(["klein-quartic", "fermat-1-3"], skip_smooth=True)
     assert not ok
     rows = {rep["label"]: rep for rep in reports}
@@ -213,7 +213,7 @@ def test_sum_rows_are_wreath_products_of_their_base():
     for label, (_, k, order, form) in want.items():
         entry = get_entry(label)
         assert (entry.expected["aut_order"], entry.form_text) == (order, form)
-        assert finest_certificate(entry.generators()).grouped_sizes == [[2] * k]
+        assert finest_certificate(entry.generators()) == [[2] * k]
 
 
 def test_sum_row_generators_follow_the_rule():

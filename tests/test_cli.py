@@ -299,6 +299,21 @@ def test_structure_refusal_is_a_failed_verification(tmp_path, capsys, generators
     assert capsys.readouterr() == ("", message)
 
 
+def test_compositional_tier_names_the_kernel_rule(tmp_path, capsys):
+    # octahedral-binary-sextic's generators reach its scalar (1+z3)*I only through products
+    from formaut.catalog import get_entry
+    from formaut.cli import generators_to_json
+    entry = get_entry("octahedral-binary-sextic")
+    (tmp_path / "gens.json").write_text(generators_to_json(entry.generators()[:2]))
+    (tmp_path / "form.txt").write_text(entry.form_text)
+    code = main(["structure", str(tmp_path / "gens.json"), "--form", str(tmp_path / "form.txt"),
+                 "--tier", "compositional"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: no block-scalar generators supplied for the kernel check: ")
+    assert "must include block-scalar ones that generate the Smith-normal-form lattice" in captured.err
+
+
 def test_verify_catalog_single_entry(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify-catalog", "--entry", "fermat-1-3", "--skip-smooth",

@@ -127,11 +127,9 @@ def test_scalar_cosets_match_reference_on_block_closures(monkeypatch):
 
     monkeypatch.setattr(structure, "_check_irreducible", checked)
     entry = get_entry("pair-icosahedral-12ic")
-    gens = entry.generators()
-    structure.verify_compositional(gens, structure.finest_certificate(gens), entry.form())
+    structure.verify_compositional(entry.generators(), entry.form())
     entry = get_entry("quintic-480")
-    gens = entry.generators()
-    structure.verify_certificate(closure(gens), structure.finest_certificate(gens), entry.form())
+    structure.verify_certificate(closure(entry.generators()), entry.form())
     assert seen == [2, 2]               # pair-icosahedral's two blocks share one closure
 
 

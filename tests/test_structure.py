@@ -10,20 +10,11 @@ from formaut.catalog import get_entry, load_entries, verify_entry
 from formaut.cyclotomic import root_of_unity
 from formaut.forms import ExactMatrix, act, parse
 from formaut.matgroups import MatGroup, closure
-from formaut.structure import (CertificateError, DecompositionCertificate, StructureReport, finest_certificate,
+from formaut.structure import (CertificateError, StructureReport, _block_ranges, finest_certificate,
                                verify_certificate, verify_compositional)
 
 from lemmas import has_monomial_pattern, ratioprod_check, refined_bound, scalar_group
 from oracles import certificate_by_search, fermat_form, permutation_matrix
-
-
-def certificate(entry):
-    return finest_certificate(entry.generators())
-
-
-def test_certificate_rejects_mixed_summand():
-    with pytest.raises(CertificateError):
-        DecompositionCertificate([[2, 1]])
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +25,7 @@ def quintic_group():
 
 def test_example_quintic_report(quintic_group):
     entry, grp = quintic_group
-    rep = verify_certificate(grp, certificate(entry), entry.form())
+    rep = verify_certificate(grp, entry.form())
     assert rep.group_order == 480
     assert str(rep.subdegrees) == "2^1 1^3"
     assert list(rep.intrinsic_multiplicities) == [1, 2, 1]
@@ -47,7 +38,7 @@ def test_example_quintic_report(quintic_group):
 def test_fermat_structure_counts():
     entry = get_entry("fermat-1-3")
     grp = closure(entry.generators())
-    rep = verify_certificate(grp, certificate(entry), entry.form())
+    rep = verify_certificate(grp, entry.form())
     assert rep.group_order == 162
     assert rep.kernel_order == 27
     assert rep.psi_image_order == 6
@@ -55,21 +46,25 @@ def test_fermat_structure_counts():
     assert rep.canonical_bound == 162       # Fermat meets its bound
 
 
-def test_certificate_violation_detected():
+def plant(monkeypatch, grouped):
+    """Make the verifiers read the given certificate in place of the finest one."""
+    monkeypatch.setattr(structure, "finest_certificate", lambda gens: grouped)
+
+
+def test_certificate_violation_detected(monkeypatch):
     entry = get_entry("klein-quartic")
     grp = closure(entry.generators())
-    bad = DecompositionCertificate([[1, 1, 1]])   # Klein is not monomial
-    with pytest.raises(CertificateError):
-        verify_certificate(grp, bad, entry.form())
+    plant(monkeypatch, [[1, 1, 1]])     # Klein is not monomial
+    with pytest.raises(CertificateError, match="does not permute the certificate blocks"):
+        verify_certificate(grp, entry.form())
 
 
 def test_intransitive_summand_is_refused():
-    # the swap moves block 1 to block 2 but never to block 3
+    # the swap moves block 1 to block 2 but never to block 3, so the finest
+    # certificate puts block 3 in a summand of its own
     z3 = root_of_unity(3)
     grp = closure([ExactMatrix.diagonal([z3, 1, 1]), permutation_matrix([1, 0, 2])])
-    with pytest.raises(CertificateError, match="not transitive"):
-        verify_certificate(grp, DecompositionCertificate([[1, 1, 1]]))
-    assert verify_certificate(grp, DecompositionCertificate([[1, 1], [1]])).k_orders == [2, 1]
+    assert verify_certificate(grp).k_orders == [2, 1]
 
 
 # The report of the removed in-certificate basis change T on the T-conjugated Fermat group.
@@ -88,7 +83,7 @@ def test_caller_side_basis_change_recipe():
     form = act(entry.form(), T.inverse())
     assert form != entry.form()
     back = [T.inverse() * g * T for g in gens]
-    rep = verify_certificate(closure(back), finest_certificate(back), act(form, T))
+    rep = verify_certificate(closure(back), act(form, T))
     assert rep.payload() == BASIS_CHANGE_REPORT
 
 
@@ -100,9 +95,9 @@ def _lead_entry_key(m: ExactMatrix, conductor: int):
     return tuple((v.den, tuple(v.num)) for v in scaled)
 
 
-def _oracle_counts(grp, cert):
+def _oracle_counts(grp):
     """|H_ij| and |phi(P)| by lead-entry keys of the diagonal-block restrictions."""
-    ranges = cert.block_ranges()
+    ranges = _block_ranges(finest_certificate(grp.generators))
     constituents = {(i + 1, j + 1): set() for i, j, _r0, _r1 in ranges}
     phi_image = set()
     for g in grp.elements():
@@ -118,18 +113,16 @@ def _oracle_counts(grp, cert):
 
 
 def test_scalar_coset_counts_match_lead_entry_division(quintic_group):
-    cases = [(closure(get_entry("klein-quartic").generators()), certificate(get_entry("klein-quartic"))),
-             (quintic_group[1], certificate(quintic_group[0]))]
-    for grp, cert in cases:
-        rep = verify_certificate(grp, cert)
-        constituents, phi_order = _oracle_counts(grp, cert)
+    for grp in [closure(get_entry("klein-quartic").generators()), quintic_group[1]]:
+        rep = verify_certificate(grp)
+        constituents, phi_order = _oracle_counts(grp)
         assert rep.constituent_orders == constituents
         assert rep.phi_image_order == phi_order
 
 
 def test_compositional_2_12():
     entry = get_entry("pair-icosahedral-12ic")
-    rep = verify_compositional(entry.generators(), certificate(entry), entry.form())
+    rep = verify_compositional(entry.generators(), entry.form())
     assert rep.group_order == 1036800
     assert rep.kernel_order == 144
     assert rep.phi_image_order == 3600
@@ -149,7 +142,7 @@ def test_schreier_lemma_runs_once_per_certificate(monkeypatch):
 
     monkeypatch.setattr(structure, "schreier_generators", count)
     entry = get_entry("pair-icosahedral-12ic")
-    rep = verify_compositional(entry.generators(), certificate(entry), entry.form())
+    rep = verify_compositional(entry.generators(), entry.form())
     assert rep.constituent_orders == {(1, 1): 60, (1, 2): 60}
     assert calls == [2]             # one pass, on the 2 points of psi(G)
 
@@ -189,7 +182,7 @@ def test_closed_tier_caps_block_closures_at_the_group_order(monkeypatch, label):
     entry = get_entry(label)
     grp = closure(entry.generators())
     calls = _record_closure_caps(monkeypatch)
-    verify_certificate(grp, certificate(entry), entry.form())
+    verify_certificate(grp, entry.form())
     assert calls and {cap for _, cap in calls} == {grp.order}
 
 
@@ -197,7 +190,7 @@ def test_compositional_tier_caps_block_closures_at_its_block_cap(monkeypatch):
     # the kernel check closes the block scalars in the whole space, capped at the lattice order
     entry = get_entry("pair-icosahedral-12ic")
     calls = _record_closure_caps(monkeypatch)
-    verify_compositional(entry.generators(), certificate(entry), entry.form(), block_cap=123457)
+    verify_compositional(entry.generators(), entry.form(), block_cap=123457)
     assert {cap for dim, cap in calls if dim < entry.nvars} == {123457}
     assert [cap for dim, cap in calls if dim == entry.nvars] == [144]
 
@@ -205,14 +198,14 @@ def test_compositional_tier_caps_block_closures_at_its_block_cap(monkeypatch):
 def test_compositional_tier_refuses_a_missing_form():
     entry = get_entry("pair-octahedral-sextic")
     with pytest.raises(CertificateError, match="needs the form"):
-        verify_compositional(entry.generators(), certificate(entry), None)
+        verify_compositional(entry.generators(), None)
 
 
 def test_closed_tier_checks_the_form():
     entry = get_entry("klein-quartic")
     grp = closure(entry.generators())
     with pytest.raises(CertificateError, match="does not preserve the form"):
-        verify_certificate(grp, certificate(entry), fermat_form(4, 3))
+        verify_certificate(grp, fermat_form(4, 3))
 
 
 def _report_without_tier(rep):
@@ -225,19 +218,19 @@ def test_compositional_matches_full_closure():
     # the closed tier counts |G|, |P| and |N| on residues, the compositional tier derives them
     entry = get_entry("pair-octahedral-sextic")
     gens = entry.generators()
-    comp = verify_compositional(gens, certificate(entry), entry.form())
+    comp = verify_compositional(gens, entry.form())
     assert comp.group_order == 41472
     grp = closure(gens)
     assert grp.order == comp.group_order
-    full = verify_certificate(grp, certificate(entry), entry.form())
+    full = verify_certificate(grp, entry.form())
     assert full.kernel_order == comp.kernel_order == 36
     assert full.phi_image_order == comp.phi_image_order == 576
     assert full.constituent_orders == comp.constituent_orders
     for label in ["tetrahedral-binary-quartic", "octahedral-binary-sextic", "klein-quartic",
                   "hessian-sextic"]:
         entry = get_entry(label)
-        comp = verify_compositional(entry.generators(), certificate(entry), entry.form())
-        full = verify_certificate(closure(entry.generators()), certificate(entry), entry.form())
+        comp = verify_compositional(entry.generators(), entry.form())
+        full = verify_certificate(closure(entry.generators()), entry.form())
         assert (comp.tier, full.tier) == ("compositional", "full-closure")
         assert _report_without_tier(comp) == _report_without_tier(full), label
 
@@ -259,12 +252,14 @@ def _exact_span_is_full(matrices, size):
 
 
 def _residue_verdict(grp):
-    """The residue rank test of verify_certificate, on the whole space as one block."""
-    try:
-        verify_certificate(grp, DecompositionCertificate([[grp.dim]]))
-    except CertificateError as exc:
-        assert "reducible" in str(exc)
-        return False
+    """The residue rank test of verify_certificate, on the whole space as one planted block."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        plant(monkeypatch, [[grp.dim]])
+        try:
+            verify_certificate(grp)
+        except CertificateError as exc:
+            assert "reducible" in str(exc)
+            return False
     return True
 
 
@@ -331,7 +326,7 @@ def _check_finder(gens):
     """finest_certificate against the search over all set partitions (oracles.certificate_by_search)."""
     grouped, order = certificate_by_search(gens)
     if order == sorted(order):
-        assert finest_certificate(gens).grouped_sizes == grouped
+        assert finest_certificate(gens) == grouped
     else:
         with pytest.raises(CertificateError, match=re.escape(", ".join("x%d" % (x + 1) for x in order))):
             finest_certificate(gens)
@@ -348,24 +343,46 @@ def test_finest_certificate_matches_search_on_random_groups(gens):
     _check_finder(gens)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(monomial_groups(), block_monomial_groups()))
+def test_reports_read_the_finest_certificate(gens):
+    # the verifier accepts, or refuses only as the block lemma allows; an accepted
+    # report carries the intrinsic sequence, and each K_i is transitive
+    grp = MatGroup(gens)
+    assume(grp.close(cap=20000))
+    try:
+        rep = verify_certificate(grp)
+    except CertificateError as exc:
+        assert re.search("reducible|not contiguous", str(exc)), str(exc)
+        return
+    grouped = finest_certificate(gens)
+    assert rep.subdegrees.parts == tuple(sorted((s for grp in grouped for s in grp), reverse=True))
+    assert rep.intrinsic_multiplicities == [len(grp) for grp in grouped]
+    assert all(k % len(grp) == 0 for k, grp in zip(rep.k_orders, grouped, strict=True))
+
+
 def test_finest_certificate_refuses_blocks_that_are_not_contiguous():
     # <swap(1, 3), diag(-1, 1, 1)>: the summand {x1, x3} comes before {x2}
     gens = [permutation_matrix([2, 1, 0]), ExactMatrix.diagonal([-1, 1, 1])]
     with pytest.raises(CertificateError, match="reorder the coordinates as x1, x3, x2"):
         finest_certificate(gens)
     swap = permutation_matrix([0, 2, 1])
-    assert finest_certificate([swap * g * swap for g in gens]).grouped_sizes == [[1, 1], [1]]
+    assert finest_certificate([swap * g * swap for g in gens]) == [[1, 1], [1]]
 
 
-def test_reducible_blocks_are_refused(quintic_group):
+def test_reducible_blocks_are_refused(monkeypatch, quintic_group):
+    # g = [[1, 1], [0, -1]] has one finest block, and its order-2 group fixes the line of e1
+    gens = [ExactMatrix([[1, 1], [0, -1]])]
+    assert finest_certificate(gens) == [[2]]
     with pytest.raises(CertificateError, match="reducible"):
-        verify_certificate(quintic_group[1], DecompositionCertificate([[5]]))
-    # compositional: the stabilizer of the 2-block restricts to a diagonal group
-    z3 = root_of_unity(3)
-    gens = [ExactMatrix.diagonal([z3, 1, 1]),
-            ExactMatrix.diagonal([z3, z3, 1]), ExactMatrix.diagonal([1, 1, z3])]
+        verify_certificate(closure(gens))
+    # compositional: g preserves (2*x1 + x2)^2 + x2^2
     with pytest.raises(CertificateError, match="reducible"):
-        verify_compositional(gens, DecompositionCertificate([[2], [1]]), get_entry("fermat-1-3").form())
+        verify_compositional(gens, parse("4*x1^2 + 4*x1*x2 + 2*x2^2"))
+    # a planted whole-space block reuses the closed group
+    plant(monkeypatch, [[5]])
+    with pytest.raises(CertificateError, match="reducible"):
+        verify_certificate(quintic_group[1])
 
 
 def make_report(bound, constituents, intrinsic):
