@@ -33,10 +33,14 @@ inside one call.
 
 Inverses use the norm (Cohen, A Course in Computational Algebraic Number
 Theory, 1993, sec. 4.3): for x != 0, N(x) = prod_{k in (Z/n)*} sigma_k(x),
-sigma_k mapping zeta to zeta^k, is a nonzero rational, so
-1/x = prod_{k != 1} sigma_k(x) / N(x).  Each sigma_k(x) is a scatter of the
-coefficients followed by the one reduction, and inverse() checks the lemma
-at runtime: x * adj must be rational, or as_fraction raises.
+sigma_k mapping zeta to zeta^k, is a nonzero rational, so 1/x = adj / N(x)
+with adj = prod_{k != 1} sigma_k(x).  A doubling tower builds adj: from
+H = {1} and b = x, for a unit g outside H, of order o modulo H,
+rel = prod_{0<j<o} sigma_(g^j)(b) is sigma_g(P(o - 1)), where
+P(m) = prod_{j<m} sigma_(g^j)(b) doubles as P(s + t) = P(s)·sigma_(g^s)(P(t));
+adj and b gain rel and H becomes H·<g>, so b = prod_{h in H} sigma_h(x)
+throughout.  inverse() checks the lemma at runtime: x * adj must be
+rational, or as_fraction raises.
 
 One text syntax serves scalars and forms: integers, z<k>^<j> (zeta_k^j) and
 variables x<i>^<e>, combined with + - * / ^ ( ) and unary minus, products
@@ -292,7 +296,7 @@ class CycNum:
         return CycNum(n, out, den)
 
     def inverse(self) -> CycNum:
-        """1/x = adj / N(x), adj the product of the conjugates sigma_k(x), k != 1.
+        """1/x = adj / N(x), adj the product of the conjugates sigma_k(x), k != 1, by the doubling tower.
 
         N(x) = x * adj is rational by the norm lemma; as_fraction checks it.
         """
@@ -300,14 +304,25 @@ class CycNum:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.n)
         if self.is_rational():
             return CycNum(self.n, [self.den] + [0] * (len(self.num) - 1), self.num[0])
-        n = self.n
-        adj = CycNum.one(n)
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                conj = [0] * n
-                for i, c in enumerate(self.num):
-                    conj[i * k % n] = c
-                adj = adj * CycNum(n, conj, self.den)
+        n, adj, b, group = self.n, CycNum.one(self.n), self, {1}
+
+        def conj(y, k):                     # sigma_k(y): a scatter of the coefficients, then the one reduction
+            vec = [0] * n
+            for i, c in enumerate(y.num):
+                vec[i * k % n] = c
+            return CycNum(n, vec, y.den)
+
+        for g in range(2, n):
+            if math.gcd(g, n) == 1 and g not in group:
+                o = next(j for j in range(2, n) if pow(g, j, n) in group)
+                prod, s = b, 1              # P(s), doubled along the bits of o - 1
+                for bit in bin(o - 1)[3:]:
+                    prod, s = prod * conj(prod, pow(g, s, n)), 2 * s
+                    if bit == "1":
+                        prod, s = prod * conj(b, pow(g, s, n)), s + 1
+                rel = conj(prod, g)
+                adj, b = adj * rel, b * rel
+                group = {h * pow(g, j, n) % n for h in group for j in range(o)}
         norm = (self * adj).as_fraction()
         return CycNum(n, [c * norm.denominator for c in adj.num], adj.den * norm.numerator)
 

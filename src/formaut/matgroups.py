@@ -150,15 +150,19 @@ entries are 𝔭-integral, and p ∤ |L_ij| by the prime lemma.
 `elements()` replays the closure's tree exactly, one ExactMatrix product
 per element.  Nothing in formaut calls it: it is the exact reference of the
 tests, and the benchmark tracer (bench/spans.py) wraps it by name.
+
+numpy loads at the first residue computation, not at import (`_lazy_numpy`),
+so the commands that compute no residue never pay for it; `structure` takes
+`np` from here, so this module alone decides when numpy loads.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from collections import deque
 from itertools import combinations_with_replacement, product
 from math import comb, lcm
-
-import numpy as np
 
 from .cyclotomic import CycNum, conductor
 from .forms import ExactMatrix, Form, act
@@ -166,6 +170,23 @@ from .smoothness import GF, _is_prime, split_prime
 
 DEFAULT_CAP = 1 << 21
 BATCH = 1024            # points per numpy product in an Orbit step or a coset: peak RSS kept flat
+
+
+def _lazy_numpy():
+    """numpy, executed at its first attribute access (the LazyLoader recipe of the importlib docs)."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 class GroupError(ValueError):

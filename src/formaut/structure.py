@@ -81,12 +81,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .diaglattice import _pcompose, block_scalar_group
 from .forms import ExactMatrix, Form
 from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
-                        _row_keys, closure, pgl_keys, preserves, schreier_generators)
+                        _row_keys, closure, np, pgl_keys, preserves, schreier_generators)
 from .sequences import SubdegreeSequence, canonical_bound, fermat_order
 
 

@@ -44,11 +44,13 @@ The scalar-coset reference, reference_scalar_cosets, is the per-residue
 walk, the slow reference for matgroups.pgl_keys: it tests every residue for
 scalarity on its own and multiplies each coset out one scalar at a time.
 
-Two cyclotomic references.  reference_reduce finds the least conductor by
+Three cyclotomic references.  reference_reduce finds the least conductor by
 linear algebra: for each divisor d of n in increasing order it solves for
 the value in the power basis of Q(zeta_d) embedded in Q(zeta_n), by
 Gaussian elimination over Q.  reference_root_exponent scans every a < m,
-m = lcm(2, n), and compares the value with zeta_m^a.
+m = lcm(2, n), and compares the value with zeta_m^a.  reference_inverse is
+the loop CycNum.inverse ran before its doubling tower: one product per
+conjugate sigma_k(x), k != 1.
 
 The block-system reference, certificate_by_search, tries every set
 partition of the coordinates (203 at r = 6): it keeps the valid ones, whose
@@ -324,6 +326,20 @@ def _project_to_subfield(x: CycNum, d: int):
 def reference_reduce(x: CycNum) -> CycNum:
     """x over the least conductor d | x.n whose field holds the value."""
     return next(y for y in (_project_to_subfield(x, d) for d in _divisors(x.n)) if y is not None)
+
+
+def reference_inverse(x: CycNum) -> CycNum:
+    """1/x for an irrational x, multiplying the phi(n) - 2 conjugates sigma_k(x), k != 1, one at a time."""
+    n = x.n
+    adj = CycNum.one(n)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            conj = [0] * n
+            for i, c in enumerate(x.num):
+                conj[i * k % n] = c
+            adj = adj * CycNum(n, conj, x.den)
+    norm = (x * adj).as_fraction()
+    return CycNum(n, [c * norm.denominator for c in adj.num], adj.den * norm.numerator)
 
 
 def _nth_root(c: CycNum, n: int) -> CycNum:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -345,6 +346,34 @@ def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "formaut.cli", "ratio"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+COLD_START = """
+import contextlib, io, sys
+import formaut
+from formaut import catalog, cli, diaglattice, matgroups, structure
+for args in (["ratio", "--seq", "2^2", "--d", "3"], ["jc", "--r", "10"], ["search", "--n", "1..8", "--d", "3"],
+             ["bounds-scan", "--max-total", "6"], ["smooth", sys.argv[1]],
+             ["diag-group", sys.argv[1], "--blocks", "1,1,1"], ["semiperm-group", sys.argv[1]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0, args
+loaded = [m for m in sys.modules if m.startswith("numpy.")]
+assert not loaded, loaded
+group = matgroups.MatGroup(catalog.get_entry("fermat-1-3").generators())
+assert group.close() and group.order == 162
+assert any(m.startswith("numpy.") for m in sys.modules)
+"""
+
+
+def test_numpy_loads_at_the_first_residue_computation(tmp_path):
+    """Importing formaut and the commands that compute no residue leave numpy unexecuted."""
+    import formaut
+    form = tmp_path / "fermat.txt"
+    form.write_text("x1^3 + x2^3 + x3^3")
+    env = {**os.environ, "PYTHONPATH": str(Path(formaut.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(form)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("args", [["search", "--n", "1..x", "--d", "3"],
