@@ -8,7 +8,8 @@ trusted: verify_entry re-derives everything it can at the entry's tier.
 No row lists a certificate: the certificate verifier computes the finest
 one from the generators (`structure.finest_certificate`) and checks that
 they preserve the form, so only rows it does not accept call `preserves`; a
-refusal, the finder's included, fails the `certificate` check of its row.
+refusal, the finder's and `MatGroup`'s included, fails the `certificate`
+check of its row.
 
 Tiers (each row names its own, and verify_entry picks the route once; a
 row naming any other tier is refused when it is loaded):
@@ -55,7 +56,7 @@ from math import factorial
 
 from ..diaglattice import semi_permutation_group
 from ..forms import ExactMatrix, Form, parse
-from ..matgroups import DEFAULT_CAP, MatGroup, preserves
+from ..matgroups import DEFAULT_CAP, GroupError, MatGroup, preserves
 from ..sequences import fermat_order
 from ..smoothness import is_smooth
 from ..structure import CertificateError, verify_certificate, verify_compositional
@@ -201,7 +202,7 @@ def verify_entry(entry: CatalogEntry, skip_smooth: bool = False) -> dict:
             struct = verify_compositional(gens, form)
             checks["compositional_order"] = {"ok": struct.group_order == expected_aut,
                                              "order": struct.group_order, "expected": expected_aut}
-    except CertificateError as exc:
+    except (CertificateError, GroupError) as exc:
         checks["certificate"] = {"ok": False, "refused": str(exc)}
     if struct is not None:
         checks["certificate"] = {"ok": True, "report": struct.payload()}

@@ -1,13 +1,15 @@
 """Command-line interface: one subcommand per module surface.
 
 All numeric output is exact (rationals are printed as p/q).  Exit status is
-0 on success or a verified property, 1 on a failed verification, 2 on usage
-errors.  A usage error is a bad command line (a numeric flag out of range
-included, refused as the command line is parsed), a verify-catalog
-selection that matches no entry, `structure --tier compositional` without
-`--form`, or an input file that is missing or malformed (a form that does
-not parse or is not homogeneous, a bad scalar, bad generator JSON, input
-nested too deeply to parse, or a dimension mismatch).  Randomized choices
+0 on success or a verified property, 1 on a failed verification or a failed
+internal cross-check (an ArithmeticError, such as Reynolds and Molien
+disagreeing), 2 on usage errors.  A usage error is a bad command line (a
+numeric flag out of range included, refused as the command line is parsed),
+a verify-catalog selection that matches no entry, `structure --tier
+compositional` without `--form`, or an input file that is missing or
+malformed (a form that does not parse or is not homogeneous, a bad scalar,
+bad generator JSON, input nested too deeply to parse, or a dimension
+mismatch).  Randomized choices
 (mod-p primes) are seeded and recorded in the output, so runs are
 reproducible byte for byte.
 
@@ -379,7 +381,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -11,8 +11,11 @@ permutation), the block-scalar kernel N and the projective constituent
 orders |H_ij|, and confirms the order bookkeeping |G| = |P| * |psi(G)| and
 |P| = |N| * |phi(P)| exactly.
 
-One algorithm serves both tiers, and each of its orbits is one
-`matgroups.Orbit`.  psi(G) is the orbit of the identity block pattern
+One algorithm serves both tiers on one `MatGroup`, closed (full-closure)
+or open (compositional), so both take their generators through its intake
+checks.  Each of its orbits is one `matgroups.Orbit`.  A block pattern is
+one permutation of the blocks in certificate order, read from a matrix's
+exact nonzero entries.  psi(G) is the orbit of the identity pattern
 under the generators' patterns, and P, the stabilizer of that point, gets
 its generators by Schreier's lemma (`matgroups.schreier_generators`), with
 the transversal products u_x, psi(u_x) = x for x in psi(G), built only when
@@ -20,7 +23,7 @@ some block has size > 1; each is checked exactly to have its block pattern.
 A 1 x 1 block has H_ij = 1 and is irreducible, as PGL(1) is trivial.  Every
 larger block (i, j) has a closure, the restriction L_ij of its stabilizer.
 As P is normal, G is the union of the cosets P·u_x, so that stabilizer is
-generated by P's Schreier generators and the u_x with x_i(j) = j: one
+generated by P's Schreier generators and the u_x that fix block (i, j): one
 Schreier pass serves every block.  Identical generator lists generate the
 same group, so blocks whose restricted generator lists are equal (as tuples
 of exact matrices) share one closure, its irreducibility rank and its PGL
@@ -54,15 +57,14 @@ Block lemma.  A partition of the coordinates is valid if every generator
 maps each block's span into one block's span.  Valid partitions are closed
 under meets, as g maps span(B ∩ C) = span(B) ∩ span(C) into span(B' ∩ C'),
 so the finest is unique.  A union-find from singletons that merges the
-blocks one block's image meets (by g's exact nonzero mask) makes only merges
+blocks one block's image meets (by g's exact nonzero entries) makes only merges
 forced in every valid partition, so its fixpoint is the finest (Atkinson,
 Math. Comp. 29, 1975; Holt-Eick-O'Brien 2005, §4.3).  No inverse is needed:
-an invertible g is injective, so counting dimensions it permutes blocks of
-equal size, and so does g^-1.  The summands are the block orbits, by first
-coordinate, their blocks in coordinate order, so each K_i is transitive;
-blocks not contiguous in that order are refused with the coordinate order
-that makes them so.  A singular generator, which only the compositional
-tier admits, need not be injective, and so need not permute the blocks.
+g is invertible (`MatGroup` refuses a singular residue), so injective, and
+counting dimensions it permutes blocks of equal size, and so does g^-1.
+The summands are the block orbits, by first coordinate, their blocks in
+coordinate order, so each K_i is transitive; blocks not contiguous in that
+order are refused with the coordinate order that makes them so.
 Refusal lemma: a reducible finest block B rules out every certificate.  A
 valid partition is coarser, so B lies in a block C and G_B ≤ G_C.  Either
 G_C is not transitive on the finest blocks in C, and one orbit spans a
@@ -135,33 +137,22 @@ class StructureReport:
 # -- block combinatorics --------------------------------------------------------
 
 
-def _nonzero_mask(matrix: ExactMatrix):
-    return np.array([[not c.is_zero() for c in row] for row in matrix.entries])
+def _block_pattern(matrix: ExactMatrix, ranges):
+    """psi of a matrix, read from its exact nonzero entries, or None if it does not permute the blocks.
 
-
-def _block_pattern(mask, ranges, grouping):
-    """psi of a matrix from its nonzero mask, or None if it does not permute blocks.
-
-    The result holds, per summand i, the tuple j -> index of the unique row
-    block that column block (i, j) lands in.
+    The result is the tuple b -> the one block that column block b lands in,
+    blocks numbered in certificate order; that block lies in b's summand and
+    has b's size, and no two blocks land in one.
     """
-    starts = [r0 for (_i, _j, r0, _r1) in ranges]
-    blocks = np.logical_or.reduceat(np.logical_or.reduceat(mask, starts, axis=0), starts, axis=1)
-    if (blocks.sum(axis=0) != 1).any():
-        return None
-    image = {}
-    for (i, j, c0, c1), row in zip(ranges, blocks.argmax(axis=0)):
-        i2, j2, r0, r1 = ranges[row]
-        if i2 != i or r1 - r0 != c1 - c0:
+    row_block = [b for b, (_i, _j, r0, r1) in enumerate(ranges) for _ in range(r0, r1)]
+    image = []
+    for i, _j, c0, c1 in ranges:
+        hit = {row_block[r] for r, row in enumerate(matrix.entries) for c in range(c0, c1) if not row[c].is_zero()}
+        b = hit.pop() if len(hit) == 1 else None
+        if b is None or ranges[b][0] != i or ranges[b][3] - ranges[b][2] != c1 - c0:
             return None
-        image[(i, j)] = j2
-    out = []
-    for i, k in enumerate(grouping):
-        perm = tuple(image[(i, j)] for j in range(k))
-        if sorted(perm) != list(range(k)):
-            return None
-        out.append(perm)
-    return tuple(out)
+        image.append(b)
+    return tuple(image) if len(set(image)) == len(image) else None
 
 
 def _restrict(matrix: ExactMatrix, r0, r1, c0, c1) -> ExactMatrix:
@@ -188,7 +179,7 @@ def _check_irreducible(grp: MatGroup, reps, i, j):
 
 def finest_certificate(gens) -> list[list[int]]:
     """The finest block system's sizes grouped by summand, [[dim W_11, ...], ...] (block lemma, module docstring)."""
-    images = [[np.flatnonzero(column).tolist() for column in _nonzero_mask(g).T] for g in gens]
+    images = [[[r for r in range(g.dim) if not g.entries[r][c].is_zero()] for c in range(g.dim)] for g in gens]
     block = list(range(gens[0].dim))    # a coordinate's block, named by its first coordinate
     for _ in range(len(block)):         # a pass that merges nothing is the fixpoint; r - 1 merges at most
         for image in images:
@@ -224,7 +215,7 @@ def verify_certificate(group: MatGroup, form: Form | None = None) -> StructureRe
     """Verify the finest certificate against a closed group; |G|, |P| and |N| are residue counts."""
     if not group.closed:
         raise GroupError("closed-tier verification needs a closed group")
-    return _verify(group.generators, form, group, group.order)
+    return _verify(group, form, group.order)
 
 
 def verify_compositional(generators, form: Form, block_cap: int = DEFAULT_CAP) -> StructureReport:
@@ -236,32 +227,31 @@ def verify_compositional(generators, form: Form, block_cap: int = DEFAULT_CAP) -
     """
     if form is None:
         raise CertificateError("the compositional tier needs the form")
-    return _verify(list(generators), form, None, block_cap)
+    return _verify(MatGroup(generators), form, block_cap)
 
 
-def _verify(gens, form, group, block_cap):
-    """The one verification body; `group` is the closed group, or None (compositional)."""
-    if not gens:
-        raise CertificateError("need generators")
+def _verify(group, form, block_cap):
+    """The one verification body; `group` is closed (full-closure) or open (compositional)."""
+    gens = group.generators
     grouped = finest_certificate(gens)
     if form is not None and not preserves(gens, form):
         raise CertificateError("a supplied generator does not preserve the form")
     ranges = _block_ranges(grouped)
     grouping = [len(grp) for grp in grouped]
     flat_sizes = [size for grp in grouped for size in grp]
-    gen_tuples = [_block_pattern(_nonzero_mask(g), ranges, grouping) for g in gens]
-    if None in gen_tuples:
+    patterns = [_block_pattern(g, ranges) for g in gens]
+    if None in patterns:
         raise CertificateError("a generator does not permute the certificate blocks")
 
     # psi(G): the orbit of the identity pattern, whose words give P's transversal
-    identity = tuple(tuple(range(k)) for k in grouping)
-    psi = Orbit([identity], lambda batch: [[tuple(map(_pcompose, cur, tup)) for tup in gen_tuples] for cur in batch])
+    psi = Orbit([tuple(range(len(ranges)))], lambda batch: [[_pcompose(x, y) for y in patterns] for x in batch])
     psi_order = len(psi.points)
-    k_orders = [len({tup[i] for tup in psi.points}) for i in range(len(grouping))]     # |K_i|
+    firsts = [b for b, (_i, j, _r0, _r1) in enumerate(ranges) if j == 0]
+    k_orders = [len({x[b:b + k] for x in psi.points}) for b, k in zip(firsts, grouping)]     # |K_i|
 
-    constituent_orders, phi_order = _projective_part(gens, ranges, grouping, psi, group, block_cap)
+    constituent_orders, phi_order = _projective_part(ranges, psi, group, block_cap)
 
-    if group is not None:
+    if group.closed:
         diag = np.zeros((group.dim, group.dim), dtype=bool)
         for _i, _j, r0, r1 in ranges:
             diag[r0:r1, r0:r1] = True
@@ -285,7 +275,7 @@ def _verify(gens, form, group, block_cap):
         group_order=group_order, psi_image_order=psi_order, k_orders=k_orders,
         principal_order=principal_order, kernel_order=kernel_order, phi_image_order=phi_order,
         constituent_orders=constituent_orders, subdegrees=SubdegreeSequence(flat_sizes),
-        intrinsic_multiplicities=grouping, tier="compositional" if group is None else "full-closure",
+        intrinsic_multiplicities=grouping, tier="full-closure" if group.closed else "compositional",
         canonical_bound=bound, fermat_ratio=ratio)
     if not report.identities_hold():
         raise CertificateError(
@@ -294,25 +284,25 @@ def _verify(gens, form, group, block_cap):
     return report
 
 
-def _projective_part(gens, ranges, grouping, psi, group, block_cap):
+def _projective_part(ranges, psi, group, block_cap):
     """({(i, j): |H_ij|}, |phi(P)|), with one closure per distinct restriction list L_ij (module docstring)."""
     orders = {(i + 1, j + 1): 1 for i, j, _r0, _r1 in ranges}     # PGL(1) is trivial
-    big = [(i, j, r0, r1) for i, j, r0, r1 in ranges if r1 - r0 > 1]
+    big = [(b, i, j, r0, r1) for b, (i, j, r0, r1) in enumerate(ranges) if r1 - r0 > 1]
     if not big:
         return orders, 1
 
-    transversal, schreier = schreier_generators(psi, gens)
+    transversal, schreier = schreier_generators(psi, group.generators)
     for m, tup in zip(schreier + transversal, psi.points[:1] * len(schreier) + psi.points):
-        if _block_pattern(_nonzero_mask(m), ranges, grouping) != tup:
+        if _block_pattern(m, ranges) != tup:
             raise CertificateError("a Schreier generator or transversal product has the wrong block pattern")
     tables = [[] for _ in schreier]     # per principal Schreier generator: class -> class, over all blocks
     start, offset = [], 0               # the blocks' classes are numbered in turn, from offset
     closed = {}                         # restriction list -> (L_ij, class_of, reps); None keys the whole space
-    for (i, j, r0, r1) in big:
-        if group is not None and r1 - r0 == gens[0].dim:
+    for b, i, j, r0, r1 in big:
+        if group.closed and r1 - r0 == group.dim:
             restricted = None
         else:                           # the stabilizer of block (i, j) is P and the cosets P·u_x with x_i(j) = j
-            stab_gens = schreier + [u for u, x in zip(transversal, psi.points) if x[i][j] == j]
+            stab_gens = schreier + [u for u, x in zip(transversal, psi.points) if x[b] == b]
             restricted = tuple(_distinct_non_identity([_restrict(s, r0, r1, r0, r1) for s in stab_gens]))
         if restricted not in closed:    # identical generator lists generate the same group: close it once
             grp = group if restricted is None else closure(restricted, cap=block_cap)

@@ -58,6 +58,11 @@ blocks each generator's nonzero pattern sends into one block, checks that
 one of them refines all the others, and reads the summands off as the
 blocks reachable under the generators' block maps.
 
+The block-pattern reference, reference_block_pattern, is the psi that
+structure._verify read before its one permutation of the blocks: a numpy
+nonzero mask, its blocks OR-ed by reduceat, and one tuple per summand,
+j -> the row block that column block (i, j) lands in.
+
 The torus reference, reference_solve_torus, solves lambda^V = c from the
 same Smith normal form as diaglattice._Torus but in CycNum arithmetic:
 it raises the targets to the powers in U, takes d-th roots through a
@@ -505,3 +510,25 @@ def certificate_by_search(gens):
             summands.append(summand)
     summands.sort()
     return [[len(b) for b in summand] for summand in summands], [x for summand in summands for b in summand for x in b]
+
+
+def reference_block_pattern(matrix: ExactMatrix, ranges, grouping):
+    """psi per summand from the reduceat block mask, or None if the matrix does not permute the blocks."""
+    mask = np.array([[not c.is_zero() for c in row] for row in matrix.entries])
+    starts = [r0 for (_i, _j, r0, _r1) in ranges]
+    blocks = np.logical_or.reduceat(np.logical_or.reduceat(mask, starts, axis=0), starts, axis=1)
+    if (blocks.sum(axis=0) != 1).any():
+        return None
+    image = {}
+    for (i, j, c0, c1), row in zip(ranges, blocks.argmax(axis=0)):
+        i2, j2, r0, r1 = ranges[row]
+        if i2 != i or r1 - r0 != c1 - c0:
+            return None
+        image[(i, j)] = j2
+    out = []
+    for i, k in enumerate(grouping):
+        perm = tuple(image[(i, j)] for j in range(k))
+        if sorted(perm) != list(range(k)):
+            return None
+        out.append(perm)
+    return tuple(out)

@@ -9,6 +9,7 @@ import pytest
 from formaut import catalog, structure
 from formaut.catalog import CatalogError, get_entry, load_entries, verify_all, verify_entry
 from formaut.cli import generators_from_payload
+from formaut.forms import ExactMatrix
 from formaut.matgroups import DEFAULT_CAP, preserves
 from formaut.sequences import fermat_order
 from formaut.structure import finest_certificate
@@ -160,6 +161,24 @@ def test_refused_certificate_fails_only_its_own_row(monkeypatch):
                                      "refused": "a generator does not permute the certificate blocks"}
     assert checks["preserves"] == {"ok": True}
     assert checks["closure"]["ok"] and checks["projective_order"]["ok"]
+
+
+def test_a_generator_matgroup_refuses_fails_only_its_own_row(monkeypatch):
+    # a singular generator appended to one row of each certificate tier: MatGroup refuses it at intake
+    planted, generators = ["klein-quartic", "pair-icosahedral-12ic"], catalog.CatalogEntry.generators
+
+    def with_singular(entry):
+        gens = generators(entry)
+        return gens + [ExactMatrix.diagonal([0] + [1] * (entry.nvars - 1))] if entry.label in planted else gens
+
+    monkeypatch.setattr(catalog.CatalogEntry, "generators", with_singular)
+    reports, ok = verify_all([*planted, "fermat-1-3"], skip_smooth=True)
+    assert not ok
+    rows = {rep["label"]: rep for rep in reports}
+    assert rows["fermat-1-3"]["ok"]
+    for label in planted:
+        refused = rows[label]["checks"]["certificate"]
+        assert not refused["ok"] and refused["refused"].startswith("a generator is singular mod p = "), label
 
 
 def test_no_row_lists_a_certificate():

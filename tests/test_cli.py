@@ -332,14 +332,38 @@ def test_verify_catalog_empty_selection_is_a_usage_error(capsys):
         assert captured.err.startswith("error: no catalog entry matches")
 
 
+# a singular generator that swaps the blocks {x1, x2} and {x3, x4} and preserves the form
+BLOCK_SWAP_SINGULAR = [["0", "0", "1/2", "1/2"], ["0", "0", "1/2", "1/2"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+BLOCK_SWAP_FORM = "(x1 + x2)^3 + (x3 + x4)^3"
+
+
 def test_a_generator_singular_mod_p_exits_1(tmp_path, capsys):
     # diag(p, 1) is invertible, but its determinant p lies in the prime above p: singular mod p
     p = split_prime(1, 1, lo=1 << 21)
     message = "error: a generator is singular mod p = %d: it is singular, or has infinite order\n" % p
+    gens, form = tmp_path / "gens.json", tmp_path / "form.txt"
     for rows in ([[1, 2], [2, 4]], [[p, 0], [0, 1]]):
-        (tmp_path / "gens.json").write_text(json.dumps({"dim": 2, "generators": [rows]}))
-        assert main(["closure", str(tmp_path / "gens.json")]) == 1
+        gens.write_text(json.dumps({"dim": 2, "generators": [rows]}))
+        assert main(["closure", str(gens)]) == 1
         assert capsys.readouterr() == ("", message)
+    # both certificate tiers take their generators through MatGroup, so both refuse it at intake
+    gens.write_text(json.dumps({"dim": 4, "generators": [BLOCK_SWAP_SINGULAR]}))
+    form.write_text(BLOCK_SWAP_FORM)
+    assert split_prime(1, 2, lo=1 << 21) == p
+    for tier in ([], ["--tier", "compositional"]):
+        assert main(["structure", str(gens), "--form", str(form), *tier]) == 1
+        assert capsys.readouterr() == ("", message)
+
+
+def test_a_failed_cross_check_exits_1(tmp_path, capsys, monkeypatch):
+    # an ArithmeticError from an internal cross-check is one error line, not a traceback
+    from formaut import matgroups
+    from formaut.catalog import get_entry
+    from formaut.cli import generators_to_json
+    (tmp_path / "gens.json").write_text(generators_to_json(get_entry("klein-quartic").generators()))
+    monkeypatch.setattr(matgroups, "invariant_dimension_molien", lambda group, degree: 7)
+    assert main(["invdim", str(tmp_path / "gens.json"), "--degree", "4"]) == 1
+    assert capsys.readouterr() == ("", "error: Reynolds (1) and Molien (7) disagree\n")
 
 
 def test_usage_error_exit_code():

@@ -9,12 +9,12 @@ from formaut import structure
 from formaut.catalog import get_entry, load_entries, verify_entry
 from formaut.cyclotomic import root_of_unity
 from formaut.forms import ExactMatrix, act, parse
-from formaut.matgroups import MatGroup, closure
-from formaut.structure import (CertificateError, StructureReport, _block_ranges, finest_certificate,
+from formaut.matgroups import GroupError, MatGroup, closure
+from formaut.structure import (CertificateError, StructureReport, _block_pattern, _block_ranges, finest_certificate,
                                verify_certificate, verify_compositional)
 
 from lemmas import has_monomial_pattern, ratioprod_check, refined_bound, scalar_group
-from oracles import certificate_by_search, fermat_form, permutation_matrix
+from oracles import certificate_by_search, fermat_form, permutation_matrix, reference_block_pattern
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +201,17 @@ def test_compositional_tier_refuses_a_missing_form():
         verify_compositional(entry.generators(), None)
 
 
+def test_compositional_tier_takes_its_generators_through_matgroup():
+    # a singular generator that swaps the blocks {x1, x2} and {x3, x4} and preserves the form
+    g = ExactMatrix([["0", "0", "1/2", "1/2"], ["0", "0", "1/2", "1/2"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]])
+    form = parse("(x1 + x2)^3 + (x3 + x4)^3")
+    assert act(form, g) == form
+    with pytest.raises(GroupError, match="a generator is singular mod p"):
+        verify_compositional([g], form)
+    with pytest.raises(GroupError, match="need at least one generator"):
+        verify_compositional([], form)
+
+
 def test_closed_tier_checks_the_form():
     entry = get_entry("klein-quartic")
     grp = closure(entry.generators())
@@ -359,6 +370,53 @@ def test_reports_read_the_finest_certificate(gens):
     assert rep.subdegrees.parts == tuple(sorted((s for grp in grouped for s in grp), reverse=True))
     assert rep.intrinsic_multiplicities == [len(grp) for grp in grouped]
     assert all(k % len(grp) == 0 for k, grp in zip(rep.k_orders, grouped, strict=True))
+
+
+def _flat_reference(matrix, grouped):
+    """oracles.reference_block_pattern, its per-summand tuples flattened to block indices."""
+    ranges = _block_ranges(grouped)
+    index = {(i, j): b for b, (i, j, _r0, _r1) in enumerate(ranges)}
+    ref = reference_block_pattern(matrix, ranges, [len(grp) for grp in grouped])
+    return None if ref is None else tuple(index[(i, j)] for i, perm in enumerate(ref) for j in perm)
+
+
+@st.composite
+def planted_groupings(draw, r):
+    """Grouped block sizes of r coordinates: cut into blocks, then the blocks into summands."""
+    cuts = [k for k, cut in enumerate(draw(st.lists(st.booleans(), min_size=r - 1, max_size=r - 1)), 1) if cut]
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, r])]
+    n = len(sizes)
+    splits = [k for k, cut in enumerate(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)), 1) if cut]
+    return [sizes[a:b] for a, b in zip([0, *splits], [*splits, len(sizes)])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(monomial_groups(), block_monomial_groups()), st.data())
+def test_block_pattern_matches_reference(gens, data):
+    # under the finest certificate every generator and product permutes the blocks; a planted one may not
+    groupings = [data.draw(planted_groupings(gens[0].dim))]
+    try:
+        groupings.append(finest_certificate(gens))
+    except CertificateError:
+        pass
+    for grouped in groupings:
+        for m in gens + [a * b for a in gens for b in gens]:
+            pattern = _block_pattern(m, _block_ranges(grouped))
+            assert pattern == _flat_reference(m, grouped)
+            assert pattern is not None or grouped is groupings[0]
+
+
+@pytest.mark.parametrize("grouped, rows", [
+    ([[1, 1]], [[1, 0], [0, 0]]),                       # a zero column block
+    ([[2], [1]], [[1, 0, 0], [0, 1, 0], [1, 0, 1]]),    # a column block split over two row blocks
+    ([[2, 1]], [[0, 0, 1], [0, 0, 0], [1, 1, 0]]),      # a block sent to one of another size
+    ([[1], [1]], [[0, 1], [1, 0]]),                     # a block sent into another summand
+    ([[1, 1]], [[1, 1], [0, 0]]),                       # two blocks sent to one
+])
+def test_block_pattern_refuses_what_does_not_permute_the_blocks(grouped, rows):
+    m = ExactMatrix(rows)
+    assert _block_pattern(m, _block_ranges(grouped)) is None
+    assert _flat_reference(m, grouped) is None
 
 
 def test_finest_certificate_refuses_blocks_that_are_not_contiguous():
