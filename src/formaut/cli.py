@@ -31,7 +31,7 @@ from .diaglattice import block_scalar_group, semi_permutation_group
 from .cyclotomic import scalar_to_str
 from .forms import ExactMatrix, Form, FormError, _as_cyc
 from .forms import parse as form_parse
-from .matgroups import DEFAULT_CAP, GroupError, MatGroup, invariant_dimension, reynolds_array_bytes
+from .matgroups import DEFAULT_CAP, GroupError, MatGroup, invariant_dimension, invariant_space
 from .sequences import SequenceError, SubdegreeSequence, classification_search, jc, ratio, uniform_bounds_check
 from .smoothness import _is_prime, is_smooth
 from .structure import verify_certificate, verify_compositional
@@ -83,24 +83,16 @@ def generators_to_json(gens) -> str:
     })
 
 
-def _load(kind: str, path: str, build):
-    """build(the file's JSON payload); a form file that does not start with "{" is form text."""
+def _load(kind: str, path: str):
+    """A "form" or "generator" file's contents; a form file that does not start with "{" is form text."""
     try:
         with open(path) as fh:
             text = fh.read()
         if kind == "form" and not text.lstrip().startswith("{"):
             return form_parse(text)
-        return build(json.loads(text))
+        return (form_from_payload if kind == "form" else generators_from_payload)(json.loads(text))
     except (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise UsageError("bad %s file %s: %s" % (kind, path, exc)) from exc
-
-
-def _load_form(path: str):
-    return _load("form", path, form_from_payload)
-
-
-def _load_generators(path: str):
-    return _load("generator", path, generators_from_payload)
 
 
 def _at_least(k: int):
@@ -137,13 +129,17 @@ def _sequence(text: str) -> SubdegreeSequence:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(payload, out=None):
-    text = json.dumps(payload, indent=1, sort_keys=True)
+def _write(text: str, out=None):
+    """text to the file out, or to stdout when out is None."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload, out=None):
+    _write(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)
 
 
 def _exact(x) -> str:
@@ -167,12 +163,7 @@ def cmd_search(args) -> int:
     for rec in report["survivors"]:
         rows.append("%d\t%d\t%s\t%d\t%d" % (rec["n"], rec["d"], rec["sequence"],
                                             rec["ratio"].numerator, rec["ratio"].denominator))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(rows) + "\n", args.out)
     if args.expect_empty and report["survivors"]:
         return 1
     return 0
@@ -205,7 +196,7 @@ def cmd_bounds_scan(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    form = _load_form(args.form_file)
+    form = _load("form", args.form_file)
     cert = is_smooth(form, strategy=args.strategy, primes=args.prime or None,
                      seed=args.seed, pair_budget=args.budget)
     print(json.dumps(cert.payload()))
@@ -213,8 +204,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    gens = _load_generators(args.gens)
-    grp = MatGroup(gens)
+    grp = MatGroup(_load("generator", args.gens))
     closed = grp.close(args.cap)
     payload = {"dim": grp.dim, "conductor": grp.conductor, "closed": closed}
     if closed:
@@ -226,10 +216,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_invdim(args) -> int:
-    gens = _load_generators(args.gens)
-    grp = MatGroup(gens)
-    if args.method in ("reynolds", "both"):
-        reynolds_array_bytes(grp.dim, args.degree, len(grp.generators))
+    grp = MatGroup(_load("generator", args.gens))
+    invariant_space(grp, args.degree, args.method)     # refuse what needs no closure before closing
     if not grp.close(args.cap):
         print("closure cap exceeded or the group is infinite", file=sys.stderr)
         return 1
@@ -239,7 +227,7 @@ def cmd_invdim(args) -> int:
 
 
 def cmd_diag_group(args) -> int:
-    form = _load_form(args.form_file)
+    form = _load("form", args.form_file)
     if sum(args.blocks) != form.nvars:
         raise UsageError("dimension mismatch: block sizes sum to %d, the form has %d variables"
                          % (sum(args.blocks), form.nvars))
@@ -256,7 +244,7 @@ def cmd_diag_group(args) -> int:
 
 
 def cmd_semiperm_group(args) -> int:
-    form = _load_form(args.form_file)
+    form = _load("form", args.form_file)
     grp = semi_permutation_group(form)
     payload = {
         "order": grp.order,
@@ -269,8 +257,8 @@ def cmd_semiperm_group(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    gens = _load_generators(args.gens)
-    form = _load_form(args.form) if args.form else None
+    gens = _load("generator", args.gens)
+    form = _load("form", args.form) if args.form else None
     if form is not None and form.nvars != gens[0].dim:
         raise UsageError("dimension mismatch: generator %d, form %d" % (gens[0].dim, form.nvars))
     if args.tier == "compositional" and form is None:

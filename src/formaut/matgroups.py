@@ -128,9 +128,10 @@ space of the generator residues; its rank is its trace mod p, and
 tr R = dim (Sym^e)^G lies in [0, M].  So dim (Sym^e)^G is M minus the
 F_p rank of Sym^e(s mod p) - I stacked over s in S.  Molien's coefficient
 of t^e in |G|^-1 sum_g 1/det(I - t g) is the same trace, summed over every
-element; Newton's identities divide only by k <= r < p.  `_invariant_space`
-checks the hypotheses; the Molien residue must lie in [0, M], and method
-"both" compares the fixed space with the trace.
+element; Newton's identities divide only by k <= r < p.  `invariant_space`
+checks the hypotheses that need no closure (the Reynolds byte bound, then
+p > M), so `invdim` asks it before closing; the Molien residue must lie in
+[0, M], and method "both" compares the fixed space with the trace.
 
 Irreducibility reads residues, by the residue Burnside lemma (Burnside;
 Serre, "Linear Representations of Finite Groups", §15.5; Reiner, "Maximal
@@ -559,10 +560,19 @@ def _monomials(nvars: int, degree: int):
             for c in combinations_with_replacement(range(nvars), degree)]
 
 
-def _invariant_space(group: MatGroup, degree: int) -> int:
-    """M = dim Sym^e, once the fixed-space lemma's hypotheses are checked."""
-    group._require_closed()
+def invariant_space(group: MatGroup, degree: int, method: str) -> int:
+    """M = dim Sym^e, once the hypotheses of `method`'s routes that need no closure are checked.
+
+    The Reynolds route ("reynolds", "both") holds |S| stacked M x M int64
+    arrays and Molien none; their bytes must stay within SYM_MAX_BYTES.
+    Then the fixed-space lemma needs p > M.
+    """
     size = comb(group.dim + degree - 1, degree)
+    count = 0 if method == "molien" else len(group._gens)
+    array_bytes = 8 * count * size * size
+    if array_bytes > SYM_MAX_BYTES:
+        raise GroupError("Reynolds at degree %d: %d stacked %d x %d int64 arrays take %d bytes, over the "
+                         "%d-byte bound" % (degree, count, size, size, array_bytes, SYM_MAX_BYTES))
     if group.p <= size:
         raise GroupError("p = %d must exceed dim Sym^%d = %d" % (group.p, degree, size))
     return size
@@ -607,24 +617,14 @@ def _rank_mod_p(a, p: int) -> int:
     return rank
 
 
-def reynolds_array_bytes(dim: int, degree: int, count: int) -> int:
-    """Bytes of `count` stacked M x M int64 arrays, M = dim Sym^degree; GroupError past SYM_MAX_BYTES."""
-    size = comb(dim + degree - 1, degree)
-    array_bytes = 8 * count * size * size
-    if array_bytes > SYM_MAX_BYTES:
-        raise GroupError("Reynolds at degree %d: %d stacked %d x %d int64 arrays take %d bytes, over the "
-                         "%d-byte bound" % (degree, count, size, size, array_bytes, SYM_MAX_BYTES))
-    return array_bytes
-
-
 def invariant_dimension_reynolds(group: MatGroup, degree: int) -> int:
     """M minus the F_p rank of Sym^e(s mod p) - I stacked over the generators s (fixed-space lemma).
 
     The |S| symmetric powers are M x M int64 arrays, so a degree whose stack
     passes SYM_MAX_BYTES is refused before any of them is built.
     """
-    size = _invariant_space(group, degree)
-    reynolds_array_bytes(group.dim, degree, len(group._gens))
+    group._require_closed()
+    size = invariant_space(group, degree, "reynolds")
     sym = _symmetric_powers(group._gens, degree, group.p)
     sym -= np.eye(size, dtype=np.int64)
     return size - _rank_mod_p(sym.reshape(-1, size), group.p)
@@ -638,7 +638,8 @@ def invariant_dimension_molien(group: MatGroup, degree: int) -> int:
     by k <= r < p.  Each sum has at most r products of residues, so it stays
     below 2^63 (checked when the group is built).
     """
-    size = _invariant_space(group, degree)
+    group._require_closed()
+    size = invariant_space(group, degree, "molien")
     p, r = group.p, group.dim
     total = 0
     for _, stack in group._stacks():

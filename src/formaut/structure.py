@@ -85,7 +85,7 @@ from fractions import Fraction
 
 from .diaglattice import _pcompose, block_scalar_group
 from .forms import ExactMatrix, Form
-from .matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
+from .matgroups import (DEFAULT_CAP, MatGroup, Orbit, _is_block_scalar, _mulmod, _rank_mod_p,
                         _row_keys, closure, np, pgl_keys, preserves, schreier_generators)
 from .sequences import SubdegreeSequence, canonical_bound, fermat_order
 
@@ -213,8 +213,7 @@ def _block_ranges(grouped):
 
 def verify_certificate(group: MatGroup, form: Form | None = None) -> StructureReport:
     """Verify the finest certificate against a closed group; |G|, |P| and |N| are residue counts."""
-    if not group.closed:
-        raise GroupError("closed-tier verification needs a closed group")
+    group._require_closed()
     return _verify(group, form, group.order)
 
 

@@ -63,6 +63,15 @@ structure._verify read before its one permutation of the blocks: a numpy
 nonzero mask, its blocks OR-ed by reduceat, and one tuple per summand,
 j -> the row block that column block (i, j) lands in.
 
+The reflection-group oracle (Chevalley-Shephard-Todd: Shephard-Todd,
+Canad. J. Math. 6, 1954; Chevalley, Amer. J. Math. 77, 1955).  A finite
+G <= GL_r(C) generated by reflections has algebraically independent basic
+invariants of degrees d_1..d_r, so |G| = prod d_i, G holds sum (d_i - 1)
+reflections, and dim (Sym^e)^G is the t^e coefficient of prod 1/(1 - t^d_i)
+(hilbert_coefficient).  REFLECTION_DEGREES lists the degrees of the catalog
+rows whose closed groups are reflection groups, from Shephard-Todd's table;
+TODD_DEGREES are those of ST34, whose order the catalog's Todd row asserts.
+
 The torus reference, reference_solve_torus, solves lambda^V = c from the
 same Smith normal form as diaglattice._Torus but in CycNum arithmetic:
 it raises the targets to the powers in U, takes d-th roots through a
@@ -532,3 +541,25 @@ def reference_block_pattern(matrix: ExactMatrix, ranges, grouping):
             return None
         out.append(perm)
     return tuple(out)
+
+
+REFLECTION_DEGREES = {
+    "tetrahedral-binary-quartic": (4, 12),      # ST6
+    "octahedral-binary-sextic": (6, 24),        # ST14
+    "icosahedral-binary-12ic": (12, 60),        # ST21
+    "hessian-sextic": (6, 12, 18),              # ST26
+    "wiman-sextic": (6, 12, 30),                # ST27
+    "quartic-1920": (4, 8, 12, 20),             # ST29
+    **{"fermat-%d-%d" % (v - 2, d): tuple(d * k for k in range(1, v + 1))    # G(d, 1, v)
+       for v, d in [(3, 3), (3, 5), (4, 3), (5, 3)]},
+}
+TODD_DEGREES = (6, 12, 18, 24, 30, 42)          # ST34
+
+
+def hilbert_coefficient(degrees, e: int) -> int:
+    """The t^e coefficient of prod 1/(1 - t^d) over the degrees d."""
+    coeffs = [1] + [0] * e
+    for d in degrees:
+        for k in range(d, e + 1):
+            coeffs[k] += coeffs[k - d]
+    return coeffs[e]

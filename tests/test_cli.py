@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -203,6 +204,25 @@ def test_invdim_refuses_a_reynolds_degree_before_closing(tmp_path, capsys, monke
     monkeypatch.setattr(matgroups.MatGroup, "close", no_close)
     assert main(["invdim", str(f), "--degree", "200", "--method", method]) == 1
     assert capsys.readouterr().err.startswith("error: Reynolds at degree 200")
+
+
+@pytest.mark.parametrize("method", ["molien", "reynolds", "both"])
+def test_invdim_refuses_a_degree_past_p_before_closing(tmp_path, capsys, monkeypatch, method):
+    # fermat-3-3 at e = 100: M = C(104, 4) = 4,598,126 exceeds p; the byte bound is still checked first
+    from formaut import matgroups
+    from formaut.catalog import get_entry
+    from formaut.cli import generators_to_json
+
+    def no_close(self, cap=None):
+        raise AssertionError("the group was closed before the degree was refused")
+
+    f = tmp_path / "gens.json"
+    f.write_text(generators_to_json(get_entry("fermat-3-3").generators()))
+    monkeypatch.setattr(matgroups.MatGroup, "close", no_close)
+    assert main(["invdim", str(f), "--degree", "100", "--method", method]) == 1
+    out, err = capsys.readouterr()
+    line = r"p = \d+ must exceed dim Sym\^100 = 4598126" if method == "molien" else r"Reynolds at degree 100: .*"
+    assert out == "" and re.fullmatch("error: %s\n" % line, err)
 
 
 @pytest.mark.parametrize("command", [["invdim", "gens.json", "--degree", "4"], ["structure", "gens.json"]])

@@ -22,8 +22,8 @@ from formaut.matgroups import (DEFAULT_CAP, GroupError, MatGroup, Orbit, closure
 from formaut.smoothness import split_prime
 
 from lemmas import scalar_group
-from oracles import (fermat_form, form_product, orbit_is_finite_all_generators, permutation_matrix,
-                     reference_scalar_cosets, residue_bfs)
+from oracles import (REFLECTION_DEGREES, TODD_DEGREES, fermat_form, form_product, hilbert_coefficient,
+                     orbit_is_finite_all_generators, permutation_matrix, reference_scalar_cosets, residue_bfs)
 
 
 def test_scalar_group():
@@ -378,6 +378,50 @@ def test_reynolds_past_the_byte_bound_is_refused(tmp_path, capsys):
     assert capsys.readouterr().out == "134\n"
 
 
+def test_reynolds_names_the_byte_bound_before_p():
+    grp = closure(get_entry("klein-quartic").generators())
+    size = math.comb(3000 + 2, 2)       # 4,504,501 > p, and its four M x M arrays pass SYM_MAX_BYTES
+    assert size > grp.p
+    with pytest.raises(GroupError, match="^Reynolds at degree 3000: 4 stacked"):
+        invariant_dimension_reynolds(grp, 3000)
+    with pytest.raises(GroupError, match="^p = %d must exceed dim Sym\\^3000 = %d$" % (grp.p, size)):
+        invariant_dimension_molien(grp, 3000)
+
+
+def _reflection_disagreements(grp: MatGroup, degrees) -> list:
+    """What of Chevalley-Shephard-Todd (tests/oracles.py) a closed group contradicts.
+
+    "order" if |G| != prod d_i, "reflections" if the residues with rank(g - I) = 1
+    are not sum (d_i - 1), and each e <= 12 whose invariant dimension is not the
+    Hilbert coefficient; "both" where M <= 120, Molien alone past it.
+    """
+    found = []
+    if math.prod(degrees) != grp.order:
+        found.append("order")
+    if sum(d - 1 for d in degrees) != sum(1 for _ in grp._reflections()):
+        found.append("reflections")
+    for e in range(1, 13):
+        method = "both" if math.comb(grp.dim + e - 1, e) <= 120 else "molien"
+        if invariant_dimension(grp, e, method) != hilbert_coefficient(degrees, e):
+            found.append(e)
+    return found
+
+
+@pytest.mark.parametrize("label", sorted(REFLECTION_DEGREES))
+def test_reflection_groups_match_chevalley_shephard_todd(label):
+    assert _reflection_disagreements(closure(get_entry(label).generators()), REFLECTION_DEGREES[label]) == []
+
+
+def test_a_wrong_degree_list_contradicts_the_hessian_group():
+    # (4, 18, 18) has the order 1296 of ST26 = (6, 12, 18), but 37 reflections and other invariants
+    grp = closure(get_entry("hessian-sextic").generators())
+    assert _reflection_disagreements(grp, (4, 18, 18)) == ["reflections", 4, 6, 8, 12]
+
+
+def test_todd_degrees_give_the_catalog_order():
+    assert math.prod(TODD_DEGREES) == get_entry("todd-sextic").expected["aut_order"] == 39191040
+
+
 def test_molien_keeps_only_the_last_r_series_coefficients():
     grp = closure(get_entry("klein-quartic").generators())
     tracemalloc.start()
@@ -387,11 +431,7 @@ def test_molien_keeps_only_the_last_r_series_coefficients():
     finally:
         tracemalloc.stop()
     # the coefficient of t^2000 in Klein's Hilbert series (1 + t^21) / ((1 - t^4)(1 - t^6)(1 - t^14))
-    coeffs = [1] + [0] * 2000
-    for a in (4, 6, 14):
-        for k in range(a, 2001):
-            coeffs[k] += coeffs[k - a]
-    assert value == coeffs[2000] + coeffs[2000 - 21] == 12048
+    assert value == hilbert_coefficient((4, 6, 14), 2000) + hilbert_coefficient((4, 6, 14), 2000 - 21) == 12048
     assert peak < 2 ** 20, peak     # the whole series of one stack held 10.7 MiB
 
 
